@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check build test vet lint staticcheck govulncheck race recovery cover bench-kmc bench-md bench-json bench-gate smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
+.PHONY: check build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
 
 check: vet lint build race
 
@@ -87,6 +87,17 @@ cover:
 	awk -v p=$$pct -v f=$(ANALYSIS_COVER_FLOOR) 'BEGIN {exit (p+0 < f) ? 1 : 0}' || \
 	{ echo "FAIL: internal/analysis coverage $$pct% is below the $(ANALYSIS_COVER_FLOOR)% floor"; exit 1; }
 
+# The repository's benchmark (bench/README.md, BENCHMARK.json): a run-set of
+# all five workloads into OUT, and the comparison of two run-sets against
+# the BENCHMARK.json bounds (make bench-compare A=parent.json B=change.json).
+OUT ?= bench_results.json
+
+bench:
+	$(GO) run ./bench -out $(OUT)
+
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
 # The incremental-vs-rescan KMC cycle contrast (EXPERIMENTS.md).
 bench-kmc:
 	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x .
@@ -94,19 +105,6 @@ bench-kmc:
 # The serial-vs-pooled MD step contrast on a 20^3 box (EXPERIMENTS.md).
 bench-md:
 	$(GO) test -run '^$$' -bench 'BenchmarkMDStep' -benchtime 5x -benchmem ./internal/md
-
-# Machine-readable benchmark artifacts (EXPERIMENTS.md): each family runs
-# once and its `go test -bench` output is converted to JSON by cmd/benchjson.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkMDStep' -benchtime 5x -benchmem ./internal/md | $(GO) run ./cmd/benchjson -out BENCH_md.json
-	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x . | $(GO) run ./cmd/benchjson -out BENCH_kmc.json
-	$(GO) test -run '^$$' -bench 'BenchmarkCoupled' -benchtime 1x ./internal/couple | $(GO) run ./cmd/benchjson -out BENCH_couple.json
-
-# Regression gate against the committed MD-step baseline: fail when ns/op
-# slips more than 10% past BENCH_md.json or allocs/op rises above it
-# (allocation counts are deterministic — any increase is real).
-bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkMDStep' -benchtime 5x -benchmem ./internal/md | $(GO) run ./cmd/benchjson -baseline BENCH_md.json -max-regress 0.10
 
 # Every example must run to completion (CI smoke gate).
 smoke:

@@ -1,11 +1,9 @@
-// Command benchjson turns `go test -bench` output into a machine-readable
-// JSON document (the `make bench-json` artifacts), and doubles as the CI
-// validator for telemetry JSONL files written by the -metrics-out flag.
+// Command benchjson is the CI validator for telemetry JSONL files written by
+// the -metrics-out flag (make smoke-telemetry). The benchmark itself lives
+// in ./bench (make bench, make bench-compare).
 //
 // Usage:
 //
-//	go test -run '^$' -bench BenchmarkMDStep ./internal/md | benchjson -out BENCH_md.json
-//	go test -run '^$' -bench BenchmarkMDStep -benchmem ./internal/md | benchjson -baseline BENCH_md.json
 //	benchjson -check run.jsonl -require md/force,kmc/sector,mpi/bytes-sent
 package main
 
@@ -14,129 +12,21 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 )
 
-// benchmark is one parsed benchmark result line.
-type benchmark struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"` // "ns/op", "B/op", custom units
-}
-
-// document is the full parse of one `go test -bench` run.
-type document struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Benchmarks []benchmark `json:"benchmarks"`
-}
-
 func main() {
-	out := flag.String("out", "", "write the parsed benchmark JSON here (default stdout)")
-	check := flag.String("check", "", "validate a telemetry JSONL file instead of parsing benchmarks")
-	require := flag.String("require", "", "comma-separated metric names the JSONL report must contain (with -check)")
-	baseline := flag.String("baseline", "", "compare stdin benchmark results against this committed baseline JSON and fail on regression")
-	maxRegress := flag.Float64("max-regress", 0.10, "allowed fractional ns/op slowdown vs the baseline (with -baseline)")
+	check := flag.String("check", "", "telemetry JSONL file to validate")
+	require := flag.String("require", "", "comma-separated metric names the JSONL report must contain")
 	flag.Parse()
-
-	if *check != "" {
-		if err := checkJSONL(*check, splitList(*require)); err != nil {
-			log.Fatalf("benchjson: %v", err)
-		}
-		return
+	if *check == "" {
+		log.Fatal("benchjson: -check FILE is required")
 	}
-
-	doc, err := parseBench(os.Stdin)
-	if err != nil {
+	if err := checkJSONL(*check, splitList(*require)); err != nil {
 		log.Fatalf("benchjson: %v", err)
 	}
-	if len(doc.Benchmarks) == 0 {
-		log.Fatal("benchjson: no benchmark result lines on stdin")
-	}
-	if *baseline != "" {
-		if err := compareBaseline(doc, *baseline, *maxRegress); err != nil {
-			log.Fatalf("benchjson: %v", err)
-		}
-		return
-	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatalf("benchjson: %v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatalf("benchjson: %v", err)
-	}
-	if *out != "" {
-		fmt.Printf("benchjson: %d benchmark(s) -> %s\n", len(doc.Benchmarks), *out)
-	}
-}
-
-// compareBaseline gates the current benchmark run (doc) against a committed
-// baseline document: every baseline benchmark must be present, must not be
-// slower than ns/op × (1 + maxRegress), and must not allocate more per op
-// than the baseline (allocation counts are deterministic, so any increase
-// is a real regression, not noise).
-func compareBaseline(doc *document, path string, maxRegress float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base document
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	current := map[string]benchmark{}
-	for _, b := range doc.Benchmarks {
-		current[b.Name] = b
-	}
-	var failures []string
-	for _, want := range base.Benchmarks {
-		got, ok := current[want.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: missing from current run", want.Name))
-			continue
-		}
-		baseNs, haveNs := want.Metrics["ns/op"]
-		if haveNs {
-			limit := baseNs * (1 + maxRegress)
-			if gotNs := got.Metrics["ns/op"]; gotNs > limit {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.0f ns/op exceeds baseline %.0f ns/op by more than %.0f%%",
-					want.Name, gotNs, baseNs, 100*maxRegress))
-			} else {
-				fmt.Printf("benchjson: %s: %.2f ms/op vs baseline %.2f ms/op (limit +%.0f%%)\n",
-					want.Name, got.Metrics["ns/op"]/1e6, baseNs/1e6, 100*maxRegress)
-			}
-		}
-		if baseAllocs, have := want.Metrics["allocs/op"]; have {
-			gotAllocs, haveGot := got.Metrics["allocs/op"]
-			if !haveGot {
-				failures = append(failures, fmt.Sprintf(
-					"%s: baseline has allocs/op but current run does not (run with -benchmem)", want.Name))
-			} else if gotAllocs > baseAllocs {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.0f allocs/op exceeds baseline %.0f", want.Name, gotAllocs, baseAllocs))
-			}
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("benchmark regression vs %s:\n  %s", path, strings.Join(failures, "\n  "))
-	}
-	fmt.Printf("benchjson: %d benchmark(s) within baseline %s\n", len(base.Benchmarks), path)
-	return nil
 }
 
 func splitList(s string) []string {
@@ -147,54 +37,6 @@ func splitList(s string) []string {
 		}
 	}
 	return names
-}
-
-// parseBench reads `go test -bench` text and extracts the header metadata
-// plus every "BenchmarkX  N  V unit  V unit ..." result line. Non-benchmark
-// lines (test chatter, PASS/ok) pass through untouched.
-func parseBench(r io.Reader) (*document, error) {
-	doc := &document{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, h := range []struct {
-			prefix string
-			dst    *string
-		}{
-			{"goos: ", &doc.Goos}, {"goarch: ", &doc.Goarch},
-			{"pkg: ", &doc.Pkg}, {"cpu: ", &doc.CPU},
-		} {
-			if strings.HasPrefix(line, h.prefix) {
-				*h.dst = strings.TrimPrefix(line, h.prefix)
-			}
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 || len(fields)%2 != 0 {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		b := benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-		ok := true
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				ok = false
-				break
-			}
-			b.Metrics[fields[i+1]] = v
-		}
-		if ok {
-			doc.Benchmarks = append(doc.Benchmarks, b)
-		}
-	}
-	return doc, sc.Err()
 }
 
 // jsonlLine mirrors the telemetry wire format closely enough to validate it.

@@ -1,10 +1,6 @@
 package mdkmc
 
 import (
-	"fmt"
-	"math"
-	"reflect"
-
 	"mdkmc/internal/cluster"
 	"mdkmc/internal/couple"
 	"mdkmc/internal/kmc"
@@ -72,36 +68,28 @@ type (
 	// run (WithPreemption, or CoupledConfig.Preempt for coupled/campaign
 	// runs). See DESIGN.md §16.
 	Preemptor = couple.Preemptor
+	// MDResult summarizes an MD run.
+	MDResult = couple.MDResult
+	// KMCResult summarizes a KMC run.
+	KMCResult = couple.KMCResult
+	// RunOption customizes a Run*Checkpointed call.
+	RunOption = couple.RunOption
 )
 
 // ErrPreempted is returned by a run stopped by a Preemptor after committing
 // a resumable snapshot; test with errors.Is and resume via Checkpoint.Restart.
 var ErrPreempted = couple.ErrPreempted
 
-// runOpts collects the per-run options of the checkpointed entry points.
-type runOpts struct {
-	faults    []Fault
-	telemetry TelemetryOptions
-	preempt   *Preemptor
-}
-
-// RunOption customizes a Run*Checkpointed call.
-type RunOption func(*runOpts)
-
 // WithFaults schedules injected rank failures (in addition to any plan in
 // MDKMC_FAULT) for recovery testing.
-func WithFaults(faults ...Fault) RunOption {
-	return func(o *runOpts) { o.faults = append(o.faults, faults...) }
-}
+func WithFaults(faults ...Fault) RunOption { return couple.WithFaults(faults...) }
 
 // WithTelemetry attaches the observability layer to the run: per-rank phase
 // spans and comm counters, periodic JSONL flush, optional HTTP exposition,
 // and a measured end-of-run report in the result's Telemetry field.
 // Telemetry never perturbs the trajectory — results are bit-identical to a
 // run without it.
-func WithTelemetry(opts TelemetryOptions) RunOption {
-	return func(o *runOpts) { o.telemetry = opts }
-}
+func WithTelemetry(opts TelemetryOptions) RunOption { return couple.WithTelemetry(opts) }
 
 // WithPreemption arms checkpoint-backed eviction: when p.Request is called
 // from another goroutine, the run stops at its next step/cycle boundary,
@@ -109,17 +97,7 @@ func WithTelemetry(opts TelemetryOptions) RunOption {
 // configured), and returns ErrPreempted. Resume the job by re-running the
 // same configuration with Checkpoint.Restart — on the same topology the
 // continuation is bit-identical; on a different one it re-shards elastically.
-func WithPreemption(p *Preemptor) RunOption {
-	return func(o *runOpts) { o.preempt = p }
-}
-
-func applyRunOptions(opts []RunOption) runOpts {
-	var o runOpts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
+func WithPreemption(p *Preemptor) RunOption { return couple.WithPreemption(p) }
 
 // Fault-injection points understood by Fault.Point, plus the environment
 // variable holding an out-of-band fault plan ("point:rank:step,...").
@@ -147,314 +125,31 @@ func DefaultMDConfig() MDConfig { return md.DefaultConfig() }
 // DefaultKMCConfig returns the paper's KMC setup at laptop scale.
 func DefaultKMCConfig() KMCConfig { return kmc.DefaultConfig() }
 
-// MDResult summarizes an MD run.
-type MDResult struct {
-	Atoms        int
-	Steps        int
-	Kinetic      float64 // eV
-	Potential    float64 // eV
-	Temperature  float64 // K
-	Vacancies    int
-	VacancySites []Coord
-	Comm         CommStats
-	Clusters     ClusterAnalysis
-	// Telemetry is the measured per-phase report (nil unless the run was
-	// started with WithTelemetry and enabled options).
-	Telemetry *TelemetryReport
-}
-
-// prepareCheckpoint resolves the restart manifest and coordinator for a
-// single-stage checkpointed run. A nil coordinator (ck.Dir empty) disables
-// snapshots; a nil manifest means a fresh start.
-func prepareCheckpoint(ck Checkpoint, hash, stage string, ranks int) (*couple.Coordinator, *Manifest, error) {
-	if ck.Dir == "" {
-		return nil, nil, nil
-	}
-	var man *Manifest
-	var err error
-	if ck.Restart {
-		if man, err = couple.Latest(ck.Dir, hash); err != nil {
-			return nil, nil, err
-		}
-	}
-	co, err := couple.NewCoordinator(ck, hash)
-	if err != nil {
-		return nil, nil, err
-	}
-	if man != nil && man.Stage != stage {
-		return nil, nil, fmt.Errorf("mdkmc: checkpoint holds a %q-stage snapshot, this is a %s run", man.Stage, stage)
-	}
-	// A rank-count mismatch is no longer an error: the manifest records the
-	// source topology and the restore path re-shards onto this run's grid
-	// (DESIGN.md §14).
-	return co, man, nil
-}
-
 // RunMD builds the in-process world for cfg.Grid, advances cfg.Steps MD
 // steps on every rank, and returns the merged result.
-func RunMD(cfg MDConfig) (*MDResult, error) { return RunMDCheckpointed(cfg, Checkpoint{}) }
+func RunMD(cfg MDConfig) (*MDResult, error) { return couple.RunMD(cfg, Checkpoint{}) }
 
 // RunMDCheckpointed is RunMD with periodic snapshots and restart: with
 // ck.Dir set, all ranks are snapshotted every ck.Every steps, and ck.Restart
 // resumes from the newest valid snapshot, bit-identical to an uninterrupted
-// run. Options inject faults (WithFaults, plus any in MDKMC_FAULT) and
-// attach telemetry (WithTelemetry).
+// run. Options inject faults (WithFaults, plus any in MDKMC_FAULT), attach
+// telemetry (WithTelemetry) and arm preemption (WithPreemption).
 func RunMDCheckpointed(cfg MDConfig, ck Checkpoint, opts ...RunOption) (*MDResult, error) {
-	o := applyRunOptions(opts)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	co, man, err := prepareCheckpoint(ck, cfg.Hash(), couple.StageMD, cfg.Ranks())
-	if err != nil {
-		return nil, err
-	}
-	envFaults, err := mpi.FaultsFromEnv()
-	if err != nil {
-		return nil, err
-	}
-	set, err := telemetry.NewSet(cfg.Ranks(), o.telemetry)
-	if err != nil {
-		return nil, err
-	}
-	defer set.Close()
-	co.AttachTelemetry(set)
-	res := &MDResult{Atoms: cfg.NumAtoms(), Steps: cfg.Steps}
-	w := mpi.NewWorld(cfg.Ranks())
-	w.InjectFault(o.faults...)
-	w.InjectFault(envFaults...)
-	runErr := w.RunE(func(c *mpi.Comm) error {
-		reg := set.Rank(c.Rank())
-		c.AttachTelemetry(reg)
-		r, err := md.NewRank(cfg, c)
-		if err != nil {
-			return err
-		}
-		r.AttachTelemetry(reg)
-		topo := couple.Topology{Grid: cfg.Grid, Cuts: r.Grid.Cuts()}
-		start := 0
-		if man != nil {
-			srcGrid, err := man.Topology.SourceGrid(r.L)
-			if err != nil {
-				return err
-			}
-			if reflect.DeepEqual(srcGrid.Cuts(), r.Grid.Cuts()) {
-				rc, err := man.Open(c.Rank())
-				if err != nil {
-					return err
-				}
-				err = r.Restore(rc)
-				rc.Close()
-				if err != nil {
-					return err
-				}
-			} else if err := r.RestoreResharded(md.ShardSource{Grid: srcGrid, Open: man.Open}); err != nil {
-				return err
-			}
-			start = man.Step
-		}
-		for i := start; i < cfg.Steps; i++ {
-			r.Step()
-			step := i + 1
-			if co.Due(step) && step < cfg.Steps {
-				if err := co.Snapshot(c, couple.StageMD, step, topo, nil, r.Save); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == 0 && set.FlushDue(step) {
-				if err := set.Flush(fmt.Sprintf("md-step-%d", step)); err != nil {
-					return err
-				}
-			}
-			c.FaultPoint(mpi.PointMDStep, step)
-			// Preemption boundary: the guard is rank-uniform, so every
-			// rank enters the collective Poll in lockstep; the final step
-			// falls through to normal completion instead of evicting.
-			if o.preempt != nil && step < cfg.Steps && o.preempt.Poll(c) {
-				if co != nil {
-					if err := co.Snapshot(c, couple.StageMD, step, topo, nil, r.Save); err != nil {
-						return err
-					}
-				}
-				return couple.ErrPreempted
-			}
-		}
-		ke, pe := r.TotalEnergy()
-		temp := r.Temperature()
-		vac := r.GlobalVacancyCount()
-		sites := gatherCoords(c, r.OwnedVacancySites())
-		if c.Rank() == 0 {
-			res.Kinetic = ke
-			res.Potential = pe
-			res.Temperature = temp
-			res.Vacancies = vac
-			res.VacancySites = sites
-			res.Comm = c.Stats()
-			res.Clusters = cluster.Vacancies(r.L, sites, 2)
-		}
-		// Collective end-of-run aggregation; runs after Comm is captured so
-		// its own traffic stays out of both.
-		if set != nil {
-			rep, err := telemetry.Aggregate(c, reg)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				res.Telemetry = rep
-				if err := set.WriteReport(rep); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	return res, nil
-}
-
-// KMCResult summarizes a KMC run.
-type KMCResult struct {
-	Sites        int
-	Vacancies    int
-	Cycles       int
-	Events       int
-	MCTime       float64 // seconds of Monte Carlo time
-	RealTimeDays float64 // via the temporal-scale formula
-	VacancySites []Coord
-	Comm         CommStats
-	Clusters     ClusterAnalysis
-	// Telemetry is the measured per-phase report (nil unless the run was
-	// started with WithTelemetry and enabled options).
-	Telemetry *TelemetryReport
+	return couple.RunMD(cfg, ck, opts...)
 }
 
 // RunKMC builds the in-process world for cfg.Grid and runs cycles KMC
 // cycles (or until tThreshold MC seconds if positive).
 func RunKMC(cfg KMCConfig, cycles int, tThreshold float64) (*KMCResult, error) {
-	return RunKMCCheckpointed(cfg, cycles, tThreshold, Checkpoint{})
+	return couple.RunKMC(cfg, cycles, tThreshold, Checkpoint{})
 }
 
 // RunKMCCheckpointed is RunKMC with periodic snapshots and restart: with
 // ck.Dir set, all ranks are snapshotted every ck.Every cycles, and
 // ck.Restart resumes from the newest valid snapshot, bit-identical to an
-// uninterrupted run. Options inject faults (WithFaults, plus any in
-// MDKMC_FAULT) and attach telemetry (WithTelemetry).
+// uninterrupted run. Options as for RunMDCheckpointed.
 func RunKMCCheckpointed(cfg KMCConfig, cycles int, tThreshold float64, ck Checkpoint, opts ...RunOption) (*KMCResult, error) {
-	o := applyRunOptions(opts)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if tThreshold <= 0 {
-		tThreshold = math.Inf(1)
-	}
-	// The stop conditions join the digest: resuming with a different bound
-	// is a different run.
-	hash := fmt.Sprintf("%s|cycles=%d|tthr=%v", cfg.Hash(), cycles, tThreshold)
-	co, man, err := prepareCheckpoint(ck, hash, couple.StageKMC, cfg.Ranks())
-	if err != nil {
-		return nil, err
-	}
-	envFaults, err := mpi.FaultsFromEnv()
-	if err != nil {
-		return nil, err
-	}
-	set, err := telemetry.NewSet(cfg.Ranks(), o.telemetry)
-	if err != nil {
-		return nil, err
-	}
-	defer set.Close()
-	co.AttachTelemetry(set)
-	res := &KMCResult{Sites: cfg.NumSites()}
-	w := mpi.NewWorld(cfg.Ranks())
-	w.InjectFault(o.faults...)
-	w.InjectFault(envFaults...)
-	runErr := w.RunE(func(c *mpi.Comm) error {
-		reg := set.Rank(c.Rank())
-		c.AttachTelemetry(reg)
-		st, err := kmc.NewState(cfg, c)
-		if err != nil {
-			return err
-		}
-		st.AttachTelemetry(reg)
-		topo := couple.Topology{Grid: cfg.Grid, Cuts: st.Grid.Cuts()}
-		if man != nil {
-			srcGrid, err := man.Topology.SourceGrid(st.L)
-			if err != nil {
-				return err
-			}
-			if reflect.DeepEqual(srcGrid.Cuts(), st.Grid.Cuts()) {
-				rc, err := man.Open(c.Rank())
-				if err != nil {
-					return err
-				}
-				err = st.Restore(rc)
-				rc.Close()
-				if err != nil {
-					return err
-				}
-			} else if err := st.RestoreResharded(kmc.ShardSource{Grid: srcGrid, Open: man.Open}); err != nil {
-				return err
-			}
-		}
-		for st.Time < tThreshold && st.Cycles < cycles {
-			st.Cycle()
-			if co.Due(st.Cycles) && st.Cycles < cycles {
-				if err := co.Snapshot(c, couple.StageKMC, st.Cycles, topo, nil, st.Save); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == 0 && set.FlushDue(st.Cycles) {
-				if err := set.Flush(fmt.Sprintf("kmc-cycle-%d", st.Cycles)); err != nil {
-					return err
-				}
-			}
-			c.FaultPoint(mpi.PointKMCCycle, st.Cycles)
-			// Preemption boundary (rank-uniform guard; see the MD loop).
-			if o.preempt != nil && st.Cycles < cycles && st.Time < tThreshold && o.preempt.Poll(c) {
-				if co != nil {
-					if err := co.Snapshot(c, couple.StageKMC, st.Cycles, topo, nil, st.Save); err != nil {
-						return err
-					}
-				}
-				return couple.ErrPreempted
-			}
-		}
-		tot := c.Allreduce(mpi.Sum, float64(st.Events))
-		vac := st.GlobalVacancyCount()
-		sites := gatherCoords(c, st.VacancySites())
-		if c.Rank() == 0 {
-			res.Vacancies = vac
-			res.Cycles = st.Cycles
-			res.Events = int(tot[0] + 0.5)
-			res.MCTime = st.Time
-			cMC := float64(vac) / float64(cfg.NumSites())
-			res.RealTimeDays = couple.TemporalScaleDays(st.Time, cMC,
-				units.VacancyFormationEnergyFe, cfg.Temperature)
-			res.VacancySites = sites
-			res.Comm = c.Stats()
-			res.Clusters = cluster.Vacancies(st.L, sites, 2)
-		}
-		// Collective end-of-run aggregation; runs after Comm is captured so
-		// its own traffic stays out of both.
-		if set != nil {
-			rep, err := telemetry.Aggregate(c, reg)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				res.Telemetry = rep
-				if err := set.WriteReport(rep); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	return res, nil
+	return couple.RunKMC(cfg, cycles, tThreshold, ck, opts...)
 }
 
 // LatestCheckpoint returns the newest valid snapshot manifest under dir for
@@ -508,27 +203,4 @@ func AnalyzeClusters(cells [3]int, a float64, sites []Coord, shells int) Cluster
 func RenderVacancies(cells [3]int, a float64, sites []Coord, width, height int) string {
 	l := lattice.New(cells[0], cells[1], cells[2], a)
 	return cluster.Render(l, sites, width, height)
-}
-
-// gatherCoords collects every rank's coordinates on all ranks.
-func gatherCoords(c *mpi.Comm, own []lattice.Coord) []lattice.Coord {
-	var p []byte
-	for _, s := range own {
-		p = append(p,
-			byte(s.X), byte(s.X>>8), byte(s.X>>16), byte(s.X>>24),
-			byte(s.Y), byte(s.Y>>8), byte(s.Y>>16), byte(s.Y>>24),
-			byte(s.Z), byte(s.Z>>8), byte(s.Z>>16), byte(s.Z>>24),
-			byte(s.B))
-	}
-	var out []lattice.Coord
-	for _, buf := range c.Allgather(p) {
-		for off := 0; off+13 <= len(buf); off += 13 {
-			rd := func(o int) int32 {
-				return int32(buf[off+o]) | int32(buf[off+o+1])<<8 |
-					int32(buf[off+o+2])<<16 | int32(buf[off+o+3])<<24
-			}
-			out = append(out, lattice.Coord{X: rd(0), Y: rd(4), Z: rd(8), B: int8(buf[off+12])})
-		}
-	}
-	return out
 }

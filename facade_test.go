@@ -277,3 +277,28 @@ func TestCheckpointedRejectsStageMismatch(t *testing.T) {
 		t.Fatal("MD restart from a KMC snapshot directory accepted")
 	}
 }
+
+// TestRunCoupledRejectsCampaignSnapshot: a configuration with a campaign
+// block hashes the same whether RunCampaign or RunCoupled receives it, so
+// the hash check passes and only the stage check keeps RunCoupled from
+// restoring a campaign snapshot as an MD-stage one (resuming at the
+// campaign-global step counter).
+func TestRunCoupledRejectsCampaignSnapshot(t *testing.T) {
+	mcfg := mdkmc.DefaultMDConfig()
+	mcfg.Cells = [3]int{16, 8, 8}
+	mcfg.Steps = 12
+	mcfg.Dt = 2e-4
+	mcfg.Temperature = 300
+	mcfg.TablePoints = 500
+	cfg := mdkmc.CoupledConfig{MD: mcfg, KMCCycles: 4}
+	cfg.Campaign = mdkmc.CampaignSpec{Iters: 2, DoseIncrement: 2e-3, Energy: 300}
+	cfg.Checkpoint = mdkmc.Checkpoint{Dir: t.TempDir(), Every: 5}
+	if _, err := mdkmc.RunCampaign(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint.Restart = true
+	_, err := mdkmc.RunCoupled(cfg)
+	if err == nil || !strings.Contains(err.Error(), `"campaign"-stage snapshot`) {
+		t.Fatalf("coupled restart from a campaign snapshot directory returned %v, want a stage refusal", err)
+	}
+}

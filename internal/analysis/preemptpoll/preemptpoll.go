@@ -8,13 +8,16 @@
 //     to a Step/Cycle method of the md, kmc, or okmc engines — must reach
 //     a checkpoint boundary: couple.Preemptor.Poll, mpi.Comm.FaultPoint,
 //     or a function annotated //mdvet:boundary (directly, or through
-//     same-package helpers). A loop that advances without polling can
-//     never honor a preemption request: the serve layer's evictions stall
-//     until the stage completes, which is exactly the grant-latency bug
-//     class the job server's checkpoint-boundary preemption exists to
-//     avoid. The check is per innermost advancing loop; an anneal loop
-//     with genuinely no checkpointable mid-state carries an
-//     //mdvet:ignore preemptpoll <reason>.
+//     same-package helpers). The loops this guards are the run driver's
+//     stage loops (couple/driver.go), which call the engines directly and
+//     reach both leaves through the driver's boundary method; the facade
+//     holds no loop and must not grow one. A loop that advances without
+//     polling can never honor a preemption request: the serve layer's
+//     evictions stall until the stage completes, which is exactly the
+//     grant-latency bug class the job server's checkpoint-boundary
+//     preemption exists to avoid. The check is per innermost advancing
+//     loop; an anneal loop with genuinely no checkpointable mid-state
+//     carries an //mdvet:ignore preemptpoll <reason>.
 //
 //  2. Collective symmetry across calls: collsym flags a collective
 //     lexically guarded by a rank-dependent condition, but only within
@@ -105,7 +108,9 @@ func methodOn(fn *types.Func) (pkg, recv, name string, ok bool) {
 	return named.Obj().Pkg().Path(), named.Obj().Name(), fn.Name(), true
 }
 
-// isAdvance reports whether fn is an engine Step/Cycle method.
+// isAdvance reports whether fn is an engine Step/Cycle method — the run
+// driver's advance calls: its stage loops step the engines directly, not
+// through a function value the callgraph could not follow.
 func isAdvance(fn *types.Func) bool {
 	pkg, _, name, ok := methodOn(fn)
 	return ok && enginePkgs[pkg] && (name == "Step" || name == "Cycle")

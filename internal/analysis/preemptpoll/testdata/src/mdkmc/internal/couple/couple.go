@@ -62,6 +62,45 @@ func goodViaBoundary(r *md.Rank, n int) {
 	}
 }
 
+// run mirrors the run driver (internal/couple/driver.go): stage loops
+// advance the engine directly and hand every step to boundary, which
+// reaches the fault point itself and the collective poll through yield.
+type run struct{ preempt *Preemptor }
+
+func (d *run) boundary(c *mpi.Comm, k int, last bool) bool {
+	c.FaultPoint("md-step", k)
+	return !last && d.yield(c)
+}
+
+func (d *run) yield(c *mpi.Comm) bool {
+	return d.preempt != nil && d.preempt.Poll(c)
+}
+
+// goodDriverStage is the driver's stage-loop shape: rule 1 sees the
+// engine advance and finds the boundary through the method's body.
+func goodDriverStage(d *run, c *mpi.Comm, r *md.Rank, n int) {
+	for i := 0; i < n; i++ {
+		r.Step()
+		if d.boundary(c, i+1, i+1 == n) {
+			return
+		}
+	}
+}
+
+// goodDeferredYield is the campaign shape: the anneal loop carries the
+// ignore, the iteration loop around it yields through the driver.
+func goodDeferredYield(d *run, c *mpi.Comm, st *kmc.State, n int) {
+	for it := 0; it < n; it++ {
+		//mdvet:ignore preemptpoll anneal has no checkpointable mid-state, the iteration loop yields
+		for st.Cycles < n {
+			st.Cycle()
+		}
+		if d.yield(c) {
+			return
+		}
+	}
+}
+
 func badNoBoundary(r *md.Rank, n int) {
 	for i := 0; i < n; i++ { // want "loop advances the simulation via Step but reaches no preemption boundary"
 		r.Step()
@@ -112,6 +151,14 @@ func pollWrapper(c *mpi.Comm, p *Preemptor) {
 func badGuardedWrapper(c *mpi.Comm, p *Preemptor) {
 	if c.Rank() == 0 {
 		pollWrapper(c, p) // want "rank-guarded call to pollWrapper transitively enters collective Poll"
+	}
+}
+
+// badGuardedYield: the driver's boundary flushes telemetry under a rank-0
+// guard right next to the yield; the yield itself must stay outside it.
+func badGuardedYield(d *run, c *mpi.Comm) {
+	if c.Rank() == 0 {
+		d.yield(c) // want "rank-guarded call to yield transitively enters collective Poll"
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"mdkmc/internal/cluster"
-	"mdkmc/internal/kmc"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/md"
 	"mdkmc/internal/mpi"
@@ -437,73 +436,23 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 		}
 	}
 
-	hash := cfg.Hash()
-	var co *Coordinator
-	var man *Manifest
-	var err error
-	if cfg.Checkpoint.Dir != "" {
-		if cfg.Checkpoint.Restart {
-			if man, err = Latest(cfg.Checkpoint.Dir, hash); err != nil {
-				return nil, err
-			}
-			if man != nil && man.Stage != StageCampaign {
-				return nil, fmt.Errorf("couple: checkpoint %d is a %q snapshot, not a campaign", man.Seq, man.Stage)
-			}
-		}
-		if co, err = NewCoordinator(cfg.Checkpoint, hash); err != nil {
-			return nil, err
-		}
-	}
-	envFaults, err := mpi.FaultsFromEnv()
+	d, err := open(cfg.Checkpoint, cfg.Hash(), cfg.MD.Ranks(), cfg.runOpts(), StageCampaign)
 	if err != nil {
 		return nil, err
 	}
-	set, err := telemetry.NewSet(cfg.MD.Ranks(), cfg.Telemetry)
-	if err != nil {
-		return nil, err
-	}
-	defer set.Close()
-	co.AttachTelemetry(set)
-
 	res := &CampaignResult{AtomCount: cfg.MD.NumAtoms()}
-	w := mpi.NewWorld(cfg.MD.Ranks())
-	w.InjectFault(cfg.Faults...)
-	w.InjectFault(envFaults...)
-	runErr := w.RunE(func(c *mpi.Comm) error {
-		reg := set.Rank(c.Rank())
-		c.AttachTelemetry(reg)
-		rank, err := md.NewRank(cfg.MD, c)
+	err = d.exec(&res.Telemetry, func(c *mpi.Comm, reg *telemetry.Registry) error {
+		rank, err := d.mdRank(c, reg, cfg.MD)
 		if err != nil {
 			return err
 		}
-		rank.AttachTelemetry(reg)
 		l := rank.L
-		mdTopo := Topology{Grid: cfg.MD.Grid, Cuts: rank.Grid.Cuts()}
 
 		// Campaign ledger state, replicated identically on every rank.
 		camp := CampaignState{}
 		startIter, localStep := 0, 0
 		var pending *PendingInjection
-		if man != nil {
-			srcGrid, err := man.Topology.SourceGrid(l)
-			if err != nil {
-				return err
-			}
-			if cutsEqual(srcGrid.Cuts(), rank.Grid.Cuts()) {
-				rc, err := man.Open(c.Rank())
-				if err != nil {
-					return err
-				}
-				err = rank.Restore(rc)
-				rc.Close()
-				if err != nil {
-					return err
-				}
-			} else if err := rank.RestoreResharded(md.ShardSource{
-				Grid: srcGrid, Open: man.Open,
-			}); err != nil {
-				return err
-			}
+		if man := d.man; man != nil {
 			camp = *man.Campaign
 			startIter = camp.Iter
 			localStep = man.Step - startIter*cfg.MD.Steps
@@ -523,7 +472,7 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 		// identical simulation, so no broadcasts are needed).
 		var osim *okmc.Sim
 		if spec.OKMC {
-			if man != nil {
+			if d.man != nil {
 				osim, err = okmc.Resume(cfg.okmcConfig(), camp.Objects, camp.MCTime, camp.MCEvents)
 			} else {
 				osim, err = okmc.New(cfg.okmcConfig(), nil)
@@ -540,11 +489,18 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 		popGauge := reg.Gauge("campaign/population")
 		doseGauge := reg.Gauge("campaign/dose-ndpa") // dose in nano-dpa
 
-		snapState := func(iter int, p *PendingInjection) *CampaignState {
+		// Campaign snapshots are MD rank files under a campaign manifest: the
+		// ledger as of snapIter completed iterations, plus the injection of
+		// the iteration in flight (nil at an iteration boundary).
+		var snapIter int
+		var snapPending *PendingInjection
+		p := mdPoint(rank)
+		p.stage, p.label = StageCampaign, "campaign-step-%d"
+		p.camp = func() *CampaignState {
 			s := camp
-			s.Iter = iter
+			s.Iter = snapIter
 			s.Cursor = sa.Cursor
-			s.Pending = p
+			s.Pending = snapPending
 			if osim != nil {
 				s.Objects = osim.Objects
 				s.MCTime = osim.Time
@@ -577,41 +533,22 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			skippedCtr.Add(int64(inj.Skipped))
 			doseGauge.Set(int64(camp.Dose * 1e9))
 
-			// MD cascade + anneal over the campaign-global step counter.
+			// MD cascade + anneal over the campaign-global step counter. A
+			// mid-iteration snapshot must leave the iteration resumable, so
+			// the stage's last step defers its snapshot and yield to the
+			// iteration boundary below.
+			snapIter, snapPending = it, &inj
 			mdStage := reg.Timer("couple/md-stage").Begin()
-			for s := localStep; s < cfg.MD.Steps; s++ {
-				rank.Step()
-				gstep := it*cfg.MD.Steps + s + 1
-				if co.Due(gstep) && s+1 < cfg.MD.Steps {
-					if err := co.SnapshotCampaign(c, gstep, mdTopo, snapState(it, &inj), rank.Save); err != nil {
-						return err
-					}
-				}
-				if c.Rank() == 0 && set.FlushDue(gstep) {
-					if err := set.Flush(fmt.Sprintf("campaign-step-%d", gstep)); err != nil {
-						return err
-					}
-				}
-				c.FaultPoint(mpi.PointMDStep, gstep)
-				// Preemption boundary: mid-iteration snapshots must leave the
-				// iteration resumable (localStep < Steps), so the last step of
-				// the MD stage defers to the iteration-boundary check below.
-				if cfg.Preempt != nil && s+1 < cfg.MD.Steps && cfg.Preempt.Poll(c) {
-					mdStage.End()
-					if co != nil {
-						if err := co.SnapshotCampaign(c, gstep, mdTopo, snapState(it, &inj), rank.Save); err != nil {
-							return err
-						}
-					}
-					return ErrPreempted
-				}
-			}
+			err := d.mdStage(c, rank, p, localStep, it*cfg.MD.Steps)
 			mdStage.End()
+			if err != nil {
+				return err
+			}
 			localStep = 0
 
 			// Harvest: only vacancies not yet handed over feed the coarse
 			// stage; canonical site order keeps the hand-off topology-blind.
-			mdSites := sortSites(l, gatherSites(c, l, rank.OwnedVacancySites()))
+			mdSites := sortSites(l, gatherSites(c, rank.OwnedVacancySites()))
 			fresh := diffSites(l, mdSites, camp.Seen)
 			camp.Seen = unionSites(l, camp.Seen, fresh)
 			newVacCtr.Add(int64(len(fresh)))
@@ -657,18 +594,16 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 					}
 					kcfg.Cuts = cuts
 				}
-				st, err := kmc.NewState(kcfg, c)
+				st, err := d.kmcState(c, reg, kcfg)
 				if err != nil {
 					return err
 				}
-				st.AttachTelemetry(reg)
 				for st.Time < cfg.TThreshold && st.Cycles < cfg.KMCCycles {
 					st.Cycle()
 					c.FaultPoint(mpi.PointKMCCycle, it*cfg.KMCCycles+st.Cycles)
 				}
-				totEvents := c.Allreduce(mpi.Sum, float64(st.Events))
-				camp.Population = sortSites(l, gatherSites(c, l, st.VacancySites()))
-				row.Events = int(totEvents[0] + 0.5)
+				row.Events = globalEvents(c, st)
+				camp.Population = sortSites(l, gatherSites(c, st.VacancySites()))
 				row.MCTime = st.Time
 				row.Population = len(camp.Population)
 				camp.MCTime += st.Time
@@ -679,23 +614,22 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			iterations.Inc()
 			popGauge.Set(int64(row.Population))
 
-			// Iteration-boundary snapshot: the natural campaign restart
-			// point, written whenever periodic checkpointing is on.
-			if co != nil && cfg.Checkpoint.Every > 0 && it+1 < spec.Iters {
-				if err := co.SnapshotCampaign(c, (it+1)*cfg.MD.Steps, mdTopo, snapState(it+1, nil), rank.Save); err != nil {
-					return err
-				}
-			}
-			// Preemption boundary between iterations (the KMC/OKMC anneal has
-			// no checkpointable mid-state, so a request raised during it is
+			// Iteration boundary: the natural campaign restart point, snapshotted
+			// whenever periodic checkpointing is on, and the yield the MD
+			// stage's last step deferred (the KMC/OKMC anneal has no
+			// checkpointable mid-state, so a request raised during it is
 			// honored here, after the iteration's ledger row is complete).
-			if cfg.Preempt != nil && it+1 < spec.Iters && cfg.Preempt.Poll(c) {
-				if co != nil {
-					if err := co.SnapshotCampaign(c, (it+1)*cfg.MD.Steps, mdTopo, snapState(it+1, nil), rank.Save); err != nil {
+			if it+1 < spec.Iters {
+				snapIter, snapPending = it+1, nil
+				k := (it + 1) * cfg.MD.Steps
+				if d.co != nil && cfg.Checkpoint.Every > 0 {
+					if err := d.snapshot(c, p, k); err != nil {
 						return err
 					}
 				}
-				return ErrPreempted
+				if err := d.yield(c, p, k); err != nil {
+					return err
+				}
 			}
 		}
 
@@ -722,22 +656,10 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			}
 			res.CommStats = c.Stats()
 		}
-		if set != nil {
-			rep, err := telemetry.Aggregate(c, reg)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				res.Telemetry = rep
-				if err := set.WriteReport(rep); err != nil {
-					return err
-				}
-			}
-		}
 		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

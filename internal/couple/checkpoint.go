@@ -287,14 +287,10 @@ func (co *Coordinator) Snapshot(c *mpi.Comm, stage string, step int, topo Topolo
 	return co.snapshot(c, stage, step, topo, md, nil, save)
 }
 
-// SnapshotCampaign writes a campaign-stage snapshot: the rank files carry the
-// MD rank state (the only distributed state a campaign resumes from; the KMC
-// hand-off is recomputed deterministically), the manifest carries the
-// campaign ledger. Collective with the same contract as Snapshot.
-func (co *Coordinator) SnapshotCampaign(c *mpi.Comm, step int, topo Topology, camp *CampaignState, save func(io.Writer) error) error {
-	return co.snapshot(c, StageCampaign, step, topo, nil, camp, save)
-}
-
+// snapshot is Snapshot with the campaign block: a campaign-stage snapshot's
+// rank files carry the MD rank state (the only distributed state a campaign
+// resumes from; the KMC hand-off is recomputed deterministically) and its
+// manifest carries the campaign ledger.
 func (co *Coordinator) snapshot(c *mpi.Comm, stage string, step int, topo Topology, md *MDSummary, camp *CampaignState, save func(io.Writer) error) error {
 	reg := co.set.Rank(c.Rank())
 	snap := reg.Timer("couple/checkpoint").Begin()

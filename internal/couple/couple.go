@@ -163,7 +163,8 @@ func (r *Result) String() string {
 
 // Run executes the coupled pipeline on an in-process world sized for the MD
 // grid and returns the merged result. It is the whole-pipeline entry point
-// used by the examples and benchmarks.
+// used by the examples and benchmarks: the driver's MD stage, the vacancy
+// handoff, then the driver's KMC stage.
 //
 // Rank failures — a failed stage constructor, an internal invariant panic,
 // or an injected fault — surface as an ordinary error: the world aborts,
@@ -177,246 +178,109 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.normalize()
-
-	// Fault-tolerance setup: the config hash ties snapshots to this exact
-	// trajectory; the fault plan merges the programmatic and env layers.
-	hash := cfg.Hash()
-	var co *Coordinator
-	var man *Manifest
-	var err error
-	if cfg.Checkpoint.Dir != "" {
-		if cfg.Checkpoint.Restart {
-			if man, err = Latest(cfg.Checkpoint.Dir, hash); err != nil {
-				return nil, err
-			}
-		}
-		if co, err = NewCoordinator(cfg.Checkpoint, hash); err != nil {
-			return nil, err
-		}
-	}
-	envFaults, err := mpi.FaultsFromEnv()
+	d, err := open(cfg.Checkpoint, cfg.Hash(), cfg.MD.Ranks(), cfg.runOpts(), StageMD, StageKMC)
 	if err != nil {
 		return nil, err
 	}
-	set, err := telemetry.NewSet(cfg.MD.Ranks(), cfg.Telemetry)
-	if err != nil {
-		return nil, err
-	}
-	defer set.Close()
-	co.AttachTelemetry(set)
-
 	res := &Result{AtomCount: cfg.MD.NumAtoms(), MDSteps: cfg.MD.Steps}
-	w := mpi.NewWorld(cfg.MD.Ranks())
-	w.InjectFault(cfg.Faults...)
-	w.InjectFault(envFaults...)
-	runErr := w.RunE(func(c *mpi.Comm) error {
-		reg := set.Rank(c.Rank())
-		c.AttachTelemetry(reg)
+	err = d.exec(&res.Telemetry, func(c *mpi.Comm, reg *telemetry.Registry) error {
+		l := lattice.New(cfg.MD.Cells[0], cfg.MD.Cells[1], cfg.MD.Cells[2], cfg.MD.A)
+		kcfg := cfg.kmcConfig()
 		// Stage 1: MD cascade — skipped entirely when resuming past the
 		// handoff; the manifest then carries the MD stage's summary.
-		var l *lattice.Lattice
-		var vacMD int
-		var allBefore []lattice.Coord
-		kcfg := cfg.kmcConfig()
-		if man != nil && man.Stage == StageKMC {
-			l = lattice.New(cfg.MD.Cells[0], cfg.MD.Cells[1], cfg.MD.Cells[2], cfg.MD.A)
-			if man.MD == nil {
+		var summary *MDSummary
+		resumeKMC := d.man != nil && d.man.Stage == StageKMC
+		if resumeKMC {
+			if summary = d.man.MD; summary == nil {
 				return fmt.Errorf("couple: KMC-stage checkpoint lacks the MD summary")
 			}
-			vacMD = man.MD.Vacancies
-			allBefore = man.MD.BeforeSites
 		} else {
-			rank, err := md.NewRank(cfg.MD, c)
+			rank, err := d.mdRank(c, reg, cfg.MD)
 			if err != nil {
 				return err
 			}
-			rank.AttachTelemetry(reg)
-			l = rank.L
-			mdTopo := Topology{Grid: cfg.MD.Grid, Cuts: rank.Grid.Cuts()}
-			start := 0
-			if man != nil { // man.Stage == StageMD
-				srcGrid, err := man.Topology.SourceGrid(rank.L)
-				if err != nil {
-					return err
-				}
-				if cutsEqual(srcGrid.Cuts(), rank.Grid.Cuts()) {
-					// Same decomposition: the byte-exact per-rank path.
-					rc, err := man.Open(c.Rank())
-					if err != nil {
-						return err
-					}
-					err = rank.Restore(rc)
-					rc.Close()
-					if err != nil {
-						return err
-					}
-				} else if err := rank.RestoreResharded(md.ShardSource{
-					Grid: srcGrid, Open: man.Open,
-				}); err != nil {
-					return err
-				}
-				start = man.Step
-			}
 			mdStage := reg.Timer("couple/md-stage").Begin()
-			for i := start; i < cfg.MD.Steps; i++ {
-				rank.Step()
-				step := i + 1
-				if co.Due(step) && step < cfg.MD.Steps {
-					if err := co.Snapshot(c, StageMD, step, mdTopo, nil, rank.Save); err != nil {
-						return err
-					}
-				}
-				if c.Rank() == 0 && set.FlushDue(step) {
-					if err := set.Flush(fmt.Sprintf("md-step-%d", step)); err != nil {
-						return err
-					}
-				}
-				c.FaultPoint(mpi.PointMDStep, step)
-				if cfg.Preempt != nil && step < cfg.MD.Steps && cfg.Preempt.Poll(c) {
-					mdStage.End()
-					if co != nil {
-						if err := co.Snapshot(c, StageMD, step, mdTopo, nil, rank.Save); err != nil {
-							return err
-						}
-					}
-					return ErrPreempted
-				}
-			}
+			err = d.mdStage(c, rank, mdPoint(rank), d.resumeStep(), 0)
 			mdStage.End()
-			vacMD = rank.GlobalVacancyCount()
-			allBefore = gatherSites(c, rank.L, rank.OwnedVacancySites())
-			kcfg.Vacancies = globalIndices(rank.L, allBefore)
+			if err != nil {
+				return err
+			}
+			summary = &MDSummary{Vacancies: rank.GlobalVacancyCount()}
+			summary.BeforeSites = gatherSites(c, rank.OwnedVacancySites())
+			kcfg.Vacancies = globalIndices(l, summary.BeforeSites)
 		}
 
 		// Stage 2: hand the vacancy sites to KMC. The decomposition may
-		// deviate from the uniform split: a KMC-stage restart adopts the
-		// snapshot's topology when the grid matches (byte-exact path) and
-		// re-shards otherwise, and the rebalancer fits slab cuts to the
-		// defect distribution at the handoff and, with Rebalance.Every set,
-		// periodically as the defect cloud migrates.
-		restoringKMC := man != nil && man.Stage == StageKMC
-		sameKMCTopo := false
-		if restoringKMC && man.Topology.Grid == kcfg.Grid {
-			kcfg.Cuts = man.Topology.Cuts
-			sameKMCTopo = true
+		// deviate from the uniform split: a KMC-stage restart onto the
+		// snapshot's grid adopts its cuts (so restore takes the byte-exact
+		// path; any other grid re-shards), and the rebalancer fits slab cuts
+		// to the defect distribution at the handoff and, with Rebalance.Every
+		// set, periodically as the defect cloud migrates.
+		if resumeKMC && d.man.Topology.Grid == kcfg.Grid {
+			kcfg.Cuts = d.man.Topology.Cuts
 		} else if cfg.Rebalance.Handoff {
-			cuts, err := fitCuts(l, kcfg.Grid, kcfg.GhostWidth(), allBefore, cfg.Rebalance.weight())
+			cuts, err := fitCuts(l, kcfg.Grid, kcfg.GhostWidth(), summary.BeforeSites, cfg.Rebalance.weight())
 			if err != nil {
 				return err
 			}
 			kcfg.Cuts = cuts
 		}
-		st, err := kmc.NewState(kcfg, c)
+		st, err := d.kmcState(c, reg, kcfg)
 		if err != nil {
 			return err
 		}
-		st.AttachTelemetry(reg)
-		if restoringKMC {
-			if sameKMCTopo {
-				rc, err := man.Open(c.Rank())
-				if err != nil {
-					return err
-				}
-				err = st.Restore(rc)
-				rc.Close()
-				if err != nil {
-					return err
-				}
-			} else {
-				srcGrid, err := man.Topology.SourceGrid(l)
-				if err != nil {
-					return err
-				}
-				if err := st.RestoreResharded(kmc.ShardSource{
-					Grid: srcGrid, Open: man.Open,
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		curTopo := Topology{Grid: kcfg.Grid, Cuts: st.Grid.Cuts()}
-		summary := &MDSummary{Vacancies: vacMD, BeforeSites: allBefore}
 		kmcStage := reg.Timer("couple/kmc-stage").Begin()
-		for st.Time < cfg.TThreshold && st.Cycles < cfg.KMCCycles {
-			st.Cycle()
-			if rb := cfg.Rebalance; rb.Every > 0 && st.Cycles%rb.Every == 0 && st.Cycles < cfg.KMCCycles {
-				if st, err = rebalanceKMC(c, reg, st, kcfg, rb); err != nil {
-					return err
-				}
-				curTopo = Topology{Grid: kcfg.Grid, Cuts: st.Grid.Cuts()}
-			}
-			if co.Due(st.Cycles) && st.Cycles < cfg.KMCCycles {
-				if err := co.Snapshot(c, StageKMC, st.Cycles, curTopo, summary, st.Save); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == 0 && set.FlushDue(st.Cycles) {
-				if err := set.Flush(fmt.Sprintf("kmc-cycle-%d", st.Cycles)); err != nil {
-					return err
-				}
-			}
-			c.FaultPoint(mpi.PointKMCCycle, st.Cycles)
-			if cfg.Preempt != nil && st.Cycles < cfg.KMCCycles && cfg.Preempt.Poll(c) {
-				kmcStage.End()
-				if co != nil {
-					if err := co.Snapshot(c, StageKMC, st.Cycles, curTopo, summary, st.Save); err != nil {
-						return err
-					}
-				}
-				return ErrPreempted
-			}
-		}
+		st, err = d.kmcStage(c, reg, st, cfg.KMCCycles, cfg.TThreshold, summary, cfg.Rebalance)
 		kmcStage.End()
-		totEvents := c.Allreduce(mpi.Sum, float64(st.Events))
-
-		allAfter := gatherSites(c, l, st.VacancySites())
+		if err != nil {
+			return err
+		}
+		events := globalEvents(c, st)
+		allAfter := gatherSites(c, st.VacancySites())
 		vacKMC := st.GlobalVacancyCount()
 
-		// Only rank 0 writes the result; Run's WaitGroup orders the write
-		// before the caller's read.
+		// Only rank 0 writes the result; the world's WaitGroup orders the
+		// write before the caller's read.
 		if c.Rank() == 0 {
-			res.VacanciesMD = vacMD
+			res.VacanciesMD = summary.Vacancies
 			res.VacanciesKMC = vacKMC
 			res.KMCCycles = st.Cycles
-			res.KMCEvents = int(totEvents[0] + 0.5)
+			res.KMCEvents = events
 			res.MCTime = st.Time
-			res.BeforeSites = allBefore
+			res.BeforeSites = summary.BeforeSites
 			res.AfterSites = allAfter
 			cMC := float64(vacKMC) / float64(l.NumSites())
 			res.RealTimeDays = TemporalScaleDays(st.Time, cMC,
 				units.VacancyFormationEnergyFe, kcfg.Temperature)
-			res.BeforeKMC = cluster.Vacancies(l, allBefore, 2)
+			res.BeforeKMC = cluster.Vacancies(l, summary.BeforeSites, 2)
 			res.AfterKMC = cluster.Vacancies(l, allAfter, 2)
 			res.CommStats = c.Stats()
 		}
-		// End-of-run aggregation is collective; every rank enters it (set is
-		// identical across ranks: nil when disabled). It runs after CommStats
-		// is captured, so the aggregation's own traffic stays out of both.
-		if set != nil {
-			rep, err := telemetry.Aggregate(c, reg)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				res.Telemetry = rep
-				if err := set.WriteReport(rep); err != nil {
-					return err
-				}
-			}
-		}
 		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// gatherSites collects every rank's (wrapped) sites on all ranks. It is a
-// collective: every rank of c must call it in lockstep.
+// runOpts extracts the run's runtime machinery for the driver.
+func (cfg *Config) runOpts() runOpts {
+	return runOpts{faults: cfg.Faults, telemetry: cfg.Telemetry, preempt: cfg.Preempt}
+}
+
+// globalEvents is the KMC event count summed over all ranks. Collective.
 //
 //mdvet:collective
-func gatherSites(c *mpi.Comm, l *lattice.Lattice, own []lattice.Coord) []lattice.Coord {
+func globalEvents(c *mpi.Comm, st *kmc.State) int {
+	return int(c.Allreduce(mpi.Sum, float64(st.Events))[0] + 0.5)
+}
+
+// gatherSites collects every rank's (wrapped) sites on all ranks, 13 bytes a
+// site. It is a collective: every rank of c must call it in lockstep.
+//
+//mdvet:collective
+func gatherSites(c *mpi.Comm, own []lattice.Coord) []lattice.Coord {
 	var p []byte
 	for _, s := range own {
 		p = append(p, byte(s.X), byte(s.X>>8), byte(s.X>>16), byte(s.X>>24))

@@ -88,8 +88,8 @@ func cutsEqual(a, b [3][]int) bool { return reflect.DeepEqual(a, b) }
 // guarantees equals what fresh evaluation produces. Returns st unchanged
 // when the fitted cuts already match. Collective.
 func rebalanceKMC(c *mpi.Comm, reg *telemetry.Registry, st *kmc.State, kcfg kmc.Config, rb Rebalance) (*kmc.State, error) {
-	vac := gatherSites(c, st.L, st.VacancySites())
-	cu := gatherSites(c, st.L, st.CuSitesOwned())
+	vac := gatherSites(c, st.VacancySites())
+	cu := gatherSites(c, st.CuSitesOwned())
 	cuts, err := fitCuts(st.L, kcfg.Grid, st.Box.Ghost, vac, rb.weight())
 	if err != nil {
 		return nil, err

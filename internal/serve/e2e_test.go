@@ -184,3 +184,59 @@ func TestServeCampaignPreemptedByHighPriorityMD(t *testing.T) {
 		t.Errorf("dose block %v != final ledger row %v", st.Dose.Dose, final.Dose)
 	}
 }
+
+// TestServeOKMCCampaignDosePopulation: in OKMC mode the manifest keeps cluster
+// objects, not a site population, so dose.population must come from the dose
+// ledger — live (newest checkpoint) and final (result) alike — and equal the
+// ledger's own last row, a vacancy count.
+func TestServeOKMCCampaignDosePopulation(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir, Slots: 2, Clock: NewFakeClock(t0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := campaignSpec(true)
+	// The first progress event is the flush after iteration 0's last MD step,
+	// so the drain below evicts the job with at least one ledger row
+	// committed; the third iteration keeps a slow drain from finding the job
+	// already done.
+	spec.MetricsEvery = spec.Steps
+	spec.Campaign.Iters = 3
+	job, err := s.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitProgress(t, s, job.ID)
+	s.Drain()
+
+	live, err := s.Status(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.State != StatePreempted || live.Dose == nil || live.Dose.Source != "checkpoint" {
+		t.Fatalf("drained campaign: state %q dose %+v, want preempted with a checkpoint-sourced dose block", live.State, live.Dose)
+	}
+	if n := len(live.Dose.Ledger); n < 1 || n > 2 {
+		t.Fatalf("live ledger has %d rows, want 1 or 2", n)
+	}
+	if row := live.Dose.Ledger[len(live.Dose.Ledger)-1]; row.Population == 0 || live.Dose.Population != row.Population {
+		t.Errorf("live population %d, ledger row says %d (want equal and non-zero)", live.Dose.Population, row.Population)
+	}
+
+	// A fresh server on the same directory recovers the job and finishes it.
+	s2, err := New(Config{Dir: dir, Slots: 2, Clock: NewFakeClock(t0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, s2, job.ID, StateDone)
+	final, err := s2.Status(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Dose == nil || final.Dose.Source != "result" || len(final.Dose.Ledger) != 3 {
+		t.Fatalf("finished campaign dose block %+v, want result-sourced with 3 rows", final.Dose)
+	}
+	if row := final.Dose.Ledger[2]; final.Dose.Population != row.Population {
+		t.Errorf("final population %d, last ledger row says %d", final.Dose.Population, row.Population)
+	}
+}

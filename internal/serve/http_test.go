@@ -233,6 +233,7 @@ func TestHTTPMetricsPerJobLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

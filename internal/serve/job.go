@@ -97,3 +97,15 @@ type DoseStatus struct {
 	Population int                       `json:"population"`
 	Ledger     []couple.IterationSummary `json:"ledger,omitempty"`
 }
+
+// newDoseStatus builds the dose block from a campaign ledger. Population is
+// the last ledger row's — the vacancy count after the latest anneal, in the
+// atomistic and the OKMC mode alike — so the live and the final view agree
+// with the ledger they carry.
+func newDoseStatus(source string, iter int, dose float64, ledger []couple.IterationSummary) *DoseStatus {
+	d := &DoseStatus{Source: source, Iter: iter, Dose: dose, Ledger: ledger}
+	if n := len(ledger); n > 0 {
+		d.Population = ledger[n-1].Population
+	}
+	return d
+}

@@ -130,14 +130,7 @@ func (SimRunner) Run(rc RunContext) (RunResult, error) {
 				return RunResult{}, err
 			}
 			summary = res
-			pop := len(res.Population)
-			if pop == 0 {
-				pop = len(res.Objects)
-			}
-			dose = &DoseStatus{
-				Source: "result", Iter: res.Iterations, Dose: res.Dose,
-				Population: pop, Ledger: res.Ledger,
-			}
+			dose = newDoseStatus("result", res.Iterations, res.Dose, res.Ledger)
 		}
 	default:
 		return RunResult{}, fmt.Errorf("serve: unknown job type %q", rc.Spec.Type)

@@ -392,10 +392,7 @@ func (s *Server) Status(id string) (*JobStatus, error) {
 		if hash, err := j.Spec.configHash(); err == nil {
 			if man, err := mdkmc.LatestCheckpoint(filepath.Join(j.dir, "ckpt"), hash); err == nil && man != nil && man.Campaign != nil {
 				camp := man.Campaign
-				st.Dose = &DoseStatus{
-					Source: "checkpoint", Iter: camp.Iter, Dose: camp.Dose,
-					Population: len(camp.Population), Ledger: camp.Trajectory,
-				}
+				st.Dose = newDoseStatus("checkpoint", camp.Iter, camp.Dose, camp.Trajectory)
 			}
 		}
 	}

@@ -72,7 +72,18 @@ func newTestServer(t *testing.T, mut func(*Config)) (*Server, *stubRunner) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, s)
 	return s, r
+}
+
+// quiesce drains s when the test ends. A test is over once it has seen the
+// event it waited for, but the runner goroutine that published the event
+// persists the ledger afterwards — into a TempDir the testing package is
+// already removing ("directory not empty"). Drain returns only after every
+// runner goroutine has exited; the stub runner honors its preemption at once.
+func quiesce(t *testing.T, s *Server) {
+	t.Helper()
+	t.Cleanup(s.Drain)
 }
 
 // nextStarted pops one attempt announcement.
@@ -414,6 +425,7 @@ func TestDrainPreemptsPersistsAndRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, s)
 	a, _ := s.Submit(mdSpec(0, 1), "")
 	nextStarted(t, r)
 	b, _ := s.Submit(mdSpec(0, 1), "") // waits in queue
@@ -435,6 +447,7 @@ func TestDrainPreemptsPersistsAndRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, s2)
 	rc := nextStarted(t, r2)
 	if rc.JobID != a.ID || rc.Attempt != 2 {
 		t.Fatalf("recovered server started %+v, want %s attempt 2", rc, a.ID)
@@ -459,6 +472,7 @@ func TestRecoverFromCrashMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, s)
 	a, _ := s.Submit(mdSpec(0, 1), "")
 	nextStarted(t, r) // running; ledger persisted with state=running
 
@@ -467,6 +481,7 @@ func TestRecoverFromCrashMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, s2)
 	st, err := s2.Status(a.ID)
 	if err != nil {
 		t.Fatal(err)
