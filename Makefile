@@ -100,7 +100,7 @@ bench-compare:
 
 # The incremental-vs-rescan KMC cycle contrast (EXPERIMENTS.md).
 bench-kmc:
-	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x ./internal/kmc
 
 # The serial-vs-pooled MD step contrast on a 20^3 box (EXPERIMENTS.md).
 bench-md:

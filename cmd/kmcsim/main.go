@@ -8,7 +8,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -29,30 +28,13 @@ func main() {
 		temp   = flag.Float64("temp", 600, "temperature in K")
 		seed   = flag.Uint64("seed", 1, "random seed")
 		proto  = flag.String("protocol", "on-demand", "traditional|on-demand|on-demand-1sided")
-
-		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory (empty = no checkpointing)")
-		ckptEvery    = flag.Int("checkpoint-every", 10, "snapshot cadence in KMC cycles")
-		ckptKeep     = flag.Int("checkpoint-keep", 0, "committed snapshots to retain (0 = default)")
-		restart      = flag.Bool("restart", false, "resume from the newest valid snapshot in -checkpoint-dir")
-		restartRanks = flag.Int("restart-ranks", 0, "resume onto this many ranks: picks a near-cubic grid, re-shards the snapshot (overrides -gx/-gy/-gz; requires -restart)")
-		faultSpec    = flag.String("inject-fault", "", "fault plan \"point:rank:step,...\" (points: kmc-cycle, checkpoint-commit)")
-
-		metrics      = flag.Bool("metrics", false, "collect runtime telemetry and print the per-phase report")
-		metricsOut   = flag.String("metrics-out", "", "write telemetry snapshots and the final report as JSONL (implies -metrics)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve a Prometheus-style text exposition on ADDR/metrics (implies -metrics)")
-		metricsEvery = flag.Int("metrics-every", 0, "periodic JSONL flush cadence in KMC cycles (0 = final only)")
 	)
+	run := cliutil.RegisterRunFlags("kmcsim", "KMC cycles", 10, "kmc-cycle, checkpoint-commit")
 	flag.Parse()
 
-	faults, err := mdkmc.ParseFaults(*faultSpec)
+	faults, err := run.Faults()
 	if err != nil {
 		log.Fatal(err)
-	}
-	tel := mdkmc.TelemetryOptions{
-		Enabled:    *metrics || *metricsOut != "" || *metricsAddr != "",
-		JSONLPath:  *metricsOut,
-		FlushEvery: *metricsEvery,
-		HTTPAddr:   *metricsAddr,
 	}
 
 	cfg := mdkmc.DefaultKMCConfig()
@@ -72,30 +54,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *proto)
 		os.Exit(2)
 	}
-	if *restartRanks > 0 {
-		if !*restart {
-			log.Fatal("kmcsim: -restart-ranks requires -restart")
-		}
-		g, err := mdkmc.ChooseGrid(cfg.Cells, *restartRanks, cfg.GhostWidth())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Grid = g
+	if cfg.Grid, err = run.Grid(cfg.Grid, cfg.Cells, cfg.GhostWidth()); err != nil {
+		log.Fatal(err)
 	}
 
-	res, err := mdkmc.RunKMCCheckpointed(cfg, *cycles, 0, mdkmc.Checkpoint{
-		Dir:     *ckptDir,
-		Every:   *ckptEvery,
-		Keep:    *ckptKeep,
-		Restart: *restart,
-	}, mdkmc.WithFaults(faults...), mdkmc.WithTelemetry(tel),
+	res, err := mdkmc.RunKMCCheckpointed(cfg, *cycles, 0, run.Checkpoint(),
+		mdkmc.WithFaults(faults...), mdkmc.WithTelemetry(run.Telemetry()),
 		mdkmc.WithPreemption(cliutil.PreemptOnSignal("kmcsim")))
-	if errors.Is(err, mdkmc.ErrPreempted) {
-		if *ckptDir != "" {
-			fmt.Printf("kmcsim: interrupted — checkpoint committed in %s; resume with -restart\n", *ckptDir)
-		} else {
-			fmt.Println("kmcsim: interrupted (no -checkpoint-dir, progress discarded)")
-		}
+	if run.Interrupted(err) {
 		return
 	}
 	if err != nil {

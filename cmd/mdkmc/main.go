@@ -8,7 +8,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -36,30 +35,14 @@ func main() {
 		recoilSep     = flag.Float64("recoil-sep", 0, "minimum separation between one iteration's recoils in Å (0 = 2.5 lattice constants)")
 		campaignOKMC  = flag.Bool("campaign-okmc", false, "anneal the campaign's defect population with object KMC instead of atomistic KMC")
 
-		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory (empty = no checkpointing)")
-		ckptEvery    = flag.Int("checkpoint-every", 50, "snapshot cadence in MD steps / KMC cycles")
-		ckptKeep     = flag.Int("checkpoint-keep", 0, "committed snapshots to retain (0 = default)")
-		restart      = flag.Bool("restart", false, "resume from the newest valid snapshot in -checkpoint-dir")
-		restartRanks = flag.Int("restart-ranks", 0, "resume onto this many ranks: picks a near-cubic grid, re-shards the snapshot (overrides -gx/-gy/-gz; requires -restart)")
-		rebalEvery   = flag.Int("rebalance-every", 0, "refit the KMC decomposition to the defect distribution at the MD→KMC handoff and every N cycles (0 = uniform slabs)")
-		faultSpec    = flag.String("inject-fault", "", "fault plan \"point:rank:step,...\" (points: md-step, kmc-cycle, checkpoint-commit)")
-
-		metrics      = flag.Bool("metrics", false, "collect runtime telemetry and print the per-phase report")
-		metricsOut   = flag.String("metrics-out", "", "write telemetry snapshots and the final report as JSONL (implies -metrics)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve a Prometheus-style text exposition on ADDR/metrics (implies -metrics)")
-		metricsEvery = flag.Int("metrics-every", 0, "periodic JSONL flush cadence in MD steps / KMC cycles (0 = final only)")
+		rebalEvery = flag.Int("rebalance-every", 0, "refit the KMC decomposition to the defect distribution at the MD→KMC handoff and every N cycles (0 = uniform slabs)")
 	)
+	run := cliutil.RegisterRunFlags("mdkmc", "MD steps / KMC cycles", 50, "md-step, kmc-cycle, checkpoint-commit")
 	flag.Parse()
 
-	faults, err := mdkmc.ParseFaults(*faultSpec)
+	faults, err := run.Faults()
 	if err != nil {
 		log.Fatal(err)
-	}
-	tel := mdkmc.TelemetryOptions{
-		Enabled:    *metrics || *metricsOut != "" || *metricsAddr != "",
-		JSONLPath:  *metricsOut,
-		FlushEvery: *metricsEvery,
-		HTTPAddr:   *metricsAddr,
 	}
 
 	mcfg := mdkmc.DefaultMDConfig()
@@ -71,47 +54,28 @@ func main() {
 	mcfg.Seed = *seed
 	mcfg.PKA = &mdkmc.PKA{Energy: *pka}
 
-	if *restartRanks > 0 {
-		if !*restart {
-			log.Fatal("mdkmc: -restart-ranks requires -restart")
-		}
-		// The KMC stage's ghost halo is the wider of the two stages' slab
-		// constraints, so it governs the grid choice.
-		kcfg := mdkmc.DefaultKMCConfig()
-		kcfg.Cells = mcfg.Cells
-		kcfg.A = mcfg.A
-		minW := kcfg.GhostWidth()
-		if w := mcfg.GhostWidth(); w > minW {
-			minW = w
-		}
-		g, err := mdkmc.ChooseGrid(mcfg.Cells, *restartRanks, minW)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mcfg.Grid = g
+	// The KMC stage's ghost halo is the wider of the two stages' slab
+	// constraints, so it governs the grid choice under -restart-ranks.
+	kcfg := mdkmc.DefaultKMCConfig()
+	kcfg.Cells = mcfg.Cells
+	kcfg.A = mcfg.A
+	minW := kcfg.GhostWidth()
+	if w := mcfg.GhostWidth(); w > minW {
+		minW = w
+	}
+	if mcfg.Grid, err = run.Grid(mcfg.Grid, mcfg.Cells, minW); err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := mdkmc.CoupledConfig{
-		MD:        mcfg,
-		KMCCycles: *cycles,
-		Protocol:  mdkmc.ProtocolOnDemand,
-		Checkpoint: mdkmc.Checkpoint{
-			Dir:     *ckptDir,
-			Every:   *ckptEvery,
-			Keep:    *ckptKeep,
-			Restart: *restart,
-		},
-		Rebalance: mdkmc.Rebalance{Handoff: *rebalEvery > 0, Every: *rebalEvery},
-		Faults:    faults,
-		Telemetry: tel,
-		Preempt:   cliutil.PreemptOnSignal("mdkmc"),
-	}
-	interrupted := func() {
-		if *ckptDir != "" {
-			fmt.Printf("mdkmc: interrupted — checkpoint committed in %s; resume with -restart\n", *ckptDir)
-		} else {
-			fmt.Println("mdkmc: interrupted (no -checkpoint-dir, progress discarded)")
-		}
+		MD:         mcfg,
+		KMCCycles:  *cycles,
+		Protocol:   mdkmc.ProtocolOnDemand,
+		Checkpoint: run.Checkpoint(),
+		Rebalance:  mdkmc.Rebalance{Handoff: *rebalEvery > 0, Every: *rebalEvery},
+		Faults:     faults,
+		Telemetry:  run.Telemetry(),
+		Preempt:    cliutil.PreemptOnSignal("mdkmc"),
 	}
 
 	if *campaignIters > 0 {
@@ -134,8 +98,7 @@ func main() {
 			OKMC:          *campaignOKMC,
 		}
 		res, err := mdkmc.RunCampaign(cfg)
-		if errors.Is(err, mdkmc.ErrPreempted) {
-			interrupted()
+		if run.Interrupted(err) {
 			return
 		}
 		if err != nil {
@@ -160,8 +123,7 @@ func main() {
 	}
 
 	res, err := mdkmc.RunCoupled(cfg)
-	if errors.Is(err, mdkmc.ErrPreempted) {
-		interrupted()
+	if run.Interrupted(err) {
 		return
 	}
 	if err != nil {

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -31,30 +30,13 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		mode    = flag.String("tables", "compacted", "potential evaluation: analytic|compacted|traditional")
 		workers = flag.Int("workers", 0, "force-pass worker goroutines per rank (0 = GOMAXPROCS, 1 = serial reference)")
-
-		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory (empty = no checkpointing)")
-		ckptEvery    = flag.Int("checkpoint-every", 50, "snapshot cadence in MD steps")
-		ckptKeep     = flag.Int("checkpoint-keep", 0, "committed snapshots to retain (0 = default)")
-		restart      = flag.Bool("restart", false, "resume from the newest valid snapshot in -checkpoint-dir")
-		restartRanks = flag.Int("restart-ranks", 0, "resume onto this many ranks: picks a near-cubic grid, re-shards the snapshot (overrides -gx/-gy/-gz; requires -restart)")
-		faultSpec    = flag.String("inject-fault", "", "fault plan \"point:rank:step,...\" (points: md-step, checkpoint-commit)")
-
-		metrics      = flag.Bool("metrics", false, "collect runtime telemetry and print the per-phase report")
-		metricsOut   = flag.String("metrics-out", "", "write telemetry snapshots and the final report as JSONL (implies -metrics)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve a Prometheus-style text exposition on ADDR/metrics (implies -metrics)")
-		metricsEvery = flag.Int("metrics-every", 0, "periodic JSONL flush cadence in MD steps (0 = final only)")
 	)
+	run := cliutil.RegisterRunFlags("mdsim", "MD steps", 50, "md-step, checkpoint-commit")
 	flag.Parse()
 
-	faults, err := mdkmc.ParseFaults(*faultSpec)
+	faults, err := run.Faults()
 	if err != nil {
 		log.Fatal(err)
-	}
-	tel := mdkmc.TelemetryOptions{
-		Enabled:    *metrics || *metricsOut != "" || *metricsAddr != "",
-		JSONLPath:  *metricsOut,
-		FlushEvery: *metricsEvery,
-		HTTPAddr:   *metricsAddr,
 	}
 
 	cfg := mdkmc.DefaultMDConfig()
@@ -79,30 +61,14 @@ func main() {
 	if *pka > 0 {
 		cfg.PKA = &mdkmc.PKA{Energy: *pka}
 	}
-	if *restartRanks > 0 {
-		if !*restart {
-			log.Fatal("mdsim: -restart-ranks requires -restart")
-		}
-		g, err := mdkmc.ChooseGrid(cfg.Cells, *restartRanks, cfg.GhostWidth())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Grid = g
+	if cfg.Grid, err = run.Grid(cfg.Grid, cfg.Cells, cfg.GhostWidth()); err != nil {
+		log.Fatal(err)
 	}
 
-	res, err := mdkmc.RunMDCheckpointed(cfg, mdkmc.Checkpoint{
-		Dir:     *ckptDir,
-		Every:   *ckptEvery,
-		Keep:    *ckptKeep,
-		Restart: *restart,
-	}, mdkmc.WithFaults(faults...), mdkmc.WithTelemetry(tel),
+	res, err := mdkmc.RunMDCheckpointed(cfg, run.Checkpoint(),
+		mdkmc.WithFaults(faults...), mdkmc.WithTelemetry(run.Telemetry()),
 		mdkmc.WithPreemption(cliutil.PreemptOnSignal("mdsim")))
-	if errors.Is(err, mdkmc.ErrPreempted) {
-		if *ckptDir != "" {
-			fmt.Printf("mdsim: interrupted — checkpoint committed in %s; resume with -restart\n", *ckptDir)
-		} else {
-			fmt.Println("mdsim: interrupted (no -checkpoint-dir, progress discarded)")
-		}
+	if run.Interrupted(err) {
 		return
 	}
 	if err != nil {

@@ -78,15 +78,23 @@ func NewFeCu(mode Mode, points int) *Potential {
 	return build(mode, points, []units.Element{units.Fe, units.Cu})
 }
 
-func build(mode Mode, points int, elems []units.Element) *Potential {
-	p := &Potential{Mode: mode, RMin: tableRMin, Elements: elems}
+// CutoffOf returns the interaction cutoff in Å of a potential over the given
+// element set — the largest pair cutoff, what Potential.Cutoff holds — without
+// building any table.
+func CutoffOf(elems ...units.Element) float64 {
+	var cutoff float64
 	for _, a := range elems {
 		for _, b := range elems {
-			if c := CutoffFor(a, b); c > p.Cutoff {
-				p.Cutoff = c
+			if c := CutoffFor(a, b); c > cutoff {
+				cutoff = c
 			}
 		}
 	}
+	return cutoff
+}
+
+func build(mode Mode, points int, elems []units.Element) *Potential {
+	p := &Potential{Mode: mode, RMin: tableRMin, Elements: elems, Cutoff: CutoffOf(elems...)}
 	// ρ range: several times the perfect-crystal density leaves room for
 	// the strongly compressed environments inside a cascade core.
 	for _, a := range elems {

@@ -86,14 +86,6 @@ type Config struct {
 	//mdvet:hashexempt bit-identical communication knob (DESIGN.md §7): all three ghost protocols yield the same trajectory
 	Protocol Protocol
 
-	// FullRescan disables the incremental event-rate cache and re-enumerates
-	// every candidate hop from scratch at each selection — the slow
-	// reference mode the equivalence tests and benchmarks compare against.
-	// The environment variable MDKMC_KMC_FULL_RESCAN=1 forces it on without
-	// a config change. Trajectories are bit-identical either way.
-	//mdvet:hashexempt bit-identical reference mode (DESIGN.md §8): the rescan cache changes speed, never the trajectory
-	FullRescan bool
-
 	// DtFactor scales the synchronous cycle window dt = DtFactor / R_max;
 	// ~1 event per subdomain per cycle at the default of 1.
 	DtFactor float64
@@ -149,13 +141,13 @@ func (c *Config) Validate() error {
 // Hash returns a short stable digest of every trajectory-determining
 // field. Checkpoint manifests record it so a restart with a diverging
 // configuration is refused instead of silently producing a different
-// trajectory. Protocol and FullRescan are excluded: both are documented
-// bit-identical knobs (DESIGN.md §7/§8), so a run may legally resume under
-// a different communication protocol or rescan mode. Grid and Cuts are also
-// excluded (DESIGN.md §14): topology is restart-compatible-but-checked —
-// recorded in the checkpoint manifest and handled by the re-shard loader
-// rather than refused. The explicit Vacancies/CuSites lists are hashed in
-// full — they seed the occupancy.
+// trajectory. Protocol is excluded: it is a documented bit-identical knob
+// (DESIGN.md §7), so a run may legally resume under a different
+// communication protocol. Grid and Cuts are also excluded (DESIGN.md §14):
+// topology is restart-compatible-but-checked — recorded in the checkpoint
+// manifest and handled by the re-shard loader rather than refused. The
+// explicit Vacancies/CuSites lists are hashed in full — they seed the
+// occupancy.
 func (c *Config) Hash() string {
 	s := fmt.Sprintf("kmc|cells=%v|a=%v|T=%v|nu=%v|em=%v|cv=%v|vac=%v|cuc=%v|cusites=%v|emcu=%v|seed=%d|dtf=%v",
 		c.Cells, c.A, c.Temperature, c.Nu, c.Em,
@@ -173,15 +165,16 @@ func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }
 // decomposition (NewState refuses thinner subdomains), which topology
 // choosers must respect when picking a grid for elastic restart.
 func (c *Config) GhostWidth() int {
-	var pot *eam.Potential
-	if c.CuConcentration > 0 || len(c.CuSites) > 0 {
-		pot = eam.NewFeCu(eam.Compacted, eam.TablePoints)
-	} else {
-		pot = eam.NewFe(eam.Compacted, eam.TablePoints)
+	cutoff := eam.CutoffOf(units.Fe)
+	if c.alloy() {
+		cutoff = eam.CutoffOf(units.Fe, units.Cu)
 	}
 	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
-	return 2*l.NeighborOffsets(pot.Cutoff).MaxCellReach() + 1
+	return 2*l.NeighborOffsets(cutoff).MaxCellReach() + 1
 }
+
+// alloy reports whether the run needs the Fe-Cu potential instead of pure Fe.
+func (c *Config) alloy() bool { return c.CuConcentration > 0 || len(c.CuSites) > 0 }
 
 // NumSites returns the number of lattice sites.
 func (c *Config) NumSites() int { return 2 * c.Cells[0] * c.Cells[1] * c.Cells[2] }

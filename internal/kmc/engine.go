@@ -5,45 +5,6 @@ import (
 	"mdkmc/internal/mpi"
 )
 
-// event is one possible vacancy hop: the atom at target moves into the
-// vacancy at site.
-type event struct {
-	site   int // owned vacancy, local index
-	target int // occupied 1NN, local index (possibly a ghost)
-	rate   float64
-}
-
-// sectorEvents enumerates, in deterministic order, every possible event
-// whose vacancy lies in sector sec, and returns the events plus their total
-// rate — steps #3/#4 of the paper's Figure 7 flowchart. It is the reference
-// full-rescan enumeration: the hot path reads the incremental cache
-// (events.go) instead, and the property tests assert the two agree
-// bit-exactly after arbitrary ghost updates.
-func (st *State) sectorEvents(sec int) ([]event, float64) {
-	var evs []event
-	var total float64
-	for _, v := range st.OwnedVacancies() {
-		cv := st.Box.GlobalCoord(v)
-		if st.sectorOf(cv) != sec {
-			continue
-		}
-		basis := int8(v & 1)
-		for k, d := range st.shell1[basis] {
-			n := v + int(d)
-			if st.Occ[n] == Vacant {
-				continue // vacancy-vacancy exchange is a no-op
-			}
-			off := st.Tab.PerBase[basis][k]
-			cn := off.Apply(cv)
-			dE := st.en.swapDeltaE(st, v, n, cv, cn)
-			rate := hopRate(st.Cfg.Nu, st.emFor(st.Occ[n]), st.kBT, dE)
-			evs = append(evs, event{site: v, target: n, rate: rate})
-			total += rate
-		}
-	}
-	return evs, total
-}
-
 // TotalRate returns the total transition rate of the whole subdomain (all
 // sectors) — the quantity the synchronous time window is derived from. It
 // reads the incremental rate cache, so its cost is O(owned vacancies)

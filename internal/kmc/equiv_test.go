@@ -9,6 +9,45 @@ import (
 	"mdkmc/internal/rng"
 )
 
+// event is one possible vacancy hop: the atom at target moves into the
+// vacancy at site.
+type event struct {
+	site   int // owned vacancy, local index
+	target int // occupied 1NN, local index (possibly a ghost)
+	rate   float64
+}
+
+// sectorEvents enumerates, in deterministic order, every possible event
+// whose vacancy lies in sector sec, and returns the events plus their total
+// rate — steps #3/#4 of the paper's Figure 7 flowchart. It is the reference
+// full-rescan enumeration: the hot path reads the incremental cache
+// (events.go) instead, and the property test below asserts the two agree
+// bit-exactly after arbitrary ghost updates.
+func (st *State) sectorEvents(sec int) ([]event, float64) {
+	var evs []event
+	var total float64
+	for _, v := range st.OwnedVacancies() {
+		cv := st.Box.GlobalCoord(v)
+		if st.sectorOf(cv) != sec {
+			continue
+		}
+		basis := int8(v & 1)
+		for k, d := range st.shell1[basis] {
+			n := v + int(d)
+			if st.Occ[n] == Vacant {
+				continue // vacancy-vacancy exchange is a no-op
+			}
+			off := st.Tab.PerBase[basis][k]
+			cn := off.Apply(cv)
+			dE := st.en.swapDeltaE(st, v, n, cv, cn)
+			rate := hopRate(st.Cfg.Nu, st.emFor(st.Occ[n]), st.kBT, dE)
+			evs = append(evs, event{site: v, target: n, rate: rate})
+			total += rate
+		}
+	}
+	return evs, total
+}
+
 // trajectory captures everything the incremental-vs-rescan equivalence
 // asserts: the merged occupancy snapshot, total executed events, and the
 // Monte Carlo clock.
@@ -19,8 +58,10 @@ type trajectory struct {
 }
 
 // runTrajectory executes cycles KMC cycles across cfg.Ranks() ranks and
-// merges the per-rank results.
-func runTrajectory(t *testing.T, cfg Config, cycles int) trajectory {
+// merges the per-rank results. With rescan set every rank runs in the
+// full-rescan reference mode: each selection recomputes every candidate
+// rate from scratch instead of reading the incremental cache.
+func runTrajectory(t *testing.T, cfg Config, cycles int, rescan bool) trajectory {
 	t.Helper()
 	tr := trajectory{snap: make(map[int]uint8)}
 	mu := make(chan struct{}, 1)
@@ -31,6 +72,7 @@ func runTrajectory(t *testing.T, cfg Config, cycles int) trajectory {
 		if err != nil {
 			panic(err)
 		}
+		st.fullRescan = rescan
 		events := 0
 		for i := 0; i < cycles; i++ {
 			events += st.Cycle()
@@ -81,10 +123,8 @@ func TestIncrementalMatchesRescan(t *testing.T) {
 				cfg.CuConcentration = 0.02
 				cfg.EmCu = 0.55
 			}
-			cfg.FullRescan = false
-			inc := runTrajectory(t, cfg, cycles)
-			cfg.FullRescan = true
-			ref := runTrajectory(t, cfg, cycles)
+			inc := runTrajectory(t, cfg, cycles, false)
+			ref := runTrajectory(t, cfg, cycles, true)
 
 			if inc.events != ref.events {
 				t.Errorf("event counts differ: incremental %d, rescan %d", inc.events, ref.events)

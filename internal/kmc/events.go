@@ -143,8 +143,8 @@ func (st *State) ratesOf(v int, vc *vacCache) *vacCache {
 
 // sectorRate returns the total transition rate of sector sec, refreshing
 // stale cache entries on the way. The flat summation order (ascending
-// vacancy, then offset) is identical to the seed's sectorEvents loop, so
-// the float total is bit-identical to a full rescan.
+// vacancy, then offset) is identical to the sectorEvents oracle's loop
+// (equiv_test.go), so the float total is bit-identical to a full rescan.
 //
 //mdvet:hot
 func (st *State) sectorRate(sec int) float64 {

@@ -129,3 +129,34 @@ func TestDecodeCellList(t *testing.T) {
 		t.Fatalf("error %q does not name the non-owned cell", err)
 	}
 }
+
+// TestGhostWidthIsTheHaloNewStateUses: Config.GhostWidth — the minimum slab
+// width the topology choosers respect — is the 2·reach+1 halo NewState gives
+// its box, for pure Fe and both ways of asking for the Fe-Cu potential; and
+// the default configuration still reports 3 cells.
+func TestGhostWidthIsTheHaloNewStateUses(t *testing.T) {
+	def := DefaultConfig()
+	if got := def.GhostWidth(); got != 3 {
+		t.Errorf("default GhostWidth = %d, want 3", got)
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"fe", func(c *Config) {}},
+		{"fecu-concentration", func(c *Config) { c.CuConcentration = 0.02 }},
+		{"fecu-sites", func(c *Config) { c.CuSites = []int{5} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.mut(&cfg)
+			runWorld(t, cfg, func(st *State) {
+				if got := cfg.GhostWidth(); got != st.Box.Ghost || got != 2*st.reach+1 {
+					t.Errorf("GhostWidth = %d, NewState's box has ghost %d (reach %d)",
+						got, st.Box.Ghost, st.reach)
+				}
+			})
+		})
+	}
+}

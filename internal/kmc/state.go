@@ -2,7 +2,6 @@ package kmc
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"mdkmc/internal/eam"
@@ -45,8 +44,12 @@ type State struct {
 	// occupancy-dependency radius that drives invalidation.
 	rateCache   map[int]*vacCache
 	secVacs     [8][]int
-	dependReach int  // cells: occupancy changes within it stale a cached rate
-	fullRescan  bool // debug mode: recompute every rate at every selection
+	dependReach int // cells: occupancy changes within it stale a cached rate
+	// fullRescan recomputes every rate at every selection. Nothing in
+	// production sets it: the in-package equivalence tests and
+	// BenchmarkKMCCycle do, after NewState, to get the oracle the cache is
+	// bit-identical to.
+	fullRescan bool
 
 	// Ghost plans. The traditional protocol uses per-sector plans: before a
 	// sector it refreshes the sector's read halo (getRecv/getSend), after it
@@ -122,7 +125,7 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		return nil, err
 	}
 	var pot *eam.Potential
-	if cfg.CuConcentration > 0 || len(cfg.CuSites) > 0 {
+	if cfg.alloy() {
 		pot = eam.NewFeCu(eam.Compacted, eam.TablePoints)
 	} else {
 		pot = eam.NewFe(eam.Compacted, eam.TablePoints)
@@ -141,20 +144,19 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		}
 	}
 	st := &State{
-		Cfg:        cfg,
-		Comm:       comm,
-		L:          l,
-		Grid:       grid,
-		Box:        box,
-		Tab:        tab,
-		Pot:        pot,
-		kBT:        units.Boltzmann * cfg.Temperature,
-		reach:      reach,
-		ownedVac:   make(map[int]bool),
-		rateCache:  make(map[int]*vacCache),
-		dirty:      make(map[int]bool),
-		rng:        rng.New(cfg.Seed),
-		fullRescan: cfg.FullRescan || os.Getenv("MDKMC_KMC_FULL_RESCAN") == "1",
+		Cfg:       cfg,
+		Comm:      comm,
+		L:         l,
+		Grid:      grid,
+		Box:       box,
+		Tab:       tab,
+		Pot:       pot,
+		kBT:       units.Boltzmann * cfg.Temperature,
+		reach:     reach,
+		ownedVac:  make(map[int]bool),
+		rateCache: make(map[int]*vacCache),
+		dirty:     make(map[int]bool),
+		rng:       rng.New(cfg.Seed),
 	}
 	st.en = energetics{pot: pot, shells: newShellTables(pot, tab)}
 	st.dependReach = st.en.dependencyReach(reach)

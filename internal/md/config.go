@@ -87,14 +87,6 @@ type Config struct {
 	//mdvet:hashexempt bit-identical speed knob (DESIGN.md §9): the chunked reduction makes results independent of the pool size
 	Workers int
 
-	// ReferenceKernel selects the retained full-iteration force kernel
-	// instead of the optimized half-neighbor/fused-lookup one. Like Workers
-	// it is a documented bit-identical knob (DESIGN.md §13) — the two
-	// kernels produce bitwise-equal trajectories — retained as the
-	// cross-check mode, mirroring the KMC FullRescan pattern.
-	//mdvet:hashexempt bit-identical kernel selector (DESIGN.md §13): both kernels produce bitwise-equal trajectories
-	ReferenceKernel bool
-
 	Mode        eam.Mode
 	TablePoints int
 	Skin        float64
@@ -171,9 +163,8 @@ func (c *Config) Validate() error {
 // Hash returns a short stable digest of every trajectory-determining
 // field. Checkpoint manifests record it so a restart with a diverging
 // configuration is refused instead of silently producing a different
-// trajectory. Workers and ReferenceKernel are excluded: the force pool
-// (DESIGN.md §9) and the kernel choice (DESIGN.md §13) are documented
-// bit-identical knobs, so a run may legally resume with either changed.
+// trajectory. Workers is excluded: the force pool (DESIGN.md §9) is a
+// documented bit-identical knob, so a run may legally resume with it changed.
 // Grid and Cuts are likewise excluded (DESIGN.md §14): topology is
 // restart-compatible-but-checked — the manifest records the source topology
 // separately and the re-shard loader handles a mismatch, so changing the
@@ -203,15 +194,16 @@ func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }
 // feasibility constraint so a fitted decomposition never produces a slab
 // narrower than its own halo.
 func (c *Config) GhostWidth() int {
-	var pot *eam.Potential
-	if c.Species == units.Cu || c.CuFraction > 0 {
-		pot = eam.NewFeCu(eam.Compacted, eam.TablePoints)
-	} else {
-		pot = eam.NewFe(eam.Compacted, eam.TablePoints)
+	cutoff := eam.CutoffOf(units.Fe)
+	if c.alloy() {
+		cutoff = eam.CutoffOf(units.Fe, units.Cu)
 	}
 	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
-	return l.NeighborOffsets(pot.Cutoff + WideMargin).MaxCellReach()
+	return l.NeighborOffsets(cutoff + WideMargin).MaxCellReach()
 }
+
+// alloy reports whether the run needs the Fe-Cu potential instead of pure Fe.
+func (c *Config) alloy() bool { return c.Species == units.Cu || c.CuFraction > 0 }
 
 // NumAtoms returns the initial atom count (2 per BCC cell).
 func (c *Config) NumAtoms() int { return 2 * c.Cells[0] * c.Cells[1] * c.Cells[2] }

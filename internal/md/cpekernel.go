@@ -172,22 +172,6 @@ type passSpec struct {
 	flopsPer   int // arithmetic per accepted pair
 }
 
-// Reference-kernel rounds (the historical single-pass specs).
-var densityPass = passSpec{tables: 1, inBytes: streamInDensity, outBytes: streamOutDens, flopsPer: flopsPairDensity}
-var forcePass = passSpec{tables: 3, inBytes: streamInForce, outBytes: streamOutForce, flopsPer: flopsPairForce}
-
-// Optimized-kernel rounds. The gather round preloads all three fused
-// tables (pair + both density directions) and writes one 6-float cache
-// slot per unique pair; the reduce rounds read cached values back — one
-// density float per pair side in the density reduce, the four force floats
-// in the force reduce — instead of re-evaluating tables. The fill round
-// streams only ρ and type in and F(ρ)/F'(ρ) out, with one embedding
-// evaluation per site and no pair work at all.
-var densityGatherPass = passSpec{tables: 3, inBytes: streamInDensity, perPairOut: slotFloats * 8, flopsPer: flopsPairDensity}
-var densityReducePass = passSpec{tables: 1, inBytes: streamInDensity, outBytes: streamOutDens, perPairIn: 8, flopsPer: 1}
-var fillPass = passSpec{tables: 1, inBytes: 16, outBytes: 16}
-var forceReducePass = passSpec{tables: 3, inBytes: streamInForce, outBytes: streamOutForce, perPairIn: 4 * 8, flopsPer: flopsPairForce}
-
 // chargeSoftwareCache models the same pass under the software-emulated
 // cache: no explicit blocks, no overlap; every access pays the tag check
 // and the miss fraction fetches cache lines from main memory.
@@ -295,34 +279,24 @@ func (k *CPEKernel) charge(c *sunway.CPE, spec passSpec, sites int, st OpStats) 
 	}
 }
 
-// cpeRound is one barrier-separated kernel round: the work function runs
-// lane id's share of the physics and returns its operation counts, energy
-// share, and the number of sites it streamed (the quantity the cost model
-// charges per site).
-type cpeRound struct {
-	spec passSpec
-	work func(id int) (OpStats, float64, int)
-}
-
-// run executes one pass as a sequence of rounds: real physics partitioned
-// over the 64 CPEs plus the cost charges. Per-CPE results are reduced in
-// CPE-ID order so the floating-point energy sum is deterministic — the same
-// 64-way split and merge order as the plain ForcePool, so the two paths
-// agree bitwise. Each round charges the group its slowest lane (the
-// hardware barrier between rounds serializes on it) and resets the LDM
-// allocations, mirroring a fresh kernel launch per round.
-func (k *CPEKernel) run(s *neighbor.Store, rounds []cpeRound) (OpStats, float64) {
+// run executes one pass as the rounds of the force field's table: real
+// physics partitioned over the 64 CPEs plus the cost charges. Per-CPE
+// results are reduced in CPE-ID order so the floating-point energy sum is
+// deterministic — the same 64-way split and merge order as the plain
+// ForcePool, so the two paths agree bitwise. Each round charges the group
+// its slowest lane (the hardware barrier between rounds serializes on it)
+// and resets the LDM allocations, mirroring a fresh kernel launch per round.
+func (k *CPEKernel) run(s *neighbor.Store, rounds []round) (OpStats, float64) {
 	var stats OpStats
 	var energy float64
-	for _, round := range rounds {
+	for ri := range rounds {
+		rd := &rounds[ri]
 		var perStats [sunway.CPEsPerGroup]OpStats
 		var perEnergy [sunway.CPEsPerGroup]float64
 		k.CG.ResetAll()
-		spec := round.spec
-		work := round.work
 		worst := k.CG.SpawnN(k.Workers, k.doubleBuffer(), func(c *sunway.CPE) {
-			st, e, sites := work(c.ID)
-			k.charge(c, spec, sites, st)
+			st, e, sites := rd.chunk(k.FF, s, c.ID)
+			k.charge(c, rd.spec, sites, st)
 			perStats[c.ID] = st
 			perEnergy[c.ID] = e
 		})
@@ -335,55 +309,14 @@ func (k *CPEKernel) run(s *neighbor.Store, rounds []cpeRound) (OpStats, float64)
 	return stats, energy
 }
 
-// Densities runs the density pass on the CPE cluster: gather + reduce
-// rounds for the optimized kernel, the single historical round for the
-// reference kernel.
+// Densities runs the density pass on the CPE cluster.
 func (k *CPEKernel) Densities(s *neighbor.Store) OpStats {
-	var rounds []cpeRound
-	if k.FF.Reference {
-		rounds = []cpeRound{{densityPass, func(id int) (OpStats, float64, int) {
-			lo, hi := s.Box.SpanCells(sunway.CPEsPerGroup, id)
-			return k.FF.DensitiesRange(s, lo, hi), 0, 2 * (hi - lo)
-		}}}
-	} else {
-		rounds = []cpeRound{
-			{densityGatherPass, func(id int) (OpStats, float64, int) {
-				lo, hi := s.Box.SpanCells(sunway.CPEsPerGroup, id)
-				return k.FF.DensityGatherRange(s, lo, hi), 0, 2 * (hi - lo)
-			}},
-			{densityReducePass, func(id int) (OpStats, float64, int) {
-				lo, hi := s.Box.SpanCells(sunway.CPEsPerGroup, id)
-				return k.FF.DensityReduceRange(s, lo, hi), 0, 2 * (hi - lo)
-			}},
-		}
-	}
-	st, _ := k.run(s, rounds)
+	st, _ := k.run(s, k.FF.rounds.density)
 	return st
 }
 
-// Forces runs the force pass on the CPE cluster: embedding fill (over all
-// local sites, ghosts included) + cached-pair reduce rounds for the
-// optimized kernel, the single historical round for the reference kernel.
+// Forces runs the force pass on the CPE cluster and returns the owned
+// potential-energy share.
 func (k *CPEKernel) Forces(s *neighbor.Store) (OpStats, float64) {
-	var rounds []cpeRound
-	if k.FF.Reference {
-		rounds = []cpeRound{{forcePass, func(id int) (OpStats, float64, int) {
-			lo, hi := s.Box.SpanCells(sunway.CPEsPerGroup, id)
-			st, e := k.FF.ForcesRange(s, lo, hi)
-			return st, e, 2 * (hi - lo)
-		}}}
-	} else {
-		rounds = []cpeRound{
-			{fillPass, func(id int) (OpStats, float64, int) {
-				lo, hi := s.Box.SpanLocalSites(sunway.CPEsPerGroup, id)
-				return k.FF.FillEmbeddingRange(s, lo, hi), 0, hi - lo
-			}},
-			{forceReducePass, func(id int) (OpStats, float64, int) {
-				lo, hi := s.Box.SpanCells(sunway.CPEsPerGroup, id)
-				st, e := k.FF.ForceReduceRange(s, lo, hi)
-				return st, e, 2 * (hi - lo)
-			}},
-		}
-	}
-	return k.run(s, rounds)
+	return k.run(s, k.FF.rounds.force)
 }

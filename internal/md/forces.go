@@ -76,25 +76,24 @@ const (
 // walked only for run-away chains, which is the paper's "extra overhead can
 // be ignored" property.
 //
-// Two kernels are provided. The optimized kernel (the default) evaluates
-// each resident–resident pair once — a gather pass computes the fused
-// pair/density tables for every pair whose canonical owner (or ghost
-// partner) anchors it and stores the results in the pair cache; after a
-// barrier, reduce passes accumulate both sides from the cache in the
-// reference enumeration order. The retained reference kernel
-// (DensitiesRange/ForcesRange, selected by Reference) evaluates every pair
-// from both sides; the two are bit-identical (DESIGN.md §13).
+// The kernel evaluates each resident–resident pair once — a gather round
+// computes the fused pair/density tables for every pair whose canonical
+// owner (or ghost partner) anchors it and stores the results in the pair
+// cache; after a barrier, reduce rounds accumulate both sides from the cache
+// in the reference enumeration order. The reference kernel, which evaluates
+// every pair from both sides, is the test-side oracle this one is
+// bit-identical to (reference_test.go, DESIGN.md §13).
 type ForceField struct {
 	Pot    *eam.Potential
 	Cutoff float64 // true interaction cutoff (Å)
 	Tight  [2]int  // per-basis prefix length for lattice-resident pairs
 
-	// Reference selects the retained full-iteration kernel instead of the
-	// optimized half-neighbor/fused one — the cross-check mode, mirroring
-	// the KMC FullRescan knob.
-	Reference bool
+	// rounds is the round table ForcePool and CPEKernel execute (rounds.go).
+	// Per instance, so an in-package test can run one ForceField under the
+	// oracle's table without touching any other.
+	rounds *kernelRounds
 
-	// Optimized-kernel statics, built once per store geometry.
+	// Kernel statics, built once per store geometry.
 	stride   int        // pair-cache slots per owned site: max tight prefix
 	ownedIdx []int32    // local site -> owned-order index; -1 off-rank
 	revIdx   [2][]int32 // per basis, tight slot -> partner-side reverse slot
@@ -106,7 +105,7 @@ type ForceField struct {
 // the reverse-offset table (the slot at which a pair's canonical owner
 // cached it, seen from the partner), and the pair cache itself.
 func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceField {
-	ff := &ForceField{Pot: pot, Cutoff: pot.Cutoff}
+	ff := &ForceField{Pot: pot, Cutoff: pot.Cutoff, rounds: &productionRounds}
 	tightR := pot.Cutoff + skin
 	for b := 0; b <= 1; b++ {
 		n := 0
@@ -164,75 +163,6 @@ func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceFi
 	return ff
 }
 
-// centralKind distinguishes the two kinds of central atom.
-type centralKind int
-
-const (
-	residentCentral centralKind = iota
-	runawayCentral
-)
-
-// candidate is one potential interaction partner.
-type candidate struct {
-	pos vec.V
-	typ units.Element
-	rho float64
-}
-
-// eachCandidate enumerates every atom that can possibly be within the cutoff
-// of a central atom whose home (lattice site for residents, anchor for
-// run-aways) is the local site `home` with the given basis. Enumeration
-// order is deterministic. Returns the number of sites visited.
-//
-// withRho controls whether neighbor densities are copied into the
-// candidates: the density pass must pass false, both because it does not
-// need them and because neighbor ρ values are concurrently being written by
-// other CPE workers during that pass.
-//
-//mdvet:hot
-func (ff *ForceField) eachCandidate(s *neighbor.Store, home int, basis int8,
-	kind centralKind, selfRef int32, withRho bool, fn func(c candidate)) int64 {
-
-	rhoOf := func(rho *float64) float64 {
-		if withRho {
-			return *rho
-		}
-		return 0
-	}
-	visits := int64(1)
-	// Atoms chained at the home site (excluding the central itself).
-	s.EachRunaway(home, func(ref int32, a *neighbor.Runaway) {
-		if kind == runawayCentral && ref == selfRef {
-			return
-		}
-		fn(candidate{pos: a.R, typ: a.Type, rho: rhoOf(&a.Rho)})
-	})
-	// The resident atom at the anchor site is a partner of a run-away
-	// central (a resident central *is* that atom).
-	if kind == runawayCentral && !s.IsVacancy(home) {
-		fn(candidate{pos: s.R[home], typ: s.Type[home], rho: rhoOf(&s.Rho[home])})
-	}
-
-	deltas := s.Deltas(basis)
-	tight := ff.Tight[basis]
-	for k, d := range deltas {
-		j := home + int(d)
-		visits++
-		// Lattice-resident partner: residents only need the tight prefix;
-		// run-away centrals can reach further.
-		if (k < tight || kind == runawayCentral) && !s.IsVacancy(j) {
-			fn(candidate{pos: s.R[j], typ: s.Type[j], rho: rhoOf(&s.Rho[j])})
-		}
-		// Run-away partners chained anywhere within the wide table.
-		if s.Head[j] != neighbor.NoRunaway {
-			s.EachRunaway(j, func(_ int32, a *neighbor.Runaway) {
-				fn(candidate{pos: a.R, typ: a.Type, rho: rhoOf(&a.Rho)})
-			})
-		}
-	}
-	return visits
-}
-
 // pairScalar combines the pair-potential derivative with the two embedding
 // terms in a canonical order, so both sides of a pair sum the three terms
 // identically and obtain a bitwise-equal force scalar: the side whose
@@ -244,152 +174,6 @@ func pairScalar(dphi, tc, tp float64, ctyp, ptyp units.Element, crho, prho float
 		return dphi + tp + tc
 	}
 	return dphi + tc + tp
-}
-
-// Densities computes the electron density ρ for every owned atom (resident
-// and run-away). Ghost densities must afterwards be filled by exchange.
-func (ff *ForceField) Densities(s *neighbor.Store) OpStats {
-	return ff.DensitiesRange(s, 0, s.Box.OwnedCells())
-}
-
-// DensitiesRange is the reference density kernel restricted to owned cells
-// [lo, hi); disjoint ranges write disjoint state, so the CPE kernel runs
-// them concurrently.
-//
-//mdvet:hot
-func (ff *ForceField) DensitiesRange(s *neighbor.Store, lo, hi int) OpStats {
-	var st OpStats
-	cut2 := ff.Cutoff * ff.Cutoff
-	s.Box.EachOwnedCellRange(lo, hi, func(c lattice.Coord, local int) {
-		if !s.IsVacancy(local) {
-			st.Atoms++
-			pos := s.R[local]
-			typ := s.Type[local]
-			var rho float64
-			st.Visits += ff.eachCandidate(s, local, c.B, residentCentral, 0, false, func(cd candidate) {
-				r2 := pos.Sub(cd.pos).Norm2()
-				if r2 == 0 {
-					st.Coincident++
-					return
-				}
-				if r2 >= cut2 {
-					return
-				}
-				f, _ := ff.Pot.Density(typ, cd.typ, math.Sqrt(r2))
-				rho += f
-				st.Pairs++
-				st.Lookups++
-				if typ != units.Fe || cd.typ != units.Fe {
-					st.MinorityLookups++
-				}
-			})
-			s.Rho[local] = rho
-		}
-		s.EachRunaway(local, func(ref int32, a *neighbor.Runaway) {
-			st.Atoms++
-			pos, typ := a.R, a.Type
-			var rho float64
-			st.Visits += ff.eachCandidate(s, local, c.B, runawayCentral, ref, false, func(cd candidate) {
-				r2 := pos.Sub(cd.pos).Norm2()
-				if r2 == 0 {
-					st.Coincident++
-					return
-				}
-				if r2 >= cut2 {
-					return
-				}
-				f, _ := ff.Pot.Density(typ, cd.typ, math.Sqrt(r2))
-				rho += f
-				st.Pairs++
-				st.Lookups++
-				if typ != units.Fe || cd.typ != units.Fe {
-					st.MinorityLookups++
-				}
-			})
-			a.Rho = rho
-		})
-	})
-	return st
-}
-
-// Forces computes the force on every owned atom and returns the owned share
-// of the potential energy, Σᵢ (½ Σⱼ φ(rᵢⱼ) + F(ρᵢ)). Densities of all local
-// atoms (owned and ghost) must be up to date.
-func (ff *ForceField) Forces(s *neighbor.Store) (OpStats, float64) {
-	return ff.ForcesRange(s, 0, s.Box.OwnedCells())
-}
-
-// ForcesRange is the reference force kernel restricted to owned cells
-// [lo, hi). Per central atom it issues one embedding evaluation, and per
-// accepted pair four interpolation evaluations: the pair term, both density
-// directions, and the partner's embedding derivative (all counted in
-// OpStats.Lookups — the density-direction evaluations and the partner
-// embedding term are what the optimized kernel's pair cache and
-// fill pass eliminate).
-//
-//mdvet:hot
-func (ff *ForceField) ForcesRange(s *neighbor.Store, lo, hi int) (OpStats, float64) {
-	var st OpStats
-	var energy float64
-	cut2 := ff.Cutoff * ff.Cutoff
-
-	// force of one central atom given its state.
-	one := func(home int, basis int8, kind centralKind, ref int32,
-		pos vec.V, typ units.Element, rho float64) (vec.V, float64) {
-
-		embedE, dFc := ff.Pot.Embed(typ, rho)
-		st.Lookups++
-		if typ != units.Fe {
-			st.MinorityLookups++
-		}
-		e := embedE
-		f := vec.Zero
-		st.Visits += ff.eachCandidate(s, home, basis, kind, ref, true, func(cd candidate) {
-			d := pos.Sub(cd.pos)
-			r2 := d.Norm2()
-			if r2 == 0 {
-				st.Coincident++
-				return
-			}
-			if r2 >= cut2 {
-				return
-			}
-			r := math.Sqrt(r2)
-			phi, dphi := ff.Pot.Pair(typ, cd.typ, r)
-			_, dfij := ff.Pot.Density(typ, cd.typ, r)
-			_, dfji := ff.Pot.Density(cd.typ, typ, r)
-			_, dFj := ff.Pot.Embed(cd.typ, cd.rho)
-			scalar := pairScalar(dphi, dFc*dfij, dFj*dfji, typ, cd.typ, rho, cd.rho)
-			f = f.MulAdd(-scalar/r, d)
-			e += 0.5 * phi
-			st.Pairs++
-			st.Lookups += 4
-			if typ != units.Fe || cd.typ != units.Fe {
-				st.MinorityLookups += 3
-			}
-			if cd.typ != units.Fe {
-				st.MinorityLookups++
-			}
-		})
-		return f, e
-	}
-
-	s.Box.EachOwnedCellRange(lo, hi, func(c lattice.Coord, local int) {
-		if !s.IsVacancy(local) {
-			st.Atoms++
-			f, e := one(local, c.B, residentCentral, 0,
-				s.R[local], s.Type[local], s.Rho[local])
-			s.F[local] = f
-			energy += e
-		}
-		s.EachRunaway(local, func(ref int32, a *neighbor.Runaway) {
-			st.Atoms++
-			f, e := one(local, c.B, runawayCentral, ref, a.R, a.Type, a.Rho)
-			a.F = f
-			energy += e
-		})
-	})
-	return st, energy
 }
 
 // FillEmbeddingRange precomputes F(ρ) and F'(ρ) for every local atom —

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mdkmc/internal/lattice"
+	"mdkmc/internal/units"
 )
 
 // TestParseCellRequests: the ghost-handshake decoder resolves owned cells to
@@ -40,5 +41,37 @@ func TestParseCellRequests(t *testing.T) {
 		t.Fatal("non-owned cell request accepted")
 	} else if !strings.Contains(err.Error(), "non-owned cell") {
 		t.Fatalf("error %q does not name the non-owned cell", err)
+	}
+}
+
+// TestGhostWidthIsTheHaloNewRankUses: Config.GhostWidth — what the topology
+// choosers take as the minimum slab width — is the ghost width NewRank gives
+// its box, for pure Fe and both ways of asking for the Fe-Cu potential; and
+// the default configuration still reports 2 cells.
+func TestGhostWidthIsTheHaloNewRankUses(t *testing.T) {
+	def := DefaultConfig()
+	if got := def.GhostWidth(); got != 2 {
+		t.Errorf("default GhostWidth = %d, want 2", got)
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"fe", func(c *Config) {}},
+		{"fecu-fraction", func(c *Config) { c.CuFraction = 0.25 }},
+		{"cu-host", func(c *Config) { c.Species = units.Cu }},
+		{"fe-wide-cells", func(c *Config) { c.A = 2 * units.LatticeConstantFe }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Temperature = 0
+			tc.mut(&cfg)
+			runWorld(t, cfg, func(r *Rank) {
+				if got := cfg.GhostWidth(); got != r.Box.Ghost {
+					t.Errorf("GhostWidth = %d, NewRank's box has ghost %d", got, r.Box.Ghost)
+				}
+			})
+		})
 	}
 }

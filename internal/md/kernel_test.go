@@ -68,17 +68,15 @@ func TestReferenceKernelEquivalence(t *testing.T) {
 			cfg.Dt = 2e-4
 			cfg.PKA = &PKA{Energy: 120}
 			tc.mut(&cfg)
-			cfg.ReferenceKernel = true
 			cfg.Workers = 1
-			ref := gatherState(t, cfg, steps, nil)
+			ref := gatherState(t, cfg, steps, useReferenceKernel)
 
 			// The reference kernel is itself worker-invariant (stats
 			// included), like the optimized one.
 			cfg.Workers = 7
 			requireIdentical(t, tc.name+"/reference-workers=7", ref,
-				gatherState(t, cfg, steps, nil))
+				gatherState(t, cfg, steps, useReferenceKernel))
 
-			cfg.ReferenceKernel = false
 			for _, workers := range []int{1, 4, 7} {
 				cfg.Workers = workers
 				got := gatherState(t, cfg, steps, nil)
@@ -96,14 +94,17 @@ func TestReferenceKernelEquivalenceCPE(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Temperature = 600
 	const steps = 3
-	cfg.ReferenceKernel = true
 	cfg.Workers = 1
-	ref := gatherState(t, cfg, steps, nil)
+	ref := gatherState(t, cfg, steps, useReferenceKernel)
 	for _, refKernel := range []bool{false, true} {
 		for _, variant := range []KernelVariant{VariantTraditional, VariantFull} {
-			cfg.ReferenceKernel = refKernel
 			cfg.Workers = 4
-			got := gatherState(t, cfg, steps, func(r *Rank) { r.AttachCPEKernel(variant) })
+			got := gatherState(t, cfg, steps, func(r *Rank) {
+				r.AttachCPEKernel(variant)
+				if refKernel {
+					useReferenceKernel(r)
+				}
+			})
 			requireIdenticalState(t,
 				fmt.Sprintf("cpe/%v/reference=%v", variant, refKernel), ref, got)
 		}
@@ -116,8 +117,8 @@ func TestEnergyConservationNVEReferenceKernel(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Temperature = 300
 	cfg.Workers = 4
-	cfg.ReferenceKernel = true
 	runWorld(t, cfg, func(r *Rank) {
+		useReferenceKernel(r)
 		ke0, pe0 := r.TotalEnergy()
 		for i := 0; i < 200; i++ {
 			r.Step()
@@ -265,8 +266,10 @@ func TestCoincidentAtomsCountedAndSticky(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Temperature = 0
-			cfg.ReferenceKernel = refKernel
 			runWorld(t, cfg, func(r *Rank) {
+				if refKernel {
+					useReferenceKernel(r)
+				}
 				if err := r.CoincidenceError(); err != nil {
 					t.Fatalf("clean world reported coincidence: %v", err)
 				}

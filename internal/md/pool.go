@@ -23,22 +23,6 @@ import (
 // value and to the CPE kernel's per-lane reduction (DESIGN.md §9).
 const ForceChunks = sunway.CPEsPerGroup
 
-// roundKind identifies one barrier-separated sweep of a pass. Rounds of one
-// pass execute in order with a full barrier between them (all chunks of
-// round k complete before any chunk of round k+1 starts), which is what
-// lets a round read state the previous round wrote — the gather/reduce
-// split of the optimized kernel (DESIGN.md §13).
-type roundKind int
-
-const (
-	roundRefDensity roundKind = iota
-	roundDensityGather
-	roundDensityReduce
-	roundRefForce
-	roundFill
-	roundForceReduce
-)
-
 // ForcePool runs the force-field passes over a worker pool. Safety rests on
 // the rounds having disjoint writes by construction (see the concurrency
 // contract in neighbor.Store): a chunk writes only the state anchored in
@@ -46,8 +30,7 @@ const (
 // any concurrent chunk of the same round.
 //
 // Workers == 1 executes the chunks inline on the calling goroutine and is
-// the retained serial reference mode (mirroring the KMC FullRescan
-// pattern); Workers == 0 resolves to runtime.GOMAXPROCS.
+// the serial reference mode; Workers == 0 resolves to runtime.GOMAXPROCS.
 type ForcePool struct {
 	FF      *ForceField
 	Workers int
@@ -99,59 +82,19 @@ func ResolveWorkers(workers int) int {
 	return workers
 }
 
-// runChunk executes chunk i of the given round kind.
-func (p *ForcePool) runChunk(s *neighbor.Store, kind roundKind, i int) (OpStats, float64) {
-	switch kind {
-	case roundRefDensity:
-		lo, hi := s.Box.SpanCells(ForceChunks, i)
-		return p.FF.DensitiesRange(s, lo, hi), 0
-	case roundDensityGather:
-		lo, hi := s.Box.SpanCells(ForceChunks, i)
-		return p.FF.DensityGatherRange(s, lo, hi), 0
-	case roundDensityReduce:
-		lo, hi := s.Box.SpanCells(ForceChunks, i)
-		return p.FF.DensityReduceRange(s, lo, hi), 0
-	case roundRefForce:
-		lo, hi := s.Box.SpanCells(ForceChunks, i)
-		return p.FF.ForcesRange(s, lo, hi)
-	case roundFill:
-		lo, hi := s.Box.SpanLocalSites(ForceChunks, i)
-		return p.FF.FillEmbeddingRange(s, lo, hi), 0
-	default: // roundForceReduce
-		lo, hi := s.Box.SpanCells(ForceChunks, i)
-		return p.FF.ForceReduceRange(s, lo, hi)
-	}
-}
-
-// Densities runs the density pass sharded over the pool; bit-identical to
-// the serial kernels over the same chunks in any worker order. The
-// optimized kernel runs two rounds (pair gather, then reduce); the
-// reference kernel one.
+// Densities runs the density pass (pair gather, then reduce) sharded over
+// the pool; bit-identical to the serial kernels over the same chunks in any
+// worker order.
 func (p *ForcePool) Densities(s *neighbor.Store) OpStats {
-	var kinds [2]roundKind
-	rounds := kinds[:0]
-	if p.FF.Reference {
-		rounds = append(rounds, roundRefDensity)
-	} else {
-		rounds = append(rounds, roundDensityGather, roundDensityReduce)
-	}
-	st, _ := p.run(s, rounds, &p.DensityTiming, p.densityBusy)
+	st, _ := p.run(s, p.FF.rounds.density, &p.DensityTiming, p.densityBusy)
 	return st
 }
 
-// Forces runs the force pass sharded over the pool and returns the owned
-// potential-energy share, reduced in chunk order. The optimized kernel runs
-// two rounds (embedding fill over all local sites, then the cached-pair
-// force reduce); the reference kernel one.
+// Forces runs the force pass (embedding fill over all local sites, then the
+// cached-pair force reduce) sharded over the pool and returns the owned
+// potential-energy share, reduced in chunk order.
 func (p *ForcePool) Forces(s *neighbor.Store) (OpStats, float64) {
-	var kinds [2]roundKind
-	rounds := kinds[:0]
-	if p.FF.Reference {
-		rounds = append(rounds, roundRefForce)
-	} else {
-		rounds = append(rounds, roundFill, roundForceReduce)
-	}
-	return p.run(s, rounds, &p.ForceTiming, p.forceBusy)
+	return p.run(s, p.FF.rounds.force, &p.ForceTiming, p.forceBusy)
 }
 
 // run executes one pass as a sequence of barrier-separated rounds, each of
@@ -159,7 +102,7 @@ func (p *ForcePool) Forces(s *neighbor.Store) (OpStats, float64) {
 // counter (dynamic load balancing — cascade cores make chunks unequal).
 // Partial results are stored per (round, chunk) and merged in that order;
 // worker busy time and chunk counts accumulate across rounds.
-func (p *ForcePool) run(s *neighbor.Store, rounds []roundKind,
+func (p *ForcePool) run(s *neighbor.Store, rounds []round,
 	timing *perf.WorkerTiming, busyTimer *telemetry.Timer) (OpStats, float64) {
 
 	workers := ResolveWorkers(p.Workers)
@@ -180,11 +123,12 @@ func (p *ForcePool) run(s *neighbor.Store, rounds []roundKind,
 	var energy float64
 	var perStats [ForceChunks]OpStats
 	var perEnergy [ForceChunks]float64
-	for _, kind := range rounds {
+	for ri := range rounds {
+		rd := &rounds[ri]
 		if workers == 1 {
 			busy := perf.StartStopwatch()
 			for i := 0; i < ForceChunks; i++ {
-				perStats[i], perEnergy[i] = p.runChunk(s, kind, i)
+				perStats[i], perEnergy[i], _ = rd.chunk(p.FF, s, i)
 			}
 			busyAcc[0] += busy.Elapsed()
 			chunkAcc[0] += ForceChunks
@@ -202,7 +146,7 @@ func (p *ForcePool) run(s *neighbor.Store, rounds []roundKind,
 						if i >= ForceChunks {
 							break
 						}
-						perStats[i], perEnergy[i] = p.runChunk(s, kind, i)
+						perStats[i], perEnergy[i], _ = rd.chunk(p.FF, s, i)
 						chunks++
 					}
 					busyAcc[w] += busy.Elapsed()

@@ -94,7 +94,7 @@ func NewRank(cfg Config, comm *mpi.Comm) (*Rank, error) {
 		return nil, err
 	}
 	var pot *eam.Potential
-	if cfg.Species == units.Cu || cfg.CuFraction > 0 {
+	if cfg.alloy() {
 		pot = eam.NewFeCu(cfg.Mode, cfg.TablePoints)
 	} else {
 		pot = eam.NewFe(cfg.Mode, cfg.TablePoints)
@@ -119,7 +119,6 @@ func NewRank(cfg Config, comm *mpi.Comm) (*Rank, error) {
 		Pot:   pot,
 		FF:    NewForceField(store, pot, cfg.Skin),
 	}
-	r.FF.Reference = cfg.ReferenceKernel
 	r.Pool = NewForcePool(r.FF, cfg.Workers)
 	r.Ex, err = newExchange(comm, grid, box)
 	if err != nil {

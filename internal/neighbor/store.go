@@ -273,7 +273,3 @@ func (s *Store) MemoryBytes() int {
 	return perSite*len(s.ID) + 112*cap(s.pool) +
 		4*(len(s.deltas[0])+len(s.deltas[1]))
 }
-
-// PerSiteBytes returns the per-site memory cost of the lattice neighbor
-// list, excluding the (small) run-away pool.
-func PerSiteBytes() int { return 8 + 1 + 3*24 + 8 + 4 + 2*8 }

@@ -13,8 +13,7 @@ import "time"
 // trajectories.
 //
 // A Stopwatch is a value type wrapping one monotonic-clock read; copying
-// one is fine and the zero value reports elapsed time since the epoch,
-// which Started distinguishes.
+// one is fine.
 type Stopwatch struct {
 	start time.Time
 }
@@ -28,9 +27,4 @@ func StartStopwatch() Stopwatch {
 // Elapsed returns the monotonic time since the stopwatch started.
 func (s Stopwatch) Elapsed() time.Duration {
 	return time.Since(s.start)
-}
-
-// Started reports whether the stopwatch was started (zero value = false).
-func (s Stopwatch) Started() bool {
-	return !s.start.IsZero()
 }
