@@ -10,9 +10,15 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
+.PHONY: check fmt-check build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
 
-check: vet lint build race
+check: fmt-check vet lint build race
+
+# gofmt gate: any unformatted file fails. The analyzer fixtures under
+# testdata/ are exempt (some are unformatted on purpose).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

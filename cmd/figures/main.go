@@ -214,7 +214,7 @@ func measureMD(cells, grid [3]int, steps int) (float64, int64) {
 }
 
 // kmcVolume runs a KMC configuration and returns total bytes and messages
-// sent across ranks (excluding the plan handshake).
+// sent across ranks during the cycles.
 func kmcVolume(cfg kmc.Config, cycles int) (bytes, msgs int64) {
 	w := mpi.NewWorld(cfg.Ranks())
 	results := make([]mpi.Stats, cfg.Ranks())

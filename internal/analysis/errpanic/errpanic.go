@@ -1,6 +1,6 @@
 // Package errpanic implements the mdvet analyzer that bans bare panics in
 // the library packages the serve layer links against. A panic in
-// internal/{md,kmc,couple,serve,lattice,eam} wedges a multi-tenant mdserve
+// internal/{md,kmc,halo,couple,serve,lattice,eam} wedges a multi-tenant mdserve
 // process: the job-server contract (DESIGN.md §16) is that every failure
 // either returns an error (so the scheduler fails one job) or rides the
 // rank-abort machinery (mpi converts rank panics into RunE errors).
@@ -39,6 +39,7 @@ var Analyzer = &analysis.Analyzer{
 var protected = []string{
 	"mdkmc/internal/md",
 	"mdkmc/internal/kmc",
+	"mdkmc/internal/halo",
 	"mdkmc/internal/couple",
 	"mdkmc/internal/serve",
 	"mdkmc/internal/lattice",

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"mdkmc/internal/cluster"
+	"mdkmc/internal/halo"
 	"mdkmc/internal/kmc"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/md"
@@ -281,24 +282,18 @@ func globalEvents(c *mpi.Comm, st *kmc.State) int {
 //
 //mdvet:collective
 func gatherSites(c *mpi.Comm, own []lattice.Coord) []lattice.Coord {
-	var p []byte
+	var p halo.Packer
 	for _, s := range own {
-		p = append(p, byte(s.X), byte(s.X>>8), byte(s.X>>16), byte(s.X>>24))
-		p = append(p, byte(s.Y), byte(s.Y>>8), byte(s.Y>>16), byte(s.Y>>24))
-		p = append(p, byte(s.Z), byte(s.Z>>8), byte(s.Z>>16), byte(s.Z>>24))
-		p = append(p, byte(s.B))
+		p.I32(s.X)
+		p.I32(s.Y)
+		p.I32(s.Z)
+		p.U8(uint8(s.B))
 	}
-	all := c.Allgather(p)
 	var out []lattice.Coord
-	for _, buf := range all {
-		for off := 0; off+13 <= len(buf); off += 13 {
-			read := func(o int) int32 {
-				return int32(buf[off+o]) | int32(buf[off+o+1])<<8 |
-					int32(buf[off+o+2])<<16 | int32(buf[off+o+3])<<24
-			}
-			out = append(out, lattice.Coord{
-				X: read(0), Y: read(4), Z: read(8), B: int8(buf[off+12]),
-			})
+	for _, buf := range c.Allgather(p.Bytes()) {
+		u := halo.NewUnpacker("couple", buf)
+		for !u.Done() {
+			out = append(out, lattice.Coord{X: u.I32(), Y: u.I32(), Z: u.I32(), B: int8(u.U8())})
 		}
 	}
 	return out

@@ -3,7 +3,6 @@ package couple
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -138,8 +137,12 @@ func requestAt(p *Preemptor, label string) telemetry.Options {
 
 func TestBoundaryContract(t *testing.T) {
 	mdCfg, kmcCfg, coupledCfg, campaignCfg := contractMD(), contractKMC(), contractCoupled(), contractCampaign()
-	// RunKMC's stop conditions join its digest.
-	kmcHash := fmt.Sprintf("%s|cycles=%d|tthr=%v", kmcCfg.Hash(), contractCycles, math.Inf(1))
+	// RunKMC's stop conditions join its digest, in the format manifests on
+	// disk already carry.
+	kmcHash := KMCRunHash(kmcCfg, contractCycles, 0)
+	if want := fmt.Sprintf("%s|cycles=%d|tthr=+Inf", kmcCfg.Hash(), contractCycles); kmcHash != want {
+		t.Fatalf("KMCRunHash = %q, want %q: manifests of earlier runs would no longer load", kmcHash, want)
+	}
 	midIteration := func(t *testing.T, man *Manifest) {
 		if man.Campaign.Iter != 1 || man.Campaign.Pending == nil {
 			t.Errorf("mid-iteration manifest iter=%d pending=%v, want iter 1 with the pending injection",

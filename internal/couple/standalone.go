@@ -91,6 +91,17 @@ type KMCResult struct {
 	Telemetry *telemetry.Report
 }
 
+// KMCRunHash is the checkpoint-compatibility digest of a standalone KMC run:
+// the stop conditions join the configuration hash, because resuming with a
+// different bound is a different run. No threshold (tThreshold <= 0) hashes
+// as +Inf. The format is on disk in every standalone-KMC manifest.
+func KMCRunHash(cfg kmc.Config, cycles int, tThreshold float64) string {
+	if tThreshold <= 0 {
+		tThreshold = math.Inf(1)
+	}
+	return fmt.Sprintf("%s|cycles=%d|tthr=%v", cfg.Hash(), cycles, tThreshold)
+}
+
 // RunKMC builds the in-process world for cfg.Grid and runs cycles KMC cycles
 // (or until tThreshold MC seconds if positive). With ck.Dir set, all ranks
 // are snapshotted every ck.Every cycles, and ck.Restart resumes from the
@@ -103,10 +114,7 @@ func RunKMC(cfg kmc.Config, cycles int, tThreshold float64, ck Checkpoint, opts 
 	if tThreshold <= 0 {
 		tThreshold = math.Inf(1)
 	}
-	// The stop conditions join the digest: resuming with a different bound
-	// is a different run.
-	hash := fmt.Sprintf("%s|cycles=%d|tthr=%v", cfg.Hash(), cycles, tThreshold)
-	d, err := open(ck, hash, cfg.Ranks(), applyRunOptions(opts), StageKMC)
+	d, err := open(ck, KMCRunHash(cfg, cycles, tThreshold), cfg.Ranks(), applyRunOptions(opts), StageKMC)
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,7 @@ func (st *State) Cycle() int {
 		if st.Cfg.Protocol == Traditional {
 			// #6a: refresh the sector's read halo.
 			sp = st.tel.get.Begin()
-			st.exchangeGetSector(sec)
+			st.exchangeBand(tagKGet, getBand, sec)
 			sp.End()
 		}
 		sp = st.tel.sector.Begin()
@@ -80,7 +80,7 @@ func (st *State) Cycle() int {
 		// #6b: publish this sector's updates.
 		if st.Cfg.Protocol == Traditional {
 			sp = st.tel.put.Begin()
-			st.exchangePutSector(sec)
+			st.exchangeBand(tagKPut, putBand, sec)
 			sp.End()
 			// The dirty set only feeds the on-demand flush; the put band
 			// above already published these updates, so drop them — a

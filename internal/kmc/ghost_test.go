@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdkmc/internal/halo"
 	"mdkmc/internal/lattice"
 )
 
@@ -36,21 +37,21 @@ func wantKMCPanic(t *testing.T, fragment string, fn func()) {
 func TestUnpackerTruncatedMessage(t *testing.T) {
 	// A full dirty record is 14 bytes (3×i32 + basis + occupancy); every
 	// strict prefix is a truncation.
-	var p packer
-	p.i32(3)
-	p.i32(4)
-	p.i32(5)
-	p.u8(0)
-	p.u8(Vacant)
-	for cut := 1; cut < len(p.buf); cut++ {
-		u := unpacker{buf: p.buf[:cut]}
+	var p halo.Packer
+	p.I32(3)
+	p.I32(4)
+	p.I32(5)
+	p.U8(0)
+	p.U8(Vacant)
+	for cut := 1; cut < len(p.Bytes()); cut++ {
+		u := halo.NewUnpacker("kmc", p.Bytes()[:cut])
 		wantKMCPanic(t, "truncated ghost message", func() {
-			for !u.done() {
-				u.i32()
-				u.i32()
-				u.i32()
-				u.u8()
-				u.u8()
+			for !u.Done() {
+				u.I32()
+				u.I32()
+				u.I32()
+				u.U8()
+				u.U8()
 			}
 		})
 	}
@@ -61,10 +62,10 @@ func TestUnpackerTruncatedMessage(t *testing.T) {
 func TestApplyDirtyTruncated(t *testing.T) {
 	cfg := testConfig()
 	runWorld(t, cfg, func(st *State) {
-		var p packer
+		var p halo.Packer
 		packDirty(&p, st.L.Wrap(st.Box.GlobalCoord(0)), Vacant)
 		wantKMCPanic(t, "truncated ghost message", func() {
-			st.applyDirty(p.buf[:len(p.buf)-1], 0)
+			st.applyDirty(p.Bytes()[:len(p.Bytes())-1], 0)
 		})
 	})
 }
@@ -82,52 +83,12 @@ func TestApplyDirtyInvisibleCell(t *testing.T) {
 		// Rank 0 owns x ∈ [0,14) plus a 5-cell ghost halo on each side; the
 		// slab around x=20 lies deep in rank 1's interior, beyond both the
 		// halo and its periodic images, so it is invisible here.
-		var p packer
+		var p halo.Packer
 		packDirty(&p, lattice.Coord{X: 20, Y: 6, Z: 6}, Vacant)
 		wantKMCPanic(t, "invisible cell", func() {
-			st.applyDirty(p.buf, 1)
+			st.applyDirty(p.Bytes(), 1)
 		})
 	})
-}
-
-// TestDecodeCellList: the plan-handshake decoder resolves owned cells to
-// local indices and rejects a reference to a cell outside the receiver's
-// subdomain with a descriptive error — a per-job failure, not a process
-// abort (DESIGN.md §17, errpanic).
-func TestDecodeCellList(t *testing.T) {
-	l := lattice.New(4, 4, 4, 2.855)
-	grid, err := lattice.NewGrid(l, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	box := grid.Box(0, 1) // rank 0 owns x ∈ [0,2)
-
-	owned := lattice.Coord{X: 1, Y: 2, Z: 3}
-	var p packer
-	p.i32(1)
-	p.i32(owned.X)
-	p.i32(owned.Y)
-	p.i32(owned.Z)
-	u := unpacker{buf: p.buf}
-	list, err := decodeCellList(&u, box, 1, 0)
-	if err != nil {
-		t.Fatalf("owned-cell list rejected: %v", err)
-	}
-	if len(list) != 1 || list[0] != box.LocalIndex(owned) {
-		t.Fatalf("got %v, want [%d]", list, box.LocalIndex(owned))
-	}
-
-	var bad packer
-	bad.i32(1)
-	bad.i32(3) // x=3 belongs to rank 1
-	bad.i32(0)
-	bad.i32(0)
-	u = unpacker{buf: bad.buf}
-	if _, err := decodeCellList(&u, box, 1, 0); err == nil {
-		t.Fatal("non-owned cell reference accepted")
-	} else if !strings.Contains(err.Error(), "non-owned cell") {
-		t.Fatalf("error %q does not name the non-owned cell", err)
-	}
 }
 
 // TestGhostWidthIsTheHaloNewStateUses: Config.GhostWidth — the minimum slab

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mdkmc/internal/halo"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/units"
@@ -291,7 +292,11 @@ func TestOnDemandCommVolumeMuchSmaller(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			base := st.Stats().BytesSent // exclude the handshake
+			// The plan is computed locally: construction sends nothing.
+			if s := st.Stats(); s != (mpi.Stats{}) {
+				t.Errorf("rank %d: NewState (%v) communicated: %+v", c.Rank(), proto, s)
+			}
+			base := st.Stats().BytesSent
 			for i := 0; i < 5; i++ {
 				st.Cycle()
 			}
@@ -327,6 +332,9 @@ func TestOneSidedEliminatesEmptyMessages(t *testing.T) {
 			st, err := NewState(cfg, c)
 			if err != nil {
 				panic(err)
+			}
+			if s := st.Stats(); s != (mpi.Stats{}) {
+				t.Errorf("rank %d: NewState (%v) communicated: %+v", c.Rank(), proto, s)
 			}
 			base := st.Stats().MsgsSent
 			for i := 0; i < 5; i++ {
@@ -571,12 +579,12 @@ func TestInterestedRanksMatchBruteForce(t *testing.T) {
 
 func TestPackerRoundTripQuick(t *testing.T) {
 	f := func(a int32, b uint8, c int32) bool {
-		var p packer
-		p.i32(a)
-		p.u8(b)
-		p.i32(c)
-		u := unpacker{buf: p.buf}
-		return u.i32() == a && u.u8() == b && u.i32() == c && u.done()
+		var p halo.Packer
+		p.I32(a)
+		p.U8(b)
+		p.I32(c)
+		u := halo.NewUnpacker("kmc", p.Bytes())
+		return u.I32() == a && u.U8() == b && u.I32() == c && u.Done()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mdkmc/internal/eam"
+	"mdkmc/internal/halo"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/rng"
@@ -51,18 +52,15 @@ type State struct {
 	// bit-identical to.
 	fullRescan bool
 
-	// Ghost plans. The traditional protocol uses per-sector plans: before a
-	// sector it refreshes the sector's read halo (getRecv/getSend), after it
-	// pushes back the sector's one-cell write band (putSend/putRecv). The
-	// on-demand protocol ignores them and routes dirty sites by interest.
-	peers   []int
-	getRecv [8]map[int][]int // owner -> my ghost cell bases to refresh
-	getSend [8]map[int][]int // requester -> my owned cell bases to serve
-	putSend [8]map[int][]int // owner -> my ghost cell bases I may have written
-	putRecv [8]map[int][]int // writer -> my owned cell bases it may write
-	groups  map[int][]int    // local base site -> all local images of the wrapped cell
-	wrapped map[int]int      // wrapped global cell key -> one local base index
-	dirty   map[int]bool     // canonical local site indices changed since last flush
+	// Ghost plan (internal/halo). Every protocol uses its peer set; only
+	// the traditional protocol gives it classes — per sector a read halo
+	// refreshed before the sector and a one-cell write band pushed back
+	// after it — because the on-demand protocols route dirty sites by
+	// interest instead.
+	plan    *halo.Plan
+	groups  map[int][]int // local base site -> all local images of the wrapped cell
+	wrapped map[int]int   // wrapped global cell key -> one local base index
+	dirty   map[int]bool  // canonical local site indices changed since last flush
 	win     *mpi.Win
 
 	rng *rng.Source
@@ -161,9 +159,12 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	st.en = energetics{pot: pot, shells: newShellTables(pot, tab)}
 	st.dependReach = st.en.dependencyReach(reach)
 	st.buildDeltas()
-	if err := st.buildPlans(); err != nil {
-		return nil, err
+	st.buildImages()
+	var classes []halo.Class // the on-demand protocols need the peer set only
+	if cfg.Protocol == Traditional {
+		classes = bandClasses()
 	}
+	st.plan = halo.Build(grid, comm.Rank(), ghost, classes, classifyBand)
 	st.initOccupancy()
 	st.initRho()
 	if cfg.Protocol == OnDemandOneSided {
@@ -195,71 +196,53 @@ func (st *State) cellKey(x, y, z int32) int {
 	return (int(z)*st.L.Ny+int(y))*st.L.Nx + int(x)
 }
 
-// sectorBounds returns the owned cell range [lo, hi) of sector sec (one of
-// the eight octants of the subdomain).
-func (st *State) sectorBounds(sec int) (lo, hi [3]int) {
-	for d := 0; d < 3; d++ {
-		mid := st.Box.Lo[d] + (st.Box.Hi[d]-st.Box.Lo[d])/2
-		if sec&(1<<d) == 0 {
-			lo[d], hi[d] = st.Box.Lo[d], mid
-		} else {
-			lo[d], hi[d] = mid, st.Box.Hi[d]
-		}
+// The halo classes of the traditional protocol: sector sec's read halo is
+// class getBand+sec, its write band class putBand+sec.
+const (
+	getBand = 0
+	putBand = 8
+)
+
+func bandClasses() []halo.Class {
+	cs := make([]halo.Class, 16)
+	for sec := 0; sec < 8; sec++ {
+		cs[putBand+sec].Push = true
 	}
-	return
+	return cs
 }
 
-// distToBox returns the Chebyshev distance from cell c to the box [lo,hi).
-func distToBox(c lattice.Coord, lo, hi [3]int) int {
-	max := 0
+// classifyBand puts ghost cell c of the holder's box into the read halo of
+// every sector (octant of the subdomain, split where sectorOf splits it)
+// within the ghost width of it, and into the write band of every sector
+// within one cell. The Chebyshev distance to an octant is the largest of the
+// three per-axis distances to the half the octant takes on that axis.
+func classifyBand(holder *lattice.Box, c lattice.Coord) uint32 {
+	var dist [3][2]int // per axis: distance to the low half, to the high half
 	for d, v := range [3]int{int(c.X), int(c.Y), int(c.Z)} {
-		dd := 0
-		if v < lo[d] {
-			dd = lo[d] - v
-		} else if v >= hi[d] {
-			dd = v - hi[d] + 1
+		lo, hi := holder.Lo[d], holder.Hi[d]
+		mid := lo + (hi-lo)/2
+		dist[d] = [2]int{max(lo-v, v-mid+1, 0), max(mid-v, v-hi+1, 0)}
+	}
+	var mask uint32
+	for sec := 0; sec < 8; sec++ {
+		d := max(dist[0][sec&1], dist[1][sec>>1&1], dist[2][sec>>2&1])
+		if d <= holder.Ghost {
+			mask |= 1 << (getBand + sec)
 		}
-		if dd > max {
-			max = dd
+		if d <= 1 {
+			mask |= 1 << (putBand + sec)
 		}
 	}
-	return max
+	return mask
 }
 
-// decodeCellList reads one length-prefixed cell list from u and resolves
-// each cell to its local index. A reference to a cell we do not own means
-// the peer's view of the topology diverged from ours — a per-job failure
-// the serve layer should report, not a process abort, so it surfaces as an
-// error.
-func decodeCellList(u *unpacker, box *lattice.Box, source, me int) ([]int, error) {
-	n := int(u.i32())
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		c := lattice.Coord{X: u.i32(), Y: u.i32(), Z: u.i32()}
-		if !box.Owns(c) {
-			return nil, fmt.Errorf("kmc: rank %d referenced non-owned cell %+v at %d",
-				source, c, me)
-		}
-		out = append(out, box.LocalIndex(c))
-	}
-	return out, nil
-}
-
-// buildPlans computes the image groups, the per-sector traditional-exchange
-// plans, and the peer set, via a collective handshake.
-func (st *State) buildPlans() error {
-	l, box, comm := st.L, st.Box, st.Comm
-	me := comm.Rank()
+// buildImages groups the local cells that are periodic images of one
+// wrapped cell (a subdomain spanning a whole periodic dimension holds its
+// own images in its halo) and indexes every visible wrapped cell.
+func (st *State) buildImages() {
+	l, box := st.L, st.Box
 	st.groups = make(map[int][]int)
 	st.wrapped = make(map[int]int)
-	for sec := 0; sec < 8; sec++ {
-		st.getRecv[sec] = make(map[int][]int)
-		st.getSend[sec] = make(map[int][]int)
-		st.putSend[sec] = make(map[int][]int)
-		st.putRecv[sec] = make(map[int][]int)
-	}
-
-	// Image groups over all local cells, keyed by wrapped cell.
 	byWrapped := make(map[int][]int)
 	for z := box.Lo[2] - box.Ghost; z < box.Hi[2]+box.Ghost; z++ {
 		for y := box.Lo[1] - box.Ghost; y < box.Hi[1]+box.Ghost; y++ {
@@ -286,103 +269,6 @@ func (st *State) buildPlans() error {
 			}
 		}
 	}
-
-	// For every non-owned local cell, classify per sector: read halo
-	// (within Ghost of the octant) and write band (within 1 cell).
-	type need struct {
-		wrapped lattice.Coord
-		mine    int
-	}
-	getNeeds := [8]map[int][]need{}
-	putOffers := [8]map[int][]need{}
-	for sec := 0; sec < 8; sec++ {
-		getNeeds[sec] = make(map[int][]need)
-		putOffers[sec] = make(map[int][]need)
-	}
-	peerSet := map[int]bool{}
-	for z := box.Lo[2] - box.Ghost; z < box.Hi[2]+box.Ghost; z++ {
-		for y := box.Lo[1] - box.Ghost; y < box.Hi[1]+box.Ghost; y++ {
-			for x := box.Lo[0] - box.Ghost; x < box.Hi[0]+box.Ghost; x++ {
-				c := lattice.Coord{X: int32(x), Y: int32(y), Z: int32(z)}
-				if box.Owns(c) {
-					continue
-				}
-				w := l.Wrap(c)
-				owner := st.Grid.RankOfCell(w.X, w.Y, w.Z)
-				if owner == me {
-					continue // periodic self-image, consistent locally
-				}
-				peerSet[owner] = true
-				local := box.LocalIndex(c)
-				for sec := 0; sec < 8; sec++ {
-					lo, hi := st.sectorBounds(sec)
-					d := distToBox(c, lo, hi)
-					if d <= box.Ghost {
-						getNeeds[sec][owner] = append(getNeeds[sec][owner], need{w, local})
-					}
-					if d <= 1 {
-						putOffers[sec][owner] = append(putOffers[sec][owner], need{w, local})
-					}
-				}
-			}
-		}
-	}
-	for r := range peerSet {
-		st.peers = append(st.peers, r)
-	}
-	sort.Ints(st.peers)
-
-	// Handshake: one message per peer describing, per sector, the cells we
-	// will read from them (they must send) and write at them (they must
-	// receive).
-	packCells := func(p *packer, list []need) {
-		p.i32(int32(len(list)))
-		for _, n := range list {
-			p.i32(n.wrapped.X)
-			p.i32(n.wrapped.Y)
-			p.i32(n.wrapped.Z)
-		}
-	}
-	for _, r := range st.peers {
-		var p packer
-		for sec := 0; sec < 8; sec++ {
-			packCells(&p, getNeeds[sec][r])
-			packCells(&p, putOffers[sec][r])
-			mine := func(list []need) []int {
-				out := make([]int, len(list))
-				for i, n := range list {
-					out[i] = n.mine
-				}
-				return out
-			}
-			if len(getNeeds[sec][r]) > 0 {
-				st.getRecv[sec][r] = mine(getNeeds[sec][r])
-			}
-			if len(putOffers[sec][r]) > 0 {
-				st.putSend[sec][r] = mine(putOffers[sec][r])
-			}
-		}
-		comm.Send(r, tagKReq, p.buf)
-	}
-	for range st.peers {
-		data, s := comm.Recv(mpi.AnySource, tagKReq)
-		u := unpacker{buf: data}
-		for sec := 0; sec < 8; sec++ {
-			cells, err := decodeCellList(&u, box, s.Source, me)
-			if err != nil {
-				return err
-			}
-			if len(cells) > 0 {
-				st.getSend[sec][s.Source] = cells
-			}
-			if cells, err = decodeCellList(&u, box, s.Source, me); err != nil {
-				return err
-			} else if len(cells) > 0 {
-				st.putRecv[sec][s.Source] = cells
-			}
-		}
-	}
-	return nil
 }
 
 // initOccupancy fills the box with atoms and seeds the vacancies: from the

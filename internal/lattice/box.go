@@ -283,28 +283,26 @@ func (g *Grid) Box(r, ghost int) *Box {
 
 // RankOfCell returns the rank owning the wrapped global cell (x,y,z).
 func (g *Grid) RankOfCell(x, y, z int32) int {
-	x = wrapInt(x, int32(g.L.Nx))
-	y = wrapInt(y, int32(g.L.Ny))
-	z = wrapInt(z, int32(g.L.Nz))
-	return g.Rank(
-		g.slot(0, int(x), g.L.Nx, g.Px),
-		g.slot(1, int(y), g.L.Ny, g.Py),
-		g.slot(2, int(z), g.L.Nz, g.Pz),
-	)
+	return g.Rank(g.Slot(0, x), g.Slot(1, y), g.Slot(2, z))
 }
 
-// slot returns which of the p slabs of dimension d contains cell v of n,
-// consulting explicit cuts when present.
-func (g *Grid) slot(d, v, n, p int) int {
+// Slot returns which of the P_d slabs of dimension d contains cell
+// coordinate v (wrapped periodically), consulting explicit cuts when
+// present. The grid is rectilinear, so a cell's owner is the rank at its
+// three slots.
+func (g *Grid) Slot(d int, v int32) int {
+	n := [3]int{g.L.Nx, g.L.Ny, g.L.Nz}[d]
+	p := [3]int{g.Px, g.Py, g.Pz}[d]
+	w := int(wrapInt(v, int32(n)))
 	cs := g.cuts[d]
 	if cs == nil {
-		return slotOf(v, n, p)
+		return slotOf(w, n, p)
 	}
-	// Binary search: largest i with cs[i] <= v.
+	// Binary search: largest i with cs[i] <= w.
 	lo, hi := 0, p-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if cs[mid] <= v {
+		if cs[mid] <= w {
 			lo = mid
 		} else {
 			hi = mid - 1

@@ -2,8 +2,8 @@ package md
 
 import (
 	"fmt"
-	"sort"
 
+	"mdkmc/internal/halo"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/neighbor"
@@ -14,214 +14,89 @@ import (
 
 // Message tags of the MD exchange protocol.
 const (
-	tagReq = iota + 100
-	tagPos
+	tagPos = iota + 100
 	tagRho
 	tagMig
 )
 
-// cellPair maps one ghost cell between the two sides of an exchange.
-type cellPair struct {
-	src   int   // sender's local index of the cell's basis-0 site
-	dst   int   // receiver's local index of the cell's basis-0 site
-	shift vec.V // position shift receiver applies (periodic image offset)
-}
-
-// exchange owns the static ghost-communication plan of one rank: which
-// cells it receives from each neighbor process, which of its owned cells it
-// sends, and the purely local periodic self-copies. The plan is computed
-// once ("the communication pattern is static, which can be reused at each
-// time step").
+// exchange is one rank's ghost communication: the static halo plan (one
+// class: every ghost cell, periodic self-images included) and the channels
+// that run over it. See internal/halo for the plan and ordering rules.
 type exchange struct {
-	comm  *mpi.Comm
-	grid  *lattice.Grid
-	box   *lattice.Box
-	peers []int // sorted ranks exchanged with (excluding self)
+	comm *mpi.Comm
+	grid *lattice.Grid
+	plan *halo.Plan
 
-	recvPlans map[int][]cellPair // owner rank -> cells I receive (dst = mine)
-	sendPlans map[int][]int      // requester rank -> my basis-0 local indices
-	selfCopy  []cellPair         // periodic images inside my own subdomain
-
-	// Reused pack buffer for every outgoing message and self-copy. The
-	// exchange runs twice per MD step; allocating fresh buffers each time
-	// dominated the allocs/op profile of BenchmarkMDStep.
-	scratch packer
-
-	tel exTelemetry
+	pos, rho halo.Channel
+	migrate  *telemetry.Timer
+	bytes    *telemetry.Counter // ghost payload bytes, all three message kinds
+	// Reused pack buffer of the migrant messages.
+	scratch halo.Packer
 }
 
-// exTelemetry holds the ghost-protocol spans: pack (serialize + enqueue),
-// wait (blocked in Recv for the peer's message), unpack (deserialize into
-// the halo), per exchanged quantity, plus the ghost payload byte counter.
-type exTelemetry struct {
-	posPack, posWait, posUnpack *telemetry.Timer
-	rhoPack, rhoWait, rhoUnpack *telemetry.Timer
-	migrate                     *telemetry.Timer
-	bytes                       *telemetry.Counter
+func newExchange(comm *mpi.Comm, grid *lattice.Grid, box *lattice.Box) *exchange {
+	return &exchange{
+		comm: comm,
+		grid: grid,
+		plan: halo.Build(grid, comm.Rank(), box.Ghost, []halo.Class{{Self: true}}, nil),
+		pos:  halo.Channel{Pkg: "md", Tag: tagPos},
+		rho:  halo.Channel{Pkg: "md", Tag: tagRho},
+	}
 }
 
+// attachTelemetry registers the ghost-protocol spans: pack (serialize +
+// enqueue), wait (blocked in Recv for the peer's message), unpack
+// (deserialize into the halo), per exchanged quantity, plus the ghost
+// payload byte counter.
 func (e *exchange) attachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	e.tel = exTelemetry{
-		posPack:   reg.Timer("md/ghost/pos/pack"),
-		posWait:   reg.Timer("md/ghost/pos/wait"),
-		posUnpack: reg.Timer("md/ghost/pos/unpack"),
-		rhoPack:   reg.Timer("md/ghost/rho/pack"),
-		rhoWait:   reg.Timer("md/ghost/rho/wait"),
-		rhoUnpack: reg.Timer("md/ghost/rho/unpack"),
-		migrate:   reg.Timer("md/ghost/migrate"),
-		bytes:     reg.Counter("md/ghost/bytes-sent"),
-	}
-}
-
-// parseCellRequests decodes one handshake request message: the wrapped
-// global cells the source rank wants from us, resolved to local indices.
-// A request for a cell we do not own means the peer's view of the topology
-// diverged from ours — a per-job failure the serve layer should report,
-// not a process abort, so it surfaces as an error.
-func parseCellRequests(data []byte, box *lattice.Box, source, me int) ([]int, error) {
-	u := unpacker{buf: data}
-	var list []int
-	for !u.done() {
-		c := lattice.Coord{X: int32(u.i64()), Y: int32(u.i64()), Z: int32(u.i64())}
-		if !box.Owns(c) {
-			return nil, fmt.Errorf("md: rank %d asked rank %d for non-owned cell %+v",
-				source, me, c)
-		}
-		list = append(list, box.LocalIndex(c))
-	}
-	return list, nil
-}
-
-// newExchange builds the plan collectively; every rank must call it.
-func newExchange(comm *mpi.Comm, grid *lattice.Grid, box *lattice.Box) (*exchange, error) {
-	e := &exchange{
-		comm:      comm,
-		grid:      grid,
-		box:       box,
-		recvPlans: make(map[int][]cellPair),
-		sendPlans: make(map[int][]int),
-	}
-	l := grid.L
-	me := comm.Rank()
-
-	// Classify every ghost cell by its owner.
-	type request struct {
-		wrapped [3]int32
-		pair    cellPair
-	}
-	needs := make(map[int][]request)
-	for z := box.Lo[2] - box.Ghost; z < box.Hi[2]+box.Ghost; z++ {
-		for y := box.Lo[1] - box.Ghost; y < box.Hi[1]+box.Ghost; y++ {
-			for x := box.Lo[0] - box.Ghost; x < box.Hi[0]+box.Ghost; x++ {
-				c := lattice.Coord{X: int32(x), Y: int32(y), Z: int32(z)}
-				if box.Owns(c) {
-					continue
-				}
-				w := l.Wrap(c)
-				owner := grid.RankOfCell(w.X, w.Y, w.Z)
-				shift := l.Position(c).Sub(l.Position(w))
-				pair := cellPair{
-					dst:   box.LocalIndex(c),
-					shift: shift,
-				}
-				if owner == me {
-					pair.src = box.LocalIndex(w)
-					e.selfCopy = append(e.selfCopy, pair)
-				} else {
-					needs[owner] = append(needs[owner], request{
-						wrapped: [3]int32{w.X, w.Y, w.Z},
-						pair:    pair,
-					})
-				}
-			}
-		}
-	}
-
-	// Handshake: send every other rank the (possibly empty) list of wrapped
-	// cells we need from it; receive everyone's requests of us.
-	for r := 0; r < comm.Size(); r++ {
-		if r == me {
-			continue
-		}
-		reqs := needs[r]
-		var p packer
-		for _, rq := range reqs {
-			p.i64(int64(rq.wrapped[0]))
-			p.i64(int64(rq.wrapped[1]))
-			p.i64(int64(rq.wrapped[2]))
-		}
-		comm.Send(r, tagReq, p.buf)
-		if len(reqs) > 0 {
-			e.recvPlans[r] = make([]cellPair, len(reqs))
-			for i, rq := range reqs {
-				e.recvPlans[r][i] = rq.pair
-			}
-		}
-	}
-	for i := 0; i < comm.Size()-1; i++ {
-		data, st := comm.Recv(mpi.AnySource, tagReq)
-		if len(data) == 0 {
-			continue
-		}
-		list, err := parseCellRequests(data, e.box, st.Source, me)
-		if err != nil {
-			return nil, err
-		}
-		e.sendPlans[st.Source] = list
-	}
-
-	// Peer set: union of both plans, sorted for deterministic processing.
-	seen := map[int]bool{}
-	for r := range e.recvPlans {
-		seen[r] = true
-	}
-	for r := range e.sendPlans {
-		seen[r] = true
-	}
-	for r := range seen {
-		e.peers = append(e.peers, r)
-	}
-	sort.Ints(e.peers)
-	return e, nil
+	e.pos.Pack = reg.Timer("md/ghost/pos/pack")
+	e.pos.Wait = reg.Timer("md/ghost/pos/wait")
+	e.pos.Unpack = reg.Timer("md/ghost/pos/unpack")
+	e.rho.Pack = reg.Timer("md/ghost/rho/pack")
+	e.rho.Wait = reg.Timer("md/ghost/rho/wait")
+	e.rho.Unpack = reg.Timer("md/ghost/rho/unpack")
+	e.migrate = reg.Timer("md/ghost/migrate")
+	e.bytes = reg.Counter("md/ghost/bytes-sent")
+	e.pos.Bytes, e.rho.Bytes = e.bytes, e.bytes
 }
 
 // packCellPos serializes one cell's two sites: per site ID, type, position,
 // and the run-away chain anchored there.
-func packCellPos(p *packer, s *neighbor.Store, base int) {
+func packCellPos(p *halo.Packer, s *neighbor.Store, base int) {
 	for b := 0; b < 2; b++ {
 		local := base + b
-		p.i64(s.ID[local])
-		p.u8(uint8(s.Type[local]))
-		p.vec(s.R[local])
+		p.I64(s.ID[local])
+		p.U8(uint8(s.Type[local]))
+		p.Vec(s.R[local])
 		n := 0
 		s.EachRunaway(local, func(_ int32, _ *neighbor.Runaway) { n++ })
-		p.u16(uint16(n))
+		p.U16(uint16(n))
 		s.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
-			p.i64(a.ID)
-			p.u8(uint8(a.Type))
-			p.vec(a.R)
+			p.I64(a.ID)
+			p.U8(uint8(a.Type))
+			p.Vec(a.R)
 		})
 	}
 }
 
 // unpackCellPos writes one received cell into the ghost region, applying the
 // periodic shift and rebuilding the run-away chains.
-func unpackCellPos(u *unpacker, s *neighbor.Store, base int, shift vec.V) {
+func unpackCellPos(u *halo.Unpacker, s *neighbor.Store, base int, shift vec.V) {
 	for b := 0; b < 2; b++ {
 		local := base + b
-		s.ID[local] = u.i64()
-		s.Type[local] = units.Element(u.u8())
-		s.R[local] = u.vec().Add(shift)
+		s.ID[local] = u.I64()
+		s.Type[local] = units.Element(u.U8())
+		s.R[local] = u.Vec().Add(shift)
 		s.ClearRunaways(local)
-		n := int(u.u16())
+		n := int(u.U16())
 		for k := 0; k < n; k++ {
 			s.AddRunaway(local, neighbor.Runaway{
-				ID:   u.i64(),
-				Type: units.Element(u.u8()),
-				R:    u.vec().Add(shift),
+				ID:   u.I64(),
+				Type: units.Element(u.U8()),
+				R:    u.Vec().Add(shift),
 			})
 		}
 	}
@@ -230,64 +105,35 @@ func unpackCellPos(u *unpacker, s *neighbor.Store, base int, shift vec.V) {
 // ExchangePositions refreshes every ghost site's identity, position and
 // run-away chains from the owning ranks (and local periodic images).
 func (e *exchange) ExchangePositions(s *neighbor.Store) {
-	sp := e.tel.posPack.Begin()
-	p := &e.scratch
-	for _, cp := range e.selfCopy {
-		p.reset()
-		packCellPos(p, s, cp.src)
-		u := unpacker{buf: p.buf}
-		unpackCellPos(&u, s, cp.dst, cp.shift)
-	}
-	for _, peer := range e.peers {
-		p.reset()
-		for _, base := range e.sendPlans[peer] {
-			packCellPos(p, s, base)
-		}
-		e.comm.Send(peer, tagPos, p.buf)
-		e.tel.bytes.Add(int64(len(p.buf)))
-	}
-	sp.End()
-	for _, peer := range e.peers {
-		wait := e.tel.posWait.Begin()
-		data, _ := e.comm.Recv(peer, tagPos)
-		wait.End()
-		sp := e.tel.posUnpack.Begin()
-		u := unpacker{buf: data}
-		for _, cp := range e.recvPlans[peer] {
-			unpackCellPos(&u, s, cp.dst, cp.shift)
-		}
-		if !u.done() {
-			//mdvet:panics ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
-			panic("md: trailing bytes in position ghost message")
-		}
-		sp.End()
-	}
+	e.plan.Exchange(e.comm, e.pos,
+		func(p *halo.Packer, local int) { packCellPos(p, s, local) },
+		func(u *halo.Unpacker, c halo.Cell) { unpackCellPos(u, s, c.Local, c.Shift) })
 }
 
 // packCellRho serializes the densities of a cell: site densities plus chain
 // densities keyed by atom ID.
-func packCellRho(p *packer, s *neighbor.Store, base int) {
+func packCellRho(p *halo.Packer, s *neighbor.Store, base int) {
 	for b := 0; b < 2; b++ {
 		local := base + b
-		p.f64(s.Rho[local])
+		p.F64(s.Rho[local])
 		n := 0
 		s.EachRunaway(local, func(_ int32, _ *neighbor.Runaway) { n++ })
-		p.u16(uint16(n))
+		p.U16(uint16(n))
 		s.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
-			p.i64(a.ID)
-			p.f64(a.Rho)
+			p.I64(a.ID)
+			p.F64(a.Rho)
 		})
 	}
 }
 
-func unpackCellRho(u *unpacker, s *neighbor.Store, base int) {
+func unpackCellRho(u *halo.Unpacker, s *neighbor.Store, base int) {
 	for b := 0; b < 2; b++ {
 		local := base + b
-		s.Rho[local] = u.f64()
-		n := int(u.u16())
+		s.Rho[local] = u.F64()
+		n := int(u.U16())
 		for k := 0; k < n; k++ {
-			id := u.i64()
-			rho := u.f64()
+			id := u.I64()
+			rho := u.F64()
 			found := false
 			s.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
 				if a.ID == id {
@@ -305,38 +151,9 @@ func unpackCellRho(u *unpacker, s *neighbor.Store, base int) {
 
 // ExchangeDensities refreshes ghost densities after the density pass.
 func (e *exchange) ExchangeDensities(s *neighbor.Store) {
-	sp := e.tel.rhoPack.Begin()
-	p := &e.scratch
-	for _, cp := range e.selfCopy {
-		p.reset()
-		packCellRho(p, s, cp.src)
-		u := unpacker{buf: p.buf}
-		unpackCellRho(&u, s, cp.dst)
-	}
-	for _, peer := range e.peers {
-		p.reset()
-		for _, base := range e.sendPlans[peer] {
-			packCellRho(p, s, base)
-		}
-		e.comm.Send(peer, tagRho, p.buf)
-		e.tel.bytes.Add(int64(len(p.buf)))
-	}
-	sp.End()
-	for _, peer := range e.peers {
-		wait := e.tel.rhoWait.Begin()
-		data, _ := e.comm.Recv(peer, tagRho)
-		wait.End()
-		sp := e.tel.rhoUnpack.Begin()
-		u := unpacker{buf: data}
-		for _, cp := range e.recvPlans[peer] {
-			unpackCellRho(&u, s, cp.dst)
-		}
-		if !u.done() {
-			//mdvet:panics ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
-			panic("md: trailing bytes in density ghost message")
-		}
-		sp.End()
-	}
+	e.plan.Exchange(e.comm, e.rho,
+		func(p *halo.Packer, local int) { packCellRho(p, s, local) },
+		func(u *halo.Unpacker, c halo.Cell) { unpackCellRho(u, s, c.Local) })
 }
 
 // migrant is a run-away atom in flight to the rank owning its new anchor.
@@ -349,7 +166,7 @@ type migrant struct {
 // migrants received from the peer ranks, sorted by source. The atom's
 // position is translated into the wrapped frame by the caller.
 func (e *exchange) SendMigrants(out []migrant) []migrant {
-	sp := e.tel.migrate.Begin()
+	sp := e.migrate.Begin()
 	defer sp.End()
 	byPeer := make(map[int][]migrant)
 	for _, m := range out {
@@ -362,7 +179,7 @@ func (e *exchange) SendMigrants(out []migrant) []migrant {
 	}
 	for peer := range byPeer {
 		found := false
-		for _, p := range e.peers {
+		for _, p := range e.plan.Peers {
 			if p == peer {
 				found = true
 				break
@@ -374,39 +191,36 @@ func (e *exchange) SendMigrants(out []migrant) []migrant {
 		}
 	}
 	p := &e.scratch
-	for _, peer := range e.peers {
-		p.reset()
+	for _, peer := range e.plan.Peers {
+		p.Reset()
 		for _, m := range byPeer[peer] {
-			p.i64(int64(m.anchor.X))
-			p.i64(int64(m.anchor.Y))
-			p.i64(int64(m.anchor.Z))
-			p.u8(uint8(m.anchor.B))
-			p.i64(m.atom.ID)
-			p.u8(uint8(m.atom.Type))
-			p.vec(m.atom.R)
-			p.vec(m.atom.Vel)
+			p.I64(int64(m.anchor.X))
+			p.I64(int64(m.anchor.Y))
+			p.I64(int64(m.anchor.Z))
+			p.U8(uint8(m.anchor.B))
+			p.I64(m.atom.ID)
+			p.U8(uint8(m.atom.Type))
+			p.Vec(m.atom.R)
+			p.Vec(m.atom.Vel)
 		}
-		e.comm.Send(peer, tagMig, p.buf)
-		e.tel.bytes.Add(int64(len(p.buf)))
+		e.comm.Send(peer, tagMig, p.Bytes())
+		e.bytes.Add(int64(len(p.Bytes())))
 	}
 	var in []migrant
-	for _, peer := range e.peers {
+	for _, peer := range e.plan.Peers {
 		data, _ := e.comm.Recv(peer, tagMig)
-		u := unpacker{buf: data}
-		for !u.done() {
+		u := halo.NewUnpacker("md", data)
+		for !u.Done() {
 			var m migrant
 			m.anchor = lattice.Coord{
-				X: int32(u.i64()), Y: int32(u.i64()), Z: int32(u.i64()), B: int8(u.u8()),
+				X: int32(u.I64()), Y: int32(u.I64()), Z: int32(u.I64()), B: int8(u.U8()),
 			}
-			m.atom.ID = u.i64()
-			m.atom.Type = units.Element(u.u8())
-			m.atom.R = u.vec()
-			m.atom.Vel = u.vec()
+			m.atom.ID = u.I64()
+			m.atom.Type = units.Element(u.U8())
+			m.atom.R = u.Vec()
+			m.atom.Vel = u.Vec()
 			in = append(in, m)
 		}
 	}
 	return in
 }
-
-// Stats returns the communication counters of the underlying endpoint.
-func (e *exchange) Stats() mpi.Stats { return e.comm.Stats() }

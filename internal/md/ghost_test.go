@@ -1,46 +1,59 @@
 package md
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
-	"mdkmc/internal/lattice"
+	"mdkmc/internal/mpi"
 	"mdkmc/internal/units"
 )
 
-// TestParseCellRequests: the ghost-handshake decoder resolves owned cells to
-// local indices and rejects a request for a cell outside the receiver's
-// subdomain with a descriptive error — a per-job failure, not a process
-// abort (DESIGN.md §17, errpanic).
-func TestParseCellRequests(t *testing.T) {
-	l := lattice.New(4, 4, 4, 2.855)
-	grid, err := lattice.NewGrid(l, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
+// TestTruncatedGhostMessageFailsDescriptively: a short position, density or
+// migrant payload from a peer fails the world with an md error that names the
+// offset — not with a raw index-out-of-range runtime panic — so the serve
+// layer reports one failed job.
+func TestTruncatedGhostMessageFailsDescriptively(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Temperature = 0
+	cfg.Grid = [3]int{2, 1, 1}
+	cases := []struct {
+		name string
+		tag  int
+		recv func(r *Rank)
+	}{
+		{"positions", tagPos, func(r *Rank) { r.Ex.ExchangePositions(r.Store) }},
+		{"densities", tagRho, func(r *Rank) { r.Ex.ExchangeDensities(r.Store) }},
+		{"migrants", tagMig, func(r *Rank) { r.Ex.SendMigrants(nil) }},
 	}
-	box := grid.Box(0, 1) // rank 0 owns x ∈ [0,2)
-
-	owned := lattice.Coord{X: 1, Y: 2, Z: 3}
-	var p packer
-	p.i64(int64(owned.X))
-	p.i64(int64(owned.Y))
-	p.i64(int64(owned.Z))
-	list, err := parseCellRequests(p.buf, box, 1, 0)
-	if err != nil {
-		t.Fatalf("owned-cell request rejected: %v", err)
-	}
-	if len(list) != 1 || list[0] != box.LocalIndex(owned) {
-		t.Fatalf("got %v, want [%d]", list, box.LocalIndex(owned))
-	}
-
-	var bad packer
-	bad.i64(3) // x=3 belongs to rank 1
-	bad.i64(0)
-	bad.i64(0)
-	if _, err := parseCellRequests(bad.buf, box, 1, 0); err == nil {
-		t.Fatal("non-owned cell request accepted")
-	} else if !strings.Contains(err.Error(), "non-owned cell") {
-		t.Fatalf("error %q does not name the non-owned cell", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := mpi.NewWorld(2).RunE(func(c *mpi.Comm) error {
+				r, err := NewRank(cfg, c)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 1 {
+					c.Send(0, tc.tag, make([]byte, 11)) // every record is longer
+					return nil
+				}
+				tc.recv(r)
+				return nil
+			})
+			var rp mpi.RankPanic
+			if !errors.As(err, &rp) || rp.Rank != 0 {
+				t.Fatalf("RunE = %v, want a RankPanic from rank 0", err)
+			}
+			for _, want := range []string{"md: truncated ghost message", "at offset", "of 11"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+			if _, isRuntime := rp.Value.(runtime.Error); isRuntime {
+				t.Errorf("raw runtime panic %v, want a descriptive md error", rp.Value)
+			}
+		})
 	}
 }
 

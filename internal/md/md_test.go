@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"mdkmc/internal/eam"
+	"mdkmc/internal/halo"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/neighbor"
+	"mdkmc/internal/telemetry"
 	"mdkmc/internal/vec"
 )
 
@@ -407,23 +409,23 @@ func TestKernelVariantOrdering(t *testing.T) {
 }
 
 func TestExchangePackRoundTrip(t *testing.T) {
-	var p packer
-	p.i64(-42)
-	p.u8(7)
-	p.u16(65000)
-	p.f64(3.14159)
-	p.vec(vec.V{X: 1, Y: -2, Z: 3})
-	u := unpacker{buf: p.buf}
-	if u.i64() != -42 || u.u8() != 7 || u.u16() != 65000 {
+	var p halo.Packer
+	p.I64(-42)
+	p.U8(7)
+	p.U16(65000)
+	p.F64(3.14159)
+	p.Vec(vec.V{X: 1, Y: -2, Z: 3})
+	u := halo.NewUnpacker("md", p.Bytes())
+	if u.I64() != -42 || u.U8() != 7 || u.U16() != 65000 {
 		t.Fatalf("integer round trip failed")
 	}
-	if u.f64() != 3.14159 {
+	if u.F64() != 3.14159 {
 		t.Fatalf("float round trip failed")
 	}
-	if u.vec() != (vec.V{X: 1, Y: -2, Z: 3}) {
+	if u.Vec() != (vec.V{X: 1, Y: -2, Z: 3}) {
 		t.Fatalf("vector round trip failed")
 	}
-	if !u.done() {
+	if !u.Done() {
 		t.Fatalf("unpacker not exhausted")
 	}
 }
@@ -439,9 +441,23 @@ func TestGhostExchangeCommVolumeScalesWithSurface(t *testing.T) {
 		w := mpi.NewWorld(2)
 		results := make([]int64, 2)
 		w.Run(func(c *mpi.Comm) {
+			reg := telemetry.New(c.Rank())
+			c.AttachTelemetry(reg)
 			r, err := NewRank(cfg, c)
 			if err != nil {
 				panic(err)
+			}
+			// The ghost plan is computed locally: construction's only
+			// point-to-point traffic is the initial force computation's one
+			// position and one density message to the single peer.
+			sent := int64(-1)
+			for _, m := range reg.Snapshot().Metrics {
+				if m.Name == "mpi/p2p/msgs-sent" {
+					sent = m.Value
+				}
+			}
+			if sent != 2 {
+				t.Errorf("rank %d: NewRank sent %d point-to-point messages, want 2", c.Rank(), sent)
 			}
 			before := r.Comm.Stats().BytesSent
 			r.Step()

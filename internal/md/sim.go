@@ -120,10 +120,7 @@ func NewRank(cfg Config, comm *mpi.Comm) (*Rank, error) {
 		FF:    NewForceField(store, pot, cfg.Skin),
 	}
 	r.Pool = NewForcePool(r.FF, cfg.Workers)
-	r.Ex, err = newExchange(comm, grid, box)
-	if err != nil {
-		return nil, err
-	}
+	r.Ex = newExchange(comm, grid, box)
 	if cfg.CuFraction > 0 {
 		r.substituteCopper(cfg.CuFraction)
 	}

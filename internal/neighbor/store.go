@@ -99,13 +99,13 @@ func NewStore(box *lattice.Box, tab *lattice.OffsetTable, species units.Element)
 	}
 	n := box.NumLocalSites()
 	s := &Store{
-		Box:  box,
-		Tab:  tab,
-		ID:   make([]int64, n),
-		Type: make([]units.Element, n),
-		R:    make([]vec.V, n),
-		Vel:  make([]vec.V, n),
-		F:    make([]vec.V, n),
+		Box:    box,
+		Tab:    tab,
+		ID:     make([]int64, n),
+		Type:   make([]units.Element, n),
+		R:      make([]vec.V, n),
+		Vel:    make([]vec.V, n),
+		F:      make([]vec.V, n),
 		Rho:    make([]float64, n),
 		Head:   make([]int32, n),
 		DFdRho: make([]float64, n),

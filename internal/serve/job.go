@@ -74,8 +74,8 @@ type JobStatus struct {
 	Priority    int             `json:"priority"`
 	State       State           `json:"state"`
 	Attempts    int             `json:"attempts"`
-	Slots       int             `json:"slots"`             // currently granted
-	WantSlots   int             `json:"want_slots"`        // spec maximum
+	Slots       int             `json:"slots"`      // currently granted
+	WantSlots   int             `json:"want_slots"` // spec maximum
 	Error       string          `json:"error,omitempty"`
 	SubmittedAt time.Time       `json:"submitted_at"`
 	History     []Transition    `json:"history"`

@@ -102,8 +102,7 @@ func (SimRunner) Run(rc RunContext) (RunResult, error) {
 		if err != nil {
 			return RunResult{}, err
 		}
-		cycles, _ := rc.Spec.kmcStop()
-		res, err := mdkmc.RunKMCCheckpointed(cfg, cycles, rc.Spec.TThreshold, ck,
+		res, err := mdkmc.RunKMCCheckpointed(cfg, rc.Spec.kmcCycles(), rc.Spec.TThreshold, ck,
 			mdkmc.WithPreemption(rc.Preempt), mdkmc.WithTelemetry(tel), mdkmc.WithFaults(faults...))
 		if err != nil {
 			return RunResult{}, err

@@ -187,6 +187,66 @@ func TestElasticGrantBelowRequest(t *testing.T) {
 	awaitState(t, s, st.ID, StateDone)
 }
 
+// TestMaxFeasibleSlots pins the slot count the scheduler may grant: the
+// largest count no greater than the request and the pool that the job's box
+// (explicit or the type's default) decomposes onto with every slab at least
+// its engines' ghost width.
+func TestMaxFeasibleSlots(t *testing.T) {
+	camp := &CampaignJobSpec{Iters: 1, DoseIncrement: 1e-3, Energy: 300}
+	cases := []struct {
+		name string
+		spec JobSpec
+		pool int
+		want int
+	}{
+		{"md default cells", JobSpec{Type: TypeMD, Slots: 64}, 64, 64},
+		{"md default cells, small pool", JobSpec{Type: TypeMD, Slots: 64}, 6, 6},
+		{"md explicit cells", JobSpec{Type: TypeMD, Slots: 64, Cells: [3]int{6, 6, 6}}, 64, 27},
+		{"md box thinner than two slabs", JobSpec{Type: TypeMD, Slots: 8, Cells: [3]int{3, 3, 3}}, 8, 1},
+		{"kmc default cells", JobSpec{Type: TypeKMC, Slots: 64}, 64, 64},
+		{"kmc explicit cells", JobSpec{Type: TypeKMC, Slots: 64, Cells: [3]int{20, 10, 10}}, 64, 54},
+		{"kmc explicit cells, small pool", JobSpec{Type: TypeKMC, Slots: 64, Cells: [3]int{6, 6, 6}}, 6, 4},
+		{"kmc request below feasible", JobSpec{Type: TypeKMC, Slots: 3, Cells: [3]int{12, 12, 12}}, 64, 3},
+		// Coupled and campaign jobs default to the MD box but need the wider
+		// KMC halo.
+		{"coupled default cells", JobSpec{Type: TypeCoupled, Slots: 64}, 64, 8},
+		{"coupled explicit cells", JobSpec{Type: TypeCoupled, Slots: 64, Cells: [3]int{20, 10, 10}}, 64, 54},
+		{"campaign default cells", JobSpec{Type: TypeCampaign, Slots: 64, Campaign: camp}, 6, 4},
+		{"campaign explicit cells", JobSpec{Type: TypeCampaign, Slots: 64, Cells: [3]int{12, 12, 12}, Campaign: camp}, 64, 64},
+		{"one slot", JobSpec{Type: TypeMD, Slots: 1}, 8, 1},
+	}
+	for _, tc := range cases {
+		if got := tc.spec.maxFeasibleSlots(tc.pool); got != tc.want {
+			t.Errorf("%s: maxFeasibleSlots(%d) = %d, want %d", tc.name, tc.pool, got, tc.want)
+		}
+	}
+}
+
+// TestKMCConfigHashIsTheRunDigest: the digest the status endpoint looks a
+// standalone-KMC job's manifests up by is the one RunKMC writes them under,
+// in the format manifests on disk already carry.
+func TestKMCConfigHashIsTheRunDigest(t *testing.T) {
+	for _, tc := range []struct {
+		spec   JobSpec
+		suffix string
+	}{
+		{JobSpec{Type: TypeKMC}, "|cycles=30|tthr=+Inf"},
+		{JobSpec{Type: TypeKMC, KMCCycles: 12, TThreshold: 0.5}, "|cycles=12|tthr=0.5"},
+	} {
+		cfg, err := tc.spec.kmcConfig(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.spec.configHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cfg.Hash() + tc.suffix; got != want {
+			t.Errorf("configHash = %q, want %q", got, want)
+		}
+	}
+}
+
 func TestAdmissionQueueDepth(t *testing.T) {
 	s, r := newTestServer(t, func(c *Config) { c.Slots = 1; c.QueueDepth = 1 })
 	a, err := s.Submit(mdSpec(0, 1), "")
@@ -248,11 +308,11 @@ func TestAdmissionTenantQuota(t *testing.T) {
 func TestBadSpecsRejected(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	for name, spec := range map[string]JobSpec{
-		"no type":          {},
-		"unknown type":     {Type: "dft"},
+		"no type":           {},
+		"unknown type":      {Type: "dft"},
 		"campaign w/o plan": {Type: TypeCampaign},
 		"campaign bad dose": {Type: TypeCampaign, Campaign: &CampaignJobSpec{Iters: 2, Energy: 300}},
-		"bad cells":        {Type: TypeMD, Cells: [3]int{-1, 8, 8}},
+		"bad cells":         {Type: TypeMD, Cells: [3]int{-1, 8, 8}},
 	} {
 		if _, err := s.Submit(spec, ""); err == nil {
 			t.Errorf("%s admitted", name)

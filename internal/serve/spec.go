@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"mdkmc"
@@ -255,16 +254,17 @@ func (s *JobSpec) maxFeasibleSlots(cap int) int {
 	if cap < want {
 		want = cap
 	}
-	for n := want; n > 1; n-- {
-		cells := s.Cells
-		if cells == ([3]int{}) {
-			if s.Type == TypeKMC {
-				cells = mdkmc.DefaultKMCConfig().Cells
-			} else {
-				cells = mdkmc.DefaultMDConfig().Cells
-			}
+	cells := s.Cells
+	if cells == ([3]int{}) {
+		if s.Type == TypeKMC {
+			cells = mdkmc.DefaultKMCConfig().Cells
+		} else {
+			cells = mdkmc.DefaultMDConfig().Cells
 		}
-		if _, err := mdkmc.ChooseGrid(cells, n, s.minWidth()); err == nil {
+	}
+	minWidth := s.minWidth()
+	for n := want; n > 1; n-- {
+		if _, err := mdkmc.ChooseGrid(cells, n, minWidth); err == nil {
 			return n
 		}
 	}
@@ -284,13 +284,11 @@ func (s *JobSpec) configHash() (string, error) {
 		}
 		return cfg.Hash(), nil
 	case TypeKMC:
-		// Mirrors RunKMCCheckpointed: the stop conditions join the digest.
 		cfg, err := s.kmcConfig(1)
 		if err != nil {
 			return "", err
 		}
-		cycles, tthr := s.kmcStop()
-		return fmt.Sprintf("%s|cycles=%d|tthr=%v", cfg.Hash(), cycles, tthr), nil
+		return couple.KMCRunHash(cfg, s.kmcCycles(), s.TThreshold), nil
 	default:
 		cfg, err := s.coupledConfig(1)
 		if err != nil {
@@ -300,16 +298,10 @@ func (s *JobSpec) configHash() (string, error) {
 	}
 }
 
-// kmcStop returns the standalone-KMC stop conditions in the exact form
-// RunKMCCheckpointed hashes them (no threshold means +Inf).
-func (s *JobSpec) kmcStop() (cycles int, tthr float64) {
-	cycles = s.KMCCycles
-	if cycles <= 0 {
-		cycles = 30
+// kmcCycles returns the standalone-KMC cycle bound (30 when unset).
+func (s *JobSpec) kmcCycles() int {
+	if s.KMCCycles <= 0 {
+		return 30
 	}
-	tthr = s.TThreshold
-	if tthr <= 0 {
-		tthr = math.Inf(1)
-	}
-	return cycles, tthr
+	return s.KMCCycles
 }
