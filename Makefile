@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
+.PHONY: check fmt-check build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
 
 check: fmt-check vet lint build race
 
@@ -111,6 +111,12 @@ bench-kmc:
 # The serial-vs-pooled MD step contrast on a 20^3 box (EXPERIMENTS.md).
 bench-md:
 	$(GO) test -run '^$$' -bench 'BenchmarkMDStep' -benchtime 5x -benchmem ./internal/md
+
+# Every Go benchmark of the two engines runs once (CI gate): `go vet` only
+# compiles them, so a benchmark that panics or reports a broken metric would
+# otherwise rot unrun.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/md ./internal/kmc
 
 # Every example must run to completion (CI smoke gate).
 smoke:

@@ -4,9 +4,9 @@
 // produce bit-identical trajectories from the seed alone, so they may not
 // read the wall clock (time.Now/Since/Until) or draw from the global
 // math/rand generator. Random numbers come from internal/rng streams
-// derived from the run seed; wall-clock observability belongs to the
-// telemetry/perf layers (telemetry.Span, perf.Stopwatch), which never feed
-// simulation state.
+// derived from the run seed; wall-clock observability goes through
+// telemetry.Span, the one sanctioned clock, whose readings land in a
+// registry and never feed simulation state.
 package rngtime
 
 import (
@@ -68,7 +68,7 @@ func run(p *analysis.Pass) error {
 			}
 			switch path := pn.Imported().Path(); {
 			case path == "time" && clockFuncs[sel.Sel.Name]:
-				p.Reportf(sel.Pos(), "time.%s in deterministic package %s: wall-clock reads belong to the telemetry/perf observability layers (telemetry.Span, perf.Stopwatch), never to simulation state",
+				p.Reportf(sel.Pos(), "time.%s in deterministic package %s: wall-clock reads go through telemetry.Span, the one sanctioned clock, never into simulation state",
 					sel.Sel.Name, p.Pkg.Path())
 			case path == "math/rand" || path == "math/rand/v2":
 				p.Reportf(sel.Pos(), "%s.%s in deterministic package %s: draw from an internal/rng stream derived from the run seed so trajectories replay bit-identically",

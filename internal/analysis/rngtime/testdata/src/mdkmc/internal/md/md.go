@@ -8,7 +8,7 @@ import (
 )
 
 func clockReads() time.Duration {
-	t := time.Now()        // want "time.Now in deterministic package"
+	t := time.Now()        // want "time.Now in deterministic package .*: wall-clock reads go through telemetry.Span, the one sanctioned clock"
 	d := time.Since(t)     // want "time.Since in deterministic package"
 	d += time.Until(t)     // want "time.Until in deterministic package"
 	return d

@@ -26,6 +26,25 @@ type checkpoint struct {
 // total event count as an uninterrupted one.
 const checkpointVersion = 2
 
+// validate checks a decoded checkpoint — input from outside the program —
+// against a state of `sites` local sites: both per-site slices have that
+// length and every occupancy is a known code (an unknown one would index
+// past the per-species shell tables).
+func (cp *checkpoint) validate(sites int) error {
+	if len(cp.Occ) != sites {
+		return fmt.Errorf("checkpoint field Occ has %d entries, want %d sites", len(cp.Occ), sites)
+	}
+	if len(cp.Rho) != sites {
+		return fmt.Errorf("checkpoint field Rho has %d entries, want %d sites", len(cp.Rho), sites)
+	}
+	for i, occ := range cp.Occ {
+		if occ >= numSpecies {
+			return fmt.Errorf("checkpoint field Occ[%d] holds unknown occupancy code %d", i, occ)
+		}
+	}
+	return nil
+}
+
 // Save writes this rank's mutable state; call it at a cycle boundary (the
 // dirty set must be empty, which Cycle guarantees on return).
 func (st *State) Save(w io.Writer) error {
@@ -56,8 +75,8 @@ func (st *State) Restore(rd io.Reader) error {
 	if cp.Rank != st.Comm.Rank() {
 		return fmt.Errorf("kmc: checkpoint is for rank %d, this is rank %d", cp.Rank, st.Comm.Rank())
 	}
-	if len(cp.Occ) != len(st.Occ) {
-		return fmt.Errorf("kmc: checkpoint has %d sites, state has %d", len(cp.Occ), len(st.Occ))
+	if err := cp.validate(len(st.Occ)); err != nil {
+		return fmt.Errorf("kmc: rank %d %w", cp.Rank, err)
 	}
 	copy(st.Occ, cp.Occ)
 	copy(st.Rho, cp.Rho)

@@ -2,6 +2,10 @@ package kmc
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -137,6 +141,68 @@ func TestCheckpointResumeIdenticalProtocols(t *testing.T) {
 				if diff != 0 {
 					t.Errorf("rank %d resumed trajectory differs at %d sites", r, diff)
 				}
+			})
+		})
+	}
+}
+
+// TestRestoreRejectsCorruptCheckpoint: the KMC side of the checkpoint trust
+// boundary. A short Rho used to be copied partially and an unknown occupancy
+// code to index past the per-species tables later; both, like a short Occ,
+// must fail Restore and RestoreResharded with an error naming the field, and
+// a rejected Restore must leave the state untouched.
+func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
+	cfg := testConfig()
+	var good bytes.Buffer
+	runWorld(t, cfg, func(st *State) {
+		for i := 0; i < 3; i++ {
+			st.Cycle()
+		}
+		if err := st.Save(&good); err != nil {
+			t.Errorf("save: %v", err)
+		}
+	})
+	cases := []struct {
+		name   string
+		mutate func(cp *checkpoint)
+		want   string
+	}{
+		{"short Occ", func(cp *checkpoint) { cp.Occ = cp.Occ[:len(cp.Occ)-1] }, "field Occ has"},
+		{"short Rho", func(cp *checkpoint) { cp.Rho = cp.Rho[:len(cp.Rho)/2] }, "field Rho has"},
+		{"bad occupancy code", func(cp *checkpoint) { cp.Occ[17] = 3 }, "field Occ[17] holds unknown occupancy code 3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cp checkpoint
+			if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&cp); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			tc.mutate(&cp)
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(cp); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			check := func(op string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Errorf("%s accepted the corrupt checkpoint", op)
+				} else if msg := err.Error(); !strings.HasPrefix(msg, "kmc: ") || !strings.Contains(msg, tc.want) {
+					t.Errorf("%s error %q does not name %q", op, msg, tc.want)
+				}
+			}
+			runWorld(t, cfg, func(st *State) {
+				occ := append([]uint8(nil), st.Occ...)
+				rho := append([]float64(nil), st.Rho...)
+				check("Restore", st.Restore(bytes.NewReader(bad.Bytes())))
+				if !reflect.DeepEqual(occ, st.Occ) || !reflect.DeepEqual(rho, st.Rho) || st.Cycles != 0 {
+					t.Errorf("rejected Restore modified the live state")
+				}
+				check("RestoreResharded", st.RestoreResharded(ShardSource{
+					Grid: st.Grid,
+					Open: func(int) (io.ReadCloser, error) {
+						return io.NopCloser(bytes.NewReader(bad.Bytes())), nil
+					},
+				}))
 			})
 		})
 	}

@@ -47,7 +47,8 @@ func (st *State) RestoreResharded(src ShardSource) error {
 	covered := 0
 	time, cycles, events := 0.0, -1, 0
 	for s := 0; s < src.Grid.Ranks(); s++ {
-		cp, err := st.readShard(src, s)
+		srcBox := src.Grid.Box(s, 2*st.reach+1)
+		cp, err := st.readShard(src, s, srcBox.NumLocalSites())
 		if err != nil {
 			return err
 		}
@@ -58,10 +59,6 @@ func (st *State) RestoreResharded(src ShardSource) error {
 				s, cp.Cycles, cp.Time, cycles, time)
 		}
 		events += cp.Events
-		srcBox := src.Grid.Box(s, 2*st.reach+1)
-		if want := srcBox.NumLocalSites(); len(cp.Occ) != want {
-			return fmt.Errorf("kmc: shard %d has %d sites, source box has %d", s, len(cp.Occ), want)
-		}
 		srcBox.EachOwned(func(c lattice.Coord, srcLocal int) {
 			covered++
 			occ := cp.Occ[srcLocal]
@@ -101,8 +98,9 @@ func (st *State) SetClock(time float64, cycles, events int) {
 	st.Events = events
 }
 
-// readShard opens, decodes and validates one source shard.
-func (st *State) readShard(src ShardSource, rank int) (*checkpoint, error) {
+// readShard opens, decodes and validates one source shard, whose box has
+// the given number of local sites.
+func (st *State) readShard(src ShardSource, rank, sites int) (*checkpoint, error) {
 	rd, err := src.Open(rank)
 	if err != nil {
 		return nil, fmt.Errorf("kmc: opening shard %d: %w", rank, err)
@@ -117,6 +115,9 @@ func (st *State) readShard(src ShardSource, rank int) (*checkpoint, error) {
 	}
 	if cp.Rank != rank {
 		return nil, fmt.Errorf("kmc: shard %d claims rank %d", rank, cp.Rank)
+	}
+	if err := cp.validate(sites); err != nil {
+		return nil, fmt.Errorf("kmc: shard %d %w", rank, err)
 	}
 	return &cp, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mdkmc/internal/mpi"
+	"mdkmc/internal/telemetry"
 )
 
 // BenchmarkMDStep measures one velocity-Verlet step — two force passes plus
@@ -27,12 +28,14 @@ func BenchmarkMDStep(b *testing.B) {
 				if err != nil {
 					panic(err)
 				}
+				reg := telemetry.New(c.Rank())
+				r.Pool.AttachTelemetry(reg)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					r.Step()
 				}
 				b.StopTimer()
-				b.ReportMetric(r.Pool.ForceTiming.Imbalance(), "imbalance")
+				b.ReportMetric(busyImbalance(poolMetric(b, reg, "md/pool/force-busy")), "imbalance")
 			})
 		})
 	}

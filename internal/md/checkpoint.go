@@ -48,7 +48,7 @@ func (r *Rank) Restore(rd io.Reader) error {
 		return fmt.Errorf("md: checkpoint is for rank %d, this is rank %d", cp.Rank, r.Comm.Rank())
 	}
 	if err := r.Store.Restore(cp.Store); err != nil {
-		return err
+		return fmt.Errorf("md: checkpoint of rank %d: %w", cp.Rank, err)
 	}
 	r.StepCount = cp.StepCount
 	r.LastPE = cp.LastPE

@@ -2,6 +2,10 @@ package md
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mdkmc/internal/lattice"
@@ -254,5 +258,95 @@ func TestRestoreDoesNotReinjectPKA(t *testing.T) {
 	runWorld(t, cfg, func(r *Rank) { ke0, _ = r.TotalEnergy() })
 	if d := ke0 - 120; d > 1e-9 || d < -1e-9 {
 		t.Errorf("kinetic energy at construction %v eV, want the 120 eV recoil", ke0)
+	}
+}
+
+// TestRestoreRejectsCorruptSnapshot: a checkpoint file is input from
+// outside the program. Every way one field of it can be wrong — a per-site
+// slice of the wrong length, a run-away reference outside the pool, a chain
+// that loops or shares a slot — must surface at the trust boundary as a
+// descriptive error from Restore and RestoreResharded, not as a partial
+// copy, an index panic or a hang in a later chain walk; and a rejected
+// Restore must leave the live store exactly as it was.
+func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Temperature = 600
+	cfg.Dt = 2e-4
+	cfg.PKA = &PKA{Energy: 120}
+
+	// A cascade state: run-away chains in use and freed pool slots.
+	var good bytes.Buffer
+	chained := -1 // a site with a run-away chain
+	runWorld(t, cfg, func(r *Rank) {
+		for i := 0; i < 200 && chained < 0; i++ {
+			r.Step()
+			if snap := r.Store.Snapshot(); snap.Free != neighbor.NoRunaway {
+				for site, head := range snap.Head {
+					if head != neighbor.NoRunaway {
+						chained = site
+					}
+				}
+			}
+		}
+		if err := r.Save(&good); err != nil {
+			t.Errorf("save: %v", err)
+		}
+	})
+	if chained < 0 {
+		t.Fatalf("cascade left no state with both a run-away chain and a freed pool slot")
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(s *neighbor.Snapshot)
+		want   string // what the error must name
+	}{
+		{"short Type", func(s *neighbor.Snapshot) { s.Type = s.Type[:len(s.Type)-1] }, "field Type"},
+		{"short R", func(s *neighbor.Snapshot) { s.R = s.R[:len(s.R)/2] }, "field R"},
+		{"short Vel", func(s *neighbor.Snapshot) { s.Vel = nil }, "field Vel"},
+		{"short F", func(s *neighbor.Snapshot) { s.F = s.F[:1] }, "field F"},
+		{"short Rho", func(s *neighbor.Snapshot) { s.Rho = s.Rho[:len(s.Rho)-1] }, "field Rho"},
+		{"long Head", func(s *neighbor.Snapshot) { s.Head = append(s.Head, neighbor.NoRunaway) }, "field Head"},
+		{"Head past Pool", func(s *neighbor.Snapshot) { s.Head[0] = int32(len(s.Pool)) }, "Head chain (site 0) references run-away"},
+		{"Head negative", func(s *neighbor.Snapshot) { s.Head[3] = -7 }, "Head chain (site 3) references run-away -7"},
+		{"Next past Pool", func(s *neighbor.Snapshot) { s.Pool[s.Head[chained]].Next = int32(len(s.Pool)) + 5 }, "Head chain"},
+		{"Free past Pool", func(s *neighbor.Snapshot) { s.Free = int32(len(s.Pool)) }, "Free chain"},
+		{"Next cycle", func(s *neighbor.Snapshot) { s.Pool[s.Head[chained]].Next = s.Head[chained] }, "a second time"},
+		{"chain shares the free list", func(s *neighbor.Snapshot) { s.Head[0] = s.Free }, "a second time"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cp checkpoint
+			if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&cp); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			tc.mutate(&cp.Store)
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(cp); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			check := func(op string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Errorf("%s accepted the corrupt snapshot", op)
+				} else if msg := err.Error(); !strings.HasPrefix(msg, "md: ") ||
+					!strings.Contains(msg, "neighbor: snapshot") || !strings.Contains(msg, tc.want) {
+					t.Errorf("%s error %q does not name %q", op, msg, tc.want)
+				}
+			}
+			runWorld(t, cfg, func(r *Rank) {
+				before := r.Store.Snapshot()
+				check("Restore", r.Restore(bytes.NewReader(bad.Bytes())))
+				if !reflect.DeepEqual(before, r.Store.Snapshot()) || r.StepCount != 0 {
+					t.Errorf("rejected Restore modified the live state")
+				}
+				check("RestoreResharded", r.RestoreResharded(ShardSource{
+					Grid: r.Grid,
+					Open: func(int) (io.ReadCloser, error) {
+						return io.NopCloser(bytes.NewReader(bad.Bytes())), nil
+					},
+				}))
+			})
+		})
 	}
 }

@@ -2,7 +2,7 @@
 // generation by cascade collision (paper §2.1): EAM forces over the lattice
 // neighbor list, velocity-Verlet integration, run-away atom and vacancy
 // bookkeeping, spatial domain decomposition with ghost exchange, the
-// Sunway CPE-offloaded force kernel with the paper's data-movement
+// Sunway CPE cost model of the force kernel with the paper's data-movement
 // optimizations, and Wigner-Seitz defect analysis feeding the KMC stage.
 package md
 

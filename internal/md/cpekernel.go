@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mdkmc/internal/eam"
-	"mdkmc/internal/neighbor"
 	"mdkmc/internal/sunway"
 )
 
@@ -97,9 +96,12 @@ func (a AlloyTableStrategy) String() string {
 	return "dominant-resident"
 }
 
-// CPEKernel offloads the force computation to a simulated Sunway core
-// group: the physics runs for real, partitioned over the 64 CPEs, while the
-// virtual clock charges the variant's data movement and arithmetic.
+// CPEKernel is the cost model of running the force computation on a
+// simulated Sunway core group. It executes nothing: ForcePool runs the
+// physics, and chunk i of every round — the slab CPE i would own — charges
+// CPE i's virtual clock with the variant's data movement and arithmetic. The
+// charges are a function of the chunk's site and operation counts alone, so
+// StepTime and the DMA counters are identical for every host worker count.
 type CPEKernel struct {
 	FF      *ForceField
 	CG      *sunway.CoreGroup
@@ -107,10 +109,6 @@ type CPEKernel struct {
 	// Alloy selects the minority-table strategy when the potential has
 	// more than one species; ignored for pure iron.
 	Alloy AlloyTableStrategy
-	// Workers caps the host-side OS goroutines that simulate the 64 CPEs
-	// (0 = GOMAXPROCS, 1 = serial). Virtual times and numerical results are
-	// identical for every value; see sunway.SpawnN.
-	Workers int
 	// SoftwareCache emulates the LDM's software-cache configuration instead
 	// of the user-controlled buffer: every data access pays a tag check and
 	// misses fetch whole lines by DMA, with no double-buffer pipeline. The
@@ -279,44 +277,27 @@ func (k *CPEKernel) charge(c *sunway.CPE, spec passSpec, sites int, st OpStats) 
 	}
 }
 
-// run executes one pass as the rounds of the force field's table: real
-// physics partitioned over the 64 CPEs plus the cost charges. Per-CPE
-// results are reduced in CPE-ID order so the floating-point energy sum is
-// deterministic — the same 64-way split and merge order as the plain
-// ForcePool, so the two paths agree bitwise. Each round charges the group
-// its slowest lane (the hardware barrier between rounds serializes on it)
-// and resets the LDM allocations, mirroring a fresh kernel launch per round.
-func (k *CPEKernel) run(s *neighbor.Store, rounds []round) (OpStats, float64) {
-	var stats OpStats
-	var energy float64
-	for ri := range rounds {
-		rd := &rounds[ri]
-		var perStats [sunway.CPEsPerGroup]OpStats
-		var perEnergy [sunway.CPEsPerGroup]float64
+// The three hooks ForcePool.run calls around a round. They are no-ops on a
+// nil kernel, so the pool charges unconditionally. A round is one kernel
+// launch: clocks and counters restart (TotalDMA reads "the last round"),
+// each chunk charges its own CPE — distinct chunks touch distinct CPEs, so
+// the pool's workers charge concurrently — and the barrier that ends the
+// round costs the group its slowest lane.
+
+func (k *CPEKernel) beginRound() {
+	if k != nil {
 		k.CG.ResetAll()
-		worst := k.CG.SpawnN(k.Workers, k.doubleBuffer(), func(c *sunway.CPE) {
-			st, e, sites := rd.chunk(k.FF, s, c.ID)
-			k.charge(c, rd.spec, sites, st)
-			perStats[c.ID] = st
-			perEnergy[c.ID] = e
-		})
-		k.StepTime += worst
-		for i := 0; i < sunway.CPEsPerGroup; i++ {
-			stats.Add(perStats[i])
-			energy += perEnergy[i]
-		}
 	}
-	return stats, energy
 }
 
-// Densities runs the density pass on the CPE cluster.
-func (k *CPEKernel) Densities(s *neighbor.Store) OpStats {
-	st, _ := k.run(s, k.FF.rounds.density)
-	return st
+func (k *CPEKernel) chargeChunk(i int, spec passSpec, sites int, st OpStats) {
+	if k != nil {
+		k.charge(k.CG.CPEs[i], spec, sites, st)
+	}
 }
 
-// Forces runs the force pass on the CPE cluster and returns the owned
-// potential-energy share.
-func (k *CPEKernel) Forces(s *neighbor.Store) (OpStats, float64) {
-	return k.run(s, k.FF.rounds.force)
+func (k *CPEKernel) endRound() {
+	if k != nil {
+		k.StepTime += k.CG.SlowestLane(k.doubleBuffer())
+	}
 }

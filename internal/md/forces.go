@@ -88,7 +88,7 @@ type ForceField struct {
 	Cutoff float64 // true interaction cutoff (Å)
 	Tight  [2]int  // per-basis prefix length for lattice-resident pairs
 
-	// rounds is the round table ForcePool and CPEKernel execute (rounds.go).
+	// rounds is the round table ForcePool executes (rounds.go).
 	// Per instance, so an in-package test can run one ForceField under the
 	// oracle's table without touching any other.
 	rounds *kernelRounds

@@ -8,7 +8,7 @@ import (
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/neighbor"
-	"mdkmc/internal/perf"
+	"mdkmc/internal/telemetry"
 	"mdkmc/internal/vec"
 )
 
@@ -159,6 +159,42 @@ func TestWorkersEquivalenceCPEKernel(t *testing.T) {
 			requireIdentical(t, fmt.Sprintf("%v/workers=%d", variant, workers), ref, got)
 		}
 	}
+
+	// The virtual clock cannot see the host: the accumulated step time and
+	// the last round's DMA totals — what bench/probes.go reports as
+	// sunway.virtual_us_per_step and sunway.dma_bytes_per_step — are
+	// bit-identical for every worker count (0 = GOMAXPROCS).
+	type virtualClock struct {
+		stepTime         float64
+		dmaOps, dmaBytes int64
+	}
+	for _, cu := range []float64{0, 0.25} {
+		for _, variant := range []KernelVariant{VariantTraditional, VariantFull} {
+			var ref virtualClock
+			for _, workers := range []int{1, 3, 7, 0} {
+				cfg.Workers = workers
+				cfg.CuFraction = cu
+				var got virtualClock
+				runWorld(t, cfg, func(r *Rank) {
+					k := r.AttachCPEKernel(variant)
+					for i := 0; i < steps; i++ {
+						r.Step()
+					}
+					got.stepTime = k.StepTime
+					got.dmaOps, got.dmaBytes = k.CG.TotalDMA()
+				})
+				if got.stepTime <= 0 || got.dmaBytes <= 0 {
+					t.Fatalf("cu=%v/%v/workers=%d: kernel not charged: %+v", cu, variant, workers, got)
+				}
+				if workers == 1 {
+					ref = got
+				} else if got != ref {
+					t.Errorf("cu=%v/%v/workers=%d: virtual clock %+v, want bit-equal %+v",
+						cu, variant, workers, got, ref)
+				}
+			}
+		}
+	}
 }
 
 func TestEnergyConservationNVEParallel(t *testing.T) {
@@ -199,36 +235,74 @@ func TestEnergyConservationNVEParallel(t *testing.T) {
 	}
 }
 
-func TestForcePoolTimingCounters(t *testing.T) {
-	// The perf instrumentation of the pool: every worker's busy time and
-	// chunk count is recorded per pass, the chunks tile the box exactly,
-	// and the imbalance metric is well-formed.
-	cfg := smallConfig()
-	cfg.Workers = 3
-	runWorld(t, cfg, func(r *Rank) {
-		r.Step()
-		for pass, tm := range map[string]*perf.WorkerTiming{
-			"density": &r.Pool.DensityTiming,
-			"force":   &r.Pool.ForceTiming,
-		} {
-			if tm.Workers() != 3 {
-				t.Errorf("%s pass: %d workers recorded, want 3", pass, tm.Workers())
-			}
-			total := 0
-			for _, n := range tm.Chunks {
-				total += n
-			}
-			// The optimized kernel runs each pass as two barrier-separated
-			// rounds (gather+reduce, fill+reduce) of ForceChunks each.
-			if total != 2*ForceChunks {
-				t.Errorf("%s pass: %d chunks executed, want %d", pass, total, 2*ForceChunks)
-			}
-			if tm.Wall <= 0 {
-				t.Errorf("%s pass: no wall time recorded", pass)
-			}
-			if im := tm.Imbalance(); im < 1 || math.IsNaN(im) {
-				t.Errorf("%s pass: imbalance %v, want >= 1", pass, im)
-			}
+// poolMetric returns the named metric of a registry snapshot.
+func poolMetric(t testing.TB, reg *telemetry.Registry, name string) telemetry.Metric {
+	t.Helper()
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == name {
+			return m
 		}
-	})
+	}
+	t.Fatalf("metric %q not registered", name)
+	return telemetry.Metric{}
+}
+
+// busyImbalance is max/mean of a worker-busy timer's records: 1.0 is a
+// perfectly balanced dispatch, and a timer with no recorded time reports 1.
+func busyImbalance(m telemetry.Metric) float64 {
+	if m.SumNS <= 0 {
+		return 1
+	}
+	return float64(m.MaxNS) * float64(m.Count) / float64(m.SumNS)
+}
+
+func TestForcePoolTimingCounters(t *testing.T) {
+	// The host-side instrumentation of the pool, read from the rank's
+	// telemetry registry: every worker's busy time is recorded per round,
+	// the chunks the workers executed tile every pass exactly, and the
+	// imbalance metric is well-formed — with and without a CPE kernel
+	// attached, since the kernel is charged on the same dispatch loop.
+	const workers, steps = 3, 2
+	// Each pass is two barrier-separated rounds (gather+reduce,
+	// fill+reduce) of ForceChunks chunks each.
+	const roundsPerPass = 2
+	for _, tc := range []struct {
+		name   string
+		attach func(r *Rank)
+	}{
+		{"pool", func(r *Rank) {}},
+		{"cpe-kernel", func(r *Rank) { r.AttachCPEKernel(VariantFull) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Workers = workers
+			runWorld(t, cfg, func(r *Rank) {
+				tc.attach(r)
+				reg := telemetry.New(r.Comm.Rank())
+				r.AttachTelemetry(reg)
+				for i := 0; i < steps; i++ {
+					r.Step()
+				}
+				for _, pass := range []string{"density", "force"} {
+					m := poolMetric(t, reg, "md/pool/"+pass+"-busy")
+					if want := int64(steps * roundsPerPass * workers); m.Count != want {
+						t.Errorf("%s pass: %d busy records, want %d (one per worker and round)", pass, m.Count, want)
+					}
+					if m.SumNS <= 0 {
+						t.Errorf("%s pass: no busy time recorded", pass)
+					}
+					if im := busyImbalance(m); im < 1 || math.IsNaN(im) || math.IsInf(im, 0) {
+						t.Errorf("%s pass: imbalance %v, want finite and >= 1", pass, im)
+					}
+				}
+				chunks := poolMetric(t, reg, "md/pool/chunks").Value
+				if want := int64(steps * 2 * roundsPerPass * ForceChunks); chunks != want {
+					t.Errorf("%d chunks executed, want %d (%d per pass)", chunks, want, roundsPerPass*ForceChunks)
+				}
+				if r.Kernel != nil && r.Kernel.StepTime <= 0 {
+					t.Errorf("attached kernel was not charged")
+				}
+			})
+		})
+	}
 }

@@ -4,10 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mdkmc/internal/neighbor"
-	"mdkmc/internal/perf"
 	"mdkmc/internal/sunway"
 	"mdkmc/internal/telemetry"
 )
@@ -20,14 +18,15 @@ import (
 // reduction deterministic: every chunk's partial energy and operation
 // counts are a pure function of the store state, and the merge always walks
 // chunks in index order, so the result is bit-identical for every Workers
-// value and to the CPE kernel's per-lane reduction (DESIGN.md §9).
+// value, and chunk i is exactly the slab of virtual CPE i (DESIGN.md §9).
 const ForceChunks = sunway.CPEsPerGroup
 
-// ForcePool runs the force-field passes over a worker pool. Safety rests on
-// the rounds having disjoint writes by construction (see the concurrency
-// contract in neighbor.Store): a chunk writes only the state anchored in
-// its own range, and anything it reads of other ranges is not written by
-// any concurrent chunk of the same round.
+// ForcePool is the one executor of the force kernel: every round of either
+// pass is ForceChunks chunks handed to the workers here, with or without a
+// CPE cost model attached. Safety rests on the rounds having disjoint writes
+// by construction (see the concurrency contract in neighbor.Store): a chunk
+// writes only the state anchored in its own range, and anything it reads of
+// other ranges is not written by any concurrent chunk of the same round.
 //
 // Workers == 1 executes the chunks inline on the calling goroutine and is
 // the serial reference mode; Workers == 0 resolves to runtime.GOMAXPROCS.
@@ -35,26 +34,17 @@ type ForcePool struct {
 	FF      *ForceField
 	Workers int
 
-	// Per-pass host timing of the most recent Densities/Forces call —
-	// real wall-clock, not the CPE cost model (see perf.WorkerTiming).
-	// Multi-round passes accumulate each worker's busy time and chunk
-	// count across rounds.
-	DensityTiming perf.WorkerTiming
-	ForceTiming   perf.WorkerTiming
+	// cost, when non-nil, is charged chunk by chunk as virtual CPE work
+	// (cpekernel.go); Rank.computeForces sets it from Rank.Kernel.
+	cost *CPEKernel
 
-	// Telemetry absorption of the per-pass WorkerTiming: each pass feeds
-	// every worker's busy time into the matching timer, so the registry's
-	// min/max/histogram expose the scheduler imbalance that WorkerTiming
-	// only keeps for the latest pass.
+	// Host-side scheduling telemetry: one busy record per worker and round,
+	// so the timers' max/mean expose the imbalance of the dynamic chunk
+	// dispatch; chunks counts what the workers actually executed. Nil
+	// handles (telemetry off) read no clock.
 	densityBusy *telemetry.Timer   // md/pool/density-busy
 	forceBusy   *telemetry.Timer   // md/pool/force-busy
 	chunksRun   *telemetry.Counter // md/pool/chunks
-
-	// Reused per-run scratch (the force passes are the innermost hot loop
-	// of every MD step; per-call slice allocations would show up in the
-	// allocs/op benchmark gate).
-	busyAcc  []time.Duration
-	chunkAcc []int
 }
 
 // AttachTelemetry registers the pool's worker-busy timers and chunk counter
@@ -74,10 +64,14 @@ func NewForcePool(ff *ForceField, workers int) *ForcePool {
 	return &ForcePool{FF: ff, Workers: workers}
 }
 
-// ResolveWorkers maps the Workers knob to the effective worker count.
+// ResolveWorkers maps the Workers knob to the effective worker count: 0
+// means GOMAXPROCS, and more workers than chunks would only idle.
 func ResolveWorkers(workers int) int {
 	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > ForceChunks {
+		workers = ForceChunks
 	}
 	return workers
 }
@@ -86,7 +80,7 @@ func ResolveWorkers(workers int) int {
 // the pool; bit-identical to the serial kernels over the same chunks in any
 // worker order.
 func (p *ForcePool) Densities(s *neighbor.Store) OpStats {
-	st, _ := p.run(s, p.FF.rounds.density, &p.DensityTiming, p.densityBusy)
+	st, _ := p.run(s, p.FF.rounds.density, p.densityBusy)
 	return st
 }
 
@@ -94,83 +88,59 @@ func (p *ForcePool) Densities(s *neighbor.Store) OpStats {
 // cached-pair force reduce) sharded over the pool and returns the owned
 // potential-energy share, reduced in chunk order.
 func (p *ForcePool) Forces(s *neighbor.Store) (OpStats, float64) {
-	return p.run(s, p.FF.rounds.force, &p.ForceTiming, p.forceBusy)
+	return p.run(s, p.FF.rounds.force, p.forceBusy)
 }
 
 // run executes one pass as a sequence of barrier-separated rounds, each of
 // ForceChunks independent chunks dispatched to the workers by a shared
 // counter (dynamic load balancing — cascade cores make chunks unequal).
-// Partial results are stored per (round, chunk) and merged in that order;
-// worker busy time and chunk counts accumulate across rounds.
-func (p *ForcePool) run(s *neighbor.Store, rounds []round,
-	timing *perf.WorkerTiming, busyTimer *telemetry.Timer) (OpStats, float64) {
-
+// Partial results are stored per chunk and merged in chunk order, round by
+// round. An attached cost model sees each round as one kernel launch on the
+// 64 CPEs: chunk i charges CPE i, the barrier charges the slowest lane.
+func (p *ForcePool) run(s *neighbor.Store, rounds []round, busy *telemetry.Timer) (OpStats, float64) {
 	workers := ResolveWorkers(p.Workers)
-	timing.Reset(workers)
-	if cap(p.busyAcc) < workers {
-		p.busyAcc = make([]time.Duration, workers)
-		p.chunkAcc = make([]int, workers)
-	}
-	busyAcc := p.busyAcc[:workers]
-	chunkAcc := p.chunkAcc[:workers]
-	for w := range busyAcc {
-		busyAcc[w] = 0
-		chunkAcc[w] = 0
-	}
-	wall := perf.StartStopwatch()
-
 	var st OpStats
 	var energy float64
 	var perStats [ForceChunks]OpStats
 	var perEnergy [ForceChunks]float64
 	for ri := range rounds {
 		rd := &rounds[ri]
+		p.cost.beginRound()
 		if workers == 1 {
-			busy := perf.StartStopwatch()
+			sp := busy.Begin()
 			for i := 0; i < ForceChunks; i++ {
-				perStats[i], perEnergy[i], _ = rd.chunk(p.FF, s, i)
+				perStats[i], perEnergy[i] = rd.chunk(p.FF, s, i, p.cost)
 			}
-			busyAcc[0] += busy.Elapsed()
-			chunkAcc[0] += ForceChunks
+			sp.End()
+			p.chunksRun.Add(ForceChunks)
 		} else {
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func(w int) {
+				go func() {
 					defer wg.Done()
-					busy := perf.StartStopwatch()
-					chunks := 0
+					sp := busy.Begin()
+					var chunks int64
 					for {
 						i := int(next.Add(1)) - 1
 						if i >= ForceChunks {
 							break
 						}
-						perStats[i], perEnergy[i], _ = rd.chunk(p.FF, s, i)
+						perStats[i], perEnergy[i] = rd.chunk(p.FF, s, i, p.cost)
 						chunks++
 					}
-					busyAcc[w] += busy.Elapsed()
-					chunkAcc[w] += chunks
-				}(w)
+					sp.End()
+					p.chunksRun.Add(chunks)
+				}()
 			}
 			wg.Wait() // barrier: next round reads what this round wrote
 		}
+		p.cost.endRound()
 		for i := 0; i < ForceChunks; i++ {
 			st.Add(perStats[i])
 			energy += perEnergy[i]
 		}
 	}
-	for w := 0; w < workers; w++ {
-		timing.Record(w, busyAcc[w], chunkAcc[w])
-	}
-	timing.Wall = wall.Elapsed()
-
-	if busyTimer != nil {
-		for _, b := range timing.Busy {
-			busyTimer.Observe(b)
-		}
-	}
-	p.chunksRun.Add(int64(ForceChunks * len(rounds)))
-
 	return st, energy
 }

@@ -13,8 +13,8 @@ import (
 // the paper (§2.1, the kernel Figure 9 measures), which evaluates every pair
 // from both sides in one round per pass. It is the oracle the production
 // kernel (forces.go) is bit-identical to; the tests below run it through the
-// same ForcePool and CPEKernel executors by giving one ForceField its round
-// table.
+// same ForcePool, with and without a CPEKernel attached, by giving one
+// ForceField its round table.
 
 // referenceRounds is the oracle's round table, with the historical
 // single-pass CPE cost specs.

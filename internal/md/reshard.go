@@ -47,7 +47,8 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 	merged := 0
 	stepCount := -1
 	for s := 0; s < src.Grid.Ranks(); s++ {
-		cp, err := readShard(src, s)
+		srcBox := src.Grid.Box(s, r.Box.Ghost)
+		cp, err := readShard(src, s, srcBox.NumLocalSites())
 		if err != nil {
 			return err
 		}
@@ -55,10 +56,6 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 			stepCount = cp.StepCount
 		} else if cp.StepCount != stepCount {
 			return fmt.Errorf("md: shard %d at step %d, shard 0 at step %d", s, cp.StepCount, stepCount)
-		}
-		srcBox := src.Grid.Box(s, r.Box.Ghost)
-		if want := srcBox.NumLocalSites(); len(cp.Store.ID) != want {
-			return fmt.Errorf("md: shard %d has %d sites, source box has %d", s, len(cp.Store.ID), want)
 		}
 		srcBox.EachOwned(func(c lattice.Coord, srcLocal int) {
 			if !r.Box.Owns(c) {
@@ -100,8 +97,9 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 	return nil
 }
 
-// readShard opens, decodes and validates one source shard.
-func readShard(src ShardSource, rank int) (*checkpoint, error) {
+// readShard opens, decodes and validates one source shard, whose box has
+// the given number of local sites.
+func readShard(src ShardSource, rank, sites int) (*checkpoint, error) {
 	rd, err := src.Open(rank)
 	if err != nil {
 		return nil, fmt.Errorf("md: opening shard %d: %w", rank, err)
@@ -116,6 +114,9 @@ func readShard(src ShardSource, rank int) (*checkpoint, error) {
 	}
 	if cp.Rank != rank {
 		return nil, fmt.Errorf("md: shard %d claims rank %d", rank, cp.Rank)
+	}
+	if err := cp.Store.Validate(sites); err != nil {
+		return nil, fmt.Errorf("md: shard %d: %w", rank, err)
 	}
 	return &cp, nil
 }

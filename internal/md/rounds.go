@@ -14,7 +14,7 @@ type rangeFunc func(ff *ForceField, s *neighbor.Store, lo, hi int) (OpStats, flo
 // starts, which is what lets a round read state the previous round wrote —
 // the gather/reduce split of the kernel (DESIGN.md §13). Disjoint ranges of
 // one round write disjoint state (the concurrency contract on
-// neighbor.Store), so both executors run them concurrently.
+// neighbor.Store), so ForcePool runs them concurrently.
 type round struct {
 	spec passSpec // what the CPE cost model charges for the round
 	// localSites makes the round span every local site, ghosts included,
@@ -24,22 +24,23 @@ type round struct {
 }
 
 // chunk runs chunk i of the round's ForceChunks-way split and returns its
-// operation counts, energy share and the number of lattice sites it streamed
-// (the quantity the CPE cost model charges per site).
-func (rd *round) chunk(ff *ForceField, s *neighbor.Store, i int) (OpStats, float64, int) {
-	if rd.localSites {
-		lo, hi := s.Box.SpanLocalSites(ForceChunks, i)
-		st, e := rd.work(ff, s, lo, hi)
-		return st, e, hi - lo
-	}
+// operation counts and energy share, charging the cost model (nil = none)
+// for the lattice sites the chunk streamed.
+func (rd *round) chunk(ff *ForceField, s *neighbor.Store, i int, cost *CPEKernel) (OpStats, float64) {
 	lo, hi := s.Box.SpanCells(ForceChunks, i)
+	sites := 2 * (hi - lo)
+	if rd.localSites {
+		lo, hi = s.Box.SpanLocalSites(ForceChunks, i)
+		sites = hi - lo
+	}
 	st, e := rd.work(ff, s, lo, hi)
-	return st, e, 2 * (hi - lo)
+	cost.chargeChunk(i, rd.spec, sites, st)
+	return st, e
 }
 
 // kernelRounds says which rounds a force computation consists of: the
 // density pass, then — after the ghost ρ exchange — the force pass. ForcePool
-// and CPEKernel both execute whatever table their ForceField carries.
+// executes whatever table its ForceField carries.
 type kernelRounds struct {
 	density, force []round
 }

@@ -42,8 +42,8 @@ type Rank struct {
 	// should check CoincidenceError after stepping.
 	coincidentErr error
 
-	// Kernel, when set, replaces the plain force computation with the
-	// Sunway CPE-offloaded kernel (see cpekernel.go).
+	// Kernel, when set, is the Sunway CPE cost model the pool charges for
+	// every chunk it executes (see cpekernel.go).
 	Kernel *CPEKernel
 
 	// tel holds the phase timers; nil timers (telemetry disabled) make every
@@ -60,10 +60,10 @@ type rankTelemetry struct {
 }
 
 // AttachTelemetry registers this rank's MD phase spans and comm counters in
-// reg. Call once after NewRank (and after AttachCPEKernel, if any); a nil
-// registry leaves all spans as no-ops. Recording only reads the wall clock
-// and bumps atomics — the trajectory stays bit-identical (telemetry's
-// zero-perturbation contract, proven in couple's determinism test).
+// reg. Call once after NewRank; a nil registry leaves all spans as no-ops.
+// Recording only reads the wall clock and bumps atomics — the trajectory
+// stays bit-identical (telemetry's zero-perturbation contract, proven in
+// couple's determinism test).
 func (r *Rank) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -232,38 +232,27 @@ func (r *Rank) applyPKA(p PKA) error {
 	return err
 }
 
-// AttachCPEKernel replaces the plain force computation with the Sunway
-// CPE-offloaded kernel of the given variant, hosted on the rank's worker
-// count.
+// AttachCPEKernel attaches the Sunway CPE cost model of the given variant:
+// from the next force computation on, every chunk the pool executes is
+// charged to the kernel's virtual clocks.
 func (r *Rank) AttachCPEKernel(variant KernelVariant) *CPEKernel {
 	r.Kernel = NewCPEKernel(r.FF, variant)
-	r.Kernel.Workers = r.Cfg.Workers
 	return r.Kernel
 }
 
-// computeForces runs the ghost protocol and the two force passes, through
-// the CPE kernel when one is attached and the worker pool otherwise. Both
-// paths shard the owned cells 64 ways and reduce in chunk order, so they
-// produce bit-identical forces, densities, and energies.
+// computeForces runs the ghost protocol and the two force passes on the
+// worker pool, which charges the CPE cost model when one is attached.
 func (r *Rank) computeForces() {
+	r.Pool.cost = r.Kernel
 	r.Ex.ExchangePositions(r.Store)
 	sp := r.tel.density.Begin()
-	var st OpStats
-	if r.Kernel != nil {
-		st = r.Kernel.Densities(r.Store)
-	} else {
-		st = r.Pool.Densities(r.Store)
-	}
+	st := r.Pool.Densities(r.Store)
 	sp.End()
 	r.Ex.ExchangeDensities(r.Store)
 	sp = r.tel.force.Begin()
-	var fst OpStats
-	if r.Kernel != nil {
-		fst, r.LastPE = r.Kernel.Forces(r.Store)
-	} else {
-		fst, r.LastPE = r.Pool.Forces(r.Store)
-	}
+	fst, pe := r.Pool.Forces(r.Store)
 	sp.End()
+	r.LastPE = pe
 	st.Add(fst)
 	r.LastStats = st
 	if st.Coincident > 0 && r.coincidentErr == nil {

@@ -4,26 +4,23 @@
 // computing processing elements (CPE, "slave cores"), each CPE owning a
 // 64 KB local store (LDM) fed by an explicit DMA engine.
 //
-// Kernels offloaded to CPEs run as real Go code on goroutines, so numerical
-// results are the real results; alongside, every LDM allocation is checked
-// against the 64 KB budget (a kernel that tries to keep the traditional
-// 273 KB interpolation table resident fails exactly as it would on
-// hardware), and every DMA transfer and unit of compute advances a virtual
-// clock derived from a cost model. Double buffering is modeled as the
-// overlap of the per-block DMA clock with the per-block compute clock
-// (paper Figure 6).
+// The package is a pure cost model and executes nothing: the caller runs a
+// kernel's real work wherever it likes (internal/md runs each CPE's slab as
+// one chunk of its ForcePool) and charges the matching CPE afterwards. Every
+// LDM allocation is checked against the 64 KB budget (a kernel that tries to
+// keep the traditional 273 KB interpolation table resident fails exactly as
+// it would on hardware), and every DMA transfer and unit of compute advances
+// that CPE's virtual clock. Double buffering is modeled as the overlap of the
+// per-block DMA clock with the per-block compute clock (paper Figure 6). A
+// CPE's charges depend only on what it is charged with, so distinct CPEs may
+// be charged from distinct goroutines and the clocks cannot see the host.
 //
 // The per-operation constants in Params are calibrated so that the
 // *measured ratios* of the paper's Figure 9 ablation emerge from honestly
 // counted operation totals; DESIGN.md §2 records this substitution.
 package sunway
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Hardware constants of one SW26010 core group.
 const (
@@ -291,53 +288,13 @@ func NewCoreGroup(p Params) *CoreGroup {
 	return g
 }
 
-// Spawn runs fn on all 64 CPEs (the Athread model: one thread per slave
-// core) and waits for completion, returning the virtual time of the slowest
-// CPE under the given buffering regime. Host concurrency defaults to
-// GOMAXPROCS; use SpawnN to pin it.
-func (g *CoreGroup) Spawn(doubleBuffer bool, fn func(c *CPE)) float64 {
-	return g.SpawnN(0, doubleBuffer, fn)
-}
-
-// SpawnN is Spawn with the host-side concurrency capped at `workers` OS
-// goroutines (0 means GOMAXPROCS). The 64 virtual CPEs are still all
-// executed — workers pull CPE IDs from a shared counter — so the virtual
-// clocks and numerical results are identical for every workers value;
-// only the real wall-clock spent simulating the cluster changes.
-func (g *CoreGroup) SpawnN(workers int, doubleBuffer bool, fn func(c *CPE)) float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(g.CPEs) {
-		workers = len(g.CPEs)
-	}
-	if workers <= 1 {
-		for _, c := range g.CPEs {
-			fn(c)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(g.CPEs) {
-						return
-					}
-					fn(g.CPEs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+// SlowestLane returns the virtual time of the slowest CPE under the given
+// buffering regime: what one kernel launch costs the core group, because the
+// barrier that ends it waits for every lane.
+func (g *CoreGroup) SlowestLane(doubleBuffer bool) float64 {
 	var worst float64
 	for _, c := range g.CPEs {
-		if t := c.Time(doubleBuffer); t > worst {
-			worst = t
-		}
+		worst = maxf(worst, c.Time(doubleBuffer))
 	}
 	return worst
 }

@@ -2,7 +2,6 @@ package sunway
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -153,19 +152,17 @@ func TestBlockPanics(t *testing.T) {
 	c.EndBlock()
 }
 
-func TestSpawnRunsAll64(t *testing.T) {
+func TestSlowestLane(t *testing.T) {
 	g := NewCoreGroup(DefaultParams)
-	var ran int64
-	worst := g.Spawn(false, func(c *CPE) {
-		atomic.AddInt64(&ran, 1)
+	if len(g.CPEs) != CPEsPerGroup {
+		t.Fatalf("core group has %d CPEs", len(g.CPEs))
+	}
+	for _, c := range g.CPEs {
 		c.Compute(float64(c.ID+1) * 1000)
-	})
-	if ran != CPEsPerGroup {
-		t.Fatalf("ran on %d CPEs", ran)
 	}
 	// The virtual time is that of the slowest CPE (ID 63).
 	want := 64000 * DefaultParams.FlopTime
-	if math.Abs(worst-want) > 1e-12 {
+	if worst := g.SlowestLane(false); math.Abs(worst-want) > 1e-12 {
 		t.Errorf("worst = %v, want %v", worst, want)
 	}
 }
@@ -189,9 +186,9 @@ func TestResetClearsClocks(t *testing.T) {
 
 func TestTotalDMA(t *testing.T) {
 	g := NewCoreGroup(DefaultParams)
-	g.Spawn(false, func(c *CPE) {
+	for _, c := range g.CPEs {
 		c.DMAGet(10)
-	})
+	}
 	ops, bytes := g.TotalDMA()
 	if ops != 64 || bytes != 640 {
 		t.Errorf("ops=%d bytes=%d", ops, bytes)
@@ -202,9 +199,10 @@ func TestMPESlowerThanCluster(t *testing.T) {
 	g := NewCoreGroup(DefaultParams)
 	const flops = 1e6
 	mpe := g.MPETime(flops)
-	cluster := g.Spawn(false, func(c *CPE) {
+	for _, c := range g.CPEs {
 		c.Compute(flops / CPEsPerGroup)
-	})
+	}
+	cluster := g.SlowestLane(false)
 	if mpe < 10*cluster {
 		t.Errorf("MPE (%.3g) not much slower than cluster (%.3g)", mpe, cluster)
 	}
