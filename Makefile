@@ -104,7 +104,10 @@ bench:
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# The incremental-vs-rescan KMC cycle contrast (EXPERIMENTS.md).
+# The incremental-vs-rescan KMC cycle contrast (EXPERIMENTS.md), with B/op
+# and allocs/op (the benchmark calls ReportAllocs); the zero-allocation
+# promise of the rate kernel itself is a tier-1 test,
+# TestRateKernelDoesNotAllocate.
 bench-kmc:
 	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x ./internal/kmc
 

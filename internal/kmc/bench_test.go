@@ -32,6 +32,7 @@ func BenchmarkKMCCycle(b *testing.B) {
 						b.Fatal(err)
 					}
 					st.fullRescan = mode.rescan
+					b.ReportAllocs()
 					b.ResetTimer()
 					events := 0
 					for i := 0; i < b.N; i++ {

@@ -2,7 +2,6 @@ package kmc
 
 import (
 	"math"
-	"sort"
 
 	"mdkmc/internal/eam"
 	"mdkmc/internal/lattice"
@@ -93,6 +92,18 @@ func (st *shellTables) fval(occ uint8, basis, k int) float64 {
 type energetics struct {
 	pot    *eam.Potential
 	shells *shellTables
+	// memo caches, per local site, the embedding energy of the site as it
+	// stands: F_occ(rho), keyed on exactly those two inputs. An entry whose
+	// key no longer matches Occ/Rho simply misses, so nothing ever
+	// invalidates it, and the zero value (occ = Vacant, never looked up) is
+	// a miss — a zeroed allocation is a valid empty memo. It holds derived
+	// values only and is not checkpointed.
+	memo []embedMemo
+}
+
+type embedMemo struct {
+	rho, val float64
+	occ      uint8
 }
 
 // embed returns F_a(ρ) for an atom of species code a.
@@ -101,82 +112,97 @@ func (e *energetics) embed(a uint8, rho float64) float64 {
 	return v
 }
 
+// embedAt returns F_a(ρ) for local site i holding species a at density rho
+// — the site's current, unchanged state — through the memo. The value is
+// what embed returns for the same inputs, bit for bit.
+func (e *energetics) embedAt(i int, a uint8, rho float64) float64 {
+	m := &e.memo[i]
+	if m.occ != a || m.rho != rho {
+		*m = embedMemo{rho: rho, val: e.embed(a, rho), occ: a}
+	}
+	return m.val
+}
+
+// hopSite is one bystander of a vacancy hop s→n: a site within the
+// interaction shell of s, of n, or of both. d is its flat index delta from
+// s; ks and kn are its offset indices in the shells around s and n, -1
+// where it lies outside that shell. s and n themselves are not bystanders.
+type hopSite struct {
+	d      int32
+	ks, kn int16
+}
+
 // swapDeltaE returns the total-energy change of moving the atom at site n
 // into the vacancy at site s (both given as local indices with their lattice
-// coordinates). occ and rho are the current local state; rho must be valid
-// for every site within the interaction cutoff of s or n.
+// coordinates; n must be a first-shell neighbor of s). occ and rho are the
+// current local state; rho must be valid for every site within the
+// interaction cutoff of s or n.
 //
 // Only s and n change occupancy, so with the moving atom's species m:
 //
 //	ΔE_pair  = Σ_j φ_{m,tj}(r_sj) − Σ_j φ_{m,tj}(r_nj)   (j ≠ s,n occupied)
 //	ΔE_embed = Σ_i [F_{ti}(ρ_i ± f_m) − F_{ti}(ρ_i)]     (i occupied near s or n)
 //	         + F_m(ρ'_atom at s) − F_m(ρ_atom at n)
+//
+// The bystanders i come from the hop's precomputed stencil (State.hops), in
+// ascending site order, so the sum is reproducible across protocols and
+// nothing is collected, sorted or allocated per call.
+//
+//mdvet:hot
 func (e *energetics) swapDeltaE(st *State, s, n int, cs, cn lattice.Coord) float64 {
 	occ, rho := st.Occ, st.Rho
 	m := occ[n] // species of the moving atom
+	sh := e.shells
+	bs, bn := cs.B, cn.B
 
-	var dPair float64
-	// Pair sums around the destination s (gains) and origin n (losses).
-	for k, d := range st.deltas[cs.B] {
+	// Around the destination s: the pair gains, and the density the moving
+	// atom will sit in (contributions depend on the *sources* around it).
+	var dPair, rhoAfter float64
+	for k, d := range st.deltas[bs] {
 		j := s + int(d)
-		if j != n && occ[j] != Vacant {
-			dPair += e.shells.phi[m][occ[j]][cs.B][k]
+		if t := occ[j]; j != n && t != Vacant {
+			dPair += sh.phi[m][t][bs][k]
+			rhoAfter += sh.f[t][bs][k]
 		}
 	}
-	for k, d := range st.deltas[cn.B] {
+	// Around the origin n: the pair losses.
+	for k, d := range st.deltas[bn] {
 		j := n + int(d)
-		if j != s && occ[j] != Vacant {
-			dPair -= e.shells.phi[m][occ[j]][cn.B][k]
+		if t := occ[j]; j != s && t != Vacant {
+			dPair -= sh.phi[m][t][bn][k]
 		}
 	}
 
-	// Embedding changes of the bystanders: every occupied site i near s
-	// gains f_m(r_is); every occupied site i near n loses f_m(r_in).
-	// Collect the deltas first because a site can neighbor both.
-	type bump struct {
-		site  int
-		delta float64
+	// Embedding changes of the bystanders: every occupied site near s gains
+	// f_m(r_is), every occupied site near n loses f_m(r_in), a site near
+	// both does both.
+	h := 0
+	for st.shell1[bs][h] != int32(n-s) {
+		h++
 	}
-	bumps := make([]bump, 0, 128)
-	fm := e.shells.f[m]
-	for k, d := range st.deltas[cs.B] {
-		j := s + int(d)
-		if j != n && occ[j] != Vacant {
-			bumps = append(bumps, bump{j, fm[cs.B][k]})
-		}
-	}
-	for k, d := range st.deltas[cn.B] {
-		j := n + int(d)
-		if j != s && occ[j] != Vacant {
-			bumps = append(bumps, bump{j, -fm[cn.B][k]})
-		}
-	}
-	// Merge duplicates (sites near both s and n) in deterministic site
-	// order, so the floating-point sum is reproducible across protocols.
-	sort.Slice(bumps, func(i, j int) bool { return bumps[i].site < bumps[j].site })
+	fs, fn := sh.f[m][bs], sh.f[m][bn]
 	var dEmbed float64
-	for i := 0; i < len(bumps); {
-		site := bumps[i].site
+	for _, b := range st.hops[bs][h] {
+		i := s + int(b.d)
+		t := occ[i]
+		if t == Vacant {
+			continue
+		}
 		delta := 0.0
-		for ; i < len(bumps) && bumps[i].site == site; i++ {
-			delta += bumps[i].delta
+		if b.ks >= 0 {
+			delta += fs[b.ks]
+		}
+		if b.kn >= 0 {
+			delta -= fn[b.kn]
 		}
 		if delta != 0 {
-			dEmbed += e.embed(occ[site], rho[site]+delta) - e.embed(occ[site], rho[site])
+			dEmbed += e.embed(t, rho[i]+delta) - e.embedAt(i, t, rho[i])
 		}
 	}
 
-	// The moving atom itself: before, embedded at n; after, at s with n
-	// vacated. Density contributions depend on the *sources* around it.
-	rhoBefore := rho[n] // ρ at n excludes n itself by construction
-	rhoAfter := 0.0
-	for k, d := range st.deltas[cs.B] {
-		j := s + int(d)
-		if j != n && occ[j] != Vacant {
-			rhoAfter += e.shells.f[occ[j]][cs.B][k]
-		}
-	}
-	dEmbed += e.embed(m, rhoAfter) - e.embed(m, rhoBefore)
+	// The moving atom itself: before, embedded at n (ρ at n excludes n
+	// itself by construction); after, at s with n vacated.
+	dEmbed += e.embed(m, rhoAfter) - e.embedAt(n, m, rho[n])
 	return dPair + dEmbed
 }
 

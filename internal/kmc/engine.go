@@ -25,7 +25,7 @@ func (st *State) TotalRate() float64 {
 //
 //mdvet:hot
 func (st *State) runSector(sec int, dt float64) int {
-	src := st.rng.Derive(uint64(st.Comm.Rank()), uint64(st.Cycles), uint64(sec))
+	src := st.rng.Fork(uint64(st.Comm.Rank()), uint64(st.Cycles), uint64(sec))
 	events := 0
 	tloc := 0.0
 	for {
@@ -85,7 +85,7 @@ func (st *State) Cycle() int {
 			// The dirty set only feeds the on-demand flush; the put band
 			// above already published these updates, so drop them — a
 			// populated set would wrongly trip Save's mid-sector guard.
-			clear(st.dirty)
+			st.dirty = st.dirty[:0]
 		} else {
 			sp = st.tel.flush.Begin()
 			st.flushOnDemand()

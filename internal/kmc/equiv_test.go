@@ -2,6 +2,8 @@ package kmc
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"mdkmc/internal/lattice"
@@ -15,6 +17,170 @@ type event struct {
 	site   int // owned vacancy, local index
 	target int // occupied 1NN, local index (possibly a ghost)
 	rate   float64
+}
+
+// swapDeltaERef is the reference ΔE the production swapDeltaE must equal
+// bit for bit: the pre-stencil implementation, which collects the bystander
+// density bumps of both shells per call, sorts them by site, merges the
+// sites near both s and n, and evaluates every embedding term through the
+// potential with no memo. It shares only the shell tables and the flat
+// deltas with the code under test.
+func swapDeltaERef(st *State, s, n int, cs, cn lattice.Coord) float64 {
+	e := &st.en
+	occ, rho := st.Occ, st.Rho
+	m := occ[n] // species of the moving atom
+
+	var dPair float64
+	// Pair sums around the destination s (gains) and origin n (losses).
+	for k, d := range st.deltas[cs.B] {
+		j := s + int(d)
+		if j != n && occ[j] != Vacant {
+			dPair += e.shells.phi[m][occ[j]][cs.B][k]
+		}
+	}
+	for k, d := range st.deltas[cn.B] {
+		j := n + int(d)
+		if j != s && occ[j] != Vacant {
+			dPair -= e.shells.phi[m][occ[j]][cn.B][k]
+		}
+	}
+
+	// Embedding changes of the bystanders: every occupied site i near s
+	// gains f_m(r_is); every occupied site i near n loses f_m(r_in).
+	// Collect the deltas first because a site can neighbor both.
+	type bump struct {
+		site  int
+		delta float64
+	}
+	bumps := make([]bump, 0, 128)
+	fm := e.shells.f[m]
+	for k, d := range st.deltas[cs.B] {
+		j := s + int(d)
+		if j != n && occ[j] != Vacant {
+			bumps = append(bumps, bump{j, fm[cs.B][k]})
+		}
+	}
+	for k, d := range st.deltas[cn.B] {
+		j := n + int(d)
+		if j != s && occ[j] != Vacant {
+			bumps = append(bumps, bump{j, -fm[cn.B][k]})
+		}
+	}
+	// Merge duplicates (sites near both s and n) in deterministic site
+	// order, so the floating-point sum is reproducible across protocols.
+	sort.Slice(bumps, func(i, j int) bool { return bumps[i].site < bumps[j].site })
+	var dEmbed float64
+	for i := 0; i < len(bumps); {
+		site := bumps[i].site
+		delta := 0.0
+		for ; i < len(bumps) && bumps[i].site == site; i++ {
+			delta += bumps[i].delta
+		}
+		if delta != 0 {
+			dEmbed += e.embed(occ[site], rho[site]+delta) - e.embed(occ[site], rho[site])
+		}
+	}
+
+	// The moving atom itself: before, embedded at n; after, at s with n
+	// vacated. Density contributions depend on the *sources* around it.
+	rhoBefore := rho[n] // ρ at n excludes n itself by construction
+	rhoAfter := 0.0
+	for k, d := range st.deltas[cs.B] {
+		j := s + int(d)
+		if j != n && occ[j] != Vacant {
+			rhoAfter += e.shells.f[occ[j]][cs.B][k]
+		}
+	}
+	dEmbed += e.embed(m, rhoAfter) - e.embed(m, rhoBefore)
+	return dPair + dEmbed
+}
+
+// checkSwapDeltaE compares swapDeltaE with swapDeltaERef, bit for bit, for
+// every owned vacancy and every occupied first-shell target of the state,
+// and returns the number of hops compared.
+func checkSwapDeltaE(t *testing.T, st *State) int {
+	t.Helper()
+	hops := 0
+	for _, v := range st.OwnedVacancies() {
+		cv := st.Box.GlobalCoord(v)
+		for k, d := range st.shell1[cv.B] {
+			n := v + int(d)
+			if st.Occ[n] == Vacant {
+				continue
+			}
+			cn := st.Tab.PerBase[cv.B][k].Apply(cv)
+			want := swapDeltaERef(st, v, n, cv, cn)
+			// Twice: the second call reads the embedding memo the first filled.
+			for pass := 0; pass < 2; pass++ {
+				got := st.en.swapDeltaE(st, v, n, cv, cn)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("rank %d hop %d->%d (pass %d): swapDeltaE %v (%#x), reference %v (%#x)",
+						st.Comm.Rank(), v, n, pass, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			hops++
+		}
+	}
+	return hops
+}
+
+// TestSwapDeltaEMatchesReference pins ΔE's bits against an oracle that is
+// not the code under test.
+func TestSwapDeltaEMatchesReference(t *testing.T) {
+	dilute := testConfig()
+	dilute.Cells = [3]int{14, 14, 14}
+	alloy := testConfig()
+	alloy.VacancyConcentration = 0.004
+	alloy.CuConcentration = 0.03
+	alloy.EmCu = 0.55
+	// 6 cells against a 3-cell halo: every cell has self-images on every
+	// axis, and most bystander shells cross the periodic boundary.
+	selfImage := testConfig()
+	selfImage.Cells = [3]int{6, 8, 6}
+	selfImage.VacancyConcentration = 0.02
+	tworank := testConfig()
+	tworank.Cells = [3]int{22, 11, 11}
+	tworank.Grid = [3]int{2, 1, 1}
+	tworank.VacancyConcentration = 0.01
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		cycles int
+	}{
+		{"dilute-Fe", dilute, 0},
+		{"FeCu-alloy", alloy, 0},
+		{"self-images", selfImage, 0},
+		{"self-images-evolved", selfImage, 30},
+		{"2x1x1-after-50-cycles", tworank, 50},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			hops := make([]int, tc.cfg.Ranks())
+			ghostHops := make([]int, tc.cfg.Ranks()) // hops whose target is a ghost site
+			runWorld(t, tc.cfg, func(st *State) {
+				for i := 0; i < tc.cycles; i++ {
+					st.Cycle()
+				}
+				hops[st.Comm.Rank()] = checkSwapDeltaE(t, st)
+				for _, v := range st.OwnedVacancies() {
+					for _, d := range st.shell1[v&1] {
+						if n := v + int(d); st.Occ[n] != Vacant && !st.Box.Owns(st.Box.GlobalCoord(n)) {
+							ghostHops[st.Comm.Rank()]++
+						}
+					}
+				}
+			})
+			for r, n := range hops {
+				if n < 20 {
+					t.Errorf("rank %d compared only %d hops", r, n)
+				}
+				if tc.cfg.Ranks() > 1 && ghostHops[r] == 0 {
+					t.Errorf("rank %d has no hop into the halo: boundary vacancies not covered", r)
+				}
+			}
+		})
+	}
 }
 
 // sectorEvents enumerates, in deterministic order, every possible event
@@ -39,7 +205,7 @@ func (st *State) sectorEvents(sec int) ([]event, float64) {
 			}
 			off := st.Tab.PerBase[basis][k]
 			cn := off.Apply(cv)
-			dE := st.en.swapDeltaE(st, v, n, cv, cn)
+			dE := swapDeltaERef(st, v, n, cv, cn)
 			rate := hopRate(st.Cfg.Nu, st.emFor(st.Occ[n]), st.kBT, dE)
 			evs = append(evs, event{site: v, target: n, rate: rate})
 			total += rate
@@ -190,8 +356,10 @@ func TestSectorTotalsMatchRescanAfterRandomUpdates(t *testing.T) {
 	}
 }
 
-// TestVacancyIndexConsistent asserts the per-sector selection lists stay in
-// lockstep with the owned-vacancy set through cycles and random writes.
+// TestVacancyIndexConsistent asserts the per-sector lists — the one vacancy
+// index — stay in lockstep with the occupancy through cycles and random
+// writes: strictly ascending, every entry an owned vacant site filed under
+// its own sector with its own coordinate, and every owned vacant site listed.
 func TestVacancyIndexConsistent(t *testing.T) {
 	cfg := testConfig()
 	runWorld(t, cfg, func(st *State) {
@@ -199,28 +367,34 @@ func TestVacancyIndexConsistent(t *testing.T) {
 			n := 0
 			for sec := 0; sec < 8; sec++ {
 				prev := -1
-				for _, v := range st.secVacs[sec] {
+				for _, vc := range st.secVacs[sec] {
+					v := vc.site
 					if v <= prev {
 						t.Fatalf("%s: sector %d list not strictly ascending", when, sec)
 					}
 					prev = v
-					if !st.ownedVac[v] {
+					c := st.Box.GlobalCoord(v)
+					if st.Occ[v] != Vacant || !st.Box.Owns(c) {
 						t.Fatalf("%s: sector %d lists non-vacancy %d", when, sec, v)
 					}
-					if st.rateCache[v] == nil {
-						t.Fatalf("%s: vacancy %d has no cache entry", when, v)
+					if c.X != vc.cx || c.Y != vc.cy || c.Z != vc.cz {
+						t.Fatalf("%s: vacancy %d at %+v cached as (%d,%d,%d)", when, v, c, vc.cx, vc.cy, vc.cz)
 					}
-					if got := st.sectorOf(st.Box.GlobalCoord(v)); got != sec {
+					if got := st.sectorOf(c); got != sec {
 						t.Fatalf("%s: vacancy %d filed under sector %d, is %d", when, v, sec, got)
 					}
 					n++
 				}
 			}
-			if n != len(st.ownedVac) {
-				t.Fatalf("%s: %d listed vacancies, %d owned", when, n, len(st.ownedVac))
-			}
-			if len(st.rateCache) != len(st.ownedVac) {
-				t.Fatalf("%s: %d cache entries, %d owned vacancies", when, len(st.rateCache), len(st.ownedVac))
+			owned := 0
+			st.Box.EachOwned(func(_ lattice.Coord, local int) {
+				if st.Occ[local] == Vacant {
+					owned++
+				}
+			})
+			if n != owned || n != st.numOwnedVacancies() || n != len(st.OwnedVacancies()) {
+				t.Fatalf("%s: %d listed vacancies, %d owned vacant sites, count %d, OwnedVacancies %d",
+					when, n, owned, st.numOwnedVacancies(), len(st.OwnedVacancies()))
 			}
 		}
 		check("after init")
@@ -235,5 +409,54 @@ func TestVacancyIndexConsistent(t *testing.T) {
 			}
 		})
 		check("after forced vacancies")
+	})
+}
+
+// TestRateKernelDoesNotAllocate checks the zero-allocation promise of the
+// //mdvet:hot rate kernel by running it — hotalloc sees neither make nor
+// sort.Slice, which is how a 2 KB slice per ΔE once lived inside it.
+func TestRateKernelDoesNotAllocate(t *testing.T) {
+	cfg := testConfig()
+	cfg.Protocol = OnDemand
+	runWorld(t, cfg, func(st *State) {
+		// Steady state first: lists, packers and memos grown to size.
+		for i := 0; i < 200; i++ {
+			st.Cycle()
+		}
+		var vc *vacCache
+		for sec := range st.secVacs {
+			if len(st.secVacs[sec]) > 0 {
+				vc = &st.secVacs[sec][0]
+			}
+		}
+		v := vc.site
+		cv := st.Box.GlobalCoord(v)
+		k := 0
+		for st.Occ[v+int(st.shell1[cv.B][k])] == Vacant {
+			k++
+		}
+		n := v + int(st.shell1[cv.B][k])
+		cn := st.Tab.PerBase[cv.B][k].Apply(cv)
+		var sink float64
+		if a := testing.AllocsPerRun(100, func() { sink += st.en.swapDeltaE(st, v, n, cv, cn) }); a != 0 {
+			t.Errorf("swapDeltaE allocates %v times per call", a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			vc.valid = false
+			st.ratesOf(vc)
+			sink += vc.rates[k]
+		}); a != 0 {
+			t.Errorf("a ratesOf refresh allocates %v times", a)
+		}
+		// A whole cycle: what is left is the Allreduce of the time window
+		// (a one-rank world has no peer to send to).
+		const perCycle = 2
+		events := 0
+		if a := testing.AllocsPerRun(100, func() { events += st.Cycle() }); a > perCycle {
+			t.Errorf("a steady-state cycle allocates %v times, want at most %d", a, perCycle)
+		}
+		if events == 0 || sink == 0 {
+			t.Errorf("measured nothing: %d events, sink %v", events, sink)
+		}
 	})
 }

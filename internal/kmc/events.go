@@ -23,55 +23,66 @@ import (
 // owned vacancy index, then first-shell offset index). Trajectories are
 // therefore bit-identical to the full-rescan mode across all protocols.
 
-// vacCache holds the cached candidate hop rates of one owned vacancy.
+// vacCache is one owned vacancy: its site, and its cached candidate hop
+// rates. The per-sector lists of these entries (State.secVacs, ascending by
+// site) are the only vacancy index there is — membership, selection order
+// and the rate cache in one structure.
 type vacCache struct {
+	site       int   // local index
 	cx, cy, cz int32 // unwrapped owned cell coordinate (Box.GlobalCoord)
-	sector     int   // octant of the subdomain; fixed per site
 	valid      bool
 	n          int        // number of first-shell candidates (len(shell1))
 	mask       uint8      // bit k set when target k holds an atom (a real event)
 	rates      [8]float64 // rate of candidate k; meaningful where mask bit set
 }
 
-// vacAdd registers local as an owned vacancy: owned-vacancy index, per-sector
-// selection list (kept in ascending order), and an empty rate-cache entry.
+// vacSlot returns the sector of owned site local, its coordinate, and the
+// position in that sector's list where its entry is or would be inserted.
+func (st *State) vacSlot(local int) (sec, i int, c lattice.Coord) {
+	c = st.Box.GlobalCoord(local)
+	sec = st.sectorOf(c)
+	list := st.secVacs[sec]
+	i = sort.Search(len(list), func(i int) bool { return list[i].site >= local })
+	return sec, i, c
+}
+
+// vacAdd registers local as an owned vacancy with an empty rate cache.
 func (st *State) vacAdd(local int) {
-	if st.ownedVac[local] {
+	sec, i, c := st.vacSlot(local)
+	list := st.secVacs[sec]
+	if i < len(list) && list[i].site == local {
 		return
 	}
-	st.ownedVac[local] = true
-	c := st.Box.GlobalCoord(local)
-	sec := st.sectorOf(c)
-	list := st.secVacs[sec]
-	i := sort.SearchInts(list, local)
-	list = append(list, 0)
+	list = append(list, vacCache{})
 	copy(list[i+1:], list[i:])
-	list[i] = local
+	list[i] = vacCache{site: local, cx: c.X, cy: c.Y, cz: c.Z}
 	st.secVacs[sec] = list
-	st.rateCache[local] = &vacCache{cx: c.X, cy: c.Y, cz: c.Z, sector: sec}
 }
 
 // vacRemove unregisters an owned vacancy that became occupied.
 func (st *State) vacRemove(local int) {
-	if !st.ownedVac[local] {
+	sec, i, _ := st.vacSlot(local)
+	list := st.secVacs[sec]
+	if i == len(list) || list[i].site != local {
 		return
 	}
-	delete(st.ownedVac, local)
-	vc := st.rateCache[local]
-	delete(st.rateCache, local)
-	list := st.secVacs[vc.sector]
-	i := sort.SearchInts(list, local)
-	st.secVacs[vc.sector] = append(list[:i], list[i+1:]...)
+	st.secVacs[sec] = append(list[:i], list[i+1:]...)
 }
 
-// rebuildVacancyIndex reconstructs the vacancy bookkeeping (owned-vacancy
-// set, per-sector lists, rate cache) from the current occupancy — used at
-// initialization and after a checkpoint restore.
-func (st *State) rebuildVacancyIndex() {
-	st.ownedVac = make(map[int]bool)
-	st.rateCache = make(map[int]*vacCache)
+// numOwnedVacancies returns the number of owned vacancies.
+func (st *State) numOwnedVacancies() int {
+	n := 0
 	for sec := range st.secVacs {
-		st.secVacs[sec] = nil
+		n += len(st.secVacs[sec])
+	}
+	return n
+}
+
+// rebuildVacancyIndex reconstructs the vacancy index from the current
+// occupancy — used after a checkpoint restore.
+func (st *State) rebuildVacancyIndex() {
+	for sec := range st.secVacs {
+		st.secVacs[sec] = st.secVacs[sec][:0]
 	}
 	st.Box.EachOwned(func(_ lattice.Coord, local int) {
 		if st.Occ[local] == Vacant {
@@ -92,35 +103,40 @@ func (st *State) rebuildVacancyIndex() {
 //mdvet:hot
 func (st *State) invalidateNear(c lattice.Coord) {
 	r := int32(st.dependReach)
-	for _, vc := range st.rateCache {
-		if !vc.valid {
-			continue
-		}
-		dx, dy, dz := vc.cx-c.X, vc.cy-c.Y, vc.cz-c.Z
-		if dx < 0 {
-			dx = -dx
-		}
-		if dy < 0 {
-			dy = -dy
-		}
-		if dz < 0 {
-			dz = -dz
-		}
-		if dx <= r && dy <= r && dz <= r {
-			vc.valid = false
+	for sec := range st.secVacs {
+		list := st.secVacs[sec]
+		for i := range list {
+			vc := &list[i]
+			if !vc.valid {
+				continue
+			}
+			dx, dy, dz := vc.cx-c.X, vc.cy-c.Y, vc.cz-c.Z
+			if dx < 0 {
+				dx = -dx
+			}
+			if dy < 0 {
+				dy = -dy
+			}
+			if dz < 0 {
+				dz = -dz
+			}
+			if dx <= r && dy <= r && dz <= r {
+				vc.valid = false
+			}
 		}
 	}
 }
 
-// ratesOf returns the up-to-date candidate rates of owned vacancy v,
+// ratesOf brings the candidate rates of owned vacancy vc up to date,
 // recomputing the entry when stale — or always, in full-rescan debug mode,
 // which makes this exactly the seed's per-event enumeration.
 //
 //mdvet:hot
-func (st *State) ratesOf(v int, vc *vacCache) *vacCache {
+func (st *State) ratesOf(vc *vacCache) {
 	if vc.valid && !st.fullRescan {
-		return vc
+		return
 	}
+	v := vc.site
 	basis := v & 1
 	cv := lattice.Coord{X: vc.cx, Y: vc.cy, Z: vc.cz, B: int8(basis)}
 	vc.n = len(st.shell1[basis])
@@ -138,7 +154,6 @@ func (st *State) ratesOf(v int, vc *vacCache) *vacCache {
 		vc.mask |= 1 << uint(k)
 	}
 	vc.valid = true
-	return vc
 }
 
 // sectorRate returns the total transition rate of sector sec, refreshing
@@ -149,8 +164,10 @@ func (st *State) ratesOf(v int, vc *vacCache) *vacCache {
 //mdvet:hot
 func (st *State) sectorRate(sec int) float64 {
 	var total float64
-	for _, v := range st.secVacs[sec] {
-		vc := st.ratesOf(v, st.rateCache[v])
+	list := st.secVacs[sec]
+	for i := range list {
+		vc := &list[i]
+		st.ratesOf(vc)
 		for k := 0; k < vc.n; k++ {
 			if vc.mask&(1<<uint(k)) != 0 {
 				total += vc.rates[k]
@@ -170,14 +187,15 @@ func (st *State) sectorRate(sec int) float64 {
 func (st *State) pickEvent(sec int, u float64) (site, target int) {
 	acc := 0.0
 	site, target = -1, -1
-	for _, v := range st.secVacs[sec] {
-		vc := st.rateCache[v]
-		basis := v & 1
+	list := st.secVacs[sec]
+	for i := range list {
+		vc := &list[i]
+		shell := st.shell1[vc.site&1]
 		for k := 0; k < vc.n; k++ {
 			if vc.mask&(1<<uint(k)) == 0 {
 				continue
 			}
-			site, target = v, v+int(st.shell1[basis][k])
+			site, target = vc.site, vc.site+int(shell[k])
 			acc += vc.rates[k]
 			if u < acc {
 				return

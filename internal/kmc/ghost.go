@@ -2,6 +2,7 @@ package kmc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mdkmc/internal/halo"
@@ -44,17 +45,16 @@ func (st *State) exchangeBand(tag, band, sec int) {
 // contains the wrapped cell w: the owners of all cells within the ghost
 // distance of w, found by probing the 27 cube corners (rank regions are
 // axis-aligned boxes at least one ghost width wide, so corners suffice).
+// It is a pure function of the grid; the flush reads it through interestOf.
 func (st *State) interestedRanks(w lattice.Coord) []int {
 	me := st.Comm.Rank()
 	g := int32(st.Box.Ghost)
 	var out []int
-	seen := map[int]bool{me: true}
 	for dz := int32(-1); dz <= 1; dz++ {
 		for dy := int32(-1); dy <= 1; dy++ {
 			for dx := int32(-1); dx <= 1; dx++ {
 				r := st.Grid.RankOfCell(w.X+dx*g, w.Y+dy*g, w.Z+dz*g)
-				if !seen[r] {
-					seen[r] = true
+				if r != me && !slices.Contains(out, r) {
 					out = append(out, r)
 				}
 			}
@@ -62,6 +62,31 @@ func (st *State) interestedRanks(w lattice.Coord) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// interestOf returns the plan peers (as indices into plan.Peers) interested
+// in the cell of local site local, whose wrapped coordinate is w. The
+// answer is computed on a cell's first flush and remembered as an index
+// into the short table of distinct lists (a few per axis, so far fewer
+// than the uint16 holds).
+func (st *State) interestOf(local int, w lattice.Coord) []int {
+	cell := local >> 1
+	if id := st.interestID[cell]; id != 0 {
+		return st.interests[id-1]
+	}
+	var peers []int
+	for _, r := range st.interestedRanks(w) {
+		if i, ok := slices.BinarySearch(st.plan.Peers, r); ok {
+			peers = append(peers, i)
+		}
+	}
+	id := slices.IndexFunc(st.interests, func(l []int) bool { return slices.Equal(l, peers) })
+	if id < 0 {
+		id = len(st.interests)
+		st.interests = append(st.interests, peers)
+	}
+	st.interestID[cell] = uint16(id + 1)
+	return st.interests[id]
 }
 
 // dirtyRecord is one affected site on the wire: wrapped cell, basis,
@@ -82,8 +107,7 @@ func (st *State) applyDirty(data []byte, from int) {
 	for !u.Done() {
 		w := lattice.Coord{X: u.I32(), Y: u.I32(), Z: u.I32(), B: int8(u.U8())}
 		occ := u.U8()
-		key := st.cellKey(w.X, w.Y, w.Z)
-		base, ok := st.wrapped[key]
+		base, ok := st.localBase(w.X, w.Y, w.Z)
 		if !ok {
 			//mdvet:panics ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
 			panic(fmt.Errorf("kmc: rank %d sent update for invisible cell %+v", from, w))
@@ -96,39 +120,33 @@ func (st *State) applyDirty(data []byte, from int) {
 // only the sites affected during the sector travel, to exactly the ranks
 // that can see them (Figure 8(d)).
 func (st *State) flushOnDemand() {
-	// Deterministic order over the dirty set.
-	dirtySorted := make([]int, 0, len(st.dirty))
-	for s := range st.dirty {
-		dirtySorted = append(dirtySorted, s)
+	// Deterministic order over the dirty set: ascending, each site once.
+	sort.Ints(st.dirty)
+	for i := range st.packers {
+		st.packers[i].Reset()
 	}
-	sort.Ints(dirtySorted)
-	st.dirty = make(map[int]bool)
-	st.tel.dirtySites.Add(int64(len(dirtySorted)))
-
-	byPeer := make(map[int]*halo.Packer)
-	for _, local := range dirtySorted {
-		c := st.Box.GlobalCoord(local)
-		w := st.L.Wrap(c)
-		for _, r := range st.interestedRanks(w) {
-			p := byPeer[r]
-			if p == nil {
-				p = &halo.Packer{}
-				byPeer[r] = p
-			}
-			packDirty(p, w, st.Occ[local])
+	sites, prev := 0, -1
+	for _, local := range st.dirty {
+		if local == prev {
+			continue
+		}
+		prev = local
+		sites++
+		w := st.L.Wrap(st.Box.GlobalCoord(local))
+		for _, i := range st.interestOf(local, w) {
+			packDirty(&st.packers[i], w, st.Occ[local])
 		}
 	}
+	st.dirty = st.dirty[:0]
+	st.tel.dirtySites.Add(int64(sites))
 
 	switch st.Cfg.Protocol {
 	case OnDemand:
 		// Two-sided: a (possibly zero-size) message to every peer, because
 		// the receiver cannot otherwise know nothing is coming — the
 		// drawback the paper calls out.
-		for _, peer := range st.plan.Peers {
-			var payload []byte
-			if p := byPeer[peer]; p != nil {
-				payload = p.Bytes()
-			}
+		for i, peer := range st.plan.Peers {
+			payload := st.packers[i].Bytes()
 			st.Comm.Send(peer, tagKDirty, payload)
 			st.tel.dirtyBytes.Add(int64(len(payload)))
 		}
@@ -139,10 +157,10 @@ func (st *State) flushOnDemand() {
 		}
 	case OnDemandOneSided:
 		// One-sided: only ranks with updates put; the fence synchronizes.
-		for _, peer := range st.plan.Peers {
-			if p := byPeer[peer]; p != nil && len(p.Bytes()) > 0 {
-				st.win.Put(peer, p.Bytes())
-				st.tel.dirtyBytes.Add(int64(len(p.Bytes())))
+		for i, peer := range st.plan.Peers {
+			if payload := st.packers[i].Bytes(); len(payload) > 0 {
+				st.win.Put(peer, payload)
+				st.tel.dirtyBytes.Add(int64(len(payload)))
 			}
 		}
 		for _, m := range st.win.Fence() {

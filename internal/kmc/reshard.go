@@ -62,14 +62,13 @@ func (st *State) RestoreResharded(src ShardSource) error {
 		srcBox.EachOwned(func(c lattice.Coord, srcLocal int) {
 			covered++
 			occ := cp.Occ[srcLocal]
-			key := st.cellKey(c.X, c.Y, c.Z)
-			base, ok := st.wrapped[key]
+			base, ok := st.localBase(c.X, c.Y, c.Z)
 			if !ok {
 				return // outside my local region
 			}
-			for _, member := range st.imageBases(base) {
+			st.eachImage(base, func(member int) {
 				st.Occ[member+int(c.B)] = occ
-			}
+			})
 		})
 	}
 	if covered != st.L.NumSites() {

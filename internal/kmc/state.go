@@ -1,7 +1,9 @@
 package kmc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mdkmc/internal/eam"
@@ -35,16 +37,15 @@ type State struct {
 	en     energetics
 	kBT    float64
 	deltas [2][]int32
-	shell1 [2][]int32 // first-shell (hop target) deltas per basis
-	reach  int        // interaction reach in cells
+	shell1 [2][]int32     // first-shell (hop target) deltas per basis
+	hops   [2][][]hopSite // per basis and first-shell hop: the bystander stencil
+	reach  int            // interaction reach in cells
 
-	ownedVac map[int]bool // owned local sites currently vacant
-
-	// Incremental event-rate bookkeeping (events.go): per-vacancy cached
-	// candidate hop rates, per-sector selection lists, and the exact
-	// occupancy-dependency radius that drives invalidation.
-	rateCache   map[int]*vacCache
-	secVacs     [8][]int
+	// The vacancy index (events.go): per sector, the owned vacancies in
+	// ascending site order, each entry carrying its cached candidate hop
+	// rates; and the exact occupancy-dependency radius that drives
+	// invalidation.
+	secVacs     [8][]vacCache
 	dependReach int // cells: occupancy changes within it stale a cached rate
 	// fullRescan recomputes every rate at every selection. Nothing in
 	// production sets it: the in-package equivalence tests and
@@ -57,11 +58,19 @@ type State struct {
 	// refreshed before the sector and a one-cell write band pushed back
 	// after it — because the on-demand protocols route dirty sites by
 	// interest instead.
-	plan    *halo.Plan
-	groups  map[int][]int // local base site -> all local images of the wrapped cell
-	wrapped map[int]int   // wrapped global cell key -> one local base index
-	dirty   map[int]bool  // canonical local site indices changed since last flush
-	win     *mpi.Win
+	plan *halo.Plan
+	// images[d][i] lists, ascending, the storage indices along axis d that
+	// are periodic images of index i (itself included): more than one only
+	// where the local extent exceeds the lattice period on that axis.
+	images [3][][]int
+	// The on-demand flush (ghost.go): canonical local sites changed since
+	// the last flush (unsorted, may repeat), one packer per plan peer, and
+	// the lazily filled cell -> interested-peers memo.
+	dirty      []int
+	packers    []halo.Packer
+	interestID []uint16 // per local cell: 1 + index into interests; 0 = not yet computed
+	interests  [][]int  // the distinct interested-peer lists, as indices into plan.Peers
+	win        *mpi.Win
 
 	rng *rng.Source
 
@@ -142,21 +151,22 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		}
 	}
 	st := &State{
-		Cfg:       cfg,
-		Comm:      comm,
-		L:         l,
-		Grid:      grid,
-		Box:       box,
-		Tab:       tab,
-		Pot:       pot,
-		kBT:       units.Boltzmann * cfg.Temperature,
-		reach:     reach,
-		ownedVac:  make(map[int]bool),
-		rateCache: make(map[int]*vacCache),
-		dirty:     make(map[int]bool),
-		rng:       rng.New(cfg.Seed),
+		Cfg:   cfg,
+		Comm:  comm,
+		L:     l,
+		Grid:  grid,
+		Box:   box,
+		Tab:   tab,
+		Pot:   pot,
+		kBT:   units.Boltzmann * cfg.Temperature,
+		reach: reach,
+		rng:   rng.New(cfg.Seed),
 	}
-	st.en = energetics{pot: pot, shells: newShellTables(pot, tab)}
+	st.en = energetics{
+		pot:    pot,
+		shells: newShellTables(pot, tab),
+		memo:   make([]embedMemo, box.NumLocalSites()),
+	}
 	st.dependReach = st.en.dependencyReach(reach)
 	st.buildDeltas()
 	st.buildImages()
@@ -165,6 +175,10 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		classes = bandClasses()
 	}
 	st.plan = halo.Build(grid, comm.Rank(), ghost, classes, classifyBand)
+	if cfg.Protocol != Traditional {
+		st.packers = make([]halo.Packer, len(st.plan.Peers))
+		st.interestID = make([]uint16, box.NumLocalSites()/2)
+	}
 	st.initOccupancy()
 	st.initRho()
 	if cfg.Protocol == OnDemandOneSided {
@@ -179,21 +193,54 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 
 func (st *State) buildDeltas() {
 	ex, ey := st.Box.Ext(0), st.Box.Ext(1)
+	var sorted [2][]hopSite // the shell of each basis in ascending flat delta; ks = offset index
 	for b := int8(0); b <= 1; b++ {
 		offs := st.Tab.PerBase[b]
 		d := make([]int32, len(offs))
+		sorted[b] = make([]hopSite, len(offs))
 		for i, o := range offs {
 			d[i] = int32(((int(o.DZ)*ey+int(o.DY))*ex+int(o.DX))*2 + int(o.DB) - int(b))
+			sorted[b][i] = hopSite{d: d[i], ks: int16(i)}
 		}
+		slices.SortFunc(sorted[b], func(x, y hopSite) int { return cmp.Compare(x.d, y.d) })
 		st.deltas[b] = d
 		n := len(st.Tab.FirstShell(b))
 		st.shell1[b] = d[:n]
 	}
+	for b := 0; b < 2; b++ {
+		st.hops[b] = make([][]hopSite, len(st.shell1[b]))
+		for h, dn := range st.shell1[b] {
+			st.hops[b][h] = mergeHop(sorted[b], sorted[st.Tab.PerBase[b][h].DB], dn)
+		}
+	}
 }
 
-// cellKey returns a map key for a wrapped global cell.
-func (st *State) cellKey(x, y, z int32) int {
-	return (int(z)*st.L.Ny+int(y))*st.L.Nx + int(x)
+// mergeHop builds the bystander stencil of the hop from a site s to its
+// neighbor n = s+dn: the union of the shell around s and the shell around n
+// (both ascending in flat delta, the latter relative to n), without s and n
+// themselves, ascending in flat delta from s.
+func mergeHop(aroundS, aroundN []hopSite, dn int32) []hopSite {
+	out := make([]hopSite, 0, len(aroundS)+len(aroundN))
+	i, j := 0, 0
+	for i < len(aroundS) || j < len(aroundN) {
+		e := hopSite{ks: -1, kn: -1}
+		switch {
+		case j == len(aroundN) || i < len(aroundS) && aroundS[i].d < aroundN[j].d+dn:
+			e.d, e.ks = aroundS[i].d, aroundS[i].ks
+			i++
+		case i == len(aroundS) || aroundN[j].d+dn < aroundS[i].d:
+			e.d, e.kn = aroundN[j].d+dn, aroundN[j].ks
+			j++
+		default:
+			e.d, e.ks, e.kn = aroundS[i].d, aroundS[i].ks, aroundN[j].ks
+			i++
+			j++
+		}
+		if e.d != 0 && e.d != dn {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // The halo classes of the traditional protocol: sector sec's read halo is
@@ -236,39 +283,89 @@ func classifyBand(holder *lattice.Box, c lattice.Coord) uint32 {
 	return mask
 }
 
-// buildImages groups the local cells that are periodic images of one
-// wrapped cell (a subdomain spanning a whole periodic dimension holds its
-// own images in its halo) and indexes every visible wrapped cell.
+// buildImages tabulates, per axis, which storage indices are periodic
+// images of each other: a subdomain whose extent plus halo exceeds the
+// lattice period on an axis holds its own images in its halo there. The
+// local images of a cell are the product of its three per-axis lists.
 func (st *State) buildImages() {
-	l, box := st.L, st.Box
-	st.groups = make(map[int][]int)
-	st.wrapped = make(map[int]int)
-	byWrapped := make(map[int][]int)
-	for z := box.Lo[2] - box.Ghost; z < box.Hi[2]+box.Ghost; z++ {
-		for y := box.Lo[1] - box.Ghost; y < box.Hi[1]+box.Ghost; y++ {
-			for x := box.Lo[0] - box.Ghost; x < box.Hi[0]+box.Ghost; x++ {
-				c := lattice.Coord{X: int32(x), Y: int32(y), Z: int32(z)}
-				w := l.Wrap(c)
-				key := st.cellKey(w.X, w.Y, w.Z)
-				byWrapped[key] = append(byWrapped[key], box.LocalIndex(c))
+	for d, period := range [3]int{st.L.Nx, st.L.Ny, st.L.Nz} {
+		ext := st.Box.Ext(d)
+		st.images[d] = make([][]int, ext)
+		for i := range st.images[d] {
+			if i >= period {
+				st.images[d][i] = st.images[d][i-period]
+				continue
+			}
+			for j := i; j < ext; j += period {
+				st.images[d][i] = append(st.images[d][i], j)
 			}
 		}
 	}
-	for key, members := range byWrapped {
-		sort.Ints(members)
-		st.wrapped[key] = members[0]
-		for _, m := range members {
-			if box.Owns(box.GlobalCoord(m)) {
-				st.wrapped[key] = m
-				break
-			}
-		}
-		if len(members) > 1 {
-			for _, m := range members {
-				st.groups[m] = members
+}
+
+// cellAxes splits a local site index into its per-axis storage indices.
+func (st *State) cellAxes(local int) [3]int {
+	ex, ey := st.Box.Ext(0), st.Box.Ext(1)
+	cell := local >> 1
+	return [3]int{cell % ex, cell / ex % ey, cell / (ex * ey)}
+}
+
+// baseAt returns the basis-0 local index of the cell at per-axis storage
+// indices a.
+func (st *State) baseAt(a [3]int) int {
+	return ((a[2]*st.Box.Ext(1)+a[1])*st.Box.Ext(0) + a[0]) * 2
+}
+
+// eachImage calls fn with the basis-0 local index of every local image of
+// the cell containing local (itself included), in ascending order.
+func (st *State) eachImage(local int, fn func(base int)) {
+	a := st.cellAxes(local)
+	for _, z := range st.images[2][a[2]] {
+		for _, y := range st.images[1][a[1]] {
+			for _, x := range st.images[0][a[0]] {
+				fn(st.baseAt([3]int{x, y, z}))
 			}
 		}
 	}
+}
+
+// ownedImage returns the per-axis storage indices of the owned image of the
+// cell at a, if it has one.
+func (st *State) ownedImage(a [3]int) (owned [3]int, ok bool) {
+	g := st.Box.Ghost
+	for d := range a {
+		owned[d] = -1
+		for _, j := range st.images[d][a[d]] {
+			if j >= g && j < st.Box.Ext(d)-g {
+				owned[d] = j
+			}
+		}
+		if owned[d] < 0 {
+			return owned, false
+		}
+	}
+	return owned, true
+}
+
+// localBase returns the basis-0 local index of a local image of the wrapped
+// global cell (x,y,z) — the owned image if there is one, else the lowest —
+// and whether the cell is visible here at all.
+func (st *State) localBase(x, y, z int32) (int, bool) {
+	w := [3]int{int(x), int(y), int(z)}
+	var a [3]int
+	for d, period := range [3]int{st.L.Nx, st.L.Ny, st.L.Nz} {
+		a[d] = (w[d] - (st.Box.Lo[d] - st.Box.Ghost)) % period
+		if a[d] < 0 {
+			a[d] += period
+		}
+		if a[d] >= st.Box.Ext(d) {
+			return 0, false
+		}
+	}
+	if owned, ok := st.ownedImage(a); ok {
+		a = owned
+	}
+	return st.baseAt(a), true
 }
 
 // initOccupancy fills the box with atoms and seeds the vacancies: from the
@@ -324,14 +421,13 @@ func (st *State) randomSites(concentration float64, salt uint64) []int {
 // vacancy index. Used only during initialization, before ρ is computed.
 func (st *State) placeSite(g int, occ uint8) {
 	c := st.L.Coord(g)
-	key := st.cellKey(c.X, c.Y, c.Z)
-	base, ok := st.wrapped[key]
+	base, ok := st.localBase(c.X, c.Y, c.Z)
 	if !ok {
 		return // not in my local region
 	}
-	for _, member := range st.imageBases(base) {
+	st.eachImage(base, func(member int) {
 		st.Occ[member+int(c.B)] = occ
-	}
+	})
 	if st.Box.Owns(st.Box.GlobalCoord(base)) {
 		if occ == Vacant {
 			st.vacAdd(base + int(c.B))
@@ -339,15 +435,6 @@ func (st *State) placeSite(g int, occ uint8) {
 			st.vacRemove(base + int(c.B))
 		}
 	}
-}
-
-// imageBases returns all local base indices of the cell containing base
-// (itself included).
-func (st *State) imageBases(base int) []int {
-	if g, ok := st.groups[base]; ok {
-		return g
-	}
-	return []int{base}
 }
 
 // initRho computes the electron density of every local site from scratch.
@@ -383,38 +470,35 @@ func (st *State) initRho() {
 	}
 }
 
-// cellBaseOf returns the base-0 site index of the cell containing local.
-func cellBaseOf(local int) int { return local &^ 1 }
-
 // interiorOf reports whether the site's cell is at least margin cells away
 // from every edge of the local storage region, i.e. whether flat index
 // deltas of that reach are guaranteed not to wrap across rows.
 func (st *State) interiorOf(local, margin int) bool {
-	ex, ey, ez := st.Box.Ext(0), st.Box.Ext(1), st.Box.Ext(2)
-	cell := local >> 1
-	lx := cell % ex
-	ly := (cell / ex) % ey
-	lz := cell / (ex * ey)
-	return lx >= margin && lx < ex-margin &&
-		ly >= margin && ly < ey-margin &&
-		lz >= margin && lz < ez-margin
+	for d, i := range st.cellAxes(local) {
+		if i < margin || i >= st.Box.Ext(d)-margin {
+			return false
+		}
+	}
+	return true
 }
 
 // setOcc writes occupancy to every local image of the site, maintains ρ
 // incrementally, and invalidates the cached hop rates of every vacancy
 // whose footprint can see the change. markDirty records the change for the
 // on-demand flush.
+//
+//mdvet:hot
 func (st *State) setOcc(local int, occ uint8, markDirty bool) {
 	if st.Occ[local] == occ {
 		return
 	}
 	basis := local & 1
 	sh := st.en.shells
-	for _, base := range st.imageBases(cellBaseOf(local)) {
+	st.eachImage(local, func(base int) {
 		img := base + basis
 		old := st.Occ[img]
 		if old == occ {
-			continue
+			return
 		}
 		st.Occ[img] = occ
 		c := st.Box.GlobalCoord(img)
@@ -440,29 +524,28 @@ func (st *State) setOcc(local int, occ uint8, markDirty bool) {
 			}
 		}
 		st.invalidateNear(c)
-	}
+	})
 	if markDirty {
-		st.dirty[st.canonical(local)] = true
+		st.dirty = append(st.dirty, st.canonical(local))
 	}
 }
 
 // canonical returns the preferred local representative (owned if possible)
 // of the site's image group.
 func (st *State) canonical(local int) int {
-	basis := local & 1
-	for _, base := range st.imageBases(cellBaseOf(local)) {
-		if st.Box.Owns(st.Box.GlobalCoord(base)) {
-			return base + basis
-		}
+	if owned, ok := st.ownedImage(st.cellAxes(local)); ok {
+		return st.baseAt(owned) + local&1
 	}
 	return local
 }
 
 // OwnedVacancies returns the owned vacancy local indices in sorted order.
 func (st *State) OwnedVacancies() []int {
-	out := make([]int, 0, len(st.ownedVac))
-	for v := range st.ownedVac {
-		out = append(out, v)
+	out := make([]int, 0, st.numOwnedVacancies())
+	for sec := range st.secVacs {
+		for i := range st.secVacs[sec] {
+			out = append(out, st.secVacs[sec][i].site)
+		}
 	}
 	sort.Ints(out)
 	return out
@@ -470,7 +553,7 @@ func (st *State) OwnedVacancies() []int {
 
 // GlobalVacancyCount returns the total vacancy count (collective).
 func (st *State) GlobalVacancyCount() int {
-	tot := st.Comm.Allreduce(mpi.Sum, float64(len(st.ownedVac)))
+	tot := st.Comm.Allreduce(mpi.Sum, float64(st.numOwnedVacancies()))
 	return int(tot[0] + 0.5)
 }
 

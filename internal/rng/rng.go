@@ -29,12 +29,19 @@ func splitmix64(state *uint64) uint64 {
 // deterministic stream-derivation function: Mix(seed, rank, sector, step)
 // yields the same value on every run and every process layout.
 func Mix(words ...uint64) uint64 {
-	state := uint64(0x243f6a8885a308d3) // pi fractional bits
+	state := absorb(mixInit, words)
+	return splitmix64(&state)
+}
+
+const mixInit uint64 = 0x243f6a8885a308d3 // pi fractional bits
+
+// absorb folds words into a Mix state.
+func absorb(state uint64, words []uint64) uint64 {
 	for _, w := range words {
 		state ^= w
 		_ = splitmix64(&state)
 	}
-	return splitmix64(&state)
+	return state
 }
 
 // Source is a xoshiro256** generator. The zero value is not usable; create
@@ -58,10 +65,18 @@ func New(seed uint64) *Source {
 //
 //	r := rng.New(cfg.Seed).Derive(uint64(rank), uint64(sector))
 func (s *Source) Derive(words ...uint64) *Source {
-	all := make([]uint64, 0, len(words)+4)
-	all = append(all, s.s[0], s.s[1], s.s[2], s.s[3])
-	all = append(all, words...)
-	return New(Mix(all...))
+	src := s.Fork(words...)
+	return &src
+}
+
+// Fork is Derive returning the Source by value: the same stream, with
+// nothing on the heap when the result stays a local — the per-sector,
+// per-cycle streams of the KMC inner loop.
+func (s *Source) Fork(words ...uint64) Source {
+	state := absorb(absorb(mixInit, s.s[:]), words)
+	var src Source
+	src.Reseed(splitmix64(&state))
+	return src
 }
 
 // Reseed reinitializes the source from seed.

@@ -68,6 +68,31 @@ func TestDeriveIndependentOfDrawPosition(t *testing.T) {
 	}
 }
 
+// TestForkIsDeriveByValue: Fork and Derive are one stream, the one the
+// slice-building derivation New(Mix(state words..., coordinates...)) defined,
+// and Fork keeps it off the heap.
+func TestForkIsDeriveByValue(t *testing.T) {
+	parent := New(11)
+	parent.Uint64()
+	want := New(Mix(parent.s[0], parent.s[1], parent.s[2], parent.s[3], 4, 1999, 7))
+	byPtr := parent.Derive(4, 1999, 7)
+	byVal := parent.Fork(4, 1999, 7)
+	for i := 0; i < 64; i++ {
+		w := want.Uint64()
+		if p, v := byPtr.Uint64(), byVal.Uint64(); p != w || v != w {
+			t.Fatalf("draw %d: Derive %#x, Fork %#x, want %#x", i, p, v, w)
+		}
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		src := parent.Fork(4, 1999, 7)
+		sink += src.Exp()
+	}); n != 0 {
+		t.Errorf("Fork allocates %v times per call", n)
+	}
+	_ = sink
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {
