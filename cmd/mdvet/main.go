@@ -1,18 +1,24 @@
 // Command mdvet is the repository's domain-specific static-analysis gate
-// (DESIGN.md §12, §17). It runs eight analyzers that encode the
-// determinism, collective-symmetry, and checkpoint/preemption contracts
-// the paper's results rest on:
+// (DESIGN.md §12). It runs eight analyzers that encode the determinism,
+// collective-symmetry, and checkpoint/preemption contracts the paper's
+// results rest on:
 //
-//	collsym      mpi collectives under rank-dependent control flow
+//	collsym      collectives — mpi's, the ones known by name, functions
+//	             and methods marked //mdvet:collective, and helpers that
+//	             reach one — under rank-dependent control flow, or skipped
+//	             by a rank-dependent early exit
 //	maporder     order-sensitive work inside map iteration
 //	rngtime      wall-clock/global-rand use in deterministic packages
 //	hotalloc     allocation hazards in //mdvet:hot functions
 //	hashcover    struct fields invisible to the struct's Hash method
 //	spanbalance  telemetry spans that do not End on every path
-//	preemptpoll  simulation loops without a preemption boundary;
-//	             rank-guarded paths into collectives across calls
+//	preemptpoll  simulation-advancing loops that reach no preemption
+//	             boundary (Preemptor.Poll, Comm.FaultPoint)
 //	errpanic     bare panics in the library packages the serve layer
 //	             links against
+//
+// Exemptions are all one directive, //mdvet:ignore <analyzer> <reason>;
+// an unused, unknown or misplaced //mdvet: comment is itself a finding.
 //
 // Two invocation modes:
 //
@@ -37,7 +43,6 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"strings"
@@ -180,30 +185,13 @@ func unitcheck(cfgPath string) int {
 		}
 		return os.Open(file)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
+	pkg, err := analysis.NewPackage(cfg.ImportPath, fset, files, importer.ForCompiler(fset, "gc", lookup))
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
 		}
 		fmt.Fprintln(os.Stderr, "mdvet:", err)
 		return 1
-	}
-	pkg := &analysis.Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		Dirs:       analysis.NewDirectives(fset, files),
 	}
 	diags, err := analysis.Check([]*analysis.Package{pkg}, analyzers)
 	if err != nil {

@@ -26,8 +26,8 @@ func TestTreeIsClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 	// The reasoned exemptions in force are pinned, not just printed by
-	// `make lint`: a new //mdvet:hashexempt, //mdvet:panics or //mdvet:ignore
-	// is a decision that has to show up here (and in DESIGN.md §17).
+	// `make lint`: a new //mdvet:ignore is a decision that has to show up
+	// here (and in DESIGN.md §12).
 	wantSuppressed := map[string]int{"hashcover": 11, "preemptpoll": 1, "errpanic": 17}
 	for _, s := range stats {
 		if s.Suppressed != wantSuppressed[s.Analyzer] {

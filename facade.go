@@ -21,8 +21,6 @@ type (
 	MDConfig = md.Config
 	// PKA configures the primary knock-on atom of a cascade.
 	PKA = md.PKA
-	// Berendsen configures the equilibration thermostat.
-	Berendsen = md.Berendsen
 	// KMCConfig configures a Kinetic Monte Carlo run (see kmc.Config).
 	KMCConfig = kmc.Config
 	// Protocol selects the KMC ghost-communication strategy.
@@ -41,17 +39,12 @@ type (
 	Spectrum = couple.Spectrum
 	// ClusterAnalysis summarizes vacancy clustering.
 	ClusterAnalysis = cluster.Analysis
-	// CommStats counts messages and bytes exchanged.
-	CommStats = mpi.Stats
 	// Coord identifies a lattice site.
 	Coord = lattice.Coord
 	// Checkpoint configures periodic snapshots and restart.
 	Checkpoint = couple.Checkpoint
 	// Manifest describes one committed snapshot (see LatestCheckpoint).
 	Manifest = couple.Manifest
-	// Topology records the Cartesian decomposition a snapshot was written
-	// under; restarts onto a different topology re-shard (DESIGN.md §14).
-	Topology = couple.Topology
 	// Rebalance configures the telemetry-calibrated dynamic load balancer.
 	Rebalance = couple.Rebalance
 	// Fault schedules an injected rank failure for recovery testing.
@@ -99,13 +92,11 @@ func WithTelemetry(opts TelemetryOptions) RunOption { return couple.WithTelemetr
 // continuation is bit-identical; on a different one it re-shards elastically.
 func WithPreemption(p *Preemptor) RunOption { return couple.WithPreemption(p) }
 
-// Fault-injection points understood by Fault.Point, plus the environment
-// variable holding an out-of-band fault plan ("point:rank:step,...").
+// Fault-injection points understood by Fault.Point (ParseFaults also
+// accepts "checkpoint-commit", the point inside the snapshot commit).
 const (
-	FaultPointMDStep           = mpi.PointMDStep
-	FaultPointKMCCycle         = mpi.PointKMCCycle
-	FaultPointCheckpointCommit = mpi.PointCheckpointCommit
-	FaultEnvVar                = mpi.EnvFault
+	FaultPointMDStep   = mpi.PointMDStep
+	FaultPointKMCCycle = mpi.PointKMCCycle
 )
 
 // ParseFaults parses a comma-separated "point:rank:step" fault plan, the

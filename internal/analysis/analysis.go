@@ -2,10 +2,10 @@
 // small, standard-library-only reimplementation of the subset of
 // golang.org/x/tools/go/analysis that the repository's domain checkers
 // need (the build environment is offline, so the x/tools module cannot be
-// vendored; the API mirrors the upstream shape so the analyzers port
+// vendored; a Pass exposes the upstream field names so the analyzers port
 // directly if the dependency ever becomes available).
 //
-// The framework exists to enforce, at compile time, the two contracts the
+// The framework exists to enforce, at compile time, the contracts the
 // paper's results rest on and that this repo otherwise proves only
 // dynamically (DESIGN.md §12):
 //
@@ -15,31 +15,40 @@
 //     simulation packages;
 //   - collective symmetry: every rank enters every mpi collective in the
 //     same order (the Allgather generation race class), which forbids
-//     rank-dependent collective call shapes.
+//     rank-dependent collective call shapes;
+//   - restart and preemption: every config field feeds the restart hash,
+//     every advancing loop reaches a checkpoint boundary, and library
+//     code fails by returned error.
 //
 // An analyzer inspects one type-checked package at a time through a Pass
-// and reports Diagnostics. Source-level directives tune the checks:
+// and reports Diagnostics. Besides the driver (Check, Load) the package is
+// the analyzers' shared matcher core — each question two analyzers ask is
+// answered here once: MethodOn/IsMethod (which method is this callee),
+// IsBuiltinCall, PropagatesError (the rank-abort exemption), InspectFunc
+// and ParentMap (scope-local walks), RankDependent/WalkRankGuarded (the
+// rank-guard state), Package.Graph (one call-graph summary per package)
+// and Package.ScopedFiles (which files a path-scoped contract covers).
 //
-//	//mdvet:ignore <analyzer> <reason>   suppress findings on this or the
-//	                                     next line; the reason is mandatory
-//	//mdvet:hashexempt <reason>          exclude this struct field from the
-//	                                     hashcover contract (documented
-//	                                     restart-neutral knob)
-//	//mdvet:panics <reason>              license a bare panic on this or
-//	                                     the next line for errpanic
+// Three source-level directives tune the checks:
+//
+//	//mdvet:ignore <analyzer> <reason>   suppress that analyzer's findings
+//	                                     on this or the next line; the
+//	                                     reason is mandatory. This is the
+//	                                     one exemption form: a restart-
+//	                                     neutral field is `ignore
+//	                                     hashcover`, a licensed panic is
+//	                                     `ignore errpanic`
 //	//mdvet:hot                          (func doc) zero-alloc hot path —
 //	                                     checked by hotalloc
 //	//mdvet:collective                   (func doc) every rank must call
-//	                                     this function in lockstep —
-//	                                     treated like an mpi collective by
-//	                                     collsym and preemptpoll
-//	//mdvet:boundary                     (func doc) declared checkpoint/
-//	                                     preemption boundary — satisfies
-//	                                     the preemptpoll loop contract
+//	                                     this function or method in
+//	                                     lockstep — collsym treats it like
+//	                                     an mpi collective
 //
-// Suppression directives are themselves audited: one that suppresses
-// nothing after every analyzer ran is reported as stale (Directives.Stale,
-// folded into Check).
+// Directives are themselves audited: an ignore that suppresses nothing
+// after every analyzer ran is reported as stale, and an unknown or
+// misplaced //mdvet: comment is a finding, not a silent no-op
+// (Directives.Stale and Directives.Bad, folded into Check).
 package analysis
 
 import (
@@ -48,6 +57,9 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
+
+	"mdkmc/internal/analysis/callgraph"
 )
 
 // An Analyzer is one named check. Run inspects the package in the Pass and
@@ -69,14 +81,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// A Pass connects one Analyzer run to one type-checked package.
+// A Pass connects one Analyzer run to one type-checked package, whose
+// fields (Fset, Files, Pkg, TypesInfo, Dirs) it exposes by embedding.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	Dirs      *Directives
+	Analyzer *Analyzer
+	*Package
 
 	sink       *[]Diagnostic
 	suppressed *int
@@ -87,9 +96,7 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	position := p.Fset.Position(pos)
 	if p.Dirs.Ignored(p.Analyzer.Name, position) {
-		if p.suppressed != nil {
-			*p.suppressed++
-		}
+		*p.suppressed++
 		return
 	}
 	*p.sink = append(*p.sink, Diagnostic{
@@ -99,67 +106,76 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// Exempted records that a would-be finding was excluded by a reasoned
-// exemption directive (//mdvet:hashexempt, //mdvet:panics), so Stats
-// counts it as suppressed alongside //mdvet:ignore hits and exemption
-// growth stays visible in lint output.
-func (p *Pass) Exempted() {
-	if p.suppressed != nil {
-		*p.suppressed++
-	}
+// A Package is one loaded, parsed, and type-checked package ready for
+// analysis.
+type Package struct {
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	Dirs      *Directives
+
+	graph *callgraph.Graph
 }
 
-// FuncDeclOf resolves a function or method object back to its declaration
-// in this package, or nil (for imported, builtin, or synthetic objects).
-func (p *Pass) FuncDeclOf(obj types.Object) *ast.FuncDecl {
-	if obj == nil {
-		return nil
+// NewPackage type-checks the parsed files as package path, resolving
+// imports through imp, and parses their //mdvet: directives. It is the one
+// constructor behind all three front ends (the standalone loader, the go
+// vet unitchecker mode, the fixture loader).
+func NewPackage(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*Package, error) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Implicits:  map[ast.Node]types.Object{},
 	}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Fset: fset, Files: files, Pkg: tpkg, TypesInfo: info, Dirs: NewDirectives(fset, files)}, nil
+}
+
+// Graph returns the package's call-graph summary, built on first use and
+// shared by every analyzer that runs over the package.
+func (p *Package) Graph() *callgraph.Graph {
+	if p.graph == nil {
+		p.graph = callgraph.New(p.Files, p.TypesInfo)
+	}
+	return p.graph
+}
+
+// ScopedFiles returns the files a contract scoped to pkgs covers: the
+// package's non-test files when its import path is one of pkgs (or, with
+// subtree, below one), else nil. The vet driver's in-package test variant
+// "pkg [pkg.test]" counts as pkg — its non-test files still carry the
+// contract — while _test.go files never do: harnesses panic, read the
+// clock, and loop without polling on purpose.
+func (p *Package) ScopedFiles(pkgs []string, subtree bool) []*ast.File {
+	path, _, _ := strings.Cut(p.Pkg.Path(), " ")
+	for _, scope := range pkgs {
+		if path == scope || subtree && strings.HasPrefix(path, scope+"/") {
+			var files []*ast.File
+			for _, f := range p.Files {
+				if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+					files = append(files, f)
+				}
 			}
-			if p.TypesInfo.Defs[fn.Name] == obj {
-				return fn
-			}
+			return files
 		}
 	}
 	return nil
 }
 
-// A Package is one loaded, parsed, and type-checked package ready for
-// analysis.
-type Package struct {
-	ImportPath string
-	Dir        string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
-	Dirs       *Directives
-}
-
-// RunAnalyzer applies one analyzer to one package and returns its findings.
-func RunAnalyzer(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
-	return runAnalyzer(pkg, a, nil)
-}
-
+// runAnalyzer applies one analyzer to one package and returns its
+// findings, counting the ones an //mdvet:ignore swallowed in *suppressed.
 func runAnalyzer(pkg *Package, a *Analyzer, suppressed *int) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer:   a,
-		Fset:       pkg.Fset,
-		Files:      pkg.Files,
-		Pkg:        pkg.Types,
-		TypesInfo:  pkg.Info,
-		Dirs:       pkg.Dirs,
-		sink:       &diags,
-		suppressed: suppressed,
-	}
+	pass := &Pass{Analyzer: a, Package: pkg, sink: &diags, suppressed: suppressed}
 	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
+		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Pkg.Path(), err)
 	}
 	return diags, nil
 }

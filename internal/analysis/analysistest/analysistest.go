@@ -47,15 +47,13 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
-		diags, err := analysis.RunAnalyzer(pkg, a)
+		// A fixture tree belongs to exactly one analyzer, so running it alone
+		// is the full suite for the directives the fixture carries: Check
+		// adds the malformed- and stale-directive findings.
+		diags, err := analysis.Check([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, path, err)
 		}
-		// Stale detection normally runs after the full suite (Check); a
-		// fixture tree belongs to exactly one analyzer, so running it alone
-		// is the full suite for the directives the fixture carries.
-		diags = append(diags, pkg.Dirs.Bad()...)
-		diags = append(diags, pkg.Dirs.Stale()...)
 		compare(t, pkg, diags)
 	}
 }
@@ -161,26 +159,9 @@ func (l *fixtureLoader) load(path string) (*analysis.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: (*fixtureImporter)(l)}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	pkg, err := analysis.NewPackage(path, l.fset, files, (*fixtureImporter)(l))
 	if err != nil {
 		return nil, err
-	}
-	pkg := &analysis.Package{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       l.fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		Dirs:       analysis.NewDirectives(l.fset, files),
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil
@@ -197,7 +178,7 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
+		return pkg.Pkg, nil
 	}
 	return l.std.Import(path)
 }

@@ -1,10 +1,11 @@
 // Package callgraph builds the lightweight per-package call-graph summary
-// shared by the interprocedural mdvet analyzers (hashcover, preemptpoll).
+// shared by the interprocedural mdvet analyzers (collsym, hashcover,
+// preemptpoll), which reach it through analysis.Package.Graph.
 //
 // The graph records, for every function declared with a body in one
 // type-checked package, the statically resolvable calls its body makes.
 // Resolution is deliberately simple — and its limits define the analyzers'
-// soundness boundary (DESIGN.md §17):
+// soundness boundary (DESIGN.md §12):
 //
 //   - only direct calls through an identifier or selector resolve
 //     (`f(x)`, `recv.M(x)`, `pkg.F(x)`); calls through function values,
@@ -40,7 +41,6 @@ type Edge struct {
 type Graph struct {
 	decls map[*types.Func]*ast.FuncDecl
 	calls map[*types.Func][]Edge
-	order []*types.Func
 }
 
 // New summarizes the package's files. info must carry Defs and Uses.
@@ -60,7 +60,6 @@ func New(files []*ast.File, info *types.Info) *Graph {
 				continue
 			}
 			g.decls[obj] = fn
-			g.order = append(g.order, obj)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -92,28 +91,9 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // DeclOf returns the declaration of a function declared with a body in
-// this package, or nil.
+// this package, or nil (imported, builtin, or synthetic objects).
 func (g *Graph) DeclOf(fn *types.Func) *ast.FuncDecl {
-	if g == nil {
-		return nil
-	}
 	return g.decls[fn]
-}
-
-// Calls returns fn's resolved call sites in source order.
-func (g *Graph) Calls(fn *types.Func) []Edge {
-	if g == nil {
-		return nil
-	}
-	return g.calls[fn]
-}
-
-// Funcs returns the declared functions in declaration order.
-func (g *Graph) Funcs() []*types.Func {
-	if g == nil {
-		return nil
-	}
-	return g.order
 }
 
 // FindTransitive walks the call graph from `from`, descending into bodies

@@ -47,7 +47,7 @@ func load(t *testing.T) (*Graph, *types.Info, map[string]*types.Func) {
 	}
 	g := New([]*ast.File{f}, info)
 	byName := map[string]*types.Func{}
-	for _, fn := range g.Funcs() {
+	for fn := range g.decls {
 		byName[fn.Name()] = fn
 	}
 	return g, info, byName
@@ -64,16 +64,16 @@ func TestEdgesAndDecls(t *testing.T) {
 		}
 	}
 	var names []string
-	for _, e := range g.Calls(fns["viaClosure"]) {
+	for _, e := range g.calls[fns["viaClosure"]] {
 		names = append(names, e.Callee.Name())
 	}
 	// The closure body is flattened into viaClosure; the call through the
 	// variable f does not resolve.
 	if len(names) != 1 || names[0] != "leaf" {
-		t.Errorf("Calls(viaClosure) = %v, want [leaf]", names)
+		t.Errorf("calls[viaClosure] = %v, want [leaf]", names)
 	}
-	if got := g.Calls(fns["indirect"]); len(got) != 0 {
-		t.Errorf("Calls(indirect) resolved %d edges through a function value, want 0", len(got))
+	if got := g.calls[fns["indirect"]]; len(got) != 0 {
+		t.Errorf("calls[indirect] resolved %d edges through a function value, want 0", len(got))
 	}
 }
 

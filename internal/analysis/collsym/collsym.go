@@ -1,28 +1,36 @@
 // Package collsym implements the mdvet analyzer that enforces the
 // collective-symmetry contract: every rank of an mpi world must enter
-// every collective (Barrier, Allreduce, Allgather, Win.Fence, and any
-// function marked //mdvet:collective) in lockstep. A collective reached by
-// only some ranks is the mismatched-collective deadlock class — the
-// Allgather generation race fixed in PR 4 is the canonical specimen.
+// every collective in lockstep. A collective reached by only some ranks is
+// the mismatched-collective deadlock class — the Allgather generation race
+// fixed in PR 4 is the canonical specimen. It is the only analyzer that
+// knows what a collective is (isCollective): the mpi collectives
+// (Barrier, Allreduce, Allgather, Broadcast, Win.Fence), the functions
+// documented as collective across packages (telemetry.Aggregate,
+// couple.Preemptor.Poll), any function or method of the analyzed package
+// marked //mdvet:collective, and any function of the analyzed package that
+// reaches one of those through the call-graph summary — the same deadlock
+// one or more calls removed.
 //
 // Two shapes are flagged:
 //
-//  1. A collective call lexically guarded by a rank-dependent condition
+//  1. A collective call guarded by a rank-dependent condition
 //     (`if c.Rank() == 0 { c.Barrier() }`): the guarded ranks block
 //     forever while the rest never arrive.
 //
 //  2. A rank-dependent early exit (return/break/continue) that skips a
 //     collective appearing later in the same function. Propagating a
-//     non-nil error upward is exempt: mpi.RunE converts a rank-local
-//     error return into a world abort that wakes every blocked survivor,
-//     so `if c.Rank() == 0 { ...; return err }` cannot strand peers. A
-//     bare `return nil` (or a return from a function without an error
-//     result) has no such safety net and is reported.
+//     non-nil error upward is exempt (analysis.PropagatesError): mpi.RunE
+//     converts a rank-local error return into a world abort that wakes
+//     every blocked survivor, so `if c.Rank() == 0 { ...; return err }`
+//     cannot strand peers. A bare `return nil` (or a return from a
+//     function without an error result) has no such safety net and is
+//     reported.
 //
-// A condition is considered rank-dependent when it contains a call to a
-// method named Rank or an identifier whose name contains "rank". The
-// else-branch of a rank-dependent if is equally asymmetric and is treated
-// the same as the then-branch.
+// What makes a statement rank-guarded is analysis.WalkRankGuarded's
+// definition. The transitive part inherits the call graph's limits: calls
+// through function values or interfaces contribute no edges, and bodies in
+// other packages are opaque, so a wrapper is seen one package deep plus
+// the collectives known by name.
 package collsym
 
 import (
@@ -31,6 +39,7 @@ import (
 	"go/types"
 
 	"mdkmc/internal/analysis"
+	"mdkmc/internal/analysis/callgraph"
 )
 
 // Analyzer is the collsym check.
@@ -40,8 +49,11 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// mpiPath is the package whose Comm/Win methods are the collective set.
-const mpiPath = "mdkmc/internal/mpi"
+const (
+	mpiPath       = "mdkmc/internal/mpi"
+	couplePath    = "mdkmc/internal/couple"
+	telemetryPath = "mdkmc/internal/telemetry"
+)
 
 // commCollectives are the collective methods of mpi.Comm.
 var commCollectives = map[string]bool{
@@ -52,95 +64,74 @@ var commCollectives = map[string]bool{
 	"Bcast":     true,
 }
 
-// knownCollectiveFuncs are cross-package functions documented as
-// collective (they communicate via collectives internally).
-var knownCollectiveFuncs = map[[2]string]bool{
-	{"mdkmc/internal/telemetry", "Aggregate"}: true,
+// A collective describes a callee that enters a collective: how diagnostics
+// name it, and the collective it reaches when it is not one itself. The
+// zero value means "not a collective".
+type collective struct {
+	name string
+	// method marks a collective method outside mpi (Preemptor.Poll, an
+	// //mdvet:collective method), which rule 1 words as "called under".
+	method bool
+	via    *types.Func
+}
+
+type checker struct {
+	*analysis.Pass
+	memo map[*types.Func]collective
 }
 
 func run(p *analysis.Pass) error {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(p, fn)
-		}
+	c := &checker{Pass: p, memo: map[*types.Func]collective{}}
+	for _, fn := range analysis.Funcs(p.Files) {
+		c.checkFunc(fn)
 	}
 	return nil
 }
 
-// collectiveName returns the display name of a collective call, or "".
-func collectiveName(p *analysis.Pass, call *ast.CallExpr) string {
-	var obj types.Object
-	var name string
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		obj = p.TypesInfo.Uses[fun.Sel]
-		name = fun.Sel.Name
-	case *ast.Ident:
-		obj = p.TypesInfo.Uses[fun]
-		name = fun.Name
-	default:
-		return ""
+// leaf classifies fn as a collective by itself.
+func (c *checker) leaf(fn *types.Func) collective {
+	pkg, recv, name, isMethod := analysis.MethodOn(fn)
+	switch {
+	case pkg == mpiPath && (recv == "Comm" && commCollectives[name] || recv == "Win" && name == "Fence"):
+		return collective{name: recv + "." + name}
+	case !isMethod && fn.Pkg() != nil && fn.Pkg().Path() == telemetryPath && fn.Name() == "Aggregate":
+		return collective{name: "telemetry.Aggregate"}
+	case pkg == couplePath && recv == "Preemptor" && name == "Poll",
+		c.Dirs.IsCollective(c.Graph().DeclOf(fn)):
+		return collective{name: fn.Name(), method: isMethod}
 	}
-	fobj, ok := obj.(*types.Func)
-	if !ok {
-		return ""
-	}
-	sig, ok := fobj.Type().(*types.Signature)
-	if !ok {
-		return ""
-	}
-	if recv := sig.Recv(); recv != nil {
-		named := namedOf(recv.Type())
-		if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != mpiPath {
-			return ""
-		}
-		switch tn := named.Obj().Name(); {
-		case tn == "Comm" && commCollectives[name]:
-			return "Comm." + name
-		case tn == "Win" && name == "Fence":
-			return "Win.Fence"
-		}
-		return ""
-	}
-	if fobj.Pkg() != nil {
-		if knownCollectiveFuncs[[2]string{fobj.Pkg().Path(), name}] {
-			return fobj.Pkg().Name() + "." + name
-		}
-		// Same-package functions annotated //mdvet:collective.
-		if fobj.Pkg() == p.Pkg && p.Dirs.IsCollective(p.FuncDeclOf(fobj)) {
-			return name
-		}
-	}
-	return ""
+	return collective{}
 }
 
-func namedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+// isCollective reports whether the call enters a collective — the callee
+// is one, or reaches one through same-package bodies — and how to name it.
+func (c *checker) isCollective(call *ast.CallExpr) (collective, bool) {
+	fn := callgraph.CalleeOf(c.TypesInfo, call)
+	if fn == nil {
+		return collective{}, false
 	}
-	named, _ := t.(*types.Named)
-	return named
+	coll, seen := c.memo[fn]
+	if !seen {
+		coll = c.leaf(fn)
+		if coll.name == "" {
+			if w := c.Graph().FindTransitive(fn, func(f *types.Func) bool { return c.leaf(f).name != "" }); w != nil {
+				coll = collective{name: fn.Name(), via: w}
+			}
+		}
+		c.memo[fn] = coll
+	}
+	return coll, coll.name != ""
 }
 
-// rankDependent is the shared guard heuristic (analysis.RankDependent):
-// a call to a method named Rank, or any identifier containing "rank".
-func rankDependent(e ast.Expr) bool {
-	return analysis.RankDependent(e)
-}
-
-// funcScope tracks the innermost function literal/declaration during the
-// walk, so early exits and "later collectives" are matched within the
-// function the exit actually leaves.
+// A funcScope is one function declaration or literal: early exits leave,
+// and "later collectives" belong to, the innermost scope around them.
 type funcScope struct {
 	node    ast.Node // *ast.FuncDecl or *ast.FuncLit
 	results *ast.FieldList
-	// collectives holds (position, name) of every collective call site in
-	// this function, in source order; filled by a pre-pass.
-	collectives []collSite
+	// sites are the collective call sites of this scope in source order,
+	// loops its for/range statements.
+	sites []collSite
+	loops []ast.Node
 }
 
 type collSite struct {
@@ -148,249 +139,102 @@ type collSite struct {
 	name string
 }
 
-// checkFunc applies both rules to one top-level function.
-func checkFunc(p *analysis.Pass, fn *ast.FuncDecl) {
-	// Pre-pass: collective call sites per innermost function.
-	scopes := map[ast.Node]*funcScope{}
-	root := &funcScope{node: fn, results: fn.Type.Results}
-	scopes[fn] = root
-	var collect func(n ast.Node, fs *funcScope)
-	collect = func(n ast.Node, fs *funcScope) {
-		ast.Inspect(n, func(c ast.Node) bool {
-			if c == nil {
-				return false
-			}
-			if c == n {
-				return true
-			}
-			if lit, ok := c.(*ast.FuncLit); ok {
-				child := &funcScope{node: lit, results: lit.Type.Results}
-				scopes[lit] = child
-				collect(lit.Body, child)
-				return false
-			}
-			if call, ok := c.(*ast.CallExpr); ok {
-				if name := collectiveName(p, call); name != "" {
-					fs.collectives = append(fs.collectives, collSite{pos: call.Pos(), name: name})
+// scopesOf splits fn into its function scopes, outermost first.
+func (c *checker) scopesOf(fn *ast.FuncDecl) []*funcScope {
+	scopes := []*funcScope{{node: fn, results: fn.Type.Results}}
+	var collect func(fs *funcScope, body *ast.BlockStmt)
+	collect = func(fs *funcScope, body *ast.BlockStmt) {
+		analysis.InspectFunc(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if coll, ok := c.isCollective(n); ok {
+					fs.sites = append(fs.sites, collSite{pos: n.Pos(), name: coll.name})
 				}
+			case *ast.ForStmt, *ast.RangeStmt:
+				fs.loops = append(fs.loops, n)
+			}
+			return true
+		})
+		// InspectFunc stops at nested literals; each is a scope of its own.
+		ast.Inspect(body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				child := &funcScope{node: lit, results: lit.Type.Results}
+				scopes = append(scopes, child)
+				collect(child, lit.Body)
+				return false
 			}
 			return true
 		})
 	}
-	collect(fn.Body, root)
-
-	// Rule 1: collectives under rank-dependent control flow.
-	var visit func(n ast.Node, guarded bool)
-	visitList := func(list []ast.Stmt, guarded bool) {
-		for _, s := range list {
-			visit(s, guarded)
-		}
-	}
-	visit = func(n ast.Node, guarded bool) {
-		switch n := n.(type) {
-		case nil:
-		case *ast.IfStmt:
-			if n.Init != nil {
-				visit(n.Init, guarded)
-			}
-			g := guarded || rankDependent(n.Cond)
-			visit(n.Cond, guarded)
-			visit(n.Body, g)
-			if n.Else != nil {
-				visit(n.Else, g)
-			}
-		case *ast.SwitchStmt:
-			g := guarded || (n.Tag != nil && rankDependent(n.Tag))
-			for _, c := range n.Body.List {
-				cc := c.(*ast.CaseClause)
-				cg := g
-				for _, e := range cc.List {
-					if rankDependent(e) {
-						cg = true
-					}
-				}
-				visitList(cc.Body, cg)
-			}
-		case *ast.ForStmt:
-			g := guarded || (n.Cond != nil && rankDependent(n.Cond))
-			if n.Init != nil {
-				visit(n.Init, guarded)
-			}
-			visit(n.Body, g)
-		case *ast.CallExpr:
-			if name := collectiveName(p, n); name != "" && guarded {
-				p.Reportf(n.Pos(), "collective %s is guarded by a rank-dependent condition: every rank must enter it or none (mismatched-collective deadlock)", name)
-			}
-			for _, a := range n.Args {
-				visit(a, guarded)
-			}
-			visit(n.Fun, guarded)
-		case *ast.FuncLit:
-			// A literal's body executes when called, not where written; its
-			// own call sites are checked under the guard state where the
-			// literal appears, which is the common inline-closure case.
-			visit(n.Body, guarded)
-		default:
-			// Generic traversal preserving the guard state.
-			ast.Inspect(n, func(c ast.Node) bool {
-				if c == nil || c == n {
-					return true
-				}
-				switch c.(type) {
-				case *ast.IfStmt, *ast.SwitchStmt, *ast.ForStmt, *ast.CallExpr, *ast.FuncLit:
-					visit(c, guarded)
-					return false
-				}
-				return true
-			})
-		}
-	}
-	visit(fn.Body, false)
-
-	// Rule 2: rank-dependent early exits that skip a later collective.
-	checkEarlyExits(p, fn, scopes)
+	collect(scopes[0], fn.Body)
+	return scopes
 }
 
-// checkEarlyExits reports rank-guarded exits occurring before a collective
-// of the same function. For break/continue the relevant collectives are
-// those of the innermost enclosing loop: a rank that leaves (or shortcuts)
-// a loop containing a collective diverges from peers still iterating,
-// while breaking out of a collective-free loop toward a collective after
-// it is symmetric and fine.
-func checkEarlyExits(p *analysis.Pass, fn *ast.FuncDecl, scopes map[ast.Node]*funcScope) {
-	var fstack []ast.Node
-	fstack = append(fstack, fn)
-	var guardStack []bool
-	guardStack = append(guardStack, false)
-	var loopStack []ast.Node // innermost loops; nil marks a function boundary
+// within reports whether pos lies inside n.
+func within(pos token.Pos, n ast.Node) bool { return n.Pos() <= pos && pos < n.End() }
 
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
+// checkFunc applies both rules to one top-level function in a single
+// rank-guarded walk. For break/continue the relevant collectives are those
+// of the innermost enclosing loop: a rank that leaves (or shortcuts) a loop
+// containing a collective diverges from peers still iterating, while
+// breaking out of a collective-free loop toward a collective after it is
+// symmetric and fine.
+func (c *checker) checkFunc(fn *ast.FuncDecl) {
+	scopes := c.scopesOf(fn)
+	// Scopes and loops are listed outermost first: the last one around a
+	// position is the innermost.
+	scopeAt := func(pos token.Pos) (fs *funcScope) {
+		for _, s := range scopes {
+			if within(pos, s.node) {
+				fs = s
+			}
+		}
+		return fs
+	}
+	line := func(s collSite) int { return c.Fset.Position(s.pos).Line }
+	analysis.WalkRankGuarded(fn.Body, func(n ast.Node, guarded bool) {
+		if !guarded {
+			return
+		}
 		switch n := n.(type) {
-		case nil:
-		case *ast.FuncLit:
-			fstack = append(fstack, n)
-			guardStack = append(guardStack, false)
-			loopStack = append(loopStack, nil)
-			walk(n.Body)
-			fstack = fstack[:len(fstack)-1]
-			guardStack = guardStack[:len(guardStack)-1]
-			loopStack = loopStack[:len(loopStack)-1]
-		case *ast.ForStmt:
-			loopStack = append(loopStack, n)
-			walk(n.Body)
-			loopStack = loopStack[:len(loopStack)-1]
-		case *ast.RangeStmt:
-			loopStack = append(loopStack, n)
-			walk(n.Body)
-			loopStack = loopStack[:len(loopStack)-1]
-		case *ast.IfStmt:
-			if n.Init != nil {
-				walk(n.Init)
+		case *ast.CallExpr:
+			switch coll, ok := c.isCollective(n); {
+			case !ok:
+			case coll.via != nil:
+				c.Reportf(n.Pos(), "rank-guarded call to %s transitively enters collective %s: ranks skipping this call diverge from the collective schedule", coll.name, coll.via.Name())
+			case coll.method:
+				c.Reportf(n.Pos(), "collective %s is called under a rank-dependent condition: every rank must enter it or none (mismatched-collective deadlock)", coll.name)
+			default:
+				c.Reportf(n.Pos(), "collective %s is guarded by a rank-dependent condition: every rank must enter it or none (mismatched-collective deadlock)", coll.name)
 			}
-			g := guardStack[len(guardStack)-1]
-			guardStack[len(guardStack)-1] = g || rankDependent(n.Cond)
-			walk(n.Body)
-			if n.Else != nil {
-				walk(n.Else)
-			}
-			guardStack[len(guardStack)-1] = g
 		case *ast.ReturnStmt:
-			if guardStack[len(guardStack)-1] {
-				cur := fstack[len(fstack)-1]
-				if site, ok := collectiveAfter(scopes[cur], n.Pos()); ok && !propagatesError(p, scopes[cur], n) {
-					p.Reportf(n.Pos(), "rank-dependent early return skips collective %s at line %d: ranks taking this path never enter it (non-error returns have no RunE abort safety net)",
-						site.name, p.Fset.Position(site.pos).Line)
+			fs := scopeAt(n.Pos())
+			if analysis.PropagatesError(c.TypesInfo, fs.results, n) {
+				return
+			}
+			for _, s := range fs.sites {
+				if s.pos > n.Pos() {
+					c.Reportf(n.Pos(), "rank-dependent early return skips collective %s at line %d: ranks taking this path never enter it (non-error returns have no RunE abort safety net)", s.name, line(s))
+					return
 				}
 			}
 		case *ast.BranchStmt:
-			if (n.Tok == token.BREAK || n.Tok == token.CONTINUE) && guardStack[len(guardStack)-1] {
-				if loop := innermostLoop(loopStack); loop != nil {
-					cur := fstack[len(fstack)-1]
-					if site, ok := collectiveWithin(scopes[cur], loop.Pos(), loop.End()); ok {
-						p.Reportf(n.Pos(), "rank-dependent %s in a loop containing collective %s (line %d): ranks taking this path diverge from the collective schedule",
-							n.Tok, site.name, p.Fset.Position(site.pos).Line)
-					}
+			if n.Tok != token.BREAK && n.Tok != token.CONTINUE {
+				return
+			}
+			fs := scopeAt(n.Pos())
+			var loop ast.Node
+			for _, l := range fs.loops {
+				if within(n.Pos(), l) {
+					loop = l
 				}
 			}
-		default:
-			ast.Inspect(n, func(c ast.Node) bool {
-				if c == nil || c == n {
-					return true
+			for _, s := range fs.sites {
+				if loop != nil && within(s.pos, loop) {
+					c.Reportf(n.Pos(), "rank-dependent %s in a loop containing collective %s (line %d): ranks taking this path diverge from the collective schedule", n.Tok, s.name, line(s))
+					return
 				}
-				switch c.(type) {
-				case *ast.FuncLit, *ast.IfStmt, *ast.ReturnStmt, *ast.BranchStmt,
-					*ast.ForStmt, *ast.RangeStmt:
-					walk(c)
-					return false
-				}
-				return true
-			})
+			}
 		}
-	}
-	walk(fn.Body)
-}
-
-// innermostLoop returns the nearest enclosing loop of the current
-// function, or nil (a nil entry marks a function-literal boundary).
-func innermostLoop(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i] == nil {
-			return nil
-		}
-		return stack[i]
-	}
-	return nil
-}
-
-// collectiveWithin returns a collective site of the scope inside [lo, hi].
-func collectiveWithin(fs *funcScope, lo, hi token.Pos) (collSite, bool) {
-	if fs == nil {
-		return collSite{}, false
-	}
-	for _, s := range fs.collectives {
-		if s.pos >= lo && s.pos <= hi {
-			return s, true
-		}
-	}
-	return collSite{}, false
-}
-
-// collectiveAfter returns the first collective site of the scope located
-// after pos.
-func collectiveAfter(fs *funcScope, pos token.Pos) (collSite, bool) {
-	if fs == nil {
-		return collSite{}, false
-	}
-	for _, s := range fs.collectives {
-		if s.pos > pos {
-			return s, true
-		}
-	}
-	return collSite{}, false
-}
-
-// propagatesError reports whether the return propagates a (presumed
-// non-nil) error: the enclosing function's last result is an error and the
-// returned expression for it is not the nil literal. Such returns abort
-// the mpi world via RunE, waking every rank blocked in a collective.
-func propagatesError(p *analysis.Pass, fs *funcScope, ret *ast.ReturnStmt) bool {
-	if fs == nil || fs.results == nil || len(fs.results.List) == 0 {
-		return false
-	}
-	last := fs.results.List[len(fs.results.List)-1]
-	t := p.TypesInfo.TypeOf(last.Type)
-	if t == nil || !types.Identical(t, types.Universe.Lookup("error").Type()) {
-		return false
-	}
-	if len(ret.Results) == 0 {
-		// Naked return: the error named result may or may not be set;
-		// assume the author propagates it.
-		return true
-	}
-	lastExpr := ret.Results[len(ret.Results)-1]
-	if id, ok := lastExpr.(*ast.Ident); ok && id.Name == "nil" {
-		return false
-	}
-	return true
+	})
 }

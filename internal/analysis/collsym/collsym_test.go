@@ -8,5 +8,5 @@ import (
 )
 
 func TestCollsym(t *testing.T) {
-	analysistest.Run(t, collsym.Analyzer, "a")
+	analysistest.Run(t, collsym.Analyzer, "a", "mdkmc/internal/couple")
 }

@@ -1,9 +1,12 @@
 // Package a exercises the collsym analyzer: collectives under
-// rank-dependent guards, rank-dependent early exits, and the sanctioned
-// idioms that must stay clean.
+// rank-dependent guards — mpi primitives, the collectives known by name
+// across packages, //mdvet:collective functions and methods, and helpers
+// that reach any of them through same-package calls — rank-dependent early
+// exits, and the sanctioned idioms that must stay clean.
 package a
 
 import (
+	"mdkmc/internal/couple"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/telemetry"
 )
@@ -124,4 +127,78 @@ func suppressed(c *mpi.Comm) {
 		//mdvet:ignore collsym single-rank sub-communicator, peers checked by caller
 		c.Barrier()
 	}
+}
+
+func badGuardedCrossPackagePoll(c *mpi.Comm, p *couple.Preemptor) {
+	if c.Rank() == 0 {
+		p.Poll(c) // want "collective Poll is called under a rank-dependent condition"
+	}
+}
+
+// aggregateAll reaches the known collective telemetry.Aggregate.
+func aggregateAll() {
+	telemetry.Aggregate(nil)
+}
+
+func badGuardedAggregateWrapper(c *mpi.Comm) {
+	if c.Rank() == 0 {
+		aggregateAll() // want "rank-guarded call to aggregateAll transitively enters collective Aggregate"
+	}
+}
+
+// ring's rotate is collective by declaration only: its body is opaque to
+// the analyzer (a function value), the directive on the *method* is what
+// makes callers treat it as a collective.
+type ring struct{ step func() }
+
+//mdvet:collective
+func (r *ring) rotate() { r.step() }
+
+func guardedCollectiveMethod(c *mpi.Comm, r *ring) {
+	if c.Rank() == 0 {
+		r.rotate() // want "collective rotate is called under a rank-dependent condition"
+	}
+}
+
+// sumEnergy enters Allreduce two calls down.
+func sumEnergy(c *mpi.Comm) { reduceAll(c) }
+
+func reduceAll(c *mpi.Comm) { c.Allreduce(nil, mpi.OpSum) }
+
+func earlyNilBeforeHelper(c *mpi.Comm) error {
+	if c.Rank() == 0 {
+		return nil // want "rank-dependent early return skips collective sumEnergy"
+	}
+	sumEnergy(c)
+	return nil
+}
+
+func continuePastHelper(c *mpi.Comm, rank int) {
+	for i := 0; i < 4; i++ {
+		if rank == i {
+			continue // want "rank-dependent continue in a loop containing collective sumEnergy"
+		}
+		sumEnergy(c)
+	}
+}
+
+func switchReturnSkips(c *mpi.Comm) {
+	switch c.Rank() {
+	case 0:
+		return // want "rank-dependent early return skips collective Comm.Barrier"
+	}
+	c.Barrier()
+}
+
+// closureReturn is clean: the return leaves the literal, which holds no
+// collective, not the function whose barrier follows.
+func closureReturn(c *mpi.Comm, rank int) {
+	skip := func() {
+		if rank == 0 {
+			return
+		}
+		println("non-root local work")
+	}
+	skip()
+	c.Barrier()
 }

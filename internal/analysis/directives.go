@@ -6,84 +6,61 @@ import (
 	"strings"
 )
 
-// Directive comment prefixes. They use the Go directive-comment form
-// ("//mdvet:..." with no space), which gofmt never reflows.
-const (
-	ignoreDirective     = "//mdvet:ignore"
-	hashexemptDirective = "//mdvet:hashexempt"
-	panicsDirective     = "//mdvet:panics"
-	hotDirective        = "//mdvet:hot"
-	collectiveDirective = "//mdvet:collective"
-	boundaryDirective   = "//mdvet:boundary"
-)
+// directivePrefix opens every mdvet directive. It is the Go
+// directive-comment form (no space after //), which gofmt never reflows.
+const directivePrefix = "//mdvet:"
 
 type ignoreKey struct {
 	file string
 	line int
 }
 
-// posDirective is one positional suppression directive (ignore,
-// hashexempt, panics). Analyzers mark it used when it actually suppresses
-// a finding; a directive still unused after every analyzer ran is itself a
-// finding (stale suppression — see Stale).
-type posDirective struct {
-	kind string // directive prefix, for messages
-	pos  token.Position
-	used bool
+// ignore is one //mdvet:ignore directive. Reportf marks it used when it
+// actually suppresses a finding; one still unused after every analyzer ran
+// is itself a finding (stale suppression — see Stale).
+type ignore struct {
+	analyzer string
+	pos      token.Position
+	used     bool
 }
 
 // Directives is the parsed set of //mdvet: comments of one package.
 type Directives struct {
-	// ignores maps a (file, line) to the analyzer names suppressed there.
-	// A directive on line L suppresses findings on L (trailing comment)
-	// and L+1 (full-line comment above the flagged statement).
-	ignores map[ignoreKey]map[string]*posDirective
-	// hashexempt and panics are positional like ignore but analyzer-bound:
-	// hashexempt excludes a struct field from the hashcover contract,
-	// panics licenses a bare panic for errpanic.
-	hashexempt map[ignoreKey]*posDirective
-	panics     map[ignoreKey]*posDirective
-	// hot, collective, and boundary hold the positions of annotated
-	// FuncDecls.
-	hot        map[token.Pos]bool
-	collective map[token.Pos]bool
-	boundary   map[token.Pos]bool
-	// all positional directives in parse order, for Stale.
-	positional []*posDirective
-	bad        []Diagnostic
+	// ignores maps a (file, line) to the ignores written there, by analyzer
+	// name. A directive on line L suppresses findings on L (trailing
+	// comment) and L+1 (full-line comment above the flagged statement).
+	ignores map[ignoreKey]map[string]*ignore
+	// markers holds, per marker kind (hot, collective), the positions of
+	// the FuncDecls carrying it.
+	markers map[string]map[token.Pos]bool
+	// all ignores in parse order, for Stale.
+	all []*ignore
+	bad []Diagnostic
 }
 
-// NewDirectives scans the files' comments for //mdvet: directives.
-// Malformed directives (a suppression without its mandatory reason)
-// become diagnostics retrievable via Bad.
+// NewDirectives scans the files' comments for //mdvet: directives. A
+// comment that opens like one but is not one — an ignore without its
+// mandatory reason, an unknown kind (a typo, a retired directive), a
+// hot/collective marker outside a function's doc comment — would silently
+// not enforce its contract, so it becomes a diagnostic retrievable via Bad.
 func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{
-		ignores:    map[ignoreKey]map[string]*posDirective{},
-		hashexempt: map[ignoreKey]*posDirective{},
-		panics:     map[ignoreKey]*posDirective{},
-		hot:        map[token.Pos]bool{},
-		collective: map[token.Pos]bool{},
-		boundary:   map[token.Pos]bool{},
+		ignores: map[ignoreKey]map[string]*ignore{},
+		markers: map[string]map[token.Pos]bool{"hot": {}, "collective": {}},
 	}
 	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				d.parseComment(fset, c)
+		documents := map[*ast.Comment]*ast.FuncDecl{}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Doc != nil {
+				for _, c := range fn.Doc.List {
+					documents[c] = fn
+				}
 			}
 		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Doc == nil {
-				continue
-			}
-			for _, c := range fn.Doc.List {
-				switch directiveName(c.Text) {
-				case hotDirective:
-					d.hot[fn.Pos()] = true
-				case collectiveDirective:
-					d.collective[fn.Pos()] = true
-				case boundaryDirective:
-					d.boundary[fn.Pos()] = true
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, directivePrefix) {
+					d.parse(fset.Position(c.Pos()), c.Text, documents[c])
 				}
 			}
 		}
@@ -91,95 +68,44 @@ func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	return d
 }
 
-// directiveName returns the matching directive prefix of a comment, or "".
-func directiveName(text string) string {
-	for _, p := range []string{
-		ignoreDirective, hashexemptDirective, panicsDirective,
-		hotDirective, collectiveDirective, boundaryDirective,
-	} {
-		if text == p || strings.HasPrefix(text, p+" ") {
-			return p
-		}
+// parse records one directive comment; fn is the function whose doc
+// comment holds it, if any.
+func (d *Directives) parse(pos token.Position, text string, fn *ast.FuncDecl) {
+	fields := strings.Fields(strings.TrimPrefix(text, directivePrefix))
+	kind := ""
+	if len(fields) > 0 {
+		kind = fields[0]
 	}
-	return ""
-}
-
-func (d *Directives) parseComment(fset *token.FileSet, c *ast.Comment) {
-	name := directiveName(c.Text)
-	pos := fset.Position(c.Pos())
-	rest := strings.TrimSpace(strings.TrimPrefix(c.Text, name))
-	fields := strings.Fields(rest)
-	switch name {
-	case ignoreDirective:
-		if len(fields) < 2 {
-			d.bad = append(d.bad, Diagnostic{
-				Analyzer: "mdvet",
-				Pos:      pos,
-				Message:  "malformed //mdvet:ignore: want \"//mdvet:ignore <analyzer> <reason>\" (the reason is mandatory)",
-			})
-			return
-		}
+	switch {
+	case kind == "ignore" && len(fields) >= 3:
 		key := ignoreKey{file: pos.Filename, line: pos.Line}
 		if d.ignores[key] == nil {
-			d.ignores[key] = map[string]*posDirective{}
+			d.ignores[key] = map[string]*ignore{}
 		}
-		pd := &posDirective{kind: ignoreDirective + " " + fields[0], pos: pos}
-		d.ignores[key][fields[0]] = pd
-		d.positional = append(d.positional, pd)
-	case hashexemptDirective, panicsDirective:
-		if len(fields) < 1 {
-			d.bad = append(d.bad, Diagnostic{
-				Analyzer: "mdvet",
-				Pos:      pos,
-				Message:  "malformed " + name + ": want \"" + name + " <reason>\" (the reason is mandatory)",
-			})
-			return
-		}
-		key := ignoreKey{file: pos.Filename, line: pos.Line}
-		pd := &posDirective{kind: name, pos: pos}
-		if name == hashexemptDirective {
-			d.hashexempt[key] = pd
-		} else {
-			d.panics[key] = pd
-		}
-		d.positional = append(d.positional, pd)
+		ig := &ignore{analyzer: fields[1], pos: pos}
+		d.ignores[key][ig.analyzer] = ig
+		d.all = append(d.all, ig)
+	case kind == "ignore":
+		d.badf(pos, "malformed //mdvet:ignore: want \"//mdvet:ignore <analyzer> <reason>\" (the reason is mandatory)")
+	case d.markers[kind] != nil && fn != nil:
+		d.markers[kind][fn.Pos()] = true
+	case d.markers[kind] != nil:
+		d.badf(pos, "misplaced //mdvet:"+kind+": the marker belongs in a function's doc comment; here it marks nothing and the contract is not enforced")
+	default:
+		d.badf(pos, "unknown directive //mdvet:"+kind+" (the directives are ignore, hot and collective): it is not enforced")
 	}
+}
+
+func (d *Directives) badf(pos token.Position, msg string) {
+	d.bad = append(d.bad, Diagnostic{Analyzer: "mdvet", Pos: pos, Message: msg})
 }
 
 // Ignored reports whether an //mdvet:ignore for the analyzer covers pos,
 // and marks the directive used (a suppression that fires is not stale).
 func (d *Directives) Ignored(analyzer string, pos token.Position) bool {
-	if d == nil {
-		return false
-	}
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
-		if pd := d.ignores[ignoreKey{file: pos.Filename, line: line}][analyzer]; pd != nil {
-			pd.used = true
-			return true
-		}
-	}
-	return false
-}
-
-// HashExempt reports whether an //mdvet:hashexempt directive covers pos
-// (same line or the line above, like ignore), marking it used.
-func (d *Directives) HashExempt(pos token.Position) bool {
-	return d.positionalAt(d.hashexempt, pos)
-}
-
-// PanicAllowed reports whether an //mdvet:panics directive covers pos
-// (same line or the line above, like ignore), marking it used.
-func (d *Directives) PanicAllowed(pos token.Position) bool {
-	return d.positionalAt(d.panics, pos)
-}
-
-func (d *Directives) positionalAt(m map[ignoreKey]*posDirective, pos token.Position) bool {
-	if d == nil {
-		return false
-	}
-	for _, line := range [2]int{pos.Line, pos.Line - 1} {
-		if pd := m[ignoreKey{file: pos.Filename, line: line}]; pd != nil {
-			pd.used = true
+		if ig := d.ignores[ignoreKey{file: pos.Filename, line: line}][analyzer]; ig != nil {
+			ig.used = true
 			return true
 		}
 	}
@@ -188,49 +114,33 @@ func (d *Directives) positionalAt(m map[ignoreKey]*posDirective, pos token.Posit
 
 // IsHot reports whether fn carries //mdvet:hot in its doc comment.
 func (d *Directives) IsHot(fn *ast.FuncDecl) bool {
-	return d != nil && fn != nil && d.hot[fn.Pos()]
+	return fn != nil && d.markers["hot"][fn.Pos()]
 }
 
 // IsCollective reports whether fn carries //mdvet:collective in its doc
 // comment.
 func (d *Directives) IsCollective(fn *ast.FuncDecl) bool {
-	return d != nil && fn != nil && d.collective[fn.Pos()]
+	return fn != nil && d.markers["collective"][fn.Pos()]
 }
 
-// IsBoundary reports whether fn carries //mdvet:boundary in its doc
-// comment: the function is a declared checkpoint/preemption boundary, so
-// loops reaching it satisfy the preemptpoll contract.
-func (d *Directives) IsBoundary(fn *ast.FuncDecl) bool {
-	return d != nil && fn != nil && d.boundary[fn.Pos()]
-}
+// Bad returns one diagnostic per malformed, unknown or misplaced directive.
+func (d *Directives) Bad() []Diagnostic { return d.bad }
 
-// Bad returns one diagnostic per malformed directive.
-func (d *Directives) Bad() []Diagnostic {
-	if d == nil {
-		return nil
-	}
-	return d.bad
-}
-
-// Stale returns one diagnostic per positional suppression directive that
-// suppressed nothing. Only meaningful after every analyzer has run over
-// the package (Check guarantees that); a directive whose analyzer never
-// queried its position is dead weight that silently licenses future
-// regressions, so it is a finding in its own right.
+// Stale returns one diagnostic per ignore directive that suppressed
+// nothing. Only meaningful after every analyzer has run over the package
+// (Check guarantees that); a directive whose analyzer never reported at
+// its position is dead weight that silently licenses future regressions,
+// so it is a finding in its own right.
 func (d *Directives) Stale() []Diagnostic {
-	if d == nil {
-		return nil
-	}
 	var out []Diagnostic
-	for _, pd := range d.positional {
-		if pd.used {
-			continue
+	for _, ig := range d.all {
+		if !ig.used {
+			out = append(out, Diagnostic{
+				Analyzer: "mdvet",
+				Pos:      ig.pos,
+				Message:  "stale //mdvet:ignore " + ig.analyzer + " directive: it suppresses no finding (remove it, or the contract drifted)",
+			})
 		}
-		out = append(out, Diagnostic{
-			Analyzer: "mdvet",
-			Pos:      pd.pos,
-			Message:  "stale " + pd.kind + " directive: it suppresses no finding (remove it, or the contract drifted)",
-		})
 	}
 	return out
 }

@@ -68,16 +68,19 @@ func f() {
 	}
 }
 
+// The exemptions that used to be directives of their own (a restart-neutral
+// hash field, a licensed panic) are spelled //mdvet:ignore hashcover /
+// //mdvet:ignore errpanic: the reason is as mandatory as for any ignore.
 func TestHashExemptAndPanicsRequireReason(t *testing.T) {
 	cases := []struct {
 		name string
 		text string
 		bad  string // expected malformed-message fragment, "" for valid
 	}{
-		{"hashexempt bare", "//mdvet:hashexempt", "malformed //mdvet:hashexempt"},
-		{"hashexempt with reason", "//mdvet:hashexempt derived at runtime, never hashed", ""},
-		{"panics bare", "//mdvet:panics", "malformed //mdvet:panics"},
-		{"panics with reason", "//mdvet:panics unreachable: caller validated the range", ""},
+		{"hashexempt bare", "//mdvet:ignore hashcover", "malformed //mdvet:ignore"},
+		{"hashexempt with reason", "//mdvet:ignore hashcover derived at runtime, never hashed", ""},
+		{"panics bare", "//mdvet:ignore errpanic", "malformed //mdvet:ignore"},
+		{"panics with reason", "//mdvet:ignore errpanic unreachable: caller validated the range", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -100,30 +103,30 @@ func TestHashExemptAndPanicsCoverage(t *testing.T) {
 	d := parseDirectives(t, `package p
 
 type s struct {
-	//mdvet:hashexempt runtime knob
+	//mdvet:ignore hashcover runtime knob
 	a int
 }
 
 func f() {
-	//mdvet:panics unreachable by construction
+	//mdvet:ignore errpanic unreachable by construction
 	panic("x")
 }
 `)
 	at := func(line int) token.Position { return token.Position{Filename: "fix.go", Line: line} }
-	if !d.HashExempt(at(4)) || !d.HashExempt(at(5)) {
-		t.Error("hashexempt must cover its own line and the next")
+	if !d.Ignored("hashcover", at(4)) || !d.Ignored("hashcover", at(5)) {
+		t.Error("a hashcover exemption must cover its own line and the next")
 	}
-	if d.HashExempt(at(6)) {
-		t.Error("hashexempt must not leak past the next line")
+	if d.Ignored("hashcover", at(6)) {
+		t.Error("a hashcover exemption must not leak past the next line")
 	}
-	if !d.PanicAllowed(at(9)) || !d.PanicAllowed(at(10)) {
-		t.Error("panics must cover its own line and the next")
+	if !d.Ignored("errpanic", at(9)) || !d.Ignored("errpanic", at(10)) {
+		t.Error("an errpanic licence must cover its own line and the next")
 	}
-	if d.PanicAllowed(at(8)) {
-		t.Error("panics must not cover the line above")
+	if d.Ignored("errpanic", at(8)) {
+		t.Error("an errpanic licence must not cover the line above")
 	}
-	if d.PanicAllowed(at(4)) || d.HashExempt(at(9)) {
-		t.Error("the two directives must not suppress each other")
+	if d.Ignored("errpanic", at(4)) || d.Ignored("hashcover", at(9)) {
+		t.Error("the two exemptions must not suppress each other")
 	}
 }
 
@@ -135,20 +138,20 @@ func f() {
 	_ = 1
 	//mdvet:ignore maporder never fires
 	_ = 2
-	//mdvet:hashexempt never consulted
+	//mdvet:ignore hashcover never consulted
 	_ = 3
-	//mdvet:panics consulted below
+	//mdvet:ignore errpanic consulted below
 	_ = 4
 }
 `)
 	at := func(line int) token.Position { return token.Position{Filename: "fix.go", Line: line} }
-	// Simulate the analyzers: collsym suppresses at line 5, errpanic
-	// consults line 11; the maporder ignore and the hashexempt stay unused.
+	// Simulate the analyzers: collsym suppresses at line 5, errpanic at
+	// line 11; the maporder and hashcover ignores stay unused.
 	if !d.Ignored("collsym", at(5)) {
 		t.Fatal("collsym ignore should cover line 5")
 	}
-	if !d.PanicAllowed(at(11)) {
-		t.Fatal("panics directive should cover line 11")
+	if !d.Ignored("errpanic", at(11)) {
+		t.Fatal("errpanic ignore should cover line 11")
 	}
 	stale := d.Stale()
 	if len(stale) != 2 {
@@ -157,8 +160,8 @@ func f() {
 	if stale[0].Pos.Line != 6 || !strings.Contains(stale[0].Message, "stale //mdvet:ignore maporder") {
 		t.Errorf("stale[0] = %v, want the unused maporder ignore at line 6", stale[0])
 	}
-	if stale[1].Pos.Line != 8 || !strings.Contains(stale[1].Message, "stale //mdvet:hashexempt") {
-		t.Errorf("stale[1] = %v, want the unused hashexempt at line 8", stale[1])
+	if stale[1].Pos.Line != 8 || !strings.Contains(stale[1].Message, "stale //mdvet:ignore hashcover") {
+		t.Errorf("stale[1] = %v, want the unused hashcover ignore at line 8", stale[1])
 	}
 }
 
@@ -174,8 +177,10 @@ func hot() {}
 //mdvet:collective
 func coll() {}
 
-//mdvet:boundary
-func bound() {}
+type T struct{}
+
+//mdvet:collective
+func (T) method() {}
 
 func plain() {}
 `, parser.ParseComments)
@@ -183,6 +188,9 @@ func plain() {}
 		t.Fatal(err)
 	}
 	d := NewDirectives(fset, []*ast.File{f})
+	if bad := d.Bad(); len(bad) != 0 {
+		t.Fatalf("unexpected diagnostics: %v", bad)
+	}
 	fns := map[string]*ast.FuncDecl{}
 	for _, decl := range f.Decls {
 		if fn, ok := decl.(*ast.FuncDecl); ok {
@@ -192,10 +200,45 @@ func plain() {}
 	if !d.IsHot(fns["hot"]) || d.IsHot(fns["coll"]) || d.IsHot(fns["plain"]) {
 		t.Error("IsHot must reflect exactly the //mdvet:hot doc comments")
 	}
-	if !d.IsCollective(fns["coll"]) || d.IsCollective(fns["hot"]) || d.IsCollective(fns["plain"]) {
+	if !d.IsCollective(fns["coll"]) || !d.IsCollective(fns["method"]) || d.IsCollective(fns["hot"]) || d.IsCollective(fns["plain"]) {
 		t.Error("IsCollective must reflect exactly the //mdvet:collective doc comments")
 	}
-	if !d.IsBoundary(fns["bound"]) || d.IsBoundary(fns["coll"]) || d.IsBoundary(fns["plain"]) {
-		t.Error("IsBoundary must reflect exactly the //mdvet:boundary doc comments")
+}
+
+// A comment that opens like a directive but is not one must not be a silent
+// no-op: for a marker that would mean the contract is silently not
+// enforced. This is also what catches a comment still spelling one of the
+// retired directives (hashexempt, panics, boundary).
+func TestUnknownAndMisplacedDirectives(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		bad  string // expected message fragment, "" for clean
+	}{
+		{"typo", "//mdvet:collectve\nfunc f() {}", "unknown directive //mdvet:collectve"},
+		{"bare prefix", "//mdvet:\nfunc f() {}", "unknown directive //mdvet:"},
+		{"retired hashexempt", "type s struct {\n\t//mdvet:hashexempt runtime knob\n\ta int\n}", "unknown directive //mdvet:hashexempt"},
+		{"retired panics", "func f() {\n\t//mdvet:panics unreachable\n\tpanic(1)\n}", "unknown directive //mdvet:panics"},
+		{"retired boundary", "//mdvet:boundary\nfunc f() {}", "unknown directive //mdvet:boundary"},
+		{"hot inside a body", "func f() {\n\t//mdvet:hot\n\t_ = 1\n}", "misplaced //mdvet:hot"},
+		{"collective on a type", "//mdvet:collective\ntype T struct{}", "misplaced //mdvet:collective"},
+		{"collective detached from its func", "//mdvet:collective\n\nfunc f() {}", "misplaced //mdvet:collective"},
+		{"hot with a note in a func doc", "// f is the kernel.\n//\n//mdvet:hot inner loop\nfunc f() {}", ""},
+		{"prose mentioning a directive", "// see //mdvet:hashexempt in the old docs\nfunc f() {}", ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := parseDirectives(t, "package p\n\n"+c.src+"\n")
+			bad := d.Bad()
+			if c.bad == "" {
+				if len(bad) != 0 {
+					t.Fatalf("unexpected diagnostics: %v", bad)
+				}
+				return
+			}
+			if len(bad) != 1 || bad[0].Analyzer != "mdvet" || !strings.Contains(bad[0].Message, c.bad) {
+				t.Fatalf("want one %q diagnostic, got %v", c.bad, bad)
+			}
+		})
 	}
 }

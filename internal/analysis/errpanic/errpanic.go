@@ -5,9 +5,9 @@
 // either returns an error (so the scheduler fails one job) or rides the
 // rank-abort machinery (mpi converts rank panics into RunE errors).
 //
-// A panic call is reported unless an //mdvet:panics <reason> directive on
-// the same or the preceding line licenses it. Two classes are legitimate
-// and must say which they are in the reason:
+// A panic call is reported unless an //mdvet:ignore errpanic <reason>
+// directive on the same or the preceding line licenses it. Two classes are
+// legitimate and must say which they are in the reason:
 //
 //   - invariant violations a peer rank caused (ghost-protocol unpackers):
 //     the mpi runtime converts the panic into a RankPanic error on the
@@ -21,8 +21,6 @@ package errpanic
 
 import (
 	"go/ast"
-	"go/types"
-	"strings"
 
 	"mdkmc/internal/analysis"
 )
@@ -46,41 +44,12 @@ var protected = []string{
 	"mdkmc/internal/eam",
 }
 
-func isProtected(path string) bool {
-	for _, p := range protected {
-		if path == p || strings.HasPrefix(path, p+"/") || strings.HasPrefix(path, p+" ") {
-			return true
-		}
-	}
-	return false
-}
-
 func run(p *analysis.Pass) error {
-	if !isProtected(p.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range p.Files {
-		if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
+	for _, f := range p.ScopedFiles(protected, true) {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+			if call, ok := n.(*ast.CallExpr); ok && analysis.IsBuiltinCall(p.TypesInfo, call, "panic") {
+				p.Reportf(call.Pos(), "bare panic in library package %s: return an error (or ride the rank-abort machinery) so the serve layer fails one job instead of the process; annotate //mdvet:ignore errpanic <reason> if the panic is the contract", p.Pkg.Path())
 			}
-			id, ok := call.Fun.(*ast.Ident)
-			if !ok || id.Name != "panic" {
-				return true
-			}
-			if _, ok := p.TypesInfo.Uses[id].(*types.Builtin); !ok {
-				return true // a shadowing declaration, not the builtin
-			}
-			pos := p.Fset.Position(call.Pos())
-			if p.Dirs.PanicAllowed(pos) {
-				p.Exempted()
-				return true
-			}
-			p.Reportf(call.Pos(), "bare panic in library package %s: return an error (or ride the rank-abort machinery) so the serve layer fails one job instead of the process; annotate //mdvet:panics <reason> if the panic is the contract", p.Pkg.Path())
 			return true
 		})
 	}

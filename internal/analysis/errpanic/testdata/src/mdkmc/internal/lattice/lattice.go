@@ -17,14 +17,14 @@ func formatted(n int) {
 // The doc-comment form does NOT license the body — only a positional
 // directive at the call does — so it is also stale.
 //
-//mdvet:panics the mpi runtime converts rank panics into RankPanic errors // want "stale //mdvet:panics directive"
+//mdvet:ignore errpanic the mpi runtime converts rank panics into RankPanic errors // want "stale //mdvet:ignore errpanic directive"
 func annotatedDoc() {
 	panic("still flagged") // want "bare panic in library package"
 }
 
 func annotatedAtCall(n int) {
 	if n < 0 {
-		//mdvet:panics unreachable: caller validated n via Config.Validate
+		//mdvet:ignore errpanic unreachable: caller validated n via Config.Validate
 		panic("negative")
 	}
 }
@@ -33,7 +33,7 @@ func annotatedTrailing(n int) {
 	switch n {
 	case 0:
 	default:
-		panic("unknown mode") //mdvet:panics unreachable: exhaustive over validated modes
+		panic("unknown mode") //mdvet:ignore errpanic unreachable: exhaustive over validated modes
 	}
 }
 
@@ -50,6 +50,6 @@ func shadowed() {
 }
 
 func stale() {
-	//mdvet:panics nothing here panics anymore // want "stale //mdvet:panics directive"
+	//mdvet:ignore errpanic nothing here panics anymore // want "stale //mdvet:ignore errpanic directive"
 	_ = 1
 }

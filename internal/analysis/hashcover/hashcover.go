@@ -12,8 +12,8 @@
 // body reaches (via the callgraph summary — helpers like kmcConfig that
 // project config fields count as coverage). A field that is never
 // referenced is reported at its declaration unless an
-// //mdvet:hashexempt <reason> directive on the field (same or preceding
-// line) declares it restart-neutral.
+// //mdvet:ignore hashcover <reason> directive on the field (same or
+// preceding line) declares it restart-neutral.
 //
 // Soundness limits are the callgraph's (see that package): calls through
 // function values or interfaces contribute no coverage, and any reference
@@ -26,7 +26,6 @@ import (
 	"go/types"
 
 	"mdkmc/internal/analysis"
-	"mdkmc/internal/analysis/callgraph"
 )
 
 // Analyzer is the hashcover check.
@@ -37,57 +36,41 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(p *analysis.Pass) error {
-	g := callgraph.New(p.Files, p.TypesInfo)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || fn.Name.Name != "Hash" || fn.Recv == nil {
-				continue
-			}
-			obj, ok := p.TypesInfo.Defs[fn.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			checkHash(p, g, obj)
+	for _, fn := range analysis.Funcs(p.Files) {
+		if obj, ok := p.TypesInfo.Defs[fn.Name].(*types.Func); ok && fn.Name.Name == "Hash" {
+			checkHash(p, obj)
 		}
 	}
 	return nil
 }
 
-// hashSignature reports whether fn is the hash contract: a method with no
-// parameters returning exactly one string, on a struct receiver, and
-// returns that struct.
-func hashSignature(fn *types.Func) (*types.Struct, bool) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-		return nil, false
+// hashReceiver returns the receiver type of fn when fn is the hash
+// contract: a method with no parameters returning exactly one string, on a
+// named struct.
+func hashReceiver(fn *types.Func) (*types.Named, *types.Struct) {
+	named := analysis.RecvNamed(fn)
+	sig := fn.Type().(*types.Signature)
+	if named == nil || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
+		return nil, nil
 	}
 	basic, ok := sig.Results().At(0).Type().Underlying().(*types.Basic)
 	if !ok || basic.Kind() != types.String {
-		return nil, false
+		return nil, nil
 	}
-	rt := sig.Recv().Type()
-	if ptr, ok := rt.(*types.Pointer); ok {
-		rt = ptr.Elem()
-	}
-	st, ok := rt.Underlying().(*types.Struct)
-	return st, ok
+	st, _ := named.Underlying().(*types.Struct)
+	return named, st
 }
 
-func checkHash(p *analysis.Pass, g *callgraph.Graph, hash *types.Func) {
-	st, ok := hashSignature(hash)
-	if !ok {
+func checkHash(p *analysis.Pass, hash *types.Func) {
+	named, st := hashReceiver(hash)
+	if st == nil {
 		return
 	}
 	// Fields referenced anywhere in Hash or the same-package functions it
 	// reaches.
 	referenced := map[*types.Var]bool{}
-	for fn := range g.Reachable(hash) {
-		decl := g.DeclOf(fn)
-		if decl == nil || decl.Body == nil {
-			continue
-		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
+	for fn := range p.Graph().Reachable(hash) {
+		ast.Inspect(p.Graph().DeclOf(fn).Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if sel := p.TypesInfo.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
@@ -105,24 +88,9 @@ func checkHash(p *analysis.Pass, g *callgraph.Graph, hash *types.Func) {
 			return true
 		})
 	}
-	recvName := "?"
-	rt := hash.Type().(*types.Signature).Recv().Type()
-	if ptr, ok := rt.(*types.Pointer); ok {
-		rt = ptr.Elem()
-	}
-	if named, ok := rt.(*types.Named); ok {
-		recvName = named.Obj().Name()
-	}
 	for i := 0; i < st.NumFields(); i++ {
-		field := st.Field(i)
-		if referenced[field] {
-			continue
+		if field := st.Field(i); !referenced[field] {
+			p.Reportf(field.Pos(), "field %s is invisible to (%s).Hash: restart refusal cannot see changes to it — hash it or annotate //mdvet:ignore hashcover <reason>", field.Name(), named.Obj().Name())
 		}
-		pos := p.Fset.Position(field.Pos())
-		if p.Dirs.HashExempt(pos) {
-			p.Exempted()
-			continue
-		}
-		p.Reportf(field.Pos(), "field %s is invisible to (%s).Hash: restart refusal cannot see changes to it — hash it or annotate //mdvet:hashexempt <reason>", field.Name(), recvName)
 	}
 }

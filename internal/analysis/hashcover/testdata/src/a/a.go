@@ -12,14 +12,14 @@ type Config struct {
 	Temperature float64
 	Protocol    string
 
-	//mdvet:hashexempt decomposition shape, rebuilt from the world at load
+	//mdvet:ignore hashcover decomposition shape, rebuilt from the world at load
 	Grid [3]int
 
 	// FreshKnob is the regression fixture: a newly added field nobody
 	// taught Hash about.
 	FreshKnob int // want "field FreshKnob is invisible to \\(Config\\).Hash"
 
-	Exempted bool //mdvet:hashexempt diagnostics toggle, never alters physics
+	Exempted bool //mdvet:ignore hashcover diagnostics toggle, never alters physics
 }
 
 // kmcConfig projects the protocol field; referencing Protocol here counts
@@ -42,7 +42,7 @@ func (u uncovered) Hash() string { return fmt.Sprint(u.B) }
 
 // staleExempt is fully covered, so its exemption suppresses nothing.
 type staleExempt struct {
-	//mdvet:hashexempt covered below, directive is dead // want "stale //mdvet:hashexempt directive"
+	//mdvet:ignore hashcover covered below, directive is dead // want "stale //mdvet:ignore hashcover directive"
 	N int
 }
 

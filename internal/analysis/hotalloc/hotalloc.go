@@ -40,12 +40,8 @@ var Analyzer = &analysis.Analyzer{
 const telemetryPath = "mdkmc/internal/telemetry"
 
 func run(p *analysis.Pass) error {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !p.Dirs.IsHot(fn) {
-				continue
-			}
+	for _, fn := range analysis.Funcs(p.Files) {
+		if p.Dirs.IsHot(fn) {
 			checkHot(p, fn)
 		}
 	}
@@ -54,19 +50,7 @@ func run(p *analysis.Pass) error {
 
 func checkHot(p *analysis.Pass, fn *ast.FuncDecl) {
 	// parent links for the escape-context checks.
-	parent := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(fn, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parent[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
+	parent := analysis.ParentMap(fn)
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

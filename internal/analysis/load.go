@@ -141,26 +141,9 @@ func (l *Loader) check(path string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: (*loaderImporter)(l)}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
+	pkg, err := NewPackage(path, l.Fset, files, (*loaderImporter)(l))
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
-	}
-	pkg := &Package{
-		ImportPath: path,
-		Dir:        m.Dir,
-		Fset:       l.Fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		Dirs:       NewDirectives(l.Fset, files),
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil
@@ -178,7 +161,7 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
+		return pkg.Pkg, nil
 	}
 	if p, ok := l.std2[path]; ok {
 		return p, nil

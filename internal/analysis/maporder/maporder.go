@@ -46,14 +46,8 @@ var sortFuncs = map[string]bool{
 }
 
 func run(p *analysis.Pass) error {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(p, fn.Body)
-		}
+	for _, fn := range analysis.Funcs(p.Files) {
+		checkFunc(p, fn.Body)
 	}
 	return nil
 }
@@ -156,16 +150,7 @@ func isFloat(t types.Type) bool {
 // isAppend reports whether e is a call to the append builtin.
 func isAppend(p *analysis.Pass, e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := p.TypesInfo.Uses[id]
-	b, ok := obj.(*types.Builtin)
-	return ok && b.Name() == "append"
+	return ok && analysis.IsBuiltinCall(p.TypesInfo, call, "append")
 }
 
 // isMethodCall reports whether the selector resolves to a method (not a

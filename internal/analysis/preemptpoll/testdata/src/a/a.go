@@ -1,53 +1,14 @@
-// Package a exercises preemptpoll outside the coupling packages: rule 1
+// Package a exercises preemptpoll outside the coupling packages: the rule
 // does not apply (loops may advance without polling — there is no
-// preemptor to honor), while rule 2 still flags rank-guarded paths into
-// collectives, including the cross-package Preemptor.Poll.
+// preemptor to honor).
 package a
 
-import (
-	"mdkmc/internal/couple"
-	"mdkmc/internal/md"
-	"mdkmc/internal/mpi"
-	"mdkmc/internal/telemetry"
-)
+import "mdkmc/internal/md"
 
 // freeLoop advances without a boundary: fine here, this is not a
 // coupling package.
 func freeLoop(r *md.Rank, n int) {
 	for i := 0; i < n; i++ {
 		r.Step()
-	}
-}
-
-func badGuardedCrossPackagePoll(c *mpi.Comm, p *couple.Preemptor) {
-	if c.Rank() == 0 {
-		p.Poll(c) // want "collective Poll is called under a rank-dependent condition"
-	}
-}
-
-// aggregateAll reaches the known collective telemetry.Aggregate.
-func aggregateAll() {
-	telemetry.Aggregate(nil)
-}
-
-func badGuardedAggregateWrapper(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		aggregateAll() // want "rank-guarded call to aggregateAll transitively enters collective Aggregate"
-	}
-}
-
-// guardedDirectAggregate is collsym's territory (a direct known
-// collective under a guard): preemptpoll must not double-report it.
-func guardedDirectAggregate(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		telemetry.Aggregate(nil)
-	}
-}
-
-// guardedDirectBarrier likewise: collsym already reports guarded mpi
-// collectives.
-func guardedDirectBarrier(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		c.Barrier()
 	}
 }

@@ -1,6 +1,6 @@
-// Package couple is the preemptpoll fixture for rule 1 (the analyzer
-// matches this import path as a coupling package) and for rule 2 inside
-// the package that declares the collective Poll method.
+// Package couple is the preemptpoll fixture: the analyzer matches this
+// import path as a coupling package, where advancing loops must reach a
+// preemption boundary.
 package couple
 
 import (
@@ -9,8 +9,8 @@ import (
 	"mdkmc/internal/mpi"
 )
 
-// Preemptor mirrors the real preemptor: Poll is a collective *method*,
-// which collsym's directive matching cannot see — preemptpoll covers it.
+// Preemptor mirrors the real preemptor: Poll is one of the two boundary
+// leaves (that it stays rank-symmetric is collsym's contract).
 type Preemptor struct{}
 
 // Poll is the collective boundary check stub.
@@ -25,12 +25,6 @@ func (p *Preemptor) Poll(c *mpi.Comm) bool {
 func faultEveryStep(c *mpi.Comm, step int) {
 	c.FaultPoint("md-step", step)
 }
-
-// drainTail is a declared boundary: the checkpointless tail of a run
-// where preemption is handled by the caller.
-//
-//mdvet:boundary
-func drainTail() {}
 
 func goodDirectFault(c *mpi.Comm, r *md.Rank, n int) {
 	for i := 0; i < n; i++ {
@@ -52,13 +46,6 @@ func goodViaHelper(c *mpi.Comm, r *md.Rank, n int) {
 	for i := 0; i < n; i++ {
 		r.Step()
 		faultEveryStep(c, i)
-	}
-}
-
-func goodViaBoundary(r *md.Rank, n int) {
-	for i := 0; i < n; i++ {
-		r.Step()
-		drainTail()
 	}
 }
 
@@ -132,49 +119,6 @@ func ignoredAnneal(st *kmc.State, n int) {
 	//mdvet:ignore preemptpoll anneal has no checkpointable mid-state, preempted at the iteration boundary
 	for i := 0; i < n; i++ {
 		st.Cycle()
-	}
-}
-
-// Rule 2: guarded collective methods and guarded transitive collectives.
-
-func badGuardedPoll(c *mpi.Comm, p *Preemptor) {
-	if c.Rank() == 0 {
-		p.Poll(c) // want "collective Poll is called under a rank-dependent condition"
-	}
-}
-
-// pollWrapper enters the collective one hop down.
-func pollWrapper(c *mpi.Comm, p *Preemptor) {
-	p.Poll(c)
-}
-
-func badGuardedWrapper(c *mpi.Comm, p *Preemptor) {
-	if c.Rank() == 0 {
-		pollWrapper(c, p) // want "rank-guarded call to pollWrapper transitively enters collective Poll"
-	}
-}
-
-// badGuardedYield: the driver's boundary flushes telemetry under a rank-0
-// guard right next to the yield; the yield itself must stay outside it.
-func badGuardedYield(d *run, c *mpi.Comm) {
-	if c.Rank() == 0 {
-		d.yield(c) // want "rank-guarded call to yield transitively enters collective Poll"
-	}
-}
-
-// symmetricPoll is the sanctioned shape: the poll guard is rank-uniform
-// configuration state, not the rank.
-func symmetricPoll(c *mpi.Comm, p *Preemptor, enabled bool) {
-	if enabled {
-		p.Poll(c)
-	}
-}
-
-// guardedLocalWork stays silent: nothing under the guard reaches a
-// collective.
-func guardedLocalWork(c *mpi.Comm, r *md.Rank) {
-	if c.Rank() == 0 {
-		r.Step()
 	}
 }
 

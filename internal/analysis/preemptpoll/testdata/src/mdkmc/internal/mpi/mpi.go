@@ -1,6 +1,6 @@
 // Package mpi is a preemptpoll fixture stub: the analyzer matches
-// Comm.FaultPoint (a boundary) and the collective Comm methods by this
-// import path and the receiver/method names.
+// Comm.FaultPoint (a boundary) by this import path and the
+// receiver/method name.
 package mpi
 
 // Comm is the communicator stub.
@@ -9,7 +9,5 @@ type Comm struct{}
 func (c *Comm) Rank() int { return 0 }
 
 func (c *Comm) FaultPoint(kind string, n int) {}
-
-func (c *Comm) Barrier() {}
 
 func (c *Comm) Allreduce(vals ...float64) []float64 { return vals }

@@ -12,7 +12,6 @@ package rngtime
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"mdkmc/internal/analysis"
 )
@@ -39,20 +38,8 @@ var protectedPkgs = []string{
 // clockFuncs are the wall-clock reads of package time.
 var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-func protected(path string) bool {
-	for _, p := range protectedPkgs {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 func run(p *analysis.Pass) error {
-	if !protected(p.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range p.Files {
+	for _, f := range p.ScopedFiles(protectedPkgs, true) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

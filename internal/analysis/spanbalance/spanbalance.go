@@ -26,15 +26,17 @@
 // to a call, stored into a structure, or captured by a non-End closure is
 // assumed balanced elsewhere. An End inside a nested closure counts where
 // the closure is written. Functions containing goto are skipped. These
-// are the documented soundness limits (DESIGN.md §17).
+// are the documented soundness limits (DESIGN.md §12).
 package spanbalance
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"mdkmc/internal/analysis"
+	"mdkmc/internal/analysis/callgraph"
 )
 
 // Analyzer is the spanbalance check.
@@ -44,268 +46,150 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const telemetryPath = "mdkmc/internal/telemetry"
-
 // isBeginCall reports whether call is telemetry (*Timer).Begin().
-func isBeginCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Name() != "Begin" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	rt := sig.Recv().Type()
-	if ptr, ok := rt.(*types.Pointer); ok {
-		rt = ptr.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	return ok && named.Obj().Name() == "Timer" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == telemetryPath
+func isBeginCall(p *analysis.Pass, call *ast.CallExpr) bool {
+	fn := callgraph.CalleeOf(p.TypesInfo, call)
+	return fn != nil && analysis.IsMethod(fn, "mdkmc/internal/telemetry", "Timer", "Begin")
 }
 
-// scope is one function body analyzed independently.
+// scope is one function body (a declaration's or a literal's) analyzed
+// independently, with what one classification pass learns about it.
 type scope struct {
+	p       *analysis.Pass
 	body    *ast.BlockStmt
 	results *ast.FieldList
+	parents map[ast.Node]ast.Node
+	// begins lists, per span variable and in source order, the Begin calls
+	// whose result lands in it.
+	begins map[*types.Var][]*ast.CallExpr
 }
 
 func run(p *analysis.Pass) error {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, fn := range analysis.Funcs(p.Files) {
+		checkScope(p, fn.Body, fn.Type.Results)
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				checkScope(p, lit.Body, lit.Type.Results)
 			}
-			for _, sc := range collectScopes(fn.Body, fn.Type.Results) {
-				checkScope(p, sc)
-			}
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-// collectScopes returns the root scope plus one per (transitively) nested
-// function literal.
-func collectScopes(body *ast.BlockStmt, results *ast.FieldList) []scope {
-	scopes := []scope{{body: body, results: results}}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			scopes = append(scopes, scope{body: lit.Body, results: lit.Type.Results})
+// checkScope classifies every Begin call site of the scope in one pass —
+// dropped, landing in a span variable, or balancing inline/escaping — then
+// runs the liveness analysis per variable. Scopes containing goto are
+// skipped.
+func checkScope(p *analysis.Pass, body *ast.BlockStmt, results *ast.FieldList) {
+	sc := &scope{p: p, body: body, results: results, parents: analysis.ParentMap(body), begins: map[*types.Var][]*ast.CallExpr{}}
+	var tracked []*types.Var
+	var dropped []*ast.CallExpr
+	hasGoto := false
+	analysis.InspectFunc(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BranchStmt:
+			hasGoto = hasGoto || n.Tok == token.GOTO
+		case *ast.CallExpr:
+			if !isBeginCall(p, n) {
+				break
+			}
+			switch v, drop := sc.beginTarget(n); {
+			case drop:
+				dropped = append(dropped, n)
+			case v != nil:
+				if sc.begins[v] == nil {
+					tracked = append(tracked, v)
+				}
+				sc.begins[v] = append(sc.begins[v], n)
+			}
 		}
 		return true
 	})
-	return scopes
-}
-
-// hasGoto reports whether the scope contains a goto (outside nested
-// literals — those are separate scopes).
-func hasGoto(sc scope) bool {
-	found := false
-	inspectScope(sc.body, func(n ast.Node) bool {
-		if br, ok := n.(*ast.BranchStmt); ok && br.Tok == token.GOTO {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// inspectScope is ast.Inspect that does not descend into nested function
-// literals.
-func inspectScope(root ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok && n != root {
-			return false
-		}
-		return fn(n)
-	})
-}
-
-func checkScope(p *analysis.Pass, sc scope) {
-	if hasGoto(sc) {
+	if hasGoto {
 		return
 	}
-	// Pass 1: classify every Begin call site in this scope.
-	var tracked []*types.Var
-	seen := map[*types.Var]bool{}
-	inspectScope(sc.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isBeginCall(p.TypesInfo, call) {
-			return true
-		}
-		switch v := beginTarget(p, sc, call).(type) {
-		case *types.Var:
-			if !seen[v] {
-				seen[v] = true
-				tracked = append(tracked, v)
-			}
-		case dropped:
-			p.Reportf(call.Pos(), "result of Timer.Begin() is dropped: the span can never End and the phase measurement is lost")
-		}
-		return true
-	})
+	for _, call := range dropped {
+		p.Reportf(call.Pos(), "result of Timer.Begin() is dropped: the span can never End and the phase measurement is lost")
+	}
 	for _, v := range tracked {
-		checkVar(p, sc, v)
+		sc.checkVar(v)
 	}
 }
 
-// dropped marks a Begin whose result is discarded.
-type dropped struct{}
-
-// beginTarget classifies one Begin call site: the *types.Var it is
-// assigned to, dropped{} when discarded, or nil when it balances inline
-// (immediate .End()) or escapes into an expression.
-func beginTarget(p *analysis.Pass, sc scope, call *ast.CallExpr) interface{} {
-	parents := parentMap(sc.body)
-	parent := parents[call]
-	switch par := parent.(type) {
+// beginTarget classifies one Begin call site: the variable its result is
+// assigned to, or dropped when it is discarded. Neither means the span
+// balances inline (an immediate .End()) or escapes into an expression
+// (argument, return value, composite literal, selector/index target).
+func (sc *scope) beginTarget(call *ast.CallExpr) (v *types.Var, dropped bool) {
+	var target ast.Expr
+	switch par := sc.parents[call].(type) {
 	case *ast.ExprStmt:
-		return dropped{}
+		return nil, true
 	case *ast.AssignStmt:
-		if idx := exprIndex(par.Rhs, call); idx >= 0 && len(par.Lhs) == len(par.Rhs) {
-			if id, ok := par.Lhs[idx].(*ast.Ident); ok {
-				if id.Name == "_" {
-					return dropped{}
-				}
-				if v := varOf(p, id); v != nil {
-					return v
-				}
-			}
+		if i := slices.Index(par.Rhs, ast.Expr(call)); i >= 0 && len(par.Lhs) == len(par.Rhs) {
+			target = par.Lhs[i]
 		}
-		return nil // assigned through a selector/index: escapes
 	case *ast.ValueSpec:
-		if idx := exprIndex(par.Values, call); idx >= 0 && len(par.Names) == len(par.Values) {
-			id := par.Names[idx]
-			if id.Name == "_" {
-				return dropped{}
-			}
-			if v := varOf(p, id); v != nil {
-				return v
-			}
+		if i := slices.Index(par.Values, ast.Expr(call)); i >= 0 && len(par.Names) == len(par.Values) {
+			target = par.Names[i]
 		}
-		return nil
-	case *ast.SelectorExpr:
-		// reg.Timer("x").Begin().End(): balanced inline.
-		if par.Sel.Name == "End" {
-			if grand, ok := parents[par].(*ast.CallExpr); ok && grand.Fun == par {
-				return nil
-			}
-		}
-		return nil
 	}
-	return nil // argument, return value, composite literal: escapes
+	id, ok := target.(*ast.Ident)
+	if !ok {
+		return nil, false
+	}
+	return varOf(sc.p, id), id.Name == "_"
 }
 
 func varOf(p *analysis.Pass, id *ast.Ident) *types.Var {
 	if v, ok := p.TypesInfo.Defs[id].(*types.Var); ok {
 		return v
 	}
-	if v, ok := p.TypesInfo.Uses[id].(*types.Var); ok {
-		return v
-	}
-	return nil
-}
-
-func exprIndex(list []ast.Expr, e ast.Expr) int {
-	for i, x := range list {
-		if x == e {
-			return i
-		}
-	}
-	return -1
-}
-
-// parentMap builds child→parent links for the scope (cached per call; the
-// packages are small enough that rebuilding is cheap and keeps the walk
-// stateless).
-func parentMap(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
+	v, _ := p.TypesInfo.Uses[id].(*types.Var)
+	return v
 }
 
 // checkVar runs the liveness analysis for one span variable.
-func checkVar(p *analysis.Pass, sc scope, v *types.Var) {
-	if escapes(p, sc, v) {
+func (sc *scope) checkVar(v *types.Var) {
+	if sc.escapes(v) {
 		return
 	}
-	beginPos := firstBeginPos(p, sc, v)
-	if hasDeferredEnd(p, sc, v) {
+	begins := sc.begins[v]
+	if sc.hasDeferredEnd(v) {
 		// Every path Ends via the defer; only re-Begin shadowing can leak.
-		n := 0
-		inspectScope(sc.body, func(node ast.Node) bool {
-			if call, ok := node.(*ast.CallExpr); ok && isBeginCall(p.TypesInfo, call) && assignsTo(p, sc, call, v) {
-				n++
-				if n > 1 {
-					p.Reportf(call.Pos(), "span %s is re-begun while `defer %s.End()` is pending: the deferred End closes the new span and the first one leaks", v.Name(), v.Name())
-				}
-			}
-			return true
-		})
+		for _, call := range begins[1:] {
+			sc.p.Reportf(call.Pos(), "span %s is re-begun while `defer %s.End()` is pending: the deferred End closes the new span and the first one leaks", v.Name(), v.Name())
+		}
 		return
 	}
-	w := &walker{p: p, sc: sc, v: v, beginPos: beginPos}
+	w := &walker{sc: sc, v: v, beginPos: begins[0].Pos()}
 	live, _ := w.stmts(sc.body.List, false)
 	if live && !w.poisoned {
-		p.Reportf(beginPos, "span %s begun here does not reach .End() before the function returns", v.Name())
+		sc.p.Reportf(w.beginPos, "span %s begun here does not reach .End() before the function returns", v.Name())
 	}
 }
 
 // escapes reports whether v is used outside the allowed span idioms
 // (Begin assignment, .End() receiver — also inside closures — or blank
 // reads the analysis understands).
-func escapes(p *analysis.Pass, sc scope, v *types.Var) bool {
-	parents := parentMap(sc.body)
+func (sc *scope) escapes(v *types.Var) bool {
 	esc := false
 	ast.Inspect(sc.body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
-		if !ok || varOf(p, id) != v {
-			return true
+		if esc || !ok || varOf(sc.p, id) != v {
+			return !esc
 		}
-		switch par := parents[id].(type) {
+		switch par := sc.parents[id].(type) {
 		case *ast.AssignStmt:
 			// LHS of an assignment (definition or overwrite).
-			for _, l := range par.Lhs {
-				if l == id {
-					return true
-				}
-			}
-			esc = true
+			esc = !slices.Contains(par.Lhs, ast.Expr(id))
 		case *ast.ValueSpec:
-			for _, name := range par.Names {
-				if name == id {
-					return true
-				}
-			}
-			esc = true // `var x = sp`: the span aliases away
+			esc = !slices.Contains(par.Names, id) // `var x = sp`: the span aliases away
 		case *ast.SelectorExpr:
 			// Only sp.End() is an allowed read.
-			if par.X == id && par.Sel.Name == "End" {
-				if call, ok := parents[par].(*ast.CallExpr); ok && call.Fun == par {
-					return true
-				}
-			}
-			esc = true
+			call, ok := sc.parents[par].(*ast.CallExpr)
+			esc = !(ok && call.Fun == par && par.X == id && par.Sel.Name == "End")
 		default:
 			esc = true
 		}
@@ -314,39 +198,12 @@ func escapes(p *analysis.Pass, sc scope, v *types.Var) bool {
 	return esc
 }
 
-func firstBeginPos(p *analysis.Pass, sc scope, v *types.Var) token.Pos {
-	pos := token.NoPos
-	inspectScope(sc.body, func(n ast.Node) bool {
-		if pos.IsValid() {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && isBeginCall(p.TypesInfo, call) && assignsTo(p, sc, call, v) {
-			pos = call.Pos()
-		}
-		return true
-	})
-	return pos
-}
-
-// assignsTo reports whether the Begin call's result lands in v.
-func assignsTo(p *analysis.Pass, sc scope, call *ast.CallExpr, v *types.Var) bool {
-	t, _ := beginTarget(p, sc, call).(*types.Var)
-	return t == v
-}
-
 // hasDeferredEnd reports whether the scope defers v.End(), directly or in
 // a deferred closure.
-func hasDeferredEnd(p *analysis.Pass, sc scope, v *types.Var) bool {
+func (sc *scope) hasDeferredEnd(v *types.Var) bool {
 	found := false
-	inspectScope(sc.body, func(n ast.Node) bool {
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return !found
-		}
-		if endsVar(p, d.Call, v) {
-			found = true
-		}
-		if lit, ok := d.Call.Fun.(*ast.FuncLit); ok && endsVar(p, lit.Body, v) {
+	analysis.InspectFunc(sc.body, func(n ast.Node) bool {
+		if d, ok := n.(*ast.DeferStmt); ok && sc.endsVar(d.Call, v) {
 			found = true
 		}
 		return !found
@@ -357,16 +214,14 @@ func hasDeferredEnd(p *analysis.Pass, sc scope, v *types.Var) bool {
 // endsVar reports whether the node contains a v.End() call (descending
 // into closures: an End written inside a closure counts where it is
 // written — a documented approximation).
-func endsVar(p *analysis.Pass, root ast.Node, v *types.Var) bool {
+func (sc *scope) endsVar(root ast.Node, v *types.Var) bool {
 	found := false
 	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !found
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "End" {
-			if id, ok := sel.X.(*ast.Ident); ok && varOf(p, id) == v {
-				found = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "End" {
+				if id, ok := sel.X.(*ast.Ident); ok && varOf(sc.p, id) == v {
+					found = true
+				}
 			}
 		}
 		return !found
@@ -374,44 +229,9 @@ func endsVar(p *analysis.Pass, root ast.Node, v *types.Var) bool {
 	return found
 }
 
-// beginsVar reports whether the statement assigns a fresh Begin to v.
-func beginsVar(p *analysis.Pass, sc scope, root ast.Node, v *types.Var) (token.Pos, bool) {
-	pos := token.NoPos
-	inspectScope(root, func(n ast.Node) bool {
-		if pos.IsValid() {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && isBeginCall(p.TypesInfo, call) && assignsTo(p, sc, call, v) {
-			pos = call.Pos()
-		}
-		return true
-	})
-	return pos, pos.IsValid()
-}
-
-// isPanicCall reports whether the statement is a call to the builtin
-// panic (an abort path: the telemetry report is abandoned with the run).
-func isPanicCall(p *analysis.Pass, s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	_, ok = p.TypesInfo.Uses[id].(*types.Builtin)
-	return ok
-}
-
 // walker is the per-variable abstract interpreter.
 type walker struct {
-	p        *analysis.Pass
-	sc       scope
+	sc       *scope
 	v        *types.Var
 	beginPos token.Pos
 	poisoned bool // a path-dependence report was already issued
@@ -422,7 +242,7 @@ func (w *walker) reportOnce(pos token.Pos, format string, args ...interface{}) {
 		return
 	}
 	w.poisoned = true
-	w.p.Reportf(pos, format, args...)
+	w.sc.p.Reportf(pos, format, args...)
 }
 
 // stmts walks a statement list; returns (live at fall-through,
@@ -453,26 +273,19 @@ func (w *walker) stmt(s ast.Stmt, live bool) (bool, bool) {
 		if s.Else != nil {
 			elseLive, elseTerm = w.stmt(s.Else, live)
 		}
-		return w.merge(s.Pos(), []bool{thenLive, elseLive}, []bool{thenTerm, elseTerm})
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.clauses(s, live)
+		return w.merge([]bool{thenLive, elseLive}, []bool{thenTerm, elseTerm})
+	case *ast.SwitchStmt:
+		return w.clauses(s.Init, s.Body, live)
+	case *ast.TypeSwitchStmt:
+		return w.clauses(s.Init, s.Body, live)
+	case *ast.SelectStmt:
+		return w.clauses(nil, s.Body, live)
 	case *ast.ForStmt:
-		if s.Init != nil {
-			live, _ = w.stmt(s.Init, live)
-		}
-		bodyLive, bodyTerm := w.stmts(s.Body.List, live)
-		if !bodyTerm && bodyLive != live {
-			w.reportOnce(w.beginPos, "span %s does not End by the bottom of the loop body: the next iteration re-begins over a live span (or Ends a dead one)", w.v.Name())
-		}
-		return live, false
+		return w.loop(s.Init, s.Body, live)
 	case *ast.RangeStmt:
-		bodyLive, bodyTerm := w.stmts(s.Body.List, live)
-		if !bodyTerm && bodyLive != live {
-			w.reportOnce(w.beginPos, "span %s does not End by the bottom of the loop body: the next iteration re-begins over a live span (or Ends a dead one)", w.v.Name())
-		}
-		return live, false
+		return w.loop(nil, s.Body, live)
 	case *ast.ReturnStmt:
-		if live && !w.propagatesError(s) {
+		if live && !analysis.PropagatesError(w.sc.p.TypesInfo, w.sc.results, s) {
 			w.reportOnce(w.beginPos, "span %s begun here is still live at the return: .End() is skipped on this path (error-propagating returns are exempt — the run aborts)", w.v.Name())
 		}
 		return false, true
@@ -481,79 +294,79 @@ func (w *walker) stmt(s ast.Stmt, live bool) (bool, bool) {
 		// terminating keeps the loop-body join simple (documented
 		// approximation).
 		return live, true
-	default:
-		if isPanicCall(w.p, s) {
+	}
+	// A straight-line statement. panic is an abort path (the telemetry
+	// report is abandoned with the run); otherwise its effect on v is a
+	// fresh Begin, an End, or an overwrite.
+	if es, ok := s.(*ast.ExprStmt); ok {
+		if call, ok := es.X.(*ast.CallExpr); ok && analysis.IsBuiltinCall(w.sc.p.TypesInfo, call, "panic") {
 			return false, true
 		}
-		// Effects of a straight-line statement: a fresh Begin into v, an
-		// End of v, or an overwrite of v.
-		if pos, ok := beginsVar(w.p, w.sc, s, w.v); ok {
+	}
+	for _, call := range w.sc.begins[w.v] {
+		if s.Pos() <= call.Pos() && call.End() <= s.End() {
 			if live {
-				w.reportOnce(pos, "span %s is re-begun before .End(): the previous span leaks", w.v.Name())
+				w.reportOnce(call.Pos(), "span %s is re-begun before .End(): the previous span leaks", w.v.Name())
 			}
 			return true, false
 		}
-		if endsVar(w.p, s, w.v) {
-			return false, false
-		}
-		if w.overwrites(s) {
-			if live {
-				w.reportOnce(s.Pos(), "span %s is overwritten while live: the running span leaks", w.v.Name())
-			}
-			return false, false
-		}
-		return live, false
 	}
+	if w.sc.endsVar(s, w.v) {
+		return false, false
+	}
+	if w.overwrites(s) {
+		if live {
+			w.reportOnce(s.Pos(), "span %s is overwritten while live: the running span leaks", w.v.Name())
+		}
+		return false, false
+	}
+	return live, false
+}
+
+// loop walks a for/range body: the span's liveness at the bottom must
+// match the top, or iterations disagree.
+func (w *walker) loop(init ast.Stmt, body *ast.BlockStmt, live bool) (bool, bool) {
+	if init != nil {
+		live, _ = w.stmt(init, live)
+	}
+	bodyLive, bodyTerm := w.stmts(body.List, live)
+	if !bodyTerm && bodyLive != live {
+		w.reportOnce(w.beginPos, "span %s does not End by the bottom of the loop body: the next iteration re-begins over a live span (or Ends a dead one)", w.v.Name())
+	}
+	return live, false
 }
 
 // clauses merges switch/type-switch/select bodies.
-func (w *walker) clauses(s ast.Stmt, live bool) (bool, bool) {
-	var body *ast.BlockStmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			live, _ = w.stmt(s.Init, live)
-		}
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			live, _ = w.stmt(s.Init, live)
-		}
-		body = s.Body
-	case *ast.SelectStmt:
-		body = s.Body
+func (w *walker) clauses(init ast.Stmt, body *ast.BlockStmt, live bool) (bool, bool) {
+	if init != nil {
+		live, _ = w.stmt(init, live)
 	}
-	var lives []bool
-	var terms []bool
+	var lives, terms []bool
+	hasDefault := false
 	for _, c := range body.List {
-		var stmtsList []ast.Stmt
+		var list []ast.Stmt
 		switch cc := c.(type) {
 		case *ast.CaseClause:
-			if cc.List == nil {
-				hasDefault = true
-			}
-			stmtsList = cc.Body
+			hasDefault = hasDefault || cc.List == nil
+			list = cc.Body
 		case *ast.CommClause:
-			if cc.Comm == nil {
-				hasDefault = true
-			}
-			stmtsList = cc.Body
+			hasDefault = hasDefault || cc.Comm == nil
+			list = cc.Body
 		}
-		l, t := w.stmts(stmtsList, live)
+		l, t := w.stmts(list, live)
 		lives = append(lives, l)
 		terms = append(terms, t)
 	}
-	if !hasDefault || len(lives) == 0 {
+	if !hasDefault {
 		// The zero-clause path falls through unchanged.
 		lives = append(lives, live)
 		terms = append(terms, false)
 	}
-	return w.merge(s.Pos(), lives, terms)
+	return w.merge(lives, terms)
 }
 
 // merge joins branch outcomes: surviving paths must agree on liveness.
-func (w *walker) merge(pos token.Pos, lives []bool, terms []bool) (bool, bool) {
+func (w *walker) merge(lives []bool, terms []bool) (bool, bool) {
 	first := true
 	var out bool
 	for i := range lives {
@@ -578,40 +391,15 @@ func (w *walker) merge(pos token.Pos, lives []bool, terms []bool) (bool, bool) {
 // overwrites reports whether the statement assigns a non-Begin value to v.
 func (w *walker) overwrites(s ast.Stmt) bool {
 	found := false
-	inspectScope(s, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return !found
-		}
-		for _, l := range as.Lhs {
-			if id, ok := l.(*ast.Ident); ok && varOf(w.p, id) == w.v {
-				found = true
+	analysis.InspectFunc(s, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			for _, l := range as.Lhs {
+				if id, ok := l.(*ast.Ident); ok && varOf(w.sc.p, id) == w.v {
+					found = true
+				}
 			}
 		}
 		return !found
 	})
 	return found
-}
-
-// propagatesError mirrors collsym's exemption: the enclosing scope's last
-// result is an error and the returned value for it is not literal nil (a
-// naked return is presumed to carry the named error).
-func (w *walker) propagatesError(ret *ast.ReturnStmt) bool {
-	fs := w.sc.results
-	if fs == nil || len(fs.List) == 0 {
-		return false
-	}
-	last := fs.List[len(fs.List)-1]
-	t := w.p.TypesInfo.TypeOf(last.Type)
-	if t == nil || !types.Identical(t, types.Universe.Lookup("error").Type()) {
-		return false
-	}
-	if len(ret.Results) == 0 {
-		return true
-	}
-	lastExpr := ret.Results[len(ret.Results)-1]
-	if id, ok := lastExpr.(*ast.Ident); ok && id.Name == "nil" {
-		return false
-	}
-	return true
 }

@@ -144,6 +144,26 @@ func loopImbalance(reg *telemetry.Registry, n int) {
 	sp.End()
 }
 
+func switchBalanced(reg *telemetry.Registry, mode int) {
+	sp := reg.Timer("x").Begin()
+	switch mode {
+	case 0:
+		work()
+	default:
+		work()
+	}
+	sp.End()
+}
+
+func switchPathDependent(reg *telemetry.Registry, mode int) {
+	sp := reg.Timer("x").Begin() // want "Ends on some paths through this branch but not others"
+	switch mode {
+	case 0:
+		sp.End()
+	}
+	work()
+}
+
 func work() {}
 
 func closeElsewhere(sp telemetry.Span) {}

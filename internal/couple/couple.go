@@ -56,15 +56,15 @@ type Config struct {
 	// A restart may target a different topology than the snapshot's writer:
 	// the manifest records the source decomposition and the re-shard loader
 	// re-slices the global state for cfg.MD.Grid (DESIGN.md §14).
-	//mdvet:hashexempt snapshot cadence must not pin a checkpoint to the schedule that produced it
+	//mdvet:ignore hashcover snapshot cadence must not pin a checkpoint to the schedule that produced it
 	Checkpoint Checkpoint
 	// Rebalance configures the telemetry-calibrated dynamic load balancer
 	// (rebalance.go). A topology knob excluded from Hash.
-	//mdvet:hashexempt topology knob (DESIGN.md §14): repartitioning redistributes work without changing the trajectory
+	//mdvet:ignore hashcover topology knob (DESIGN.md §14): repartitioning redistributes work without changing the trajectory
 	Rebalance Rebalance
 	// Faults is the injected-failure plan for recovery testing; the
 	// MDKMC_FAULT environment variable appends to it.
-	//mdvet:hashexempt injected-failure plan is runtime machinery: a snapshot must not be pinned to the crash schedule that produced it
+	//mdvet:ignore hashcover injected-failure plan is runtime machinery: a snapshot must not be pinned to the crash schedule that produced it
 	Faults []mpi.Fault
 
 	// Preempt, when non-nil, lets another goroutine request checkpoint-backed
@@ -72,13 +72,13 @@ type Config struct {
 	// final snapshot through Checkpoint, and returns ErrPreempted
 	// (preempt.go). Runtime machinery like Faults — excluded from Hash, so
 	// the evicted run resumes under the same configuration digest.
-	//mdvet:hashexempt eviction machinery: the evicted run must resume under the same configuration digest
+	//mdvet:ignore hashcover eviction machinery: the evicted run must resume under the same configuration digest
 	Preempt *Preemptor
 
 	// Telemetry configures the observability layer (internal/telemetry). It
 	// is a pure speed/observability knob like MD.Workers: Hash excludes it,
 	// and an enabled run is bit-identical to a disabled one (test-gated).
-	//mdvet:hashexempt observability knob: an instrumented run is bit-identical to an uninstrumented one (test-gated)
+	//mdvet:ignore hashcover observability knob: an instrumented run is bit-identical to an uninstrumented one (test-gated)
 	Telemetry telemetry.Options
 }
 

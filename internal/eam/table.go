@@ -33,7 +33,7 @@ type Table struct {
 // NewTable samples fn at n+1 equally spaced points on [x0, x1].
 func NewTable(fn func(float64) float64, x0, x1 float64, n int) *Table {
 	if n < 8 || x1 <= x0 {
-		//mdvet:panics constructor precondition: table geometry is compiled into the potential, not job input
+		//mdvet:ignore errpanic constructor precondition: table geometry is compiled into the potential, not job input
 		panic(fmt.Sprintf("eam: bad table range [%v,%v] n=%d", x0, x1, n))
 	}
 	t := &Table{X0: x0, Dx: (x1 - x0) / float64(n), S: make([]float64, n+1)}

@@ -56,7 +56,7 @@ func (u *Unpacker) Reset(data []byte) { u.buf, u.off = data, 0 }
 func (u *Unpacker) need(n int) []byte {
 	b := u.buf[u.off:]
 	if len(b) < n {
-		//mdvet:panics a peer rank caused it; the mpi runtime converts rank panics into RankPanic errors, so this fails the job, not the process
+		//mdvet:ignore errpanic a peer rank caused it; the mpi runtime converts rank panics into RankPanic errors, so this fails the job, not the process
 		panic(&truncatedError{pkg: u.pkg, need: n, off: u.off, size: len(u.buf)})
 	}
 	u.off += n

@@ -111,7 +111,7 @@ func eachGhost(grid *lattice.Grid, box *lattice.Box, fn func(c, w lattice.Coord,
 func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 	classify func(holder *lattice.Box, c lattice.Coord) uint32) *Plan {
 	if len(classes) > maxClasses {
-		//mdvet:panics caller contract: the class list is a compile-time constant of each engine
+		//mdvet:ignore errpanic caller contract: the class list is a compile-time constant of each engine
 		panic(fmt.Sprintf("halo: %d classes exceed the %d-bit class mask", len(classes), maxClasses))
 	}
 	box := grid.Box(rank, ghost)
@@ -253,7 +253,7 @@ func (pl *Plan) Exchange(comm *mpi.Comm, ch Channel,
 			unpack(u, c)
 		}
 		if !u.Done() {
-			//mdvet:panics ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
+			//mdvet:ignore errpanic ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
 			panic(fmt.Errorf("%s: %d trailing byte(s) in ghost message (tag %d) from rank %d",
 				ch.Pkg, u.Remaining(), ch.Tag, peer))
 		}

@@ -50,13 +50,13 @@ func (p Protocol) String() string {
 // Config describes a KMC run.
 type Config struct {
 	Cells [3]int
-	//mdvet:hashexempt topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart, not part of the physical run
+	//mdvet:ignore hashcover topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart, not part of the physical run
 	Grid [3]int
 	// Cuts, when a dimension is non-nil, are explicit slab boundaries of the
 	// process grid (lattice.NewGridCuts) — set by the repartitioner to
 	// concentrate ranks on the defect-dense region. A topology knob like
 	// Grid, excluded from Hash.
-	//mdvet:hashexempt topology knob (DESIGN.md §14): re-shard loader handles boundary changes, trajectory is unchanged
+	//mdvet:ignore hashcover topology knob (DESIGN.md §14): re-shard loader handles boundary changes, trajectory is unchanged
 	Cuts [3][]int
 	A    float64
 
@@ -83,7 +83,7 @@ type Config struct {
 	EmCu float64
 
 	Seed uint64
-	//mdvet:hashexempt bit-identical communication knob (DESIGN.md §7): all three ghost protocols yield the same trajectory
+	//mdvet:ignore hashcover bit-identical communication knob (DESIGN.md §7): all three ghost protocols yield the same trajectory
 	Protocol Protocol
 
 	// DtFactor scales the synchronous cycle window dt = DtFactor / R_max;

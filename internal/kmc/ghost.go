@@ -109,7 +109,7 @@ func (st *State) applyDirty(data []byte, from int) {
 		occ := u.U8()
 		base, ok := st.localBase(w.X, w.Y, w.Z)
 		if !ok {
-			//mdvet:panics ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
+			//mdvet:ignore errpanic ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
 			panic(fmt.Errorf("kmc: rank %d sent update for invisible cell %+v", from, w))
 		}
 		st.setOcc(base+int(w.B), occ, false)
@@ -167,7 +167,7 @@ func (st *State) flushOnDemand() {
 			st.applyDirty(m.Data, m.Source)
 		}
 	default:
-		//mdvet:panics unreachable by construction: Config pins the protocol before the state exists
+		//mdvet:ignore errpanic unreachable by construction: Config pins the protocol before the state exists
 		panic("kmc: flushOnDemand with traditional protocol")
 	}
 }

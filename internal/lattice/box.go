@@ -61,7 +61,7 @@ func (b *Box) LocalIndex(c Coord) int {
 	lz := int(c.Z) - b.Lo[2] + b.Ghost
 	ex, ey := b.Ext(0), b.Ext(1)
 	if lx < 0 || lx >= ex || ly < 0 || ly >= ey || lz < 0 || lz >= b.Ext(2) {
-		//mdvet:panics documented contract: callers must pre-place every referenced site; an error return would poison the hot indexing path
+		//mdvet:ignore errpanic documented contract: callers must pre-place every referenced site; an error return would poison the hot indexing path
 		panic(fmt.Sprintf("lattice: coord %+v outside box [%v,%v)+g%d", c, b.Lo, b.Hi, b.Ghost))
 	}
 	return ((lz*ey+ly)*ex+lx)*2 + int(c.B)

@@ -39,7 +39,7 @@ type Lattice struct {
 // a programming error.
 func New(nx, ny, nz int, a float64) *Lattice {
 	if nx <= 0 || ny <= 0 || nz <= 0 || a <= 0 {
-		//mdvet:panics documented constructor precondition: config validation rejects bad geometry before any New call
+		//mdvet:ignore errpanic documented constructor precondition: config validation rejects bad geometry before any New call
 		panic(fmt.Sprintf("lattice: invalid geometry %dx%dx%d a=%v", nx, ny, nz, a))
 	}
 	return &Lattice{Nx: nx, Ny: ny, Nz: nz, A: a}

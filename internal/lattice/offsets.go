@@ -41,7 +41,7 @@ func (o Offset) Apply(c Coord) Coord {
 // basis) so the table is deterministic.
 func (l *Lattice) NeighborOffsets(cutoff float64) *OffsetTable {
 	if cutoff <= 0 {
-		//mdvet:panics documented constructor precondition: the cutoff comes from the potential, not job input
+		//mdvet:ignore errpanic documented constructor precondition: the cutoff comes from the potential, not job input
 		panic("lattice: non-positive cutoff")
 	}
 	reach := int32(math.Ceil(cutoff/l.A)) + 1

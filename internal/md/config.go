@@ -56,14 +56,14 @@ type Berendsen struct {
 // DefaultConfig as a starting point.
 type Config struct {
 	Cells [3]int // unit cells per dimension of the global box
-	//mdvet:hashexempt topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart, not part of the physical run
+	//mdvet:ignore hashcover topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart, not part of the physical run
 	Grid [3]int // process grid (ranks = product)
 	// Cuts, when a dimension is non-nil, are explicit slab boundaries for
 	// that dimension of the process grid (lattice.NewGridCuts) — the
 	// load-balanced decomposition produced by the repartitioner. Like Grid it
 	// is a topology knob: it changes how work is distributed, not which
 	// trajectory is physical, and is excluded from Hash.
-	//mdvet:hashexempt topology knob (DESIGN.md §14): re-shard loader handles boundary changes, trajectory is unchanged
+	//mdvet:ignore hashcover topology knob (DESIGN.md §14): re-shard loader handles boundary changes, trajectory is unchanged
 	Cuts    [3][]int
 	A       float64
 	Species units.Element
@@ -84,7 +84,7 @@ type Config struct {
 	// bit-identical for every value — the driver shards into a fixed number
 	// of chunks and reduces them in chunk order (DESIGN.md §9) — so the
 	// knob trades wall-clock only.
-	//mdvet:hashexempt bit-identical speed knob (DESIGN.md §9): the chunked reduction makes results independent of the pool size
+	//mdvet:ignore hashcover bit-identical speed knob (DESIGN.md §9): the chunked reduction makes results independent of the pool size
 	Workers int
 
 	Mode        eam.Mode

@@ -150,7 +150,7 @@ func (k *CPEKernel) tableResident(c *sunway.CPE, pot *eam.Potential) (string, in
 		return "traditional-table", traditionalBytes, false
 	}
 	if err := c.LDMAlloc("compacted-table", compactedBytes); err != nil {
-		//mdvet:panics LDM sizing invariant of the modeled accelerator: the compacted table fits by construction (DESIGN.md §13)
+		//mdvet:ignore errpanic LDM sizing invariant of the modeled accelerator: the compacted table fits by construction (DESIGN.md §13)
 		panic(fmt.Sprintf("md: compacted table does not fit the LDM: %v", err))
 	}
 	return "compacted-table", compactedBytes, false
@@ -220,7 +220,7 @@ func (k *CPEKernel) charge(c *sunway.CPE, spec passSpec, sites int, st OpStats) 
 		blockSites = 1
 	}
 	if err := c.LDMAlloc("block-buffers", blockSites*ldmPerSite); err != nil {
-		//mdvet:panics LDM sizing invariant of the modeled accelerator: the block budget is derived from the remaining capacity
+		//mdvet:ignore errpanic LDM sizing invariant of the modeled accelerator: the block budget is derived from the remaining capacity
 		panic(fmt.Sprintf("md: block buffer allocation failed: %v", err))
 	}
 	defer c.LDMFree("block-buffers")

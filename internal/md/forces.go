@@ -151,7 +151,7 @@ func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceFi
 				}
 			}
 			if found < 0 {
-				//mdvet:panics construction-time invariant of the generated offset table, not reachable from job input
+				//mdvet:ignore errpanic construction-time invariant of the generated offset table, not reachable from job input
 				panic("md: offset table is not symmetric; reverse offset missing")
 			}
 			rev[k] = found

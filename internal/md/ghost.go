@@ -142,7 +142,7 @@ func unpackCellRho(u *halo.Unpacker, s *neighbor.Store, base int) {
 				}
 			})
 			if !found {
-				//mdvet:panics ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
+				//mdvet:ignore errpanic ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
 				panic(fmt.Sprintf("md: rho for unknown ghost run-away %d", id))
 			}
 		}
@@ -172,7 +172,7 @@ func (e *exchange) SendMigrants(out []migrant) []migrant {
 	for _, m := range out {
 		owner := e.grid.RankOfCell(m.anchor.X, m.anchor.Y, m.anchor.Z)
 		if owner == e.comm.Rank() {
-			//mdvet:panics caller contract of the migration hot path; recovered as a RankPanic job error
+			//mdvet:ignore errpanic caller contract of the migration hot path; recovered as a RankPanic job error
 			panic("md: local migrant routed through SendMigrants")
 		}
 		byPeer[owner] = append(byPeer[owner], m)
@@ -186,7 +186,7 @@ func (e *exchange) SendMigrants(out []migrant) []migrant {
 			}
 		}
 		if !found {
-			//mdvet:panics run-away containment invariant (WideMargin): a migrant beyond the peer halo is physics gone wrong; recovered as a RankPanic job error
+			//mdvet:ignore errpanic run-away containment invariant (WideMargin): a migrant beyond the peer halo is physics gone wrong; recovered as a RankPanic job error
 			panic(fmt.Sprintf("md: migrant target rank %d is not a ghost peer", peer))
 		}
 	}

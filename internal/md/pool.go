@@ -64,9 +64,9 @@ func NewForcePool(ff *ForceField, workers int) *ForcePool {
 	return &ForcePool{FF: ff, Workers: workers}
 }
 
-// ResolveWorkers maps the Workers knob to the effective worker count: 0
+// resolveWorkers maps the Workers knob to the effective worker count: 0
 // means GOMAXPROCS, and more workers than chunks would only idle.
-func ResolveWorkers(workers int) int {
+func resolveWorkers(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -98,7 +98,7 @@ func (p *ForcePool) Forces(s *neighbor.Store) (OpStats, float64) {
 // round. An attached cost model sees each round as one kernel launch on the
 // 64 CPEs: chunk i charges CPE i, the barrier charges the slowest lane.
 func (p *ForcePool) run(s *neighbor.Store, rounds []round, busy *telemetry.Timer) (OpStats, float64) {
-	workers := ResolveWorkers(p.Workers)
+	workers := resolveWorkers(p.Workers)
 	var st OpStats
 	var energy float64
 	var perStats [ForceChunks]OpStats

@@ -383,13 +383,13 @@ func (r *Rank) relink() {
 	for _, m := range in {
 		anchor := lattice.Coord{X: m.anchor.X, Y: m.anchor.Y, Z: m.anchor.Z, B: m.anchor.B}
 		if !r.Box.Owns(anchor) {
-			//mdvet:panics migration-protocol invariant in the hot step path; recovered as a RankPanic job error
+			//mdvet:ignore errpanic migration-protocol invariant in the hot step path; recovered as a RankPanic job error
 			panic("md: received migrant for non-owned anchor")
 		}
 		var dummy []migrant
 		r.route(m.atom, anchor, &dummy)
 		if len(dummy) != 0 {
-			//mdvet:panics migration-protocol invariant in the hot step path; recovered as a RankPanic job error
+			//mdvet:ignore errpanic migration-protocol invariant in the hot step path; recovered as a RankPanic job error
 			panic("md: migrant re-migrated on arrival")
 		}
 	}

@@ -3,8 +3,9 @@
 // send/receive (including Probe for messages of unknown size and source,
 // the primitive the paper's on-demand KMC communication is built on),
 // one-sided windows with Put and fence synchronization (the alternative
-// on-demand implementation of §2.2.1), the collectives used for time
-// synchronization, and a Cartesian topology helper.
+// on-demand implementation of §2.2.1), and the collectives used for time
+// synchronization. (The process grid is lattice.Grid, which every halo
+// plan is computed from; the runtime itself knows only flat ranks.)
 //
 // Ranks are goroutines inside one OS process: Send copies the payload into
 // the destination mailbox and never blocks, Recv blocks until a matching
@@ -484,18 +485,6 @@ func (c *Comm) Probe(src, tag int) Status {
 		}
 		box.cond.Wait()
 	}
-}
-
-// Iprobe reports whether a matching message is available, without blocking.
-func (c *Comm) Iprobe(src, tag int) (Status, bool) {
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	if i := match(box.pending, src, tag); i >= 0 {
-		m := box.pending[i]
-		return Status{Source: m.src, Tag: m.tag, Size: len(m.data)}, true
-	}
-	return Status{}, false
 }
 
 // Barrier blocks until every rank has entered it.

@@ -120,20 +120,6 @@ func TestProbeThenRecv(t *testing.T) {
 	})
 }
 
-func TestIprobe(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			if _, ok := c.Iprobe(AnySource, AnyTag); ok {
-				t.Errorf("Iprobe reported a phantom message")
-			}
-			c.Send(0, 0, nil) // release rank 0
-		} else {
-			c.Recv(1, 0)
-		}
-	})
-}
-
 func TestBarrierOrdering(t *testing.T) {
 	const n = 8
 	w := NewWorld(n)
@@ -340,43 +326,6 @@ func TestWindowNoZeroSizeMessages(t *testing.T) {
 	if stats[1].MsgsSent != 1 {
 		t.Errorf("active rank sent %d messages", stats[1].MsgsSent)
 	}
-}
-
-func TestCart(t *testing.T) {
-	w := NewWorld(8)
-	w.Run(func(c *Comm) {
-		cart, err := NewCart(c, [3]int{2, 2, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Coords/Rank bijection.
-		for r := 0; r < 8; r++ {
-			if cart.Rank(cart.Coords(r)) != r {
-				t.Fatalf("cart bijection broken at %d", r)
-			}
-		}
-		// Shift along x by 1 in a 2-wide dimension: src == dst (periodic).
-		src, dst := cart.Shift(0, 1)
-		if src != dst {
-			t.Errorf("shift in 2-wide dim: src %d dst %d", src, dst)
-		}
-		nbrs := cart.Neighbors()
-		if len(nbrs) != 7 { // 2x2x2: everyone else is a neighbor
-			t.Errorf("neighbors = %v", nbrs)
-		}
-	})
-}
-
-func TestCartValidation(t *testing.T) {
-	w := NewWorld(6)
-	w.Run(func(c *Comm) {
-		if _, err := NewCart(c, [3]int{2, 2, 2}); err == nil {
-			t.Errorf("mismatched dims accepted")
-		}
-		if _, err := NewCart(c, [3]int{6, 1, -1}); err == nil {
-			t.Errorf("negative dim accepted")
-		}
-	})
 }
 
 func TestWorldValidation(t *testing.T) {
