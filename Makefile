@@ -10,15 +10,24 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
+.PHONY: check fmt-check p2p-owner build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
 
-check: fmt-check vet lint build race
+check: fmt-check p2p-owner vet lint build race
 
 # gofmt gate: any unformatted file fails. The analyzer fixtures under
 # testdata/ are exempt (some are unformatted on purpose).
 fmt-check:
 	@out=$$(gofmt -l . | grep -v '/testdata/' || true); \
 	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
+
+# Message-loop ownership gate (DESIGN.md §18): internal/halo owns every
+# point-to-point and one-sided call on the mpi runtime. Exempt are the
+# runtime itself, bench/ (its mpi.pingpong probe) and internal/analysis
+# (whose sig.Recv() is go/types, not a message).
+p2p-owner:
+	@out=$$(grep -rnE '\.(Send|Recv|Put|Fence)\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' | \
+		grep -vE '^\./(internal/halo|internal/mpi|internal/analysis|bench)/' || true); \
+	if [ -n "$$out" ]; then echo "message calls outside internal/halo:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -275,11 +275,12 @@ func (w *walker) stmt(s ast.Stmt, live bool) (bool, bool) {
 		}
 		return w.merge([]bool{thenLive, elseLive}, []bool{thenTerm, elseTerm})
 	case *ast.SwitchStmt:
-		return w.clauses(s.Init, s.Body, live)
+		return w.clauses(s.Init, s.Body, live, false)
 	case *ast.TypeSwitchStmt:
-		return w.clauses(s.Init, s.Body, live)
+		return w.clauses(s.Init, s.Body, live, false)
 	case *ast.SelectStmt:
-		return w.clauses(nil, s.Body, live)
+		// A select blocks until one of its clauses runs.
+		return w.clauses(nil, s.Body, live, true)
 	case *ast.ForStmt:
 		return w.loop(s.Init, s.Body, live)
 	case *ast.RangeStmt:
@@ -336,28 +337,27 @@ func (w *walker) loop(init ast.Stmt, body *ast.BlockStmt, live bool) (bool, bool
 	return live, false
 }
 
-// clauses merges switch/type-switch/select bodies.
-func (w *walker) clauses(init ast.Stmt, body *ast.BlockStmt, live bool) (bool, bool) {
+// clauses merges switch/type-switch/select bodies; exhaustive says some
+// clause always runs even without a default.
+func (w *walker) clauses(init ast.Stmt, body *ast.BlockStmt, live, exhaustive bool) (bool, bool) {
 	if init != nil {
 		live, _ = w.stmt(init, live)
 	}
 	var lives, terms []bool
-	hasDefault := false
 	for _, c := range body.List {
 		var list []ast.Stmt
 		switch cc := c.(type) {
 		case *ast.CaseClause:
-			hasDefault = hasDefault || cc.List == nil
+			exhaustive = exhaustive || cc.List == nil
 			list = cc.Body
 		case *ast.CommClause:
-			hasDefault = hasDefault || cc.Comm == nil
 			list = cc.Body
 		}
 		l, t := w.stmts(list, live)
 		lives = append(lives, l)
 		terms = append(terms, t)
 	}
-	if !hasDefault {
+	if !exhaustive {
 		// The zero-clause path falls through unchanged.
 		lives = append(lives, live)
 		terms = append(terms, false)

@@ -164,6 +164,20 @@ func switchPathDependent(reg *telemetry.Registry, mode int) {
 	work()
 }
 
+// selectBalanced: a default-less select blocks until a clause runs, so a
+// span ended in every clause is ended on every path.
+func selectBalanced(reg *telemetry.Registry, done, tick chan struct{}) {
+	sp := reg.Timer("x").Begin()
+	select {
+	case <-done:
+		sp.End()
+	case <-tick:
+		work()
+		sp.End()
+	}
+	work()
+}
+
 func work() {}
 
 func closeElsewhere(sp telemetry.Span) {}

@@ -140,25 +140,17 @@ func (d *run) exec(report **telemetry.Report, body func(c *mpi.Comm, reg *teleme
 	})
 }
 
-// shardSource is the shape md.ShardSource and kmc.ShardSource share.
-type shardSource interface {
-	~struct {
-		Grid *lattice.Grid
-		Open func(rank int) (io.ReadCloser, error)
-	}
-}
-
 // restore loads the restart manifest into an engine whose decomposition over
 // l is cuts: the byte-exact per-rank path when the snapshot was cut the same
 // way, the re-shard loader otherwise.
-func restore[S shardSource](d *run, c *mpi.Comm, l *lattice.Lattice, cuts [3][]int,
-	exact func(io.Reader) error, reshard func(S) error) error {
+func restore(d *run, c *mpi.Comm, l *lattice.Lattice, cuts [3][]int,
+	exact func(io.Reader) error, reshard func(lattice.ShardSource) error) error {
 	src, err := d.man.Topology.SourceGrid(l)
 	if err != nil {
 		return err
 	}
 	if !cutsEqual(src.Cuts(), cuts) {
-		return reshard(S{Grid: src, Open: d.man.Open})
+		return reshard(lattice.ShardSource{Grid: src, Open: d.man.Open})
 	}
 	rc, err := d.man.Open(c.Rank())
 	if err != nil {

@@ -161,7 +161,9 @@ func validateJSONL(t *testing.T, path string, want *telemetry.Report) {
 	}
 	for _, name := range []string{
 		"md/step", "md/force", "md/density", "md/ghost/pos/pack", "md/ghost/pos/wait",
+		"md/ghost/migrate", "md/ghost/migrate/wait",
 		"kmc/cycle", "kmc/sector", "kmc/ghost/dirty-bytes", "kmc/events",
+		"kmc/ghost/flush", "kmc/ghost/flush/pack", "kmc/ghost/flush/wait", "kmc/ghost/flush/unpack",
 		"couple/md-stage", "couple/kmc-stage", "couple/checkpoint",
 		"mpi/msgs-sent", "mpi/bytes-sent", "mpi/bytes-recv",
 	} {

@@ -1,5 +1,7 @@
 // Package halo is the one ghost-exchange layer under both engines: the
-// static communication plan, the wire codec, and the exchange loop.
+// static communication plan, the wire codec, and the two exchange loops —
+// dense (Exchange: every cell of a class, every round) and sparse
+// (ExchangeSparse: the records the caller routed this round).
 //
 // The plan is a pure function of the process grid. Every rank holds the
 // whole lattice.Grid, so what rank a holds as ghosts of rank b's cells and
@@ -18,11 +20,13 @@
 //     receives.
 //   - skip-empty: no message is sent or awaited for a peer whose list for
 //     the class is empty. The lists of the two sides are the same
-//     enumeration, so they are empty together.
+//     enumeration, so they are empty together. A sparse round has no list
+//     to consult, so two-sided it sends to every peer, empty or not.
 package halo
 
 import (
 	"fmt"
+	"slices"
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
@@ -68,6 +72,15 @@ type Plan struct {
 	// step, and fresh buffers dominated its allocation profile.
 	out Packer
 	in  Unpacker
+
+	// The sparse shape: the pending records of the next round, per index
+	// into Peers (empty between rounds), and the cell -> interested-peers
+	// memo behind Interest.
+	sparse      []Packer
+	grid        *lattice.Grid
+	rank, ghost int
+	interestID  []uint16    // per local cell: 1 + index into interests; 0 = not yet computed
+	interests   [][]*Packer // the distinct interested-peer lists
 }
 
 // eachGhost calls fn for every cell of box's ghost shell in holder order,
@@ -115,7 +128,7 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 		panic(fmt.Sprintf("halo: %d classes exceed the %d-bit class mask", len(classes), maxClasses))
 	}
 	box := grid.Box(rank, ghost)
-	pl := &Plan{}
+	pl := &Plan{grid: grid, rank: rank, ghost: ghost}
 	isPeer := make([]bool, grid.Ranks())
 	eachGhost(grid, box, func(_, _ lattice.Coord, owner int) { isPeer[owner] = true })
 	peerIndex := make([]int, grid.Ranks())
@@ -125,6 +138,8 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 			pl.Peers = append(pl.Peers, r)
 		}
 	}
+	pl.sparse = make([]Packer, len(pl.Peers))
+	pl.interestID = make([]uint16, box.NumLocalSites()/2)
 	if len(classes) == 0 {
 		return pl
 	}
@@ -197,9 +212,9 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 	return pl
 }
 
-// Channel is one exchanged quantity: its message tag, its plan class, the
-// package prefix of its decode errors, and its telemetry handles (nil
-// handles record nothing).
+// Channel is one exchanged quantity: its message tag, its plan class (dense
+// exchanges only), the package prefix of its decode errors, and its
+// telemetry handles (nil handles record nothing).
 type Channel struct {
 	Pkg        string
 	Tag, Class int
@@ -258,5 +273,112 @@ func (pl *Plan) Exchange(comm *mpi.Comm, ch Channel,
 				ch.Pkg, u.Remaining(), ch.Tag, peer))
 		}
 		sp.End()
+	}
+}
+
+// Sparse returns the packer whose records travel to rank in the next
+// ExchangeSparse round, or false when rank is not a peer.
+func (pl *Plan) Sparse(rank int) (*Packer, bool) {
+	i, ok := slices.BinarySearch(pl.Peers, rank)
+	if !ok {
+		return nil, false
+	}
+	return &pl.sparse[i], true
+}
+
+// interestedRanks returns the ranks other than this one whose owned-or-ghost
+// region contains the wrapped cell w: the owners of all cells within the
+// ghost distance of w, found by probing the 27 cube corners (rank regions
+// are axis-aligned boxes at least one ghost width wide, so corners suffice).
+func (pl *Plan) interestedRanks(w lattice.Coord) []int {
+	g := int32(pl.ghost)
+	var out []int
+	for dz := int32(-1); dz <= 1; dz++ {
+		for dy := int32(-1); dy <= 1; dy++ {
+			for dx := int32(-1); dx <= 1; dx++ {
+				r := pl.grid.RankOfCell(w.X+dx*g, w.Y+dy*g, w.Z+dz*g)
+				if r != pl.rank && !slices.Contains(out, r) {
+					out = append(out, r)
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Interest returns the packers of the peers that see the cell of local site
+// local, whose wrapped coordinate is w: where a record about that cell must
+// be routed. Like the lists, it is a pure function of the grid; the answer
+// is computed on a cell's first use and remembered as an index into the
+// short table of distinct lists (a few per axis, so far fewer than the
+// uint16 holds).
+func (pl *Plan) Interest(local int, w lattice.Coord) []*Packer {
+	cell := local >> 1
+	if id := pl.interestID[cell]; id != 0 {
+		return pl.interests[id-1]
+	}
+	var peers []*Packer
+	for _, r := range pl.interestedRanks(w) {
+		if p, ok := pl.Sparse(r); ok {
+			peers = append(peers, p)
+		}
+	}
+	id := slices.IndexFunc(pl.interests, func(l []*Packer) bool { return slices.Equal(l, peers) })
+	if id < 0 {
+		id = len(pl.interests)
+		pl.interests = append(pl.interests, peers)
+	}
+	pl.interestID[cell] = uint16(id + 1)
+	return pl.interests[id]
+}
+
+// ExchangeSparse runs one round of the sparse shape: the records routed
+// into the Sparse packers since the last round travel to their peers, and
+// apply reads each arriving message record by record until u.Done(). Which
+// records a round carries is only known at run time, so the receiver cannot
+// tell an idle peer from a late one, and there are two send policies. With
+// no window the round is two-sided: a message to every peer, empty ones
+// included, sends first in ascending peer order, then one receive per peer
+// in the same order. With a window it is one-sided: only non-empty payloads
+// are put and the fence delivers them in source order. Every rank of the
+// grid must call it with the same channel and the same choice of policy.
+func (pl *Plan) ExchangeSparse(comm *mpi.Comm, ch Channel, win *mpi.Win,
+	apply func(u *Unpacker, from int)) {
+	sp := ch.Pack.Begin()
+	for i, peer := range pl.Peers {
+		p := &pl.sparse[i]
+		switch {
+		case win == nil:
+			comm.Send(peer, ch.Tag, p.Bytes())
+		case len(p.Bytes()) > 0:
+			win.Put(peer, p.Bytes())
+		}
+		ch.Bytes.Add(int64(len(p.Bytes())))
+		p.Reset()
+	}
+	sp.End()
+	u := &pl.in
+	u.pkg = ch.Pkg
+	deliver := func(data []byte, from int) {
+		sp := ch.Unpack.Begin()
+		u.Reset(data)
+		apply(u, from)
+		sp.End()
+	}
+	if win != nil {
+		wait := ch.Wait.Begin()
+		puts := win.Fence()
+		wait.End()
+		for _, m := range puts {
+			deliver(m.Data, m.Source)
+		}
+		return
+	}
+	for _, peer := range pl.Peers {
+		wait := ch.Wait.Begin()
+		data, _ := comm.Recv(peer, ch.Tag)
+		wait.End()
+		deliver(data, peer)
 	}
 }

@@ -26,9 +26,9 @@ const (
 	// Traditional exchanges the complete ghost region before and after
 	// every sector (the SPPARKS/KMCLib static pattern).
 	Traditional Protocol = iota
-	// OnDemand sends only the sites actually affected by events, using
-	// two-sided messages discovered with Probe; idle neighbors still send
-	// zero-size messages so receives match.
+	// OnDemand sends only the sites actually affected by events, in
+	// two-sided messages whose size the receiver learns from Recv; idle
+	// neighbors still send zero-size messages so receives match.
 	OnDemand
 	// OnDemandOneSided sends affected sites through one-sided window puts,
 	// eliminating the zero-size messages.

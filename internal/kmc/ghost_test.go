@@ -65,7 +65,7 @@ func TestApplyDirtyTruncated(t *testing.T) {
 		var p halo.Packer
 		packDirty(&p, st.L.Wrap(st.Box.GlobalCoord(0)), Vacant)
 		wantKMCPanic(t, "truncated ghost message", func() {
-			st.applyDirty(p.Bytes()[:len(p.Bytes())-1], 0)
+			st.applyDirty(halo.NewUnpacker("kmc", p.Bytes()[:len(p.Bytes())-1]), 0)
 		})
 	})
 }
@@ -86,7 +86,7 @@ func TestApplyDirtyInvisibleCell(t *testing.T) {
 		var p halo.Packer
 		packDirty(&p, lattice.Coord{X: 20, Y: 6, Z: 6}, Vacant)
 		wantKMCPanic(t, "invisible cell", func() {
-			st.applyDirty(p.Bytes(), 1)
+			st.applyDirty(halo.NewUnpacker("kmc", p.Bytes()), 1)
 		})
 	})
 }

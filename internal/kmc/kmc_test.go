@@ -535,48 +535,6 @@ func TestAlloyValidation(t *testing.T) {
 	}
 }
 
-func TestInterestedRanksMatchBruteForce(t *testing.T) {
-	// interestedRanks uses the 27-corner shortcut; verify against scanning
-	// the full cube of cells within the ghost distance.
-	cfg := testConfig()
-	cfg.Cells = [3]int{22, 22, 11}
-	cfg.Grid = [3]int{2, 2, 1}
-	runWorld(t, cfg, func(st *State) {
-		g := int32(st.Box.Ghost)
-		probe := func(w lattice.Coord) {
-			got := st.interestedRanks(w)
-			want := map[int]bool{}
-			for dz := -g; dz <= g; dz++ {
-				for dy := -g; dy <= g; dy++ {
-					for dx := -g; dx <= g; dx++ {
-						r := st.Grid.RankOfCell(w.X+dx, w.Y+dy, w.Z+dz)
-						if r != st.Comm.Rank() {
-							want[r] = true
-						}
-					}
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("cell %+v: interest %v vs brute-force %v", w, got, want)
-			}
-			for _, r := range got {
-				if !want[r] {
-					t.Fatalf("cell %+v: spurious interested rank %d", w, r)
-				}
-			}
-		}
-		// Probe corners, edges and interior of the owned region.
-		for _, c := range []lattice.Coord{
-			{X: int32(st.Box.Lo[0]), Y: int32(st.Box.Lo[1]), Z: int32(st.Box.Lo[2])},
-			{X: int32(st.Box.Hi[0] - 1), Y: int32(st.Box.Hi[1] - 1), Z: int32(st.Box.Hi[2] - 1)},
-			{X: int32(st.Box.Lo[0] + 3), Y: int32(st.Box.Lo[1]), Z: int32(st.Box.Lo[2] + 2)},
-			{X: int32((st.Box.Lo[0] + st.Box.Hi[0]) / 2), Y: int32((st.Box.Lo[1] + st.Box.Hi[1]) / 2), Z: int32((st.Box.Lo[2] + st.Box.Hi[2]) / 2)},
-		} {
-			probe(st.L.Wrap(c))
-		}
-	})
-}
-
 func TestPackerRoundTripQuick(t *testing.T) {
 	f := func(a int32, b uint8, c int32) bool {
 		var p halo.Packer

@@ -3,17 +3,12 @@ package kmc
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"mdkmc/internal/lattice"
 )
 
-// ShardSource describes where an M-rank KMC checkpoint came from: the source
-// decomposition and a way to open each source rank's shard.
-type ShardSource struct {
-	Grid *lattice.Grid
-	Open func(rank int) (io.ReadCloser, error)
-}
+// ShardSource is where an M-rank KMC checkpoint came from.
+type ShardSource = lattice.ShardSource
 
 // RestoreResharded loads a checkpoint written by an M-rank decomposition
 // into a state of an N-rank decomposition of the same physical run. Every

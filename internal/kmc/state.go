@@ -64,13 +64,11 @@ type State struct {
 	// where the local extent exceeds the lattice period on that axis.
 	images [3][][]int
 	// The on-demand flush (ghost.go): canonical local sites changed since
-	// the last flush (unsorted, may repeat), one packer per plan peer, and
-	// the lazily filled cell -> interested-peers memo.
-	dirty      []int
-	packers    []halo.Packer
-	interestID []uint16 // per local cell: 1 + index into interests; 0 = not yet computed
-	interests  [][]int  // the distinct interested-peer lists, as indices into plan.Peers
-	win        *mpi.Win
+	// the last flush (unsorted, may repeat), the channel their records
+	// travel on, and the window of the one-sided protocol (nil otherwise).
+	dirty   []int
+	dirtyCh halo.Channel
+	win     *mpi.Win
 
 	rng *rng.Source
 
@@ -92,7 +90,6 @@ type kmcTelemetry struct {
 
 	events     *telemetry.Counter // kmc/events — executed hops
 	bandBytes  *telemetry.Counter // kmc/ghost/band-bytes — traditional payloads
-	dirtyBytes *telemetry.Counter // kmc/ghost/dirty-bytes — on-demand payloads
 	dirtySites *telemetry.Counter // kmc/ghost/dirty-sites — flushed site records
 }
 
@@ -112,9 +109,14 @@ func (st *State) AttachTelemetry(reg *telemetry.Registry) {
 		flush:      reg.Timer("kmc/ghost/flush"),
 		events:     reg.Counter("kmc/events"),
 		bandBytes:  reg.Counter("kmc/ghost/band-bytes"),
-		dirtyBytes: reg.Counter("kmc/ghost/dirty-bytes"),
 		dirtySites: reg.Counter("kmc/ghost/dirty-sites"),
 	}
+	// Inside kmc/ghost/flush: enqueueing the sends, blocked on a peer (its
+	// sector kernel, not flush work), and replaying what arrived.
+	st.dirtyCh.Pack = reg.Timer("kmc/ghost/flush/pack")
+	st.dirtyCh.Wait = reg.Timer("kmc/ghost/flush/wait")
+	st.dirtyCh.Unpack = reg.Timer("kmc/ghost/flush/unpack")
+	st.dirtyCh.Bytes = reg.Counter("kmc/ghost/dirty-bytes") // on-demand payloads
 }
 
 // NewState builds the rank-local state collectively.
@@ -175,10 +177,7 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		classes = bandClasses()
 	}
 	st.plan = halo.Build(grid, comm.Rank(), ghost, classes, classifyBand)
-	if cfg.Protocol != Traditional {
-		st.packers = make([]halo.Packer, len(st.plan.Peers))
-		st.interestID = make([]uint16, box.NumLocalSites()/2)
-	}
+	st.dirtyCh = halo.Channel{Pkg: "kmc", Tag: tagKDirty}
 	st.initOccupancy()
 	st.initRho()
 	if cfg.Protocol == OnDemandOneSided {

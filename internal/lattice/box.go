@@ -1,6 +1,9 @@
 package lattice
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // Box is the rectangular subdomain of unit cells owned by one process in the
 // standard domain decomposition ("we use the standard domain decomposition
@@ -135,6 +138,15 @@ type Grid struct {
 	// slab boundaries of that dimension (first 0, last N_d). A nil slice
 	// means the uniform span() split.
 	cuts [3][]int
+}
+
+// ShardSource describes where an M-rank checkpoint of either engine came
+// from: the source decomposition and a way to open each source rank's
+// shard. Open is called with ranks 0..Grid.Ranks()-1 in order; the caller
+// owns closing semantics through the returned ReadCloser.
+type ShardSource struct {
+	Grid *Grid
+	Open func(rank int) (io.ReadCloser, error)
 }
 
 // NewGrid validates and builds a process grid. Each dimension of the process

@@ -27,11 +27,8 @@ type exchange struct {
 	grid *lattice.Grid
 	plan *halo.Plan
 
-	pos, rho halo.Channel
-	migrate  *telemetry.Timer
-	bytes    *telemetry.Counter // ghost payload bytes, all three message kinds
-	// Reused pack buffer of the migrant messages.
-	scratch halo.Packer
+	pos, rho, mig halo.Channel
+	migrate       *telemetry.Timer
 }
 
 func newExchange(comm *mpi.Comm, grid *lattice.Grid, box *lattice.Box) *exchange {
@@ -41,6 +38,7 @@ func newExchange(comm *mpi.Comm, grid *lattice.Grid, box *lattice.Box) *exchange
 		plan: halo.Build(grid, comm.Rank(), box.Ghost, []halo.Class{{Self: true}}, nil),
 		pos:  halo.Channel{Pkg: "md", Tag: tagPos},
 		rho:  halo.Channel{Pkg: "md", Tag: tagRho},
+		mig:  halo.Channel{Pkg: "md", Tag: tagMig},
 	}
 }
 
@@ -59,8 +57,12 @@ func (e *exchange) attachTelemetry(reg *telemetry.Registry) {
 	e.rho.Wait = reg.Timer("md/ghost/rho/wait")
 	e.rho.Unpack = reg.Timer("md/ghost/rho/unpack")
 	e.migrate = reg.Timer("md/ghost/migrate")
-	e.bytes = reg.Counter("md/ghost/bytes-sent")
-	e.pos.Bytes, e.rho.Bytes = e.bytes, e.bytes
+	e.mig.Pack = reg.Timer("md/ghost/migrate/pack")
+	e.mig.Wait = reg.Timer("md/ghost/migrate/wait")
+	e.mig.Unpack = reg.Timer("md/ghost/migrate/unpack")
+	// Ghost payload bytes, all three message kinds.
+	bytes := reg.Counter("md/ghost/bytes-sent")
+	e.pos.Bytes, e.rho.Bytes, e.mig.Bytes = bytes, bytes, bytes
 }
 
 // packCellPos serializes one cell's two sites: per site ID, type, position,
@@ -156,71 +158,40 @@ func (e *exchange) ExchangeDensities(s *neighbor.Store) {
 		func(u *halo.Unpacker, c halo.Cell) { unpackCellRho(u, s, c.Local) })
 }
 
-// migrant is a run-away atom in flight to the rank owning its new anchor.
-type migrant struct {
-	anchor lattice.Coord // wrapped global cell+basis of the new anchor
-	atom   neighbor.Runaway
+// Migrant queues run-away atom a, in flight to the rank owning its new
+// anchor w (wrapped; a.R already translated into the wrapped frame), for the
+// next ExchangeMigrants.
+func (e *exchange) Migrant(w lattice.Coord, a *neighbor.Runaway) {
+	owner := e.grid.RankOfCell(w.X, w.Y, w.Z)
+	p, ok := e.plan.Sparse(owner)
+	if !ok {
+		//mdvet:ignore errpanic run-away containment invariant (WideMargin): a migrant beyond the peer halo is physics gone wrong; recovered as a RankPanic job error
+		panic(fmt.Sprintf("md: migrant target rank %d is not a ghost peer", owner))
+	}
+	p.I64(int64(w.X))
+	p.I64(int64(w.Y))
+	p.I64(int64(w.Z))
+	p.U8(uint8(w.B))
+	p.I64(a.ID)
+	p.U8(uint8(a.Type))
+	p.Vec(a.R)
+	p.Vec(a.Vel)
 }
 
-// SendMigrants ships each migrant to the owner of its anchor and returns the
-// migrants received from the peer ranks, sorted by source. The atom's
-// position is translated into the wrapped frame by the caller.
-func (e *exchange) SendMigrants(out []migrant) []migrant {
+// ExchangeMigrants ships the queued migrants to the owners of their anchors
+// and hands place each arrival, peers in ascending order and each peer's
+// atoms in the order it queued them.
+func (e *exchange) ExchangeMigrants(place func(anchor lattice.Coord, a neighbor.Runaway)) {
 	sp := e.migrate.Begin()
-	defer sp.End()
-	byPeer := make(map[int][]migrant)
-	for _, m := range out {
-		owner := e.grid.RankOfCell(m.anchor.X, m.anchor.Y, m.anchor.Z)
-		if owner == e.comm.Rank() {
-			//mdvet:ignore errpanic caller contract of the migration hot path; recovered as a RankPanic job error
-			panic("md: local migrant routed through SendMigrants")
-		}
-		byPeer[owner] = append(byPeer[owner], m)
-	}
-	for peer := range byPeer {
-		found := false
-		for _, p := range e.plan.Peers {
-			if p == peer {
-				found = true
-				break
-			}
-		}
-		if !found {
-			//mdvet:ignore errpanic run-away containment invariant (WideMargin): a migrant beyond the peer halo is physics gone wrong; recovered as a RankPanic job error
-			panic(fmt.Sprintf("md: migrant target rank %d is not a ghost peer", peer))
-		}
-	}
-	p := &e.scratch
-	for _, peer := range e.plan.Peers {
-		p.Reset()
-		for _, m := range byPeer[peer] {
-			p.I64(int64(m.anchor.X))
-			p.I64(int64(m.anchor.Y))
-			p.I64(int64(m.anchor.Z))
-			p.U8(uint8(m.anchor.B))
-			p.I64(m.atom.ID)
-			p.U8(uint8(m.atom.Type))
-			p.Vec(m.atom.R)
-			p.Vec(m.atom.Vel)
-		}
-		e.comm.Send(peer, tagMig, p.Bytes())
-		e.bytes.Add(int64(len(p.Bytes())))
-	}
-	var in []migrant
-	for _, peer := range e.plan.Peers {
-		data, _ := e.comm.Recv(peer, tagMig)
-		u := halo.NewUnpacker("md", data)
+	e.plan.ExchangeSparse(e.comm, e.mig, nil, func(u *halo.Unpacker, _ int) {
 		for !u.Done() {
-			var m migrant
-			m.anchor = lattice.Coord{
+			anchor := lattice.Coord{
 				X: int32(u.I64()), Y: int32(u.I64()), Z: int32(u.I64()), B: int8(u.U8()),
 			}
-			m.atom.ID = u.I64()
-			m.atom.Type = units.Element(u.U8())
-			m.atom.R = u.Vec()
-			m.atom.Vel = u.Vec()
-			in = append(in, m)
+			place(anchor, neighbor.Runaway{
+				ID: u.I64(), Type: units.Element(u.U8()), R: u.Vec(), Vel: u.Vec(),
+			})
 		}
-	}
-	return in
+	})
+	sp.End()
 }

@@ -25,7 +25,7 @@ func TestTruncatedGhostMessageFailsDescriptively(t *testing.T) {
 	}{
 		{"positions", tagPos, func(r *Rank) { r.Ex.ExchangePositions(r.Store) }},
 		{"densities", tagRho, func(r *Rank) { r.Ex.ExchangeDensities(r.Store) }},
-		{"migrants", tagMig, func(r *Rank) { r.Ex.SendMigrants(nil) }},
+		{"migrants", tagMig, func(r *Rank) { r.relink() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

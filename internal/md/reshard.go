@@ -3,20 +3,13 @@ package md
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/neighbor"
 )
 
-// ShardSource describes where an M-rank checkpoint came from: the source
-// decomposition and a way to open each source rank's shard. Open is called
-// with ranks 0..Grid.Ranks()-1 in order; the caller owns closing semantics
-// through the returned ReadCloser.
-type ShardSource struct {
-	Grid *lattice.Grid
-	Open func(rank int) (io.ReadCloser, error)
-}
+// ShardSource is where an M-rank MD checkpoint came from.
+type ShardSource = lattice.ShardSource
 
 // RestoreResharded loads a checkpoint written by an M-rank decomposition
 // into a rank of an N-rank decomposition of the same physical run. Every

@@ -46,6 +46,10 @@ type Rank struct {
 	// every chunk it executes (see cpekernel.go).
 	Kernel *CPEKernel
 
+	// Scratch lists of relink, reused across steps.
+	converts []int
+	moves    []runawayRef
+
 	// tel holds the phase timers; nil timers (telemetry disabled) make every
 	// span a no-op, so the step path is instrumented unconditionally.
 	tel rankTelemetry
@@ -311,7 +315,7 @@ func (r *Rank) placeLocal(a neighbor.Runaway, anchor lattice.Coord) {
 // owns it — including the case of an atom that drifted across a periodic
 // boundary back into this rank's own domain — or as a migrant to the
 // owning neighbor rank.
-func (r *Rank) route(a neighbor.Runaway, anchor lattice.Coord, out *[]migrant) {
+func (r *Rank) route(a neighbor.Runaway, anchor lattice.Coord) {
 	if r.Box.Owns(anchor) {
 		r.placeLocal(a, anchor)
 		return
@@ -324,7 +328,13 @@ func (r *Rank) route(a neighbor.Runaway, anchor lattice.Coord, out *[]migrant) {
 		r.placeLocal(a, w)
 		return
 	}
-	*out = append(*out, migrant{anchor: w, atom: a})
+	r.Ex.Migrant(w, &a)
+}
+
+// runawayRef names one run-away atom: its anchor site and pool index.
+type runawayRef struct {
+	site int
+	ref  int32
 }
 
 // relink reassigns every owned atom to its current nearest lattice site:
@@ -333,10 +343,9 @@ func (r *Rank) route(a neighbor.Runaway, anchor lattice.Coord, out *[]migrant) {
 // anchor moved off-rank migrate.
 func (r *Rank) relink() {
 	s := r.Store
-	var out []migrant
 
 	// Residents that left their site.
-	var converts []int
+	converts := r.converts[:0]
 	r.Box.EachOwned(func(c lattice.Coord, local int) {
 		if s.IsVacancy(local) {
 			return
@@ -349,15 +358,12 @@ func (r *Rank) relink() {
 	for _, local := range converts {
 		a := s.MakeVacancy(local)
 		anchor := r.L.NearestSiteUnwrapped(a.R)
-		r.route(a, anchor, &out)
+		r.route(a, anchor)
 	}
+	r.converts = converts
 
 	// Run-aways whose anchor changed or that can refill a vacancy.
-	type move struct {
-		site int
-		ref  int32
-	}
-	var moves []move
+	moves := r.moves[:0]
 	r.Box.EachOwned(func(c lattice.Coord, local int) {
 		s.EachRunaway(local, func(ref int32, a *neighbor.Runaway) {
 			anchor := r.L.NearestSiteUnwrapped(a.R)
@@ -365,34 +371,28 @@ func (r *Rank) relink() {
 				// Same anchor; refill only when it is a vacancy and the atom
 				// has settled onto it.
 				if s.IsVacancy(local) && vec.Dist(a.R, r.L.Position(c)) < RunawayThreshold {
-					moves = append(moves, move{local, ref})
+					moves = append(moves, runawayRef{local, ref})
 				}
 				return
 			}
-			moves = append(moves, move{local, ref})
+			moves = append(moves, runawayRef{local, ref})
 		})
 	})
 	for _, m := range moves {
 		a := s.RemoveRunaway(m.site, m.ref)
 		anchor := r.L.NearestSiteUnwrapped(a.R)
-		r.route(a, anchor, &out)
+		r.route(a, anchor)
 	}
+	r.moves = moves
 
-	// Cross-rank migration; incoming migrants are routed locally.
-	in := r.Ex.SendMigrants(out)
-	for _, m := range in {
-		anchor := lattice.Coord{X: m.anchor.X, Y: m.anchor.Y, Z: m.anchor.Z, B: m.anchor.B}
+	// Cross-rank migration; arrivals are placed as they are read.
+	r.Ex.ExchangeMigrants(func(anchor lattice.Coord, a neighbor.Runaway) {
 		if !r.Box.Owns(anchor) {
 			//mdvet:ignore errpanic migration-protocol invariant in the hot step path; recovered as a RankPanic job error
 			panic("md: received migrant for non-owned anchor")
 		}
-		var dummy []migrant
-		r.route(m.atom, anchor, &dummy)
-		if len(dummy) != 0 {
-			//mdvet:ignore errpanic migration-protocol invariant in the hot step path; recovered as a RankPanic job error
-			panic("md: migrant re-migrated on arrival")
-		}
-	}
+		r.placeLocal(a, anchor)
+	})
 }
 
 // Step advances the simulation by one velocity-Verlet step.

@@ -1,11 +1,11 @@
 // Package mpi is an in-process message-passing runtime with the subset of
 // MPI semantics the simulation needs: ranks with two-sided tagged
-// send/receive (including Probe for messages of unknown size and source,
-// the primitive the paper's on-demand KMC communication is built on),
-// one-sided windows with Put and fence synchronization (the alternative
-// on-demand implementation of §2.2.1), and the collectives used for time
-// synchronization. (The process grid is lattice.Grid, which every halo
-// plan is computed from; the runtime itself knows only flat ranks.)
+// send/receive (Recv returns the size and source a message turns out to
+// have, which is what the paper's on-demand KMC communication needs of
+// MPI_Probe), one-sided windows with Put and fence synchronization (the
+// alternative on-demand implementation of §2.2.1), and the collectives used
+// for time synchronization. (The process grid is lattice.Grid, which every
+// halo plan is computed from; the runtime itself knows only flat ranks.)
 //
 // Ranks are goroutines inside one OS process: Send copies the payload into
 // the destination mailbox and never blocks, Recv blocks until a matching
@@ -30,10 +30,10 @@ import (
 	"mdkmc/internal/telemetry"
 )
 
-// AnySource matches messages from any rank in Recv and Probe.
+// AnySource matches messages from any rank in Recv.
 const AnySource = -1
 
-// AnyTag matches messages with any tag in Recv and Probe.
+// AnyTag matches messages with any tag in Recv.
 const AnyTag = -1
 
 // Status describes a matched message.
@@ -135,8 +135,8 @@ type World struct {
 	faults []Fault
 }
 
-// errAborted is the panic value used to unwind ranks blocked in Recv, Probe,
-// or a collective when a peer rank panicked. Run's per-rank recover swallows
+// errAborted is the panic value used to unwind ranks blocked in Recv or a
+// collective when a peer rank panicked. Run's per-rank recover swallows
 // it: only the original panic is re-raised on the caller.
 var errAborted = fmt.Errorf("mpi: world aborted by a peer rank panic")
 
@@ -159,7 +159,7 @@ func (p RankPanic) Unwrap() error {
 }
 
 // abort marks the world dead and wakes every rank blocked in a mailbox wait
-// (Recv/Probe) or a collective (Barrier/Allreduce/Allgather/Fence). The flag
+// (Recv) or a collective (Barrier/Allreduce/Allgather/Fence). The flag
 // is set before the broadcasts and every wait loop rechecks it under its
 // lock, so no wakeup can be missed.
 func (w *World) abort() {
@@ -191,8 +191,8 @@ func NewWorld(n int) *World {
 func (w *World) Size() int { return w.n }
 
 // Run executes fn on every rank concurrently and waits for all to return.
-// A panic on any rank aborts the world: survivors blocked in Recv, Probe, or
-// any collective are woken and unwound, and the original panic is re-raised
+// A panic on any rank aborts the world: survivors blocked in Recv or any
+// collective are woken and unwound, and the original panic is re-raised
 // on the caller as a RankPanic once every rank has finished.
 func (w *World) Run(fn func(c *Comm)) {
 	var wg sync.WaitGroup
@@ -223,7 +223,7 @@ func (w *World) Run(fn func(c *Comm)) {
 
 // RunE executes fn on every rank concurrently and converts rank failures
 // into an ordinary error: a rank that returns a non-nil error aborts the
-// world (survivors blocked in Recv, Probe, or a collective are woken and
+// world (survivors blocked in Recv or a collective are woken and
 // unwound) and the first recorded error — from whichever rank — is
 // returned. A rank that panics instead of returning yields the RankPanic
 // itself as the error, so injected faults and internal invariant failures
@@ -460,25 +460,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 			box.pending = append(box.pending[:i], box.pending[i+1:]...)
 			c.p2p.recv(1, int64(len(m.data)))
 			return m.data, Status{Source: m.src, Tag: m.tag, Size: len(m.data)}
-		}
-		if c.world.aborted.Load() {
-			panic(errAborted)
-		}
-		box.cond.Wait()
-	}
-}
-
-// Probe blocks until a message matching (src, tag) is available and returns
-// its status without consuming it — the MPI_Probe pattern the paper uses for
-// messages whose size and source are only known at runtime.
-func (c *Comm) Probe(src, tag int) Status {
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for {
-		if i := match(box.pending, src, tag); i >= 0 {
-			m := box.pending[i]
-			return Status{Source: m.src, Tag: m.tag, Size: len(m.data)}
 		}
 		if c.world.aborted.Load() {
 			panic(errAborted)

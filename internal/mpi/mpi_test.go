@@ -101,25 +101,6 @@ func TestAnySource(t *testing.T) {
 	})
 }
 
-func TestProbeThenRecv(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 9, make([]byte, 123))
-		} else {
-			st := c.Probe(AnySource, 9)
-			if st.Size != 123 {
-				t.Errorf("probe size %d", st.Size)
-			}
-			// Probe must not consume: Recv still sees it.
-			data, _ := c.Recv(st.Source, st.Tag)
-			if len(data) != 123 {
-				t.Errorf("recv after probe got %d bytes", len(data))
-			}
-		}
-	})
-}
-
 func TestBarrierOrdering(t *testing.T) {
 	const n = 8
 	w := NewWorld(n)
@@ -394,10 +375,8 @@ func TestRankPanicWakesBlockedRecv(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			panic("boom")
-		case 1:
-			c.Recv(AnySource, 42) // nothing is ever sent with this tag
 		default:
-			c.Probe(AnySource, 42)
+			c.Recv(AnySource, 42) // nothing is ever sent with this tag
 		}
 	})
 	if p == nil {
