@@ -178,11 +178,35 @@ func fig11(quick bool) {
 	}
 	fmt.Println("\nmodel at paper scale:")
 	fmt.Print(perf.FormatSeries("  (104,000 -> 6,656,000 cores)", perf.Fig11Weak()))
-	// Capacity contrast from the real data-structure footprints.
-	latticeAtoms, verletAtoms := perf.MDMemoryCapacity(102400, 8<<30, 100, 480)
-	fmt.Printf("capacity on 102,400 CGs x 8 GB: lattice list %.2g atoms, Verlet list %.2g atoms\n",
-		latticeAtoms, verletAtoms)
+	// Capacity contrast: from the neighbor structure alone, as the paper
+	// states it, and from everything a rank of ours holds.
+	structBytes, rankBytes, atoms := mdBytesPerAtom()
+	latticeAtoms, verletAtoms := perf.MDMemoryCapacity(102400, 8<<30, structBytes, 480)
+	rankAtoms, _ := perf.MDMemoryCapacity(102400, 8<<30, rankBytes, 480)
+	fmt.Printf("capacity on 102,400 CGs x 8 GB: lattice list %.2g atoms (structure alone, %d B/site), Verlet list %.2g atoms (480 B/atom)\n",
+		latticeAtoms, structBytes, verletAtoms)
+	fmt.Printf("  whole rank (store + ghost shell + force field and pair stream + exchange buffers): %d B/atom measured on a %d-atom rank -> %.2g atoms\n",
+		rankBytes, atoms, rankAtoms)
 	fmt.Println("paper: 85% efficiency at 6,656,000 cores; 4e12 atoms vs 8e11 with traditional structures")
+}
+
+// mdBytesPerAtom builds the 20^3 single-rank box of the md-bulk benchmark
+// and returns the lattice neighbor list's bytes per stored site, the whole
+// rank's bytes per owned atom, and the atom count.
+func mdBytesPerAtom() (structBytes, rankBytes, atoms int) {
+	cfg := md.DefaultConfig()
+	cfg.Cells = [3]int{20, 20, 20}
+	cfg.TablePoints = 1000
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		rank, err := md.NewRank(cfg, c)
+		if err != nil {
+			log.Fatalf("md memory measurement setup: %v", err)
+		}
+		atoms = md.CountOwnedAtoms(rank.Store)
+		structBytes = rank.Store.MemoryBytes() / rank.Box.NumLocalSites()
+		rankBytes = rank.MemoryBytes() / atoms
+	})
+	return
 }
 
 // measureMD runs a short MD segment and returns the aggregate wall time and

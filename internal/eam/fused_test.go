@@ -75,3 +75,23 @@ func TestPairAnalyticBitwiseSymmetric(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalSegWindowMatchesNodeDeriv pins the interior fast path of
+// Table.evalSeg — one six-sample window per segment — to the nodeDeriv path
+// it replaces, bit for bit, on every segment of a small table (the four edge
+// segments, which still call nodeDeriv, included).
+func TestEvalSegWindowMatchesNodeDeriv(t *testing.T) {
+	tab := NewTable(func(x float64) float64 { return math.Exp(-x) * math.Sin(3*x) }, 0.3, 2.9, 12)
+	for i := 0; i < tab.N(); i++ {
+		for _, u := range []float64{0, 1.0 / 3, 1} {
+			v, dv := tab.evalSeg(i, u)
+			wantV, wantDv := hermite(tab.S[i], tab.S[i+1],
+				tab.nodeDeriv(i)*tab.Dx, tab.nodeDeriv(i+1)*tab.Dx, u, tab.Dx)
+			if math.Float64bits(v) != math.Float64bits(wantV) ||
+				math.Float64bits(dv) != math.Float64bits(wantDv) {
+				t.Errorf("segment %d u=%v: evalSeg (%v, %v) != nodeDeriv path (%v, %v)",
+					i, u, v, dv, wantV, wantDv)
+			}
+		}
+	}
+}

@@ -98,8 +98,17 @@ func (t *Table) Eval(x float64) (v, dv float64) {
 // evalSeg evaluates segment i at fraction u. Splitting locate from the
 // segment evaluation lets the fused PairDensity locate once and reuse the
 // segment index across tables that share the same grid; the result is
-// bitwise identical to Eval.
+// bitwise identical to Eval. An interior segment — both end nodes on the
+// symmetric five-point stencil — takes its six samples in one window and
+// forms both node derivatives with nodeDeriv's own expressions; the four
+// edge segments go through nodeDeriv.
 func (t *Table) evalSeg(i int, u float64) (v, dv float64) {
+	if i >= 2 && i+3 < len(t.S) {
+		w := t.S[i-2 : i+4 : i+4]
+		d0 := (w[0] - w[4] + 8*(w[3]-w[1])) / (12 * t.Dx) * t.Dx
+		d1 := (w[1] - w[5] + 8*(w[4]-w[2])) / (12 * t.Dx) * t.Dx
+		return hermite(w[2], w[3], d0, d1, u, t.Dx)
+	}
 	s0, s1 := t.S[i], t.S[i+1]
 	d0 := t.nodeDeriv(i) * t.Dx // derivative per grid cell for Hermite form
 	d1 := t.nodeDeriv(i+1) * t.Dx

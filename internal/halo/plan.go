@@ -83,6 +83,23 @@ type Plan struct {
 	interests   [][]*Packer // the distinct interested-peer lists
 }
 
+// MemoryBytes returns the heap footprint of the plan: its cell lists, the
+// interest memo, and the reusable pack buffers at their current capacity.
+func (pl *Plan) MemoryBytes() int {
+	const cellBytes, selfBytes = 32, 40 // Cell{int, vec.V}; selfCopy{int, Cell}
+	n := cap(pl.out.buf) + 2*len(pl.interestID)
+	for i := range pl.sparse {
+		n += cap(pl.sparse[i].buf)
+	}
+	for k := range pl.send {
+		for p := range pl.send[k] {
+			n += 8*len(pl.send[k][p]) + cellBytes*len(pl.recv[k][p])
+		}
+		n += selfBytes * len(pl.self[k])
+	}
+	return n
+}
+
 // eachGhost calls fn for every cell of box's ghost shell in holder order,
 // with its wrapped image and the rank owning that. The grid is rectilinear,
 // so wrapping and ownership are tabulated per axis once instead of being

@@ -96,22 +96,31 @@ func (b *Box) EachOwned(fn func(c Coord, local int)) {
 // EachOwnedCellRange calls fn for the sites of owned cells [lo, hi) in the
 // canonical owned-cell order; the ranges of a partition of [0, OwnedCells())
 // tile EachOwned exactly. It is the work-splitting primitive of the CPE
-// slab decomposition.
+// slab decomposition, and every force round walks it: the cell coordinates
+// and the local index are computed once at lo and carried from cell to cell.
 func (b *Box) EachOwnedCellRange(lo, hi int, fn func(c Coord, local int)) {
+	if lo >= hi {
+		return
+	}
 	nx := b.Hi[0] - b.Lo[0]
 	ny := b.Hi[1] - b.Lo[1]
+	x, y, z := lo%nx, (lo/nx)%ny, lo/(nx*ny)
+	ex, ey := b.Ext(0), b.Ext(1)
+	local := (((z+b.Ghost)*ey+y+b.Ghost)*ex + x + b.Ghost) * 2
 	for cell := lo; cell < hi; cell++ {
-		x := cell % nx
-		y := (cell / nx) % ny
-		z := cell / (nx * ny)
-		for bb := int8(0); bb <= 1; bb++ {
-			c := Coord{
-				X: int32(x + b.Lo[0]),
-				Y: int32(y + b.Lo[1]),
-				Z: int32(z + b.Lo[2]),
-				B: bb,
+		c := Coord{X: int32(x + b.Lo[0]), Y: int32(y + b.Lo[1]), Z: int32(z + b.Lo[2])}
+		fn(c, local)
+		c.B = 1
+		fn(c, local+1)
+		local += 2
+		if x++; x == nx {
+			x = 0
+			local += 2 * (ex - nx) // over the two x halos
+			if y++; y == ny {
+				y = 0
+				z++
+				local += 2 * ex * (ey - ny) // over the two y halos
 			}
-			fn(c, b.LocalIndex(c))
 		}
 	}
 }

@@ -156,6 +156,50 @@ func TestEachOwnedVisitsExactlyOwned(t *testing.T) {
 	}
 }
 
+func TestEachOwnedCellRangeMatchesLocalIndex(t *testing.T) {
+	// The range walk carries (x, y, z) and the local index from cell to cell
+	// instead of deriving them; on a ragged box with a non-zero origin it
+	// must visit, for every [lo, hi) — empty and single-cell ranges included
+	// — exactly what the cell ordinal and LocalIndex derive, in the
+	// documented order (x fastest, basis innermost).
+	type visit struct {
+		c     Coord
+		local int
+	}
+	b := &Box{L: New(12, 9, 10, a0), Lo: [3]int{4, 2, 3}, Hi: [3]int{9, 5, 7}, Ghost: 2}
+	nx, ny := b.Hi[0]-b.Lo[0], b.Hi[1]-b.Lo[1]
+	var all []visit
+	for cell := 0; cell < b.OwnedCells(); cell++ {
+		for bb := int8(0); bb <= 1; bb++ {
+			c := Coord{
+				X: int32(cell%nx + b.Lo[0]),
+				Y: int32(cell/nx%ny + b.Lo[1]),
+				Z: int32(cell/(nx*ny) + b.Lo[2]),
+				B: bb,
+			}
+			all = append(all, visit{c, b.LocalIndex(c)})
+		}
+	}
+	for lo := 0; lo <= b.OwnedCells(); lo++ {
+		for hi := lo; hi <= b.OwnedCells(); hi++ {
+			want := all[2*lo : 2*hi]
+			i := 0
+			b.EachOwnedCellRange(lo, hi, func(c Coord, local int) {
+				if i >= len(want) {
+					t.Fatalf("range [%d,%d) visits more than %d sites", lo, hi, len(want))
+				}
+				if want[i] != (visit{c, local}) {
+					t.Fatalf("range [%d,%d) visit %d: got %+v local %d, want %+v", lo, hi, i, c, local, want[i])
+				}
+				i++
+			})
+			if i != len(want) {
+				t.Fatalf("range [%d,%d) visited %d sites, want %d", lo, hi, i, len(want))
+			}
+		}
+	}
+}
+
 func TestSpanSlotOfInverse(t *testing.T) {
 	f := func(nRaw, pRaw uint8) bool {
 		n := int(nRaw%50) + 1

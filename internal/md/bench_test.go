@@ -36,6 +36,8 @@ func BenchmarkMDStep(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(busyImbalance(poolMetric(b, reg, "md/pool/force-busy")), "imbalance")
+				// What TestRankMemoryPerAtom pins, after the steps.
+				b.ReportMetric(float64(r.MemoryBytes())/float64(CountOwnedAtoms(r.Store)), "B/atom")
 			})
 		})
 	}

@@ -161,9 +161,9 @@ type passSpec struct {
 	tables   int // compacted tables preloaded over the round
 	inBytes  int // streamed in per site
 	outBytes int // streamed out per site
-	// perPairIn/perPairOut charge the optimized kernel's pair-cache
-	// traffic: bytes read/written from the main-memory cache per accepted
-	// pair (the cache is far too large for the LDM, so it streams by DMA
+	// perPairIn/perPairOut charge the optimized kernel's pair-stream
+	// traffic: bytes read/written from the main-memory stream per accepted
+	// pair (the stream is far too large for the LDM, so it moves by DMA
 	// like the atom fields).
 	perPairIn  int
 	perPairOut int
@@ -174,8 +174,8 @@ type passSpec struct {
 // cache: no explicit blocks, no overlap; every access pays the tag check
 // and the miss fraction fetches cache lines from main memory.
 func (k *CPEKernel) chargeSoftwareCache(c *sunway.CPE, spec passSpec, sites int, st OpStats) {
-	// Pair-cache traffic (optimized kernel) streams through the emulated
-	// cache too, one float64 access per cached value.
+	// Pair-stream traffic (optimized kernel) goes through the emulated
+	// cache too, one float64 access per streamed value.
 	pairAccesses := float64(st.Pairs) * float64(spec.perPairIn+spec.perPairOut) / 8
 	accesses := float64(sites*accessesPerSiteIn) + float64(st.Lookups) + pairAccesses
 	c.Compute(accesses * cacheTagFlops)

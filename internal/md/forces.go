@@ -2,6 +2,7 @@ package md
 
 import (
 	"math"
+	"math/bits"
 
 	"mdkmc/internal/eam"
 	"mdkmc/internal/lattice"
@@ -54,7 +55,7 @@ func (s *OpStats) Add(other OpStats) {
 	s.Coincident += other.Coincident
 }
 
-// Pair-cache slot layout of the optimized kernel: the density gather pass
+// Pair-stream slot layout of the optimized kernel: the density gather pass
 // stores, per accepted resident pair, the fused evaluation results that the
 // two reduce passes (density, then force, after the ghost ρ exchange)
 // consume. Values are directional with respect to the *computing* side a:
@@ -78,10 +79,10 @@ const (
 //
 // The kernel evaluates each resident–resident pair once — a gather round
 // computes the fused pair/density tables for every pair whose canonical
-// owner (or ghost partner) anchors it and stores the results in the pair
-// cache; after a barrier, reduce rounds accumulate both sides from the cache
-// in the reference enumeration order. The reference kernel, which evaluates
-// every pair from both sides, is the test-side oracle this one is
+// owner (or ghost partner) anchors it and appends the results to the pair
+// stream; after a barrier, reduce rounds accumulate both sides from the
+// stream in the reference enumeration order. The reference kernel, which
+// evaluates every pair from both sides, is the test-side oracle this one is
 // bit-identical to (reference_test.go, DESIGN.md §13).
 type ForceField struct {
 	Pot    *eam.Potential
@@ -94,16 +95,32 @@ type ForceField struct {
 	rounds *kernelRounds
 
 	// Kernel statics, built once per store geometry.
-	stride   int        // pair-cache slots per owned site: max tight prefix
 	ownedIdx []int32    // local site -> owned-order index; -1 off-rank
 	revIdx   [2][]int32 // per basis, tight slot -> partner-side reverse slot
-	cache    []float64  // slotFloats per (owned site, tight slot)
+	chunkOf  []uint8    // owned index -> the force chunk whose range holds it
+
+	// The pair stream: only the pairs that exist are stored. stream[c] holds
+	// the slots chunk c's sites own, slotFloats each, in enumeration order
+	// (site by site, tight slot by tight slot). A site's row starts at float
+	// rowStart[oi] of its chunk's buffer and holds one slot per set bit of
+	// its maskWords words of rowMask, in bit order. A gather chunk writes
+	// only its own buffer and its own sites' index entries.
+	stream    [ForceChunks][]float64
+	rowStart  []int32
+	rowMask   []uint64
+	maskWords int // mask words per owned site: ceil(max tight prefix / 64)
 }
+
+// streamSlack is the headroom of a chunk's buffer over its perfect-crystal
+// slot count, in 1/streamSlack of that count: thermal motion moves few pairs
+// across the cutoff, and a cascade core that needs more grows its chunk.
+const streamSlack = 8
 
 // NewForceField computes the tight prefixes for the store's offset table
 // and builds the optimized kernel's static indexes: the owned-order map,
 // the reverse-offset table (the slot at which a pair's canonical owner
-// cached it, seen from the partner), and the pair cache itself.
+// streamed it, seen from the partner), and the pair stream's per-site index
+// and per-chunk buffers, sized from the geometry.
 func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceField {
 	ff := &ForceField{Pot: pot, Cutoff: pot.Cutoff, rounds: &productionRounds}
 	tightR := pot.Cutoff + skin
@@ -118,10 +135,7 @@ func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceFi
 		}
 		ff.Tight[b] = n
 	}
-	ff.stride = ff.Tight[0]
-	if ff.Tight[1] > ff.stride {
-		ff.stride = ff.Tight[1]
-	}
+	ff.maskWords = (max(ff.Tight[0], ff.Tight[1]) + 63) / 64
 
 	ff.ownedIdx = make([]int32, s.Box.NumLocalSites())
 	for i := range ff.ownedIdx {
@@ -159,8 +173,77 @@ func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceFi
 		ff.revIdx[b] = rev
 	}
 
-	ff.cache = make([]float64, int(next)*ff.stride*slotFloats)
+	ff.chunkOf = make([]uint8, next)
+	ff.rowStart = make([]int32, next)
+	ff.rowMask = make([]uint64, int(next)*ff.maskWords)
+	// Each chunk's buffer holds what its sites own in the perfect crystal —
+	// the in-cutoff tight slots whose partner does not own the pair — plus
+	// slack.
+	for c := range ff.stream {
+		lo, hi := s.Box.SpanCells(ForceChunks, c)
+		slots := 0
+		s.Box.EachOwnedCellRange(lo, hi, func(cd lattice.Coord, local int) {
+			oi := ff.ownedIdx[local]
+			ff.chunkOf[oi] = uint8(c)
+			deltas := s.Deltas(cd.B)
+			for k, o := range s.Tab.PerBase[cd.B][:ff.Tight[cd.B]] {
+				if o.R >= pot.Cutoff {
+					break
+				}
+				if oj := ff.ownedIdx[local+int(deltas[k])]; oj < 0 || oj > oi {
+					slots++
+				}
+			}
+		})
+		ff.stream[c] = make([]float64, (slots+slots/streamSlack)*slotFloats)
+	}
 	return ff
+}
+
+// growStream doubles chunk c's buffer, keeping its first n floats. Only a
+// gather whose chunk outgrew the perfect-crystal sizing (a cascade core)
+// gets here, so steady state allocates nothing.
+func (ff *ForceField) growStream(c, n int) []float64 {
+	grown := make([]float64, max(2*len(ff.stream[c]), 64*slotFloats))
+	copy(grown, ff.stream[c][:n])
+	ff.stream[c] = grown
+	return grown
+}
+
+// rowLen returns the number of slots owned site o holds.
+func (ff *ForceField) rowLen(o int) int {
+	n := 0
+	for _, w := range ff.rowMask[o*ff.maskWords : (o+1)*ff.maskWords] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// partnerSlot returns the slot owned site o streamed for its tight slot k,
+// or nil when o holds none there (the pair was not accepted).
+func (ff *ForceField) partnerSlot(o, k int32) []float64 {
+	m := ff.rowMask[int(o)*ff.maskWords : (int(o)+1)*ff.maskWords]
+	word, bit := k>>6, uint(k&63)
+	if m[word]>>bit&1 == 0 {
+		return nil
+	}
+	at := bits.OnesCount64(m[word] & (1<<bit - 1))
+	for _, w := range m[:word] {
+		at += bits.OnesCount64(w)
+	}
+	base := int(ff.rowStart[o]) + at*slotFloats
+	return ff.stream[ff.chunkOf[o]][base : base+slotFloats : base+slotFloats]
+}
+
+// MemoryBytes returns the heap footprint of the kernel statics and the pair
+// stream at its current capacity.
+func (ff *ForceField) MemoryBytes() int {
+	n := 4*(len(ff.ownedIdx)+len(ff.revIdx[0])+len(ff.revIdx[1])+len(ff.rowStart)) +
+		len(ff.chunkOf) + 8*len(ff.rowMask)
+	for _, buf := range ff.stream {
+		n += 8 * cap(buf)
+	}
+	return n
 }
 
 // pairScalar combines the pair-potential derivative with the two embedding
@@ -216,72 +299,106 @@ func (ff *ForceField) FillEmbeddingRange(s *neighbor.Store, lo, hi int) OpStats 
 // owned cells [lo, hi): every resident–resident pair anchored here — owned
 // pairs whose canonical owner (the side with the smaller owned index) is in
 // the range, plus every pair with a ghost partner — is evaluated exactly
-// once through the fused PairDensity lookup, and all six results are stored
-// in the pair cache for the two reduce passes. Writes only cache rows of
-// atoms in the range; a barrier must separate it from any reduce pass.
+// once through the fused PairDensity lookup, and all six results are
+// appended to the pair stream for the two reduce passes. Acceptance is
+// decided here, once: a site's mask bits are the pairs it holds, and the
+// density reduce trusts them, so the resident–resident coincidences it would
+// have met are counted here, for both sides when both are owned centrals.
+// Writes only the buffers and index entries of the chunks the range covers;
+// a range that starts inside a chunk continues after the row of the site
+// before it. A barrier must separate it from any reduce pass.
 //
 //mdvet:hot
 func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
-	stride := ff.stride
-	s.Box.EachOwnedCellRange(lo, hi, func(c lattice.Coord, local int) {
-		if s.IsVacancy(local) {
-			return
+	words := ff.maskWords
+	for lo < hi {
+		// Owned indexes run cell by cell, basis innermost: cell lo's sites
+		// are 2*lo and 2*lo+1.
+		c := int(ff.chunkOf[2*lo])
+		first, end := s.Box.SpanCells(ForceChunks, c)
+		end = min(end, hi)
+		buf := ff.stream[c]
+		n := 0 // floats of buf in use
+		if prev := 2*lo - 1; lo > first {
+			n = int(ff.rowStart[prev]) + ff.rowLen(prev)*slotFloats
 		}
-		st.Atoms++
-		pos := s.R[local]
-		typ := s.Type[local]
-		oi := ff.ownedIdx[local]
-		row := int(oi) * stride * slotFloats
-		deltas := s.Deltas(c.B)
-		tight := ff.Tight[c.B]
-		st.Visits += int64(tight) + 1
-		for k := 0; k < tight; k++ {
-			j := local + int(deltas[k])
-			if s.IsVacancy(j) {
-				continue
+		s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
+			oi := ff.ownedIdx[local]
+			ff.rowStart[oi] = int32(n)
+			mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
+			clear(mask)
+			if s.IsVacancy(local) {
+				return
 			}
-			oj := ff.ownedIdx[j]
-			if oj >= 0 && oj < oi {
-				continue // the partner owns this pair and computes it
+			st.Atoms++
+			pos := s.R[local]
+			typ := s.Type[local]
+			deltas := s.Deltas(cd.B)
+			tight := ff.Tight[cd.B]
+			st.Visits += int64(tight) + 1
+			for k := 0; k < tight; k++ {
+				j := local + int(deltas[k])
+				if s.IsVacancy(j) {
+					continue
+				}
+				oj := ff.ownedIdx[j]
+				if oj >= 0 && oj < oi {
+					continue // the partner owns this pair and computes it
+				}
+				d := pos.Sub(s.R[j])
+				r2 := d.Norm2()
+				if r2 >= cut2 {
+					continue
+				}
+				if r2 == 0 {
+					st.Coincident++
+					if oj >= 0 {
+						st.Coincident++ // the partner's side of the encounter
+					}
+					continue
+				}
+				tj := s.Type[j]
+				phi, dphi, fab, dfab, fba, dfba := ff.Pot.PairDensity(typ, tj, math.Sqrt(r2))
+				if n+slotFloats > len(buf) {
+					buf = ff.growStream(c, n)
+				}
+				slot := buf[n : n+slotFloats : n+slotFloats]
+				slot[slotFab] = fab
+				slot[slotFba] = fba
+				slot[slotPhi] = phi
+				slot[slotDphi] = dphi
+				slot[slotDfab] = dfab
+				slot[slotDfba] = dfba
+				n += slotFloats
+				mask[k>>6] |= 1 << uint(k&63)
+				st.Pairs++
+				evals := eam.PairDensityEvals(typ, tj)
+				st.Lookups += evals
+				if typ != units.Fe || tj != units.Fe {
+					st.MinorityLookups += evals
+				}
 			}
-			d := pos.Sub(s.R[j])
-			r2 := d.Norm2()
-			if r2 >= cut2 || r2 == 0 {
-				continue // coincidences are counted by the reduce pass
-			}
-			tj := s.Type[j]
-			phi, dphi, fab, dfab, fba, dfba := ff.Pot.PairDensity(typ, tj, math.Sqrt(r2))
-			slot := ff.cache[row+k*slotFloats : row+k*slotFloats+slotFloats : row+k*slotFloats+slotFloats]
-			slot[slotFab] = fab
-			slot[slotFba] = fba
-			slot[slotPhi] = phi
-			slot[slotDphi] = dphi
-			slot[slotDfab] = dfab
-			slot[slotDfba] = dfba
-			st.Pairs++
-			evals := eam.PairDensityEvals(typ, tj)
-			st.Lookups += evals
-			if typ != units.Fe || tj != units.Fe {
-				st.MinorityLookups += evals
-			}
-		}
-	})
+		})
+		lo = end
+	}
 	return st
 }
 
 // DensityReduceRange is the second half of the optimized density pass:
 // every owned atom accumulates its density in the reference enumeration
-// order — cached values for resident partners (its own row when it owns the
-// pair or the partner is a ghost, the partner's reverse-offset slot
-// otherwise), inline evaluations for run-away-involved pairs.
+// order — streamed values for resident partners (its own row, read in order
+// with a cursor, when it owns the pair or the partner is a ghost; the
+// partner's reverse-offset slot otherwise), inline evaluations for
+// run-away-involved pairs. Which resident pairs exist is the gather's mask
+// bits, not re-derived: no partner position is loaded for them.
 //
 //mdvet:hot
 func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
-	stride := ff.stride
+	words := ff.maskWords
 	// With no run-away atoms anywhere in the local store (the defect-free
 	// common case, and a global property so every chunking sees the same
 	// value), only the tight prefix can hold partners: the wide-offset
@@ -326,25 +443,26 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 			pos := s.R[local]
 			typ := s.Type[local]
 			oi := ff.ownedIdx[local]
+			own := ff.stream[ff.chunkOf[oi]]
+			cur := int(ff.rowStart[oi])
+			mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
 			var rho float64
 			if hasRun {
 				chain(pos, typ, local, neighbor.NoRunaway, &rho)
 			}
 			for k, dlt := range deltas {
 				j := local + int(dlt)
-				if k < tight && !s.IsVacancy(j) {
-					r2 := pos.Sub(s.R[j]).Norm2()
-					if r2 == 0 {
-						st.Coincident++
-					} else if r2 < cut2 {
-						oj := ff.ownedIdx[j]
-						if oj >= 0 && oj < oi {
-							// The partner owns the pair: read its slot for
-							// the reverse offset; we are the "b" side.
-							rho += ff.cache[(int(oj)*stride+int(rev[k]))*slotFloats+slotFba]
-						} else {
-							rho += ff.cache[(int(oi)*stride+k)*slotFloats+slotFab]
+				if k < tight {
+					if oj := ff.ownedIdx[j]; oj >= 0 && oj < oi {
+						// The partner owns the pair: read its slot for
+						// the reverse offset; we are the "b" side.
+						if slot := ff.partnerSlot(oj, rev[k]); slot != nil {
+							rho += slot[slotFba]
+							st.Pairs++
 						}
+					} else if mask[k>>6]>>uint(k&63)&1 != 0 {
+						rho += own[cur+slotFab]
+						cur += slotFloats
 						st.Pairs++
 					}
 				}
@@ -404,11 +522,11 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 }
 
 // ForceReduceRange is the optimized force pass over owned cells [lo, hi).
-// The pair cache still holds every resident pair's fused evaluation from
+// The pair stream still holds every resident pair's fused evaluation from
 // the density gather (positions do not change between the two passes of one
 // force computation), and FillEmbeddingRange has precomputed every local
 // atom's F(ρ)/F'(ρ), so resident pairs need no table evaluations at all:
-// each side reads the cached derivatives, forms the canonical force scalar
+// each side reads the streamed derivatives, forms the canonical force scalar
 // — bitwise equal on both sides — and accumulates in the reference
 // enumeration order. Run-away-involved pairs are evaluated inline through
 // the fused lookup.
@@ -418,7 +536,6 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 	var st OpStats
 	var energy float64
 	cut2 := ff.Cutoff * ff.Cutoff
-	stride := ff.stride
 	// Same wide-scan skip as DensityReduceRange: no run-aways anywhere
 	// means no partner beyond the tight prefix and no chains to probe.
 	hasRun := s.NumRunaways() > 0
@@ -476,6 +593,8 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 			rho := s.Rho[local]
 			dFc := s.DFdRho[local]
 			oi := ff.ownedIdx[local]
+			own := ff.stream[ff.chunkOf[oi]]
+			cur := int(ff.rowStart[oi])
 			e := s.EmbedE[local]
 			f := vec.Zero
 			if hasRun {
@@ -490,23 +609,20 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 						st.Coincident++
 					} else if r2 < cut2 {
 						r := math.Sqrt(r2)
-						// Locate the pair's cache slot and our direction in
-						// it: dfc is the density derivative toward the
-						// central, dfp toward the partner.
-						var base int
-						var dphi, dfc, dfp, phi float64
-						oj := ff.ownedIdx[j]
-						if oj >= 0 && oj < oi {
-							base = (int(oj)*stride + int(rev[k])) * slotFloats
-							dfc = ff.cache[base+slotDfba]
-							dfp = ff.cache[base+slotDfab]
+						// Locate the pair's slot and our direction in it:
+						// dfc is the density derivative toward the central,
+						// dfp toward the partner.
+						var slot []float64
+						var dfc, dfp float64
+						if oj := ff.ownedIdx[j]; oj >= 0 && oj < oi {
+							slot = ff.partnerSlot(oj, rev[k])
+							dfc, dfp = slot[slotDfba], slot[slotDfab]
 						} else {
-							base = (int(oi)*stride + k) * slotFloats
-							dfc = ff.cache[base+slotDfab]
-							dfp = ff.cache[base+slotDfba]
+							slot = own[cur : cur+slotFloats : cur+slotFloats]
+							cur += slotFloats
+							dfc, dfp = slot[slotDfab], slot[slotDfba]
 						}
-						phi = ff.cache[base+slotPhi]
-						dphi = ff.cache[base+slotDphi]
+						phi, dphi := slot[slotPhi], slot[slotDphi]
 						scalar := pairScalar(dphi, dFc*dfc, s.DFdRho[j]*dfp,
 							typ, s.Type[j], rho, s.Rho[j])
 						f = f.MulAdd(-scalar/r, d)

@@ -85,7 +85,7 @@ func (p *ForcePool) Densities(s *neighbor.Store) OpStats {
 }
 
 // Forces runs the force pass (embedding fill over all local sites, then the
-// cached-pair force reduce) sharded over the pool and returns the owned
+// streamed-pair force reduce) sharded over the pool and returns the owned
 // potential-energy share, reduced in chunk order.
 func (p *ForcePool) Forces(s *neighbor.Store) (OpStats, float64) {
 	return p.run(s, p.FF.rounds.force, p.forceBusy)

@@ -54,8 +54,8 @@ func noEnergy(f func(ff *ForceField, s *neighbor.Store, lo, hi int) OpStats) ran
 
 // productionRounds is the kernel every run executes. The gather round
 // preloads all three fused tables (pair + both density directions) and
-// writes one 6-float cache slot per unique pair; the reduce rounds read
-// cached values back — one density float per pair side in the density
+// appends one 6-float slot per unique pair to the pair stream; the reduce
+// rounds read the values back — one density float per pair side in the density
 // reduce, the four force floats in the force reduce — instead of
 // re-evaluating tables. The fill round streams only ρ and type in and
 // F(ρ)/F'(ρ) out, with one embedding evaluation per site and no pair work

@@ -266,6 +266,14 @@ func (r *Rank) computeForces() {
 	}
 }
 
+// MemoryBytes returns the heap footprint of what the rank holds for its
+// atoms — the lattice neighbor list, the force field's statics and pair
+// stream, and the ghost-exchange plan with its buffers — the quantity a
+// capacity claim (how many atoms fit a node) has to be made from.
+func (r *Rank) MemoryBytes() int {
+	return r.Store.MemoryBytes() + r.FF.MemoryBytes() + r.Ex.plan.MemoryBytes()
+}
+
 // CoincidenceError returns the sticky error recorded the first time a force
 // computation skipped coincident atom pairs, or nil if none occurred.
 func (r *Rank) CoincidenceError() error { return r.coincidentErr }
