@@ -10,9 +10,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
+.PHONY: check fmt-check p2p-owner determinism build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
 
-check: fmt-check p2p-owner vet lint build race
+check: fmt-check p2p-owner determinism vet lint build race
 
 # gofmt gate: any unformatted file fails. The analyzer fixtures under
 # testdata/ are exempt (some are unformatted on purpose).
@@ -29,15 +29,27 @@ p2p-owner:
 		grep -vE '^\./(internal/halo|internal/mpi|internal/analysis|bench)/' || true); \
 	if [ -n "$$out" ]; then echo "message calls outside internal/halo:"; echo "$$out"; exit 1; fi
 
+# Determinism gate (DESIGN.md §7, §12): a trajectory is a pure function of
+# its seed, so no non-test code under internal/ reads the wall clock or
+# imports math/rand; randomness comes from internal/rng streams. Exempt are
+# internal/telemetry, the one sanctioned clock (its readings land in a
+# registry and never feed simulation state), and internal/analysis.
+determinism:
+	@out=$$(grep -rnE '\btime\.(Now|Since|Until)\b|"math/rand' --include='*.go' internal | grep -v '_test\.go:' | grep -v '/testdata/' | \
+		grep -vE '^internal/(telemetry|analysis)/' || true); \
+	if [ -n "$$out" ]; then echo "wall-clock reads or math/rand outside internal/telemetry:"; echo "$$out"; exit 1; fi
+
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
 
-# Domain-specific static analysis (DESIGN.md §12): the mdvet suite
-# enforces the determinism, collective-symmetry, and checkpoint/preemption
-# contracts. Driving it through `go vet -vettool` covers _test.go files too
+# Domain-specific static analysis (DESIGN.md §12): the five mdvet analyzers
+# enforce the map-order, collective-symmetry, span, preemption and
+# error-return contracts that need one (the clock/rand rule is
+# `determinism` above; hash coverage and kernel allocations are tests).
+# Driving it through `go vet -vettool` covers _test.go files too
 # and caches per package; the standalone -stats pass then prints the
 # per-analyzer reported/suppressed table (suppressed = reasoned //mdvet
 # exemptions in force, so exemption growth is visible in every lint run).

@@ -23,7 +23,7 @@ import (
 )
 
 // wallClock is the real clock, injected here so internal/serve itself stays
-// deterministic (and rngtime-clean).
+// deterministic (and passes `make determinism`).
 type wallClock struct{}
 
 func (wallClock) Now() time.Time { return time.Now() }

@@ -1,16 +1,13 @@
 // Command mdvet is the repository's domain-specific static-analysis gate
-// (DESIGN.md §12). It runs eight analyzers that encode the determinism,
+// (DESIGN.md §12). It runs five analyzers that encode the determinism,
 // collective-symmetry, and checkpoint/preemption contracts the paper's
-// results rest on:
+// results rest on and that a grep or a test cannot check:
 //
 //	collsym      collectives — mpi's, the ones known by name, functions
 //	             and methods marked //mdvet:collective, and helpers that
 //	             reach one — under rank-dependent control flow, or skipped
 //	             by a rank-dependent early exit
 //	maporder     order-sensitive work inside map iteration
-//	rngtime      wall-clock/global-rand use in deterministic packages
-//	hotalloc     allocation hazards in //mdvet:hot functions
-//	hashcover    struct fields invisible to the struct's Hash method
 //	spanbalance  telemetry spans that do not End on every path
 //	preemptpoll  simulation-advancing loops that reach no preemption
 //	             boundary (Preemptor.Poll, Comm.FaultPoint)
@@ -50,11 +47,8 @@ import (
 	"mdkmc/internal/analysis"
 	"mdkmc/internal/analysis/collsym"
 	"mdkmc/internal/analysis/errpanic"
-	"mdkmc/internal/analysis/hashcover"
-	"mdkmc/internal/analysis/hotalloc"
 	"mdkmc/internal/analysis/maporder"
 	"mdkmc/internal/analysis/preemptpoll"
-	"mdkmc/internal/analysis/rngtime"
 	"mdkmc/internal/analysis/spanbalance"
 )
 
@@ -62,9 +56,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	collsym.Analyzer,
 	maporder.Analyzer,
-	rngtime.Analyzer,
-	hotalloc.Analyzer,
-	hashcover.Analyzer,
 	spanbalance.Analyzer,
 	preemptpoll.Analyzer,
 	errpanic.Analyzer,
@@ -76,7 +67,7 @@ func main() {
 	// invocation per package with a JSON config file.
 	for _, a := range args {
 		if a == "-V=full" || a == "-V" {
-			fmt.Println("mdvet version v2.0.0")
+			fmt.Println("mdvet version v3.0.0")
 			return
 		}
 	}

@@ -11,14 +11,18 @@
 //
 //   - determinism: bit-identical trajectories for every worker count and
 //     ghost protocol (DESIGN.md §7, §9), which forbids iteration-order-
-//     dependent reductions, wall-clock reads, and global math/rand in the
-//     simulation packages;
+//     dependent reductions;
 //   - collective symmetry: every rank enters every mpi collective in the
 //     same order (the Allgather generation race class), which forbids
 //     rank-dependent collective call shapes;
-//   - restart and preemption: every config field feeds the restart hash,
-//     every advancing loop reaches a checkpoint boundary, and library
-//     code fails by returned error.
+//   - preemption, failure and observability: every advancing loop reaches
+//     a checkpoint boundary, library code fails by returned error, and
+//     every telemetry span ends.
+//
+// A rule a grep or a test enforces is not an analyzer: wall-clock reads and
+// math/rand are rejected by `make determinism`, config-hash coverage by
+// TestConfigHashCoversEveryField, and kernel allocations by the
+// AllocsPerRun pins.
 //
 // An analyzer inspects one type-checked package at a time through a Pass
 // and reports Diagnostics. Besides the driver (Check, Load) the package is
@@ -29,17 +33,13 @@
 // rank-guard state), Package.Graph (one call-graph summary per package)
 // and Package.ScopedFiles (which files a path-scoped contract covers).
 //
-// Three source-level directives tune the checks:
+// Two source-level directives tune the checks:
 //
 //	//mdvet:ignore <analyzer> <reason>   suppress that analyzer's findings
 //	                                     on this or the next line; the
 //	                                     reason is mandatory. This is the
-//	                                     one exemption form: a restart-
-//	                                     neutral field is `ignore
-//	                                     hashcover`, a licensed panic is
-//	                                     `ignore errpanic`
-//	//mdvet:hot                          (func doc) zero-alloc hot path —
-//	                                     checked by hotalloc
+//	                                     one exemption form: a licensed
+//	                                     panic is `ignore errpanic`
 //	//mdvet:collective                   (func doc) every rank must call
 //	                                     this function or method in
 //	                                     lockstep — collsym treats it like

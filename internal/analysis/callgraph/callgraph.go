@@ -1,6 +1,6 @@
 // Package callgraph builds the lightweight per-package call-graph summary
-// shared by the interprocedural mdvet analyzers (collsym, hashcover,
-// preemptpoll), which reach it through analysis.Package.Graph.
+// shared by the interprocedural mdvet analyzers (collsym, preemptpoll),
+// which reach it through analysis.Package.Graph.
 //
 // The graph records, for every function declared with a body in one
 // type-checked package, the statically resolvable calls its body makes.
@@ -20,9 +20,9 @@
 //
 // The result is neither sound nor complete in the abstract-interpretation
 // sense, but it is deterministic, costs one AST walk per package, and is
-// exactly strong enough for the contracts mdvet checks: "does Hash reach
-// this field through same-package helpers", "does this loop body reach a
-// preemption poll", "does this helper transitively enter a collective".
+// exactly strong enough for the contracts mdvet checks: "does this loop
+// body reach a preemption poll", "does this helper transitively enter a
+// collective".
 package callgraph
 
 import (
@@ -122,23 +122,4 @@ func (g *Graph) FindTransitive(from *types.Func, pred func(*types.Func) bool) *t
 		return nil
 	}
 	return dfs(from)
-}
-
-// Reachable returns every function declared in this package that is
-// reachable from `from` through declared bodies, including `from` itself
-// (when it is declared here).
-func (g *Graph) Reachable(from *types.Func) map[*types.Func]bool {
-	out := map[*types.Func]bool{}
-	var dfs func(fn *types.Func)
-	dfs = func(fn *types.Func) {
-		if out[fn] || g.decls[fn] == nil {
-			return
-		}
-		out[fn] = true
-		for _, e := range g.calls[fn] {
-			dfs(e.Callee)
-		}
-	}
-	dfs(from)
-	return out
 }

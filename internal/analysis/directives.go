@@ -30,9 +30,9 @@ type Directives struct {
 	// name. A directive on line L suppresses findings on L (trailing
 	// comment) and L+1 (full-line comment above the flagged statement).
 	ignores map[ignoreKey]map[string]*ignore
-	// markers holds, per marker kind (hot, collective), the positions of
-	// the FuncDecls carrying it.
-	markers map[string]map[token.Pos]bool
+	// collective holds the positions of the FuncDecls carrying
+	// //mdvet:collective.
+	collective map[token.Pos]bool
 	// all ignores in parse order, for Stale.
 	all []*ignore
 	bad []Diagnostic
@@ -41,12 +41,12 @@ type Directives struct {
 // NewDirectives scans the files' comments for //mdvet: directives. A
 // comment that opens like one but is not one — an ignore without its
 // mandatory reason, an unknown kind (a typo, a retired directive), a
-// hot/collective marker outside a function's doc comment — would silently
-// not enforce its contract, so it becomes a diagnostic retrievable via Bad.
+// collective marker outside a function's doc comment — would silently not
+// enforce its contract, so it becomes a diagnostic retrievable via Bad.
 func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{
-		ignores: map[ignoreKey]map[string]*ignore{},
-		markers: map[string]map[token.Pos]bool{"hot": {}, "collective": {}},
+		ignores:    map[ignoreKey]map[string]*ignore{},
+		collective: map[token.Pos]bool{},
 	}
 	for _, f := range files {
 		documents := map[*ast.Comment]*ast.FuncDecl{}
@@ -87,12 +87,12 @@ func (d *Directives) parse(pos token.Position, text string, fn *ast.FuncDecl) {
 		d.all = append(d.all, ig)
 	case kind == "ignore":
 		d.badf(pos, "malformed //mdvet:ignore: want \"//mdvet:ignore <analyzer> <reason>\" (the reason is mandatory)")
-	case d.markers[kind] != nil && fn != nil:
-		d.markers[kind][fn.Pos()] = true
-	case d.markers[kind] != nil:
-		d.badf(pos, "misplaced //mdvet:"+kind+": the marker belongs in a function's doc comment; here it marks nothing and the contract is not enforced")
+	case kind == "collective" && fn != nil:
+		d.collective[fn.Pos()] = true
+	case kind == "collective":
+		d.badf(pos, "misplaced //mdvet:collective: the marker belongs in a function's doc comment; here it marks nothing and the contract is not enforced")
 	default:
-		d.badf(pos, "unknown directive //mdvet:"+kind+" (the directives are ignore, hot and collective): it is not enforced")
+		d.badf(pos, "unknown directive //mdvet:"+kind+" (the directives are ignore and collective): it is not enforced")
 	}
 }
 
@@ -112,15 +112,10 @@ func (d *Directives) Ignored(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// IsHot reports whether fn carries //mdvet:hot in its doc comment.
-func (d *Directives) IsHot(fn *ast.FuncDecl) bool {
-	return fn != nil && d.markers["hot"][fn.Pos()]
-}
-
 // IsCollective reports whether fn carries //mdvet:collective in its doc
 // comment.
 func (d *Directives) IsCollective(fn *ast.FuncDecl) bool {
-	return fn != nil && d.markers["collective"][fn.Pos()]
+	return fn != nil && d.collective[fn.Pos()]
 }
 
 // Bad returns one diagnostic per malformed, unknown or misplaced directive.

@@ -69,8 +69,9 @@ func f() {
 }
 
 // The exemptions that used to be directives of their own (a restart-neutral
-// hash field, a licensed panic) are spelled //mdvet:ignore hashcover /
-// //mdvet:ignore errpanic: the reason is as mandatory as for any ignore.
+// hash field, a licensed panic) became //mdvet:ignore lines. The parser
+// knows no analyzer names, so the reason is mandatory whatever the line
+// names, a retired analyzer included.
 func TestHashExemptAndPanicsRequireReason(t *testing.T) {
 	cases := []struct {
 		name string
@@ -169,16 +170,13 @@ func TestHotAndCollectiveDirectives(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "fix.go", `package p
 
-// kernel inner loop.
-//
-//mdvet:hot
-func hot() {}
-
 //mdvet:collective
 func coll() {}
 
 type T struct{}
 
+// method is entered in lockstep.
+//
 //mdvet:collective
 func (T) method() {}
 
@@ -197,10 +195,7 @@ func plain() {}
 			fns[fn.Name.Name] = fn
 		}
 	}
-	if !d.IsHot(fns["hot"]) || d.IsHot(fns["coll"]) || d.IsHot(fns["plain"]) {
-		t.Error("IsHot must reflect exactly the //mdvet:hot doc comments")
-	}
-	if !d.IsCollective(fns["coll"]) || !d.IsCollective(fns["method"]) || d.IsCollective(fns["hot"]) || d.IsCollective(fns["plain"]) {
+	if !d.IsCollective(fns["coll"]) || !d.IsCollective(fns["method"]) || d.IsCollective(fns["plain"]) || d.IsCollective(nil) {
 		t.Error("IsCollective must reflect exactly the //mdvet:collective doc comments")
 	}
 }
@@ -208,37 +203,49 @@ func plain() {}
 // A comment that opens like a directive but is not one must not be a silent
 // no-op: for a marker that would mean the contract is silently not
 // enforced. This is also what catches a comment still spelling one of the
-// retired directives (hashexempt, panics, boundary).
+// retired directives (hashexempt, panics, boundary, hot). An ignore naming a
+// retired analyzer (hashcover, hotalloc, rngtime) is well formed, but no
+// analyzer consults it, so it is stale.
 func TestUnknownAndMisplacedDirectives(t *testing.T) {
 	cases := []struct {
-		name string
-		src  string
-		bad  string // expected message fragment, "" for clean
+		name  string
+		src   string
+		bad   string // expected Bad message fragment, "" for none
+		stale string // expected Stale message fragment, "" for none
 	}{
-		{"typo", "//mdvet:collectve\nfunc f() {}", "unknown directive //mdvet:collectve"},
-		{"bare prefix", "//mdvet:\nfunc f() {}", "unknown directive //mdvet:"},
-		{"retired hashexempt", "type s struct {\n\t//mdvet:hashexempt runtime knob\n\ta int\n}", "unknown directive //mdvet:hashexempt"},
-		{"retired panics", "func f() {\n\t//mdvet:panics unreachable\n\tpanic(1)\n}", "unknown directive //mdvet:panics"},
-		{"retired boundary", "//mdvet:boundary\nfunc f() {}", "unknown directive //mdvet:boundary"},
-		{"hot inside a body", "func f() {\n\t//mdvet:hot\n\t_ = 1\n}", "misplaced //mdvet:hot"},
-		{"collective on a type", "//mdvet:collective\ntype T struct{}", "misplaced //mdvet:collective"},
-		{"collective detached from its func", "//mdvet:collective\n\nfunc f() {}", "misplaced //mdvet:collective"},
-		{"hot with a note in a func doc", "// f is the kernel.\n//\n//mdvet:hot inner loop\nfunc f() {}", ""},
-		{"prose mentioning a directive", "// see //mdvet:hashexempt in the old docs\nfunc f() {}", ""},
+		{"typo", "//mdvet:collectve\nfunc f() {}", "unknown directive //mdvet:collectve", ""},
+		{"bare prefix", "//mdvet:\nfunc f() {}", "unknown directive //mdvet:", ""},
+		{"retired hashexempt", "type s struct {\n\t//mdvet:hashexempt runtime knob\n\ta int\n}", "unknown directive //mdvet:hashexempt", ""},
+		{"retired panics", "func f() {\n\t//mdvet:panics unreachable\n\tpanic(1)\n}", "unknown directive //mdvet:panics", ""},
+		{"retired boundary", "//mdvet:boundary\nfunc f() {}", "unknown directive //mdvet:boundary", ""},
+		{"hot inside a body", "func f() {\n\t//mdvet:hot\n\t_ = 1\n}", "unknown directive //mdvet:hot", ""},
+		{"collective on a type", "//mdvet:collective\ntype T struct{}", "misplaced //mdvet:collective", ""},
+		{"collective detached from its func", "//mdvet:collective\n\nfunc f() {}", "misplaced //mdvet:collective", ""},
+		{"hot with a note in a func doc", "// f is the kernel.\n//\n//mdvet:hot inner loop\nfunc f() {}", "unknown directive //mdvet:hot", ""},
+		{"prose mentioning a directive", "// see //mdvet:hashexempt in the old docs\nfunc f() {}", "", ""},
+		{"retired hashcover ignore", "type s struct {\n\t//mdvet:ignore hashcover runtime knob\n\ta int\n}", "", "stale //mdvet:ignore hashcover"},
+		{"retired hotalloc ignore", "func f() {\n\t//mdvet:ignore hotalloc cold path\n\tdefer f()\n}", "", "stale //mdvet:ignore hotalloc"},
+		{"retired rngtime ignore", "func f() {\n\t//mdvet:ignore rngtime seed from the clock\n\t_ = 1\n}", "", "stale //mdvet:ignore rngtime"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			d := parseDirectives(t, "package p\n\n"+c.src+"\n")
-			bad := d.Bad()
-			if c.bad == "" {
-				if len(bad) != 0 {
-					t.Fatalf("unexpected diagnostics: %v", bad)
+			check := func(diags []Diagnostic, want string) {
+				t.Helper()
+				if want == "" {
+					if len(diags) != 0 {
+						t.Fatalf("unexpected diagnostics: %v", diags)
+					}
+					return
 				}
-				return
+				if len(diags) != 1 || diags[0].Analyzer != "mdvet" || !strings.Contains(diags[0].Message, want) {
+					t.Fatalf("want one %q diagnostic, got %v", want, diags)
+				}
 			}
-			if len(bad) != 1 || bad[0].Analyzer != "mdvet" || !strings.Contains(bad[0].Message, c.bad) {
-				t.Fatalf("want one %q diagnostic, got %v", c.bad, bad)
-			}
+			// No analyzer runs here, so every ignore is unused: Stale reports
+			// exactly the ignores that no analyzer of the suite consults.
+			d := parseDirectives(t, "package p\n\n"+c.src+"\n")
+			check(d.Bad(), c.bad)
+			check(d.Stale(), c.stale)
 		})
 	}
 }

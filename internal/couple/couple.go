@@ -45,7 +45,10 @@ type Config struct {
 	// TThreshold is the MC time threshold (s); the stage stops at whichever
 	// of KMCCycles/TThreshold comes first.
 	TThreshold float64
-	Protocol   kmc.Protocol
+	// Protocol is the KMC stage's ghost protocol. Like kmc.Config.Protocol
+	// it is a bit-identical communication knob (DESIGN.md §7), excluded from
+	// Hash: kmcConfig copies it into a field kmc.Config.Hash skips.
+	Protocol kmc.Protocol
 
 	// Campaign configures the high-dose damage-accumulation driver
 	// (campaign.go); the zero value leaves Run's single-cascade pipeline
@@ -56,15 +59,12 @@ type Config struct {
 	// A restart may target a different topology than the snapshot's writer:
 	// the manifest records the source decomposition and the re-shard loader
 	// re-slices the global state for cfg.MD.Grid (DESIGN.md §14).
-	//mdvet:ignore hashcover snapshot cadence must not pin a checkpoint to the schedule that produced it
 	Checkpoint Checkpoint
 	// Rebalance configures the telemetry-calibrated dynamic load balancer
 	// (rebalance.go). A topology knob excluded from Hash.
-	//mdvet:ignore hashcover topology knob (DESIGN.md §14): repartitioning redistributes work without changing the trajectory
 	Rebalance Rebalance
 	// Faults is the injected-failure plan for recovery testing; the
 	// MDKMC_FAULT environment variable appends to it.
-	//mdvet:ignore hashcover injected-failure plan is runtime machinery: a snapshot must not be pinned to the crash schedule that produced it
 	Faults []mpi.Fault
 
 	// Preempt, when non-nil, lets another goroutine request checkpoint-backed
@@ -72,13 +72,11 @@ type Config struct {
 	// final snapshot through Checkpoint, and returns ErrPreempted
 	// (preempt.go). Runtime machinery like Faults — excluded from Hash, so
 	// the evicted run resumes under the same configuration digest.
-	//mdvet:ignore hashcover eviction machinery: the evicted run must resume under the same configuration digest
 	Preempt *Preemptor
 
 	// Telemetry configures the observability layer (internal/telemetry). It
 	// is a pure speed/observability knob like MD.Workers: Hash excludes it,
 	// and an enabled run is bit-identical to a disabled one (test-gated).
-	//mdvet:ignore hashcover observability knob: an instrumented run is bit-identical to an uninstrumented one (test-gated)
 	Telemetry telemetry.Options
 }
 
@@ -117,7 +115,9 @@ func (cfg *Config) normalize() {
 // MD stage hash, the derived KMC stage hash, and the stop conditions (after
 // default normalization, so the zero values hash like their defaults).
 // Checkpoint options and the fault plan are excluded — they must not pin a
-// snapshot to the cadence or crash schedule that produced it.
+// snapshot to the cadence or crash schedule that produced it — and so are
+// Protocol, Rebalance, Preempt and Telemetry. TestConfigHashCoversEveryField
+// (repository root) perturbs every field and pins exactly this split.
 func (cfg *Config) Hash() string {
 	n := *cfg
 	n.normalize()

@@ -50,13 +50,11 @@ func (p Protocol) String() string {
 // Config describes a KMC run.
 type Config struct {
 	Cells [3]int
-	//mdvet:ignore hashcover topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart, not part of the physical run
-	Grid [3]int
+	Grid  [3]int
 	// Cuts, when a dimension is non-nil, are explicit slab boundaries of the
 	// process grid (lattice.NewGridCuts) — set by the repartitioner to
 	// concentrate ranks on the defect-dense region. A topology knob like
 	// Grid, excluded from Hash.
-	//mdvet:ignore hashcover topology knob (DESIGN.md §14): re-shard loader handles boundary changes, trajectory is unchanged
 	Cuts [3][]int
 	A    float64
 
@@ -82,8 +80,7 @@ type Config struct {
 	// what lets it precipitate on vacancy timescales.
 	EmCu float64
 
-	Seed uint64
-	//mdvet:ignore hashcover bit-identical communication knob (DESIGN.md §7): all three ghost protocols yield the same trajectory
+	Seed     uint64
 	Protocol Protocol
 
 	// DtFactor scales the synchronous cycle window dt = DtFactor / R_max;
@@ -147,7 +144,8 @@ func (c *Config) Validate() error {
 // topology is restart-compatible-but-checked — recorded in the checkpoint
 // manifest and handled by the re-shard loader rather than refused. The
 // explicit Vacancies/CuSites lists are hashed in full — they seed the
-// occupancy.
+// occupancy. TestConfigHashCoversEveryField (repository root) pins this
+// split.
 func (c *Config) Hash() string {
 	s := fmt.Sprintf("kmc|cells=%v|a=%v|T=%v|nu=%v|em=%v|cv=%v|vac=%v|cuc=%v|cusites=%v|emcu=%v|seed=%d|dtf=%v",
 		c.Cells, c.A, c.Temperature, c.Nu, c.Em,

@@ -147,8 +147,6 @@ type hopSite struct {
 // The bystanders i come from the hop's precomputed stencil (State.hops), in
 // ascending site order, so the sum is reproducible across protocols and
 // nothing is collected, sorted or allocated per call.
-//
-//mdvet:hot
 func (e *energetics) swapDeltaE(st *State, s, n int, cs, cn lattice.Coord) float64 {
 	occ, rho := st.Occ, st.Rho
 	m := occ[n] // species of the moving atom

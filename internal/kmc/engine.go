@@ -22,8 +22,6 @@ func (st *State) TotalRate() float64 {
 // are independent of the communication protocol and the schedule. Rates come
 // from the incremental cache; only entries invalidated by the previous
 // event's neighborhood (or an incoming ghost update) are recomputed.
-//
-//mdvet:hot
 func (st *State) runSector(sec int, dt float64) int {
 	src := st.rng.Fork(uint64(st.Comm.Rank()), uint64(st.Cycles), uint64(sec))
 	events := 0

@@ -99,8 +99,6 @@ func (st *State) rebuildVacancyIndex() {
 // sums occupancy another reach out) — see energetics.dependencyReach.
 // setOcc calls this once per actually changed local image, so periodic
 // wrap-around adjacency is covered by the image copies.
-//
-//mdvet:hot
 func (st *State) invalidateNear(c lattice.Coord) {
 	r := int32(st.dependReach)
 	for sec := range st.secVacs {
@@ -130,8 +128,6 @@ func (st *State) invalidateNear(c lattice.Coord) {
 // ratesOf brings the candidate rates of owned vacancy vc up to date,
 // recomputing the entry when stale — or always, in full-rescan debug mode,
 // which makes this exactly the seed's per-event enumeration.
-//
-//mdvet:hot
 func (st *State) ratesOf(vc *vacCache) {
 	if vc.valid && !st.fullRescan {
 		return
@@ -160,8 +156,6 @@ func (st *State) ratesOf(vc *vacCache) {
 // stale cache entries on the way. The flat summation order (ascending
 // vacancy, then offset) is identical to the sectorEvents oracle's loop
 // (equiv_test.go), so the float total is bit-identical to a full rescan.
-//
-//mdvet:hot
 func (st *State) sectorRate(sec int) float64 {
 	var total float64
 	list := st.secVacs[sec]
@@ -182,8 +176,6 @@ func (st *State) sectorRate(sec int) float64 {
 // lands past the total (float round-off), the last candidate wins —
 // mirroring the seed's evs[len(evs)-1] fallback. Every cache entry is fresh
 // here because sectorRate ran in the same loop iteration.
-//
-//mdvet:hot
 func (st *State) pickEvent(sec int, u float64) (site, target int) {
 	acc := 0.0
 	site, target = -1, -1

@@ -485,8 +485,6 @@ func (st *State) interiorOf(local, margin int) bool {
 // incrementally, and invalidates the cached hop rates of every vacancy
 // whose footprint can see the change. markDirty records the change for the
 // on-demand flush.
-//
-//mdvet:hot
 func (st *State) setOcc(local int, occ uint8, markDirty bool) {
 	if st.Occ[local] == occ {
 		return

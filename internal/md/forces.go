@@ -266,8 +266,6 @@ func pairScalar(dphi, tc, tp float64, ctyp, ptyp units.Element, crho, prho float
 // derived state and are never exchanged — each rank recomputes its ghosts'
 // values from the exchanged densities. Disjoint site ranges write disjoint
 // state (run-away chains are anchored at exactly one site).
-//
-//mdvet:hot
 func (ff *ForceField) FillEmbeddingRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	for i := lo; i < hi; i++ {
@@ -307,8 +305,6 @@ func (ff *ForceField) FillEmbeddingRange(s *neighbor.Store, lo, hi int) OpStats 
 // Writes only the buffers and index entries of the chunks the range covers;
 // a range that starts inside a chunk continues after the row of the site
 // before it. A barrier must separate it from any reduce pass.
-//
-//mdvet:hot
 func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
@@ -393,8 +389,6 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 // partner's reverse-offset slot otherwise), inline evaluations for
 // run-away-involved pairs. Which resident pairs exist is the gather's mask
 // bits, not re-derived: no partner position is loaded for them.
-//
-//mdvet:hot
 func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
@@ -530,8 +524,6 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 // — bitwise equal on both sides — and accumulates in the reference
 // enumeration order. Run-away-involved pairs are evaluated inline through
 // the fused lookup.
-//
-//mdvet:hot
 func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, float64) {
 	var st OpStats
 	var energy float64

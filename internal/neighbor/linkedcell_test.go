@@ -10,7 +10,7 @@ import (
 // step, and interaction partners are found by scanning the surrounding
 // cells. Memory is modest but the bins are rebuilt every step ("it should
 // update the atoms within each cell at each time step, which leads to high
-// computational overhead").
+// computational overhead"). Like VerletList it is test-only.
 type LinkedCell struct {
 	L      *lattice.Lattice
 	Cutoff float64

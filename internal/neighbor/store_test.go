@@ -345,3 +345,60 @@ func BenchmarkLinkedCellBuild(b *testing.B) {
 		lc.Build(pos)
 	}
 }
+
+// BenchmarkAblationNeighborStructures contrasts the per-sweep cost of the
+// three neighbor structures on identical configurations.
+func BenchmarkAblationNeighborStructures(b *testing.B) {
+	l := lattice.New(12, 12, 12, units.LatticeConstantFe)
+	cutoff := 1.3 * units.LatticeConstantFe
+	pos := make([]vec.V, l.NumSites())
+	for i := range pos {
+		pos[i] = l.Position(l.Coord(i))
+	}
+	b.Run("lattice-list", func(b *testing.B) {
+		tab := l.NeighborOffsets(cutoff + 0.9)
+		s := NewStore(fullBox(l, tab), tab, units.Fe)
+		b.ResetTimer()
+		for it := 0; it < b.N; it++ {
+			var sum float64
+			s.Box.EachOwned(func(c lattice.Coord, local int) {
+				for _, d := range s.Deltas(c.B) {
+					sum += s.R[local+int(d)].X
+				}
+			})
+			_ = sum
+		}
+		b.ReportMetric(float64(s.MemoryBytes())/float64(l.NumSites()), "bytes/site")
+	})
+	b.Run("verlet-list", func(b *testing.B) {
+		vl := NewVerletList(l, cutoff, 0.3*units.LatticeConstantFe)
+		vl.Build(pos)
+		b.ResetTimer()
+		for it := 0; it < b.N; it++ {
+			if vl.NeedsRebuild(pos) {
+				vl.Build(pos)
+			}
+			var sum float64
+			for i := range pos {
+				for _, j := range vl.Neighbors(i) {
+					sum += pos[j].X
+				}
+			}
+			_ = sum
+		}
+		b.ReportMetric(float64(vl.MemoryBytes())/float64(l.NumSites()), "bytes/site")
+	})
+	b.Run("linked-cell", func(b *testing.B) {
+		lc := NewLinkedCell(l, cutoff)
+		b.ResetTimer()
+		for it := 0; it < b.N; it++ {
+			lc.Build(pos) // rebuilt every step, as the paper notes
+			var sum float64
+			for i := range pos {
+				lc.EachNeighbor(i, func(j int32) { sum += pos[j].X })
+			}
+			_ = sum
+		}
+		b.ReportMetric(float64(lc.MemoryBytes())/float64(l.NumSites()), "bytes/site")
+	})
+}

@@ -9,7 +9,9 @@ import (
 // atom stores the indexes of all atoms within cutoff+skin, and the list is
 // rebuilt only when some atom has moved more than half the skin since the
 // last build. It is the memory-hungry baseline of the paper's comparison
-// ("the memory consumption of neighbor list is costly").
+// ("the memory consumption of neighbor list is costly"), kept test-only: the
+// oracle of TestThreeStructuresAgree and a column of
+// BenchmarkAblationNeighborStructures.
 type VerletList struct {
 	L      *lattice.Lattice
 	Cutoff float64

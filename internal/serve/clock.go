@@ -5,11 +5,11 @@
 // boundaries when high-priority work arrives, drains gracefully, and
 // recovers its queue from a persisted ledger after a crash.
 //
-// The package is rngtime-protected: it never reads the wall clock or a
-// global RNG directly. Timestamps come from the injected Clock (the real
-// one lives in cmd/mdserve), so the whole state machine is deterministic
-// under test — transitions are driven by submissions and job exits, never
-// by timers.
+// The package never reads the wall clock or a global RNG directly (`make
+// determinism` rejects both under internal/). Timestamps come from the
+// injected Clock (the real one lives in cmd/mdserve), so the whole state
+// machine is deterministic under test — transitions are driven by
+// submissions and job exits, never by timers.
 package serve
 
 import (

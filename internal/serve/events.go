@@ -34,8 +34,6 @@ func newHub() *hub { return &hub{} }
 // rank goroutine that flushed it; the backlog-replaying subscribe path is
 // the lossless one. This is the per-step-boundary fan-out of every running
 // world, so it stays defer- and closure-free.
-//
-//mdvet:hot
 func (h *hub) publish(e Event) {
 	h.mu.Lock()
 	if h.closed {

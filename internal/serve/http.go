@@ -17,7 +17,7 @@ import (
 //	GET  /jobs/{id}/events          Server-Sent Events stream
 //	GET  /jobs/{id}/artifacts/{n}   download an artifact (result.json, …)
 //	GET  /metrics                   merged per-job Prometheus exposition
-//	GET  /healthz                   liveness + drain state
+//	GET  /healthz                   liveness, drain state, ledger errors
 //	POST /drain                     begin a graceful drain
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -136,12 +136,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.WriteMetrics(w)
 }
 
+// handleHealth reports "ok" or "draining", or "degraded" with the error while
+// the last ledger write failed (a restart would replay a stale ledger).
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	state := "ok"
+	body := map[string]any{"status": "ok", "free_slots": s.FreeSlots()}
 	if s.Draining() {
-		state = "draining"
+		body["status"] = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": state, "free_slots": s.FreeSlots()})
+	if err := s.ledgerErr(); err != nil {
+		body["status"] = "degraded"
+		body["ledger_error"] = err.Error()
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleDrain starts a graceful drain and returns immediately; /healthz

@@ -326,3 +326,88 @@ func TestHTTPHealthAndDrain(t *testing.T) {
 		t.Fatalf("draining server accepted a job: %d", resp.StatusCode)
 	}
 }
+
+// A ledger write that fails must not be silent: a restart would replay the
+// stale ledger. A directory squatting on the temp file fails the write, a
+// directory squatting on the ledger fails the rename (and the temp file is
+// removed); /healthz reports "degraded" with the error until the next
+// transition persists cleanly.
+func TestLedgerPersistFailureIsReported(t *testing.T) {
+	ts, s, r := httpServer(t, nil)
+	ledger := filepath.Join(s.cfg.Dir, ledgerName)
+	health := func() map[string]any {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	wantDegraded := func(fragment string) {
+		t.Helper()
+		h := health()
+		msg, _ := h["ledger_error"].(string)
+		if h["status"] != "degraded" || !strings.Contains(msg, fragment) {
+			t.Fatalf("health %v, want degraded with a %q ledger_error", h, fragment)
+		}
+	}
+	wantOK := func() {
+		t.Helper()
+		if h := health(); h["status"] != "ok" || h["ledger_error"] != nil {
+			t.Fatalf("health %v, want ok without ledger_error", h)
+		}
+	}
+	squat := func(path string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(path, "squatter"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	wantOK()
+	squat(ledger + ".tmp")
+	_, a := postJob(t, ts, "", mdSpec(0, 1))
+	nextStarted(t, r)
+	wantDegraded("writing ledger")
+
+	if err := os.RemoveAll(ledger + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	r.finish(a.ID, RunResult{}, nil)
+	awaitState(t, s, a.ID, StateDone)
+	wantOK()
+
+	if err := os.Remove(ledger); err != nil {
+		t.Fatal(err)
+	}
+	squat(ledger)
+	_, b := postJob(t, ts, "", mdSpec(0, 1))
+	nextStarted(t, r)
+	wantDegraded("committing ledger")
+	if _, err := os.Stat(ledger + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp ledger left behind after a failed rename: %v", err)
+	}
+
+	if err := os.RemoveAll(ledger); err != nil {
+		t.Fatal(err)
+	}
+	r.finish(b.ID, RunResult{}, nil)
+	awaitState(t, s, b.ID, StateDone)
+	wantOK()
+	data, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lf ledgerFile
+	if err := json.Unmarshal(data, &lf); err != nil {
+		t.Fatal(err)
+	}
+	if len(lf.Jobs) != 2 || lf.Jobs[1].State != StateDone {
+		t.Fatalf("recovered ledger %+v, want both jobs with the second done", lf.Jobs)
+	}
+}

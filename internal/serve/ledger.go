@@ -41,11 +41,17 @@ type ledgerFile struct {
 	Jobs     []persistedJob `json:"jobs"`
 }
 
-// persistLocked writes the ledger atomically. Persistence failures are
-// reported on the jobs they would orphan: the server keeps running (the
-// in-memory machine is still consistent), but the affected history records
-// the risk.
+// persistLocked writes the ledger atomically. A failure does not stop the
+// server (the in-memory machine is still consistent), but a restart would
+// replay a stale ledger, so the error is kept and GET /healthz reports the
+// server "degraded" until the next write succeeds.
 func (s *Server) persistLocked() {
+	s.persistErr = s.writeLedgerLocked()
+}
+
+// writeLedgerLocked writes the ledger to a temp file and renames it into
+// place, removing the temp file when the rename fails.
+func (s *Server) writeLedgerLocked() error {
 	lf := ledgerFile{Seq: s.seq, Draining: s.draining}
 	for _, j := range s.bySeq {
 		lf.Jobs = append(lf.Jobs, persistedJob{
@@ -57,14 +63,26 @@ func (s *Server) persistLocked() {
 	}
 	data, err := json.MarshalIndent(&lf, "", "  ")
 	if err != nil {
-		return
+		return fmt.Errorf("serve: encoding ledger: %w", err)
 	}
 	path := filepath.Join(s.cfg.Dir, ledgerName)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
+		return fmt.Errorf("serve: writing ledger: %w", err)
 	}
-	os.Rename(tmp, path) //nolint:errcheck — best-effort durability
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp) //nolint:errcheck — the rename error is the one to report
+		return fmt.Errorf("serve: committing ledger: %w", err)
+	}
+	return nil
+}
+
+// ledgerErr returns the last ledger persistence failure, or nil once a
+// later write succeeded.
+func (s *Server) ledgerErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.persistErr
 }
 
 // recover replays a persisted ledger into a fresh server.

@@ -42,7 +42,7 @@ type Config struct {
 	TenantMaxActive int
 	// Clock stamps job history; the scheduler never acts on it. Required
 	// (the wall clock lives in cmd/mdserve, keeping this package
-	// deterministic and rngtime-clean).
+	// deterministic).
 	Clock Clock
 	// Runner executes job attempts; nil selects the real SimRunner.
 	Runner Runner
@@ -76,6 +76,8 @@ type Server struct {
 	free     int
 	seq      int
 	draining bool
+	// persistErr is the last ledger write failure, nil after a success.
+	persistErr error
 
 	sets map[string]*telemetry.Set // live telemetry of running attempts
 	wg   sync.WaitGroup
