@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-setfl fuzz-manifest fuzz-spectrum figures
+.PHONY: check fmt-check p2p-owner determinism build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-spectrum figures
 
 check: fmt-check p2p-owner determinism vet lint build race
 
@@ -180,11 +180,6 @@ smoke-campaign:
 # a server that forks processes and binds ports.
 smoke-serve:
 	$(GO) test -count=1 -run TestServeSmoke -v ./cmd/mdserve
-
-# Short fuzz pass over the setfl potential parser (seeds always run in
-# plain `go test`; this explores further).
-fuzz-setfl:
-	$(GO) test -run '^$$' -fuzz 'FuzzReadSetfl' -fuzztime 30s ./internal/eam
 
 # Short fuzz pass over the checkpoint manifest loader: damaged restart
 # metadata must yield descriptive couple: errors and be skipped by Latest,

@@ -10,6 +10,7 @@
 package mdkmc_test
 
 import (
+	"strconv"
 	"testing"
 
 	"mdkmc"
@@ -384,7 +385,7 @@ func BenchmarkAblationOneSidedKMC(b *testing.B) {
 }
 
 func benchName(prefix string, n int) string {
-	return prefix + "-" + string(rune('0'+n))
+	return prefix + "-" + strconv.Itoa(n)
 }
 
 // BenchmarkAblationAlloyTables contrasts the two minority-table strategies

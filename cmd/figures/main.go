@@ -17,10 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"runtime"
 	"time"
-
-	"math"
 
 	"mdkmc"
 	"mdkmc/internal/kmc"
@@ -123,13 +122,11 @@ func fig9(quick bool) {
 		for _, r := range rows {
 			prod *= r.times[idxA] / r.times[idxB]
 		}
-		return pow(prod, 1/float64(len(rows)))
+		return math.Pow(prod, 1/float64(len(rows)))
 	}
 	fmt.Printf("geomean: compaction %.1f%% faster (paper 54.7%%), reuse +%.1f%%, double buffer +%.1f%%\n",
 		100*(1-1/gm(0, 1)), 100*(1-1/gm(1, 2)), 100*(1-1/gm(2, 3)))
 }
-
-func pow(x, y float64) float64 { return math.Pow(x, y) }
 
 // fig10 — MD strong scaling. With GOMAXPROCS=1 wall-clock speedup is not
 // observable (goroutine ranks share one CPU), so the measured block reports

@@ -7,7 +7,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"mdkmc/internal/lattice"
@@ -126,20 +125,6 @@ func Vacancies(l *lattice.Lattice, sites []lattice.Coord, shells int) Analysis {
 func (a Analysis) String() string {
 	return fmt.Sprintf("vacancies=%d clusters=%d largest=%d mean=%.2f clustered=%.1f%%",
 		a.NumVacancies, a.NumClusters, a.Largest, a.MeanSize, 100*a.ClusteredFraction)
-}
-
-// Histogram renders the size histogram in ascending size order.
-func (a Analysis) Histogram() string {
-	sizes := make([]int, 0, len(a.Sizes))
-	for s := range a.Sizes {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
-	var b strings.Builder
-	for _, s := range sizes {
-		fmt.Fprintf(&b, "size %3d: %d\n", s, a.Sizes[s])
-	}
-	return b.String()
 }
 
 // Render projects the vacancy sites onto the XY plane as ASCII art (the

@@ -156,9 +156,8 @@ func TestHistogramAndString(t *testing.T) {
 	if !strings.Contains(a.String(), "clusters=2") {
 		t.Errorf("String() = %q", a.String())
 	}
-	h := a.Histogram()
-	if !strings.Contains(h, "size   1: 1") || !strings.Contains(h, "size   2: 1") {
-		t.Errorf("Histogram() = %q", h)
+	if len(a.Sizes) != 2 || a.Sizes[1] != 1 || a.Sizes[2] != 1 {
+		t.Errorf("size histogram %v, want one cluster each of sizes 1 and 2", a.Sizes)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // must be a pure function of simulation state so that every rank derives
 // the same cuts without further agreement. Telemetry's role is calibration
 // and verification only — fitting the vacancy weight offline
-// (FitVacancyWeight) and measuring the before/after imbalance
-// (EXPERIMENTS.md).
+// (fitVacancyWeight in rebalance_test.go) and measuring the before/after
+// imbalance (EXPERIMENTS.md).
 
 // DefaultVacancyWeight is the per-vacancy cost relative to one defect-free
 // lattice cell. Calibrated from measured per-rank kmc busy spans on the
@@ -84,9 +84,9 @@ func cutsEqual(a, b [3][]int) bool { return reflect.DeepEqual(a, b) }
 // state, so each derives the same cuts and rebuilds its new subdomain
 // without further agreement — followed by a fresh NewState carrying the old
 // clock and this rank's cumulative event counter. Densities and rate caches
-// are recomputed from the occupancy, which the incremental-update contract
-// guarantees equals what fresh evaluation produces. Returns st unchanged
-// when the fitted cuts already match. Collective.
+// are recomputed from the occupancy; the incrementally maintained ρ agrees
+// with that recomputation to 1e-9 (TestRhoMatchesFromScratch), not bit for
+// bit. Returns st unchanged when the fitted cuts already match. Collective.
 func rebalanceKMC(c *mpi.Comm, reg *telemetry.Registry, st *kmc.State, kcfg kmc.Config, rb Rebalance) (*kmc.State, error) {
 	vac := gatherSites(c, st.VacancySites())
 	cu := gatherSites(c, st.CuSitesOwned())
@@ -109,40 +109,4 @@ func rebalanceKMC(c *mpi.Comm, reg *telemetry.Registry, st *kmc.State, kcfg kmc.
 	next.AttachTelemetry(reg)
 	next.SetClock(st.Time, st.Cycles, st.Events)
 	return next, nil
-}
-
-// FitVacancyWeight calibrates the cost model from measurement: given each
-// rank's busy time (seconds, from the telemetry kmc phase spans), owned cell
-// count and owned vacancy count, it least-squares fits
-//
-//	busy_r ≈ a·cells_r + b·vacs_r
-//
-// and returns b/a — the measured cost of one vacancy in units of one
-// defect-free cell, the quantity Rebalance.VacancyWeight expects. It returns
-// 0 (caller keeps the default) when the fit is degenerate: fewer than two
-// ranks, no vacancies, or a non-positive base cost.
-func FitVacancyWeight(busy []float64, cells, vacs []int) float64 {
-	if len(busy) < 2 || len(cells) != len(busy) || len(vacs) != len(busy) {
-		return 0
-	}
-	// Normal equations for the two-parameter linear model without intercept.
-	var scc, scv, svv, sct, svt float64
-	for i := range busy {
-		c, v, t := float64(cells[i]), float64(vacs[i]), busy[i]
-		scc += c * c
-		scv += c * v
-		svv += v * v
-		sct += c * t
-		svt += v * t
-	}
-	det := scc*svv - scv*scv
-	if det == 0 {
-		return 0
-	}
-	a := (svv*sct - scv*svt) / det
-	b := (scc*svt - scv*sct) / det
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	return b / a
 }

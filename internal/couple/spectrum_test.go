@@ -25,10 +25,6 @@ func TestReadSpectrum(t *testing.T) {
 	if s.Energies[1] != 300 || s.Weights[1] != 2.5 {
 		t.Errorf("line 2 = (%v, %v), want (300, 2.5)", s.Energies[1], s.Weights[1])
 	}
-	mean := (100*1 + 300*2.5 + 1000*0.5) / 4.0
-	if math.Abs(s.Mean()-mean) > 1e-12 {
-		t.Errorf("mean %v, want %v", s.Mean(), mean)
-	}
 	if s.Digest() == "" {
 		t.Error("empty digest")
 	}

@@ -136,13 +136,34 @@ func TestCompactedAndTraditionalAgree(t *testing.T) {
 	// must agree to rounding error everywhere — the paper's claim that
 	// compaction trades memory for recomputation without changing results.
 	p := NewFe(Compacted, 512)
-	for _, kind := range []TableKind{PairKind, DensityKind, EmbedKind} {
-		ct := p.TraditionalTable(kind, units.Fe, units.Fe)
-		vt := p.CompactedTable(kind, units.Fe, units.Fe)
-		if d := MaxAbsDiff(vt, ct, 10000); d > 1e-10 {
-			t.Errorf("kind %d: layouts differ by %v", kind, d)
+	fe := units.Fe
+	layouts := map[string]struct {
+		val   *Table
+		coeff *CoeffTable
+	}{
+		"pair":    {p.pair[fe][fe].val, p.pair[fe][fe].coeff},
+		"density": {p.dens[fe][fe].val, p.dens[fe][fe].coeff},
+		"embed":   {p.embed[fe].val, p.embed[fe].coeff},
+	}
+	for kind, l := range layouts {
+		if d := maxAbsDiff(l.val, l.coeff, 10000); d > 1e-10 {
+			t.Errorf("%s: layouts differ by %v", kind, d)
 		}
 	}
+}
+
+// maxAbsDiff reports the maximum absolute difference between the two
+// layouts' evaluations over m probe points.
+func maxAbsDiff(t *Table, ct *CoeffTable, m int) float64 {
+	var worst float64
+	x1 := t.X0 + float64(t.N())*t.Dx
+	for k := 0; k <= m; k++ {
+		x := t.X0 + (x1-t.X0)*float64(k)/float64(m)
+		a, _ := t.Eval(x)
+		b, _ := ct.Eval(x)
+		worst = math.Max(worst, math.Abs(a-b))
+	}
+	return worst
 }
 
 func TestModeSelection(t *testing.T) {

@@ -246,42 +246,6 @@ func (p *Potential) Embed(a units.Element, rho float64) (v, dv float64) {
 // RhoMax returns the upper bound of the embedding table's density range.
 func (p *Potential) RhoMax() float64 { return p.rhoMax }
 
-// CompactedTable exposes the compacted sample table of the given kind for
-// the species pair; the Sunway CPE kernel loads these into the local store.
-type TableKind int
-
-// Table kinds, in the order they are accessed by the force kernel.
-const (
-	PairKind TableKind = iota
-	DensityKind
-	EmbedKind
-)
-
-// CompactedTable returns the compacted table backing (kind, a, b); b is
-// ignored for EmbedKind.
-func (p *Potential) CompactedTable(kind TableKind, a, b units.Element) *Table {
-	switch kind {
-	case PairKind:
-		return p.pair[a][b].val
-	case DensityKind:
-		return p.dens[a][b].val
-	default:
-		return p.embed[a].val
-	}
-}
-
-// TraditionalTable returns the coefficient table backing (kind, a, b).
-func (p *Potential) TraditionalTable(kind TableKind, a, b units.Element) *CoeffTable {
-	switch kind {
-	case PairKind:
-		return p.pair[a][b].coeff
-	case DensityKind:
-		return p.dens[a][b].coeff
-	default:
-		return p.embed[a].coeff
-	}
-}
-
 // TableBytes returns the per-table memory of the two layouts (compacted,
 // traditional) at the potential's resolution — the quantities compared
 // against the 64 KB local store in §2.1.2.

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzReadSetfl drives the setfl parser with arbitrary bytes. The contract
-// under test: malformed input must come back as an error, never a panic —
-// production potentials arrive as user-supplied files — and any accepted
-// file must yield tables that are safe to evaluate over their whole domain
-// (the NaN-spacing regression: a "nan" grid spacing used to pass the
-// dimension checks and crash the first Table.Eval with an out-of-range
-// index).
+// FuzzReadSetfl drives readSetfl, the round-trip oracle of WriteSetfl, with
+// arbitrary bytes. The contract under test: malformed input must come back
+// as an error, never a panic, and any accepted file must yield tables that
+// are safe to evaluate over their whole domain (the NaN-spacing regression:
+// a "nan" grid spacing used to pass the dimension checks and crash the
+// first Table.Eval with an out-of-range index).
 //
 // The seed corpus starts from the exact bytes `cmd/potential -export`
 // writes (WriteSetfl of the analytic Fe potential), plus targeted
@@ -40,7 +39,7 @@ func FuzzReadSetfl(f *testing.F) {
 	f.Add(corrupt(7, "definitely not a float"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tabs, err := ReadSetfl(bytes.NewReader(data))
+		tabs, err := readSetfl(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is the correct outcome for malformed input
 		}

@@ -1,9 +1,6 @@
 package eam
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // TablePoints is the number of sampling segments per interpolation table,
 // matching the paper's 5000-row tables ("Each traditional interpolation
@@ -188,19 +185,4 @@ func (ct *CoeffTable) evalSeg(i int, u float64) (v, dv float64) {
 	v = c[3] + u*(c[4]+u*(c[5]+u*c[6]))
 	dv = (c[0] + u*(c[1]+u*c[2])) / ct.Dx
 	return
-}
-
-// MaxAbsDiff reports the maximum absolute difference between the two
-// layouts' evaluations over m probe points; used in tests and as a build
-// sanity check.
-func MaxAbsDiff(t *Table, ct *CoeffTable, m int) float64 {
-	var worst float64
-	x1 := t.X0 + float64(t.N())*t.Dx
-	for k := 0; k <= m; k++ {
-		x := t.X0 + (x1-t.X0)*float64(k)/float64(m)
-		a, _ := t.Eval(x)
-		b, _ := ct.Eval(x)
-		worst = math.Max(worst, math.Abs(a-b))
-	}
-	return worst
 }

@@ -277,7 +277,7 @@ func (pl *Plan) Exchange(comm *mpi.Comm, ch Channel,
 			continue
 		}
 		wait := ch.Wait.Begin()
-		data, _ := comm.Recv(peer, ch.Tag)
+		data := comm.Recv(peer, ch.Tag)
 		wait.End()
 		sp := ch.Unpack.Begin()
 		u.Reset(data)
@@ -394,7 +394,7 @@ func (pl *Plan) ExchangeSparse(comm *mpi.Comm, ch Channel, win *mpi.Win,
 	}
 	for _, peer := range pl.Peers {
 		wait := ch.Wait.Begin()
-		data, _ := comm.Recv(peer, ch.Tag)
+		data := comm.Recv(peer, ch.Tag)
 		wait.End()
 		deliver(data, peer)
 	}

@@ -98,16 +98,6 @@ func (st *State) Cycle() int {
 	return events
 }
 
-// Run executes cycles until the MC time threshold is reached or maxCycles
-// cycles have run (whichever first), returning total events on this rank.
-func (st *State) Run(tThreshold float64, maxCycles int) int {
-	events := 0
-	for st.Time < tThreshold && st.Cycles < maxCycles {
-		events += st.Cycle()
-	}
-	return events
-}
-
 // Snapshot returns the owned occupancy keyed by wrapped global site index —
 // the cross-protocol equivalence tests compare these.
 func (st *State) Snapshot() map[int]uint8 {

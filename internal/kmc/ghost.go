@@ -58,9 +58,16 @@ func (st *State) applyDirty(u *halo.Unpacker, from int) {
 		w := lattice.Coord{X: u.I32(), Y: u.I32(), Z: u.I32(), B: int8(u.U8())}
 		occ := u.U8()
 		base, ok := st.localBase(w.X, w.Y, w.Z)
-		if !ok {
+		if !ok || w.B < 0 || w.B > 1 || occ >= numSpecies {
+			what := "an invisible cell"
+			switch {
+			case occ >= numSpecies:
+				what = fmt.Sprintf("unknown occupancy code %d", occ)
+			case ok:
+				what = fmt.Sprintf("basis %d outside {0,1}", w.B)
+			}
 			//mdvet:ignore errpanic ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
-			panic(fmt.Errorf("kmc: rank %d sent update for invisible cell %+v", from, w))
+			panic(fmt.Errorf("kmc: rank %d sent an update for %s (site %+v)", from, what, w))
 		}
 		st.setOcc(base+int(w.B), occ, false)
 	}

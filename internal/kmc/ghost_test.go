@@ -91,6 +91,34 @@ func TestApplyDirtyInvisibleCell(t *testing.T) {
 	})
 }
 
+// TestApplyDirtyBadRecord: a record for a visible cell must still name a
+// site and a species that exist. A basis outside {0,1} would rewrite a
+// different cell's site, and an occupancy code past the species count would
+// index past the shell tables.
+func TestApplyDirtyBadRecord(t *testing.T) {
+	cfg := testConfig()
+	runWorld(t, cfg, func(st *State) {
+		w := st.L.Wrap(st.Box.GlobalCoord(0))
+		cases := []struct {
+			fragment string
+			basis    int8
+			occ      uint8
+		}{
+			{"basis 2 outside {0,1}", 2, Vacant},
+			{"unknown occupancy code 3", 0, numSpecies},
+		}
+		for _, tc := range cases {
+			var p halo.Packer
+			bad := w
+			bad.B = tc.basis
+			packDirty(&p, bad, tc.occ)
+			wantKMCPanic(t, tc.fragment, func() {
+				st.applyDirty(halo.NewUnpacker("kmc", p.Bytes()), 0)
+			})
+		}
+	})
+}
+
 // TestGhostWidthIsTheHaloNewStateUses: Config.GhostWidth — the minimum slab
 // width the topology choosers respect — is the 2·reach+1 halo NewState gives
 // its box, for pure Fe and both ways of asking for the Fe-Cu potential; and

@@ -594,21 +594,6 @@ func (st *State) emFor(occ uint8) float64 {
 // cuSeedSalt derives the copper-placement RNG stream.
 const cuSeedSalt = 0xC0FFEE
 
-// CountSpecies returns this rank's owned (vacancies, Fe, Cu) counts.
-func (st *State) CountSpecies() (vac, fe, cu int) {
-	st.Box.EachOwned(func(_ lattice.Coord, local int) {
-		switch st.Occ[local] {
-		case Vacant:
-			vac++
-		case CuAtom:
-			cu++
-		default:
-			fe++
-		}
-	})
-	return
-}
-
 // CuSites returns the wrapped coordinates of owned copper atoms.
 func (st *State) CuSitesOwned() []lattice.Coord {
 	var out []lattice.Coord

@@ -228,25 +228,6 @@ func (g *Grid) Cuts() [3][]int {
 	return out
 }
 
-// Uniform reports whether the grid uses the default uniform split in every
-// dimension (no explicit cuts, or cuts equal to the uniform boundaries).
-func (g *Grid) Uniform() bool {
-	dims := [3]int{g.L.Nx, g.L.Ny, g.L.Nz}
-	ps := [3]int{g.Px, g.Py, g.Pz}
-	for d := 0; d < 3; d++ {
-		if g.cuts[d] == nil {
-			continue
-		}
-		for i := 0; i < ps[d]; i++ {
-			lo, hi := span(dims[d], ps[d], i)
-			if g.cuts[d][i] != lo || g.cuts[d][i+1] != hi {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Ranks returns the total rank count Px*Py*Pz.
 func (g *Grid) Ranks() int { return g.Px * g.Py * g.Pz }
 

@@ -98,18 +98,12 @@ func (l *Lattice) Position(c Coord) vec.V {
 	}
 }
 
-// NearestSite returns the lattice coordinate whose ideal position is closest
-// to p (which need not be inside the box; the result is wrapped). This is
-// the Wigner-Seitz cell assignment used both to link run-away atoms to their
-// nearest lattice point (paper §2.1.1, Figure 3) and to detect vacancies
-// after the cascade.
-func (l *Lattice) NearestSite(p vec.V) Coord {
-	return l.Wrap(l.NearestSiteUnwrapped(p))
-}
-
-// NearestSiteUnwrapped is NearestSite without the periodic wrap: the result
-// keeps the (possibly out-of-box) cell coordinates of the image nearest to
-// p, which is what a subdomain working in its own unwrapped frame needs.
+// NearestSiteUnwrapped returns the lattice coordinate whose ideal position
+// is closest to p. This is the Wigner-Seitz cell assignment that links
+// run-away atoms to their nearest lattice point (paper §2.1.1, Figure 3).
+// There is no periodic wrap: the result keeps the (possibly out-of-box) cell
+// coordinates of the image nearest to p, which is what a subdomain working
+// in its own unwrapped frame needs.
 func (l *Lattice) NearestSiteUnwrapped(p vec.V) Coord {
 	// Candidate 1: nearest corner site.
 	corner := Coord{

@@ -86,11 +86,15 @@ func TestPositionBasis(t *testing.T) {
 	}
 }
 
+// nearestSite is NearestSiteUnwrapped wrapped into the box: the lattice
+// coordinate whose ideal position is closest to p.
+func nearestSite(l *Lattice, p vec.V) Coord { return l.Wrap(l.NearestSiteUnwrapped(p)) }
+
 func TestNearestSiteExactOnSites(t *testing.T) {
 	l := New(4, 4, 4, a0)
 	for idx := 0; idx < l.NumSites(); idx++ {
 		c := l.Coord(idx)
-		if got := l.NearestSite(l.Position(c)); got != c {
+		if got := nearestSite(l, l.Position(c)); got != c {
 			t.Fatalf("NearestSite(Position(%+v)) = %+v", c, got)
 		}
 	}
@@ -103,7 +107,7 @@ func TestNearestSitePerturbed(t *testing.T) {
 	for idx := 0; idx < l.NumSites(); idx += 7 {
 		c := l.Coord(idx)
 		p := l.Position(c).Add(vec.V{X: d, Y: -d / 2, Z: d / 3})
-		if got := l.NearestSite(p); got != c {
+		if got := nearestSite(l, p); got != c {
 			t.Fatalf("perturbed NearestSite = %+v, want %+v", got, c)
 		}
 	}
@@ -248,7 +252,7 @@ func TestNearestSiteMatchesBruteForce(t *testing.T) {
 			Y: float64(yr) / 65535 * l.Side().Y,
 			Z: float64(zr) / 65535 * l.Side().Z,
 		}
-		got := l.NearestSite(p)
+		got := nearestSite(l, p)
 		best := math.Inf(1)
 		var want Coord
 		for idx := 0; idx < l.NumSites(); idx++ {

@@ -5,9 +5,6 @@ import (
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
-	"mdkmc/internal/neighbor"
-	"mdkmc/internal/units"
-	"mdkmc/internal/vec"
 )
 
 // DefectStats summarizes the point-defect population of the simulation in
@@ -50,78 +47,4 @@ func (r *Rank) Defects() DefectStats {
 		st.FrenkelPairs = st.Runaways
 	}
 	return st
-}
-
-// SpeciesCount returns the global number of atoms of each species
-// (collective); the alloy path's conservation check.
-func (r *Rank) SpeciesCount() (fe, cu int) {
-	var lfe, lcu float64
-	count := func(t units.Element) {
-		if t == units.Cu {
-			lcu++
-		} else {
-			lfe++
-		}
-	}
-	r.Box.EachOwned(func(_ lattice.Coord, local int) {
-		if !r.Store.IsVacancy(local) {
-			count(r.Store.Type[local])
-		}
-		r.Store.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
-			count(a.Type)
-		})
-	})
-	tot := r.Comm.Allreduce(mpi.Sum, lfe, lcu)
-	return int(tot[0] + 0.5), int(tot[1] + 0.5)
-}
-
-// MSDTracker accumulates mean-square displacement against a reference
-// snapshot taken at construction. Atoms are tracked by ID, so run-away
-// conversions and migrations do not break the bookkeeping.
-type MSDTracker struct {
-	ref map[int64]vec.V
-}
-
-// NewMSDTracker snapshots the current owned-atom positions of the rank.
-func NewMSDTracker(r *Rank) *MSDTracker {
-	t := &MSDTracker{ref: make(map[int64]vec.V)}
-	eachOwnedAtom(r, func(id int64, pos vec.V) {
-		t.ref[id] = pos
-	})
-	return t
-}
-
-// MSD returns the global mean-square displacement in Å² (collective).
-// Atoms that migrated to another rank are skipped on this rank and counted
-// where they now live only if that rank saw them at construction; with
-// per-rank trackers the union covers all atoms for short runs, and the
-// estimate remains unbiased for diffusion studies.
-func (t *MSDTracker) MSD(r *Rank) float64 {
-	var sum, n float64
-	eachOwnedAtom(r, func(id int64, pos vec.V) {
-		ref, ok := t.ref[id]
-		if !ok {
-			return
-		}
-		sum += r.L.MinImage(pos, ref).Norm2()
-		n++
-	})
-	tot := r.Comm.Allreduce(mpi.Sum, sum, n)
-	if tot[1] == 0 {
-		return 0
-	}
-	return tot[0] / tot[1]
-}
-
-// eachOwnedAtom visits every owned atom (resident and run-away) with its ID
-// and position.
-func eachOwnedAtom(r *Rank, fn func(id int64, pos vec.V)) {
-	r.Box.EachOwned(func(_ lattice.Coord, local int) {
-		if !r.Store.IsVacancy(local) {
-			fn(r.Store.ID[local], r.Store.R[local])
-		}
-		r.Store.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
-			fn(a.ID, a.R)
-		})
-	})
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mdkmc/internal/lattice"
+	"mdkmc/internal/mpi"
+	"mdkmc/internal/neighbor"
 	"mdkmc/internal/rng"
 	"mdkmc/internal/units"
 	"mdkmc/internal/vec"
@@ -50,26 +52,27 @@ func TestDefectsAfterCascade(t *testing.T) {
 	})
 }
 
-func TestMSDGrowsWithTemperature(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Temperature = 600
-	runWorld(t, cfg, func(r *Rank) {
-		tr := NewMSDTracker(r)
-		if msd := tr.MSD(r); msd != 0 {
-			t.Fatalf("initial MSD %v, want 0", msd)
+// speciesCount returns the global number of atoms of each species
+// (collective); the alloy path's conservation check.
+func speciesCount(r *Rank) (fe, cu int) {
+	var lfe, lcu float64
+	count := func(t units.Element) {
+		if t == units.Cu {
+			lcu++
+		} else {
+			lfe++
 		}
-		for i := 0; i < 30; i++ {
-			r.Step()
+	}
+	r.Box.EachOwned(func(_ lattice.Coord, local int) {
+		if !r.Store.IsVacancy(local) {
+			count(r.Store.Type[local])
 		}
-		msd := tr.MSD(r)
-		if msd <= 0 {
-			t.Fatalf("MSD %v after 30 hot steps", msd)
-		}
-		// Thermal vibration amplitude: well below the 1NN distance squared.
-		if msd > math.Pow(r.L.FirstNeighborDistance(), 2) {
-			t.Errorf("MSD %v unreasonably large", msd)
-		}
+		r.Store.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
+			count(a.Type)
+		})
 	})
+	tot := r.Comm.Allreduce(mpi.Sum, lfe, lcu)
+	return int(tot[0] + 0.5), int(tot[1] + 0.5)
 }
 
 func TestAlloyMDConservesSpecies(t *testing.T) {
@@ -77,7 +80,7 @@ func TestAlloyMDConservesSpecies(t *testing.T) {
 	cfg.CuFraction = 0.1
 	cfg.Temperature = 600
 	runWorld(t, cfg, func(r *Rank) {
-		fe0, cu0 := r.SpeciesCount()
+		fe0, cu0 := speciesCount(r)
 		if cu0 == 0 {
 			t.Fatalf("no copper substituted at 10%%")
 		}
@@ -87,7 +90,7 @@ func TestAlloyMDConservesSpecies(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			r.Step()
 		}
-		fe1, cu1 := r.SpeciesCount()
+		fe1, cu1 := speciesCount(r)
 		if fe1 != fe0 || cu1 != cu0 {
 			t.Errorf("species drifted: Fe %d->%d, Cu %d->%d", fe0, fe1, cu0, cu1)
 		}
@@ -138,7 +141,7 @@ func TestAlloyGhostTypesConsistent(t *testing.T) {
 				t.Fatalf("site %+v type %v, placement rule says %v", c, got, want)
 			}
 		}
-		fe, cu := r.SpeciesCount()
+		fe, cu := speciesCount(r)
 		if fe+cu != cfg.NumAtoms() {
 			t.Errorf("species sum %d != %d", fe+cu, cfg.NumAtoms())
 		}

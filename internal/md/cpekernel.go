@@ -117,7 +117,7 @@ type CPEKernel struct {
 	SoftwareCache bool
 
 	// StepTime accumulates the virtual kernel time (seconds) charged since
-	// the last ResetTime: one density pass plus one force pass per MD step.
+	// the kernel was built: one density pass plus one force pass per MD step.
 	StepTime float64
 }
 
@@ -125,9 +125,6 @@ type CPEKernel struct {
 func NewCPEKernel(ff *ForceField, variant KernelVariant) *CPEKernel {
 	return &CPEKernel{FF: ff, CG: sunway.NewCoreGroup(sunway.DefaultParams), Variant: variant}
 }
-
-// ResetTime clears the accumulated virtual time.
-func (k *CPEKernel) ResetTime() { k.StepTime = 0 }
 
 func (k *CPEKernel) compacted() bool { return k.Variant != VariantTraditional }
 func (k *CPEKernel) reuse() bool {

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"mdkmc/internal/halo"
+	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/units"
+	"mdkmc/internal/vec"
 )
 
 // TestTruncatedGhostMessageFailsDescriptively: a short position, density or
@@ -52,6 +55,58 @@ func TestTruncatedGhostMessageFailsDescriptively(t *testing.T) {
 			}
 			if _, isRuntime := rp.Value.(runtime.Error); isRuntime {
 				t.Errorf("raw runtime panic %v, want a descriptive md error", rp.Value)
+			}
+		})
+	}
+}
+
+// TestMigrantRecordValidated: a well-formed migrant record for an owned cell
+// must still name a lattice site and a known element. A basis outside {0,1}
+// would anchor the atom to another cell's site, and an unknown element has
+// mass 0, which the next half-kick turns into an infinite velocity.
+func TestMigrantRecordValidated(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Temperature = 0
+	cfg.Grid = [3]int{2, 1, 1}
+	cases := []struct {
+		fragment string
+		basis    uint8
+		elem     uint8
+	}{
+		{"basis 2 outside {0,1}", 2, uint8(units.Fe)},
+		{"unknown element code 9", 0, 9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.fragment, func(t *testing.T) {
+			err := mpi.NewWorld(2).RunE(func(c *mpi.Comm) error {
+				r, err := NewRank(cfg, c)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 1 {
+					var p halo.Packer
+					for _, x := range []int64{1, 1, 1} { // a cell rank 0 owns
+						p.I64(x)
+					}
+					p.U8(tc.basis)
+					p.I64(42)
+					p.U8(tc.elem)
+					p.Vec(r.L.Position(lattice.Coord{X: 1, Y: 1, Z: 1}))
+					p.Vec(vec.V{})
+					c.Send(0, tagMig, p.Bytes())
+					return nil
+				}
+				r.relink()
+				return nil
+			})
+			var rp mpi.RankPanic
+			if !errors.As(err, &rp) || rp.Rank != 0 {
+				t.Fatalf("RunE = %v, want a RankPanic from rank 0", err)
+			}
+			for _, want := range []string{"md: received migrant 42", tc.fragment} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
 			}
 		})
 	}

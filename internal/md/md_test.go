@@ -302,9 +302,6 @@ func TestCascadeProducesDefects(t *testing.T) {
 		if v := r.GlobalVacancyCount(); v == 0 {
 			t.Errorf("300 eV cascade produced no vacancies")
 		}
-		if vp := r.VacancyPositions(); len(vp) != r.Store.CountVacancies() {
-			t.Errorf("vacancy position list %d vs count %d", len(vp), r.Store.CountVacancies())
-		}
 	})
 }
 
@@ -387,7 +384,6 @@ func TestKernelVariantOrdering(t *testing.T) {
 		runWorld(t, cfg, func(r *Rank) {
 			r.FF.rounds = &referenceRounds
 			r.Kernel = NewCPEKernel(r.FF, variant)
-			r.Kernel.ResetTime()
 			r.computeForces()
 			times[variant] = r.Kernel.StepTime
 		})

@@ -395,9 +395,16 @@ func (r *Rank) relink() {
 
 	// Cross-rank migration; arrivals are placed as they are read.
 	r.Ex.ExchangeMigrants(func(anchor lattice.Coord, a neighbor.Runaway) {
-		if !r.Box.Owns(anchor) {
+		if !r.Box.Owns(anchor) || anchor.B < 0 || anchor.B > 1 || int(a.Type) >= units.NumElements {
+			what := "a non-owned anchor"
+			switch {
+			case int(a.Type) >= units.NumElements:
+				what = fmt.Sprintf("unknown element code %d", a.Type)
+			case r.Box.Owns(anchor):
+				what = fmt.Sprintf("basis %d outside {0,1}", anchor.B)
+			}
 			//mdvet:ignore errpanic migration-protocol invariant in the hot step path; recovered as a RankPanic job error
-			panic("md: received migrant for non-owned anchor")
+			panic(fmt.Errorf("md: received migrant %d with %s (anchor %+v)", a.ID, what, anchor))
 		}
 		r.placeLocal(a, anchor)
 	})
@@ -466,19 +473,6 @@ func (r *Rank) GlobalAtomCount() int {
 func (r *Rank) GlobalVacancyCount() int {
 	tot := r.Comm.Allreduce(mpi.Sum, float64(r.Store.CountVacancies()))
 	return int(math.Round(tot[0]))
-}
-
-// VacancyPositions returns the ideal positions of this rank's owned
-// vacancies in the wrapped global frame — the MD output handed to KMC
-// ("outputs the coordinates of vacancy", §2.2).
-func (r *Rank) VacancyPositions() []vec.V {
-	var out []vec.V
-	r.Box.EachOwned(func(c lattice.Coord, local int) {
-		if r.Store.IsVacancy(local) {
-			out = append(out, r.L.Position(r.L.Wrap(c)))
-		}
-	})
-	return out
 }
 
 // OwnedVacancySites returns the wrapped coordinates of owned vacancy sites.

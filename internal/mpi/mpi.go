@@ -1,16 +1,16 @@
 // Package mpi is an in-process message-passing runtime with the subset of
 // MPI semantics the simulation needs: ranks with two-sided tagged
-// send/receive (Recv returns the size and source a message turns out to
-// have, which is what the paper's on-demand KMC communication needs of
-// MPI_Probe), one-sided windows with Put and fence synchronization (the
+// send/receive, one-sided windows with Put and fence synchronization (the
 // alternative on-demand implementation of §2.2.1), and the collectives used
 // for time synchronization. (The process grid is lattice.Grid, which every
 // halo plan is computed from; the runtime itself knows only flat ranks.)
 //
-// Ranks are goroutines inside one OS process: Send copies the payload into
-// the destination mailbox and never blocks, Recv blocks until a matching
-// message arrives. Every rank keeps exact byte and message counters, which
-// is how the communication-volume experiments (paper Figures 12-13) measure
+// Ranks are goroutines inside one OS process, and each rank has one
+// mailbox. Send and Win.Put copy the payload into the destination mailbox
+// and never block; Recv blocks until a message with the exact source and
+// tag arrives, and Fence drains the puts, which travel under a reserved
+// negative tag. Every rank keeps exact byte and message counters, which is
+// how the communication-volume experiments (paper Figures 12-13) measure
 // both protocols.
 //
 // The substitution of real inter-node MPI by an in-process runtime is
@@ -29,19 +29,6 @@ import (
 
 	"mdkmc/internal/telemetry"
 )
-
-// AnySource matches messages from any rank in Recv.
-const AnySource = -1
-
-// AnyTag matches messages with any tag in Recv.
-const AnyTag = -1
-
-// Status describes a matched message.
-type Status struct {
-	Source int
-	Tag    int
-	Size   int
-}
 
 type message struct {
 	src  int
@@ -121,9 +108,6 @@ type World struct {
 	gatherIn  [][]byte
 	gatherOut [][]byte
 
-	winPending *winShared
-	winCreated int
-
 	// aborted is set when any rank panics; every blocking primitive checks
 	// it in its wait loop so survivors unwind instead of waiting forever on
 	// a rank that no longer exists.
@@ -186,9 +170,6 @@ func NewWorld(n int) *World {
 	w.collCond = sync.NewCond(&w.collMu)
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.n }
 
 // Run executes fn on every rank concurrently and waits for all to return.
 // A panic on any rank aborts the world: survivors blocked in Recv or any
@@ -421,8 +402,19 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.world.n }
 
 // Send delivers data to rank `to` with the given tag. The payload is copied;
-// the call never blocks (buffered semantics).
+// the call never blocks (buffered semantics). Negative tags are reserved for
+// window puts, so a negative tag panics.
 func (c *Comm) Send(to, tag int, data []byte) {
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: send with negative tag %d (reserved for windows)", tag))
+	}
+	c.deliver(to, tag, data)
+	c.p2p.sent(1, int64(len(data)))
+}
+
+// deliver copies data into rank to's mailbox under tag: the one enqueue
+// step of Send and Win.Put, which count their traffic on their own paths.
+func (c *Comm) deliver(to, tag int, data []byte) {
 	if to < 0 || to >= c.world.n {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", to))
 	}
@@ -433,33 +425,22 @@ func (c *Comm) Send(to, tag int, data []byte) {
 	box.pending = append(box.pending, message{src: c.rank, tag: tag, data: cp})
 	box.mu.Unlock()
 	box.cond.Broadcast()
-	c.p2p.sent(1, int64(len(data)))
 }
 
-// match returns the index of the first pending message matching (src, tag),
-// or -1. Caller holds the mailbox lock. FIFO order per matching pair is
-// preserved.
-func match(pending []message, src, tag int) int {
-	for i, m := range pending {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			return i
-		}
-	}
-	return -1
-}
-
-// Recv blocks until a message matching (src, tag) arrives and returns its
-// payload and status.
-func (c *Comm) Recv(src, tag int) ([]byte, Status) {
+// Recv blocks until a message from src with the given tag arrives and
+// returns its payload. Messages of one (src, tag) pair arrive in send
+// order.
+func (c *Comm) Recv(src, tag int) []byte {
 	box := c.world.boxes[c.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	for {
-		if i := match(box.pending, src, tag); i >= 0 {
-			m := box.pending[i]
-			box.pending = append(box.pending[:i], box.pending[i+1:]...)
-			c.p2p.recv(1, int64(len(m.data)))
-			return m.data, Status{Source: m.src, Tag: m.tag, Size: len(m.data)}
+		for i, m := range box.pending {
+			if m.src == src && m.tag == tag {
+				box.pending = append(box.pending[:i], box.pending[i+1:]...)
+				c.p2p.recv(1, int64(len(m.data)))
+				return m.data
+			}
 		}
 		if c.world.aborted.Load() {
 			panic(errAborted)
@@ -499,18 +480,12 @@ type Op int
 const (
 	Sum Op = iota
 	Max
-	Min
 )
 
 func (o Op) apply(a, b float64) float64 {
 	switch o {
 	case Max:
 		if b > a {
-			return b
-		}
-		return a
-	case Min:
-		if b < a {
 			return b
 		}
 		return a

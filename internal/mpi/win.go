@@ -2,35 +2,19 @@ package mpi
 
 import "sort"
 
-// Win is a one-sided communication window. Each rank opens the window
-// collectively; a rank Put()s byte payloads at its neighbors without any
-// receive call on the target, and a collective Fence() closes the epoch:
-// after the fence every rank observes exactly the payloads put at it during
-// the epoch. This is the paper's preferred realization of the on-demand KMC
-// exchange ("only one side is involved in the communication, to eliminate
-// these zero-size messages").
+// winTag is the reserved tag a put travels under in the target's mailbox.
+// Send rejects negative tags and Recv matches tags exactly, so the two kinds
+// of traffic share the mailbox without mixing.
+const winTag = -1
+
+// Win is a one-sided communication window. A rank Put()s byte payloads at
+// its neighbors without any receive call on the target, and a collective
+// Fence() closes the epoch: after the fence every rank observes exactly the
+// payloads put at it during the epoch. This is the paper's preferred
+// realization of the on-demand KMC exchange ("only one side is involved in
+// the communication, to eliminate these zero-size messages").
 type Win struct {
-	comm   *Comm
-	shared *winShared
-}
-
-type winShared struct {
-	incoming []winQueue
-}
-
-type winQueue struct {
-	mu   chMutex
-	puts []PutMsg
-}
-
-// chMutex is a tiny mutex built on a 1-buffered channel; it keeps winQueue
-// copyable-by-pointer semantics explicit.
-type chMutex struct{ ch chan struct{} }
-
-func newChMutex() chMutex { return chMutex{ch: make(chan struct{}, 1)} }
-func (m *chMutex) lock()  { m.ch <- struct{}{} }
-func (m *chMutex) unlock() {
-	<-m.ch
+	comm *Comm
 }
 
 // PutMsg is one delivered one-sided payload.
@@ -39,47 +23,13 @@ type PutMsg struct {
 	Data   []byte
 }
 
-// winRegistry coordinates the collective creation of the shared queue state:
-// the first rank through allocates, everyone else reuses.
-type winRegistry struct {
-	shared *winShared
-}
-
-// NewWin collectively creates a window. All ranks must call it together
-// (it contains a barrier).
-func NewWin(c *Comm) *Win {
-	// Rank-0 allocates and distributes the shared state via Allgather of a
-	// marker; simpler: every rank allocates into a world-wide slot guarded
-	// by the collective lock.
-	w := c.world
-	w.collMu.Lock()
-	if w.winPending == nil {
-		s := &winShared{incoming: make([]winQueue, w.n)}
-		for i := range s.incoming {
-			s.incoming[i].mu = newChMutex()
-		}
-		w.winPending = s
-	}
-	shared := w.winPending
-	w.winCreated++
-	if w.winCreated == w.n {
-		w.winPending = nil
-		w.winCreated = 0
-	}
-	w.collMu.Unlock()
-	c.Barrier()
-	return &Win{comm: c, shared: shared}
-}
+// NewWin opens c's window. Every rank that puts or fences must open one.
+func NewWin(c *Comm) *Win { return &Win{comm: c} }
 
 // Put sends data into rank to's window for delivery at the next fence. It
 // never blocks and involves no action by the target until the fence.
 func (w *Win) Put(to int, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	q := &w.shared.incoming[to]
-	q.mu.lock()
-	q.puts = append(q.puts, PutMsg{Source: w.comm.rank, Data: cp})
-	q.mu.unlock()
+	w.comm.deliver(to, winTag, data)
 	w.comm.win.sent(1, int64(len(data)))
 }
 
@@ -87,19 +37,29 @@ func (w *Win) Put(to int, data []byte) {
 // rank during it, sorted by source rank (and arrival order within a source)
 // so that processing is deterministic. It is collective.
 func (w *Win) Fence() []PutMsg {
-	// First barrier: all puts of the epoch have been issued.
-	w.comm.Barrier()
-	q := &w.shared.incoming[w.comm.rank]
-	q.mu.lock()
-	out := q.puts
-	q.puts = nil
-	q.mu.unlock()
-	// Second barrier: every rank has drained its queue, so later puts land
+	c := w.comm
+	// First barrier: all puts of the epoch are in their target's mailbox.
+	c.Barrier()
+	var out []PutMsg
+	box := c.world.boxes[c.rank]
+	box.mu.Lock()
+	kept := box.pending[:0]
+	for _, m := range box.pending {
+		if m.tag == winTag {
+			out = append(out, PutMsg{Source: m.src, Data: m.data})
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	clear(box.pending[len(kept):])
+	box.pending = kept
+	box.mu.Unlock()
+	// Second barrier: every rank has drained its puts, so later puts land
 	// in the next epoch.
-	w.comm.Barrier()
+	c.Barrier()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Source < out[j].Source })
 	for _, m := range out {
-		w.comm.win.recv(1, int64(len(m.Data)))
+		c.win.recv(1, int64(len(m.Data)))
 	}
 	return out
 }

@@ -253,17 +253,6 @@ func (s *Sim) MeanSize() float64 {
 	return float64(s.TotalVacancies()) / float64(len(s.Objects))
 }
 
-// LargestCluster returns the maximum object size.
-func (s *Sim) LargestCluster() int {
-	max := 0
-	for _, o := range s.Objects {
-		if o.Size > max {
-			max = o.Size
-		}
-	}
-	return max
-}
-
 // Step executes one BKL event (diffusion or emission) and the subsequent
 // coalescence, advancing the residence-time clock. It returns false when no
 // event is possible.
@@ -380,15 +369,6 @@ func (s *Sim) merge(i, j int) {
 	s.Objects[i].Pos = s.wrap(oi.Pos.Add(d.Scale(w)))
 	s.Objects[i].Size = oi.Size + oj.Size
 	s.Objects = append(s.Objects[:j], s.Objects[j+1:]...)
-}
-
-// SizeHistogram returns cluster count by size, ascending.
-func (s *Sim) SizeHistogram() map[int]int {
-	h := map[int]int{}
-	for _, o := range s.Objects {
-		h[o.Size]++
-	}
-	return h
 }
 
 // String summarizes the population.

@@ -7,6 +7,26 @@ import (
 	"mdkmc/internal/vec"
 )
 
+// largestCluster returns the maximum object size.
+func largestCluster(s *Sim) int {
+	max := 0
+	for _, o := range s.Objects {
+		if o.Size > max {
+			max = o.Size
+		}
+	}
+	return max
+}
+
+// sizeHistogram returns cluster count by size.
+func sizeHistogram(s *Sim) map[int]int {
+	h := map[int]int{}
+	for _, o := range s.Objects {
+		h[o.Size]++
+	}
+	return h
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
@@ -104,8 +124,8 @@ func TestCoarsening(t *testing.T) {
 	if s.MeanSize() <= mean0 {
 		t.Errorf("mean size did not grow: %.2f -> %.2f", mean0, s.MeanSize())
 	}
-	if s.LargestCluster() < 3 {
-		t.Errorf("largest cluster %d after coarsening", s.LargestCluster())
+	if largestCluster(s) < 3 {
+		t.Errorf("largest cluster %d after coarsening", largestCluster(s))
 	}
 }
 
@@ -168,7 +188,7 @@ func TestStringAndHistogram(t *testing.T) {
 	if !strings.Contains(str, "vacancies=12") {
 		t.Errorf("summary %q", str)
 	}
-	h := s.SizeHistogram()
+	h := sizeHistogram(s)
 	n := 0
 	for size, count := range h {
 		n += size * count
@@ -186,7 +206,7 @@ func TestEmptySimulation(t *testing.T) {
 	if s.Step() {
 		t.Errorf("empty simulation produced an event")
 	}
-	if s.MeanSize() != 0 || s.LargestCluster() != 0 {
+	if s.MeanSize() != 0 || largestCluster(s) != 0 {
 		t.Errorf("empty stats non-zero")
 	}
 }

@@ -12,36 +12,10 @@
 // submissions and job exits, never by timers.
 package serve
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock supplies timestamps for job records and events. The scheduler never
 // acts on time — no timeouts, no timers — so the clock only labels history.
 type Clock interface {
 	Now() time.Time
-}
-
-// FakeClock is a manually advanced Clock for deterministic tests.
-type FakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-// NewFakeClock starts a fake clock at the given instant.
-func NewFakeClock(at time.Time) *FakeClock { return &FakeClock{t: at} }
-
-// Now returns the current fake instant.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the fake clock forward.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
 }

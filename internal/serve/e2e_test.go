@@ -113,7 +113,7 @@ func awaitProgress(t *testing.T, s *Server, id string) {
 // elastically on the single remaining slot. Both finish, and the campaign's
 // dose ledger balances exactly: Population = Σ NewVacancies − Σ Merged.
 func TestServeCampaignPreemptedByHighPriorityMD(t *testing.T) {
-	s, err := New(Config{Dir: t.TempDir(), Slots: 2, Clock: NewFakeClock(t0)})
+	s, err := New(Config{Dir: t.TempDir(), Slots: 2, Clock: fixedClock(t0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestServeCampaignPreemptedByHighPriorityMD(t *testing.T) {
 // ledger's own last row, a vacancy count.
 func TestServeOKMCCampaignDosePopulation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Config{Dir: dir, Slots: 2, Clock: NewFakeClock(t0)})
+	s, err := New(Config{Dir: dir, Slots: 2, Clock: fixedClock(t0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestServeOKMCCampaignDosePopulation(t *testing.T) {
 	}
 
 	// A fresh server on the same directory recovers the job and finishes it.
-	s2, err := New(Config{Dir: dir, Slots: 2, Clock: NewFakeClock(t0)})
+	s2, err := New(Config{Dir: dir, Slots: 2, Clock: fixedClock(t0)})
 	if err != nil {
 		t.Fatal(err)
 	}

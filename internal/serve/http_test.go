@@ -229,7 +229,7 @@ func (r telemetryStub) Run(rc RunContext) (RunResult, error) {
 
 func TestHTTPMetricsPerJobLabels(t *testing.T) {
 	inner := newStubRunner()
-	s, err := New(Config{Dir: t.TempDir(), Slots: 2, Clock: NewFakeClock(t0), Runner: telemetryStub{inner}})
+	s, err := New(Config{Dir: t.TempDir(), Slots: 2, Clock: fixedClock(t0), Runner: telemetryStub{inner}})
 	if err != nil {
 		t.Fatal(err)
 	}

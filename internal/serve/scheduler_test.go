@@ -15,6 +15,11 @@ import (
 // machine is event-driven.
 var t0 = time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 
+// fixedClock is a Clock stopped at one instant.
+type fixedClock time.Time
+
+func (c fixedClock) Now() time.Time { return time.Time(c) }
+
 // stubExit scripts one attempt's outcome.
 type stubExit struct {
 	res RunResult
@@ -64,7 +69,7 @@ func (r *stubRunner) finish(id string, res RunResult, err error) {
 func newTestServer(t *testing.T, mut func(*Config)) (*Server, *stubRunner) {
 	t.Helper()
 	r := newStubRunner()
-	cfg := Config{Dir: t.TempDir(), Slots: 2, Clock: NewFakeClock(t0), Runner: r}
+	cfg := Config{Dir: t.TempDir(), Slots: 2, Clock: fixedClock(t0), Runner: r}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -481,7 +486,7 @@ func TestDeterministicStateMachine(t *testing.T) {
 func TestDrainPreemptsPersistsAndRefuses(t *testing.T) {
 	dir := t.TempDir()
 	r := newStubRunner()
-	s, err := New(Config{Dir: dir, Slots: 1, Clock: NewFakeClock(t0), Runner: r})
+	s, err := New(Config{Dir: dir, Slots: 1, Clock: fixedClock(t0), Runner: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +508,7 @@ func TestDrainPreemptsPersistsAndRefuses(t *testing.T) {
 	// "Restart the server": a fresh instance on the same directory resumes
 	// the preempted job first (earlier sequence) and then the queued one.
 	r2 := newStubRunner()
-	s2, err := New(Config{Dir: dir, Slots: 1, Clock: NewFakeClock(t0), Runner: r2})
+	s2, err := New(Config{Dir: dir, Slots: 1, Clock: fixedClock(t0), Runner: r2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +533,7 @@ func TestDrainPreemptsPersistsAndRefuses(t *testing.T) {
 func TestRecoverFromCrashMidRun(t *testing.T) {
 	dir := t.TempDir()
 	r := newStubRunner()
-	s, err := New(Config{Dir: dir, Slots: 1, Clock: NewFakeClock(t0), Runner: r})
+	s, err := New(Config{Dir: dir, Slots: 1, Clock: fixedClock(t0), Runner: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +542,7 @@ func TestRecoverFromCrashMidRun(t *testing.T) {
 	nextStarted(t, r) // running; ledger persisted with state=running
 
 	r2 := newStubRunner()
-	s2, err := New(Config{Dir: dir, Slots: 1, Clock: NewFakeClock(t0), Runner: r2})
+	s2, err := New(Config{Dir: dir, Slots: 1, Clock: fixedClock(t0), Runner: r2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +573,7 @@ func TestRecoverFromCrashMidRun(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Slots: 1, Clock: NewFakeClock(t0)}); err == nil {
+	if _, err := New(Config{Slots: 1, Clock: fixedClock(t0)}); err == nil {
 		t.Error("missing Dir accepted")
 	}
 	if _, err := New(Config{Dir: t.TempDir(), Slots: 1}); err == nil {

@@ -47,9 +47,6 @@ type Params struct {
 	// FlopTime is the virtual cost of one floating-point operation on a CPE
 	// (seconds), at the effective vectorized rate of the force kernel.
 	FlopTime float64
-	// MPEFactor is how much slower the MPE executes the same kernel work
-	// when no CPEs are used (master-core-only baseline).
-	MPEFactor float64
 	// RegLatency is the virtual cost of one register-communication transfer
 	// between CPEs of the same row or column of the 8x8 mesh (seconds).
 	// The raw hardware transfer is ~10 cycles; reaching an arbitrary CPE
@@ -74,7 +71,6 @@ var DefaultParams = Params{
 	DMABandwidth:     0.35e9,  // 22.6 GB/s per core group / 64 CPEs
 	DMABulkBandwidth: 8.0e9,   // uncontended preload
 	FlopTime:         0.15e-9, // ~6.7 GFlop/s vectorized effective
-	MPEFactor:        32,      // one MPE vs the 64-CPE cluster
 	RegLatency:       7e-9,    // ~10 cycles at 1.45 GHz
 	RegSoftwareFlops: 40,      // request/response matching per transfer
 }
@@ -126,9 +122,6 @@ func (c *CPE) LDMFree(label string) {
 	c.ldmUsed -= c.allocs[label]
 	delete(c.allocs, label)
 }
-
-// LDMUsed returns the bytes currently allocated.
-func (c *CPE) LDMUsed() int { return c.ldmUsed }
 
 // dmaCost returns the virtual time of one DMA op of the given size.
 func (c *CPE) dmaCost(bytes int) float64 {
@@ -313,12 +306,4 @@ func (g *CoreGroup) TotalDMA() (ops, bytes int64) {
 		bytes += c.DMABytes
 	}
 	return
-}
-
-// MPETime returns the virtual time of executing flops of kernel work on the
-// master core alone (no LDM/DMA involved; the MPE computes out of its cache
-// hierarchy, but there are 64x fewer of them and MPEFactor captures the
-// per-core gap of this kernel).
-func (g *CoreGroup) MPETime(flops float64) float64 {
-	return flops * g.Params.FlopTime * g.Params.MPEFactor
 }

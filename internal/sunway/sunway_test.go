@@ -26,8 +26,8 @@ func TestLDMBudgetEnforced(t *testing.T) {
 	if err := c.LDMAlloc("extra", 10*1024); err != nil {
 		t.Fatalf("allocation after free failed: %v", err)
 	}
-	if got := c.LDMUsed(); got != 39*1024+10*1024 {
-		t.Errorf("LDMUsed = %d", got)
+	if got := c.ldmUsed; got != 39*1024+10*1024 {
+		t.Errorf("ldmUsed = %d", got)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestResetClearsClocks(t *testing.T) {
 	if c.Time(false) != 0 || c.DMAOps != 0 || c.Flops != 0 {
 		t.Errorf("reset incomplete")
 	}
-	if c.LDMUsed() != 1024 {
+	if c.ldmUsed != 1024 {
 		t.Errorf("reset dropped LDM allocations")
 	}
 }
@@ -192,19 +192,6 @@ func TestTotalDMA(t *testing.T) {
 	ops, bytes := g.TotalDMA()
 	if ops != 64 || bytes != 640 {
 		t.Errorf("ops=%d bytes=%d", ops, bytes)
-	}
-}
-
-func TestMPESlowerThanCluster(t *testing.T) {
-	g := NewCoreGroup(DefaultParams)
-	const flops = 1e6
-	mpe := g.MPETime(flops)
-	for _, c := range g.CPEs {
-		c.Compute(flops / CPEsPerGroup)
-	}
-	cluster := g.SlowestLane(false)
-	if mpe < 10*cluster {
-		t.Errorf("MPE (%.3g) not much slower than cluster (%.3g)", mpe, cluster)
 	}
 }
 

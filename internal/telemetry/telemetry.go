@@ -174,14 +174,6 @@ func New(rank int) *Registry {
 	}
 }
 
-// Rank returns the rank the registry belongs to (-1 on a nil receiver).
-func (r *Registry) Rank() int {
-	if r == nil {
-		return -1
-	}
-	return r.rank
-}
-
 // Counter returns the counter registered under name, creating it on first
 // use. Returns nil (a no-op counter) on a nil receiver.
 func (r *Registry) Counter(name string) *Counter {

@@ -24,14 +24,6 @@ const (
 	// AMUToMetal converts a mass in atomic mass units (g/mol) to metal
 	// units (eV·ps²/Å²): 1 amu = 1.0364269e-4 eV·ps²/Å².
 	AMUToMetal = 1.0364269e-4
-
-	// FsToPs converts femtoseconds to picoseconds.
-	FsToPs = 1e-3
-
-	// PsPerDay is the number of picoseconds in one day; used when the
-	// Kinetic Monte Carlo temporal-scale formula maps Monte Carlo time to
-	// real (wall-clock experiment) time expressed in days.
-	PsPerDay = 86400.0e12
 )
 
 // Element identifies an atomic species in the simulation. The damage
@@ -119,7 +111,3 @@ func ThermalSigma(temperature, mass float64) float64 {
 	}
 	return math.Sqrt(Boltzmann * temperature / mass)
 }
-
-// EVToKelvinPerAtom converts a per-atom energy (eV) to an equivalent
-// temperature via E = 3/2 kB T.
-func EVToKelvinPerAtom(e float64) float64 { return 2 * e / (3 * Boltzmann) }

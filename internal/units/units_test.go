@@ -71,11 +71,3 @@ func TestThermalSigmaProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEVToKelvinPerAtom(t *testing.T) {
-	// 3/2 kB T per atom at 600K.
-	e := 1.5 * Boltzmann * 600
-	if got := EVToKelvinPerAtom(e); math.Abs(got-600) > 1e-9 {
-		t.Errorf("EVToKelvinPerAtom = %v, want 600", got)
-	}
-}

@@ -27,9 +27,6 @@ func (a V) Norm2() float64 { return a.Dot(a) }
 // Norm returns |a|.
 func (a V) Norm() float64 { return math.Sqrt(a.Norm2()) }
 
-// Neg returns -a.
-func (a V) Neg() V { return V{-a.X, -a.Y, -a.Z} }
-
 // MulAdd returns a + s*b without intermediate allocation in hot loops.
 func (a V) MulAdd(s float64, b V) V {
 	return V{a.X + s*b.X, a.Y + s*b.Y, a.Z + s*b.Z}

@@ -23,9 +23,6 @@ func TestBasicOps(t *testing.T) {
 	if got := a.Dot(b); !approx(got, 4-10+18) {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := a.Neg(); got != (V{-1, -2, -3}) {
-		t.Errorf("Neg = %v", got)
-	}
 	if got := (V{3, 4, 0}).Norm(); !approx(got, 5) {
 		t.Errorf("Norm = %v", got)
 	}
@@ -51,7 +48,7 @@ func TestAlgebraicProperties(t *testing.T) {
 	}
 	subInverse := func(ax, ay, az, bx, by, bz float64) bool {
 		a, b := V{ax, ay, az}, V{bx, by, bz}
-		return a.Sub(b) == a.Add(b.Neg())
+		return a.Sub(b) == a.Add(b.Scale(-1))
 	}
 	if err := quick.Check(subInverse, cfg); err != nil {
 		t.Error(err)
