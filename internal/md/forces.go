@@ -393,13 +393,6 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
 	words := ff.maskWords
-	// With no run-away atoms anywhere in the local store (the defect-free
-	// common case, and a global property so every chunking sees the same
-	// value), only the tight prefix can hold partners: the wide-offset
-	// chain scan — the dominant per-site iteration cost — is skipped
-	// entirely. This is the paper's "extra overhead can be ignored"
-	// property made literal.
-	hasRun := s.NumRunaways() > 0
 
 	// density contribution to a central at pos from the run-away chain at
 	// site j (excluding selfRef).
@@ -428,7 +421,12 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 		deltas := s.Deltas(c.B)
 		tight := ff.Tight[c.B]
 		rev := ff.revIdx[c.B]
-		if !hasRun {
+		// With no run-away chain within the site's wide reach (the store's
+		// per-site index), only the tight prefix can hold partners: the
+		// wide-offset chain scan is skipped for this site. This is the
+		// paper's "extra overhead can be ignored" property made literal.
+		near := s.ChainNear(local)
+		if !near {
 			deltas = deltas[:tight]
 		}
 		if !s.IsVacancy(local) {
@@ -441,7 +439,7 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 			cur := int(ff.rowStart[oi])
 			mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
 			var rho float64
-			if hasRun {
+			if near {
 				chain(pos, typ, local, neighbor.NoRunaway, &rho)
 			}
 			for k, dlt := range deltas {
@@ -460,13 +458,14 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 						st.Pairs++
 					}
 				}
-				if hasRun && s.Head[j] != neighbor.NoRunaway {
+				if near && s.Head[j] != neighbor.NoRunaway {
 					chain(pos, typ, j, neighbor.NoRunaway, &rho)
 				}
 			}
 			s.Rho[local] = rho
 		}
-		// Run-away centrals: full inline iteration, as in the reference.
+		// Run-away centrals: full inline iteration, as in the reference (a
+		// site that anchors a chain is near one, so deltas is the wide table).
 		for selfRef := s.Head[local]; selfRef != neighbor.NoRunaway; {
 			a := s.Runaway(selfRef)
 			st.Atoms++
@@ -528,9 +527,6 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 	var st OpStats
 	var energy float64
 	cut2 := ff.Cutoff * ff.Cutoff
-	// Same wide-scan skip as DensityReduceRange: no run-aways anywhere
-	// means no partner beyond the tight prefix and no chains to probe.
-	hasRun := s.NumRunaways() > 0
 
 	// inline evaluation of one run-away-involved pair side: central at pos
 	// (species typ, embedding derivative dFc) against partner q.
@@ -574,7 +570,9 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 		deltas := s.Deltas(c.B)
 		tight := ff.Tight[c.B]
 		rev := ff.revIdx[c.B]
-		if !hasRun {
+		// Same per-site wide-scan skip as DensityReduceRange.
+		near := s.ChainNear(local)
+		if !near {
 			deltas = deltas[:tight]
 		}
 		if !s.IsVacancy(local) {
@@ -589,7 +587,7 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 			cur := int(ff.rowStart[oi])
 			e := s.EmbedE[local]
 			f := vec.Zero
-			if hasRun {
+			if near {
 				chain(pos, typ, dFc, rho, local, neighbor.NoRunaway, &f, &e)
 			}
 			for k, dlt := range deltas {
@@ -622,7 +620,7 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 						st.Pairs++
 					}
 				}
-				if hasRun && s.Head[j] != neighbor.NoRunaway {
+				if near && s.Head[j] != neighbor.NoRunaway {
 					chain(pos, typ, dFc, rho, j, neighbor.NoRunaway, &f, &e)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/neighbor"
 	"mdkmc/internal/units"
+	"mdkmc/internal/vec"
 )
 
 // requireIdenticalState asserts bit-exact equality of atoms and energies
@@ -58,6 +59,12 @@ func TestReferenceKernelEquivalence(t *testing.T) {
 			c.Cells = [3]int{8, 6, 6}
 			c.Grid = [3]int{2, 1, 1}
 			c.CuFraction = 0.25
+		}},
+		// A box wide enough that the run-aways' chains are within wide
+		// reach of only some sites: the others skip the wide walk.
+		{"fe-1rank-local-chains", func(c *Config) {
+			c.Cells = [3]int{10, 10, 10}
+			c.PKA = &PKA{Energy: 2000}
 		}},
 	}
 	const steps = 8
@@ -250,6 +257,58 @@ func TestDimerOpStatsExact(t *testing.T) {
 				t.Errorf("optimized energy %v != reference %v", optE, refE)
 			}
 		})
+	}
+}
+
+func TestWideWalkOnlyNearChains(t *testing.T) {
+	// One run-away in an otherwise perfect single-rank crystal: in both
+	// reduce passes, exactly the sites whose wide reach holds its chain
+	// walk the wide table, every other site the tight prefix, and the
+	// run-away central the wide table from its anchor.
+	l := lattice.New(10, 10, 10, units.LatticeConstantFe)
+	grid, err := lattice.NewGrid(l, 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pot := eam.NewFe(eam.Analytic, 500)
+	tab := l.NeighborOffsets(pot.Cutoff + WideMargin)
+	box := grid.Box(0, tab.MaxCellReach())
+	s := neighbor.NewStore(box, tab, units.Fe)
+	ff := NewForceField(s, pot, DefaultSkin)
+	anchor := box.LocalIndex(lattice.Coord{X: 5, Y: 5, Z: 5, B: 0})
+	s.AddRunaway(anchor, neighbor.Runaway{
+		ID:   int64(l.NumSites()) + 1,
+		Type: units.Fe,
+		R:    s.R[anchor].Add(vec.V{X: 0.7, Y: 0.7}),
+	})
+
+	wide := int64(len(s.Deltas(0)))
+	want := wide + 1 // the run-away central
+	near := 0
+	box.EachOwned(func(c lattice.Coord, local int) {
+		reach := local == anchor
+		for _, d := range s.Deltas(c.B) {
+			reach = reach || local+int(d) == anchor
+		}
+		if reach {
+			near++
+			want += int64(len(s.Deltas(c.B))) + 1
+		} else {
+			want += int64(ff.Tight[c.B]) + 1
+		}
+	})
+	if near != 1+int(wide) {
+		t.Fatalf("%d sites reach the chain, want the anchor and its %d wide neighbors", near, wide)
+	}
+
+	owned := box.OwnedCells()
+	ff.DensityGatherRange(s, 0, owned)
+	if got := ff.DensityReduceRange(s, 0, owned).Visits; got != want {
+		t.Errorf("density reduce visits %d, want %d", got, want)
+	}
+	ff.FillEmbeddingRange(s, 0, box.NumLocalSites())
+	if got, _ := ff.ForceReduceRange(s, 0, owned); got.Visits != want {
+		t.Errorf("force reduce visits %d, want %d", got.Visits, want)
 	}
 }
 

@@ -162,7 +162,7 @@ func TestStreamGrowsFromNothing(t *testing.T) {
 		for i := 0; i < 120; i++ {
 			r.Step()
 		}
-		if r.Store.NumRunaways() == 0 {
+		if CountOwnedRunaways(r.Store) == 0 {
 			t.Fatalf("cascade left no run-aways; the comparison would be trivial")
 		}
 		got, gotPE := ownedState(r), r.LastPE

@@ -87,8 +87,9 @@ func (snap *Snapshot) Validate(sites int) error {
 }
 
 // Restore overwrites the store's mutable state from a snapshot taken on a
-// store with identical geometry. The snapshot is validated first; a rejected
-// snapshot leaves the store untouched.
+// store with identical geometry and rebuilds the near-chain index from the
+// restored chains. The snapshot is validated first; a rejected snapshot
+// leaves the store untouched.
 func (s *Store) Restore(snap Snapshot) error {
 	if err := snap.Validate(len(s.ID)); err != nil {
 		return err
@@ -102,5 +103,11 @@ func (s *Store) Restore(snap Snapshot) error {
 	copy(s.Head, snap.Head)
 	s.pool = append(s.pool[:0], snap.Pool...)
 	s.free = snap.Free
+	clear(s.near)
+	for site, head := range s.Head {
+		if head != NoRunaway {
+			s.pushNear(site, 1)
+		}
+	}
 	return nil
 }

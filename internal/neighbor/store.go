@@ -14,6 +14,8 @@ package neighbor
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/units"
@@ -54,10 +56,11 @@ type Runaway struct {
 //
 // Concurrency contract for the force passes: disjoint owned-cell ranges may
 // be swept concurrently because (a) the static geometry (Deltas, Head
-// chains, pool links, ID/Type) is never modified during a pass, (b) a sweep
-// writes only the Rho (density pass) or F (force pass) of atoms anchored in
-// its own cells, and (c) what it reads of other cells — R always, Rho only
-// in the force pass — is not written by any concurrent sweep of that pass.
+// chains, pool links, ID/Type, the near-chain index) is never modified
+// during a pass, (b) a sweep writes only the Rho (density pass) or F (force
+// pass) of atoms anchored in its own cells, and (c) what it reads of other
+// cells — R always, Rho only in the force pass — is not written by any
+// concurrent sweep of that pass.
 // Everything that restructures the store (AddRunaway, MakeVacancy,
 // FillSite, ghost unpacking, ...) must happen between passes, on one
 // goroutine.
@@ -82,6 +85,15 @@ type Store struct {
 	DFdRho []float64
 	EmbedE []float64
 
+	// near counts, per local site c, the chain-bearing sites among c and
+	// c's wide-offset neighbors inside local storage: a site whose count is
+	// zero has no run-away partner beyond the tight prefix, so the reduce
+	// passes skip its wide walk. At most 1 + len(offsets) ≤ 255 sites count.
+	// Derived state: kept by AddRunaway/RemoveRunaway/ClearRunaways on a
+	// chain's empty ↔ non-empty transitions, rebuilt by Restore, never
+	// snapshotted or exchanged.
+	near []uint8
+
 	pool []Runaway
 	free int32 // free-list head within pool, chained via Next
 
@@ -97,6 +109,16 @@ func NewStore(box *lattice.Box, tab *lattice.OffsetTable, species units.Element)
 		panic(fmt.Sprintf("neighbor: ghost width %d cells < table reach %d",
 			box.Ghost, tab.MaxCellReach()))
 	}
+	for b := int8(0); b <= 1; b++ {
+		if len(tab.PerBase[b]) >= math.MaxUint8 {
+			panic(fmt.Sprintf("neighbor: %d offsets overflow the uint8 near-chain count", len(tab.PerBase[b])))
+		}
+		for _, o := range tab.PerBase[b] {
+			if !hasReverse(tab, b, o) {
+				panic("neighbor: offset table is not symmetric; the near-chain index needs every reverse offset")
+			}
+		}
+	}
 	n := box.NumLocalSites()
 	s := &Store{
 		Box:    box,
@@ -110,6 +132,7 @@ func NewStore(box *lattice.Box, tab *lattice.OffsetTable, species units.Element)
 		Head:   make([]int32, n),
 		DFdRho: make([]float64, n),
 		EmbedE: make([]float64, n),
+		near:   make([]uint8, n),
 		free:   NoRunaway,
 	}
 	l := box.L
@@ -140,9 +163,45 @@ func (s *Store) buildDeltas() {
 	}
 }
 
+// hasReverse reports whether the table holds o's reverse: from basis o.DB
+// back to basis b across the negated cell delta.
+func hasReverse(tab *lattice.OffsetTable, b int8, o lattice.Offset) bool {
+	for _, q := range tab.PerBase[o.DB] {
+		if q.DX == -o.DX && q.DY == -o.DY && q.DZ == -o.DZ && q.DB == b {
+			return true
+		}
+	}
+	return false
+}
+
 // Deltas returns the static neighbor index deltas for a central site of the
 // given basis; parallel to Tab.PerBase[basis].
 func (s *Store) Deltas(basis int8) []int32 { return s.deltas[basis] }
+
+// ChainNear reports whether a run-away chain is anchored at the site or at
+// a site its wide offsets reach; when false, nothing beyond the tight
+// prefix can interact with an atom anchored there.
+func (s *Store) ChainNear(local int) bool { return s.near[local] != 0 }
+
+// pushNear adds step to the near count of chain site a and of every site
+// in local storage that a's wide offsets reach. The table is symmetric, so
+// those are exactly the sites whose own wide walk reaches a. step is 1, or
+// math.MaxUint8 to subtract one. Bounds are checked on cell coordinates: a
+// delta that leaves local storage in one dimension can still land on a
+// valid local index.
+func (s *Store) pushNear(a int, step uint8) {
+	s.near[a] += step
+	ex, ey, ez := s.Box.Ext(0), s.Box.Ext(1), s.Box.Ext(2)
+	b, cell := a&1, a>>1
+	x, y, z := cell%ex, cell/ex%ey, cell/(ex*ey)
+	deltas := s.deltas[b]
+	for k, o := range s.Tab.PerBase[b] {
+		nx, ny, nz := x+int(o.DX), y+int(o.DY), z+int(o.DZ)
+		if nx >= 0 && nx < ex && ny >= 0 && ny < ey && nz >= 0 && nz < ez {
+			s.near[a+int(deltas[k])] += step
+		}
+	}
+}
 
 // IsVacancy reports whether the site holds a vacancy.
 func (s *Store) IsVacancy(local int) bool { return s.ID[local] < 0 }
@@ -191,6 +250,9 @@ func (s *Store) AddRunaway(anchor int, a Runaway) int32 {
 		ref = int32(len(s.pool))
 		s.pool = append(s.pool, a)
 	}
+	if s.Head[anchor] == NoRunaway {
+		s.pushNear(anchor, 1)
+	}
 	s.pool[ref].Next = s.Head[anchor]
 	s.Head[anchor] = ref
 	return ref
@@ -213,6 +275,9 @@ func (s *Store) RemoveRunaway(anchor int, ref int32) Runaway {
 			s.pool[ref].ID = 0
 			s.free = ref
 			a.Next = NoRunaway
+			if s.Head[anchor] == NoRunaway {
+				s.pushNear(anchor, math.MaxUint8)
+			}
 			return a
 		}
 		p = &s.pool[*p].Next
@@ -224,6 +289,10 @@ func (s *Store) RemoveRunaway(anchor int, ref int32) Runaway {
 // ghost regions from received data).
 func (s *Store) ClearRunaways(anchor int) {
 	ref := s.Head[anchor]
+	if ref == NoRunaway {
+		return
+	}
+	s.pushNear(anchor, math.MaxUint8)
 	for ref != NoRunaway {
 		next := s.pool[ref].Next
 		s.pool[ref].Next = s.free
@@ -242,17 +311,6 @@ func (s *Store) EachRunaway(anchor int, fn func(ref int32, a *Runaway)) {
 	}
 }
 
-// NumRunaways counts live pool entries (O(pool size); bookkeeping use only).
-func (s *Store) NumRunaways() int {
-	n := 0
-	for i := range s.pool {
-		if s.pool[i].ID > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // CountVacancies returns the number of vacancy entries among owned sites.
 func (s *Store) CountVacancies() int {
 	n := 0
@@ -266,10 +324,10 @@ func (s *Store) CountVacancies() int {
 
 // MemoryBytes returns the approximate heap footprint of the structure: the
 // quantity the paper's Figure 11 capacity claim is about. Per site: ID(8) +
-// Type(1) + R/Vel/F(3×24) + Rho(8) + Head(4) + DFdRho/EmbedE(2×8); plus the
-// run-away pool.
+// Type(1) + R/Vel/F(3×24) + Rho(8) + Head(4) + DFdRho/EmbedE(2×8) + near(1);
+// plus the run-away pool.
 func (s *Store) MemoryBytes() int {
-	perSite := 8 + 1 + 3*24 + 8 + 4 + 2*8
-	return perSite*len(s.ID) + 112*cap(s.pool) +
+	perSite := 8 + 1 + 3*24 + 8 + 4 + 2*8 + 1
+	return perSite*len(s.ID) + int(unsafe.Sizeof(Runaway{}))*cap(s.pool) +
 		4*(len(s.deltas[0])+len(s.deltas[1]))
 }

@@ -1,8 +1,11 @@
 package neighbor
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/rng"
@@ -26,6 +29,17 @@ func newTestStore(n int, cutoff float64) (*Store, *lattice.Lattice) {
 	l := lattice.New(n, n, n, a0)
 	tab := l.NeighborOffsets(cutoff)
 	return NewStore(fullBox(l, tab), tab, units.Fe), l
+}
+
+// numRunaways counts live pool entries.
+func numRunaways(s *Store) int {
+	n := 0
+	for i := range s.pool {
+		if s.pool[i].ID > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestStoreInitPerfectLattice(t *testing.T) {
@@ -117,8 +131,8 @@ func TestRunawayChains(t *testing.T) {
 	if len(ids) != 3 || ids[0] != 101 || ids[2] != 103 {
 		t.Fatalf("chain contents = %v", ids)
 	}
-	if s.NumRunaways() != 3 {
-		t.Fatalf("NumRunaways = %d", s.NumRunaways())
+	if numRunaways(s) != 3 {
+		t.Fatalf("numRunaways = %d", numRunaways(s))
 	}
 
 	// Remove the middle entry; chain must stay consistent.
@@ -163,8 +177,8 @@ func TestClearRunaways(t *testing.T) {
 	if s.Head[anchor] != NoRunaway {
 		t.Errorf("head not cleared")
 	}
-	if s.NumRunaways() != 0 {
-		t.Errorf("NumRunaways = %d after clear", s.NumRunaways())
+	if numRunaways(s) != 0 {
+		t.Errorf("numRunaways = %d after clear", numRunaways(s))
 	}
 	// All five slots are reusable.
 	for i := 0; i < 5; i++ {
@@ -186,6 +200,156 @@ func TestStorePanicsOnThinGhost(t *testing.T) {
 		}
 	}()
 	NewStore(box, tab, units.Fe)
+}
+
+func TestStorePanicsOnAsymmetricTable(t *testing.T) {
+	l := lattice.New(4, 4, 4, a0)
+	tab := l.NeighborOffsets(1.97 * a0)
+	// Drop basis 0's last offset: its reverse in basis 1 loses its partner.
+	tab.PerBase[0] = tab.PerBase[0][:len(tab.PerBase[0])-1]
+	defer func() {
+		if recover() == nil {
+			t.Errorf("NewStore with an asymmetric offset table did not panic")
+		}
+	}()
+	NewStore(fullBox(l, tab), tab, units.Fe)
+}
+
+func TestStoreMemoryBytesCoversEveryArray(t *testing.T) {
+	// Every per-site array is charged its element size, and the run-away
+	// pool its entry size per slot of capacity: an array left out of the
+	// count, or a pool entry charged short, fails here.
+	s, _ := newTestStore(4, 1.97*a0)
+	n := s.Box.NumLocalSites()
+	perSite := 0
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == n {
+			perSite += int(f.Type().Elem().Size())
+		}
+	}
+	deltas := 4 * (len(s.Deltas(0)) + len(s.Deltas(1)))
+	base := perSite*n + deltas
+	if got := s.MemoryBytes(); got != base {
+		t.Fatalf("MemoryBytes() = %d on an empty pool, want %d (%d B per site × %d sites + %d B of deltas)",
+			got, base, perSite, n, deltas)
+	}
+	entry := int(unsafe.Sizeof(Runaway{}))
+	for i := 0; i < 40; i++ {
+		s.AddRunaway(i, Runaway{ID: int64(i + 1)})
+		if got, want := s.MemoryBytes()-base, cap(s.pool)*entry; got != want {
+			t.Fatalf("after %d run-aways the pool is charged %d B, want cap %d × %d B = %d",
+				i+1, got, cap(s.pool), entry, want)
+		}
+	}
+}
+
+// bruteNear counts, by coordinates, the chain-bearing sites among local and
+// the sites its wide offsets reach inside local storage.
+func bruteNear(s *Store, local int) int {
+	c := s.Box.GlobalCoord(local)
+	n := 0
+	if s.Head[local] != NoRunaway {
+		n++
+	}
+	for _, o := range s.Tab.PerBase[c.B] {
+		if nc := o.Apply(c); s.Box.InLocal(nc) && s.Head[s.Box.LocalIndex(nc)] != NoRunaway {
+			n++
+		}
+	}
+	return n
+}
+
+func TestNearIndexMatchesBruteForce(t *testing.T) {
+	// A seeded random sequence of chain insertions, removals and clears on
+	// owned sites and on the outermost ghost layer (where most wide offsets
+	// leave local storage) of one rank of a 2×1×1 grid, with MD's wide
+	// radius: after every operation, and after restoring snapshots that
+	// have chains, the index equals a direct probe of Head.
+	l := lattice.New(6, 4, 4, a0)
+	tab := l.NeighborOffsets(6.77) // cutoff 3.57 Å + MD's 3.2 Å wide margin
+	g, err := lattice.NewGrid(l, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := g.Box(0, tab.MaxCellReach())
+	s := NewStore(box, tab, units.Fe)
+	var sites []int
+	for local := 0; local < box.NumLocalSites(); local++ {
+		c := box.GlobalCoord(local)
+		outer := false
+		for d, v := range [3]int32{c.X, c.Y, c.Z} {
+			lv := int(v) - box.Lo[d] + box.Ghost
+			outer = outer || lv == 0 || lv == box.Ext(d)-1
+		}
+		if box.Owns(c) || outer {
+			sites = append(sites, local)
+		}
+	}
+	check := func(st *Store, what string) {
+		t.Helper()
+		for local := range st.near {
+			if got, want := int(st.near[local]), bruteNear(st, local); got != want {
+				t.Fatalf("%s: site %d (%+v) near = %d, brute force %d",
+					what, local, box.GlobalCoord(local), got, want)
+			}
+		}
+	}
+	type entry struct {
+		site int
+		ref  int32
+	}
+	var live []entry
+	r := rng.New(29)
+	op := func(i int) string {
+		switch k := r.Intn(5); {
+		case k < 3 || len(live) == 0:
+			site := sites[r.Intn(len(sites))]
+			if len(live) > 0 && k == 0 {
+				site = live[r.Intn(len(live))].site // lengthen a chain
+			}
+			live = append(live, entry{site, s.AddRunaway(site, Runaway{ID: int64(i + 1)})})
+			return "AddRunaway"
+		case k == 3:
+			j := r.Intn(len(live))
+			s.RemoveRunaway(live[j].site, live[j].ref)
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			return "RemoveRunaway"
+		default:
+			site := live[r.Intn(len(live))].site
+			s.ClearRunaways(site)
+			kept := live[:0]
+			for _, e := range live {
+				if e.site != site {
+					kept = append(kept, e)
+				}
+			}
+			live = kept
+			return "ClearRunaways"
+		}
+	}
+	for i := 0; i < 160; i++ {
+		name := op(i)
+		check(s, fmt.Sprintf("op %d (%s, %d live)", i, name, len(live)))
+	}
+	if len(live) == 0 {
+		t.Fatalf("the sequence left no chains; the restores below would be trivial")
+	}
+
+	snap := s.Snapshot()
+	fresh := NewStore(box, tab, units.Fe)
+	if err := fresh.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	check(fresh, "Restore into a fresh store")
+	for i := 160; i < 200; i++ {
+		op(i)
+	}
+	if err := s.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "Restore over changed chains")
 }
 
 // TestThreeStructuresAgree cross-validates the lattice neighbor list against
