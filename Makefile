@@ -136,11 +136,12 @@ bench-kmc:
 bench-md:
 	$(GO) test -run '^$$' -bench 'BenchmarkMDStep' -benchtime 5x -benchmem ./internal/md
 
-# Every Go benchmark of the two engines runs once (CI gate): `go vet` only
-# compiles them, so a benchmark that panics or reports a broken metric would
-# otherwise rot unrun.
+# Every Go benchmark of the two engines, of the potential's table layouts and
+# of the root package (one per paper figure, plus the ablations) runs once
+# (CI gate): `go vet` only compiles them, so a benchmark that panics or
+# reports a broken metric would otherwise rot unrun.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/md ./internal/kmc
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/md ./internal/kmc ./internal/eam .
 
 # Every example must run to completion (CI smoke gate).
 smoke:

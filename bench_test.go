@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"mdkmc"
-	"mdkmc/internal/eam"
 	"mdkmc/internal/kmc"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/md"
@@ -317,34 +316,6 @@ func BenchmarkAblationRunawayLists(b *testing.B) {
 			_ = pairs
 		}
 	})
-}
-
-// BenchmarkAblationTableCompaction contrasts evaluation through the two
-// table layouts (identical results; the compacted layout trades arithmetic
-// for 7x less memory).
-func BenchmarkAblationTableCompaction(b *testing.B) {
-	pot := eam.NewFe(eam.Compacted, eam.TablePoints)
-	for _, mode := range []eam.Mode{eam.Traditional, eam.Compacted} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			p := pot.WithMode(mode)
-			compacted, traditional := p.TableBytes()
-			r := 2.2
-			for i := 0; i < b.N; i++ {
-				_, _ = p.Pair(units.Fe, units.Fe, r)
-				_, _ = p.Density(units.Fe, units.Fe, r)
-				r += 1e-7
-				if r > 3.3 {
-					r = 2.2
-				}
-			}
-			if mode == eam.Compacted {
-				b.ReportMetric(float64(compacted), "table-bytes")
-			} else {
-				b.ReportMetric(float64(traditional), "table-bytes")
-			}
-		})
-	}
 }
 
 // BenchmarkAblationOneSidedKMC isolates the message-count benefit of the

@@ -72,7 +72,7 @@ func main() {
 		KMCCycles:  *cycles,
 		Protocol:   mdkmc.ProtocolOnDemand,
 		Checkpoint: run.Checkpoint(),
-		Rebalance:  mdkmc.Rebalance{Handoff: *rebalEvery > 0, Every: *rebalEvery},
+		Rebalance:  mdkmc.Rebalance{Every: *rebalEvery},
 		Faults:     faults,
 		Telemetry:  run.Telemetry(),
 		Preempt:    cliutil.PreemptOnSignal("mdkmc"),

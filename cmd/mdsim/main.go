@@ -28,7 +28,7 @@ func main() {
 		temp    = flag.Float64("temp", 600, "initial temperature in K")
 		pka     = flag.Float64("pka", 0, "primary knock-on atom energy in eV (0 = no cascade)")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		mode    = flag.String("tables", "compacted", "potential evaluation: analytic|compacted|traditional")
+		mode    = flag.String("tables", "compacted", "potential evaluation: analytic|compacted")
 		workers = flag.Int("workers", 0, "force-pass worker goroutines per rank (0 = GOMAXPROCS, 1 = serial reference)")
 	)
 	run := cliutil.RegisterRunFlags("mdsim", "MD steps", 50, "md-step, checkpoint-commit")
@@ -52,8 +52,6 @@ func main() {
 		cfg.Mode = eam.Analytic
 	case "compacted":
 		cfg.Mode = eam.Compacted
-	case "traditional":
-		cfg.Mode = eam.Traditional
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table mode %q\n", *mode)
 		os.Exit(2)

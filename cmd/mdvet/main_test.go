@@ -62,7 +62,6 @@ func TestTreeIsClean(t *testing.T) {
 var testSeams = map[string]string{
 	"couple.Preemptor.C":          "serve's stub runner selects on the preemption request",
 	"telemetry.Report.CounterSum": "kmc and couple tests sum a counter across ranks",
-	"eam.Potential.WithMode":      "the root ablation benchmarks switch table layouts",
 	"md.AlloyDominantResident":    "the named zero value of AlloyTableStrategy, set by the root ablation benchmarks",
 	"telemetry.Set.Job":           "telemetry's tests check the job label a set carries",
 	"telemetry.Set.Ranks":         "telemetry's tests check the per-rank registry count",

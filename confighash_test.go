@@ -62,7 +62,7 @@ func TestConfigHashCoversEveryField(t *testing.T) {
 		Protocol:   kmc.OnDemand,
 		Campaign: couple.CampaignSpec{
 			Iters: 2, DoseIncrement: 1e-3, Energy: 500, Ed: 40,
-			MinSeparation: 7, MaxRecoils: 8, OKMCEvents: 100,
+			MinSeparation: 7,
 		},
 		Checkpoint: couple.Checkpoint{Dir: "ckpt", Every: 5},
 	}

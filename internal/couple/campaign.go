@@ -44,6 +44,15 @@ const (
 // maxPlacementAttempts bounds the non-overlap rejection loop per recoil.
 const maxPlacementAttempts = 1000
 
+// Per-iteration budgets of a campaign. Config.Hash digests both, so a
+// change to either refuses every existing campaign checkpoint.
+const (
+	// maxRecoils caps the recoils of one iteration.
+	maxRecoils = 64
+	// okmcEvents is the OKMC event budget of one iteration.
+	okmcEvents = 200
+)
+
 // CampaignSpec configures a damage-accumulation campaign. The zero value
 // (Iters == 0) disables campaign mode.
 type CampaignSpec struct {
@@ -53,7 +62,7 @@ type CampaignSpec struct {
 	// DoseIncrement is the NRT dose (dpa) each iteration must reach: recoil
 	// energies are drawn from the spectrum until their summed NRT
 	// displacement count covers DoseIncrement·NumAtoms (at least one recoil,
-	// at most MaxRecoils).
+	// at most maxRecoils).
 	DoseIncrement float64
 	// Energy is the fixed recoil energy (eV) used when Spectrum is nil.
 	Energy float64
@@ -66,13 +75,9 @@ type CampaignSpec struct {
 	// sites of one iteration, so simultaneous cascades do not overlap;
 	// defaults to 2.5 lattice constants.
 	MinSeparation float64
-	// MaxRecoils caps the recoils of one iteration; defaults to 64.
-	MaxRecoils int
 	// OKMC selects the object-KMC anneal stage (cluster objects, replicated
 	// deterministically on every rank) instead of the default atomistic KMC.
 	OKMC bool
-	// OKMCEvents is the OKMC event budget per iteration; defaults to 200.
-	OKMCEvents int
 }
 
 // normalize fills the spec defaults in place; a is the lattice constant.
@@ -82,12 +87,6 @@ func (s *CampaignSpec) normalize(a float64) {
 	}
 	if s.MinSeparation <= 0 {
 		s.MinSeparation = 2.5 * a
-	}
-	if s.MaxRecoils <= 0 {
-		s.MaxRecoils = 64
-	}
-	if s.OKMCEvents <= 0 {
-		s.OKMCEvents = 200
 	}
 }
 
@@ -114,7 +113,7 @@ func (s *CampaignSpec) hashString() string {
 		src = "spectrum:" + s.Spectrum.Digest()
 	}
 	return fmt.Sprintf("iters:%d,dose:%v,%s,ed:%v,sep:%v,max:%d,okmc:%v,okev:%d",
-		s.Iters, s.DoseIncrement, src, s.Ed, s.MinSeparation, s.MaxRecoils, s.OKMC, s.OKMCEvents)
+		s.Iters, s.DoseIncrement, src, s.Ed, s.MinSeparation, maxRecoils, s.OKMC, okmcEvents)
 }
 
 // NRTDisplacements is the NRT (Norgett-Robinson-Torrens) displacement count
@@ -269,7 +268,7 @@ func planRecoils(l *lattice.Lattice, spec *CampaignSpec, sa *sampler, seed uint6
 		plan = append(plan, recoil{Site: site, Energy: e, Dir: dir, Nu: NRTDisplacements(e, spec.Ed)})
 		accepted = append(accepted, p)
 		sum += plan[len(plan)-1].Nu
-		if sum >= target || len(plan) >= spec.MaxRecoils {
+		if sum >= target || len(plan) >= maxRecoils {
 			return plan, nil
 		}
 	}
@@ -573,7 +572,7 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 				// inside the event loop could not act on a preemption request
 				// anyway; the campaign loop polls at the iteration boundary.
 				//mdvet:ignore preemptpoll OKMC anneal is atomic per iteration; the enclosing campaign loop polls at its boundary
-				for i := 0; i < spec.OKMCEvents; i++ {
+				for i := 0; i < okmcEvents; i++ {
 					if !osim.Step() {
 						break
 					}
@@ -587,8 +586,8 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 				input := unionSites(l, camp.Population, fresh)
 				row.Merged = len(camp.Population) + len(fresh) - len(input)
 				kcfg.Vacancies = globalIndices(l, input)
-				if cfg.Rebalance.Handoff {
-					cuts, err := fitCuts(l, kcfg.Grid, kcfg.GhostWidth(), input, cfg.Rebalance.weight())
+				if cfg.Rebalance.Every > 0 {
+					cuts, err := fitCuts(l, kcfg.Grid, kcfg.GhostWidth(), input)
 					if err != nil {
 						return err
 					}

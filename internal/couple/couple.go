@@ -214,13 +214,13 @@ func Run(cfg Config) (*Result, error) {
 		// Stage 2: hand the vacancy sites to KMC. The decomposition may
 		// deviate from the uniform split: a KMC-stage restart onto the
 		// snapshot's grid adopts its cuts (so restore takes the byte-exact
-		// path; any other grid re-shards), and the rebalancer fits slab cuts
-		// to the defect distribution at the handoff and, with Rebalance.Every
-		// set, periodically as the defect cloud migrates.
+		// path; any other grid re-shards), and the rebalancer, when on, fits
+		// slab cuts to the defect distribution at the handoff and then every
+		// Rebalance.Every cycles as the defect cloud migrates.
 		if resumeKMC && d.man.Topology.Grid == kcfg.Grid {
 			kcfg.Cuts = d.man.Topology.Cuts
-		} else if cfg.Rebalance.Handoff {
-			cuts, err := fitCuts(l, kcfg.Grid, kcfg.GhostWidth(), summary.BeforeSites, cfg.Rebalance.weight())
+		} else if cfg.Rebalance.Every > 0 {
+			cuts, err := fitCuts(l, kcfg.Grid, kcfg.GhostWidth(), summary.BeforeSites)
 			if err != nil {
 				return err
 			}

@@ -287,7 +287,7 @@ func (d *run) kmcStage(c *mpi.Comm, reg *telemetry.Registry, st *kmc.State, cycl
 		st.Cycle()
 		if rb.Every > 0 && st.Cycles%rb.Every == 0 && st.Cycles < cycles {
 			var err error
-			if st, err = rebalanceKMC(c, reg, st, st.Cfg, rb); err != nil {
+			if st, err = rebalanceKMC(c, reg, st, st.Cfg); err != nil {
 				return nil, err
 			}
 			p.topo.Cuts, p.save = st.Grid.Cuts(), st.Save

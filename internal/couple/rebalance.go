@@ -34,42 +34,33 @@ const DefaultVacancyWeight = 64.0
 // Like Grid and Cuts it is a topology knob, excluded from Config.Hash:
 // it redistributes work without changing the physics (defect populations
 // are conserved exactly; the KMC realization follows the new
-// decomposition's per-rank RNG streams).
+// decomposition's per-rank RNG streams). Every refit weighs a vacancy at
+// DefaultVacancyWeight.
 type Rebalance struct {
-	// Handoff refits the KMC stage's slab boundaries once, at the MD→KMC
-	// handoff, from the cascade's vacancy distribution.
-	Handoff bool
-	// Every refits the KMC decomposition every N cycles as the defect cloud
-	// migrates (0 disables). Each refit that changes the cuts rebuilds the
-	// KMC state on the new decomposition through a collective gather of the
-	// defect sites — the deterministic handoff protocol.
+	// Every > 0 turns the balancer on: the KMC stage's slab boundaries are
+	// fitted once at the MD→KMC handoff, from the cascade's vacancy
+	// distribution, and again every Every cycles as the defect cloud
+	// migrates (a campaign fits at each iteration's handoff only). Each
+	// refit that changes the cuts rebuilds the KMC state on the new
+	// decomposition through a collective gather of the defect sites — the
+	// deterministic handoff protocol.
 	Every int
-	// VacancyWeight overrides DefaultVacancyWeight (<= 0 keeps the default).
-	VacancyWeight float64
-}
-
-// weight returns the effective per-vacancy cost.
-func (rb Rebalance) weight() float64 {
-	if rb.VacancyWeight > 0 {
-		return rb.VacancyWeight
-	}
-	return DefaultVacancyWeight
 }
 
 // fitCuts computes slab boundaries for grid over l that balance the defect
-// distribution: each cell costs 1 plus w per defect site it holds. minWidth
-// is the consumer's ghost constraint. Every rank calls it with the same
-// gathered site list and obtains the same cuts. An infeasible geometry is
-// an error — but only one the uniform split would also have hit (the ghost
-// constraint binds both), so callers treat it as fatal.
-func fitCuts(l *lattice.Lattice, grid [3]int, minWidth int, sites []lattice.Coord, w float64) ([3][]int, error) {
+// distribution: each cell costs 1 plus DefaultVacancyWeight per defect site
+// it holds. minWidth is the consumer's ghost constraint. Every rank calls it
+// with the same gathered site list and obtains the same cuts. An infeasible
+// geometry is an error — but only one the uniform split would also have hit
+// (the ghost constraint binds both), so callers treat it as fatal.
+func fitCuts(l *lattice.Lattice, grid [3]int, minWidth int, sites []lattice.Coord) ([3][]int, error) {
 	perCell := make(map[[3]int]int, len(sites))
 	for _, s := range sites {
 		perCell[[3]int{int(s.X), int(s.Y), int(s.Z)}]++
 	}
 	mw := [3]int{minWidth, minWidth, minWidth}
 	return lattice.FitCuts(l, grid[0], grid[1], grid[2], mw, func(x, y, z int) float64 {
-		return 1 + w*float64(perCell[[3]int{x, y, z}])
+		return 1 + DefaultVacancyWeight*float64(perCell[[3]int{x, y, z}])
 	})
 }
 
@@ -87,10 +78,10 @@ func cutsEqual(a, b [3][]int) bool { return reflect.DeepEqual(a, b) }
 // are recomputed from the occupancy; the incrementally maintained ρ agrees
 // with that recomputation to 1e-9 (TestRhoMatchesFromScratch), not bit for
 // bit. Returns st unchanged when the fitted cuts already match. Collective.
-func rebalanceKMC(c *mpi.Comm, reg *telemetry.Registry, st *kmc.State, kcfg kmc.Config, rb Rebalance) (*kmc.State, error) {
+func rebalanceKMC(c *mpi.Comm, reg *telemetry.Registry, st *kmc.State, kcfg kmc.Config) (*kmc.State, error) {
 	vac := gatherSites(c, st.VacancySites())
 	cu := gatherSites(c, st.CuSitesOwned())
-	cuts, err := fitCuts(st.L, kcfg.Grid, st.Box.Ghost, vac, rb.weight())
+	cuts, err := fitCuts(st.L, kcfg.Grid, st.Box.Ghost, vac)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,6 @@ func plantedKMCConfig() (kmc.Config, int) {
 // cycling. Both ranks must derive the identical decomposition.
 func TestRebalanceKMCShiftsCutsTowardHotCore(t *testing.T) {
 	kcfg, nvac := plantedKMCConfig()
-	rb := Rebalance{Every: 1}
 	cutsCh := make(chan int, 2)
 	w := mpi.NewWorld(2)
 	w.Run(func(c *mpi.Comm) {
@@ -49,7 +48,7 @@ func TestRebalanceKMCShiftsCutsTowardHotCore(t *testing.T) {
 			st.Cycle()
 		}
 		clockBefore, cyclesBefore := st.Time, st.Cycles
-		next, err := rebalanceKMC(c, nil, st, kcfg, rb)
+		next, err := rebalanceKMC(c, nil, st, kcfg)
 		if err != nil {
 			panic(err)
 		}
@@ -88,7 +87,7 @@ func TestRebalanceKMCShiftsCutsTowardHotCore(t *testing.T) {
 func TestRebalancedCheckpointRestartsAcrossTopologies(t *testing.T) {
 	cfg := elasticConfig(t)
 	cfg.Checkpoint.Every = 8
-	cfg.Rebalance = Rebalance{Handoff: true, Every: 4}
+	cfg.Rebalance = Rebalance{Every: 4}
 	straight, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("uninterrupted rebalanced run: %v", err)
@@ -121,7 +120,8 @@ func TestRebalancedCheckpointRestartsAcrossTopologies(t *testing.T) {
 
 // TestRebalanceHandoffPreservesCoupledPhysics: the handoff fit is a pure
 // topology change — the cascade's defect set and the conserved population
-// match a run without the balancer.
+// match a run without the balancer. Every is the whole KMC stage, so the
+// handoff fit is the only one.
 func TestRebalanceHandoffPreservesCoupledPhysics(t *testing.T) {
 	cfg := coupledConfig()
 	cfg.MD.Cells = [3]int{22, 11, 11}
@@ -130,7 +130,7 @@ func TestRebalanceHandoffPreservesCoupledPhysics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Rebalance = Rebalance{Handoff: true}
+	cfg.Rebalance = Rebalance{Every: cfg.KMCCycles}
 	fitted, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("run with handoff rebalance: %v", err)
@@ -153,9 +153,9 @@ func TestRebalanceHandoffPreservesCoupledPhysics(t *testing.T) {
 //	busy_r ≈ a·cells_r + b·vacs_r
 //
 // and returns b/a — the measured cost of one vacancy in units of one
-// defect-free cell, the quantity Rebalance.VacancyWeight expects. It returns
-// 0 (caller keeps the default) when the fit is degenerate: fewer than two
-// ranks, no vacancies, or a non-positive base cost.
+// defect-free cell, the quantity DefaultVacancyWeight holds. It returns 0
+// (no estimate) when the fit is degenerate: fewer than two ranks, no
+// vacancies, or a non-positive base cost.
 func fitVacancyWeight(busy []float64, cells, vacs []int) float64 {
 	if len(busy) < 2 || len(cells) != len(busy) || len(vacs) != len(busy) {
 		return 0
@@ -199,7 +199,7 @@ func TestFitVacancyWeightRecoversPlantedRatio(t *testing.T) {
 }
 
 // TestFitVacancyWeightDegenerateInputs: anything the normal equations cannot
-// support returns 0, telling the caller to keep the default weight.
+// support returns 0, no estimate of the weight.
 func TestFitVacancyWeightDegenerateInputs(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -6,14 +6,13 @@
 //	ρ_i     = Σ_{j≠i} f_ij(r_ij)
 //
 // Three interpolation-table families back the computation — pair potential,
-// electron-cloud density, and embedding energy — in the two layouts the
-// paper compares on the Sunway CPE local store (§2.1.2):
-//
-//   - the traditional layout: 5000×7 cubic-spline coefficient rows
-//     (~273 KB), as in LAMMPS and CoMD;
-//   - the compacted layout: 5000 sampled values (~39 KB) from which the
-//     spline coefficients are reconstructed on the fly by a finite-
-//     difference formula.
+// electron-cloud density, and embedding energy — in the compacted layout of
+// the paper's §2.1.2: 5000 sampled values (~39 KB) per table, from which the
+// spline coefficients are reconstructed on the fly by a finite-difference
+// formula, so a table fits the Sunway CPE's 64 KB local store. The
+// traditional layout it replaces — 5000×7 coefficient rows (~273 KB), as in
+// LAMMPS and CoMD — is never built: TableBytes reports its size, and the
+// tests keep it as the oracle the compacted tables are checked against.
 //
 // The underlying analytic model is a Finnis-Sinclair-type iron potential
 // with a ZBL screened-Coulomb core blended in at short range so that the

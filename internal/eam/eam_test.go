@@ -2,6 +2,7 @@ package eam
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -141,9 +142,9 @@ func TestCompactedAndTraditionalAgree(t *testing.T) {
 		val   *Table
 		coeff *CoeffTable
 	}{
-		"pair":    {p.pair[fe][fe].val, p.pair[fe][fe].coeff},
-		"density": {p.dens[fe][fe].val, p.dens[fe][fe].coeff},
-		"embed":   {p.embed[fe].val, p.embed[fe].coeff},
+		"pair":    {p.pair[fe][fe], BuildCoeff(p.pair[fe][fe])},
+		"density": {p.dens[fe][fe], BuildCoeff(p.dens[fe][fe])},
+		"embed":   {p.embed[fe], BuildCoeff(p.embed[fe])},
 	}
 	for kind, l := range layouts {
 		if d := maxAbsDiff(l.val, l.coeff, 10000); d > 1e-10 {
@@ -168,11 +169,10 @@ func maxAbsDiff(t *Table, ct *CoeffTable, m int) float64 {
 
 func TestModeSelection(t *testing.T) {
 	pc := NewFe(Compacted, 1000)
-	pt := pc.WithMode(Traditional)
-	pa := pc.WithMode(Analytic)
+	pa := NewFe(Analytic, 1000)
 	r := 2.6
 	vc, _ := pc.Pair(units.Fe, units.Fe, r)
-	vt, _ := pt.Pair(units.Fe, units.Fe, r)
+	vt, _ := BuildCoeff(pc.pair[units.Fe][units.Fe]).Eval(r)
 	va, _ := pa.Pair(units.Fe, units.Fe, r)
 	if math.Abs(vc-vt) > 1e-12 {
 		t.Errorf("compacted %v vs traditional %v", vc, vt)
@@ -234,6 +234,35 @@ func TestCompactedFitsLocalStoreTraditionalDoesNot(t *testing.T) {
 	}
 	if traditional <= ldm {
 		t.Errorf("traditional table (%d B) unexpectedly fits the local store", traditional)
+	}
+}
+
+// TestPotentialHeapFootprint pins what a potential keeps alive: its
+// compacted tables — pair and density per ordered species pair, embedding
+// per species — and nothing of the size of the 7-coefficient-row layout.
+func TestPotentialHeapFootprint(t *testing.T) {
+	const slack = 64 << 10 // structs, headers and size-class rounding
+	for _, tc := range []struct {
+		name   string
+		build  func(Mode, int) *Potential
+		tables int
+	}{
+		{"Fe", NewFe, 3},
+		{"FeCu", NewFeCu, 10},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		p := tc.build(Compacted, TablePoints)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		limit := int64(tc.tables*p.pair[units.Fe][units.Fe].Bytes() + slack)
+		if retained > limit {
+			t.Errorf("%s: potential retains %d B of heap, want at most %d B (%d tables + slack)",
+				tc.name, retained, limit, tc.tables)
+		}
+		runtime.KeepAlive(p)
 	}
 }
 
@@ -316,10 +345,10 @@ func BenchmarkPairCompacted(b *testing.B) {
 }
 
 func BenchmarkPairTraditional(b *testing.B) {
-	p := NewFe(Traditional, TablePoints)
+	ct := BuildCoeff(NewFe(Compacted, TablePoints).pair[units.Fe][units.Fe])
 	r := 2.6
 	for i := 0; i < b.N; i++ {
-		_, _ = p.Pair(units.Fe, units.Fe, r)
+		_, _ = ct.Eval(r)
 	}
 }
 

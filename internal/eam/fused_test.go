@@ -15,7 +15,7 @@ import (
 // result between the two sides of a pair, so any divergence here would break
 // its bit-identity with the full-iteration reference.
 func TestPairDensityMatchesSeparateEvals(t *testing.T) {
-	for _, mode := range []Mode{Analytic, Compacted, Traditional} {
+	for _, mode := range []Mode{Analytic, Compacted} {
 		pot := NewFeCu(mode, 600)
 		pairs := [][2]units.Element{
 			{units.Fe, units.Fe},
@@ -60,7 +60,7 @@ func TestPairDensityMatchesSeparateEvals(t *testing.T) {
 // specifically to make this hold; the half-neighbor kernel evaluates each
 // unlike pair from only one side and relies on it.
 func TestPairAnalyticBitwiseSymmetric(t *testing.T) {
-	for _, mode := range []Mode{Analytic, Compacted, Traditional} {
+	for _, mode := range []Mode{Analytic, Compacted} {
 		pot := NewFeCu(mode, 600)
 		const probes = 4000
 		for k := 0; k <= probes; k++ {

@@ -6,7 +6,8 @@ import (
 	"mdkmc/internal/units"
 )
 
-// Mode selects how the potential is evaluated.
+// Mode selects how the potential is evaluated. The values are recorded in
+// md.Config.Hash, so they are never renumbered.
 type Mode int
 
 const (
@@ -16,9 +17,6 @@ const (
 	// Compacted evaluates through the compacted value tables with on-the-fly
 	// coefficient reconstruction (the paper's optimization, 39 KB/table).
 	Compacted
-	// Traditional evaluates through the precomputed 5000x7 coefficient
-	// tables (the LAMMPS/CoMD layout, 273 KB/table).
-	Traditional
 )
 
 func (m Mode) String() string {
@@ -27,21 +25,8 @@ func (m Mode) String() string {
 		return "analytic"
 	case Compacted:
 		return "compacted"
-	case Traditional:
-		return "traditional"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// tableSet holds both layouts for one tabulated function.
-type tableSet struct {
-	val   *Table
-	coeff *CoeffTable
-}
-
-func newTableSet(fn func(float64) float64, x0, x1 float64, n int) tableSet {
-	t := NewTable(fn, x0, x1, n)
-	return tableSet{val: t, coeff: BuildCoeff(t)}
 }
 
 // Potential is the complete EAM parametrization for a set of species: pair
@@ -54,9 +39,9 @@ type Potential struct {
 	RMin     float64
 	Elements []units.Element
 
-	pair  [units.NumElements][units.NumElements]tableSet
-	dens  [units.NumElements][units.NumElements]tableSet
-	embed [units.NumElements]tableSet
+	pair  [units.NumElements][units.NumElements]*Table
+	dens  [units.NumElements][units.NumElements]*Table
+	embed [units.NumElements]*Table
 
 	rhoMax float64
 }
@@ -106,17 +91,17 @@ func build(mode Mode, points int, elems []units.Element) *Potential {
 	for _, a := range elems {
 		for _, b := range elems {
 			a, b := a, b
-			p.pair[a][b] = newTableSet(func(r float64) float64 {
+			p.pair[a][b] = NewTable(func(r float64) float64 {
 				v, _ := PairAnalytic(a, b, r)
 				return v
 			}, tableRMin, p.Cutoff, points)
-			p.dens[a][b] = newTableSet(func(r float64) float64 {
+			p.dens[a][b] = NewTable(func(r float64) float64 {
 				v, _ := DensityAnalytic(a, b, r)
 				return v
 			}, tableRMin, p.Cutoff, points)
 		}
 		a := a
-		p.embed[a] = newTableSet(func(rho float64) float64 {
+		p.embed[a] = NewTable(func(rho float64) float64 {
 			v, _ := EmbedAnalytic(a, rho)
 			return v
 		}, 0, p.rhoMax, points)
@@ -124,27 +109,15 @@ func build(mode Mode, points int, elems []units.Element) *Potential {
 	return p
 }
 
-// WithMode returns a shallow copy of p that evaluates in the given mode;
-// the (immutable) tables are shared.
-func (p *Potential) WithMode(m Mode) *Potential {
-	q := *p
-	q.Mode = m
-	return &q
-}
-
 // Pair returns φ_ab(r) and its derivative.
 func (p *Potential) Pair(a, b units.Element, r float64) (v, dv float64) {
 	if r >= p.Cutoff {
 		return 0, 0
 	}
-	switch p.Mode {
-	case Analytic:
+	if p.Mode == Analytic {
 		return PairAnalytic(a, b, r)
-	case Traditional:
-		return p.pair[a][b].coeff.Eval(r)
-	default:
-		return p.pair[a][b].val.Eval(r)
 	}
+	return p.pair[a][b].Eval(r)
 }
 
 // Density returns f_ab(r) — the density a neighbor of species b contributes
@@ -153,14 +126,10 @@ func (p *Potential) Density(a, b units.Element, r float64) (v, dv float64) {
 	if r >= p.Cutoff {
 		return 0, 0
 	}
-	switch p.Mode {
-	case Analytic:
+	if p.Mode == Analytic {
 		return DensityAnalytic(a, b, r)
-	case Traditional:
-		return p.dens[a][b].coeff.Eval(r)
-	default:
-		return p.dens[a][b].val.Eval(r)
 	}
+	return p.dens[a][b].Eval(r)
 }
 
 // PairDensity is the fused per-pair evaluation of the force kernel's three
@@ -175,8 +144,7 @@ func (p *Potential) PairDensity(a, b units.Element, r float64) (phi, dphi, fab, 
 	if r >= p.Cutoff {
 		return
 	}
-	switch p.Mode {
-	case Analytic:
+	if p.Mode == Analytic {
 		phi, dphi = PairAnalytic(a, b, r)
 		fab, dfab = DensityAnalytic(a, b, r)
 		if a == b {
@@ -184,38 +152,16 @@ func (p *Potential) PairDensity(a, b units.Element, r float64) (phi, dphi, fab, 
 		} else {
 			fba, dfba = DensityAnalytic(b, a, r)
 		}
-	case Traditional:
-		pt := p.pair[a][b].coeff
-		s := (r - pt.X0) / pt.Dx
-		n := len(pt.C)
-		var i int
-		var u float64
-		switch {
-		case s <= 0:
-			i, u = 0, 0
-		case s >= float64(n):
-			i, u = n-1, 1
-		default:
-			i = int(s)
-			u = s - float64(i)
-		}
-		phi, dphi = pt.evalSeg(i, u)
-		fab, dfab = p.dens[a][b].coeff.evalSeg(i, u)
-		if a == b {
-			fba, dfba = fab, dfab
-		} else {
-			fba, dfba = p.dens[b][a].coeff.evalSeg(i, u)
-		}
-	default:
-		pt := p.pair[a][b].val
-		i, u := pt.locate(r)
-		phi, dphi = pt.evalSeg(i, u)
-		fab, dfab = p.dens[a][b].val.evalSeg(i, u)
-		if a == b {
-			fba, dfba = fab, dfab
-		} else {
-			fba, dfba = p.dens[b][a].val.evalSeg(i, u)
-		}
+		return
+	}
+	pt := p.pair[a][b]
+	i, u := pt.locate(r)
+	phi, dphi = pt.evalSeg(i, u)
+	fab, dfab = p.dens[a][b].evalSeg(i, u)
+	if a == b {
+		fba, dfba = fab, dfab
+	} else {
+		fba, dfba = p.dens[b][a].evalSeg(i, u)
 	}
 	return
 }
@@ -233,23 +179,20 @@ func PairDensityEvals(a, b units.Element) int64 {
 
 // Embed returns F_a(ρ) and its derivative.
 func (p *Potential) Embed(a units.Element, rho float64) (v, dv float64) {
-	switch p.Mode {
-	case Analytic:
+	if p.Mode == Analytic {
 		return EmbedAnalytic(a, rho)
-	case Traditional:
-		return p.embed[a].coeff.Eval(rho)
-	default:
-		return p.embed[a].val.Eval(rho)
 	}
+	return p.embed[a].Eval(rho)
 }
 
 // RhoMax returns the upper bound of the embedding table's density range.
 func (p *Potential) RhoMax() float64 { return p.rhoMax }
 
-// TableBytes returns the per-table memory of the two layouts (compacted,
-// traditional) at the potential's resolution — the quantities compared
-// against the 64 KB local store in §2.1.2.
+// TableBytes returns the per-table memory of the compacted layout the
+// potential holds and of the traditional 7-coefficient-row layout it replaces
+// (LAMMPS, CoMD), both at the potential's resolution — the quantities
+// compared against the 64 KB local store in §2.1.2.
 func (p *Potential) TableBytes() (compacted, traditional int) {
 	t := p.pair[p.Elements[0]][p.Elements[0]]
-	return t.val.Bytes(), t.coeff.Bytes()
+	return t.Bytes(), 7 * 8 * t.N()
 }

@@ -134,18 +134,17 @@ func (b *Box) SpanCells(n, i int) (lo, hi int) { return span(b.OwnedCells(), n, 
 // primitive of passes that sweep the full halo, such as the embedding fill.
 func (b *Box) SpanLocalSites(n, i int) (lo, hi int) { return span(b.NumLocalSites(), n, i) }
 
-// Grid is a Cartesian process grid over the lattice cells. By default each
-// dimension is split uniformly (span); a grid built by NewGridCuts instead
-// carries explicit slab boundaries per dimension, the geometry the
-// telemetry-driven repartitioner and the elastic-restart re-shard loader
-// work in.
+// Grid is a rectilinear process grid over the lattice cells. NewGrid splits
+// each dimension uniformly (span); NewGridCuts takes explicit slab
+// boundaries, the geometry the telemetry-driven repartitioner and the
+// elastic-restart re-shard loader work in. Both store the boundaries the
+// same way.
 type Grid struct {
 	L          *Lattice
 	Px, Py, Pz int
 
-	// cuts, when non-nil in a dimension, are the P_d+1 strictly increasing
-	// slab boundaries of that dimension (first 0, last N_d). A nil slice
-	// means the uniform span() split.
+	// cuts are the P_d+1 strictly increasing slab boundaries of each
+	// dimension (first 0, last N_d).
 	cuts [3][]int
 }
 
@@ -158,8 +157,9 @@ type ShardSource struct {
 	Open func(rank int) (io.ReadCloser, error)
 }
 
-// NewGrid validates and builds a process grid. Each dimension of the process
-// grid must not exceed the cell count of that dimension.
+// NewGrid validates and builds a uniformly split process grid. Each
+// dimension of the process grid must not exceed the cell count of that
+// dimension.
 func NewGrid(l *Lattice, px, py, pz int) (*Grid, error) {
 	if px <= 0 || py <= 0 || pz <= 0 {
 		return nil, fmt.Errorf("lattice: non-positive process grid %dx%dx%d", px, py, pz)
@@ -168,7 +168,15 @@ func NewGrid(l *Lattice, px, py, pz int) (*Grid, error) {
 		return nil, fmt.Errorf("lattice: process grid %dx%dx%d exceeds cells %dx%dx%d",
 			px, py, pz, l.Nx, l.Ny, l.Nz)
 	}
-	return &Grid{L: l, Px: px, Py: py, Pz: pz}, nil
+	g := &Grid{L: l, Px: px, Py: py, Pz: pz}
+	dims := [3]int{l.Nx, l.Ny, l.Nz}
+	for d, p := range [3]int{px, py, pz} {
+		g.cuts[d] = make([]int, p+1)
+		for i := 0; i < p; i++ {
+			_, g.cuts[d][i+1] = span(dims[d], p, i)
+		}
+	}
+	return g, nil
 }
 
 // NewGridCuts builds a rectilinear process grid with explicit slab
@@ -206,24 +214,12 @@ func NewGridCuts(l *Lattice, px, py, pz int, cuts [3][]int) (*Grid, error) {
 	return g, nil
 }
 
-// Cuts returns the materialized slab boundaries of every dimension (the
-// uniform span boundaries when no explicit cuts were set): cuts[d] has
-// P_d+1 entries, first 0, last the cell count. The result is a copy.
+// Cuts returns the slab boundaries of every dimension: cuts[d] has P_d+1
+// entries, first 0, last the cell count. The result is a copy.
 func (g *Grid) Cuts() [3][]int {
-	dims := [3]int{g.L.Nx, g.L.Ny, g.L.Nz}
-	ps := [3]int{g.Px, g.Py, g.Pz}
 	var out [3][]int
-	for d := 0; d < 3; d++ {
-		out[d] = make([]int, ps[d]+1)
-		if g.cuts[d] != nil {
-			copy(out[d], g.cuts[d])
-			continue
-		}
-		for i := 0; i < ps[d]; i++ {
-			lo, hi := span(dims[d], ps[d], i)
-			out[d][i] = lo
-			out[d][i+1] = hi
-		}
+	for d, cs := range g.cuts {
+		out[d] = append([]int(nil), cs...)
 	}
 	return out
 }
@@ -260,25 +256,12 @@ func span(n, p, i int) (lo, hi int) {
 	return
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Box returns the subdomain owned by rank r with the given ghost width.
 func (g *Grid) Box(r, ghost int) *Box {
 	x, y, z := g.RankCoord(r)
 	b := &Box{L: g.L, Ghost: ghost}
 	for d, slot := range [3]int{x, y, z} {
-		if cs := g.cuts[d]; cs != nil {
-			b.Lo[d], b.Hi[d] = cs[slot], cs[slot+1]
-		} else {
-			dims := [3]int{g.L.Nx, g.L.Ny, g.L.Nz}
-			ps := [3]int{g.Px, g.Py, g.Pz}
-			b.Lo[d], b.Hi[d] = span(dims[d], ps[d], slot)
-		}
+		b.Lo[d], b.Hi[d] = g.cuts[d][slot], g.cuts[d][slot+1]
 	}
 	return b
 }
@@ -289,19 +272,14 @@ func (g *Grid) RankOfCell(x, y, z int32) int {
 }
 
 // Slot returns which of the P_d slabs of dimension d contains cell
-// coordinate v (wrapped periodically), consulting explicit cuts when
-// present. The grid is rectilinear, so a cell's owner is the rank at its
-// three slots.
+// coordinate v (wrapped periodically). The grid is rectilinear, so a cell's
+// owner is the rank at its three slots.
 func (g *Grid) Slot(d int, v int32) int {
 	n := [3]int{g.L.Nx, g.L.Ny, g.L.Nz}[d]
-	p := [3]int{g.Px, g.Py, g.Pz}[d]
 	w := int(wrapInt(v, int32(n)))
 	cs := g.cuts[d]
-	if cs == nil {
-		return slotOf(w, n, p)
-	}
 	// Binary search: largest i with cs[i] <= w.
-	lo, hi := 0, p-1
+	lo, hi := 0, len(cs)-2
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		if cs[mid] <= w {
@@ -311,18 +289,4 @@ func (g *Grid) Slot(d int, v int32) int {
 		}
 	}
 	return lo
-}
-
-// slotOf inverts span: which of the p slots contains cell v of n.
-func slotOf(v, n, p int) int {
-	base, rem := n/p, n%p
-	// First rem slots have base+1 cells.
-	boundary := rem * (base + 1)
-	if v < boundary {
-		return v / (base + 1)
-	}
-	if base == 0 {
-		return rem - 1 // unreachable when grid validated: p <= n
-	}
-	return rem + (v-boundary)/base
 }

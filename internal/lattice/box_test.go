@@ -207,10 +207,14 @@ func TestSpanSlotOfInverse(t *testing.T) {
 		if p > n {
 			p = n
 		}
+		g, err := NewGrid(New(n, 1, 1, a0), p, 1, 1)
+		if err != nil {
+			return false
+		}
 		for i := 0; i < p; i++ {
 			lo, hi := span(n, p, i)
 			for v := lo; v < hi; v++ {
-				if slotOf(v, n, p) != i {
+				if g.Slot(0, int32(v)) != i {
 					return false
 				}
 			}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdkmc/internal/eam"
 	"mdkmc/internal/telemetry"
 )
 
@@ -121,6 +122,34 @@ func TestHTTPSubmitRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("tenant quota status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
+}
+
+// TestHTTPRejectsOversizedJobs: a job whose tables or box exceed the
+// admission bounds is a 400, so no runner ever allocates it; a job exactly
+// at both bounds is admitted.
+func TestHTTPRejectsOversizedJobs(t *testing.T) {
+	ts, _, r := httpServer(t, nil)
+	for name, body := range map[string]string{
+		"table-points":   `{"type":"md","table_points":1000000000}`,
+		"sites":          `{"type":"kmc","cells":[128,128,65]}`,
+		"sites-overflow": `{"type":"md","cells":[4294967296,4294967296,4294967296]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: oversized job %s admitted with status %d", name, body, resp.StatusCode)
+		}
+	}
+	atLimit := JobSpec{Type: TypeMD, Cells: [3]int{128, 128, 64}, TablePoints: eam.TablePoints}
+	resp, st := postJob(t, ts, "", atLimit)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("job at the %d-site, %d-point limits refused with status %d", maxSites, eam.TablePoints, resp.StatusCode)
+	}
+	nextStarted(t, r)
+	r.finish(st.ID, RunResult{}, nil)
 }
 
 func TestHTTPInjectFaultReachesRunner(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"mdkmc"
 	"mdkmc/internal/couple"
+	"mdkmc/internal/eam"
 )
 
 // Job types accepted by the server.
@@ -62,6 +63,12 @@ type JobSpec struct {
 // DefaultTenant is assumed when a spec names none.
 const DefaultTenant = "default"
 
+// maxSites bounds the lattice sites of one job's box: 2²¹ sites is about
+// 1.3 GB of MD state at 626 B/atom. Admission refuses larger boxes, and
+// table resolutions above eam.TablePoints, rather than let one job's
+// allocation take the whole server down.
+const maxSites = 1 << 21
+
 // normalize fills the scheduling defaults in place.
 func (s *JobSpec) normalize() {
 	if s.Tenant == "" {
@@ -93,6 +100,16 @@ func (s *JobSpec) Validate() error {
 				return fmt.Errorf("serve: non-positive cell count %v", s.Cells)
 			}
 		}
+	}
+	sites := 2
+	for _, n := range s.box() {
+		if n > maxSites/sites {
+			return fmt.Errorf("serve: %v cells exceed the %d-site job limit", s.box(), maxSites)
+		}
+		sites *= n
+	}
+	if s.TablePoints > eam.TablePoints {
+		return fmt.Errorf("serve: table_points %d exceeds %d", s.TablePoints, eam.TablePoints)
 	}
 	switch s.Type {
 	case TypeMD:
@@ -254,14 +271,7 @@ func (s *JobSpec) maxFeasibleSlots(cap int) int {
 	if cap < want {
 		want = cap
 	}
-	cells := s.Cells
-	if cells == ([3]int{}) {
-		if s.Type == TypeKMC {
-			cells = mdkmc.DefaultKMCConfig().Cells
-		} else {
-			cells = mdkmc.DefaultMDConfig().Cells
-		}
-	}
+	cells := s.box()
 	minWidth := s.minWidth()
 	for n := want; n > 1; n-- {
 		if _, err := mdkmc.ChooseGrid(cells, n, minWidth); err == nil {
@@ -269,6 +279,18 @@ func (s *JobSpec) maxFeasibleSlots(cap int) int {
 		}
 	}
 	return 1
+}
+
+// box returns the job's cell counts, the type's default when unset.
+func (s *JobSpec) box() [3]int {
+	switch {
+	case s.Cells != ([3]int{}):
+		return s.Cells
+	case s.Type == TypeKMC:
+		return mdkmc.DefaultKMCConfig().Cells
+	default:
+		return mdkmc.DefaultMDConfig().Cells
+	}
 }
 
 // configHash is the checkpoint-compatibility digest of this spec's
