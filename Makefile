@@ -10,9 +10,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-spectrum figures
+.PHONY: check fmt-check p2p-owner determinism no-env build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-spectrum figures
 
-check: fmt-check p2p-owner determinism vet lint build race
+check: fmt-check p2p-owner determinism no-env vet lint build race
 
 # gofmt gate: any unformatted file fails. The analyzer fixtures under
 # testdata/ are exempt (some are unformatted on purpose).
@@ -38,6 +38,14 @@ determinism:
 	@out=$$(grep -rnE '\btime\.(Now|Since|Until)\b|"math/rand' --include='*.go' internal | grep -v '_test\.go:' | grep -v '/testdata/' | \
 		grep -vE '^internal/(telemetry|analysis)/' || true); \
 	if [ -n "$$out" ]; then echo "wall-clock reads or math/rand outside internal/telemetry:"; echo "$$out"; exit 1; fi
+
+# Environment gate (DESIGN.md §10): a run is described by its flags,
+# config and Checkpoint value alone, so no non-test code anywhere in the
+# module reads an environment variable. The analyzer fixtures under
+# testdata/ are exempt.
+no-env:
+	@out=$$(grep -rnE '\bos\.(Getenv|LookupEnv|Environ)\b' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "environment reads in non-test code:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -32,7 +32,7 @@ func main() {
 	run := cliutil.RegisterRunFlags("kmcsim", "KMC cycles", 10, "kmc-cycle, checkpoint-commit")
 	flag.Parse()
 
-	faults, err := run.Faults()
+	ck, err := run.Checkpoint()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,9 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := mdkmc.RunKMCCheckpointed(cfg, *cycles, 0, run.Checkpoint(),
-		mdkmc.WithFaults(faults...), mdkmc.WithTelemetry(run.Telemetry()),
-		mdkmc.WithPreemption(cliutil.PreemptOnSignal("kmcsim")))
+	res, err := mdkmc.RunKMCCheckpointed(cfg, *cycles, 0, ck, mdkmc.WithTelemetry(run.Telemetry()))
 	if run.Interrupted(err) {
 		return
 	}

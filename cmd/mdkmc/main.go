@@ -40,7 +40,7 @@ func main() {
 	run := cliutil.RegisterRunFlags("mdkmc", "MD steps / KMC cycles", 50, "md-step, kmc-cycle, checkpoint-commit")
 	flag.Parse()
 
-	faults, err := run.Faults()
+	ck, err := run.Checkpoint()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,11 +71,9 @@ func main() {
 		MD:         mcfg,
 		KMCCycles:  *cycles,
 		Protocol:   mdkmc.ProtocolOnDemand,
-		Checkpoint: run.Checkpoint(),
+		Checkpoint: ck,
 		Rebalance:  mdkmc.Rebalance{Every: *rebalEvery},
-		Faults:     faults,
 		Telemetry:  run.Telemetry(),
-		Preempt:    cliutil.PreemptOnSignal("mdkmc"),
 	}
 
 	if *campaignIters > 0 {

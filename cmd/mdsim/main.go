@@ -34,7 +34,7 @@ func main() {
 	run := cliutil.RegisterRunFlags("mdsim", "MD steps", 50, "md-step, checkpoint-commit")
 	flag.Parse()
 
-	faults, err := run.Faults()
+	ck, err := run.Checkpoint()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,9 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := mdkmc.RunMDCheckpointed(cfg, run.Checkpoint(),
-		mdkmc.WithFaults(faults...), mdkmc.WithTelemetry(run.Telemetry()),
-		mdkmc.WithPreemption(cliutil.PreemptOnSignal("mdsim")))
+	res, err := mdkmc.RunMDCheckpointed(cfg, ck, mdkmc.WithTelemetry(run.Telemetry()))
 	if run.Interrupted(err) {
 		return
 	}

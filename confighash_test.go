@@ -22,10 +22,8 @@ var hashNeutral = map[string]string{
 	"kmc.Config.Protocol": "bit-identical communication knob (DESIGN.md §7): all three ghost protocols yield the same trajectory",
 
 	"couple.Config.Protocol":   "bit-identical communication knob (DESIGN.md §7), as kmc.Config.Protocol",
-	"couple.Config.Checkpoint": "snapshot cadence must not pin a checkpoint to the schedule that produced it",
+	"couple.Config.Checkpoint": "fault-tolerance settings: snapshot cadence and crash plan must not pin a checkpoint to the schedule that produced it, and an evicted run resumes under the same digest",
 	"couple.Config.Rebalance":  "topology knob (DESIGN.md §14): repartitioning redistributes work without changing the trajectory",
-	"couple.Config.Faults":     "injected-failure plan: a snapshot must not be pinned to the crash schedule that produced it",
-	"couple.Config.Preempt":    "eviction machinery: the evicted run must resume under the same configuration digest",
 	"couple.Config.Telemetry":  "observability knob: an instrumented run is bit-identical to an uninstrumented one",
 }
 
@@ -61,7 +59,7 @@ func TestConfigHashCoversEveryField(t *testing.T) {
 		TThreshold: 1e-3,
 		Protocol:   kmc.OnDemand,
 		Campaign: couple.CampaignSpec{
-			Iters: 2, DoseIncrement: 1e-3, Energy: 500, Ed: 40,
+			Iters: 2, DoseIncrement: 1e-3, Energy: 500,
 			MinSeparation: 7,
 		},
 		Checkpoint: couple.Checkpoint{Dir: "ckpt", Every: 5},

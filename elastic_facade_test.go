@@ -65,8 +65,9 @@ func TestRunMDCheckpointedElasticRestart(t *testing.T) {
 	}
 
 	ck := mdkmc.Checkpoint{Dir: t.TempDir(), Every: 20}
-	_, err = mdkmc.RunMDCheckpointed(cfg, ck,
-		mdkmc.WithFaults(mdkmc.Fault{Rank: 1, Point: mdkmc.FaultPointMDStep, Step: 50}))
+	crash := ck
+	crash.Faults = []mdkmc.Fault{{Rank: 1, Point: mdkmc.FaultPointMDStep, Step: 50}}
+	_, err = mdkmc.RunMDCheckpointed(cfg, crash)
 	var inj mdkmc.InjectedFault
 	if !errors.As(err, &inj) {
 		t.Fatalf("crashed run returned %v, want the injected fault", err)
@@ -128,8 +129,9 @@ func TestRunKMCCheckpointedElasticRestart(t *testing.T) {
 	}
 
 	ck := mdkmc.Checkpoint{Dir: t.TempDir(), Every: 4}
-	_, err = mdkmc.RunKMCCheckpointed(cfg, cycles, 0, ck,
-		mdkmc.WithFaults(mdkmc.Fault{Rank: 0, Point: mdkmc.FaultPointKMCCycle, Step: 9}))
+	crash := ck
+	crash.Faults = []mdkmc.Fault{{Rank: 0, Point: mdkmc.FaultPointKMCCycle, Step: 9}}
+	_, err = mdkmc.RunKMCCheckpointed(cfg, cycles, 0, crash)
 	var inj mdkmc.InjectedFault
 	if !errors.As(err, &inj) {
 		t.Fatalf("crashed run returned %v, want the injected fault", err)

@@ -41,7 +41,10 @@ type (
 	ClusterAnalysis = cluster.Analysis
 	// Coord identifies a lattice site.
 	Coord = lattice.Coord
-	// Checkpoint configures periodic snapshots and restart.
+	// Checkpoint is a run's fault-tolerance settings: periodic snapshots,
+	// restart, checkpoint-backed eviction (Preempt) and injected failures
+	// (Faults). Every run kind takes one: the Run*Checkpointed argument, or
+	// CoupledConfig.Checkpoint for coupled and campaign runs.
 	Checkpoint = couple.Checkpoint
 	// Manifest describes one committed snapshot (see LatestCheckpoint).
 	Manifest = couple.Manifest
@@ -58,24 +61,21 @@ type (
 	// min/mean/max-aggregated across ranks.
 	TelemetryReport = telemetry.Report
 	// Preemptor carries an asynchronous checkpoint-and-stop request into a
-	// run (WithPreemption, or CoupledConfig.Preempt for coupled/campaign
-	// runs). See DESIGN.md §16.
+	// run through Checkpoint.Preempt: on Request the run stops at its next
+	// step/cycle boundary, commits a final snapshot and returns
+	// ErrPreempted; resume with Checkpoint.Restart. See DESIGN.md §16.
 	Preemptor = couple.Preemptor
 	// MDResult summarizes an MD run.
 	MDResult = couple.MDResult
 	// KMCResult summarizes a KMC run.
 	KMCResult = couple.KMCResult
-	// RunOption customizes a Run*Checkpointed call.
+	// RunOption customizes a Run*Checkpointed call (WithTelemetry).
 	RunOption = couple.RunOption
 )
 
 // ErrPreempted is returned by a run stopped by a Preemptor after committing
 // a resumable snapshot; test with errors.Is and resume via Checkpoint.Restart.
 var ErrPreempted = couple.ErrPreempted
-
-// WithFaults schedules injected rank failures (in addition to any plan in
-// MDKMC_FAULT) for recovery testing.
-func WithFaults(faults ...Fault) RunOption { return couple.WithFaults(faults...) }
 
 // WithTelemetry attaches the observability layer to the run: per-rank phase
 // spans and comm counters, periodic JSONL flush, optional HTTP exposition,
@@ -84,14 +84,6 @@ func WithFaults(faults ...Fault) RunOption { return couple.WithFaults(faults...)
 // run without it.
 func WithTelemetry(opts TelemetryOptions) RunOption { return couple.WithTelemetry(opts) }
 
-// WithPreemption arms checkpoint-backed eviction: when p.Request is called
-// from another goroutine, the run stops at its next step/cycle boundary,
-// writes one final snapshot through the checkpoint coordinator (when one is
-// configured), and returns ErrPreempted. Resume the job by re-running the
-// same configuration with Checkpoint.Restart — on the same topology the
-// continuation is bit-identical; on a different one it re-shards elastically.
-func WithPreemption(p *Preemptor) RunOption { return couple.WithPreemption(p) }
-
 // Fault-injection points understood by Fault.Point (ParseFaults also
 // accepts "checkpoint-commit", the point inside the snapshot commit).
 const (
@@ -99,8 +91,10 @@ const (
 	FaultPointKMCCycle = mpi.PointKMCCycle
 )
 
-// ParseFaults parses a comma-separated "point:rank:step" fault plan, the
-// same syntax the MDKMC_FAULT environment variable accepts.
+// ParseFaults parses a comma-separated "point:rank:step" fault plan for
+// Checkpoint.Faults — the syntax of the CLIs' -inject-fault flag and the
+// job server's ?inject-fault= parameter. A point other than md-step,
+// kmc-cycle or checkpoint-commit is an error.
 func ParseFaults(s string) ([]Fault, error) { return mpi.ParseFaults(s) }
 
 // KMC communication protocols (paper §2.2.1).
@@ -123,8 +117,8 @@ func RunMD(cfg MDConfig) (*MDResult, error) { return couple.RunMD(cfg, Checkpoin
 // RunMDCheckpointed is RunMD with periodic snapshots and restart: with
 // ck.Dir set, all ranks are snapshotted every ck.Every steps, and ck.Restart
 // resumes from the newest valid snapshot, bit-identical to an uninterrupted
-// run. Options inject faults (WithFaults, plus any in MDKMC_FAULT), attach
-// telemetry (WithTelemetry) and arm preemption (WithPreemption).
+// run. ck also arms its fault plan and preemptor; WithTelemetry attaches
+// telemetry.
 func RunMDCheckpointed(cfg MDConfig, ck Checkpoint, opts ...RunOption) (*MDResult, error) {
 	return couple.RunMD(cfg, ck, opts...)
 }

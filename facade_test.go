@@ -195,8 +195,9 @@ func TestRunKMCCheckpointedRestart(t *testing.T) {
 
 	dir := t.TempDir()
 	ck := mdkmc.Checkpoint{Dir: dir, Every: 4}
-	_, err = mdkmc.RunKMCCheckpointed(cfg, cycles, 0, ck,
-		mdkmc.WithFaults(mdkmc.Fault{Rank: 0, Point: mdkmc.FaultPointKMCCycle, Step: 9}))
+	crash := ck
+	crash.Faults = []mdkmc.Fault{{Rank: 0, Point: mdkmc.FaultPointKMCCycle, Step: 9}}
+	_, err = mdkmc.RunKMCCheckpointed(cfg, cycles, 0, crash)
 	var inj mdkmc.InjectedFault
 	if !errors.As(err, &inj) {
 		t.Fatalf("crashed run returned %v, want the injected fault", err)
@@ -237,8 +238,9 @@ func TestRunMDCheckpointedRestart(t *testing.T) {
 
 	dir := t.TempDir()
 	ck := mdkmc.Checkpoint{Dir: dir, Every: 10}
-	_, err = mdkmc.RunMDCheckpointed(cfg, ck,
-		mdkmc.WithFaults(mdkmc.Fault{Rank: 0, Point: mdkmc.FaultPointMDStep, Step: 25}))
+	crash := ck
+	crash.Faults = []mdkmc.Fault{{Rank: 0, Point: mdkmc.FaultPointMDStep, Step: 25}}
+	_, err = mdkmc.RunMDCheckpointed(cfg, crash)
 	var inj mdkmc.InjectedFault
 	if !errors.As(err, &inj) {
 		t.Fatalf("crashed run returned %v, want the injected fault", err)

@@ -49,13 +49,20 @@ func RegisterRunFlags(name, cadence string, every int, faultPoints string) *RunF
 	}
 }
 
-// Checkpoint returns the snapshot policy the flags ask for.
-func (f *RunFlags) Checkpoint() mdkmc.Checkpoint {
-	return mdkmc.Checkpoint{Dir: *f.ckptDir, Every: *f.ckptEvery, Keep: *f.ckptKeep, Restart: *f.restart}
+// Checkpoint returns the run's fault-tolerance settings: the snapshot
+// policy, the parsed -inject-fault plan, and a preemptor armed by
+// SIGINT/SIGTERM. A malformed plan, or one naming a point no run arms, is an
+// error.
+func (f *RunFlags) Checkpoint() (mdkmc.Checkpoint, error) {
+	faults, err := mdkmc.ParseFaults(*f.faultSpec)
+	if err != nil {
+		return mdkmc.Checkpoint{}, err
+	}
+	return mdkmc.Checkpoint{
+		Dir: *f.ckptDir, Every: *f.ckptEvery, Keep: *f.ckptKeep, Restart: *f.restart,
+		Faults: faults, Preempt: preemptOnSignal(f.name),
+	}, nil
 }
-
-// Faults parses the -inject-fault plan.
-func (f *RunFlags) Faults() ([]mdkmc.Fault, error) { return mdkmc.ParseFaults(*f.faultSpec) }
 
 // Telemetry returns the observability options; any of the output flags
 // implies -metrics.

@@ -3,11 +3,14 @@ package cliutil
 import (
 	"flag"
 	"testing"
+
+	"mdkmc"
 )
 
 // TestRunFlags pins what the three simulation CLIs get from the shared
-// registration: the parameterised help strings, the implied -metrics, and
-// the -restart-ranks rule.
+// registration: the parameterised help strings, the implied -metrics, the
+// -restart-ranks rule, and the one Checkpoint value the snapshot and fault
+// flags build.
 func TestRunFlags(t *testing.T) {
 	f := RegisterRunFlags("prog", "KMC cycles", 10, "kmc-cycle, checkpoint-commit")
 	for name, usage := range map[string]string{
@@ -19,8 +22,8 @@ func TestRunFlags(t *testing.T) {
 			t.Errorf("-%s usage %q, want %q", name, got, usage)
 		}
 	}
-	if ck := f.Checkpoint(); ck.Every != 10 || ck.Dir != "" || ck.Restart {
-		t.Errorf("default checkpoint policy %+v", ck)
+	if ck, err := f.Checkpoint(); err != nil || ck.Every != 10 || ck.Dir != "" || ck.Restart || ck.Faults != nil || ck.Preempt == nil {
+		t.Errorf("default checkpoint policy %+v, err %v", ck, err)
 	}
 	if f.Telemetry().Enabled {
 		t.Error("telemetry enabled with no metrics flag set")
@@ -51,5 +54,25 @@ func TestRunFlags(t *testing.T) {
 	}
 	if _, err := f.Grid(grid, cells, 7); err == nil {
 		t.Error("a 4-rank grid with 7-cell slabs over 12 cells was accepted")
+	}
+
+	// One value carries the snapshot flags and the fault plan; a plan the
+	// run could not fire is an error, so the CLIs exit instead of running
+	// without the crash.
+	set("checkpoint-dir", "ckpt")
+	set("checkpoint-every", "7")
+	set("checkpoint-keep", "3")
+	set("inject-fault", "md-step:1:30")
+	ck, err := f.Checkpoint()
+	want := mdkmc.Fault{Rank: 1, Point: mdkmc.FaultPointMDStep, Step: 30}
+	if err != nil || ck.Dir != "ckpt" || ck.Every != 7 || ck.Keep != 3 || !ck.Restart ||
+		len(ck.Faults) != 1 || ck.Faults[0] != want || ck.Preempt == nil {
+		t.Errorf("flags mapped to %+v, err %v", ck, err)
+	}
+	for _, bad := range []string{"md-stpe:1:30", "md-step:1"} {
+		set("inject-fault", bad)
+		if _, err := f.Checkpoint(); err == nil {
+			t.Errorf("-inject-fault %s accepted", bad)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package cliutil holds the small pieces shared by the command-line front
-// ends (mdsim, kmcsim, mdkmc): today, the signal-to-preemption bridge that
-// gives every CLI the same graceful-interrupt contract as the job server.
+// ends (mdsim, kmcsim, mdkmc): the shared run flags, and the
+// signal-to-preemption bridge that gives every CLI the same
+// graceful-interrupt contract as the job server.
 package cliutil
 
 import (
@@ -12,12 +13,12 @@ import (
 	"mdkmc/internal/couple"
 )
 
-// PreemptOnSignal returns a Preemptor armed by SIGINT/SIGTERM. The first
+// preemptOnSignal returns a Preemptor armed by SIGINT/SIGTERM. The first
 // signal requests preemption — the run commits a checkpoint at its next
 // step/cycle boundary (when a -checkpoint-dir is configured) and returns
 // ErrPreempted so main can print the resume hint and exit cleanly. A second
 // signal aborts the process immediately.
-func PreemptOnSignal(name string) *couple.Preemptor {
+func preemptOnSignal(name string) *couple.Preemptor {
 	p := &couple.Preemptor{}
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

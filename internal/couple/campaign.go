@@ -68,9 +68,6 @@ type CampaignSpec struct {
 	Energy float64
 	// Spectrum, when non-nil, is the PKA recoil-energy distribution.
 	Spectrum *Spectrum
-	// Ed is the displacement threshold energy (eV) of the NRT model;
-	// defaults to units.DisplacementThresholdFe.
-	Ed float64
 	// MinSeparation is the minimum min-image distance (Å) between the recoil
 	// sites of one iteration, so simultaneous cascades do not overlap;
 	// defaults to 2.5 lattice constants.
@@ -82,9 +79,6 @@ type CampaignSpec struct {
 
 // normalize fills the spec defaults in place; a is the lattice constant.
 func (s *CampaignSpec) normalize(a float64) {
-	if s.Ed <= 0 {
-		s.Ed = units.DisplacementThresholdFe
-	}
 	if s.MinSeparation <= 0 {
 		s.MinSeparation = 2.5 * a
 	}
@@ -113,7 +107,7 @@ func (s *CampaignSpec) hashString() string {
 		src = "spectrum:" + s.Spectrum.Digest()
 	}
 	return fmt.Sprintf("iters:%d,dose:%v,%s,ed:%v,sep:%v,max:%d,okmc:%v,okev:%d",
-		s.Iters, s.DoseIncrement, src, s.Ed, s.MinSeparation, maxRecoils, s.OKMC, okmcEvents)
+		s.Iters, s.DoseIncrement, src, units.DisplacementThresholdFe, s.MinSeparation, maxRecoils, s.OKMC, okmcEvents)
 }
 
 // NRTDisplacements is the NRT (Norgett-Robinson-Torrens) displacement count
@@ -265,7 +259,7 @@ func planRecoils(l *lattice.Lattice, spec *CampaignSpec, sa *sampler, seed uint6
 		for dir.Norm2() == 0 {
 			dir = vec.V{X: place.Norm(), Y: place.Norm(), Z: place.Norm()}
 		}
-		plan = append(plan, recoil{Site: site, Energy: e, Dir: dir, Nu: NRTDisplacements(e, spec.Ed)})
+		plan = append(plan, recoil{Site: site, Energy: e, Dir: dir, Nu: NRTDisplacements(e, units.DisplacementThresholdFe)})
 		accepted = append(accepted, p)
 		sum += plan[len(plan)-1].Nu
 		if sum >= target || len(plan) >= maxRecoils {
@@ -435,7 +429,7 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 		}
 	}
 
-	d, err := open(cfg.Checkpoint, cfg.Hash(), cfg.MD.Ranks(), cfg.runOpts(), StageCampaign)
+	d, err := open(cfg.Checkpoint, cfg.Hash(), cfg.MD.Ranks(), cfg.Telemetry, StageCampaign)
 	if err != nil {
 		return nil, err
 	}

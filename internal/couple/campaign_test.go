@@ -286,7 +286,7 @@ func campaignCrashAndRestart(t *testing.T, cfg Config, fault mpi.Fault, restartG
 	}
 
 	crash := cfg
-	crash.Faults = []mpi.Fault{fault}
+	crash.Checkpoint.Faults = []mpi.Fault{fault}
 	if _, err := RunCampaign(crash); err == nil {
 		t.Fatalf("fault %v did not kill the campaign", fault)
 	} else {

@@ -36,7 +36,9 @@ import (
 // staging directory behind, so the previous committed snapshot stays
 // loadable (the atomic-commit test injects exactly that crash).
 
-// Checkpoint configures periodic snapshots and restart for a run.
+// Checkpoint is a run's fault-tolerance settings: periodic snapshots,
+// restart, checkpoint-backed eviction and injected failures. Every run kind
+// takes one, and none of it feeds a configuration hash.
 type Checkpoint struct {
 	// Dir is the snapshot directory; empty disables checkpointing.
 	Dir string
@@ -49,6 +51,16 @@ type Checkpoint struct {
 	// Keep bounds how many committed snapshots are retained (oldest pruned
 	// after each commit); <= 0 means the default of 2.
 	Keep int
+	// Preempt, when non-nil, lets another goroutine request checkpoint-backed
+	// eviction: the run stops at its next step/cycle boundary, commits one
+	// final snapshot through Dir (when set), and returns ErrPreempted
+	// (preempt.go). A Preemptor is single-shot, so a resume needs a new one.
+	Preempt *Preemptor
+	// Faults is the injected-failure plan for recovery testing
+	// (mpi.ParseFaults). The value carries its crash plan, so a resume drops
+	// Faults: a restarted run that kept it would crash again at the same
+	// point once its trajectory reaches it.
+	Faults []mpi.Fault
 }
 
 // Stage names recorded in manifests.

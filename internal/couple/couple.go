@@ -55,25 +55,15 @@ type Config struct {
 	// unchanged. Only RunCampaign consults it.
 	Campaign CampaignSpec
 
-	// Checkpoint configures periodic snapshots and restart (checkpoint.go).
-	// A restart may target a different topology than the snapshot's writer:
-	// the manifest records the source decomposition and the re-shard loader
-	// re-slices the global state for cfg.MD.Grid (DESIGN.md §14).
+	// Checkpoint holds the fault-tolerance settings: snapshots, restart,
+	// eviction and injected failures (checkpoint.go). A restart may target a
+	// different topology than the snapshot's writer: the manifest records the
+	// source decomposition and the re-shard loader re-slices the global state
+	// for cfg.MD.Grid (DESIGN.md §14).
 	Checkpoint Checkpoint
 	// Rebalance configures the telemetry-calibrated dynamic load balancer
 	// (rebalance.go). A topology knob excluded from Hash.
 	Rebalance Rebalance
-	// Faults is the injected-failure plan for recovery testing; the
-	// MDKMC_FAULT environment variable appends to it.
-	Faults []mpi.Fault
-
-	// Preempt, when non-nil, lets another goroutine request checkpoint-backed
-	// eviction: the run stops at its next step/cycle boundary, commits one
-	// final snapshot through Checkpoint, and returns ErrPreempted
-	// (preempt.go). Runtime machinery like Faults — excluded from Hash, so
-	// the evicted run resumes under the same configuration digest.
-	Preempt *Preemptor
-
 	// Telemetry configures the observability layer (internal/telemetry). It
 	// is a pure speed/observability knob like MD.Workers: Hash excludes it,
 	// and an enabled run is bit-identical to a disabled one (test-gated).
@@ -114,9 +104,9 @@ func (cfg *Config) normalize() {
 // Hash digests every trajectory-determining field of the coupled run: the
 // MD stage hash, the derived KMC stage hash, and the stop conditions (after
 // default normalization, so the zero values hash like their defaults).
-// Checkpoint options and the fault plan are excluded — they must not pin a
-// snapshot to the cadence or crash schedule that produced it — and so are
-// Protocol, Rebalance, Preempt and Telemetry. TestConfigHashCoversEveryField
+// Checkpoint (with its fault plan and preemptor) is excluded — it must not
+// pin a snapshot to the cadence or crash schedule that produced it — and so
+// are Protocol, Rebalance and Telemetry. TestConfigHashCoversEveryField
 // (repository root) perturbs every field and pins exactly this split.
 func (cfg *Config) Hash() string {
 	n := *cfg
@@ -179,7 +169,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.normalize()
-	d, err := open(cfg.Checkpoint, cfg.Hash(), cfg.MD.Ranks(), cfg.runOpts(), StageMD, StageKMC)
+	d, err := open(cfg.Checkpoint, cfg.Hash(), cfg.MD.Ranks(), cfg.Telemetry, StageMD, StageKMC)
 	if err != nil {
 		return nil, err
 	}
@@ -263,11 +253,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// runOpts extracts the run's runtime machinery for the driver.
-func (cfg *Config) runOpts() runOpts {
-	return runOpts{faults: cfg.Faults, telemetry: cfg.Telemetry, preempt: cfg.Preempt}
 }
 
 // globalEvents is the KMC event count summed over all ranks. Collective.

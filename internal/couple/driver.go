@@ -21,37 +21,17 @@ import (
 	"mdkmc/internal/telemetry"
 )
 
-// runOpts is the runtime machinery of one run — everything a configuration
-// hash excludes. Coupled and campaign runs carry it in Config; the
-// single-stage entry points take it as RunOptions.
-type runOpts struct {
-	faults    []mpi.Fault
-	telemetry telemetry.Options
-	preempt   *Preemptor
-}
-
 // RunOption customizes a RunMD / RunKMC call.
-type RunOption func(*runOpts)
-
-// WithFaults schedules injected rank failures, in addition to any plan in
-// MDKMC_FAULT.
-func WithFaults(faults ...mpi.Fault) RunOption {
-	return func(o *runOpts) { o.faults = append(o.faults, faults...) }
-}
+type RunOption func(*telemetry.Options)
 
 // WithTelemetry attaches the observability layer to the run; the result's
 // Telemetry field then carries the end-of-run report.
 func WithTelemetry(opts telemetry.Options) RunOption {
-	return func(o *runOpts) { o.telemetry = opts }
+	return func(o *telemetry.Options) { *o = opts }
 }
 
-// WithPreemption arms checkpoint-backed eviction through p (preempt.go).
-func WithPreemption(p *Preemptor) RunOption {
-	return func(o *runOpts) { o.preempt = p }
-}
-
-func applyRunOptions(opts []RunOption) runOpts {
-	var o runOpts
+func applyRunOptions(opts []RunOption) telemetry.Options {
+	var o telemetry.Options
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -69,11 +49,11 @@ type run struct {
 
 // open is the run opening. It resolves the restart manifest — refusing one
 // written by a stage this kind of run cannot resume — and builds the
-// coordinator, the fault plan (programmatic plus MDKMC_FAULT), the telemetry
-// set and the world. A rank-count mismatch is not an error: the manifest
-// records the source topology and restore re-shards (DESIGN.md §14).
-func open(ck Checkpoint, hash string, ranks int, o runOpts, stages ...string) (*run, error) {
-	d := &run{preempt: o.preempt}
+// coordinator, the telemetry set and the world, arming ck's fault plan. A
+// rank-count mismatch is not an error: the manifest records the source
+// topology and restore re-shards (DESIGN.md §14).
+func open(ck Checkpoint, hash string, ranks int, tel telemetry.Options, stages ...string) (*run, error) {
+	d := &run{preempt: ck.Preempt}
 	var err error
 	if ck.Dir != "" {
 		if ck.Restart {
@@ -89,17 +69,12 @@ func open(ck Checkpoint, hash string, ranks int, o runOpts, stages ...string) (*
 			return nil, err
 		}
 	}
-	envFaults, err := mpi.FaultsFromEnv()
-	if err != nil {
-		return nil, err
-	}
-	if d.set, err = telemetry.NewSet(ranks, o.telemetry); err != nil {
+	if d.set, err = telemetry.NewSet(ranks, tel); err != nil {
 		return nil, err
 	}
 	d.co.AttachTelemetry(d.set)
 	d.world = mpi.NewWorld(ranks)
-	d.world.InjectFault(o.faults...)
-	d.world.InjectFault(envFaults...)
+	d.world.InjectFault(ck.Faults...)
 	return d, nil
 }
 

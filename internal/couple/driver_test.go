@@ -70,7 +70,8 @@ func contractCampaign() Config {
 func runMDCase(grid [3]int, ck Checkpoint, p *Preemptor, tel telemetry.Options) (outcome, error) {
 	cfg := contractMD()
 	cfg.Grid = grid
-	res, err := RunMD(cfg, ck, WithPreemption(p), WithTelemetry(tel))
+	ck.Preempt = p
+	res, err := RunMD(cfg, ck, WithTelemetry(tel))
 	if err != nil {
 		return outcome{}, err
 	}
@@ -83,7 +84,8 @@ func runMDCase(grid [3]int, ck Checkpoint, p *Preemptor, tel telemetry.Options) 
 func runKMCCase(grid [3]int, ck Checkpoint, p *Preemptor, tel telemetry.Options) (outcome, error) {
 	cfg := contractKMC()
 	cfg.Grid = grid
-	res, err := RunKMC(cfg, contractCycles, 0, ck, WithPreemption(p), WithTelemetry(tel))
+	ck.Preempt = p
+	res, err := RunKMC(cfg, contractCycles, 0, ck, WithTelemetry(tel))
 	if err != nil {
 		return outcome{}, err
 	}
@@ -95,7 +97,8 @@ func runKMCCase(grid [3]int, ck Checkpoint, p *Preemptor, tel telemetry.Options)
 
 func runCoupledCase(grid [3]int, ck Checkpoint, p *Preemptor, tel telemetry.Options) (outcome, error) {
 	cfg := contractCoupled()
-	cfg.MD.Grid, cfg.Checkpoint, cfg.Preempt, cfg.Telemetry = grid, ck, p, tel
+	ck.Preempt = p
+	cfg.MD.Grid, cfg.Checkpoint, cfg.Telemetry = grid, ck, tel
 	res, err := Run(cfg)
 	if err != nil {
 		return outcome{}, err
@@ -108,7 +111,8 @@ func runCoupledCase(grid [3]int, ck Checkpoint, p *Preemptor, tel telemetry.Opti
 
 func runCampaignCase(grid [3]int, ck Checkpoint, p *Preemptor, tel telemetry.Options) (outcome, error) {
 	cfg := contractCampaign()
-	cfg.MD.Grid, cfg.Checkpoint, cfg.Preempt, cfg.Telemetry = grid, ck, p, tel
+	ck.Preempt = p
+	cfg.MD.Grid, cfg.Checkpoint, cfg.Telemetry = grid, ck, tel
 	res, err := RunCampaign(cfg)
 	if err != nil {
 		return outcome{}, err
@@ -279,8 +283,8 @@ func TestPreemptAtTimeThresholdCompletes(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := &Preemptor{}
-		res, err := RunKMC(contractKMC(), contractCycles, short.MCTime, Checkpoint{Dir: t.TempDir()},
-			WithPreemption(p), WithTelemetry(requestAt(p, label)))
+		res, err := RunKMC(contractKMC(), contractCycles, short.MCTime, Checkpoint{Dir: t.TempDir(), Preempt: p},
+			WithTelemetry(requestAt(p, label)))
 		if err != nil {
 			t.Fatalf("request on the threshold cycle: %v, want normal completion", err)
 		}
@@ -298,14 +302,14 @@ func TestPreemptAtTimeThresholdCompletes(t *testing.T) {
 		cfg = contractCoupled()
 		cfg.TThreshold = short.MCTime
 		cfg.Checkpoint = Checkpoint{Dir: t.TempDir()}
-		cfg.Preempt = &Preemptor{}
-		cfg.Telemetry = requestAt(cfg.Preempt, label)
+		cfg.Checkpoint.Preempt = &Preemptor{}
+		cfg.Telemetry = requestAt(cfg.Checkpoint.Preempt, label)
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("request on the threshold cycle: %v, want normal completion", err)
 		}
-		if res.KMCCycles != stopAt || !cfg.Preempt.Requested() {
-			t.Fatalf("stopped after %d cycles (requested=%v), want the threshold stop at %d", res.KMCCycles, cfg.Preempt.Requested(), stopAt)
+		if res.KMCCycles != stopAt || !cfg.Checkpoint.Preempt.Requested() {
+			t.Fatalf("stopped after %d cycles (requested=%v), want the threshold stop at %d", res.KMCCycles, cfg.Checkpoint.Preempt.Requested(), stopAt)
 		}
 	})
 }

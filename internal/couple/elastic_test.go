@@ -100,7 +100,7 @@ func commInvariants(t *testing.T, grid [3]int, s mpi.Stats) {
 func crashRun(t *testing.T, cfg Config, fault mpi.Fault) {
 	t.Helper()
 	crash := cfg
-	crash.Faults = []mpi.Fault{fault}
+	crash.Checkpoint.Faults = []mpi.Fault{fault}
 	_, err := Run(crash)
 	if err == nil {
 		t.Fatalf("fault %v did not kill the run", fault)

@@ -52,8 +52,8 @@ func TestPreemptCoupledRunResumesBitIdentical(t *testing.T) {
 
 	evict := cfg
 	evict.Checkpoint = Checkpoint{Dir: t.TempDir(), Every: 1000}
-	evict.Preempt = &Preemptor{}
-	evict.Preempt.Request()
+	evict.Checkpoint.Preempt = &Preemptor{}
+	evict.Checkpoint.Preempt.Request()
 	if _, err := Run(evict); !errors.Is(err, ErrPreempted) {
 		t.Fatalf("pre-armed preemption returned %v, want ErrPreempted", err)
 	}
@@ -67,7 +67,7 @@ func TestPreemptCoupledRunResumesBitIdentical(t *testing.T) {
 	}
 
 	resume := evict
-	resume.Preempt = nil
+	resume.Checkpoint.Preempt = nil
 	resume.Checkpoint.Restart = true
 	resumed, err := Run(resume)
 	if err != nil {
@@ -82,8 +82,8 @@ func TestPreemptCoupledRunResumesBitIdentical(t *testing.T) {
 // CLI signal path may (checkpointing disabled): the run must stop, not hang.
 func TestPreemptWithoutCheckpointStillStops(t *testing.T) {
 	cfg := coupledConfig()
-	cfg.Preempt = &Preemptor{}
-	cfg.Preempt.Request()
+	cfg.Checkpoint.Preempt = &Preemptor{}
+	cfg.Checkpoint.Preempt.Request()
 	if _, err := Run(cfg); !errors.Is(err, ErrPreempted) {
 		t.Fatalf("got %v, want ErrPreempted", err)
 	}
@@ -102,8 +102,8 @@ func TestPreemptCampaignMidIteration(t *testing.T) {
 
 	evict := cfg
 	evict.Checkpoint = Checkpoint{Dir: t.TempDir(), Every: 1000}
-	evict.Preempt = &Preemptor{}
-	evict.Preempt.Request()
+	evict.Checkpoint.Preempt = &Preemptor{}
+	evict.Checkpoint.Preempt.Request()
 	if _, err := RunCampaign(evict); !errors.Is(err, ErrPreempted) {
 		t.Fatalf("pre-armed campaign preemption returned %v, want ErrPreempted", err)
 	}
@@ -120,7 +120,7 @@ func TestPreemptCampaignMidIteration(t *testing.T) {
 	}
 
 	resume := evict
-	resume.Preempt = nil
+	resume.Checkpoint.Preempt = nil
 	resume.Checkpoint.Restart = true
 	resumed, err := RunCampaign(resume)
 	if err != nil {

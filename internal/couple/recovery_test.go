@@ -55,7 +55,7 @@ func crashAndRestart(t *testing.T, cfg Config, fault mpi.Fault) (straight, resum
 	}
 
 	crash := cfg
-	crash.Faults = []mpi.Fault{fault}
+	crash.Checkpoint.Faults = []mpi.Fault{fault}
 	if _, err := Run(crash); err == nil {
 		t.Fatalf("fault %v did not kill the run", fault)
 	} else {
@@ -131,7 +131,7 @@ func TestAtomicCommitSurvivesCheckpointCrash(t *testing.T) {
 	// Cadence 20: the step-20 snapshot commits, the step-40 one dies
 	// inside the commit window (rank files written, rename pending).
 	crash := cfg
-	crash.Faults = []mpi.Fault{{Rank: 0, Point: mpi.PointCheckpointCommit, Step: 40}}
+	crash.Checkpoint.Faults = []mpi.Fault{{Rank: 0, Point: mpi.PointCheckpointCommit, Step: 40}}
 	if _, err := Run(crash); err == nil {
 		t.Fatal("commit-window fault did not kill the run")
 	}

@@ -35,8 +35,8 @@ type MDResult struct {
 // RunMD builds the in-process world for cfg.Grid, advances cfg.Steps MD
 // steps on every rank, and returns the merged result. With ck.Dir set, all
 // ranks are snapshotted every ck.Every steps, and ck.Restart resumes from
-// the newest valid snapshot, bit-identical to an uninterrupted run. Options
-// inject faults, attach telemetry and arm preemption.
+// the newest valid snapshot, bit-identical to an uninterrupted run; ck's
+// fault plan and preemptor are armed too. Options attach telemetry.
 func RunMD(cfg md.Config, ck Checkpoint, opts ...RunOption) (*MDResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -105,8 +105,8 @@ func KMCRunHash(cfg kmc.Config, cycles int, tThreshold float64) string {
 // RunKMC builds the in-process world for cfg.Grid and runs cycles KMC cycles
 // (or until tThreshold MC seconds if positive). With ck.Dir set, all ranks
 // are snapshotted every ck.Every cycles, and ck.Restart resumes from the
-// newest valid snapshot, bit-identical to an uninterrupted run. Options
-// inject faults, attach telemetry and arm preemption.
+// newest valid snapshot, bit-identical to an uninterrupted run; ck's fault
+// plan and preemptor are armed too. Options attach telemetry.
 func RunKMC(cfg kmc.Config, cycles int, tThreshold float64, ck Checkpoint, opts ...RunOption) (*KMCResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

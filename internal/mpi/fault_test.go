@@ -129,7 +129,7 @@ func TestParseFaults(t *testing.T) {
 	if got, err := ParseFaults("  "); err != nil || got != nil {
 		t.Errorf("blank plan: %v, %v", got, err)
 	}
-	for _, bad := range []string{"md-step:1", "p:-1:3", "p:x:3", "p:1:x", ":1:3"} {
+	for _, bad := range []string{"md-step:1", "p:-1:3", "p:x:3", "p:1:x", ":1:3", "md-stpe:0:5"} {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Errorf("malformed fault %q accepted", bad)
 		}

@@ -21,7 +21,6 @@ package mpi
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -258,7 +257,8 @@ type Fault struct {
 func (f Fault) String() string { return fmt.Sprintf("%s:%d:%d", f.Point, f.Rank, f.Step) }
 
 // Fault-point names checked by the simulation drivers. FaultPoint accepts
-// any string; these are the points the couple/facade run loops arm.
+// any string; ParseFault accepts only these, the points the couple run
+// loops arm.
 const (
 	// PointMDStep fires after completing the given 1-based MD step.
 	PointMDStep = "md-step"
@@ -269,10 +269,6 @@ const (
 	// window the atomic-commit guarantee protects.
 	PointCheckpointCommit = "checkpoint-commit"
 )
-
-// EnvFault is the environment variable holding a comma-separated fault
-// plan ("point:rank:step[,point:rank:step...]") applied by the run drivers.
-const EnvFault = "MDKMC_FAULT"
 
 // InjectedFault is the panic value of a triggered fault. World.Run re-wraps
 // it in a RankPanic, so callers can errors.As through both layers.
@@ -286,7 +282,9 @@ func (f InjectedFault) Error() string {
 	return fmt.Sprintf("mpi: injected fault on rank %d at %s %d", f.Rank, f.Point, f.Step)
 }
 
-// ParseFault parses "point:rank:step".
+// ParseFault parses "point:rank:step". The point must be one the run
+// drivers arm, so a misspelt plan is an error rather than a crash that never
+// fires.
 func ParseFault(s string) (Fault, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
@@ -300,8 +298,11 @@ func ParseFault(s string) (Fault, error) {
 	if err != nil || step < 0 {
 		return Fault{}, fmt.Errorf("mpi: fault %q has invalid step", s)
 	}
-	if parts[0] == "" {
-		return Fault{}, fmt.Errorf("mpi: fault %q has empty point", s)
+	switch parts[0] {
+	case PointMDStep, PointKMCCycle, PointCheckpointCommit:
+	default:
+		return Fault{}, fmt.Errorf("mpi: fault %q names no armed point (want %s, %s or %s)",
+			s, PointMDStep, PointKMCCycle, PointCheckpointCommit)
 	}
 	return Fault{Rank: rank, Point: parts[0], Step: step}, nil
 }
@@ -321,11 +322,6 @@ func ParseFaults(s string) ([]Fault, error) {
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-// FaultsFromEnv parses the EnvFault variable into a fault plan.
-func FaultsFromEnv() ([]Fault, error) {
-	return ParseFaults(os.Getenv(EnvFault))
 }
 
 // InjectFault registers faults on the world. It must be called before Run:

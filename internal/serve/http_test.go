@@ -114,6 +114,9 @@ func TestHTTPSubmitRejections(t *testing.T) {
 	if resp, _ := postJob(t, ts, "?inject-fault=garbage", mdSpec(0, 1)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad fault plan status %d", resp.StatusCode)
 	}
+	if resp, _ := postJob(t, ts, "?inject-fault=md-stpe:0:5", mdSpec(0, 1)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("fault plan naming no armed point: status %d", resp.StatusCode)
+	}
 	// Quota exhaustion is 429 with Retry-After.
 	if resp, _ := postJob(t, ts, "", mdSpec(0, 1)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first job status %d", resp.StatusCode)

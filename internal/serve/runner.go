@@ -59,18 +59,16 @@ type Runner interface {
 type SimRunner struct{}
 
 func (SimRunner) Run(rc RunContext) (RunResult, error) {
-	var faults []mdkmc.Fault
-	if rc.Faults != "" {
-		fs, err := mdkmc.ParseFaults(rc.Faults)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("serve: fault plan: %w", err)
-		}
-		faults = fs
+	faults, err := mdkmc.ParseFaults(rc.Faults)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("serve: fault plan: %w", err)
 	}
 	ck := mdkmc.Checkpoint{
 		Dir:     filepath.Join(rc.Dir, "ckpt"),
 		Every:   rc.Spec.CheckpointEvery,
 		Restart: true, // empty dir = fresh start; otherwise resume
+		Preempt: rc.Preempt,
+		Faults:  faults,
 	}
 	tel := mdkmc.TelemetryOptions{
 		Enabled:    true,
@@ -91,8 +89,7 @@ func (SimRunner) Run(rc RunContext) (RunResult, error) {
 		if err != nil {
 			return RunResult{}, err
 		}
-		res, err := mdkmc.RunMDCheckpointed(cfg, ck,
-			mdkmc.WithPreemption(rc.Preempt), mdkmc.WithTelemetry(tel), mdkmc.WithFaults(faults...))
+		res, err := mdkmc.RunMDCheckpointed(cfg, ck, mdkmc.WithTelemetry(tel))
 		if err != nil {
 			return RunResult{}, err
 		}
@@ -102,8 +99,7 @@ func (SimRunner) Run(rc RunContext) (RunResult, error) {
 		if err != nil {
 			return RunResult{}, err
 		}
-		res, err := mdkmc.RunKMCCheckpointed(cfg, rc.Spec.kmcCycles(), rc.Spec.TThreshold, ck,
-			mdkmc.WithPreemption(rc.Preempt), mdkmc.WithTelemetry(tel), mdkmc.WithFaults(faults...))
+		res, err := mdkmc.RunKMCCheckpointed(cfg, rc.Spec.kmcCycles(), rc.Spec.TThreshold, ck, mdkmc.WithTelemetry(tel))
 		if err != nil {
 			return RunResult{}, err
 		}
@@ -115,8 +111,6 @@ func (SimRunner) Run(rc RunContext) (RunResult, error) {
 		}
 		cfg.Checkpoint = ck
 		cfg.Telemetry = tel
-		cfg.Faults = faults
-		cfg.Preempt = rc.Preempt
 		if rc.Spec.Type == TypeCoupled {
 			res, err := mdkmc.RunCoupled(cfg)
 			if err != nil {

@@ -72,7 +72,7 @@ func TestConcurrentWorldsAreIsolated(t *testing.T) {
 			faultErr = err
 			return
 		}
-		_, faultErr = mdkmc.RunMDCheckpointed(mkCfg(99), mdkmc.Checkpoint{}, mdkmc.WithFaults(faults...))
+		_, faultErr = mdkmc.RunMDCheckpointed(mkCfg(99), mdkmc.Checkpoint{Faults: faults})
 	}()
 	wg.Wait()
 
