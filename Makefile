@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism no-env build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-spectrum figures
+.PHONY: check fmt-check p2p-owner determinism no-env build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-rankfile fuzz-spectrum figures
 
 check: fmt-check p2p-owner determinism no-env vet lint build race
 
@@ -98,9 +98,12 @@ race:
 
 # The fault-injection recovery gate on its own: crash a coupled run at an
 # armed point, restart from the newest snapshot, demand bit-identical
-# results (plus the atomic-commit guarantee).
+# results (plus the atomic-commit guarantee, the refusal of a manifest that
+# disagrees with its rank files, and the one committed-snapshot rule); and
+# each engine's restart call, exact onto the writer's own grid.
 recovery:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestAtomicCommit' ./internal/couple
+	$(GO) test -race -count=1 -run 'TestRecovery|TestAtomicCommit|TestRestartRejectsManifestStepMismatch|TestStrayFileIsNotASnapshot' ./internal/couple
+	$(GO) test -race -count=1 -run 'TestReshardOntoOwnGridIsExact' ./internal/md ./internal/kmc
 
 # Per-package coverage with enforced floors on internal/couple — the
 # restart-correctness core (checkpoint coordinator, re-shard loaders,
@@ -197,6 +200,17 @@ smoke-serve:
 # never panic (seeds start from manifests a real run committed).
 fuzz-manifest:
 	$(GO) test -run '^$$' -fuzz 'FuzzManifest' -fuzztime 30s ./internal/couple
+
+# Short fuzz pass over each engine's rank-file decoder, the trust boundary
+# of a restart: any bytes must make Restore and RestoreResharded return an
+# md:/kmc: error or succeed, never panic, and a rejected Restore must leave
+# the engine untouched (seeds start from real Save output). go test fuzzes
+# one package at a time, so each engine gets its own 30 s pass; a rank file
+# seed is ~55 KB, so minimizing a new input is capped at 5 s (the 60 s
+# default would eat the whole pass).
+fuzz-rankfile:
+	$(GO) test -run '^$$' -fuzz 'FuzzRankFile' -fuzztime 30s -fuzzminimizetime 5s ./internal/md
+	$(GO) test -run '^$$' -fuzz 'FuzzRankFile' -fuzztime 30s -fuzzminimizetime 5s ./internal/kmc
 
 # Short fuzz pass over the PKA spectrum parser: arbitrary input must parse
 # or error, never panic, and accepted spectra must sample within their own

@@ -443,12 +443,12 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 
 		// Campaign ledger state, replicated identically on every rank.
 		camp := CampaignState{}
-		startIter, localStep := 0, 0
+		startIter := 0
 		var pending *PendingInjection
 		if man := d.man; man != nil {
 			camp = *man.Campaign
 			startIter = camp.Iter
-			localStep = man.Step - startIter*cfg.MD.Steps
+			localStep := man.Step - startIter*cfg.MD.Steps
 			if localStep < 0 || localStep >= cfg.MD.Steps || startIter > spec.Iters {
 				return fmt.Errorf("couple: campaign manifest step %d inconsistent with iteration %d of %d x %d steps",
 					man.Step, camp.Iter, spec.Iters, cfg.MD.Steps)
@@ -532,12 +532,11 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			// iteration boundary below.
 			snapIter, snapPending = it, &inj
 			mdStage := reg.Timer("couple/md-stage").Begin()
-			err := d.mdStage(c, rank, p, localStep, it*cfg.MD.Steps)
+			err := d.mdStage(c, rank, p, it*cfg.MD.Steps)
 			mdStage.End()
 			if err != nil {
 				return err
 			}
-			localStep = 0
 
 			// Harvest: only vacancies not yet handed over feed the coarse
 			// stage; canonical site order keeps the hand-off topology-blind.

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 
 	"mdkmc/internal/lattice"
@@ -134,6 +133,24 @@ func (m *Manifest) Open(rank int) (io.ReadCloser, error) {
 	return f, nil
 }
 
+// shards is the snapshot's rank files as the source of an engine restart
+// over l; the engine picks the byte-exact or the re-shard path itself.
+func (m *Manifest) shards(l *lattice.Lattice) (lattice.ShardSource, error) {
+	src, err := m.Topology.SourceGrid(l)
+	return lattice.ShardSource{Grid: src, Open: m.Open}, err
+}
+
+// resumesAt checks the step or cycle count restored from the rank files
+// against the manifest's: a snapshot whose two halves disagree would resume
+// silently into a different run.
+func (m *Manifest) resumesAt(step int) error {
+	if step != m.Step {
+		return fmt.Errorf("couple: checkpoint %d manifest is at step %d, its rank files at step %d",
+			m.Seq, m.Step, step)
+	}
+	return nil
+}
+
 func rankFileName(rank int) string { return fmt.Sprintf("rank-%03d.ckpt", rank) }
 
 var ckptDirRe = regexp.MustCompile(`^ckpt-(\d{6})$`)
@@ -146,23 +163,15 @@ var ckptDirRe = regexp.MustCompile(`^ckpt-(\d{6})$`)
 // manifest whose ConfigHash differs from hash is an error: resuming under a
 // diverging configuration would silently change the trajectory.
 func Latest(dir, hash string) (*Manifest, error) {
-	entries, err := os.ReadDir(dir)
+	seqs, err := committed(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("couple: reading checkpoint dir: %w", err)
 	}
-	var seqs []int
-	for _, e := range entries {
-		if m := ckptDirRe.FindStringSubmatch(e.Name()); m != nil && e.IsDir() {
-			n, _ := strconv.Atoi(m[1])
-			seqs = append(seqs, n)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
-	for _, seq := range seqs {
-		name := fmt.Sprintf("ckpt-%06d", seq)
+	for i := len(seqs) - 1; i >= 0; i-- {
+		name := snapshotName(seqs[i])
 		man, err := loadManifest(filepath.Join(dir, name))
 		if err != nil {
 			// Damaged snapshot; fall back to an older one, but say so — the
@@ -178,6 +187,26 @@ func Latest(dir, hash string) (*Manifest, error) {
 	}
 	return nil, nil
 }
+
+// committed lists, ascending, the sequence numbers of the snapshots in dir:
+// directories named ckpt-<6 digits>, the one rule Latest, NewCoordinator and
+// prune share (a regular file of such a name is not a snapshot).
+func committed(dir string) ([]int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var seqs []int
+	for _, e := range entries { // ReadDir sorts by name, i.e. by sequence
+		if m := ckptDirRe.FindStringSubmatch(e.Name()); m != nil && e.IsDir() {
+			n, _ := strconv.Atoi(m[1])
+			seqs = append(seqs, n)
+		}
+	}
+	return seqs, nil
+}
+
+func snapshotName(seq int) string { return fmt.Sprintf("ckpt-%06d", seq) }
 
 // loadManifest decodes and validates one committed snapshot directory.
 func loadManifest(dir string) (*Manifest, error) {
@@ -248,18 +277,9 @@ type Coordinator struct {
 	set *telemetry.Set
 }
 
-// AttachTelemetry wires the run's telemetry set into the coordinator so
-// Snapshot can time its save and commit phases per rank. Safe on a nil
-// coordinator or a nil set.
-func (co *Coordinator) AttachTelemetry(set *telemetry.Set) {
-	if co != nil {
-		co.set = set
-	}
-}
-
 // NewCoordinator prepares a coordinator writing into ck.Dir. The sequence
-// counter continues after the newest directory already present, so a
-// restarted run never reuses a committed name.
+// counter continues after the newest committed snapshot already present, so
+// a restarted run never reuses a committed name.
 func NewCoordinator(ck Checkpoint, hash string) (*Coordinator, error) {
 	if err := os.MkdirAll(ck.Dir, 0o777); err != nil {
 		return nil, fmt.Errorf("couple: creating checkpoint dir: %w", err)
@@ -269,16 +289,12 @@ func NewCoordinator(ck Checkpoint, hash string) (*Coordinator, error) {
 		keep = defaultKeep
 	}
 	co := &Coordinator{dir: ck.Dir, every: ck.Every, keep: keep, hash: hash, nextSeq: 1}
-	entries, err := os.ReadDir(ck.Dir)
+	seqs, err := committed(ck.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("couple: reading checkpoint dir: %w", err)
 	}
-	for _, e := range entries {
-		if m := ckptDirRe.FindStringSubmatch(e.Name()); m != nil {
-			if n, _ := strconv.Atoi(m[1]); n >= co.nextSeq {
-				co.nextSeq = n + 1
-			}
-		}
+	if len(seqs) > 0 {
+		co.nextSeq = seqs[len(seqs)-1] + 1
 	}
 	return co, nil
 }
@@ -350,7 +366,7 @@ func (co *Coordinator) snapshot(c *mpi.Comm, stage string, step int, topo Topolo
 		if err := os.WriteFile(filepath.Join(tmp, manifestName), data, 0o666); err != nil {
 			return fmt.Errorf("couple: writing manifest: %w", err)
 		}
-		final := filepath.Join(co.dir, fmt.Sprintf("ckpt-%06d", seq))
+		final := filepath.Join(co.dir, snapshotName(seq))
 		if err := os.Rename(tmp, final); err != nil {
 			return fmt.Errorf("couple: committing checkpoint: %w", err)
 		}
@@ -387,15 +403,10 @@ func (co *Coordinator) writeRankFile(c *mpi.Comm, tmp string, save func(io.Write
 // only; removal failures are ignored (stale snapshots waste space, nothing
 // else).
 func (co *Coordinator) prune(latest int) {
-	entries, err := os.ReadDir(co.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if m := ckptDirRe.FindStringSubmatch(e.Name()); m != nil {
-			if n, _ := strconv.Atoi(m[1]); n <= latest-co.keep {
-				os.RemoveAll(filepath.Join(co.dir, e.Name()))
-			}
+	seqs, _ := committed(co.dir)
+	for _, seq := range seqs {
+		if seq <= latest-co.keep {
+			os.RemoveAll(filepath.Join(co.dir, snapshotName(seq)))
 		}
 	}
 }

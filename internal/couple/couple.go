@@ -191,7 +191,7 @@ func Run(cfg Config) (*Result, error) {
 				return err
 			}
 			mdStage := reg.Timer("couple/md-stage").Begin()
-			err = d.mdStage(c, rank, mdPoint(rank), d.resumeStep(), 0)
+			err = d.mdStage(c, rank, mdPoint(rank), 0)
 			mdStage.End()
 			if err != nil {
 				return err
@@ -203,10 +203,10 @@ func Run(cfg Config) (*Result, error) {
 
 		// Stage 2: hand the vacancy sites to KMC. The decomposition may
 		// deviate from the uniform split: a KMC-stage restart onto the
-		// snapshot's grid adopts its cuts (so restore takes the byte-exact
-		// path; any other grid re-shards), and the rebalancer, when on, fits
-		// slab cuts to the defect distribution at the handoff and then every
-		// Rebalance.Every cycles as the defect cloud migrates.
+		// snapshot's grid adopts its cuts (so the engine's restart call takes
+		// the byte-exact path; any other grid re-shards), and the rebalancer,
+		// when on, fits slab cuts to the defect distribution at the handoff
+		// and then every Rebalance.Every cycles as the defect cloud migrates.
 		if resumeKMC && d.man.Topology.Grid == kcfg.Grid {
 			kcfg.Cuts = d.man.Topology.Cuts
 		} else if cfg.Rebalance.Every > 0 {

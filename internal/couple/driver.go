@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"mdkmc/internal/kmc"
-	"mdkmc/internal/lattice"
 	"mdkmc/internal/md"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/telemetry"
@@ -51,7 +50,7 @@ type run struct {
 // written by a stage this kind of run cannot resume — and builds the
 // coordinator, the telemetry set and the world, arming ck's fault plan. A
 // rank-count mismatch is not an error: the manifest records the source
-// topology and restore re-shards (DESIGN.md §14).
+// topology and the engines' restart call re-shards (DESIGN.md §14).
 func open(ck Checkpoint, hash string, ranks int, tel telemetry.Options, stages ...string) (*run, error) {
 	d := &run{preempt: ck.Preempt}
 	var err error
@@ -72,19 +71,12 @@ func open(ck Checkpoint, hash string, ranks int, tel telemetry.Options, stages .
 	if d.set, err = telemetry.NewSet(ranks, tel); err != nil {
 		return nil, err
 	}
-	d.co.AttachTelemetry(d.set)
+	if d.co != nil {
+		d.co.set = d.set
+	}
 	d.world = mpi.NewWorld(ranks)
 	d.world.InjectFault(ck.Faults...)
 	return d, nil
-}
-
-// resumeStep is the step/cycle count the restart manifest was cut at (0 on a
-// fresh start).
-func (d *run) resumeStep() int {
-	if d.man == nil {
-		return 0
-	}
-	return d.man.Step
 }
 
 // exec runs body on every rank of the world, then the end-of-run tail: the
@@ -113,26 +105,6 @@ func (d *run) exec(report **telemetry.Report, body func(c *mpi.Comm, reg *teleme
 		*report = rep
 		return d.set.WriteReport(rep)
 	})
-}
-
-// restore loads the restart manifest into an engine whose decomposition over
-// l is cuts: the byte-exact per-rank path when the snapshot was cut the same
-// way, the re-shard loader otherwise.
-func restore(d *run, c *mpi.Comm, l *lattice.Lattice, cuts [3][]int,
-	exact func(io.Reader) error, reshard func(lattice.ShardSource) error) error {
-	src, err := d.man.Topology.SourceGrid(l)
-	if err != nil {
-		return err
-	}
-	if !cutsEqual(src.Cuts(), cuts) {
-		return reshard(lattice.ShardSource{Grid: src, Open: d.man.Open})
-	}
-	rc, err := d.man.Open(c.Rank())
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	return exact(rc)
 }
 
 // stagePoint is what a boundary needs to know about the stage it cuts: how
@@ -212,17 +184,26 @@ func (d *run) mdRank(c *mpi.Comm, reg *telemetry.Registry, cfg md.Config) (*md.R
 	}
 	rank.AttachTelemetry(reg)
 	if d.man != nil {
-		err = restore(d, c, rank.L, rank.Grid.Cuts(), rank.Restore, rank.RestoreResharded)
+		src, err := d.man.shards(rank.L)
+		if err != nil {
+			return nil, err
+		}
+		if err := rank.RestoreResharded(src); err != nil {
+			return nil, err
+		}
+		if err := d.man.resumesAt(rank.StepCount); err != nil {
+			return nil, err
+		}
 	}
-	return rank, err
+	return rank, nil
 }
 
-// mdStage steps rank from local step `from` to its configured step count.
-// Boundaries are numbered offset+step: 0 for a plain MD stage, the steps of
-// the completed iterations for a campaign's global counter.
-func (d *run) mdStage(c *mpi.Comm, rank *md.Rank, p *stagePoint, from, offset int) error {
+// mdStage steps rank from local step rank.StepCount-offset to its configured
+// step count. Boundaries are numbered offset+step: 0 for a plain MD stage,
+// the steps of the completed iterations for a campaign's global counter.
+func (d *run) mdStage(c *mpi.Comm, rank *md.Rank, p *stagePoint, offset int) error {
 	steps := rank.Cfg.Steps
-	for i := from; i < steps; i++ {
+	for i := rank.StepCount - offset; i < steps; i++ {
 		rank.Step()
 		if err := d.boundary(c, p, offset+i+1, i+1 == steps); err != nil {
 			return err
@@ -240,9 +221,18 @@ func (d *run) kmcState(c *mpi.Comm, reg *telemetry.Registry, kcfg kmc.Config) (*
 	}
 	st.AttachTelemetry(reg)
 	if d.man != nil && d.man.Stage == StageKMC {
-		err = restore(d, c, st.L, st.Grid.Cuts(), st.Restore, st.RestoreResharded)
+		src, err := d.man.shards(st.L)
+		if err != nil {
+			return nil, err
+		}
+		if err := st.RestoreResharded(src); err != nil {
+			return nil, err
+		}
+		if err := d.man.resumesAt(st.Cycles); err != nil {
+			return nil, err
+		}
 	}
-	return st, err
+	return st, nil
 }
 
 // kmcStage cycles st until cycles cycles have run or the MC clock reaches

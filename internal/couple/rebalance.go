@@ -64,10 +64,6 @@ func fitCuts(l *lattice.Lattice, grid [3]int, minWidth int, sites []lattice.Coor
 	})
 }
 
-// cutsEqual reports whether two materialized cut sets describe the same
-// decomposition.
-func cutsEqual(a, b [3][]int) bool { return reflect.DeepEqual(a, b) }
-
 // rebalanceKMC refits the decomposition to the current defect distribution
 // and, when the cuts actually move, rebuilds the KMC state on the new
 // decomposition. The handoff is a collective gather of the vacancy and
@@ -85,7 +81,7 @@ func rebalanceKMC(c *mpi.Comm, reg *telemetry.Registry, st *kmc.State, kcfg kmc.
 	if err != nil {
 		return nil, err
 	}
-	if cutsEqual(cuts, st.Grid.Cuts()) {
+	if reflect.DeepEqual(cuts, st.Grid.Cuts()) {
 		return st, nil
 	}
 	kcfg.Cuts = cuts

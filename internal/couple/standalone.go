@@ -51,7 +51,7 @@ func RunMD(cfg md.Config, ck Checkpoint, opts ...RunOption) (*MDResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := d.mdStage(c, rank, mdPoint(rank), d.resumeStep(), 0); err != nil {
+		if err := d.mdStage(c, rank, mdPoint(rank), 0); err != nil {
 			return err
 		}
 		ke, pe := rank.TotalEnergy()

@@ -26,25 +26,6 @@ type checkpoint struct {
 // total event count as an uninterrupted one.
 const checkpointVersion = 2
 
-// validate checks a decoded checkpoint — input from outside the program —
-// against a state of `sites` local sites: both per-site slices have that
-// length and every occupancy is a known code (an unknown one would index
-// past the per-species shell tables).
-func (cp *checkpoint) validate(sites int) error {
-	if len(cp.Occ) != sites {
-		return fmt.Errorf("checkpoint field Occ has %d entries, want %d sites", len(cp.Occ), sites)
-	}
-	if len(cp.Rho) != sites {
-		return fmt.Errorf("checkpoint field Rho has %d entries, want %d sites", len(cp.Rho), sites)
-	}
-	for i, occ := range cp.Occ {
-		if occ >= numSpecies {
-			return fmt.Errorf("checkpoint field Occ[%d] holds unknown occupancy code %d", i, occ)
-		}
-	}
-	return nil
-}
-
 // Save writes this rank's mutable state; call it at a cycle boundary (the
 // dirty set must be empty, which Cycle guarantees on return).
 func (st *State) Save(w io.Writer) error {
@@ -63,20 +44,11 @@ func (st *State) Save(w io.Writer) error {
 }
 
 // Restore loads state written by Save into a state built with the same
-// Config and world size.
+// Config and world size. A rejected file leaves the state untouched.
 func (st *State) Restore(rd io.Reader) error {
-	var cp checkpoint
-	if err := gob.NewDecoder(rd).Decode(&cp); err != nil {
-		return fmt.Errorf("kmc: decoding checkpoint: %w", err)
-	}
-	if cp.Version != checkpointVersion {
-		return fmt.Errorf("kmc: checkpoint version %d, want %d", cp.Version, checkpointVersion)
-	}
-	if cp.Rank != st.Comm.Rank() {
-		return fmt.Errorf("kmc: checkpoint is for rank %d, this is rank %d", cp.Rank, st.Comm.Rank())
-	}
-	if err := cp.validate(len(st.Occ)); err != nil {
-		return fmt.Errorf("kmc: rank %d %w", cp.Rank, err)
+	cp, err := decode(rd, st.Comm.Rank(), len(st.Occ))
+	if err != nil {
+		return err
 	}
 	copy(st.Occ, cp.Occ)
 	copy(st.Rho, cp.Rho)
@@ -87,4 +59,33 @@ func (st *State) Restore(rd io.Reader) error {
 	// restored occupancy.
 	st.rebuildVacancyIndex()
 	return nil
+}
+
+// decode reads and checks the rank file of `rank`, input from outside the
+// program: format version, writing rank, per-site slices of `sites` entries
+// and known occupancy codes only (an unknown one would index past the
+// per-species shell tables). Restore and the re-shard merge share it.
+func decode(rd io.Reader, rank, sites int) (*checkpoint, error) {
+	var cp checkpoint
+	if err := gob.NewDecoder(rd).Decode(&cp); err != nil {
+		return nil, fmt.Errorf("kmc: decoding checkpoint of rank %d: %w", rank, err)
+	}
+	if cp.Version != checkpointVersion {
+		return nil, fmt.Errorf("kmc: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+	}
+	if cp.Rank != rank {
+		return nil, fmt.Errorf("kmc: checkpoint is for rank %d, want rank %d", cp.Rank, rank)
+	}
+	if len(cp.Occ) != sites {
+		return nil, fmt.Errorf("kmc: rank %d checkpoint field Occ has %d entries, want %d sites", rank, len(cp.Occ), sites)
+	}
+	if len(cp.Rho) != sites {
+		return nil, fmt.Errorf("kmc: rank %d checkpoint field Rho has %d entries, want %d sites", rank, len(cp.Rho), sites)
+	}
+	for i, occ := range cp.Occ {
+		if occ >= numSpecies {
+			return nil, fmt.Errorf("kmc: rank %d checkpoint field Occ[%d] holds unknown occupancy code %d", rank, i, occ)
+		}
+	}
+	return &cp, nil
 }

@@ -1,7 +1,6 @@
 package kmc
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"mdkmc/internal/lattice"
@@ -11,25 +10,30 @@ import (
 type ShardSource = lattice.ShardSource
 
 // RestoreResharded loads a checkpoint written by an M-rank decomposition
-// into a state of an N-rank decomposition of the same physical run. Every
-// target rank scans all M source shards in rank order and writes the
-// occupancy of each source-owned site into its own local images (owned and
-// halo), then recomputes the electron densities from scratch and rebuilds
-// the vacancy index. The clock is carried over; the cumulative per-rank
-// event counters, which have no meaningful per-rank identity under a new
-// decomposition, are summed onto rank 0 so the reported global total is
-// preserved exactly. Restarts onto the source topology itself should use
-// Restore, which is byte-exact; under a new topology the defect population
-// is preserved exactly while the continued trajectory follows the new
-// decomposition's (seed, rank, cycle, sector) RNG streams. Collective:
-// every target rank must call it.
+// into a state of an N-rank decomposition of the same physical run: the one
+// restart call, whatever the two decompositions are. Onto this state's own
+// decomposition (equal lattice.Grid cuts) it reads only this rank's shard
+// through Restore, byte-exact. Otherwise every target rank scans all M
+// source shards in rank order and writes the occupancy of each source-owned
+// site into its own local images (owned and halo), then recomputes the
+// electron densities from scratch and rebuilds the vacancy index. The clock
+// is carried over; the cumulative per-rank event counters, which have no
+// per-rank identity under a new decomposition, are summed onto rank 0 so
+// the global total is preserved exactly. The defect population is preserved
+// exactly while the continued trajectory follows the new decomposition's
+// (seed, rank, cycle, sector) RNG streams. Collective: every rank calls it.
 func (st *State) RestoreResharded(src ShardSource) error {
-	if src.Grid == nil || src.Open == nil {
-		return fmt.Errorf("kmc: reshard source missing grid or shard opener")
+	same, err := src.Onto(st.Grid)
+	if err != nil {
+		return fmt.Errorf("kmc: %w", err)
 	}
-	if src.Grid.L.Nx != st.L.Nx || src.Grid.L.Ny != st.L.Ny || src.Grid.L.Nz != st.L.Nz {
-		return fmt.Errorf("kmc: reshard source lattice %dx%dx%d, want %dx%dx%d",
-			src.Grid.L.Nx, src.Grid.L.Ny, src.Grid.L.Nz, st.L.Nx, st.L.Ny, st.L.Nz)
+	if same {
+		rd, err := src.Open(st.Comm.Rank())
+		if err != nil {
+			return fmt.Errorf("kmc: opening shard %d: %w", st.Comm.Rank(), err)
+		}
+		defer rd.Close()
+		return st.Restore(rd)
 	}
 
 	// Drop the initialization occupancy: every site is re-derived from the
@@ -43,7 +47,12 @@ func (st *State) RestoreResharded(src ShardSource) error {
 	time, cycles, events := 0.0, -1, 0
 	for s := 0; s < src.Grid.Ranks(); s++ {
 		srcBox := src.Grid.Box(s, 2*st.reach+1)
-		cp, err := st.readShard(src, s, srcBox.NumLocalSites())
+		rd, err := src.Open(s)
+		if err != nil {
+			return fmt.Errorf("kmc: opening shard %d: %w", s, err)
+		}
+		cp, err := decode(rd, s, srcBox.NumLocalSites())
+		rd.Close()
 		if err != nil {
 			return err
 		}
@@ -90,28 +99,4 @@ func (st *State) SetClock(time float64, cycles, events int) {
 	st.Time = time
 	st.Cycles = cycles
 	st.Events = events
-}
-
-// readShard opens, decodes and validates one source shard, whose box has
-// the given number of local sites.
-func (st *State) readShard(src ShardSource, rank, sites int) (*checkpoint, error) {
-	rd, err := src.Open(rank)
-	if err != nil {
-		return nil, fmt.Errorf("kmc: opening shard %d: %w", rank, err)
-	}
-	defer rd.Close()
-	var cp checkpoint
-	if err := gob.NewDecoder(rd).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("kmc: decoding shard %d: %w", rank, err)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("kmc: shard %d version %d, want %d", rank, cp.Version, checkpointVersion)
-	}
-	if cp.Rank != rank {
-		return nil, fmt.Errorf("kmc: shard %d claims rank %d", rank, cp.Rank)
-	}
-	if err := cp.validate(sites); err != nil {
-		return nil, fmt.Errorf("kmc: shard %d %w", rank, err)
-	}
-	return &cp, nil
 }

@@ -3,6 +3,7 @@ package lattice
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Box is the rectangular subdomain of unit cells owned by one process in the
@@ -155,6 +156,25 @@ type Grid struct {
 type ShardSource struct {
 	Grid *Grid
 	Open func(rank int) (io.ReadCloser, error)
+}
+
+// Onto checks that s can be read onto the decomposition g (complete, same
+// lattice shape) and reports whether it is g itself: equal slab boundaries in
+// every dimension, so each rank's own shard is its whole state.
+func (s ShardSource) Onto(g *Grid) (same bool, err error) {
+	if s.Grid == nil || s.Open == nil {
+		return false, fmt.Errorf("lattice: shard source missing grid or shard opener")
+	}
+	if a, b := s.Grid.L, g.L; a.Nx != b.Nx || a.Ny != b.Ny || a.Nz != b.Nz {
+		return false, fmt.Errorf("lattice: shard source lattice %dx%dx%d, want %dx%dx%d",
+			a.Nx, a.Ny, a.Nz, b.Nx, b.Ny, b.Nz)
+	}
+	for d := range g.cuts {
+		if !slices.Equal(s.Grid.cuts[d], g.cuts[d]) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // NewGrid validates and builds a uniformly split process grid. Each

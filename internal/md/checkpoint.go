@@ -35,22 +35,34 @@ func (r *Rank) Save(w io.Writer) error {
 
 // Restore loads state previously written by Save into a rank built with the
 // same Config and world size. The continued trajectory is bit-identical to
-// an uninterrupted run.
+// an uninterrupted run. A rejected file leaves the rank untouched.
 func (r *Rank) Restore(rd io.Reader) error {
-	var cp checkpoint
-	if err := gob.NewDecoder(rd).Decode(&cp); err != nil {
-		return fmt.Errorf("md: decoding checkpoint: %w", err)
+	cp, err := decode(rd, r.Comm.Rank(), len(r.Store.ID))
+	if err != nil {
+		return err
 	}
-	if cp.Version != checkpointVersion {
-		return fmt.Errorf("md: checkpoint version %d, want %d", cp.Version, checkpointVersion)
-	}
-	if cp.Rank != r.Comm.Rank() {
-		return fmt.Errorf("md: checkpoint is for rank %d, this is rank %d", cp.Rank, r.Comm.Rank())
-	}
-	if err := r.Store.Restore(cp.Store); err != nil {
-		return fmt.Errorf("md: checkpoint of rank %d: %w", cp.Rank, err)
-	}
+	r.Store.Restore(cp.Store)
 	r.StepCount = cp.StepCount
 	r.LastPE = cp.LastPE
 	return nil
+}
+
+// decode reads and checks the rank file of `rank`, input from outside the
+// program: format version, writing rank, and a sound store of `sites` local
+// sites (neighbor.Snapshot.Validate). Restore and the re-shard merge share it.
+func decode(rd io.Reader, rank, sites int) (*checkpoint, error) {
+	var cp checkpoint
+	if err := gob.NewDecoder(rd).Decode(&cp); err != nil {
+		return nil, fmt.Errorf("md: decoding checkpoint of rank %d: %w", rank, err)
+	}
+	if cp.Version != checkpointVersion {
+		return nil, fmt.Errorf("md: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+	}
+	if cp.Rank != rank {
+		return nil, fmt.Errorf("md: checkpoint is for rank %d, want rank %d", cp.Rank, rank)
+	}
+	if err := cp.Store.Validate(sites); err != nil {
+		return nil, fmt.Errorf("md: checkpoint of rank %d: %w", rank, err)
+	}
+	return &cp, nil
 }

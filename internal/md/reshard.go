@@ -1,7 +1,6 @@
 package md
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"mdkmc/internal/lattice"
@@ -12,23 +11,29 @@ import (
 type ShardSource = lattice.ShardSource
 
 // RestoreResharded loads a checkpoint written by an M-rank decomposition
-// into a rank of an N-rank decomposition of the same physical run. Every
-// target rank scans all M source shards in rank order and keeps the owned
-// sites (and their anchored run-away atoms) that fall inside its own
-// subdomain; ghost state is rebuilt by the next ghost exchange, and forces,
-// densities and the owned potential-energy share are recomputed from the
-// merged positions (a pure function of them). The merge order — source
-// ranks ascending, sites in canonical owned order, run-away chains preserved
-// — is deterministic, so every restart onto the same target topology yields
-// the same trajectory; restarts onto the source topology itself should use
-// Restore, which is byte-exact. Collective: every target rank must call it.
+// into a rank of an N-rank decomposition of the same physical run: the one
+// restart call, whatever the two decompositions are. Onto this rank's own
+// decomposition (equal lattice.Grid cuts) it reads only this rank's shard
+// through Restore, byte-exact. Otherwise every target rank scans all M
+// source shards in rank order and keeps the owned sites (and their anchored
+// run-away atoms) that fall inside its own subdomain; ghost state is rebuilt
+// by the next ghost exchange, and forces, densities and the owned
+// potential-energy share are recomputed from the merged positions. The merge
+// order — source ranks ascending, sites in canonical owned order, run-away
+// chains preserved — is deterministic, so every restart onto the same target
+// topology yields the same trajectory. Collective: every rank calls it.
 func (r *Rank) RestoreResharded(src ShardSource) error {
-	if src.Grid == nil || src.Open == nil {
-		return fmt.Errorf("md: reshard source missing grid or shard opener")
+	same, err := src.Onto(r.Grid)
+	if err != nil {
+		return fmt.Errorf("md: %w", err)
 	}
-	if src.Grid.L.Nx != r.L.Nx || src.Grid.L.Ny != r.L.Ny || src.Grid.L.Nz != r.L.Nz {
-		return fmt.Errorf("md: reshard source lattice %dx%dx%d, want %dx%dx%d",
-			src.Grid.L.Nx, src.Grid.L.Ny, src.Grid.L.Nz, r.L.Nx, r.L.Ny, r.L.Nz)
+	if same {
+		rd, err := src.Open(r.Comm.Rank())
+		if err != nil {
+			return fmt.Errorf("md: opening shard %d: %w", r.Comm.Rank(), err)
+		}
+		defer rd.Close()
+		return r.Restore(rd)
 	}
 
 	// Drop the perfect-lattice initialization of NewRank: every owned site is
@@ -41,7 +46,12 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 	stepCount := -1
 	for s := 0; s < src.Grid.Ranks(); s++ {
 		srcBox := src.Grid.Box(s, r.Box.Ghost)
-		cp, err := readShard(src, s, srcBox.NumLocalSites())
+		rd, err := src.Open(s)
+		if err != nil {
+			return fmt.Errorf("md: opening shard %d: %w", s, err)
+		}
+		cp, err := decode(rd, s, srcBox.NumLocalSites())
+		rd.Close()
 		if err != nil {
 			return err
 		}
@@ -83,33 +93,7 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 	}
 	r.StepCount = stepCount
 	// Rebuild ghosts and derived state (F, ρ, F′(ρ), LastPE) from the merged
-	// positions; on the writing topology this reproduces the stored values
-	// bit-exactly, on a different topology it re-establishes them under the
-	// new reduction order.
+	// positions under the new decomposition's reduction order.
 	r.computeForces()
 	return nil
-}
-
-// readShard opens, decodes and validates one source shard, whose box has
-// the given number of local sites.
-func readShard(src ShardSource, rank, sites int) (*checkpoint, error) {
-	rd, err := src.Open(rank)
-	if err != nil {
-		return nil, fmt.Errorf("md: opening shard %d: %w", rank, err)
-	}
-	defer rd.Close()
-	var cp checkpoint
-	if err := gob.NewDecoder(rd).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("md: decoding shard %d: %w", rank, err)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("md: shard %d version %d, want %d", rank, cp.Version, checkpointVersion)
-	}
-	if cp.Rank != rank {
-		return nil, fmt.Errorf("md: shard %d claims rank %d", rank, cp.Rank)
-	}
-	if err := cp.Store.Validate(sites); err != nil {
-		return nil, fmt.Errorf("md: shard %d: %w", rank, err)
-	}
-	return &cp, nil
 }

@@ -339,16 +339,12 @@ func TestNearIndexMatchesBruteForce(t *testing.T) {
 
 	snap := s.Snapshot()
 	fresh := NewStore(box, tab, units.Fe)
-	if err := fresh.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
+	fresh.Restore(snap)
 	check(fresh, "Restore into a fresh store")
 	for i := 160; i < 200; i++ {
 		op(i)
 	}
-	if err := s.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
+	s.Restore(snap)
 	check(s, "Restore over changed chains")
 }
 
