@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism no-env build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-rankfile fuzz-spectrum figures
+.PHONY: check fmt-check p2p-owner determinism no-env build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec figures
 
 check: fmt-check p2p-owner determinism no-env vet lint build race
 
@@ -173,9 +173,15 @@ smoke-telemetry:
 # End-to-end campaign smoke with a crash/restart in the middle: a 2-rank,
 # 2-iteration spectrum-driven campaign is killed mid-iteration by an
 # injected fault, then restarted from its checkpoint and must run to
-# completion. The ! guard asserts the crashing run really failed.
+# completion. The ! guard asserts the crashing run really failed. First, the
+# pre-flight check through the CLI: a grid whose slabs are thinner than the
+# KMC ghost (11 cells over 4 ranks) must fail before the MD stage, leaving no
+# committed snapshot behind.
 smoke-campaign:
-	rm -rf /tmp/mdkmc-campaign-ckpt
+	rm -rf /tmp/mdkmc-campaign-ckpt /tmp/mdkmc-thin-ckpt
+	! $(GO) run ./cmd/mdkmc -cells 11 -gx 4 -md-steps 300 -checkpoint-dir /tmp/mdkmc-thin-ckpt -checkpoint-every 10 > /dev/null 2>&1
+	! ls -d /tmp/mdkmc-thin-ckpt/ckpt-* > /dev/null 2>&1
+	rm -rf /tmp/mdkmc-thin-ckpt
 	printf '150 3\n300 1\n1000 0.2\n' > /tmp/mdkmc-campaign.spectrum
 	! $(GO) run ./cmd/mdkmc -cells 16 -gx 2 -md-steps 80 -kmc-cycles 10 \
 		-campaign-iters 2 -dose-increment 2e-3 -spectrum /tmp/mdkmc-campaign.spectrum \
@@ -217,6 +223,13 @@ fuzz-rankfile:
 # entry set.
 fuzz-spectrum:
 	$(GO) test -run '^$$' -fuzz 'FuzzSpectrum' -fuzztime 30s ./internal/couple
+
+# Short fuzz pass over job admission (DESIGN.md §16): any JSON body must
+# make JobSpec.Validate return, never panic, and every slot count the
+# scheduler can grant an admitted spec must build a configuration that
+# passes its own Validate.
+fuzz-jobspec:
+	$(GO) test -run '^$$' -fuzz 'FuzzJobSpec' -fuzztime 30s ./internal/serve
 
 figures:
 	$(GO) run ./cmd/figures

@@ -54,19 +54,6 @@ func main() {
 	mcfg.Seed = *seed
 	mcfg.PKA = &mdkmc.PKA{Energy: *pka}
 
-	// The KMC stage's ghost halo is the wider of the two stages' slab
-	// constraints, so it governs the grid choice under -restart-ranks.
-	kcfg := mdkmc.DefaultKMCConfig()
-	kcfg.Cells = mcfg.Cells
-	kcfg.A = mcfg.A
-	minW := kcfg.GhostWidth()
-	if w := mcfg.GhostWidth(); w > minW {
-		minW = w
-	}
-	if mcfg.Grid, err = run.Grid(mcfg.Grid, mcfg.Cells, minW); err != nil {
-		log.Fatal(err)
-	}
-
 	cfg := mdkmc.CoupledConfig{
 		MD:         mcfg,
 		KMCCycles:  *cycles,
@@ -82,7 +69,6 @@ func main() {
 		cfg.MD.PKA = nil
 		var spectrum *mdkmc.Spectrum
 		if *spectrumPath != "" {
-			var err error
 			if spectrum, err = mdkmc.LoadSpectrum(*spectrumPath); err != nil {
 				log.Fatal(err)
 			}
@@ -95,6 +81,14 @@ func main() {
 			MinSeparation: *recoilSep,
 			OKMC:          *campaignOKMC,
 		}
+	}
+	// Under -restart-ranks the grid's slabs must hold the widest ghost halo
+	// of the stages this run executes.
+	if cfg.MD.Grid, err = run.Grid(cfg.MD.Grid, cfg.MD.Cells, cfg.GhostWidth()); err != nil {
+		log.Fatal(err)
+	}
+
+	if *campaignIters > 0 {
 		res, err := mdkmc.RunCampaign(cfg)
 		if run.Interrupted(err) {
 			return

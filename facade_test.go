@@ -91,9 +91,9 @@ func TestRunMDRankConstructionError(t *testing.T) {
 }
 
 func TestRunKMCRankConstructionError(t *testing.T) {
-	// Validates, but the 6-way split leaves subdomains thinner than the
-	// ghost halo; kmc.NewState rejects that on every rank. RunKMC must
-	// return the error instead of letting the rank panic escape.
+	// The 6-way split leaves subdomains thinner than the ghost halo;
+	// kmc.Config.Validate rejects that before any rank starts. RunKMC must
+	// return the error instead of letting a rank panic escape.
 	cfg := mdkmc.DefaultKMCConfig()
 	cfg.Cells = [3]int{12, 12, 12}
 	cfg.Grid = [3]int{6, 1, 1}

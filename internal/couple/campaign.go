@@ -84,11 +84,8 @@ func (s *CampaignSpec) normalize(a float64) {
 	}
 }
 
-// validate reports spec errors (after normalize).
+// validate reports spec errors (after normalize) of an enabled campaign.
 func (s *CampaignSpec) validate() error {
-	if s.Iters <= 0 {
-		return fmt.Errorf("couple: campaign iterations %d, want > 0", s.Iters)
-	}
 	if !(s.DoseIncrement > 0) || math.IsInf(s.DoseIncrement, 0) {
 		return fmt.Errorf("couple: campaign dose increment %v is not positive and finite", s.DoseIncrement)
 	}
@@ -400,7 +397,8 @@ func okmcAnalysis(objs []okmc.Object) cluster.Analysis {
 // iteration injects a spectrum-drawn recoil set, anneals the cascade with
 // cfg.MD.Steps MD steps, harvests the vacancies not yet handed over, and
 // evolves the accumulated population with the coarse stage (atomistic KMC,
-// re-seeded per iteration, or OKMC with CampaignSpec.OKMC).
+// re-seeded per iteration, or OKMC with CampaignSpec.OKMC). The whole
+// configuration is checked (Validate) before the world starts.
 //
 // With Checkpoint.Dir set, snapshots are written on the Checkpoint.Every
 // cadence over the campaign-global MD step counter, plus one at every
@@ -409,18 +407,15 @@ func okmcAnalysis(objs []okmc.Object) cluster.Analysis {
 // different rank count (re-sharded; the MD trajectory and dose ledger are
 // preserved exactly).
 func RunCampaign(cfg Config) (*CampaignResult, error) {
-	if err := cfg.MD.Validate(); err != nil {
-		return nil, err
+	if cfg.Campaign.Iters <= 0 {
+		return nil, fmt.Errorf("couple: campaign iterations %d, want > 0", cfg.Campaign.Iters)
 	}
-	if cfg.MD.PKA != nil {
-		return nil, fmt.Errorf("couple: campaign mode drives recoil injection itself; clear MD.PKA")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg.normalize()
 	spec := cfg.Campaign
 	spec.normalize(cfg.MD.A)
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
 	spectrum := spec.Spectrum
 	if spectrum == nil {
 		var err error

@@ -89,6 +89,47 @@ func (cfg *Config) kmcConfig() kmc.Config {
 	return kcfg
 }
 
+// runsKMC reports whether the run has an atomistic KMC stage: every coupled
+// run does, and so does every campaign that does not anneal with OKMC.
+func (cfg *Config) runsKMC() bool { return cfg.Campaign.Iters <= 0 || !cfg.Campaign.OKMC }
+
+// Validate checks the whole run before any rank starts: the MD block, in
+// campaign mode (Campaign.Iters > 0) the normalized CampaignSpec and the
+// rule that the driver injects the recoils itself, and the derived KMC stage
+// whenever one runs — so a grid the KMC stage cannot use is refused before
+// the MD stage spends its budget.
+func (cfg *Config) Validate() error {
+	if err := cfg.MD.Validate(); err != nil {
+		return err
+	}
+	if cfg.Campaign.Iters > 0 {
+		if cfg.MD.PKA != nil {
+			return fmt.Errorf("couple: campaign mode drives recoil injection itself; clear MD.PKA")
+		}
+		spec := cfg.Campaign
+		spec.normalize(cfg.MD.A)
+		if err := spec.validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.runsKMC() {
+		kcfg := cfg.kmcConfig()
+		return kcfg.Validate()
+	}
+	return nil
+}
+
+// GhostWidth returns the widest ghost halo among the stages the run
+// executes: the minimum slab width of any grid the whole run can use.
+func (cfg *Config) GhostWidth() int {
+	w := cfg.MD.GhostWidth()
+	if cfg.runsKMC() {
+		kcfg := cfg.kmcConfig()
+		w = max(w, kcfg.GhostWidth())
+	}
+	return w
+}
+
 // normalize fills the stop-condition defaults. Run applies it before
 // computing the config hash, and Hash applies it to its own copy, so both
 // digest the same effective configuration.
@@ -157,6 +198,7 @@ func (r *Result) String() string {
 // used by the examples and benchmarks: the driver's MD stage, the vacancy
 // handoff, then the driver's KMC stage.
 //
+// The whole configuration is checked (Validate) before the world starts.
 // Rank failures — a failed stage constructor, an internal invariant panic,
 // or an injected fault — surface as an ordinary error: the world aborts,
 // surviving ranks unwind, and the first cause is returned. With
@@ -165,7 +207,7 @@ func (r *Result) String() string {
 // newest valid one; the resumed trajectory is bit-identical to an
 // uninterrupted run.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.MD.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.normalize()

@@ -264,8 +264,9 @@ func TestRunReturnsErrorOnBadMDGrid(t *testing.T) {
 	}
 }
 
-// TestRunReturnsErrorOnThinKMCSubdomain: the same contract for a failure in
-// the second-stage constructor — the MD stage succeeds, kmc.NewState fails.
+// TestRunReturnsErrorOnThinKMCSubdomain: the same contract for a grid the
+// second stage cannot use — Config.Validate refuses it through the derived
+// KMC stage's own Validate.
 func TestRunReturnsErrorOnThinKMCSubdomain(t *testing.T) {
 	cfg := coupledConfig()
 	cfg.MD.Cells = [3]int{12, 6, 6}
@@ -275,5 +276,48 @@ func TestRunReturnsErrorOnThinKMCSubdomain(t *testing.T) {
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "thinner than ghost") {
 		t.Fatalf("Run with 2-cell KMC subdomain: err=%v, want thinner-than-ghost error", err)
+	}
+}
+
+// TestRunRejectsKMCInfeasibleGridBeforeMD is the pre-flight contract: a grid
+// whose slabs are thinner than the KMC ghost (11 cells over 4 ranks leaves a
+// 2-cell slab against a 3-cell halo) is refused before the world starts, so
+// no MD step runs and no snapshot is committed. An OKMC campaign has no KMC
+// stage, so the same grid, wide enough for MD, runs to completion.
+func TestRunRejectsKMCInfeasibleGridBeforeMD(t *testing.T) {
+	thin := func(cfg Config) Config {
+		cfg.MD.Cells = [3]int{11, 11, 11}
+		cfg.MD.Grid = [3]int{4, 1, 1}
+		cfg.MD.Steps = 30
+		cfg.Checkpoint = Checkpoint{Dir: t.TempDir(), Every: 10}
+		return cfg
+	}
+	noSnapshot := func(name string, dir string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "thinner than ghost") {
+			t.Errorf("%s: err=%v, want thinner-than-ghost error", name, err)
+		}
+		if seqs, err := committed(dir); err != nil || len(seqs) != 0 {
+			t.Errorf("%s: committed snapshots %v (err %v), want none", name, seqs, err)
+		}
+	}
+
+	cfg := thin(coupledConfig())
+	_, err := Run(cfg)
+	noSnapshot("Run", cfg.Checkpoint.Dir, err)
+
+	cfg = thin(campaignConfig())
+	cfg.Campaign.Iters = 1
+	_, err = RunCampaign(cfg)
+	noSnapshot("RunCampaign", cfg.Checkpoint.Dir, err)
+
+	cfg.Campaign.OKMC = true
+	cfg.Checkpoint.Dir = t.TempDir()
+	res, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatalf("OKMC campaign on the MD-feasible grid: %v", err)
+	}
+	if res.Iterations != 1 {
+		t.Errorf("OKMC campaign ran %d iterations, want 1", res.Iterations)
 	}
 }

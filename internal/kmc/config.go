@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 
 	"mdkmc/internal/eam"
 	"mdkmc/internal/lattice"
@@ -104,36 +105,54 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, including a decomposition a State
+// cannot use: every subdomain slab must be at least GhostWidth cells wide.
+// Callers check a run whole before any rank starts (NewState validates too).
 func (c *Config) Validate() error {
 	for d := 0; d < 3; d++ {
 		if c.Cells[d] <= 0 || c.Grid[d] <= 0 {
 			return fmt.Errorf("kmc: non-positive cells %v or grid %v", c.Cells, c.Grid)
 		}
 	}
-	if c.A <= 0 {
-		return fmt.Errorf("kmc: non-positive lattice constant")
+	if !positive(c.A) {
+		return fmt.Errorf("kmc: lattice constant %v is not positive and finite", c.A)
 	}
-	if c.Temperature <= 0 {
-		return fmt.Errorf("kmc: non-positive temperature")
+	if !positive(c.Temperature) {
+		return fmt.Errorf("kmc: temperature %v is not positive and finite", c.Temperature)
 	}
-	if c.Nu <= 0 || c.Em <= 0 {
-		return fmt.Errorf("kmc: non-positive rate parameters nu=%v em=%v", c.Nu, c.Em)
+	if !positive(c.Nu) || !positive(c.Em) {
+		return fmt.Errorf("kmc: rate parameters nu=%v em=%v are not positive and finite", c.Nu, c.Em)
 	}
-	if c.VacancyConcentration < 0 || c.VacancyConcentration > 0.5 {
+	if !(c.VacancyConcentration >= 0 && c.VacancyConcentration <= 0.5) {
 		return fmt.Errorf("kmc: vacancy concentration %v out of range", c.VacancyConcentration)
 	}
-	if c.CuConcentration < 0 || c.CuConcentration > 0.5 {
+	if !(c.CuConcentration >= 0 && c.CuConcentration <= 0.5) {
 		return fmt.Errorf("kmc: copper concentration %v out of range", c.CuConcentration)
 	}
-	if c.EmCu < 0 {
-		return fmt.Errorf("kmc: negative copper migration barrier %v", c.EmCu)
+	if !(c.EmCu >= 0) || math.IsInf(c.EmCu, 1) {
+		return fmt.Errorf("kmc: copper migration barrier %v is negative or not finite", c.EmCu)
 	}
-	if c.DtFactor <= 0 {
-		return fmt.Errorf("kmc: non-positive dt factor")
+	if !positive(c.DtFactor) {
+		return fmt.Errorf("kmc: dt factor %v is not positive and finite", c.DtFactor)
+	}
+	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
+	grid, err := lattice.NewGridCuts(l, c.Grid[0], c.Grid[1], c.Grid[2], c.Cuts)
+	if err != nil {
+		return err
+	}
+	ghost := c.GhostWidth()
+	for d, cs := range grid.Cuts() {
+		for i := 1; i < len(cs); i++ {
+			if w := cs[i] - cs[i-1]; w < ghost {
+				return fmt.Errorf("kmc: subdomain dim %d (%d cells) thinner than ghost %d", d, w, ghost)
+			}
+		}
 	}
 	return nil
 }
+
+// positive reports whether x is positive and finite (NaN is not).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Hash returns a short stable digest of every trajectory-determining
 // field. Checkpoint manifests record it so a restart with a diverging
@@ -160,7 +179,7 @@ func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }
 
 // GhostWidth returns the ghost-halo width in cells a State built from this
 // configuration uses — also the minimum slab width of any legal
-// decomposition (NewState refuses thinner subdomains), which topology
+// decomposition (Validate refuses thinner subdomains), which topology
 // choosers must respect when picking a grid for elastic restart.
 func (c *Config) GhostWidth() int {
 	cutoff := eam.CutoffOf(units.Fe)

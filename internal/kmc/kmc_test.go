@@ -43,6 +43,20 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Em = -0.1 },
 		func(c *Config) { c.VacancyConcentration = 0.9 },
 		func(c *Config) { c.DtFactor = 0 },
+		// NaN passes every "x <= 0" test, and ±Inf is not a physical value.
+		func(c *Config) { c.A = math.NaN() },
+		func(c *Config) { c.Temperature = math.NaN() },
+		func(c *Config) { c.Temperature = math.Inf(1) },
+		func(c *Config) { c.Nu = math.NaN() },
+		func(c *Config) { c.Em = math.Inf(1) },
+		func(c *Config) { c.VacancyConcentration = math.NaN() },
+		func(c *Config) { c.CuConcentration = math.NaN() },
+		func(c *Config) { c.EmCu = math.NaN() },
+		func(c *Config) { c.DtFactor = math.NaN() },
+		// The slab floor: 12 cells over 6 ranks leaves 2-cell subdomains, and
+		// explicit cuts may thin one slab below the 3-cell ghost.
+		func(c *Config) { c.Grid = [3]int{6, 1, 1} },
+		func(c *Config) { c.Grid = [3]int{2, 1, 1}; c.Cuts[0] = []int{0, 10, 12} },
 	}
 	for i, mutate := range bads {
 		cfg := DefaultConfig()

@@ -147,12 +147,6 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	// their ρ needs occupancy up to 2·reach+1 out).
 	ghost := 2*reach + 1
 	box := grid.Box(comm.Rank(), ghost)
-	for d := 0; d < 3; d++ {
-		if box.Hi[d]-box.Lo[d] < ghost {
-			return nil, fmt.Errorf("kmc: subdomain dim %d (%d cells) thinner than ghost %d",
-				d, box.Hi[d]-box.Lo[d], ghost)
-		}
-	}
 	st := &State{
 		Cfg:   cfg,
 		Comm:  comm,

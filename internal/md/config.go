@@ -120,17 +120,20 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("md: non-positive grid %v", c.Grid)
 		}
 	}
-	if c.A <= 0 {
-		return fmt.Errorf("md: non-positive lattice constant %v", c.A)
+	if !positive(c.A) {
+		return fmt.Errorf("md: lattice constant %v is not positive and finite", c.A)
 	}
-	if c.Dt <= 0 {
-		return fmt.Errorf("md: non-positive time step %v", c.Dt)
+	if !(c.Temperature >= 0) || math.IsInf(c.Temperature, 1) {
+		return fmt.Errorf("md: temperature %v is negative or not finite", c.Temperature)
+	}
+	if !positive(c.Dt) {
+		return fmt.Errorf("md: time step %v is not positive and finite", c.Dt)
 	}
 	if c.Steps < 0 {
 		return fmt.Errorf("md: negative step count %d", c.Steps)
 	}
-	if c.Skin <= 0 {
-		return fmt.Errorf("md: non-positive skin %v", c.Skin)
+	if !positive(c.Skin) {
+		return fmt.Errorf("md: skin %v is not positive and finite", c.Skin)
 	}
 	if c.TablePoints < 8 {
 		return fmt.Errorf("md: table resolution %d too small", c.TablePoints)
@@ -138,14 +141,14 @@ func (c *Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("md: negative worker count %d", c.Workers)
 	}
-	if c.CuFraction < 0 || c.CuFraction > 1 {
+	if !(c.CuFraction >= 0 && c.CuFraction <= 1) {
 		return fmt.Errorf("md: copper fraction %v out of range", c.CuFraction)
 	}
 	if c.CuFraction > 0 && c.Species != units.Fe {
 		return fmt.Errorf("md: copper substitution requires an iron host")
 	}
 	if p := c.PKA; p != nil {
-		if p.Energy <= 0 || math.IsInf(p.Energy, 0) || math.IsNaN(p.Energy) {
+		if !positive(p.Energy) {
 			return fmt.Errorf("md: PKA energy %v is not positive and finite", p.Energy)
 		}
 		for _, v := range p.Direction {
@@ -156,6 +159,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// positive reports whether x is positive and finite (NaN is not).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Hash returns a short stable digest of every trajectory-determining
 // field. Checkpoint manifests record it so a restart with a diverging

@@ -49,6 +49,17 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Skin = 0 },
 		func(c *Config) { c.TablePoints = 2 },
 		func(c *Config) { c.Workers = -1 },
+		// NaN passes every "x <= 0" test, and ±Inf is not a physical value.
+		func(c *Config) { c.A = math.NaN() },
+		func(c *Config) { c.A = math.Inf(1) },
+		func(c *Config) { c.Dt = math.NaN() },
+		func(c *Config) { c.Dt = math.Inf(1) },
+		func(c *Config) { c.Skin = math.NaN() },
+		func(c *Config) { c.CuFraction = math.NaN() },
+		func(c *Config) { c.Temperature = -100 },
+		func(c *Config) { c.Temperature = math.NaN() },
+		func(c *Config) { c.Temperature = math.Inf(1) },
+		func(c *Config) { c.PKA = &PKA{Energy: math.NaN()} },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()
@@ -56,6 +67,11 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+	cold := DefaultConfig()
+	cold.Temperature = 0
+	if err := cold.Validate(); err != nil {
+		t.Errorf("0 K rejected: %v", err)
 	}
 }
 

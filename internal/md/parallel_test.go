@@ -1,6 +1,7 @@
 package md
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -305,4 +306,31 @@ func TestForcePoolTimingCounters(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestWorkerPanicIsARankError: a panic on a force-pool worker goroutine is
+// outside the world's per-rank recovery, so the pool re-raises it on the rank
+// goroutine after the round's barrier. An absurd time step throws the atoms
+// out of the potential tables' range inside a pooled round; the world must
+// abort with a RankPanic instead of the panic killing the process.
+func TestWorkerPanicIsARankError(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cells = [3]int{6, 6, 6}
+	cfg.Workers = 2
+	cfg.Dt = 1e300
+	err := mpi.NewWorld(cfg.Ranks()).RunE(func(c *mpi.Comm) error {
+		r, err := NewRank(cfg, c)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 3; i++ {
+			r.Step()
+		}
+		return nil
+	})
+	var rp mpi.RankPanic
+	if !errors.As(err, &rp) {
+		t.Fatalf("RunE = %v, want a RankPanic", err)
+	}
+	t.Logf("world aborted: %v", err)
 }

@@ -116,10 +116,22 @@ func (p *ForcePool) run(s *neighbor.Store, rounds []round, busy *telemetry.Timer
 		} else {
 			var next atomic.Int64
 			var wg sync.WaitGroup
+			var mu sync.Mutex
+			var fault any // the first worker panic of the round
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					defer func() {
+						if r := recover(); r != nil {
+							next.Store(ForceChunks) // the round is lost; stop the others early
+							mu.Lock()
+							if fault == nil {
+								fault = r
+							}
+							mu.Unlock()
+						}
+					}()
 					sp := busy.Begin()
 					var chunks int64
 					for {
@@ -135,6 +147,13 @@ func (p *ForcePool) run(s *neighbor.Store, rounds []round, busy *telemetry.Timer
 				}()
 			}
 			wg.Wait() // barrier: next round reads what this round wrote
+			if fault != nil {
+				// A worker goroutine is outside the world's per-rank recovery;
+				// re-raised here, on the rank goroutine, it aborts the world
+				// like any rank panic and fails one job, not the process.
+				//mdvet:ignore errpanic re-raises a worker's panic on the rank goroutine, where the mpi runtime converts it into a RankPanic error
+				panic(fault)
+			}
 		}
 		p.cost.endRound()
 		for i := 0; i < ForceChunks; i++ {

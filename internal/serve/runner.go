@@ -83,50 +83,40 @@ func (SimRunner) Run(rc RunContext) (RunResult, error) {
 		summary any
 		dose    *DoseStatus
 	)
-	switch rc.Spec.Type {
-	case TypeMD:
-		cfg, err := rc.Spec.mdConfig(rc.Slots)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res, err := mdkmc.RunMDCheckpointed(cfg, ck, mdkmc.WithTelemetry(tel))
-		if err != nil {
-			return RunResult{}, err
-		}
-		summary = res
-	case TypeKMC:
-		cfg, err := rc.Spec.kmcConfig(rc.Slots)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res, err := mdkmc.RunKMCCheckpointed(cfg, rc.Spec.kmcCycles(), rc.Spec.TThreshold, ck, mdkmc.WithTelemetry(tel))
+	cfg, err := rc.Spec.config(rc.Slots)
+	if err != nil {
+		return RunResult{}, err
+	}
+	switch cfg := cfg.(type) {
+	case *mdkmc.MDConfig:
+		res, err := mdkmc.RunMDCheckpointed(*cfg, ck, mdkmc.WithTelemetry(tel))
 		if err != nil {
 			return RunResult{}, err
 		}
 		summary = res
-	case TypeCoupled, TypeCampaign:
-		cfg, err := rc.Spec.coupledConfig(rc.Slots)
+	case *mdkmc.KMCConfig:
+		res, err := mdkmc.RunKMCCheckpointed(*cfg, rc.Spec.kmcCycles(), rc.Spec.TThreshold, ck, mdkmc.WithTelemetry(tel))
 		if err != nil {
 			return RunResult{}, err
 		}
+		summary = res
+	case *mdkmc.CoupledConfig:
 		cfg.Checkpoint = ck
 		cfg.Telemetry = tel
 		if rc.Spec.Type == TypeCoupled {
-			res, err := mdkmc.RunCoupled(cfg)
+			res, err := mdkmc.RunCoupled(*cfg)
 			if err != nil {
 				return RunResult{}, err
 			}
 			summary = res
 		} else {
-			res, err := mdkmc.RunCampaign(cfg)
+			res, err := mdkmc.RunCampaign(*cfg)
 			if err != nil {
 				return RunResult{}, err
 			}
 			summary = res
 			dose = newDoseStatus("result", res.Iterations, res.Dose, res.Ledger)
 		}
-	default:
-		return RunResult{}, fmt.Errorf("serve: unknown job type %q", rc.Spec.Type)
 	}
 
 	raw, err := json.Marshal(summary)

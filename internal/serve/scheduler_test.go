@@ -198,6 +198,7 @@ func TestElasticGrantBelowRequest(t *testing.T) {
 // its engines' ghost width.
 func TestMaxFeasibleSlots(t *testing.T) {
 	camp := &CampaignJobSpec{Iters: 1, DoseIncrement: 1e-3, Energy: 300}
+	okmc := &CampaignJobSpec{Iters: 1, DoseIncrement: 1e-3, Energy: 300, OKMC: true}
 	cases := []struct {
 		name string
 		spec JobSpec
@@ -218,6 +219,8 @@ func TestMaxFeasibleSlots(t *testing.T) {
 		{"coupled explicit cells", JobSpec{Type: TypeCoupled, Slots: 64, Cells: [3]int{20, 10, 10}}, 64, 54},
 		{"campaign default cells", JobSpec{Type: TypeCampaign, Slots: 64, Campaign: camp}, 6, 4},
 		{"campaign explicit cells", JobSpec{Type: TypeCampaign, Slots: 64, Cells: [3]int{12, 12, 12}, Campaign: camp}, 64, 64},
+		// An OKMC campaign runs no atomistic KMC stage: MD's 2-cell floor.
+		{"okmc campaign", JobSpec{Type: TypeCampaign, Slots: 2, Cells: [3]int{4, 4, 4}, Campaign: okmc}, 64, 2},
 		{"one slot", JobSpec{Type: TypeMD, Slots: 1}, 8, 1},
 	}
 	for _, tc := range cases {
@@ -238,7 +241,7 @@ func TestKMCConfigHashIsTheRunDigest(t *testing.T) {
 		{JobSpec{Type: TypeKMC}, "|cycles=30|tthr=+Inf"},
 		{JobSpec{Type: TypeKMC, KMCCycles: 12, TThreshold: 0.5}, "|cycles=12|tthr=0.5"},
 	} {
-		cfg, err := tc.spec.kmcConfig(1)
+		cfg, err := tc.spec.config(1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,9 +86,9 @@ func (s *JobSpec) normalize() {
 }
 
 // Validate normalizes the spec and checks it can actually run: the type is
-// known, the type-specific blocks are present, and the underlying
-// simulation configs accept it on a single slot (always feasible when any
-// slot count is).
+// known, the type-specific blocks are present, and the job's configuration
+// on a single slot passes that configuration's own Validate (a single slot
+// is feasible whenever any slot count is).
 func (s *JobSpec) Validate() error {
 	s.normalize()
 	// The lattice constructors panic on degenerate geometry, so bounce bad
@@ -111,41 +111,69 @@ func (s *JobSpec) Validate() error {
 	if s.TablePoints > eam.TablePoints {
 		return fmt.Errorf("serve: table_points %d exceeds %d", s.TablePoints, eam.TablePoints)
 	}
-	switch s.Type {
-	case TypeMD:
-		cfg, err := s.mdConfig(1)
-		if err != nil {
-			return err
-		}
-		return cfg.Validate()
-	case TypeKMC:
-		cfg, err := s.kmcConfig(1)
-		if err != nil {
-			return err
-		}
-		return cfg.Validate()
-	case TypeCoupled, TypeCampaign:
-		// couple.Config has no Validate of its own — Run validates the MD
-		// block and the campaign invariants; mirror the cheap parts here so
-		// bad specs bounce at admission, not at start.
-		cfg, err := s.coupledConfig(1)
-		if err != nil {
-			return err
-		}
-		return cfg.MD.Validate()
-	case "":
-		return fmt.Errorf("serve: job spec missing \"type\"")
-	default:
-		return fmt.Errorf("serve: unknown job type %q (want md, kmc, coupled, or campaign)", s.Type)
+	cfg, err := s.config(1)
+	if err != nil {
+		return err
 	}
+	return cfg.Validate()
 }
 
-// mdConfig builds the MD configuration for a run on the given slot count.
-func (s *JobSpec) mdConfig(slots int) (mdkmc.MDConfig, error) {
-	cfg := mdkmc.DefaultMDConfig()
-	if s.Cells != ([3]int{}) {
-		cfg.Cells = s.Cells
+// jobConfig is what admission and the scheduler ask of a job's simulation
+// configuration, whatever the job type.
+type jobConfig interface {
+	Validate() error
+	// GhostWidth is the slab-width floor of every grid the run can use.
+	GhostWidth() int
+	Hash() string
+}
+
+// config builds the job's simulation configuration for a run on the given
+// slot count — *mdkmc.MDConfig, *mdkmc.KMCConfig or *mdkmc.CoupledConfig by
+// type — on the near-cubic grid whose slabs hold the configuration's own
+// GhostWidth. Checkpointing, faults, telemetry and the preemptor are runtime
+// settings layered on by the runner, not part of the spec mapping.
+func (s *JobSpec) config(slots int) (jobConfig, error) {
+	var (
+		cfg  jobConfig
+		grid *[3]int
+	)
+	switch s.Type {
+	case TypeMD:
+		c := s.mdConfig()
+		cfg, grid = &c, &c.Grid
+	case TypeKMC:
+		c := mdkmc.DefaultKMCConfig()
+		c.Cells = s.box()
+		if s.Temperature > 0 {
+			c.Temperature = s.Temperature
+		}
+		if s.Seed != 0 {
+			c.Seed = s.Seed
+		}
+		cfg, grid = &c, &c.Grid
+	case TypeCoupled, TypeCampaign:
+		c, err := s.coupledConfig()
+		if err != nil {
+			return nil, err
+		}
+		cfg, grid = &c, &c.MD.Grid
+	case "":
+		return nil, fmt.Errorf("serve: job spec missing \"type\"")
+	default:
+		return nil, fmt.Errorf("serve: unknown job type %q (want md, kmc, coupled, or campaign)", s.Type)
 	}
+	g, err := mdkmc.ChooseGrid(s.box(), slots, cfg.GhostWidth())
+	if err != nil {
+		return nil, fmt.Errorf("serve: no %d-slot grid for %v cells: %w", slots, s.box(), err)
+	}
+	*grid = g
+	return cfg, nil
+}
+
+// mdConfig maps the spec onto the MD configuration (grid left to config).
+func (s *JobSpec) mdConfig() mdkmc.MDConfig {
+	cfg := mdkmc.DefaultMDConfig()
+	cfg.Cells = s.box()
 	if s.Steps > 0 {
 		cfg.Steps = s.Steps
 	}
@@ -164,117 +192,56 @@ func (s *JobSpec) mdConfig(slots int) (mdkmc.MDConfig, error) {
 	if s.PKAEnergy > 0 {
 		cfg.PKA = &mdkmc.PKA{Energy: s.PKAEnergy}
 	}
-	grid, err := mdkmc.ChooseGrid(cfg.Cells, slots, s.minWidth())
-	if err != nil {
-		return cfg, fmt.Errorf("serve: no %d-slot grid for %v cells: %w", slots, cfg.Cells, err)
-	}
-	cfg.Grid = grid
-	return cfg, nil
+	return cfg
 }
 
-// kmcConfig builds the standalone-KMC configuration for the given slot count.
-func (s *JobSpec) kmcConfig(slots int) (mdkmc.KMCConfig, error) {
-	cfg := mdkmc.DefaultKMCConfig()
-	if s.Cells != ([3]int{}) {
-		cfg.Cells = s.Cells
+// coupledConfig maps the spec onto the coupled/campaign configuration (grid
+// left to config). The campaign rules themselves — positive dose, an energy
+// or a spectrum, no pka_energy — are the configuration's Validate.
+func (s *JobSpec) coupledConfig() (mdkmc.CoupledConfig, error) {
+	cfg := mdkmc.CoupledConfig{
+		MD:        s.mdConfig(),
+		KMCCycles: s.kmcCycles(),
+		Protocol:  mdkmc.ProtocolOnDemand,
 	}
-	if s.Temperature > 0 {
-		cfg.Temperature = s.Temperature
-	}
-	if s.Seed != 0 {
-		cfg.Seed = s.Seed
-	}
-	grid, err := mdkmc.ChooseGrid(cfg.Cells, slots, s.minWidth())
-	if err != nil {
-		return cfg, fmt.Errorf("serve: no %d-slot grid for %v cells: %w", slots, cfg.Cells, err)
-	}
-	cfg.Grid = grid
-	return cfg, nil
-}
-
-// coupledConfig builds the coupled/campaign configuration for the given
-// slot count. Checkpointing, faults, telemetry, and the preemptor are
-// runtime settings layered on by the runner, not part of the spec mapping.
-func (s *JobSpec) coupledConfig(slots int) (mdkmc.CoupledConfig, error) {
-	var cfg mdkmc.CoupledConfig
-	mcfg, err := s.mdConfig(slots)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.MD = mcfg
-	cfg.KMCCycles = s.KMCCycles
-	if cfg.KMCCycles <= 0 {
-		cfg.KMCCycles = 30
-	}
-	cfg.Protocol = mdkmc.ProtocolOnDemand
-	if s.Type == TypeCampaign {
-		c := s.Campaign
-		if c == nil {
-			return cfg, fmt.Errorf("serve: campaign job missing the \"campaign\" block")
+	if s.Type == TypeCoupled {
+		if cfg.MD.PKA == nil {
+			// A coupled run without a cascade has nothing to couple.
+			cfg.MD.PKA = &mdkmc.PKA{Energy: 300}
 		}
-		if c.Iters <= 0 || c.DoseIncrement <= 0 {
-			return cfg, fmt.Errorf("serve: campaign needs positive iters and dose_increment, got %d and %v", c.Iters, c.DoseIncrement)
+		return cfg, nil
+	}
+	c := s.Campaign
+	if c == nil || c.Iters <= 0 {
+		return cfg, fmt.Errorf("serve: campaign job needs a \"campaign\" block with positive iters")
+	}
+	cfg.Campaign = mdkmc.CampaignSpec{
+		Iters:         c.Iters,
+		DoseIncrement: c.DoseIncrement,
+		Energy:        c.Energy,
+		OKMC:          c.OKMC,
+	}
+	if c.Spectrum != "" {
+		spec, err := couple.ReadSpectrum(strings.NewReader(c.Spectrum))
+		if err != nil {
+			return cfg, fmt.Errorf("serve: inline spectrum: %w", err)
 		}
-		if s.PKAEnergy > 0 {
-			return cfg, fmt.Errorf("serve: campaign jobs draw recoils from the spec's energy/spectrum; pka_energy must be unset")
-		}
-		cfg.MD.PKA = nil
-		cfg.Campaign = mdkmc.CampaignSpec{
-			Iters:         c.Iters,
-			DoseIncrement: c.DoseIncrement,
-			Energy:        c.Energy,
-			OKMC:          c.OKMC,
-		}
-		if c.Spectrum != "" {
-			spec, err := couple.ReadSpectrum(strings.NewReader(c.Spectrum))
-			if err != nil {
-				return cfg, fmt.Errorf("serve: inline spectrum: %w", err)
-			}
-			cfg.Campaign.Spectrum = spec
-		} else if c.Energy <= 0 {
-			return cfg, fmt.Errorf("serve: campaign needs a positive energy or an inline spectrum")
-		}
-	} else if s.PKAEnergy <= 0 {
-		// A coupled run without a cascade has nothing to couple.
-		cfg.MD.PKA = &mdkmc.PKA{Energy: 300}
+		cfg.Campaign.Spectrum = spec
 	}
 	return cfg, nil
-}
-
-// minWidth is the slab-width floor ChooseGrid must respect: the widest
-// ghost halo of the stages this job type runs.
-func (s *JobSpec) minWidth() int {
-	mcfg := mdkmc.DefaultMDConfig()
-	if s.Cells != ([3]int{}) {
-		mcfg.Cells = s.Cells
-	}
-	if s.TablePoints > 0 {
-		mcfg.TablePoints = s.TablePoints
-	}
-	w := mcfg.GhostWidth()
-	if s.Type == TypeKMC || s.Type == TypeCoupled || s.Type == TypeCampaign {
-		kcfg := mdkmc.DefaultKMCConfig()
-		kcfg.Cells = mcfg.Cells
-		kcfg.A = mcfg.A
-		if kw := kcfg.GhostWidth(); kw > w {
-			w = kw
-		}
-	}
-	return w
 }
 
 // maxFeasibleSlots returns the largest slot count in [1, min(s.Slots, cap)]
 // the job's box can actually be decomposed onto — the scheduler never
 // grants more. Slot count 1 always works (validated at admission).
 func (s *JobSpec) maxFeasibleSlots(cap int) int {
-	want := s.Slots
-	if cap < want {
-		want = cap
+	cfg, err := s.config(1)
+	if err != nil {
+		return 1
 	}
-	cells := s.box()
-	minWidth := s.minWidth()
-	for n := want; n > 1; n-- {
-		if _, err := mdkmc.ChooseGrid(cells, n, minWidth); err == nil {
+	minWidth := cfg.GhostWidth()
+	for n := min(s.Slots, cap); n > 1; n-- {
+		if _, err := mdkmc.ChooseGrid(s.box(), n, minWidth); err == nil {
 			return n
 		}
 	}
@@ -298,29 +265,18 @@ func (s *JobSpec) box() [3]int {
 // the underlying hashes, so one digest serves every slot count — the status
 // endpoint uses it to find a job's newest manifest.
 func (s *JobSpec) configHash() (string, error) {
-	switch s.Type {
-	case TypeMD:
-		cfg, err := s.mdConfig(1)
-		if err != nil {
-			return "", err
-		}
-		return cfg.Hash(), nil
-	case TypeKMC:
-		cfg, err := s.kmcConfig(1)
-		if err != nil {
-			return "", err
-		}
-		return couple.KMCRunHash(cfg, s.kmcCycles(), s.TThreshold), nil
-	default:
-		cfg, err := s.coupledConfig(1)
-		if err != nil {
-			return "", err
-		}
-		return cfg.Hash(), nil
+	cfg, err := s.config(1)
+	if err != nil {
+		return "", err
 	}
+	if k, ok := cfg.(*mdkmc.KMCConfig); ok {
+		return couple.KMCRunHash(*k, s.kmcCycles(), s.TThreshold), nil
+	}
+	return cfg.Hash(), nil
 }
 
-// kmcCycles returns the standalone-KMC cycle bound (30 when unset).
+// kmcCycles returns the KMC cycle bound of a standalone-KMC or coupled job
+// (30 when unset).
 func (s *JobSpec) kmcCycles() int {
 	if s.KMCCycles <= 0 {
 		return 30
