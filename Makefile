@@ -100,10 +100,13 @@ race:
 # armed point, restart from the newest snapshot, demand bit-identical
 # results (plus the atomic-commit guarantee, the refusal of a manifest that
 # disagrees with its rank files, and the one committed-snapshot rule); and
-# each engine's restart call, exact onto the writer's own grid.
+# each engine's restart calls: exact onto the writer's own grid, bit-identical
+# resumes, the MD re-shard opening only the shards it overlaps, and every
+# corrupt or version-1 rank file refused at the decoder.
 recovery:
 	$(GO) test -race -count=1 -run 'TestRecovery|TestAtomicCommit|TestRestartRejectsManifestStepMismatch|TestStrayFileIsNotASnapshot' ./internal/couple
-	$(GO) test -race -count=1 -run 'TestReshardOntoOwnGridIsExact' ./internal/md ./internal/kmc
+	$(GO) test -race -count=1 -run '^(TestReshardOntoOwnGridIsExact|TestCheckpointResumeIdentical|TestCheckpointResumeIdenticalParallel|TestRestoreDoesNotReinjectPKA|TestRestoreRejectsCorruptSnapshot|TestRestoreRefusesVersion1File|TestReshardOpensOnlyOverlappingShards)$$' ./internal/md
+	$(GO) test -race -count=1 -run '^(TestReshardOntoOwnGridIsExact|TestRestoreRejectsCorruptCheckpoint)$$' ./internal/kmc
 
 # Per-package coverage with enforced floors on internal/couple — the
 # restart-correctness core (checkpoint coordinator, re-shard loaders,
@@ -212,8 +215,8 @@ fuzz-manifest:
 # md:/kmc: error or succeed, never panic, and a rejected Restore must leave
 # the engine untouched (seeds start from real Save output). go test fuzzes
 # one package at a time, so each engine gets its own 30 s pass; a rank file
-# seed is ~55 KB, so minimizing a new input is capped at 5 s (the 60 s
-# default would eat the whole pass).
+# seed is tens of KB (an MD one ~13 KB), so minimizing a new input is capped
+# at 5 s (the 60 s default would eat the whole pass).
 fuzz-rankfile:
 	$(GO) test -run '^$$' -fuzz 'FuzzRankFile' -fuzztime 30s -fuzzminimizetime 5s ./internal/md
 	$(GO) test -run '^$$' -fuzz 'FuzzRankFile' -fuzztime 30s -fuzzminimizetime 5s ./internal/kmc

@@ -29,6 +29,11 @@ import (
 //	<dir>/ckpt-000007/rank-001.ckpt
 //	<dir>/.tmp-ckpt/                  in-flight snapshot, ignored by Latest
 //
+// An MD rank file holds the rank's owned atoms only (ghosts and ρ are
+// rebuilt by the next force computation; version-1 whole-store files are
+// refused); a KMC rank file keeps ghost occupancy and ρ, its trajectory
+// state (DESIGN.md §10).
+//
 // The commit point is a single os.Rename of the staging directory onto its
 // final ckpt-<seq> name, performed by rank 0 after every rank file and the
 // manifest are fully written — a crash at any earlier point leaves only the

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // checkpoint is the serialized per-rank KMC state. Geometry and plans are
@@ -62,9 +63,11 @@ func (st *State) Restore(rd io.Reader) error {
 }
 
 // decode reads and checks the rank file of `rank`, input from outside the
-// program: format version, writing rank, per-site slices of `sites` entries
-// and known occupancy codes only (an unknown one would index past the
-// per-species shell tables). Restore and the re-shard merge share it.
+// program: format version, writing rank, per-site slices of `sites` entries,
+// known occupancy codes only (an unknown one would index past the
+// per-species shell tables), finite densities (a NaN one indexes past the
+// embedding table), a finite non-negative clock and non-negative counters —
+// the rule Config.Validate applies. Restore and the re-shard merge share it.
 func decode(rd io.Reader, rank, sites int) (*checkpoint, error) {
 	var cp checkpoint
 	if err := gob.NewDecoder(rd).Decode(&cp); err != nil {
@@ -86,6 +89,13 @@ func decode(rd io.Reader, rank, sites int) (*checkpoint, error) {
 		if occ >= numSpecies {
 			return nil, fmt.Errorf("kmc: rank %d checkpoint field Occ[%d] holds unknown occupancy code %d", rank, i, occ)
 		}
+		if rho := cp.Rho[i]; math.IsNaN(rho) || math.IsInf(rho, 0) {
+			return nil, fmt.Errorf("kmc: rank %d checkpoint field Rho[%d] holds non-finite density %v", rank, i, rho)
+		}
+	}
+	if !(cp.Time >= 0) || math.IsInf(cp.Time, 1) || cp.Cycles < 0 || cp.Events < 0 {
+		return nil, fmt.Errorf("kmc: rank %d checkpoint clock t=%v after %d cycles and %d events: want all finite and non-negative",
+			rank, cp.Time, cp.Cycles, cp.Events)
 	}
 	return &cp, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,10 +148,12 @@ func TestCheckpointResumeIdenticalProtocols(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptCheckpoint: the KMC side of the checkpoint trust
-// boundary. A short Rho used to be copied partially and an unknown occupancy
-// code to index past the per-species tables later; both, like a short Occ,
-// must fail Restore and RestoreResharded with an error naming the field, and
-// a rejected Restore must leave the state untouched.
+// boundary. A short Rho used to be copied partially, an unknown occupancy
+// code to index past the per-species tables later, a NaN ρ to index past the
+// embedding table in the first Cycle, and a NaN clock or negative counter to
+// run on unnoticed; each, like a short Occ, must fail Restore and
+// RestoreResharded with an error naming the field, and a rejected Restore
+// must leave the state untouched.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	cfg := testConfig()
 	var good bytes.Buffer
@@ -170,6 +173,12 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		{"short Occ", func(cp *checkpoint) { cp.Occ = cp.Occ[:len(cp.Occ)-1] }, "field Occ has"},
 		{"short Rho", func(cp *checkpoint) { cp.Rho = cp.Rho[:len(cp.Rho)/2] }, "field Rho has"},
 		{"bad occupancy code", func(cp *checkpoint) { cp.Occ[17] = 3 }, "field Occ[17] holds unknown occupancy code 3"},
+		{"NaN Rho", func(cp *checkpoint) { cp.Rho[17] = math.NaN() }, "field Rho[17] holds non-finite density NaN"},
+		{"Inf Rho", func(cp *checkpoint) { cp.Rho[4] = math.Inf(-1) }, "field Rho[4] holds non-finite density -Inf"},
+		{"NaN Time", func(cp *checkpoint) { cp.Time = math.NaN() }, "clock t=NaN after 3 cycles"},
+		{"negative Time", func(cp *checkpoint) { cp.Time = -1 }, "clock t=-1 after"},
+		{"negative Cycles", func(cp *checkpoint) { cp.Cycles = -2 }, "after -2 cycles"},
+		{"negative Events", func(cp *checkpoint) { cp.Events = -5 }, "and -5 events: want all finite and non-negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -151,8 +151,9 @@ type Grid struct {
 
 // ShardSource describes where an M-rank checkpoint of either engine came
 // from: the source decomposition and a way to open each source rank's
-// shard. Open is called with ranks 0..Grid.Ranks()-1 in order; the caller
-// owns closing semantics through the returned ReadCloser.
+// shard. An engine opens the shards it needs in ascending rank order —
+// the MD merge only those whose owned box overlaps its own — and closes
+// each returned ReadCloser.
 type ShardSource struct {
 	Grid *Grid
 	Open func(rank int) (io.ReadCloser, error)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/neighbor"
+	"mdkmc/internal/units"
 	"mdkmc/internal/vec"
 )
 
@@ -263,90 +265,129 @@ func TestRestoreDoesNotReinjectPKA(t *testing.T) {
 
 // TestRestoreRejectsCorruptSnapshot: a checkpoint file is input from
 // outside the program. Every way one field of it can be wrong — a per-site
-// slice of the wrong length, a run-away reference outside the pool, a chain
-// that loops or shares a slot — must surface at the trust boundary as a
-// descriptive error from Restore and RestoreResharded, not as a partial
-// copy, an index panic or a hang in a later chain walk; and a rejected
-// Restore must leave the live store exactly as it was.
+// slice of the wrong length, run-away counts that do not match the chain
+// list, a species the run's potential lacks, a non-finite number — must
+// surface at the trust boundary as a descriptive error from Restore and
+// RestoreResharded, not as a partial copy, an index panic or a NaN
+// trajectory; and a rejected Restore must leave the live state exactly as
+// it was.
 func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Temperature = 600
 	cfg.Dt = 2e-4
 	cfg.PKA = &PKA{Energy: 120}
 
-	// A cascade state: run-away chains in use and freed pool slots.
+	// A cascade state: run-away chains in use.
 	var good bytes.Buffer
-	chained := -1 // a site with a run-away chain
+	chained := false
 	runWorld(t, cfg, func(r *Rank) {
-		for i := 0; i < 200 && chained < 0; i++ {
+		for i := 0; i < 200 && !chained; i++ {
 			r.Step()
-			if snap := r.Store.Snapshot(); snap.Free != neighbor.NoRunaway {
-				for site, head := range snap.Head {
-					if head != neighbor.NoRunaway {
-						chained = site
-					}
-				}
-			}
+			r.Box.EachOwned(func(_ lattice.Coord, local int) {
+				chained = chained || r.Store.Head[local] != neighbor.NoRunaway
+			})
 		}
 		if err := r.Save(&good); err != nil {
 			t.Errorf("save: %v", err)
 		}
 	})
-	if chained < 0 {
-		t.Fatalf("cascade left no state with both a run-away chain and a freed pool slot")
+	if !chained {
+		t.Fatalf("cascade left no run-away chain")
 	}
 
 	cases := []struct {
 		name   string
-		mutate func(s *neighbor.Snapshot)
+		mutate func(cp *checkpoint)
 		want   string // what the error must name
 	}{
-		{"short Type", func(s *neighbor.Snapshot) { s.Type = s.Type[:len(s.Type)-1] }, "field Type"},
-		{"short R", func(s *neighbor.Snapshot) { s.R = s.R[:len(s.R)/2] }, "field R"},
-		{"short Vel", func(s *neighbor.Snapshot) { s.Vel = nil }, "field Vel"},
-		{"short F", func(s *neighbor.Snapshot) { s.F = s.F[:1] }, "field F"},
-		{"short Rho", func(s *neighbor.Snapshot) { s.Rho = s.Rho[:len(s.Rho)-1] }, "field Rho"},
-		{"long Head", func(s *neighbor.Snapshot) { s.Head = append(s.Head, neighbor.NoRunaway) }, "field Head"},
-		{"Head past Pool", func(s *neighbor.Snapshot) { s.Head[0] = int32(len(s.Pool)) }, "Head chain (site 0) references run-away"},
-		{"Head negative", func(s *neighbor.Snapshot) { s.Head[3] = -7 }, "Head chain (site 3) references run-away -7"},
-		{"Next past Pool", func(s *neighbor.Snapshot) { s.Pool[s.Head[chained]].Next = int32(len(s.Pool)) + 5 }, "Head chain"},
-		{"Free past Pool", func(s *neighbor.Snapshot) { s.Free = int32(len(s.Pool)) }, "Free chain"},
-		{"Next cycle", func(s *neighbor.Snapshot) { s.Pool[s.Head[chained]].Next = s.Head[chained] }, "a second time"},
-		{"chain shares the free list", func(s *neighbor.Snapshot) { s.Head[0] = s.Free }, "a second time"},
+		{"short Type", func(cp *checkpoint) { cp.Type = cp.Type[:len(cp.Type)-1] }, "field Type"},
+		{"short R", func(cp *checkpoint) { cp.R = cp.R[:len(cp.R)/2] }, "field R"},
+		{"short Vel", func(cp *checkpoint) { cp.Vel = nil }, "field Vel"},
+		{"short F", func(cp *checkpoint) { cp.F = cp.F[:1] }, "field F"},
+		{"long Runaways", func(cp *checkpoint) { cp.Runaways = append(cp.Runaways, 0) }, "field Runaways has"},
+		{"negative run-away count", func(cp *checkpoint) { cp.Runaways[3] = -7 }, "field Runaways[3] is negative (-7)"},
+		{"run-away counts past Chain", func(cp *checkpoint) { cp.Runaways[0]++ }, "Chain holds"},
+		{"unknown species", func(cp *checkpoint) { cp.Type[5] = 9 }, "owned site 5 has element code 9"},
+		{"species outside the potential", func(cp *checkpoint) { cp.Type[5] = units.Cu }, "not a species of this run's potential [Fe]"},
+		{"NaN x", func(cp *checkpoint) { cp.R[5].X = math.NaN() }, "owned site 5 has non-finite R"},
+		{"Inf velocity", func(cp *checkpoint) { cp.Vel[2].Y = math.Inf(1) }, "owned site 2 has non-finite Vel"},
+		{"NaN chain force", func(cp *checkpoint) { cp.Chain[0].F.Z = math.NaN() }, "chain atom 0 has non-finite F"},
+		{"unknown chain species", func(cp *checkpoint) { cp.Chain[0].Type = 9 }, "chain atom 0 has element code 9"},
+		{"NaN LastPE", func(cp *checkpoint) { cp.LastPE = math.NaN() }, "LastPE NaN: want a non-negative step and a finite energy"},
+		{"negative StepCount", func(cp *checkpoint) { cp.StepCount = -3 }, "StepCount -3, LastPE"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var cp checkpoint
-			if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&cp); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			tc.mutate(&cp.Store)
-			var bad bytes.Buffer
-			if err := gob.NewEncoder(&bad).Encode(cp); err != nil {
-				t.Fatalf("encode: %v", err)
-			}
+			bad := mutateRankFile(t, good.Bytes(), tc.mutate)
 			check := func(op string, err error) {
 				t.Helper()
 				if err == nil {
 					t.Errorf("%s accepted the corrupt snapshot", op)
-				} else if msg := err.Error(); !strings.HasPrefix(msg, "md: ") ||
-					!strings.Contains(msg, "neighbor: snapshot") || !strings.Contains(msg, tc.want) {
+				} else if msg := err.Error(); !strings.HasPrefix(msg, "md: ") || !strings.Contains(msg, tc.want) {
 					t.Errorf("%s error %q does not name %q", op, msg, tc.want)
 				}
 			}
 			runWorld(t, cfg, func(r *Rank) {
-				before := r.Store.Snapshot()
-				check("Restore", r.Restore(bytes.NewReader(bad.Bytes())))
-				if !reflect.DeepEqual(before, r.Store.Snapshot()) || r.StepCount != 0 {
+				before := stateOf(r)
+				check("Restore", r.Restore(bytes.NewReader(bad)))
+				if !reflect.DeepEqual(before, stateOf(r)) {
 					t.Errorf("rejected Restore modified the live state")
 				}
 				check("RestoreResharded", r.RestoreResharded(ShardSource{
 					Grid: r.Grid,
 					Open: func(int) (io.ReadCloser, error) {
-						return io.NopCloser(bytes.NewReader(bad.Bytes())), nil
+						return io.NopCloser(bytes.NewReader(bad)), nil
 					},
 				}))
 			})
 		})
 	}
+}
+
+// TestRestoreRefusesVersion1File: a rank file of the version-1 layout — a
+// gob of the whole local store, ghosts, ρ and run-away pool included — is
+// refused by its version, not decoded into the wrong state.
+func TestRestoreRefusesVersion1File(t *testing.T) {
+	type storeV1 struct {
+		ID   []int64
+		Type []units.Element
+		R    []vec.V
+		Vel  []vec.V
+		F    []vec.V
+		Rho  []float64
+		Head []int32
+		Pool []neighbor.Runaway
+		Free int32
+	}
+	type fileV1 struct {
+		Version   int
+		Rank      int
+		StepCount int
+		LastPE    float64
+		Store     storeV1
+	}
+	cfg := smallConfig()
+	cfg.Temperature = 600
+	var old bytes.Buffer
+	runWorld(t, cfg, func(r *Rank) {
+		r.Step()
+		s := r.Store
+		err := gob.NewEncoder(&old).Encode(fileV1{
+			Version: 1, StepCount: r.StepCount, LastPE: r.LastPE,
+			Store: storeV1{ID: s.ID, Type: s.Type, R: s.R, Vel: s.Vel, F: s.F, Rho: s.Rho, Head: s.Head, Free: neighbor.NoRunaway},
+		})
+		if err != nil {
+			t.Errorf("encode: %v", err)
+		}
+	})
+	runWorld(t, cfg, func(r *Rank) {
+		before := stateOf(r)
+		const want = "md: checkpoint version 1, want 2"
+		if err := r.Restore(bytes.NewReader(old.Bytes())); err == nil || err.Error() != want {
+			t.Errorf("Restore of a version-1 file: error %v, want %q", err, want)
+		}
+		if !reflect.DeepEqual(before, stateOf(r)) {
+			t.Errorf("refused Restore modified the live state")
+		}
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"mdkmc/internal/eam"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/units"
+	"mdkmc/internal/vec"
 )
 
 // Default numerical parameters; see Config.
@@ -151,10 +152,8 @@ func (c *Config) Validate() error {
 		if !positive(p.Energy) {
 			return fmt.Errorf("md: PKA energy %v is not positive and finite", p.Energy)
 		}
-		for _, v := range p.Direction {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return fmt.Errorf("md: PKA direction %v is not finite", p.Direction)
-			}
+		if d := p.Direction; !finite(vec.V{X: d[0], Y: d[1], Z: d[2]}) {
+			return fmt.Errorf("md: PKA direction %v is not finite", p.Direction)
 		}
 	}
 	return nil
@@ -162,6 +161,10 @@ func (c *Config) Validate() error {
 
 // positive reports whether x is positive and finite (NaN is not).
 func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// finite reports whether no component of v is NaN or ±Inf: x·0 is NaN
+// exactly for those.
+func finite(v vec.V) bool { return !math.IsNaN(v.X*0 + v.Y*0 + v.Z*0) }
 
 // Hash returns a short stable digest of every trajectory-determining
 // field. Checkpoint manifests record it so a restart with a diverging

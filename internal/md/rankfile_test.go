@@ -2,14 +2,19 @@ package md
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/neighbor"
+	"mdkmc/internal/units"
+	"mdkmc/internal/vec"
 )
 
 // rankFileConfig is the 2-rank writer of the rank-file tests: a thermal
@@ -55,15 +60,35 @@ func shardsOf(t testing.TB, l *lattice.Lattice, grid [3]int, files [][]byte) Sha
 	}}
 }
 
-// rankState is what a restore must reproduce of a rank.
+// rankState is what a restore must reproduce of a rank: every local site,
+// ghosts included, each site's run-away chain in chain order (pool slots
+// aside), the step counter and the owned potential-energy share.
 type rankState struct {
-	Store     neighbor.Snapshot
+	ID        []int64
+	Type      []units.Element
+	R, Vel, F []vec.V
+	Rho       []float64
+	Chains    [][]neighbor.Runaway
 	StepCount int
 	LastPE    float64
 }
 
 func stateOf(r *Rank) rankState {
-	return rankState{Store: r.Store.Snapshot(), StepCount: r.StepCount, LastPE: r.LastPE}
+	s := r.Store
+	st := rankState{
+		ID: slices.Clone(s.ID), Type: slices.Clone(s.Type),
+		R: slices.Clone(s.R), Vel: slices.Clone(s.Vel), F: slices.Clone(s.F), Rho: slices.Clone(s.Rho),
+		Chains:    make([][]neighbor.Runaway, len(s.ID)),
+		StepCount: r.StepCount, LastPE: r.LastPE,
+	}
+	for local := range s.ID {
+		s.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
+			c := *a
+			c.Next = 0
+			st.Chains[local] = append(st.Chains[local], c)
+		})
+	}
+	return st
 }
 
 // TestReshardOntoOwnGridIsExact: RestoreResharded onto the decomposition
@@ -101,12 +126,26 @@ func TestReshardOntoOwnGridIsExact(t *testing.T) {
 	})
 }
 
+// mutateRankFile decodes a rank file, applies mutate and encodes it again.
+func mutateRankFile(t testing.TB, file []byte, mutate func(cp *checkpoint)) []byte {
+	var cp checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(file)).Decode(&cp); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	mutate(&cp)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(cp); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return out.Bytes()
+}
+
 // FuzzRankFile: the decoder is the trust boundary of an MD restart. Any
 // bytes in place of rank 0's file must make Restore and RestoreResharded —
 // onto the writer's own grid and merged onto one rank — return an md: error
 // or succeed, never panic, and a rejected Restore must leave the rank as it
 // was. The seed corpus is real Save output plus truncated and bit-flipped
-// copies of it.
+// copies of it, and files with an unknown species or a NaN position.
 func FuzzRankFile(f *testing.F) {
 	cfg := rankFileConfig()
 	files := saveRankFiles(f, cfg, 20)
@@ -122,6 +161,8 @@ func FuzzRankFile(f *testing.F) {
 		bad[k*(len(bad)-1)/8] ^= 1 << (k % 8)
 		f.Add(bad)
 	}
+	f.Add(mutateRankFile(f, good, func(cp *checkpoint) { cp.Type[1] = 9 }))
+	f.Add(mutateRankFile(f, good, func(cp *checkpoint) { cp.R[1].X = math.NaN() }))
 	merged := cfg
 	merged.Grid = [3]int{1, 1, 1}
 
@@ -146,5 +187,70 @@ func FuzzRankFile(f *testing.F) {
 		runWorld(t, merged, func(r *Rank) {
 			check("RestoreResharded onto one rank", r.RestoreResharded(shardsOf(t, r.L, cfg.Grid, input)))
 		})
+	})
+}
+
+// TestReshardOpensOnlyOverlappingShards: a restart opens the shards whose
+// owned box overlaps the reader's and no others — its own file on the
+// writer's grid, both halves on a merge, and on a re-slice only the two of
+// four shards that cover each target.
+func TestReshardOpensOnlyOverlappingShards(t *testing.T) {
+	cfg := rankFileConfig()
+	for _, tc := range []struct {
+		name     string
+		from, to [3]int
+		opens    int
+	}{
+		{"onto the writer's grid", [3]int{2, 1, 1}, [3]int{2, 1, 1}, 1},
+		{"2x1x1 merged onto 1x1x1", [3]int{2, 1, 1}, [3]int{1, 1, 1}, 2},
+		{"2x2x1 onto 2x1x1", [3]int{2, 2, 1}, [3]int{2, 1, 1}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			writer := cfg
+			writer.Grid = tc.from
+			files := saveRankFiles(t, writer, 5)
+			reader := cfg
+			reader.Grid = tc.to
+			runWorld(t, reader, func(r *Rank) {
+				src := shardsOf(t, r.L, tc.from, files)
+				opened := 0
+				open := src.Open
+				src.Open = func(rank int) (io.ReadCloser, error) {
+					opened++
+					return open(rank)
+				}
+				if err := r.RestoreResharded(src); err != nil {
+					t.Errorf("rank %d: %v", r.Comm.Rank(), err)
+				}
+				if opened != tc.opens {
+					t.Errorf("rank %d opened %d shards, want %d", r.Comm.Rank(), opened, tc.opens)
+				}
+			})
+		})
+	}
+}
+
+// TestRankFileBytesPerAtom: what a rank file costs per owned atom on the
+// 20³ thermal crystal of TestRankMemoryPerAtom, two steps in (so forces are
+// non-zero). The whole-store file (ghost shell, ρ, the run-away pool) took
+// 141 B; the owned records alone take ≈ 98.
+func TestRankFileBytesPerAtom(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cells = [3]int{20, 20, 20}
+	cfg.Temperature = 600
+	cfg.Workers = 1
+	runWorld(t, cfg, func(r *Rank) {
+		r.Step()
+		r.Step()
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			t.Errorf("save: %v", err)
+			return
+		}
+		perAtom := float64(buf.Len()) / float64(CountOwnedAtoms(r.Store))
+		t.Logf("rank file holds %.1f B/atom", perAtom)
+		if perAtom > 110 {
+			t.Errorf("rank file holds %.1f B/atom, want at most 110", perAtom)
+		}
 	})
 }

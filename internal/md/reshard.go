@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mdkmc/internal/lattice"
-	"mdkmc/internal/neighbor"
 )
 
 // ShardSource is where an M-rank MD checkpoint came from.
@@ -13,14 +12,12 @@ type ShardSource = lattice.ShardSource
 // RestoreResharded loads a checkpoint written by an M-rank decomposition
 // into a rank of an N-rank decomposition of the same physical run: the one
 // restart call, whatever the two decompositions are. Onto this rank's own
-// decomposition (equal lattice.Grid cuts) it reads only this rank's shard
-// through Restore, byte-exact. Otherwise every target rank scans all M
-// source shards in rank order and keeps the owned sites (and their anchored
-// run-away atoms) that fall inside its own subdomain; ghost state is rebuilt
-// by the next ghost exchange, and forces, densities and the owned
-// potential-energy share are recomputed from the merged positions. The merge
-// order — source ranks ascending, sites in canonical owned order, run-away
-// chains preserved — is deterministic, so every restart onto the same target
+// decomposition (equal lattice.Grid cuts) it reads only its own shard
+// through Restore, byte-exact. Otherwise it opens, in source-rank order,
+// only the shards whose owned box overlaps its own, places the sites it
+// owns, and recomputes ghosts, forces, densities and the owned potential
+// energy from the merged positions. Sources ascending, sites in canonical
+// owned order, chains preserved: every restart onto the same target
 // topology yields the same trajectory. Collective: every rank calls it.
 func (r *Rank) RestoreResharded(src ShardSource) error {
 	same, err := src.Onto(r.Grid)
@@ -36,21 +33,17 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 		return r.Restore(rd)
 	}
 
-	// Drop the perfect-lattice initialization of NewRank: every owned site is
-	// overwritten below, and stale run-away chains must not survive.
-	r.Box.EachOwned(func(_ lattice.Coord, local int) {
-		r.Store.ClearRunaways(local)
-	})
-
-	merged := 0
-	stepCount := -1
+	placed, stepCount := 0, -1
 	for s := 0; s < src.Grid.Ranks(); s++ {
-		srcBox := src.Grid.Box(s, r.Box.Ghost)
+		srcBox := src.Grid.Box(s, 0)
+		if !overlaps(srcBox, r.Box) {
+			continue
+		}
 		rd, err := src.Open(s)
 		if err != nil {
 			return fmt.Errorf("md: opening shard %d: %w", s, err)
 		}
-		cp, err := decode(rd, s, srcBox.NumLocalSites())
+		cp, err := r.decode(rd, s, srcBox.NumOwnedSites())
 		rd.Close()
 		if err != nil {
 			return err
@@ -58,42 +51,28 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 		if stepCount == -1 {
 			stepCount = cp.StepCount
 		} else if cp.StepCount != stepCount {
-			return fmt.Errorf("md: shard %d at step %d, shard 0 at step %d", s, cp.StepCount, stepCount)
+			return fmt.Errorf("md: shard %d at step %d, an earlier shard at step %d", s, cp.StepCount, stepCount)
 		}
-		srcBox.EachOwned(func(c lattice.Coord, srcLocal int) {
-			if !r.Box.Owns(c) {
-				// Not ours; chains anchored here belong to the rank owning c.
-				return
-			}
-			dst := r.Box.LocalIndex(c)
-			r.Store.ID[dst] = cp.Store.ID[srcLocal]
-			r.Store.Type[dst] = cp.Store.Type[srcLocal]
-			r.Store.R[dst] = cp.Store.R[srcLocal]
-			r.Store.Vel[dst] = cp.Store.Vel[srcLocal]
-			r.Store.F[dst] = cp.Store.F[srcLocal]
-			r.Store.Rho[dst] = cp.Store.Rho[srcLocal]
-			// Re-chain the run-aways anchored at this site. AddRunaway
-			// prepends, so walking the source chain into a buffer and adding
-			// in reverse preserves the source chain order exactly.
-			var chain []neighbor.Runaway
-			for ref := cp.Store.Head[srcLocal]; ref != neighbor.NoRunaway; ref = cp.Store.Pool[ref].Next {
-				chain = append(chain, cp.Store.Pool[ref])
-			}
-			for i := len(chain) - 1; i >= 0; i-- {
-				a := chain[i]
-				a.Next = neighbor.NoRunaway
-				r.Store.AddRunaway(dst, a)
-			}
-			merged++
-		})
+		placed += r.place(cp, srcBox)
 	}
-	if merged != r.Box.NumOwnedSites() {
+	if placed != r.Box.NumOwnedSites() {
 		return fmt.Errorf("md: reshard covered %d of %d owned sites — source boxes do not partition the lattice",
-			merged, r.Box.NumOwnedSites())
+			placed, r.Box.NumOwnedSites())
 	}
 	r.StepCount = stepCount
 	// Rebuild ghosts and derived state (F, ρ, F′(ρ), LastPE) from the merged
 	// positions under the new decomposition's reduction order.
 	r.computeForces()
 	return nil
+}
+
+// overlaps reports whether boxes a and b own a common cell. Owned cells are
+// never wrapped, so the per-dimension interval test is exact.
+func overlaps(a, b *lattice.Box) bool {
+	for d := 0; d < 3; d++ {
+		if a.Hi[d] <= b.Lo[d] || b.Hi[d] <= a.Lo[d] {
+			return false
+		}
+	}
+	return true
 }

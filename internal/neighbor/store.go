@@ -90,8 +90,8 @@ type Store struct {
 	// zero has no run-away partner beyond the tight prefix, so the reduce
 	// passes skip its wide walk. At most 1 + len(offsets) ≤ 255 sites count.
 	// Derived state: kept by AddRunaway/RemoveRunaway/ClearRunaways on a
-	// chain's empty ↔ non-empty transitions, rebuilt by Restore, never
-	// snapshotted or exchanged.
+	// chain's empty ↔ non-empty transitions, never snapshotted or
+	// exchanged.
 	near []uint8
 
 	pool []Runaway

@@ -264,8 +264,8 @@ func TestNearIndexMatchesBruteForce(t *testing.T) {
 	// A seeded random sequence of chain insertions, removals and clears on
 	// owned sites and on the outermost ghost layer (where most wide offsets
 	// leave local storage) of one rank of a 2×1×1 grid, with MD's wide
-	// radius: after every operation, and after restoring snapshots that
-	// have chains, the index equals a direct probe of Head.
+	// radius: after every operation, and after clearing and re-chaining
+	// every chain, the index equals a direct probe of Head.
 	l := lattice.New(6, 4, 4, a0)
 	tab := l.NeighborOffsets(6.77) // cutoff 3.57 Å + MD's 3.2 Å wide margin
 	g, err := lattice.NewGrid(l, 2, 1, 1)
@@ -334,18 +334,19 @@ func TestNearIndexMatchesBruteForce(t *testing.T) {
 		check(s, fmt.Sprintf("op %d (%s, %d live)", i, name, len(live)))
 	}
 	if len(live) == 0 {
-		t.Fatalf("the sequence left no chains; the restores below would be trivial")
+		t.Fatalf("the sequence left no chains; the rebuild below would be trivial")
 	}
 
-	snap := s.Snapshot()
-	fresh := NewStore(box, tab, units.Fe)
-	fresh.Restore(snap)
-	check(fresh, "Restore into a fresh store")
-	for i := 160; i < 200; i++ {
-		op(i)
+	// What restoring an MD rank file does to each owned site: clear its
+	// chain, then re-chain the file's atoms.
+	for _, e := range live {
+		s.ClearRunaways(e.site)
 	}
-	s.Restore(snap)
-	check(s, "Restore over changed chains")
+	check(s, "after clearing every chain")
+	for i, e := range live {
+		s.AddRunaway(e.site, Runaway{ID: int64(i + 1)})
+	}
+	check(s, "after re-chaining")
 }
 
 // TestThreeStructuresAgree cross-validates the lattice neighbor list against
