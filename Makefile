@@ -10,9 +10,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism no-env build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec figures
+.PHONY: check fmt-check p2p-owner determinism no-env no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec figures
 
-check: fmt-check p2p-owner determinism no-env vet lint build race
+check: fmt-check p2p-owner determinism no-env no-fma vet lint build race
 
 # gofmt gate: any unformatted file fails. The analyzer fixtures under
 # testdata/ are exempt (some are unformatted on purpose).
@@ -46,6 +46,17 @@ determinism:
 no-env:
 	@out=$$(grep -rnE '\bos\.(Getenv|LookupEnv|Environ)\b' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' || true); \
 	if [ -n "$$out" ]; then echo "environment reads in non-test code:"; echo "$$out"; exit 1; fi
+
+# FMA gate (DESIGN.md §13): on arm64 Go fuses a*b + c into one FMADDD, one
+# rounding instead of two, so a fused vec.V.MulAdd would differ from the
+# rounded force vector the pair round stores, and the kernels would stop
+# being bit-identical there. internal/vec rounds each product explicitly;
+# this fails when its arm64 assembly holds a fused op (or is missing).
+no-fma:
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/vec 2>&1) || { echo "$$asm"; exit 1; }; \
+	if ! echo "$$asm" | grep -q 'vec\.V\.MulAdd'; then echo "no arm64 assembly for internal/vec"; exit 1; fi; \
+	out=$$(echo "$$asm" | grep -E '\bFN?M(ADD|SUB)[SD]\b' || true); \
+	if [ -n "$$out" ]; then echo "fused multiply-adds in internal/vec on arm64:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -54,8 +54,9 @@ const (
 	ldmPerSite      = 96 // LDM footprint of one site during a block
 	streamInDensity = 64 // R + type + bookkeeping, density pass
 	streamOutDens   = 8  // ρ write-back
-	streamInForce   = 128
 	streamOutForce  = 48
+	streamInPair    = 56       // R, ρ, F′, type and the row index, pair round
+	streamInSum     = 32       // F(ρ), row and reverse-index entries, force reduce
 	haloFresh       = 16       // extra stream per site for block halos
 	haloReused      = 8        // halo stream when trailing layers are reused
 	ldmFixed        = 4 * 1024 // stack, control blocks, row cache
@@ -64,9 +65,13 @@ const (
 	// the small LDM row cache in the traditional kernel (consecutive
 	// neighbors often share a spline segment).
 	rowMissRate = 0.09
-	// Arithmetic per accepted pair (flop-equivalents).
+	// Arithmetic per accepted pair (flop-equivalents). The reference
+	// kernel's force side costs 7 (reference_test.go); the optimized kernel
+	// splits it into the vector the pair round forms once per pair and the
+	// sum each side's reduce adds.
 	flopsPairDensity = 3
-	flopsPairForce   = 7
+	flopsPairVector  = 6 // d, r², √, the scalar, the division, v = k·d
+	flopsPairSum     = 2 // ±v and ½φ
 	// Extra reconstruction arithmetic per table lookup in compacted mode
 	// (the paper's interpolation formula evaluated on the fly).
 	flopsReconstruct = 2
@@ -164,8 +169,19 @@ type passSpec struct {
 	// like the atom fields).
 	perPairIn  int
 	perPairOut int
-	flopsPer   int // arithmetic per accepted pair
+	slotsOut   int // plus this many whole pair-stream slots out per pair
+	flopsPer   int // arithmetic per accepted pair or formed vector
 }
+
+// pairBytes returns the pair-stream bytes the round moves per pair, in and
+// out, for the kernel's slot size.
+func (k *CPEKernel) pairBytes(spec passSpec) (in, out int) {
+	return spec.perPairIn, spec.perPairOut + spec.slotsOut*k.FF.slotFloats*8
+}
+
+// pairWork returns the pairs a round's cost is charged for: the pairs it
+// accepted, or the force vectors the pair round formed.
+func pairWork(st OpStats) float64 { return float64(st.Pairs + st.Vectors) }
 
 // chargeSoftwareCache models the same pass under the software-emulated
 // cache: no explicit blocks, no overlap; every access pays the tag check
@@ -173,14 +189,15 @@ type passSpec struct {
 func (k *CPEKernel) chargeSoftwareCache(c *sunway.CPE, spec passSpec, sites int, st OpStats) {
 	// Pair-stream traffic (optimized kernel) goes through the emulated
 	// cache too, one float64 access per streamed value.
-	pairAccesses := float64(st.Pairs) * float64(spec.perPairIn+spec.perPairOut) / 8
+	in, out := k.pairBytes(spec)
+	pairAccesses := pairWork(st) * float64(in+out) / 8
 	accesses := float64(sites*accessesPerSiteIn) + float64(st.Lookups) + pairAccesses
 	c.Compute(accesses * cacheTagFlops)
 	tableMisses := float64(st.Lookups) * cacheMissTables
 	streamMisses := (float64(sites*accessesPerSiteIn) + pairAccesses) * cacheMissStream
 	c.DMASmallN(int(tableMisses+streamMisses), cacheLineBytes)
 	// The kernel arithmetic itself is unchanged.
-	c.Compute(float64(st.Pairs)*float64(spec.flopsPer) +
+	c.Compute(pairWork(st)*float64(spec.flopsPer) +
 		float64(st.Lookups)*flopsReconstruct)
 	// Write-backs of the outputs.
 	c.DMAPut(sites * spec.outBytes)
@@ -223,11 +240,12 @@ func (k *CPEKernel) charge(c *sunway.CPE, spec passSpec, sites int, st OpStats) 
 	defer c.LDMFree("block-buffers")
 
 	remaining := sites
+	pairIn, pairOut := k.pairBytes(spec)
 	pairsPerSite := 0.0
 	lookupsPerSite := 0.0
 	minorityPerSite := 0.0
 	if sites > 0 {
-		pairsPerSite = float64(st.Pairs) / float64(sites)
+		pairsPerSite = pairWork(st) / float64(sites)
 		lookupsPerSite = float64(st.Lookups) / float64(sites)
 		if len(pot.Elements) > 1 && k.compacted() {
 			minorityPerSite = float64(st.MinorityLookups) / float64(sites)
@@ -246,7 +264,7 @@ func (k *CPEKernel) charge(c *sunway.CPE, spec passSpec, sites int, st OpStats) 
 		}
 		first = false
 		c.BeginBlock()
-		c.DMAGet(n*(spec.inBytes+halo) + int(float64(n)*pairsPerSite)*spec.perPairIn)
+		c.DMAGet(n*(spec.inBytes+halo) + int(float64(n)*pairsPerSite)*pairIn)
 		if fetchRows {
 			// Per-neighbor coefficient-row fetches that miss the row cache.
 			misses := int(float64(n) * lookupsPerSite * rowMissRate)
@@ -269,7 +287,7 @@ func (k *CPEKernel) charge(c *sunway.CPE, spec passSpec, sites int, st OpStats) 
 			flops += float64(n) * lookupsPerSite * flopsReconstruct
 		}
 		c.Compute(flops)
-		c.DMAPut(n*spec.outBytes + int(float64(n)*pairsPerSite)*spec.perPairOut)
+		c.DMAPut(n*spec.outBytes + int(float64(n)*pairsPerSite)*pairOut)
 		c.EndBlock()
 	}
 }

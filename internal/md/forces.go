@@ -1,6 +1,7 @@
 package md
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -26,10 +27,12 @@ import (
 //
 // Pairs counts accepted pair evaluations: per side in the reference and
 // reduce passes (the historical meaning), and per unique pair in the gather
-// pass, where each pair is computed once.
+// pass, where each pair is computed once. The pair round accepts nothing —
+// the gather did — and counts the force vectors it forms in Vectors.
 type OpStats struct {
 	Atoms   int64 // central atoms processed
 	Pairs   int64 // interacting pairs accepted (within the true cutoff)
+	Vectors int64 // Newton-pair force vectors formed (the pair round)
 	Visits  int64 // candidate sites visited (static-offset walks)
 	Lookups int64 // interpolation-table evaluations issued
 	// MinorityLookups counts the lookups that involve a non-dominant
@@ -49,27 +52,48 @@ type OpStats struct {
 func (s *OpStats) Add(other OpStats) {
 	s.Atoms += other.Atoms
 	s.Pairs += other.Pairs
+	s.Vectors += other.Vectors
 	s.Visits += other.Visits
 	s.Lookups += other.Lookups
 	s.MinorityLookups += other.MinorityLookups
 	s.Coincident += other.Coincident
 }
 
-// Pair-stream slot layout of the optimized kernel: the density gather pass
-// stores, per accepted resident pair, the fused evaluation results that the
-// two reduce passes (density, then force, after the ghost ρ exchange)
-// consume. Values are directional with respect to the *computing* side a:
-// fab is the density a's atom receives from b's, fba the reverse.
+// Pair-stream slot layout of the optimized kernel. The density gather
+// stores, per accepted resident pair, the fused evaluation results; values
+// are directional with respect to the *streaming* side a: f_ab is the
+// density a's atom receives from b's, f_ba the reverse. The density reduce
+// reads the densities. After the fill, the pair round reads the three
+// derivatives and writes the pair's force on a, v = −(scalar/r)·d, over
+// floats 1–3, which no later round reads in their old meaning; the force
+// reduce reads slot[:slotHead], φ and v.
+//
+// A single-species potential has f_ba = f_ab and f′_ba = f′_ab bitwise (one
+// table, eam.PairDensity), so its slot is the first four floats; an alloy
+// potential's slot appends the reverse direction.
 const (
-	slotFab  = 0 // f_ab(r)
-	slotFba  = 1 // f_ba(r)
-	slotPhi  = 2 // φ_ab(r)
-	slotDphi = 3 // dφ/dr
-	slotDfab = 4 // df_ab/dr
-	slotDfba = 5 // df_ba/dr
+	slotPhi  = 0 // φ_ab(r)
+	slotFab  = 1 // f_ab(r); then v.X
+	slotDfab = 2 // df_ab/dr; then v.Y
+	slotDphi = 3 // dφ/dr; then v.Z
+	slotHead = 4 // floats of the slot the force reduce reads
 
-	slotFloats = 6
+	slotFbaAlloy  = 4 // f_ba(r)
+	slotDfbaAlloy = 5 // df_ba/dr
 )
+
+// A reverse-index location names a streamed slot: the chunk whose buffer
+// holds it in the top bits, the slot's float offset in that buffer below
+// locShift. NewForceField refuses a geometry whose chunks could stream
+// more floats than that names: at the default skin, a rank of about 4·10⁷
+// sites for iron and 2.7·10⁷ for an alloy, which would hold over 14 GB.
+const (
+	locShift  = 26
+	locFloats = 1<<locShift - 1
+)
+
+// The chunk index must fit above locShift.
+var _ [1<<(32-locShift) - ForceChunks]struct{}
 
 // ForceField evaluates EAM densities and forces over a lattice neighbor
 // list. The "tight" prefix of the (distance-sorted) offset table covers all
@@ -80,10 +104,13 @@ const (
 // The kernel evaluates each resident–resident pair once — a gather round
 // computes the fused pair/density tables for every pair whose canonical
 // owner (or ghost partner) anchors it and appends the results to the pair
-// stream; after a barrier, reduce rounds accumulate both sides from the
-// stream in the reference enumeration order. The reference kernel, which
-// evaluates every pair from both sides, is the test-side oracle this one is
-// bit-identical to (reference_test.go, DESIGN.md §13).
+// stream; after a barrier, the density reduce accumulates both sides from
+// the stream in the reference enumeration order and indexes the slots each
+// site's partners hold. The force pass forms each pair's Newton-symmetric
+// force vector once, in a pair round, and its reduce only sums. The
+// reference kernel, which evaluates every pair from both sides, is the
+// test-side oracle this one is bit-identical to (reference_test.go,
+// DESIGN.md §13).
 type ForceField struct {
 	Pot    *eam.Potential
 	Cutoff float64 // true interaction cutoff (Å)
@@ -98,6 +125,16 @@ type ForceField struct {
 	ownedIdx []int32    // local site -> owned-order index; -1 off-rank
 	revIdx   [2][]int32 // per basis, tight slot -> partner-side reverse slot
 	chunkOf  []uint8    // owned index -> the force chunk whose range holds it
+	// lowerMask marks, per owned site (maskWords words), the tight slots
+	// whose partner site is owned with a smaller index: the partner owns
+	// those pairs, so the gather skips them and only the density reduce
+	// looks at them.
+	lowerMask []uint64
+
+	// Slot geometry: floats per slot (slotHead, or 6 for an alloy) and
+	// where the reverse-direction density and its derivative sit.
+	slotFloats        int
+	slotFba, slotDfba int
 
 	// The pair stream: only the pairs that exist are stored. stream[c] holds
 	// the slots chunk c's sites own, slotFloats each, in enumeration order
@@ -109,20 +146,40 @@ type ForceField struct {
 	rowStart  []int32
 	rowMask   []uint64
 	maskWords int // mask words per owned site: ceil(max tight prefix / 64)
+
+	// The reverse index: which tight slots a site's partners stream
+	// (revMask, maskWords words per site) and where — revLoc[c] lists, for
+	// chunk c's sites in order, one location per set bit, a site's entries
+	// starting at revStart[oi]. The density reduce writes a site's entries
+	// in its own chunk's list; the force reduce reads them.
+	revMask  []uint64
+	revStart []int32
+	revLoc   [ForceChunks][]uint32
+
+	// coincident[c] is what the gather counted over chunk c's sites; the
+	// pair round reports it as the force pass's count (positions do not
+	// move between the passes).
+	coincident [ForceChunks]int64
 }
 
-// streamSlack is the headroom of a chunk's buffer over its perfect-crystal
-// slot count, in 1/streamSlack of that count: thermal motion moves few pairs
+// streamSlack is the headroom of a chunk's buffers over their perfect-crystal
+// sizes, in 1/streamSlack of that size: thermal motion moves few pairs
 // across the cutoff, and a cascade core that needs more grows its chunk.
 const streamSlack = 8
 
 // NewForceField computes the tight prefixes for the store's offset table
 // and builds the optimized kernel's static indexes: the owned-order map,
 // the reverse-offset table (the slot at which a pair's canonical owner
-// streamed it, seen from the partner), and the pair stream's per-site index
-// and per-chunk buffers, sized from the geometry.
-func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceField {
-	ff := &ForceField{Pot: pot, Cutoff: pot.Cutoff, rounds: &productionRounds}
+// streamed it, seen from the partner), and the pair stream's and reverse
+// index's per-site entries and per-chunk buffers, sized from the geometry.
+// It fails when a chunk whose every site held a slot at every tight offset
+// would outgrow what a reverse-index location can name.
+func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) (*ForceField, error) {
+	ff := &ForceField{Pot: pot, Cutoff: pot.Cutoff, rounds: &productionRounds,
+		slotFloats: slotHead, slotFba: slotFab, slotDfba: slotDfab}
+	if len(pot.Elements) > 1 {
+		ff.slotFloats, ff.slotFba, ff.slotDfba = 6, slotFbaAlloy, slotDfbaAlloy
+	}
 	tightR := pot.Cutoff + skin
 	for b := 0; b <= 1; b++ {
 		n := 0
@@ -176,72 +233,103 @@ func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) *ForceFi
 	ff.chunkOf = make([]uint8, next)
 	ff.rowStart = make([]int32, next)
 	ff.rowMask = make([]uint64, int(next)*ff.maskWords)
-	// Each chunk's buffer holds what its sites own in the perfect crystal —
-	// the in-cutoff tight slots whose partner does not own the pair — plus
-	// slack.
+	ff.revStart = make([]int32, next)
+	ff.revMask = make([]uint64, int(next)*ff.maskWords)
+	ff.lowerMask = make([]uint64, int(next)*ff.maskWords)
+	// Each chunk's buffers hold what its sites hold in the perfect crystal
+	// — the in-cutoff tight slots whose partner does not own the pair
+	// (stream), and those whose partner does (reverse index) — plus slack.
 	for c := range ff.stream {
 		lo, hi := s.Box.SpanCells(ForceChunks, c)
-		slots := 0
+		if most := 2 * (hi - lo) * max(ff.Tight[0], ff.Tight[1]) * ff.slotFloats; most > locFloats {
+			return nil, fmt.Errorf("md: a force chunk of %d sites could stream %d pair-stream floats, more than the %d a location names; use more ranks",
+				2*(hi-lo), most, locFloats)
+		}
+		slots, partners := 0, 0
 		s.Box.EachOwnedCellRange(lo, hi, func(cd lattice.Coord, local int) {
 			oi := ff.ownedIdx[local]
 			ff.chunkOf[oi] = uint8(c)
 			deltas := s.Deltas(cd.B)
 			for k, o := range s.Tab.PerBase[cd.B][:ff.Tight[cd.B]] {
-				if o.R >= pot.Cutoff {
-					break
+				oj := ff.ownedIdx[local+int(deltas[k])]
+				lower := oj >= 0 && oj < oi
+				if lower {
+					ff.lowerMask[int(oi)*ff.maskWords+k>>6] |= 1 << uint(k&63)
 				}
-				if oj := ff.ownedIdx[local+int(deltas[k])]; oj < 0 || oj > oi {
+				switch {
+				case o.R >= pot.Cutoff: // no pair in the perfect crystal
+				case lower:
+					partners++
+				default:
 					slots++
 				}
 			}
 		})
-		ff.stream[c] = make([]float64, (slots+slots/streamSlack)*slotFloats)
+		ff.stream[c] = make([]float64, (slots+slots/streamSlack)*ff.slotFloats)
+		ff.revLoc[c] = make([]uint32, partners+partners/streamSlack)
 	}
-	return ff
+	return ff, nil
 }
 
 // growStream doubles chunk c's buffer, keeping its first n floats. Only a
 // gather whose chunk outgrew the perfect-crystal sizing (a cascade core)
 // gets here, so steady state allocates nothing.
 func (ff *ForceField) growStream(c, n int) []float64 {
-	grown := make([]float64, max(2*len(ff.stream[c]), 64*slotFloats))
+	grown := make([]float64, max(2*len(ff.stream[c]), 64*ff.slotFloats))
 	copy(grown, ff.stream[c][:n])
 	ff.stream[c] = grown
 	return grown
 }
 
-// rowLen returns the number of slots owned site o holds.
-func (ff *ForceField) rowLen(o int) int {
+// growRevLoc is growStream for chunk c's reverse-index list.
+func (ff *ForceField) growRevLoc(c, n int) []uint32 {
+	grown := make([]uint32, max(2*len(ff.revLoc[c]), 64))
+	copy(grown, ff.revLoc[c][:n])
+	ff.revLoc[c] = grown
+	return grown
+}
+
+// bitsSet returns the number of set bits of one site's mask words.
+func bitsSet(mask []uint64) int {
 	n := 0
-	for _, w := range ff.rowMask[o*ff.maskWords : (o+1)*ff.maskWords] {
+	for _, w := range mask {
 		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// partnerSlot returns the slot owned site o streamed for its tight slot k,
-// or nil when o holds none there (the pair was not accepted).
-func (ff *ForceField) partnerSlot(o, k int32) []float64 {
-	m := ff.rowMask[int(o)*ff.maskWords : (int(o)+1)*ff.maskWords]
-	word, bit := k>>6, uint(k&63)
-	if m[word]>>bit&1 == 0 {
-		return nil
-	}
-	at := bits.OnesCount64(m[word] & (1<<bit - 1))
-	for _, w := range m[:word] {
-		at += bits.OnesCount64(w)
-	}
-	base := int(ff.rowStart[o]) + at*slotFloats
-	return ff.stream[ff.chunkOf[o]][base : base+slotFloats : base+slotFloats]
+// rowLen returns the number of slots owned site o holds.
+func (ff *ForceField) rowLen(o int) int {
+	return bitsSet(ff.rowMask[o*ff.maskWords : (o+1)*ff.maskWords])
 }
 
-// MemoryBytes returns the heap footprint of the kernel statics and the pair
-// stream at its current capacity.
+// holds reports whether owned site o streamed a slot for its tight slot k
+// (the gather accepted the pair).
+func (ff *ForceField) holds(o, k int32) bool {
+	return ff.rowMask[int(o)*ff.maskWords+int(k>>6)]>>uint(k&63)&1 != 0
+}
+
+// partnerLoc returns the location of the slot owned site o streamed for
+// its tight slot k, which o holds.
+func (ff *ForceField) partnerLoc(o, k int32) uint32 {
+	m := ff.rowMask[int(o)*ff.maskWords:][:k>>6+1]           // the words up to k's
+	at := bitsSet(m) - bits.OnesCount64(m[k>>6]>>uint(k&63)) // the slots before k's
+	return uint32(ff.chunkOf[o])<<locShift | uint32(int(ff.rowStart[o])+at*ff.slotFloats)
+}
+
+// slotAt returns the slot at a reverse-index location.
+func (ff *ForceField) slotAt(loc uint32) []float64 {
+	base := int(loc & locFloats)
+	return ff.stream[loc>>locShift][base : base+ff.slotFloats : base+ff.slotFloats]
+}
+
+// MemoryBytes returns the heap footprint of the kernel statics, the pair
+// stream and the reverse index at their current capacities.
 func (ff *ForceField) MemoryBytes() int {
-	n := 4*(len(ff.ownedIdx)+len(ff.revIdx[0])+len(ff.revIdx[1])+len(ff.rowStart)) +
-		len(ff.chunkOf) + 8*len(ff.rowMask)
-	for _, buf := range ff.stream {
-		n += 8 * cap(buf)
+	n := 4*(len(ff.ownedIdx)+len(ff.revIdx[0])+len(ff.revIdx[1])+len(ff.rowStart)+len(ff.revStart)) +
+		len(ff.chunkOf) + 8*(len(ff.rowMask)+len(ff.revMask)+len(ff.lowerMask))
+	for c := range ff.stream {
+		n += 8*cap(ff.stream[c]) + 4*cap(ff.revLoc[c])
 	}
 	return n
 }
@@ -251,8 +339,10 @@ func (ff *ForceField) MemoryBytes() int {
 // identically and obtain a bitwise-equal force scalar: the side whose
 // (species, density) key is smaller contributes its term first; if the keys
 // are equal the two terms are themselves bitwise equal and the order cannot
-// matter. tc/tp are the central's and partner's terms dF·df.
-func pairScalar(dphi, tc, tp float64, ctyp, ptyp units.Element, crho, prho float64) float64 {
+// matter. The central's term is dFc·dfc and the partner's dFp·dfp, each
+// rounded on its own: no fused multiply-add folds one into the sum.
+func pairScalar(dphi, dFc, dfc, dFp, dfp float64, ctyp, ptyp units.Element, crho, prho float64) float64 {
+	tc, tp := float64(dFc*dfc), float64(dFp*dfp)
 	if ptyp < ctyp || (ptyp == ctyp && prho < crho) {
 		return dphi + tp + tc
 	}
@@ -297,18 +387,20 @@ func (ff *ForceField) FillEmbeddingRange(s *neighbor.Store, lo, hi int) OpStats 
 // owned cells [lo, hi): every resident–resident pair anchored here — owned
 // pairs whose canonical owner (the side with the smaller owned index) is in
 // the range, plus every pair with a ghost partner — is evaluated exactly
-// once through the fused PairDensity lookup, and all six results are
-// appended to the pair stream for the two reduce passes. Acceptance is
-// decided here, once: a site's mask bits are the pairs it holds, and the
-// density reduce trusts them, so the resident–resident coincidences it would
-// have met are counted here, for both sides when both are owned centrals.
-// Writes only the buffers and index entries of the chunks the range covers;
-// a range that starts inside a chunk continues after the row of the site
-// before it. A barrier must separate it from any reduce pass.
+// once through the fused PairDensity lookup, and its results are appended
+// to the pair stream for the later rounds. Acceptance is decided here,
+// once: a site's mask bits are the pairs it holds, and the reduces trust
+// them, so the resident–resident coincidences they would have met are
+// counted here, for both sides when both are owned centrals, and recorded
+// per chunk for the pair round. Writes only the buffers and index entries
+// of the chunks the range covers; a range that starts inside a chunk
+// continues after the row of the site before it. A barrier must separate it
+// from any reduce pass.
 func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
 	words := ff.maskWords
+	sf := ff.slotFloats
 	for lo < hi {
 		// Owned indexes run cell by cell, basis innermost: cell lo's sites
 		// are 2*lo and 2*lo+1.
@@ -316,10 +408,13 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 		first, end := s.Box.SpanCells(ForceChunks, c)
 		end = min(end, hi)
 		buf := ff.stream[c]
-		n := 0 // floats of buf in use
+		n := 0        // floats of buf in use
+		var met int64 // coincidences over the chunk's sites so far
 		if prev := 2*lo - 1; lo > first {
-			n = int(ff.rowStart[prev]) + ff.rowLen(prev)*slotFloats
+			n = int(ff.rowStart[prev]) + ff.rowLen(prev)*sf
+			met = ff.coincident[c]
 		}
+		before := met
 		s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
 			oi := ff.ownedIdx[local]
 			ff.rowStart[oi] = int32(n)
@@ -334,49 +429,56 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 			deltas := s.Deltas(cd.B)
 			tight := ff.Tight[cd.B]
 			st.Visits += int64(tight) + 1
-			for k := 0; k < tight; k++ {
-				j := local + int(deltas[k])
-				if s.IsVacancy(j) {
-					continue
-				}
-				oj := ff.ownedIdx[j]
-				if oj >= 0 && oj < oi {
-					continue // the partner owns this pair and computes it
-				}
-				d := pos.Sub(s.R[j])
-				r2 := d.Norm2()
-				if r2 >= cut2 {
-					continue
-				}
-				if r2 == 0 {
-					st.Coincident++
-					if oj >= 0 {
-						st.Coincident++ // the partner's side of the encounter
+			// The pairs whose partner owns them are left to the partner.
+			for w, lower := range ff.lowerMask[int(oi)*words : (int(oi)+1)*words] {
+				for m := ^lower; m != 0; m &= m - 1 {
+					k := w<<6 | bits.TrailingZeros64(m)
+					if k >= tight {
+						break
 					}
-					continue
-				}
-				tj := s.Type[j]
-				phi, dphi, fab, dfab, fba, dfba := ff.Pot.PairDensity(typ, tj, math.Sqrt(r2))
-				if n+slotFloats > len(buf) {
-					buf = ff.growStream(c, n)
-				}
-				slot := buf[n : n+slotFloats : n+slotFloats]
-				slot[slotFab] = fab
-				slot[slotFba] = fba
-				slot[slotPhi] = phi
-				slot[slotDphi] = dphi
-				slot[slotDfab] = dfab
-				slot[slotDfba] = dfba
-				n += slotFloats
-				mask[k>>6] |= 1 << uint(k&63)
-				st.Pairs++
-				evals := eam.PairDensityEvals(typ, tj)
-				st.Lookups += evals
-				if typ != units.Fe || tj != units.Fe {
-					st.MinorityLookups += evals
+					j := local + int(deltas[k])
+					if s.IsVacancy(j) {
+						continue
+					}
+					d := pos.Sub(s.R[j])
+					r2 := d.Norm2()
+					if r2 >= cut2 {
+						continue
+					}
+					if r2 == 0 {
+						met++
+						if ff.ownedIdx[j] >= 0 {
+							met++ // the partner's side of the encounter
+						}
+						continue
+					}
+					tj := s.Type[j]
+					phi, dphi, fab, dfab, fba, dfba := ff.Pot.PairDensity(typ, tj, math.Sqrt(r2))
+					if n+sf > len(buf) {
+						buf = ff.growStream(c, n)
+					}
+					slot := buf[n : n+sf : n+sf]
+					slot[slotPhi] = phi
+					slot[slotFab] = fab
+					slot[slotDfab] = dfab
+					slot[slotDphi] = dphi
+					if sf > slotHead {
+						slot[slotFbaAlloy] = fba
+						slot[slotDfbaAlloy] = dfba
+					}
+					n += sf
+					mask[w] |= m & -m
+					st.Pairs++
+					evals := eam.PairDensityEvals(typ, tj)
+					st.Lookups += evals
+					if typ != units.Fe || tj != units.Fe {
+						st.MinorityLookups += evals
+					}
 				}
 			}
 		})
+		ff.coincident[c] = met
+		st.Coincident += met - before
 		lo = end
 	}
 	return st
@@ -388,15 +490,20 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 // with a cursor, when it owns the pair or the partner is a ghost; the
 // partner's reverse-offset slot otherwise), inline evaluations for
 // run-away-involved pairs. Which resident pairs exist is the gather's mask
-// bits, not re-derived: no partner position is loaded for them.
+// bits, not re-derived: no partner position is loaded for them. Each
+// partner slot it reads is recorded in the reverse index — the site's
+// revMask bit and, in its chunk's list, the slot's location — so the force
+// reduce finds it without this walk. Like the gather, a range that starts
+// inside a chunk continues after the entries of the site before it.
 func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
 	words := ff.maskWords
 
-	// density contribution to a central at pos from the run-away chain at
-	// site j (excluding selfRef).
-	chain := func(pos vec.V, typ units.Element, j int, selfRef int32, rho *float64) {
+	// chain adds to the density rho of a central at pos the contributions
+	// of the run-away chain at site j (excluding selfRef). Accumulators go
+	// in and out by value, so they stay in registers.
+	chain := func(pos vec.V, typ units.Element, j int, selfRef int32, rho float64) float64 {
 		for ref := s.Head[j]; ref != neighbor.NoRunaway; {
 			a := s.Runaway(ref)
 			if ref != selfRef {
@@ -405,7 +512,7 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 					st.Coincident++
 				} else if r2 < cut2 {
 					f, _ := ff.Pot.Density(typ, a.Type, math.Sqrt(r2))
-					*rho += f
+					rho += f
 					st.Pairs++
 					st.Lookups++
 					if typ != units.Fe || a.Type != units.Fe {
@@ -415,161 +522,257 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 			}
 			ref = a.Next
 		}
+		return rho
 	}
 
-	s.Box.EachOwnedCellRange(lo, hi, func(c lattice.Coord, local int) {
-		deltas := s.Deltas(c.B)
-		tight := ff.Tight[c.B]
-		rev := ff.revIdx[c.B]
-		// With no run-away chain within the site's wide reach (the store's
-		// per-site index), only the tight prefix can hold partners: the
-		// wide-offset chain scan is skipped for this site. This is the
-		// paper's "extra overhead can be ignored" property made literal.
-		near := s.ChainNear(local)
-		if !near {
-			deltas = deltas[:tight]
+	for lo < hi {
+		c := int(ff.chunkOf[2*lo])
+		first, end := s.Box.SpanCells(ForceChunks, c)
+		end = min(end, hi)
+		own := ff.stream[c]
+		locs := ff.revLoc[c]
+		nl := 0 // entries of locs in use
+		if prev := 2*lo - 1; lo > first {
+			nl = int(ff.revStart[prev]) + bitsSet(ff.revMask[prev*words:(prev+1)*words])
 		}
-		if !s.IsVacancy(local) {
-			st.Atoms++
-			st.Visits += int64(len(deltas)) + 1
-			pos := s.R[local]
-			typ := s.Type[local]
+		s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
+			deltas := s.Deltas(cd.B)
+			tight := ff.Tight[cd.B]
+			rev := ff.revIdx[cd.B]
 			oi := ff.ownedIdx[local]
-			own := ff.stream[ff.chunkOf[oi]]
-			cur := int(ff.rowStart[oi])
-			mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
-			var rho float64
-			if near {
-				chain(pos, typ, local, neighbor.NoRunaway, &rho)
+			ff.revStart[oi] = int32(nl)
+			rmask := ff.revMask[int(oi)*words : (int(oi)+1)*words]
+			clear(rmask)
+			// With no run-away chain within the site's wide reach (the
+			// store's per-site index), only the tight prefix can hold
+			// partners: the wide-offset chain scan is skipped for this site.
+			// This is the paper's "extra overhead can be ignored" property
+			// made literal.
+			near := s.ChainNear(local)
+			if !near {
+				deltas = deltas[:tight]
 			}
-			for k, dlt := range deltas {
-				j := local + int(dlt)
-				if k < tight {
-					if oj := ff.ownedIdx[j]; oj >= 0 && oj < oi {
-						// The partner owns the pair: read its slot for
-						// the reverse offset; we are the "b" side.
-						if slot := ff.partnerSlot(oj, rev[k]); slot != nil {
-							rho += slot[slotFba]
+			if !s.IsVacancy(local) {
+				st.Atoms++
+				st.Visits += int64(len(deltas)) + 1
+				pos := s.R[local]
+				typ := s.Type[local]
+				cur := int(ff.rowStart[oi])
+				mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
+				lower := ff.lowerMask[int(oi)*words : (int(oi)+1)*words]
+				var rho float64
+				// Near a chain, the chain terms of every offset interleave
+				// with the resident pairs: before the pair at tight slot k
+				// come those of the offsets below k.
+				next := 0
+				chainsTo := func(to int, rho float64) float64 {
+					for ; next < to; next++ {
+						if j := local + int(deltas[next]); s.Head[j] != neighbor.NoRunaway {
+							rho = chain(pos, typ, j, neighbor.NoRunaway, rho)
+						}
+					}
+					return rho
+				}
+				if near {
+					rho = chain(pos, typ, local, neighbor.NoRunaway, rho)
+				}
+				// The candidates are the site's own slots and the tight slots
+				// whose partner owns the pair.
+				for w, ownW := range mask {
+					for m := ownW | lower[w]; m != 0; m &= m - 1 {
+						k := w<<6 | bits.TrailingZeros64(m)
+						if near {
+							rho = chainsTo(k, rho)
+						}
+						if ownW&(m&-m) != 0 {
+							rho += own[cur+slotFab]
+							cur += ff.slotFloats
+							st.Pairs++
+						} else if oj := ff.ownedIdx[local+int(deltas[k])]; ff.holds(oj, rev[k]) {
+							// We are the partner's "b" side.
+							loc := ff.partnerLoc(oj, rev[k])
+							rho += ff.slotAt(loc)[ff.slotFba]
+							if nl == len(locs) {
+								locs = ff.growRevLoc(c, nl)
+							}
+							locs[nl] = loc
+							nl++
+							rmask[w] |= m & -m
 							st.Pairs++
 						}
-					} else if mask[k>>6]>>uint(k&63)&1 != 0 {
-						rho += own[cur+slotFab]
-						cur += slotFloats
-						st.Pairs++
 					}
 				}
-				if near && s.Head[j] != neighbor.NoRunaway {
-					chain(pos, typ, j, neighbor.NoRunaway, &rho)
+				if near {
+					rho = chainsTo(len(deltas), rho)
 				}
+				s.Rho[local] = rho
 			}
-			s.Rho[local] = rho
-		}
-		// Run-away centrals: full inline iteration, as in the reference (a
-		// site that anchors a chain is near one, so deltas is the wide table).
-		for selfRef := s.Head[local]; selfRef != neighbor.NoRunaway; {
-			a := s.Runaway(selfRef)
-			st.Atoms++
-			st.Visits += int64(len(deltas)) + 1
-			pos, typ := a.R, a.Type
-			var rho float64
-			chain(pos, typ, local, selfRef, &rho)
-			if !s.IsVacancy(local) {
-				r2 := pos.Sub(s.R[local]).Norm2()
-				if r2 == 0 {
-					st.Coincident++
-				} else if r2 < cut2 {
-					f, _ := ff.Pot.Density(typ, s.Type[local], math.Sqrt(r2))
-					rho += f
-					st.Pairs++
-					st.Lookups++
-					if typ != units.Fe || s.Type[local] != units.Fe {
-						st.MinorityLookups++
-					}
-				}
-			}
-			for _, dlt := range deltas {
-				j := local + int(dlt)
-				if !s.IsVacancy(j) {
-					r2 := pos.Sub(s.R[j]).Norm2()
+			// Run-away centrals: full inline iteration, as in the reference
+			// (a site that anchors a chain is near one, so deltas is the
+			// wide table).
+			for selfRef := s.Head[local]; selfRef != neighbor.NoRunaway; {
+				a := s.Runaway(selfRef)
+				st.Atoms++
+				st.Visits += int64(len(deltas)) + 1
+				pos, typ := a.R, a.Type
+				rho := chain(pos, typ, local, selfRef, 0)
+				if !s.IsVacancy(local) {
+					r2 := pos.Sub(s.R[local]).Norm2()
 					if r2 == 0 {
 						st.Coincident++
 					} else if r2 < cut2 {
-						f, _ := ff.Pot.Density(typ, s.Type[j], math.Sqrt(r2))
+						f, _ := ff.Pot.Density(typ, s.Type[local], math.Sqrt(r2))
 						rho += f
 						st.Pairs++
 						st.Lookups++
-						if typ != units.Fe || s.Type[j] != units.Fe {
+						if typ != units.Fe || s.Type[local] != units.Fe {
 							st.MinorityLookups++
 						}
 					}
 				}
-				if s.Head[j] != neighbor.NoRunaway {
-					chain(pos, typ, j, neighbor.NoRunaway, &rho)
+				for _, dlt := range deltas {
+					j := local + int(dlt)
+					if !s.IsVacancy(j) {
+						r2 := pos.Sub(s.R[j]).Norm2()
+						if r2 == 0 {
+							st.Coincident++
+						} else if r2 < cut2 {
+							f, _ := ff.Pot.Density(typ, s.Type[j], math.Sqrt(r2))
+							rho += f
+							st.Pairs++
+							st.Lookups++
+							if typ != units.Fe || s.Type[j] != units.Fe {
+								st.MinorityLookups++
+							}
+						}
+					}
+					if s.Head[j] != neighbor.NoRunaway {
+						rho = chain(pos, typ, j, neighbor.NoRunaway, rho)
+					}
 				}
+				a.Rho = rho
+				selfRef = a.Next
 			}
-			a.Rho = rho
-			selfRef = a.Next
-		}
-	})
+		})
+		lo = end
+	}
 	return st
 }
 
-// ForceReduceRange is the optimized force pass over owned cells [lo, hi).
-// The pair stream still holds every resident pair's fused evaluation from
-// the density gather (positions do not change between the two passes of one
-// force computation), and FillEmbeddingRange has precomputed every local
-// atom's F(ρ)/F'(ρ), so resident pairs need no table evaluations at all:
-// each side reads the streamed derivatives, forms the canonical force scalar
-// — bitwise equal on both sides — and accumulates in the reference
-// enumeration order. Run-away-involved pairs are evaluated inline through
-// the fused lookup.
+// ForcePairRange is the optimized force pass's pair round over owned cells
+// [lo, hi), after the fill: for every slot the gather streamed — each
+// resident pair once, from its owning side a — it forms the pair's force on
+// a, v = −(scalar/r)·d with d = R_a − R_b, and writes v over the slot's
+// floats 1–3. The force on b is −v bitwise, which is what lets the force
+// reduce only sum: pairScalar is symmetric, d and −d give the same r², and
+// s·(−d) = −(s·d) exactly. Each product is rounded on its own, so v is what
+// the reference kernel's per-side vec.V.MulAdd adds. The range also reports
+// the gather's coincidences as the force pass's, for each chunk whose first
+// cell it covers. Writes only the buffers of the chunks the range covers.
+func (ff *ForceField) ForcePairRange(s *neighbor.Store, lo, hi int) OpStats {
+	var st OpStats
+	words := ff.maskWords
+	sf := ff.slotFloats
+	for lo < hi {
+		c := int(ff.chunkOf[2*lo])
+		first, end := s.Box.SpanCells(ForceChunks, c)
+		end = min(end, hi)
+		if lo == first {
+			st.Coincident += ff.coincident[c]
+		}
+		buf := ff.stream[c]
+		s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
+			oi := ff.ownedIdx[local]
+			n := int(ff.rowStart[oi])
+			deltas := s.Deltas(cd.B)
+			pos := s.R[local]
+			typ := s.Type[local]
+			rho, dFc := s.Rho[local], s.DFdRho[local]
+			for w, m := range ff.rowMask[int(oi)*words : (int(oi)+1)*words] {
+				for ; m != 0; m &= m - 1 {
+					j := local + int(deltas[w<<6|bits.TrailingZeros64(m)])
+					d := pos.Sub(s.R[j])
+					r := math.Sqrt(d.Norm2())
+					slot := buf[n : n+sf : n+sf]
+					scalar := pairScalar(slot[slotDphi], dFc, slot[slotDfab], s.DFdRho[j], slot[ff.slotDfba],
+						typ, s.Type[j], rho, s.Rho[j])
+					k := -scalar / r
+					slot[slotFab] = float64(k * d.X)
+					slot[slotDfab] = float64(k * d.Y)
+					slot[slotDphi] = float64(k * d.Z)
+					n += sf
+					st.Vectors++
+				}
+			}
+		})
+		lo = end
+	}
+	return st
+}
+
+// ForceReduceRange is the optimized force pass's reduce over owned cells
+// [lo, hi). After the pair round every streamed slot holds its pair's φ
+// and force vector v, and FillEmbeddingRange has precomputed every local
+// atom's F(ρ), so a resident pair costs two loads and four additions: the
+// owning side adds v, the partner side subtracts it, both in the reference
+// enumeration order. The masks say which tight slots hold a pair — the
+// site's own row (rowMask) or a partner's (revMask, located through the
+// reverse index) — so no partner position, owned index or vacancy is read
+// for resident pairs, and a site with no chain near walks only its set
+// bits. Run-away-involved pairs are evaluated inline through the fused
+// lookup, interleaved in the k-walk of the sites near a chain.
 func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, float64) {
 	var st OpStats
 	var energy float64
 	cut2 := ff.Cutoff * ff.Cutoff
+	words := ff.maskWords
+	sf := ff.slotFloats
 
 	// inline evaluation of one run-away-involved pair side: central at pos
-	// (species typ, embedding derivative dFc) against partner q.
+	// (species typ, embedding derivative dFc) against partner q, added to
+	// the central's force f and energy e (in and out by value, as in the
+	// density reduce's chain).
 	inline := func(pos vec.V, typ units.Element, dFc, rho float64,
-		q vec.V, qtyp units.Element, qdF, qrho float64, f *vec.V, e *float64) {
+		q vec.V, qtyp units.Element, qdF, qrho float64, f vec.V, e float64) (vec.V, float64) {
 		d := pos.Sub(q)
 		r2 := d.Norm2()
 		if r2 == 0 {
 			st.Coincident++
-			return
+			return f, e
 		}
 		if r2 >= cut2 {
-			return
+			return f, e
 		}
 		r := math.Sqrt(r2)
 		phi, dphi, _, dfab, _, dfba := ff.Pot.PairDensity(typ, qtyp, r)
-		scalar := pairScalar(dphi, dFc*dfab, qdF*dfba, typ, qtyp, rho, qrho)
-		*f = f.MulAdd(-scalar/r, d)
-		*e += 0.5 * phi
+		scalar := pairScalar(dphi, dFc, dfab, qdF, dfba, typ, qtyp, rho, qrho)
+		f = f.MulAdd(-scalar/r, d)
+		e += float64(0.5 * phi)
 		st.Pairs++
 		evals := eam.PairDensityEvals(typ, qtyp)
 		st.Lookups += evals
 		if typ != units.Fe || qtyp != units.Fe {
 			st.MinorityLookups += evals
 		}
+		return f, e
 	}
 
 	// chain accumulates the run-away partners anchored at site j.
 	chain := func(pos vec.V, typ units.Element, dFc, rho float64,
-		j int, selfRef int32, f *vec.V, e *float64) {
+		j int, selfRef int32, f vec.V, e float64) (vec.V, float64) {
 		for ref := s.Head[j]; ref != neighbor.NoRunaway; {
 			a := s.Runaway(ref)
 			if ref != selfRef {
-				inline(pos, typ, dFc, rho, a.R, a.Type, a.DFdRho, a.Rho, f, e)
+				f, e = inline(pos, typ, dFc, rho, a.R, a.Type, a.DFdRho, a.Rho, f, e)
 			}
 			ref = a.Next
 		}
+		return f, e
 	}
 
 	s.Box.EachOwnedCellRange(lo, hi, func(c lattice.Coord, local int) {
 		deltas := s.Deltas(c.B)
 		tight := ff.Tight[c.B]
-		rev := ff.revIdx[c.B]
 		// Same per-site wide-scan skip as DensityReduceRange.
 		near := s.ChainNear(local)
 		if !near {
@@ -578,51 +781,53 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 		if !s.IsVacancy(local) {
 			st.Atoms++
 			st.Visits += int64(len(deltas)) + 1
-			pos := s.R[local]
-			typ := s.Type[local]
-			rho := s.Rho[local]
-			dFc := s.DFdRho[local]
 			oi := ff.ownedIdx[local]
-			own := ff.stream[ff.chunkOf[oi]]
+			ch := ff.chunkOf[oi]
+			own := ff.stream[ch]
 			cur := int(ff.rowStart[oi])
+			locs := ff.revLoc[ch][ff.revStart[oi]:]
+			mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
+			rmask := ff.revMask[int(oi)*words : (int(oi)+1)*words]
+			pos, typ := s.R[local], s.Type[local]
+			rho, dFc := s.Rho[local], s.DFdRho[local]
 			e := s.EmbedE[local]
 			f := vec.Zero
-			if near {
-				chain(pos, typ, dFc, rho, local, neighbor.NoRunaway, &f, &e)
-			}
-			for k, dlt := range deltas {
-				j := local + int(dlt)
-				if k < tight && !s.IsVacancy(j) {
-					d := pos.Sub(s.R[j])
-					r2 := d.Norm2()
-					if r2 == 0 {
-						st.Coincident++
-					} else if r2 < cut2 {
-						r := math.Sqrt(r2)
-						// Locate the pair's slot and our direction in it:
-						// dfc is the density derivative toward the central,
-						// dfp toward the partner.
-						var slot []float64
-						var dfc, dfp float64
-						if oj := ff.ownedIdx[j]; oj >= 0 && oj < oi {
-							slot = ff.partnerSlot(oj, rev[k])
-							dfc, dfp = slot[slotDfba], slot[slotDfab]
-						} else {
-							slot = own[cur : cur+slotFloats : cur+slotFloats]
-							cur += slotFloats
-							dfc, dfp = slot[slotDfab], slot[slotDfba]
-						}
-						phi, dphi := slot[slotPhi], slot[slotDphi]
-						scalar := pairScalar(dphi, dFc*dfc, s.DFdRho[j]*dfp,
-							typ, s.Type[j], rho, s.Rho[j])
-						f = f.MulAdd(-scalar/r, d)
-						e += 0.5 * phi
-						st.Pairs++
+			// Near a chain, the chain terms of every offset interleave with
+			// the resident pairs: before the pair at tight slot k come
+			// those of the offsets below k.
+			next := 0
+			chainsTo := func(to int, f vec.V, e float64) (vec.V, float64) {
+				for ; next < to; next++ {
+					if j := local + int(deltas[next]); s.Head[j] != neighbor.NoRunaway {
+						f, e = chain(pos, typ, dFc, rho, j, neighbor.NoRunaway, f, e)
 					}
 				}
-				if near && s.Head[j] != neighbor.NoRunaway {
-					chain(pos, typ, dFc, rho, j, neighbor.NoRunaway, &f, &e)
+				return f, e
+			}
+			if near {
+				f, e = chain(pos, typ, dFc, rho, local, neighbor.NoRunaway, f, e)
+			}
+			for w, ownW := range mask {
+				for m := ownW | rmask[w]; m != 0; m &= m - 1 {
+					if near {
+						f, e = chainsTo(w<<6|bits.TrailingZeros64(m), f, e)
+					}
+					var slot []float64
+					if ownW&(m&-m) != 0 {
+						slot = own[cur : cur+slotHead : cur+slotHead]
+						cur += sf
+						f = f.Add(vec.V{X: slot[slotFab], Y: slot[slotDfab], Z: slot[slotDphi]})
+					} else {
+						slot = ff.slotAt(locs[0])[:slotHead:slotHead]
+						locs = locs[1:]
+						f = f.Sub(vec.V{X: slot[slotFab], Y: slot[slotDfab], Z: slot[slotDphi]})
+					}
+					e += float64(0.5 * slot[slotPhi])
+					st.Pairs++
 				}
+			}
+			if near {
+				f, e = chainsTo(len(deltas), f, e)
 			}
 			s.F[local] = f
 			energy += e
@@ -636,19 +841,19 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 			rho, dFc := a.Rho, a.DFdRho
 			e := a.EmbedE
 			f := vec.Zero
-			chain(pos, typ, dFc, rho, local, selfRef, &f, &e)
+			f, e = chain(pos, typ, dFc, rho, local, selfRef, f, e)
 			if !s.IsVacancy(local) {
-				inline(pos, typ, dFc, rho,
-					s.R[local], s.Type[local], s.DFdRho[local], s.Rho[local], &f, &e)
+				f, e = inline(pos, typ, dFc, rho,
+					s.R[local], s.Type[local], s.DFdRho[local], s.Rho[local], f, e)
 			}
 			for _, dlt := range deltas {
 				j := local + int(dlt)
 				if !s.IsVacancy(j) {
-					inline(pos, typ, dFc, rho,
-						s.R[j], s.Type[j], s.DFdRho[j], s.Rho[j], &f, &e)
+					f, e = inline(pos, typ, dFc, rho,
+						s.R[j], s.Type[j], s.DFdRho[j], s.Rho[j], f, e)
 				}
 				if s.Head[j] != neighbor.NoRunaway {
-					chain(pos, typ, dFc, rho, j, neighbor.NoRunaway, &f, &e)
+					f, e = chain(pos, typ, dFc, rho, j, neighbor.NoRunaway, f, e)
 				}
 			}
 			a.F = f

@@ -167,7 +167,11 @@ func dimerStore(t *testing.T, alloy bool) (*neighbor.Store, *ForceField, int, in
 	if alloy {
 		s.Type[siteB] = units.Cu
 	}
-	return s, NewForceField(s, pot, DefaultSkin), siteA, siteB
+	ff, err := NewForceField(s, pot, DefaultSkin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, ff, siteA, siteB
 }
 
 func TestDimerOpStatsExact(t *testing.T) {
@@ -239,6 +243,7 @@ func TestDimerOpStatsExact(t *testing.T) {
 			if fill != wantFill {
 				t.Errorf("fill stats %+v, want %+v", fill, wantFill)
 			}
+			ff.ForcePairRange(s, 0, owned)
 			forceRed, optE := ff.ForceReduceRange(s, 0, owned)
 			wantForceRed := OpStats{Atoms: 2, Pairs: 2, Visits: tA + tB}
 			if forceRed != wantForceRed {
@@ -274,7 +279,10 @@ func TestWideWalkOnlyNearChains(t *testing.T) {
 	tab := l.NeighborOffsets(pot.Cutoff + WideMargin)
 	box := grid.Box(0, tab.MaxCellReach())
 	s := neighbor.NewStore(box, tab, units.Fe)
-	ff := NewForceField(s, pot, DefaultSkin)
+	ff, err := NewForceField(s, pot, DefaultSkin)
+	if err != nil {
+		t.Fatal(err)
+	}
 	anchor := box.LocalIndex(lattice.Coord{X: 5, Y: 5, Z: 5, B: 0})
 	s.AddRunaway(anchor, neighbor.Runaway{
 		ID:   int64(l.NumSites()) + 1,
@@ -307,6 +315,7 @@ func TestWideWalkOnlyNearChains(t *testing.T) {
 		t.Errorf("density reduce visits %d, want %d", got, want)
 	}
 	ff.FillEmbeddingRange(s, 0, box.NumLocalSites())
+	ff.ForcePairRange(s, 0, owned)
 	if got, _ := ff.ForceReduceRange(s, 0, owned); got.Visits != want {
 		t.Errorf("force reduce visits %d, want %d", got.Visits, want)
 	}

@@ -264,9 +264,6 @@ func TestForcePoolTimingCounters(t *testing.T) {
 	// imbalance metric is well-formed — with and without a CPE kernel
 	// attached, since the kernel is charged on the same dispatch loop.
 	const workers, steps = 3, 2
-	// Each pass is two barrier-separated rounds (gather+reduce,
-	// fill+reduce) of ForceChunks chunks each.
-	const roundsPerPass = 2
 	for _, tc := range []struct {
 		name   string
 		attach func(r *Rank)
@@ -284,9 +281,15 @@ func TestForcePoolTimingCounters(t *testing.T) {
 				for i := 0; i < steps; i++ {
 					r.Step()
 				}
+				// Each pass is its round table's barrier-separated rounds of
+				// ForceChunks chunks each.
+				roundsPerPass := map[string]int{
+					"density": len(r.FF.rounds.density),
+					"force":   len(r.FF.rounds.force),
+				}
 				for _, pass := range []string{"density", "force"} {
 					m := poolMetric(t, reg, "md/pool/"+pass+"-busy")
-					if want := int64(steps * roundsPerPass * workers); m.Count != want {
+					if want := int64(steps * roundsPerPass[pass] * workers); m.Count != want {
 						t.Errorf("%s pass: %d busy records, want %d (one per worker and round)", pass, m.Count, want)
 					}
 					if m.SumNS <= 0 {
@@ -297,8 +300,9 @@ func TestForcePoolTimingCounters(t *testing.T) {
 					}
 				}
 				chunks := poolMetric(t, reg, "md/pool/chunks").Value
-				if want := int64(steps * 2 * roundsPerPass * ForceChunks); chunks != want {
-					t.Errorf("%d chunks executed, want %d (%d per pass)", chunks, want, roundsPerPass*ForceChunks)
+				perStep := roundsPerPass["density"] + roundsPerPass["force"]
+				if want := int64(steps * perStep * ForceChunks); chunks != want {
+					t.Errorf("%d chunks executed, want %d (%d per step)", chunks, want, perStep*ForceChunks)
 				}
 				if r.Kernel != nil && r.Kernel.StepTime <= 0 {
 					t.Errorf("attached kernel was not charged")

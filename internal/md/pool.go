@@ -38,6 +38,12 @@ type ForcePool struct {
 	// (cpekernel.go); Rank.computeForces sets it from Rank.Kernel.
 	cost *CPEKernel
 
+	// The per-chunk results of the round in flight. They live here, not on
+	// run's stack, because the worker goroutines capture them, which would
+	// heap-allocate them on every pass.
+	perStats  [ForceChunks]OpStats
+	perEnergy [ForceChunks]float64
+
 	// Host-side scheduling telemetry: one busy record per worker and round,
 	// so the timers' max/mean expose the imbalance of the dynamic chunk
 	// dispatch; chunks counts what the workers actually executed. Nil
@@ -84,9 +90,11 @@ func (p *ForcePool) Densities(s *neighbor.Store) OpStats {
 	return st
 }
 
-// Forces runs the force pass (embedding fill over all local sites, then the
-// streamed-pair force reduce) sharded over the pool and returns the owned
-// potential-energy share, reduced in chunk order.
+// Forces runs the force pass (embedding fill over all local sites, the
+// pair round, then the force reduce) sharded over the pool and returns the
+// owned potential-energy share, reduced in chunk order. The pair round
+// overwrites the pair stream the density pass wrote, so each call must
+// follow a Densities call on the same positions (and the ρ exchange).
 func (p *ForcePool) Forces(s *neighbor.Store) (OpStats, float64) {
 	return p.run(s, p.FF.rounds.force, p.forceBusy)
 }
@@ -101,8 +109,7 @@ func (p *ForcePool) run(s *neighbor.Store, rounds []round, busy *telemetry.Timer
 	workers := resolveWorkers(p.Workers)
 	var st OpStats
 	var energy float64
-	var perStats [ForceChunks]OpStats
-	var perEnergy [ForceChunks]float64
+	perStats, perEnergy := &p.perStats, &p.perEnergy
 	for ri := range rounds {
 		rd := &rounds[ri]
 		p.cost.beginRound()

@@ -16,6 +16,13 @@ import (
 // same ForcePool, with and without a CPEKernel attached, by giving one
 // ForceField its round table.
 
+// The reference force round's historical cost spec: per site streamed in,
+// and arithmetic per pair side.
+const (
+	streamInForce  = 128
+	flopsPairForce = 7
+)
+
 // referenceRounds is the oracle's round table, with the historical
 // single-pass CPE cost specs.
 var referenceRounds = kernelRounds{
@@ -200,9 +207,9 @@ func (ff *ForceField) ForcesRange(s *neighbor.Store, lo, hi int) (OpStats, float
 			_, dfij := ff.Pot.Density(typ, cd.typ, r)
 			_, dfji := ff.Pot.Density(cd.typ, typ, r)
 			_, dFj := ff.Pot.Embed(cd.typ, cd.rho)
-			scalar := pairScalar(dphi, dFc*dfij, dFj*dfji, typ, cd.typ, rho, cd.rho)
+			scalar := pairScalar(dphi, dFc, dfij, dFj, dfji, typ, cd.typ, rho, cd.rho)
 			f = f.MulAdd(-scalar/r, d)
-			e += 0.5 * phi
+			e += float64(0.5 * phi)
 			st.Pairs++
 			st.Lookups += 4
 			if typ != units.Fe || cd.typ != units.Fe {

@@ -54,15 +54,16 @@ func noEnergy(f func(ff *ForceField, s *neighbor.Store, lo, hi int) OpStats) ran
 
 // productionRounds is the kernel every run executes. The gather round
 // preloads all three fused tables (pair + both density directions) and
-// appends one 6-float slot per unique pair to the pair stream; the reduce
-// rounds read the values back — one density float per pair side in the density
-// reduce, the four force floats in the force reduce — instead of
-// re-evaluating tables. The fill round streams only ρ and type in and
-// F(ρ)/F'(ρ) out, with one embedding evaluation per site and no pair work
-// at all.
+// appends one slot per unique pair to the pair stream; the density reduce
+// reads one density float back per pair side. The fill round streams only
+// ρ and type in and F(ρ)/F'(ρ) out, with one embedding evaluation per site
+// and no pair work at all. The pair round reads each slot's three
+// derivatives and writes its force vector back, with no table at all, and
+// the force reduce reads φ and the vector per pair side; its tables serve
+// the run-away pairs it evaluates inline.
 var productionRounds = kernelRounds{
 	density: []round{
-		{spec: passSpec{tables: 3, inBytes: streamInDensity, perPairOut: slotFloats * 8, flopsPer: flopsPairDensity},
+		{spec: passSpec{tables: 3, inBytes: streamInDensity, slotsOut: 1, flopsPer: flopsPairDensity},
 			work: noEnergy((*ForceField).DensityGatherRange)},
 		{spec: passSpec{tables: 1, inBytes: streamInDensity, outBytes: streamOutDens, perPairIn: 8, flopsPer: 1},
 			work: noEnergy((*ForceField).DensityReduceRange)},
@@ -70,7 +71,9 @@ var productionRounds = kernelRounds{
 	force: []round{
 		{spec: passSpec{tables: 1, inBytes: 16, outBytes: 16},
 			localSites: true, work: noEnergy((*ForceField).FillEmbeddingRange)},
-		{spec: passSpec{tables: 3, inBytes: streamInForce, outBytes: streamOutForce, perPairIn: 4 * 8, flopsPer: flopsPairForce},
+		{spec: passSpec{inBytes: streamInPair, perPairIn: 3 * 8, perPairOut: 3 * 8, flopsPer: flopsPairVector},
+			work: noEnergy((*ForceField).ForcePairRange)},
+		{spec: passSpec{tables: 3, inBytes: streamInSum, outBytes: streamOutForce, perPairIn: slotHead * 8, flopsPer: flopsPairSum},
 			work: (*ForceField).ForceReduceRange},
 	},
 }

@@ -113,6 +113,10 @@ func NewRank(cfg Config, comm *mpi.Comm) (*Rank, error) {
 		}
 	}
 	store := neighbor.NewStore(box, tab, cfg.Species)
+	ff, err := NewForceField(store, pot, cfg.Skin)
+	if err != nil {
+		return nil, err
+	}
 	r := &Rank{
 		Cfg:   cfg,
 		Comm:  comm,
@@ -121,7 +125,7 @@ func NewRank(cfg Config, comm *mpi.Comm) (*Rank, error) {
 		Box:   box,
 		Store: store,
 		Pot:   pot,
-		FF:    NewForceField(store, pot, cfg.Skin),
+		FF:    ff,
 	}
 	r.Pool = NewForcePool(r.FF, cfg.Workers)
 	r.Ex = newExchange(comm, grid, box)

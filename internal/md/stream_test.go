@@ -35,10 +35,10 @@ func ownedState(r *Rank) map[int64]atomState {
 	return out
 }
 
-func streamCaps(ff *ForceField) [ForceChunks]int {
-	var caps [ForceChunks]int
+func streamCaps(ff *ForceField) [2 * ForceChunks]int {
+	var caps [2 * ForceChunks]int
 	for c := range ff.stream {
-		caps[c] = cap(ff.stream[c])
+		caps[2*c], caps[2*c+1] = cap(ff.stream[c]), cap(ff.revLoc[c])
 	}
 	return caps
 }
@@ -106,12 +106,12 @@ func TestStreamRowsMatchGather(t *testing.T) {
 					c := ff.chunkOf[oi]
 					want := 0 // a chunk's first row starts its buffer
 					if oi > 0 && ff.chunkOf[oi-1] == c {
-						want = int(ff.rowStart[oi-1]) + ff.rowLen(oi-1)*slotFloats
+						want = int(ff.rowStart[oi-1]) + ff.rowLen(oi-1)*ff.slotFloats
 					}
 					if got := int(ff.rowStart[oi]); got != want {
 						t.Fatalf("site %d (chunk %d): row starts at float %d, want %d", oi, c, got, want)
 					}
-					if end := want + n*slotFloats; end > len(ff.stream[c]) {
+					if end := want + n*ff.slotFloats; end > len(ff.stream[c]) {
 						t.Fatalf("site %d: row ends at float %d beyond chunk %d's %d", oi, end, c, len(ff.stream[c]))
 					}
 				}
@@ -126,9 +126,9 @@ func TestStreamRowsMatchGather(t *testing.T) {
 func TestKernelRoundsDoNotAllocate(t *testing.T) {
 	// Steady state allocates nothing: a whole sweep of the production round
 	// table over a warmed bulk rank — gather (which appends to the stream),
-	// both reduces and the fill, all 64 chunks each — mallocs zero times.
-	// (computeForces itself reads 4, before and after the stream: the two
-	// per-pass chunk arrays of ForcePool.run, which md.allocs_per_step pins.)
+	// density reduce (which appends to the reverse index), fill, pair round
+	// and force reduce, all 64 chunks each — mallocs zero times.
+	// TestBulkStepDoesNotAllocate extends this to the whole step.
 	cfg := smallConfig()
 	cfg.Cells = [3]int{8, 8, 8}
 	cfg.Temperature = 600
@@ -150,14 +150,35 @@ func TestKernelRoundsDoNotAllocate(t *testing.T) {
 	})
 }
 
+func TestBulkStepDoesNotAllocate(t *testing.T) {
+	// A whole velocity-Verlet step of a warmed 1-rank, serial-pool bulk
+	// rank — integration, ghost exchange, relink and both force passes
+	// through ForcePool.run — mallocs zero times; md.allocs_per_step on
+	// md-bulk is this count.
+	cfg := smallConfig()
+	cfg.Cells = [3]int{8, 8, 8}
+	cfg.Temperature = 600
+	cfg.Workers = 1
+	runWorld(t, cfg, func(r *Rank) {
+		for i := 0; i < 3; i++ {
+			r.Step()
+		}
+		if n := testing.AllocsPerRun(5, r.Step); n != 0 {
+			t.Errorf("a bulk step allocates %v times, want 0", n)
+		}
+	})
+}
+
 func TestStreamGrowsFromNothing(t *testing.T) {
-	// Buffers started at capacity 0 force every chunk through growStream,
-	// across a cascade that keeps changing what each row holds. The result
-	// must still be the reference kernel's, bit for bit, and once the state
-	// stops changing the capacities must too.
+	// Buffers started at capacity 0 force every chunk through growStream
+	// and growRevLoc, across a cascade that keeps changing what each row
+	// and each reverse index holds. The result must still be the reference
+	// kernel's, bit for bit, and once the state stops changing the
+	// capacities must too.
 	runWorld(t, cascadeConfig(), func(r *Rank) {
 		for c := range r.FF.stream {
 			r.FF.stream[c] = nil
+			r.FF.revLoc[c] = nil
 		}
 		for i := 0; i < 120; i++ {
 			r.Step()
@@ -209,8 +230,10 @@ func TestWideSkinMatchesReference(t *testing.T) {
 
 func TestRankMemoryPerAtom(t *testing.T) {
 	// The deterministic stand-in for the md-bulk peak-RSS claim: what a 20³
-	// rank holds per atom. The fixed-stride pair cache put this at ~1,525 B;
-	// the bound is half of that, so the cache regrowing fails here.
+	// rank holds per atom. The fixed-stride pair cache put this at ~1,525 B
+	// and the 6-float pair stream at 628 B; 4-float single-species slots
+	// pay for the reverse index and the lower mask, so a slot or an index
+	// regrowing fails here.
 	cfg := DefaultConfig()
 	cfg.Cells = [3]int{20, 20, 20}
 	cfg.Temperature = 600
@@ -219,8 +242,8 @@ func TestRankMemoryPerAtom(t *testing.T) {
 		perAtom := float64(r.MemoryBytes()) / float64(CountOwnedAtoms(r.Store))
 		t.Logf("rank holds %.0f B/atom (force field %.0f)", perAtom,
 			float64(r.FF.MemoryBytes())/float64(CountOwnedAtoms(r.Store)))
-		if perAtom > 762 {
-			t.Errorf("rank holds %.0f B/atom, want at most 762 (half the fixed-stride cache's 1,525)", perAtom)
+		if perAtom > 560 {
+			t.Errorf("rank holds %.0f B/atom, want at most 560 (the 6-float stream held 628)", perAtom)
 		}
 	})
 }

@@ -18,8 +18,13 @@ func (a V) Sub(b V) V { return V{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 // Scale returns s * a.
 func (a V) Scale(s float64) V { return V{s * a.X, s * a.Y, s * a.Z} }
 
-// Dot returns the inner product of a and b.
-func (a V) Dot(b V) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
+// Dot returns the inner product of a and b. Each product is rounded on its
+// own (the float64 conversions): Go may otherwise fuse a multiply and an add
+// into one FMA on some architectures (arm64), and the force kernels'
+// bit-identity rests on every platform rounding alike.
+func (a V) Dot(b V) float64 {
+	return float64(a.X*b.X) + float64(a.Y*b.Y) + float64(a.Z*b.Z)
+}
 
 // Norm2 returns |a|².
 func (a V) Norm2() float64 { return a.Dot(a) }
@@ -27,9 +32,10 @@ func (a V) Norm2() float64 { return a.Dot(a) }
 // Norm returns |a|.
 func (a V) Norm() float64 { return math.Sqrt(a.Norm2()) }
 
-// MulAdd returns a + s*b without intermediate allocation in hot loops.
+// MulAdd returns a + s*b without intermediate allocation in hot loops, the
+// product rounded before the add (no FMA; see Dot).
 func (a V) MulAdd(s float64, b V) V {
-	return V{a.X + s*b.X, a.Y + s*b.Y, a.Z + s*b.Z}
+	return V{a.X + float64(s*b.X), a.Y + float64(s*b.Y), a.Z + float64(s*b.Z)}
 }
 
 // Dist returns |a-b|.
