@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism no-env no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec figures
+.PHONY: check fmt-check p2p-owner determinism no-env no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec fuzz-journal figures
 
 check: fmt-check p2p-owner determinism no-env no-fma vet lint build race
 
@@ -215,6 +215,20 @@ smoke-campaign:
 smoke-serve:
 	$(GO) test -count=1 -run TestServeSmoke -v ./cmd/mdserve
 
+# Every fuzz target of the module in turn (CI runs it with FUZZTIME=10s):
+# each `func Fuzz*` in a _test.go file gets FUZZTIME of its own, found by
+# name so a new target joins without an edit here. Minimizing a new input is
+# capped at 5 s, as in fuzz-rankfile (the 60 s default outlasts a short pass).
+FUZZTIME ?= 30s
+
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' . | grep -v '/testdata/' | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$t $$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 5s $$(dirname $$f); \
+		done; \
+	done
+
 # Short fuzz pass over the checkpoint manifest loader: damaged restart
 # metadata must yield descriptive couple: errors and be skipped by Latest,
 # never panic (seeds start from manifests a real run committed).
@@ -244,6 +258,13 @@ fuzz-spectrum:
 # passes its own Validate.
 fuzz-jobspec:
 	$(GO) test -run '^$$' -fuzz 'FuzzJobSpec' -fuzztime 30s ./internal/serve
+
+# Short fuzz pass over job-ledger recovery (DESIGN.md §16): truncated and
+# bit-flipped journals, and records re-sealed with a valid checksum, must
+# replay a prefix and never panic (seeds are a journal a stub-runner server
+# recorded, a few KB, so minimizing is capped as in fuzz-rankfile).
+fuzz-journal:
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/serve
 
 figures:
 	$(GO) run ./cmd/figures

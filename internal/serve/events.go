@@ -29,6 +29,14 @@ type hub struct {
 
 func newHub() *hub { return &hub{} }
 
+// stateEvent is the event that publishes transition tr of job id.
+func stateEvent(id string, tr Transition) Event {
+	return Event{
+		Job: id, Type: "state", State: tr.State, Reason: tr.Reason,
+		Attempt: tr.Attempt, Slots: tr.Slots,
+	}
+}
+
 // publish stamps e with the next sequence number, records it, and fans it
 // out. A full (slow) subscriber drops the event rather than stalling the
 // rank goroutine that flushed it; the backlog-replaying subscribe path is

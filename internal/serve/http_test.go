@@ -359,13 +359,16 @@ func TestHTTPHealthAndDrain(t *testing.T) {
 	}
 }
 
-// A ledger write that fails must not be silent: a restart would replay the
-// stale ledger. A directory squatting on the temp file fails the write, a
-// directory squatting on the ledger fails the rename (and the temp file is
-// removed); /healthz reports "degraded" with the error until the next
-// transition persists cleanly.
+// A ledger commit that fails must not be silent: a restart would recover a
+// stale ledger. Failures are injected under the journal and the snapshot
+// commit: a failed (short) write, ENOSPC and a failed fsync on a journal
+// append, then a failed snapshot write and a torn rename on the compactions
+// that follow. /healthz reports "degraded" with the error until a later
+// commit succeeds, no temp file is left behind, and the ledger on disk
+// recovers every job.
 func TestLedgerPersistFailureIsReported(t *testing.T) {
-	ts, s, r := httpServer(t, nil)
+	ffs := &faultFS{}
+	ts, s, r := httpServer(t, func(c *Config) { c.fs = ffs.fs() })
 	ledger := filepath.Join(s.cfg.Dir, ledgerName)
 	health := func() map[string]any {
 		t.Helper()
@@ -394,52 +397,59 @@ func TestLedgerPersistFailureIsReported(t *testing.T) {
 			t.Fatalf("health %v, want ok without ledger_error", h)
 		}
 	}
-	squat := func(path string) {
+	check := func(fragment string) { // "" for ok
 		t.Helper()
-		if err := os.MkdirAll(filepath.Join(path, "squatter"), 0o755); err != nil {
-			t.Fatal(err)
+		if fragment == "" {
+			wantOK()
+		} else {
+			wantDegraded(fragment)
 		}
 	}
+	// cycle submits a job with faults armed for its submission's commit and
+	// for the commit of its exit, and checks what /healthz says after each.
+	cycle := func(onSubmit []fault, submitErr string, onExit []fault, exitErr string) {
+		t.Helper()
+		for _, f := range onSubmit {
+			ffs.arm(f)
+		}
+		_, st := postJob(t, ts, "", mdSpec(0, 1))
+		nextStarted(t, r)
+		check(submitErr)
+		for _, f := range onExit {
+			ffs.arm(f)
+		}
+		r.finish(st.ID, RunResult{}, nil)
+		awaitState(t, s, st.ID, StateDone)
+		check(exitErr)
+	}
 
 	wantOK()
-	squat(ledger + ".tmp")
-	_, a := postJob(t, ts, "", mdSpec(0, 1))
-	nextStarted(t, r)
-	wantDegraded("writing ledger")
-
-	if err := os.RemoveAll(ledger + ".tmp"); err != nil {
-		t.Fatal(err)
-	}
-	r.finish(a.ID, RunResult{}, nil)
-	awaitState(t, s, a.ID, StateDone)
-	wantOK()
-
-	if err := os.Remove(ledger); err != nil {
-		t.Fatal(err)
-	}
-	squat(ledger)
-	_, b := postJob(t, ts, "", mdSpec(0, 1))
-	nextStarted(t, r)
-	wantDegraded("committing ledger")
+	// A failed append degrades the server until the next commit, which
+	// compacts into a new generation.
+	cycle([]fault{faultShortWrite}, "appending journal: short write", nil, "")
+	cycle([]fault{faultENOSPC}, "no space left on device", nil, "")
+	// The new generation's journal is created: its directory fsync fails.
+	cycle([]fault{faultSync}, "opening journal", nil, "")
+	cycle(nil, "", []fault{faultSync}, "syncing journal")
+	// Compactions fail too: the snapshot write, then its rename.
+	cycle([]fault{faultENOSPC}, "writing ledger", []fault{faultTornRename}, "committing ledger")
 	if _, err := os.Stat(ledger + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp ledger left behind after a failed rename: %v", err)
+		t.Fatalf("temp ledger left behind after a failed commit: %v", err)
 	}
-
-	if err := os.RemoveAll(ledger); err != nil {
-		t.Fatal(err)
-	}
-	r.finish(b.ID, RunResult{}, nil)
-	awaitState(t, s, b.ID, StateDone)
+	_, st := postJob(t, ts, "", mdSpec(0, 1))
+	nextStarted(t, r)
 	wantOK()
-	data, err := os.ReadFile(ledger)
-	if err != nil {
-		t.Fatal(err)
+	r.finish(st.ID, RunResult{}, nil)
+	awaitState(t, s, st.ID, StateDone)
+	wantOK()
+
+	jobs := readLedger(t, s.cfg.Dir).bySeq
+	if len(jobs) != 6 {
+		t.Fatalf("recovered ledger holds %d jobs, want 6", len(jobs))
 	}
-	var lf ledgerFile
-	if err := json.Unmarshal(data, &lf); err != nil {
-		t.Fatal(err)
-	}
-	if len(lf.Jobs) != 2 || lf.Jobs[1].State != StateDone {
-		t.Fatalf("recovered ledger %+v, want both jobs with the second done", lf.Jobs)
+	for _, j := range jobs {
+		if j.State != StateDone {
+			t.Fatalf("recovered job %s is %q, want done", j.ID, j.State)
+		}
 	}
 }

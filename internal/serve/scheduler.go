@@ -28,8 +28,8 @@ var (
 
 // Config configures a Server.
 type Config struct {
-	// Dir is the state root: ledger.json plus one jobs/<id>/ directory per
-	// job (checkpoints, artifacts). Restarting a server on the same Dir
+	// Dir is the state root: the job ledger (ledger.json and its journal)
+	// plus one jobs/<id>/ directory per job (checkpoints, artifacts). Restarting a server on the same Dir
 	// recovers its queue.
 	Dir string
 	// Slots is the shared pool of mpi.World rank slots (default 2). Every
@@ -46,6 +46,10 @@ type Config struct {
 	Clock Clock
 	// Runner executes job attempts; nil selects the real SimRunner.
 	Runner Runner
+
+	// fs is the filesystem the ledger writes through; nil selects the real
+	// one (tests inject failures here).
+	fs *fileSystem
 }
 
 // Server is the multi-tenant job scheduler: an admission-controlled
@@ -68,16 +72,13 @@ type Server struct {
 	clock  Clock
 	runner Runner
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	jobs     map[string]*Job
-	bySeq    []*Job // submission order: the deterministic iteration order
+	mu   sync.Mutex
+	cond *sync.Cond
+	ledgerState
 	queue    []*Job // waiting jobs, sorted by (priority desc, seq asc)
 	free     int
-	seq      int
 	draining bool
-	// persistErr is the last ledger write failure, nil after a success.
-	persistErr error
+	led      ledger
 
 	sets map[string]*telemetry.Set // live telemetry of running attempts
 	wg   sync.WaitGroup
@@ -87,7 +88,8 @@ type Server struct {
 // queued and preempted jobs re-enter the queue, and jobs that were running
 // when the previous process died are re-queued as preempted — their next
 // attempt resumes from whatever checkpoint survived (or starts fresh when
-// none did). Scheduling begins immediately.
+// none did). Scheduling begins immediately. On a directory that holds no
+// ledger, New writes no ledger file.
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("serve: Config.Dir is required")
@@ -107,6 +109,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
 		cfg.Runner = SimRunner{}
 	}
+	if cfg.fs == nil {
+		cfg.fs = &osFS
+	}
 	if err := os.MkdirAll(filepath.Join(cfg.Dir, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: state dir: %w", err)
 	}
@@ -114,16 +119,20 @@ func New(cfg Config) (*Server, error) {
 		cfg:    cfg,
 		clock:  cfg.Clock,
 		runner: cfg.Runner,
-		jobs:   make(map[string]*Job),
 		free:   cfg.Slots,
+		led:    ledger{fs: cfg.fs, dir: cfg.Dir},
 		sets:   make(map[string]*telemetry.Set),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.mu.Lock()
-	err := s.recover()
+	read, err := s.recover()
 	if err == nil {
 		s.scheduleLocked()
-		s.persistLocked()
+		if read {
+			s.compactLocked()
+		} else {
+			s.commitLocked()
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -161,26 +170,19 @@ func (s *Server) Submit(spec JobSpec, fault string) (*JobStatus, error) {
 	if active >= s.cfg.TenantMaxActive {
 		return nil, ErrTenantQuota
 	}
-	s.seq++
-	j := &Job{
-		ID:          fmt.Sprintf("job-%06d", s.seq),
-		Seq:         s.seq,
-		Spec:        spec,
-		Fault:       fault,
-		SubmittedAt: s.clock.Now(),
-		State:       StateQueued,
-		hub:         newHub(),
-	}
-	j.dir = filepath.Join(s.cfg.Dir, "jobs", j.ID)
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
+	id := jobID(s.seq + 1)
+	dir := filepath.Join(s.cfg.Dir, "jobs", id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: job dir: %w", err)
 	}
-	s.jobs[j.ID] = j
-	s.bySeq = append(s.bySeq, j)
+	j := s.logLocked(record{Kind: recAdmit, Job: id, Admit: &admission{
+		Seq: s.seq + 1, Spec: spec, Fault: fault, SubmittedAt: s.clock.Now(),
+	}})
+	j.hub, j.dir = newHub(), dir
 	s.transitionLocked(j, StateQueued, "submitted")
 	s.enqueueLocked(j)
 	s.scheduleLocked()
-	s.persistLocked()
+	s.commitLocked()
 	st := s.statusLocked(j)
 	return &st, nil
 }
@@ -310,39 +312,39 @@ func (s *Server) onExit(j *Job, res RunResult, err error) {
 	j.Granted = 0
 	switch {
 	case err == nil:
-		j.Result = res.Summary
-		if res.Dose != nil {
-			j.Dose = res.Dose
-		}
+		s.logLocked(record{Kind: recResult, Job: j.ID, Result: res.Summary, Dose: res.Dose})
 		s.transitionLocked(j, StateDone, "completed")
 		j.hub.close()
 	case errors.Is(err, couple.ErrPreempted):
 		s.transitionLocked(j, StatePreempted, "checkpointed")
 		s.enqueueLocked(j)
 	default:
-		j.Err = err.Error()
-		s.transitionLocked(j, StateFailed, err.Error())
-		j.hub.close()
+		s.failLocked(j, err.Error())
 	}
 	s.scheduleLocked()
-	s.persistLocked()
+	s.commitLocked()
 	s.cond.Broadcast()
+}
+
+// failLocked ends j's lifecycle with an error.
+func (s *Server) failLocked(j *Job, msg string) {
+	s.logLocked(record{Kind: recError, Job: j.ID, Error: msg})
+	s.transitionLocked(j, StateFailed, msg)
+	j.hub.close()
 }
 
 // transitionLocked records and publishes one state change.
 func (s *Server) transitionLocked(j *Job, st State, reason string) {
-	j.State = st
 	tr := Transition{State: st, Reason: reason, Attempt: j.Attempts, Slots: j.Granted, At: s.clock.Now()}
-	j.History = append(j.History, tr)
-	j.hub.publish(Event{
-		Job: j.ID, Type: "state", State: st, Reason: reason,
-		Attempt: j.Attempts, Slots: j.Granted,
-	})
+	s.logLocked(record{Kind: recTransition, Job: j.ID, Transition: &tr})
+	j.hub.publish(stateEvent(j.ID, tr))
 }
 
 // Drain stops the intake, asks every running job to checkpoint and stop,
-// persists the queue, and blocks until no job holds slots. After Drain the
-// server schedules nothing; a new Server on the same Dir resumes the work.
+// commits the queue, and blocks until no job holds slots; then it compacts
+// the ledger into a fresh snapshot (unless nothing was journaled since the
+// last one). After Drain the server schedules nothing; a new Server on the
+// same Dir resumes the work.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if !s.draining {
@@ -352,12 +354,14 @@ func (s *Server) Drain() {
 				s.preemptLocked(j, "drain")
 			}
 		}
-		s.persistLocked()
+		s.commitLocked()
 	}
 	for s.activeLocked() {
 		s.cond.Wait()
 	}
-	s.persistLocked()
+	if s.led.size > 0 || s.led.stale {
+		s.compactLocked()
+	}
 	s.mu.Unlock()
 	s.wg.Wait()
 }
