@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism no-env no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec fuzz-journal figures
+.PHONY: check fmt-check p2p-owner determinism no-env no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec fuzz-journal figures figures-smoke
 
 check: fmt-check p2p-owner determinism no-env no-fma vet lint build race
 
@@ -268,3 +268,10 @@ fuzz-journal:
 
 figures:
 	$(GO) run ./cmd/figures
+
+# The capacity lines of Figures 11 (MD atoms, from md.Rank.MemoryBytes) and
+# 15 (KMC sites, from kmc.State.MemoryBytes) are computed from measured
+# footprints; both figures run and each line must be printed (CI smoke gate).
+figures-smoke:
+	$(GO) run ./cmd/figures -quick -fig 11 | grep 'capacity on 102,400 CGs'
+	$(GO) run ./cmd/figures -quick -fig 15 | grep 'KMC capacity on 102,400 cores'

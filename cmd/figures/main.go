@@ -363,7 +363,35 @@ func fig15(bool) {
 	}
 	fmt.Println("\nmodel at paper scale:")
 	fmt.Print(perf.FormatSeries("  (1,600 -> 102,400 master cores)", perf.Fig15Weak()))
-	fmt.Println("paper: 97.2% -> 74.0% efficiency; compute flat, comm growing")
+	perSite, sites := kmcBytesPerSite()
+	fmt.Printf("KMC capacity on 102,400 cores x 8 GB: %.2g sites (%.2g per core) at %.1f B per local site, measured on a %d-site rank (occupancy, density, embedding cache, stencils, vacancy lists, ghost plan)\n",
+		perf.KMCSiteCapacity(102400, 8<<30, perSite), perf.KMCSiteCapacity(1, 8<<30, perSite), perSite, sites)
+	fmt.Println("paper: 97.2% -> 74.0% efficiency; compute flat, comm growing; 1e7 sites per core")
+}
+
+// kmcBytesPerSite builds the 2-rank box of the kmc-anneal benchmark (32x16x16
+// cells, on-demand) and returns rank 0's bytes per local site after some
+// cycles, and its local site count.
+func kmcBytesPerSite() (perSite float64, sites int) {
+	cfg := kmc.DefaultConfig()
+	cfg.Cells = [3]int{32, 16, 16}
+	cfg.Grid = [3]int{2, 1, 1}
+	cfg.Protocol = kmc.OnDemand
+	cfg.VacancyConcentration = 4e-3
+	mpi.NewWorld(cfg.Ranks()).Run(func(c *mpi.Comm) {
+		st, err := kmc.NewState(cfg, c)
+		if err != nil {
+			log.Fatalf("kmc memory measurement setup: %v", err)
+		}
+		for i := 0; i < 50; i++ {
+			st.Cycle()
+		}
+		if c.Rank() == 0 {
+			sites = st.Box.NumLocalSites()
+			perSite = float64(st.MemoryBytes()) / float64(sites)
+		}
+	})
+	return
 }
 
 // fig16 — coupled weak scaling.

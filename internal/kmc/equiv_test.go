@@ -23,10 +23,14 @@ type event struct {
 // bit for bit: the pre-stencil implementation, which collects the bystander
 // density bumps of both shells per call, sorts them by site, merges the
 // sites near both s and n, and evaluates every embedding term through the
-// potential with no memo. It shares only the shell tables and the flat
-// deltas with the code under test.
+// potential (Pot.Embed), not through the embedding cache. It shares only
+// the shell tables and the flat deltas with the code under test.
 func swapDeltaERef(st *State, s, n int, cs, cn lattice.Coord) float64 {
 	e := &st.en
+	embed := func(a uint8, rho float64) float64 {
+		v, _ := st.Pot.Embed(elementOf(a), rho)
+		return v
+	}
 	occ, rho := st.Occ, st.Rho
 	m := occ[n] // species of the moving atom
 
@@ -77,7 +81,7 @@ func swapDeltaERef(st *State, s, n int, cs, cn lattice.Coord) float64 {
 			delta += bumps[i].delta
 		}
 		if delta != 0 {
-			dEmbed += e.embed(occ[site], rho[site]+delta) - e.embed(occ[site], rho[site])
+			dEmbed += embed(occ[site], rho[site]+delta) - embed(occ[site], rho[site])
 		}
 	}
 
@@ -91,7 +95,7 @@ func swapDeltaERef(st *State, s, n int, cs, cn lattice.Coord) float64 {
 			rhoAfter += e.shells.f[occ[j]][cs.B][k]
 		}
 	}
-	dEmbed += e.embed(m, rhoAfter) - e.embed(m, rhoBefore)
+	dEmbed += embed(m, rhoAfter) - embed(m, rhoBefore)
 	return dPair + dEmbed
 }
 
@@ -110,7 +114,7 @@ func checkSwapDeltaE(t *testing.T, st *State) int {
 			}
 			cn := st.Tab.PerBase[cv.B][k].Apply(cv)
 			want := swapDeltaERef(st, v, n, cv, cn)
-			// Twice: the second call reads the embedding memo the first filled.
+			// Twice: the second call hits the embedding-cache entries the first filled.
 			for pass := 0; pass < 2; pass++ {
 				got := st.en.swapDeltaE(st, v, n, cv, cn)
 				if math.Float64bits(got) != math.Float64bits(want) {
@@ -122,6 +126,74 @@ func checkSwapDeltaE(t *testing.T, st *State) int {
 		}
 	}
 	return hops
+}
+
+// TestEmbedCacheIsExact: an embedding lookup returns the bits Pot.Embed
+// returns whatever the cache held before — the same ρ under the other
+// species, an evicted entry, or the other signed zero.
+func TestEmbedCacheIsExact(t *testing.T) {
+	cfg := testConfig()
+	cfg.CuConcentration = 0.03
+	runWorld(t, cfg, func(st *State) {
+		e := &st.en
+		check := func(a uint8, rho float64) {
+			t.Helper()
+			want, _ := st.Pot.Embed(elementOf(a), rho)
+			if got := e.embed(a, rho); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("embed(%d, %v [%#x]) = %v, Pot.Embed %v", a, rho, math.Float64bits(rho), got, want)
+			}
+		}
+		src := rng.New(5)
+		// Fe and Cu at the same ρ bits, in both orders, each looked up
+		// twice (miss, then hit).
+		differ := 0
+		for i := 0; i < 64; i++ {
+			rho := src.Float64() * st.Pot.RhoMax()
+			order := []uint8{Atom, CuAtom, Atom, CuAtom}
+			if i%2 == 1 {
+				order = []uint8{CuAtom, Atom, CuAtom, Atom}
+			}
+			for _, a := range order {
+				check(a, rho)
+			}
+			if fe, cu := e.embed(Atom, rho), e.embed(CuAtom, rho); fe != cu {
+				differ++
+			}
+		}
+		if differ == 0 {
+			t.Fatal("F_Fe and F_Cu agree at every probe: the aliasing check checks nothing")
+		}
+		// 8× the entry count of distinct ρ, species alternating, replayed
+		// forward, backward and shuffled: every entry is evicted and
+		// refilled many times over.
+		rhos := make([]float64, 8*len(e.cache))
+		for i := range rhos {
+			rhos[i] = src.Float64() * st.Pot.RhoMax()
+		}
+		order := make([]int, len(rhos))
+		for i := range order {
+			order[i] = i
+		}
+		lookup := func(i int) { check(Atom+uint8(i&1), rhos[i]) }
+		for _, i := range order {
+			lookup(i)
+		}
+		for j := len(order) - 1; j >= 0; j-- {
+			lookup(order[j])
+		}
+		for j := len(order) - 1; j > 0; j-- {
+			k := src.Intn(j + 1)
+			order[j], order[k] = order[k], order[j]
+		}
+		for _, i := range order {
+			lookup(i)
+		}
+		// The signed zeros are distinct keys.
+		for _, rho := range []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)} {
+			check(Atom, rho)
+			check(CuAtom, rho)
+		}
+	})
 }
 
 // TestSwapDeltaEMatchesReference pins ΔE's bits against an oracle that is

@@ -669,3 +669,29 @@ func TestBoltzmannEquilibriumTwoStateToy(t *testing.T) {
 		}
 	})
 }
+
+// TestStateMemoryPerSite is the deterministic stand-in for the KMC
+// capacity claim: what a kmc-anneal-sized rank (32×16×16 cells on 2×1×1,
+// on-demand) holds per local site, owned or ghost, after some cycles have
+// grown its lists. Occ (1 B) and Rho (8 B) are the only per-site arrays; a
+// per-site structure returning fails here. The per-site embedding memo of
+// earlier versions alone put the rank at ≥ 33 B/site.
+func TestStateMemoryPerSite(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cells = [3]int{32, 16, 16}
+	cfg.Grid = [3]int{2, 1, 1}
+	cfg.Protocol = OnDemand
+	cfg.VacancyConcentration = 4e-3
+	runWorld(t, cfg, func(st *State) {
+		for i := 0; i < 50; i++ {
+			st.Cycle()
+		}
+		perSite := float64(st.MemoryBytes()) / float64(st.Box.NumLocalSites())
+		t.Logf("rank %d holds %.2f B per local site (%d sites, %d B)",
+			st.Comm.Rank(), perSite, st.Box.NumLocalSites(), st.MemoryBytes())
+		if perSite > 12.5 {
+			t.Errorf("rank %d holds %.2f B per local site, want at most 12.5 (Occ + Rho + the per-site embedding memo held ≥ 33)",
+				st.Comm.Rank(), perSite)
+		}
+	})
+}

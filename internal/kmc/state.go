@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"mdkmc/internal/eam"
 	"mdkmc/internal/halo"
@@ -159,11 +160,7 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		reach: reach,
 		rng:   rng.New(cfg.Seed),
 	}
-	st.en = energetics{
-		pot:    pot,
-		shells: newShellTables(pot, tab),
-		memo:   make([]embedMemo, box.NumLocalSites()),
-	}
+	st.en = energetics{pot: pot, shells: newShellTables(pot, tab)}
 	st.reads = newReadFootprint(tab, st.en.dependencyReach(reach))
 	st.buildDeltas()
 	st.buildImages()
@@ -183,6 +180,35 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		comm.Barrier()
 	}
 	return st, nil
+}
+
+// MemoryBytes returns the heap footprint of what the rank holds for its
+// sites — occupancy and ρ per local site (owned and ghost); the embedding
+// cache, shell tables, hop stencils and read-footprint grid; the vacancy
+// lists and the dirty-site queue at their current capacities; and the
+// ghost plan — the quantity a capacity claim (how many sites fit a node)
+// has to be made from. The potential's tables are input, not counted, as
+// in md.Rank.MemoryBytes.
+func (st *State) MemoryBytes() int {
+	n := len(st.Occ) + 8*len(st.Rho) + int(unsafe.Sizeof(st.en.cache)) +
+		len(st.reads.in) + 8*cap(st.dirty) + st.plan.MemoryBytes()
+	sh := st.en.shells
+	for b := range st.deltas {
+		n += 4 * len(st.deltas[b])
+		for _, h := range st.hops[b] {
+			n += int(unsafe.Sizeof(hopSite{})) * len(h)
+		}
+		for a := range sh.f {
+			n += 8 * len(sh.f[a][b])
+			for c := range sh.phi[a] {
+				n += 8 * len(sh.phi[a][c][b])
+			}
+		}
+	}
+	for sec := range st.secVacs {
+		n += int(unsafe.Sizeof(vacCache{})) * cap(st.secVacs[sec])
+	}
+	return n
 }
 
 func (st *State) buildDeltas() {

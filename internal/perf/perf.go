@@ -134,8 +134,21 @@ func Fig11Weak() []Point {
 // count each neighbor structure supports in the given per-CG memory, using
 // the per-atom footprints of the implemented structures.
 func MDMemoryCapacity(cgs int, bytesPerCG int64, latticeBytes, verletBytes int) (latticeAtoms, verletAtoms float64) {
-	usable := 0.85 * float64(bytesPerCG) * float64(cgs)
+	usable := usableMemory(cgs, bytesPerCG)
 	return usable / float64(latticeBytes), usable / float64(verletBytes)
+}
+
+// KMCSiteCapacity reports the Figure 15 capacity: the largest site count
+// the KMC state fits in the given per-core memory at the measured bytes per
+// site.
+func KMCSiteCapacity(cores int, bytesPerCore int64, bytesPerSite float64) float64 {
+	return usableMemory(cores, bytesPerCore) / bytesPerSite
+}
+
+// usableMemory is the machine's memory less the 15 % left to the runtime,
+// the message buffers and the operating system.
+func usableMemory(nodes int, bytesPerNode int64) float64 {
+	return 0.85 * float64(bytesPerNode) * float64(nodes)
 }
 
 // ---------- KMC models (Figures 12-15) ----------

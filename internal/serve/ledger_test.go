@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -485,35 +488,92 @@ func (instantRunner) Run(RunContext) (RunResult, error) {
 }
 
 // TestSubmitCostDoesNotGrowWithHistory: a commit costs O(changed jobs).
-// Each job runs to completion before the next is submitted, so a Submit's
-// latency is its own commit's, not the exit commits of earlier jobs. With a
-// whole-ledger rewrite per commit, the mean Submit over jobs 1,501–2,000
-// was about 7× the mean over jobs 1–500.
+// Each job runs to completion, and its exit commit lands, before the next
+// is submitted, so a Submit's latency and bytes are its own commit's. Two
+// measures, each the median over a 100-job window so that one GC or fsync
+// stall, or an (amortized) compaction, does not decide it: the wall time of
+// Submit, and the bytes it writes through the ledger's filesystem, which
+// do not depend on the host. With a whole-ledger rewrite per commit, the
+// mean Submit over jobs 1,501–2,000 was about 7× the mean over jobs 1–500.
 func TestSubmitCostDoesNotGrowWithHistory(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.Runner = instantRunner{} })
-	const n, window = 2000, 10
+	var written countingFS
+	release := make(gatedRunner)
+	s, _ := newTestServer(t, func(c *Config) { c.Runner, c.fs = release, written.fs() })
+	const n, window = 2000, 100
 	lat := make([]time.Duration, n)
+	wrote := make([]int64, n)
 	for i := range lat {
+		before := written.bytes()
 		start := time.Now()
 		st, err := s.Submit(mdSpec(0, 1), "")
 		lat[i] = time.Since(start)
+		// The job waits in Run for its release: nothing else has committed.
+		wrote[i] = written.bytes() - before
 		if err != nil {
 			t.Fatal(err)
 		}
+		release <- struct{}{}
 		awaitState(t, s, st.ID, StateDone)
+		s.mu.Lock() // the exit commit holds the lock from the Done event to its fsync
+		s.mu.Unlock()
 	}
-	mean := func(d []time.Duration) time.Duration {
-		var sum time.Duration
-		for _, x := range d {
-			sum += x
-		}
-		return sum / time.Duration(len(d))
+	first, last := median(lat[:window]), median(lat[n-window:])
+	firstB, lastB := median(wrote[:window]), median(wrote[n-window:])
+	t.Logf("median Submit: jobs 1-%d %v and %d B, jobs %d-%d %v and %d B",
+		window, first, firstB, n-window+1, n, last, lastB)
+	// The slack is the width of the decimal sequence number in the admit
+	// record (2 digits in the first window, 4 in the last).
+	if firstB == 0 || lastB > firstB+8 {
+		t.Errorf("median bytes a Submit writes grew from %d (jobs 1-%d) to %d (jobs %d-%d)", firstB, window, lastB, n-window+1, n)
 	}
-	first, last := mean(lat[:window]), mean(lat[n-window:])
-	t.Logf("mean Submit: jobs 1-%d %v, jobs %d-%d %v", window, first, n-window+1, n, last)
 	if last > 2*first {
-		t.Fatalf("mean Submit grew from %v (jobs 1-%d) to %v (jobs %d-%d)", first, window, last, n-window+1, n)
+		t.Errorf("median Submit grew from %v (jobs 1-%d) to %v (jobs %d-%d)", first, window, last, n-window+1, n)
 	}
+}
+
+// median returns the median of xs, which it sorts.
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}
+
+// gatedRunner finishes an attempt when it receives a release.
+type gatedRunner chan struct{}
+
+func (g gatedRunner) Run(RunContext) (RunResult, error) {
+	<-g
+	return RunResult{Summary: json.RawMessage(`{"ok":true}`)}, nil
+}
+
+// countingFS is the real filesystem, counting the bytes the ledger writes
+// through it (journal appends and snapshot commits).
+type countingFS struct{ n atomic.Int64 }
+
+func (c *countingFS) bytes() int64 { return c.n.Load() }
+
+func (c *countingFS) fs() *fileSystem {
+	return &fileSystem{
+		openFile: func(name string, flag int, perm fs.FileMode) (file, error) {
+			f, err := os.OpenFile(name, flag, perm)
+			if err != nil {
+				return nil, err
+			}
+			return countingFile{File: f, n: &c.n}, nil
+		},
+		rename: os.Rename,
+		remove: os.Remove,
+	}
+}
+
+type countingFile struct {
+	*os.File
+	n *atomic.Int64
+}
+
+func (f countingFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.n.Add(int64(n))
+	return n, err
 }
 
 // TestRecoveredJobsReplayHistory: after a restart, a job's event stream
