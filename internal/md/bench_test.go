@@ -18,7 +18,8 @@ import (
 // results, so this measures wall-clock only. The cascade cases add a 1 keV
 // PKA and start timing once it has run away, so the wide walk of the sites
 // near its chain is in the step; they report the share of owned sites that
-// walk it (near-share).
+// walk it (near-share). Every case reports the chunks per step whose
+// reverse index was rebuilt (rebuilds/step).
 func BenchmarkMDStep(b *testing.B) {
 	for _, cascade := range []bool{false, true} {
 		for _, workers := range benchWorkerCounts() {
@@ -55,6 +56,9 @@ func BenchmarkMDStep(b *testing.B) {
 					}
 					b.StopTimer()
 					b.ReportMetric(busyImbalance(poolMetric(b, reg, "md/pool/force-busy")), "imbalance")
+					// Chunks whose reverse index the density reduce rebuilt:
+					// 0 on the crystal, whose rows do not change.
+					b.ReportMetric(float64(reg.Counter("md/reverse-index/rebuilds").Value())/float64(b.N), "rebuilds/step")
 					// What TestRankMemoryPerAtom pins, after the steps.
 					b.ReportMetric(float64(r.MemoryBytes())/float64(CountOwnedAtoms(r.Store)), "B/atom")
 					if cascade {

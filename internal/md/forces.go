@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"mdkmc/internal/eam"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/neighbor"
+	"mdkmc/internal/telemetry"
 	"mdkmc/internal/units"
 	"mdkmc/internal/vec"
 )
@@ -60,7 +62,9 @@ func (s *OpStats) Add(other OpStats) {
 }
 
 // Pair-stream slot layout of the optimized kernel. The density gather
-// stores, per accepted resident pair, the fused evaluation results; values
+// stores, per accepted resident pair, the fused evaluation results (its
+// acceptance walk parks r at slotPhi, and an alloy's species at slotFab and
+// slotDfab, until its dense loop overwrites them); values
 // are directional with respect to the *streaming* side a: f_ab is the
 // density a's atom receives from b's, f_ba the reverse. The density reduce
 // reads the densities. After the fill, the pair round reads the three
@@ -102,11 +106,12 @@ var _ [1<<(32-locShift) - ForceChunks]struct{}
 // be ignored" property.
 //
 // The kernel evaluates each resident–resident pair once — a gather round
-// computes the fused pair/density tables for every pair whose canonical
-// owner (or ghost partner) anchors it and appends the results to the pair
-// stream; after a barrier, the density reduce accumulates both sides from
-// the stream in the reference enumeration order and indexes the slots each
-// site's partners hold. The force pass forms each pair's Newton-symmetric
+// accepts every pair whose canonical owner (or ghost partner) anchors it
+// and then evaluates the fused pair/density tables for the accepted pairs in
+// one dense loop, writing the pair stream; after a barrier, the density
+// reduce accumulates both sides from the stream in the reference
+// enumeration order, through a reverse index it rebuilds only where a row
+// it indexes changed. The force pass forms each pair's Newton-symmetric
 // force vector once, in a pair round, and its reduce only sums. The
 // reference kernel, which evaluates every pair from both sides, is the
 // test-side oracle this one is bit-identical to (reference_test.go,
@@ -124,12 +129,14 @@ type ForceField struct {
 	// Kernel statics, built once per store geometry.
 	ownedIdx []int32    // local site -> owned-order index; -1 off-rank
 	revIdx   [2][]int32 // per basis, tight slot -> partner-side reverse slot
-	chunkOf  []uint8    // owned index -> the force chunk whose range holds it
 	// lowerMask marks, per owned site (maskWords words), the tight slots
 	// whose partner site is owned with a smaller index: the partner owns
-	// those pairs, so the gather skips them and only the density reduce
+	// those pairs, so the gather skips them and only the reverse index
 	// looks at them.
 	lowerMask []uint64
+	// deps[c] has bit d set when a site of chunk d is a lower partner of a
+	// site of chunk c: the chunks whose rows chunk c's reverse index reads.
+	deps [ForceChunks]uint64
 
 	// Slot geometry: floats per slot (slotHead, or 6 for an alloy) and
 	// where the reverse-direction density and its derivative sit.
@@ -138,23 +145,33 @@ type ForceField struct {
 
 	// The pair stream: only the pairs that exist are stored. stream[c] holds
 	// the slots chunk c's sites own, slotFloats each, in enumeration order
-	// (site by site, tight slot by tight slot). A site's row starts at float
-	// rowStart[oi] of its chunk's buffer and holds one slot per set bit of
-	// its maskWords words of rowMask, in bit order. A gather chunk writes
-	// only its own buffer and its own sites' index entries.
+	// (site by site, tight slot by tight slot). Each owned site has one row
+	// record of 1+maskWords words in rows: the row's location — its chunk
+	// above locShift, the float offset of its first slot below, the format
+	// of a reverse-index location — then its mask words, one slot per set
+	// bit in bit order. A record's chunk is fixed at construction. A gather
+	// chunk writes only its own buffer and its own sites' records.
 	stream    [ForceChunks][]float64
-	rowStart  []int32
-	rowMask   []uint64
+	rows      []uint64
 	maskWords int // mask words per owned site: ceil(max tight prefix / 64)
+	// rowGen[c] counts the gathers that changed a row record of chunk c
+	// (starting at 1: rows never gathered count as changed).
+	rowGen [ForceChunks]uint64
 
 	// The reverse index: which tight slots a site's partners stream
 	// (revMask, maskWords words per site) and where — revLoc[c] lists, for
 	// chunk c's sites in order, one location per set bit, a site's entries
-	// starting at revStart[oi]. The density reduce writes a site's entries
-	// in its own chunk's list; the force reduce reads them.
+	// starting at revStart[oi]. It is derived state of the rows: the density
+	// reduce rebuilds chunk c's part, in its own round, only when revSeen[c]
+	// — the sum of rowGen over deps[c] at the last rebuild — no longer
+	// matches, or revLoc[c] is shorter than the revUsed[c] entries it holds.
+	// The force reduce reads it.
 	revMask  []uint64
 	revStart []int32
 	revLoc   [ForceChunks][]uint32
+	revSeen  [ForceChunks]uint64
+	revUsed  [ForceChunks]int32
+	rebuilds *telemetry.Counter // md/reverse-index/rebuilds: chunks rebuilt
 
 	// coincident[c] is what the gather counted over chunk c's sites; the
 	// pair round reports it as the force pass's count (positions do not
@@ -170,10 +187,11 @@ const streamSlack = 8
 // NewForceField computes the tight prefixes for the store's offset table
 // and builds the optimized kernel's static indexes: the owned-order map,
 // the reverse-offset table (the slot at which a pair's canonical owner
-// streamed it, seen from the partner), and the pair stream's and reverse
-// index's per-site entries and per-chunk buffers, sized from the geometry.
-// It fails when a chunk whose every site held a slot at every tight offset
-// would outgrow what a reverse-index location can name.
+// streamed it, seen from the partner), each site's row record with its
+// chunk, each chunk's reverse-index dependencies, and the pair stream's and
+// reverse index's per-chunk buffers, sized from the geometry. It fails when
+// a chunk whose every site held a slot at every tight offset would outgrow
+// what a reverse-index location can name.
 func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) (*ForceField, error) {
 	ff := &ForceField{Pot: pot, Cutoff: pot.Cutoff, rounds: &productionRounds,
 		slotFloats: slotHead, slotFba: slotFab, slotDfba: slotDfab}
@@ -230,9 +248,7 @@ func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) (*ForceF
 		ff.revIdx[b] = rev
 	}
 
-	ff.chunkOf = make([]uint8, next)
-	ff.rowStart = make([]int32, next)
-	ff.rowMask = make([]uint64, int(next)*ff.maskWords)
+	ff.rows = make([]uint64, int(next)*(1+ff.maskWords))
 	ff.revStart = make([]int32, next)
 	ff.revMask = make([]uint64, int(next)*ff.maskWords)
 	ff.lowerMask = make([]uint64, int(next)*ff.maskWords)
@@ -245,16 +261,18 @@ func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) (*ForceF
 			return nil, fmt.Errorf("md: a force chunk of %d sites could stream %d pair-stream floats, more than the %d a location names; use more ranks",
 				2*(hi-lo), most, locFloats)
 		}
+		ff.rowGen[c] = 1
 		slots, partners := 0, 0
 		s.Box.EachOwnedCellRange(lo, hi, func(cd lattice.Coord, local int) {
 			oi := ff.ownedIdx[local]
-			ff.chunkOf[oi] = uint8(c)
+			ff.row(int(oi))[0] = uint64(c) << locShift
 			deltas := s.Deltas(cd.B)
 			for k, o := range s.Tab.PerBase[cd.B][:ff.Tight[cd.B]] {
 				oj := ff.ownedIdx[local+int(deltas[k])]
 				lower := oj >= 0 && oj < oi
 				if lower {
 					ff.lowerMask[int(oi)*ff.maskWords+k>>6] |= 1 << uint(k&63)
+					ff.deps[c] |= 1 << uint(ff.chunkOf(int(oj)))
 				}
 				switch {
 				case o.R >= pot.Cutoff: // no pair in the perfect crystal
@@ -298,23 +316,29 @@ func bitsSet(mask []uint64) int {
 	return n
 }
 
-// rowLen returns the number of slots owned site o holds.
-func (ff *ForceField) rowLen(o int) int {
-	return bitsSet(ff.rowMask[o*ff.maskWords : (o+1)*ff.maskWords])
+// row returns owned site o's row record: its location, then its mask words.
+func (ff *ForceField) row(o int) []uint64 {
+	w := 1 + ff.maskWords
+	return ff.rows[o*w : (o+1)*w : (o+1)*w]
+}
+
+// chunkOf returns the force chunk whose range holds owned site o.
+func (ff *ForceField) chunkOf(o int) int {
+	return int(ff.rows[o*(1+ff.maskWords)] >> locShift)
 }
 
 // holds reports whether owned site o streamed a slot for its tight slot k
 // (the gather accepted the pair).
 func (ff *ForceField) holds(o, k int32) bool {
-	return ff.rowMask[int(o)*ff.maskWords+int(k>>6)]>>uint(k&63)&1 != 0
+	return ff.rows[int(o)*(1+ff.maskWords)+1+int(k>>6)]>>uint(k&63)&1 != 0
 }
 
 // partnerLoc returns the location of the slot owned site o streamed for
 // its tight slot k, which o holds.
 func (ff *ForceField) partnerLoc(o, k int32) uint32 {
-	m := ff.rowMask[int(o)*ff.maskWords:][:k>>6+1]           // the words up to k's
-	at := bitsSet(m) - bits.OnesCount64(m[k>>6]>>uint(k&63)) // the slots before k's
-	return uint32(ff.chunkOf[o])<<locShift | uint32(int(ff.rowStart[o])+at*ff.slotFloats)
+	rec := ff.rows[int(o)*(1+ff.maskWords):][:k>>6+2]                  // the location and the words up to k's
+	at := bitsSet(rec[1:]) - bits.OnesCount64(rec[1+k>>6]>>uint(k&63)) // the slots before k's
+	return uint32(rec[0]) + uint32(at*ff.slotFloats)
 }
 
 // slotAt returns the slot at a reverse-index location.
@@ -323,11 +347,13 @@ func (ff *ForceField) slotAt(loc uint32) []float64 {
 	return ff.stream[loc>>locShift][base : base+ff.slotFloats : base+ff.slotFloats]
 }
 
-// MemoryBytes returns the heap footprint of the kernel statics, the pair
+// MemoryBytes returns the heap footprint of the force field: the struct
+// with its per-chunk state, the kernel statics, the row records, the pair
 // stream and the reverse index at their current capacities.
 func (ff *ForceField) MemoryBytes() int {
-	n := 4*(len(ff.ownedIdx)+len(ff.revIdx[0])+len(ff.revIdx[1])+len(ff.rowStart)+len(ff.revStart)) +
-		len(ff.chunkOf) + 8*(len(ff.rowMask)+len(ff.revMask)+len(ff.lowerMask))
+	n := int(unsafe.Sizeof(*ff)) +
+		4*(len(ff.ownedIdx)+len(ff.revIdx[0])+len(ff.revIdx[1])+len(ff.revStart)) +
+		8*(len(ff.rows)+len(ff.revMask)+len(ff.lowerMask))
 	for c := range ff.stream {
 		n += 8*cap(ff.stream[c]) + 4*cap(ff.revLoc[c])
 	}
@@ -388,14 +414,20 @@ func (ff *ForceField) FillEmbeddingRange(s *neighbor.Store, lo, hi int) OpStats 
 // pairs whose canonical owner (the side with the smaller owned index) is in
 // the range, plus every pair with a ghost partner — is evaluated exactly
 // once through the fused PairDensity lookup, and its results are appended
-// to the pair stream for the later rounds. Acceptance is decided here,
-// once: a site's mask bits are the pairs it holds, and the reduces trust
-// them, so the resident–resident coincidences they would have met are
-// counted here, for both sides when both are owned centrals, and recorded
-// per chunk for the pair round. Writes only the buffers and index entries
-// of the chunks the range covers; a range that starts inside a chunk
-// continues after the row of the site before it. A barrier must separate it
-// from any reduce pass.
+// to the pair stream for the later rounds. Per chunk, an acceptance walk
+// parks each accepted pair's r in its slot (an alloy slot also its two
+// species), and then one dense loop over the chunk's slots evaluates them:
+// a lookup's chain of divisions starts from a loaded r instead of waiting
+// on the walk's branches, loads and square root.
+// Acceptance is decided here, once: a site's mask bits are the pairs it
+// holds, and the reduces trust them, so the resident–resident coincidences
+// they would have met are counted here, for both sides when both are owned
+// centrals, and recorded per chunk for the pair round. A chunk whose row
+// records come out different bumps its rowGen, which is what tells the
+// density reduce to rebuild the reverse index over them. [lo, hi) spans
+// whole chunks, as ForcePool's rounds do; the range writes only those
+// chunks' buffers and records. A barrier must separate it from any reduce
+// pass.
 func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
@@ -404,23 +436,25 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 	for lo < hi {
 		// Owned indexes run cell by cell, basis innermost: cell lo's sites
 		// are 2*lo and 2*lo+1.
-		c := int(ff.chunkOf[2*lo])
-		first, end := s.Box.SpanCells(ForceChunks, c)
+		c := ff.chunkOf(2 * lo)
+		_, end := s.Box.SpanCells(ForceChunks, c)
 		end = min(end, hi)
 		buf := ff.stream[c]
+		tag := uint64(c) << locShift
 		n := 0        // floats of buf in use
-		var met int64 // coincidences over the chunk's sites so far
-		if prev := 2*lo - 1; lo > first {
-			n = int(ff.rowStart[prev]) + ff.rowLen(prev)*sf
-			met = ff.coincident[c]
-		}
-		before := met
+		var met int64 // coincidences over the chunk's sites
+		var changed uint64
 		s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
-			oi := ff.ownedIdx[local]
-			ff.rowStart[oi] = int32(n)
-			mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
-			clear(mask)
+			oi := int(ff.ownedIdx[local])
+			rec := ff.row(oi)
+			changed |= rec[0] ^ (tag | uint64(n))
+			rec[0] = tag | uint64(n)
+			mask := rec[1:]
 			if s.IsVacancy(local) {
+				for _, w := range mask {
+					changed |= w
+				}
+				clear(mask)
 				return
 			}
 			st.Atoms++
@@ -430,7 +464,8 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 			tight := ff.Tight[cd.B]
 			st.Visits += int64(tight) + 1
 			// The pairs whose partner owns them are left to the partner.
-			for w, lower := range ff.lowerMask[int(oi)*words : (int(oi)+1)*words] {
+			for w, lower := range ff.lowerMask[oi*words : (oi+1)*words] {
+				var held uint64
 				for m := ^lower; m != 0; m &= m - 1 {
 					k := w<<6 | bits.TrailingZeros64(m)
 					if k >= tight {
@@ -440,8 +475,7 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 					if s.IsVacancy(j) {
 						continue
 					}
-					d := pos.Sub(s.R[j])
-					r2 := d.Norm2()
+					r2 := pos.Sub(s.R[j]).Norm2()
 					if r2 >= cut2 {
 						continue
 					}
@@ -453,21 +487,18 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 						continue
 					}
 					tj := s.Type[j]
-					phi, dphi, fab, dfab, fba, dfba := ff.Pot.PairDensity(typ, tj, math.Sqrt(r2))
 					if n+sf > len(buf) {
 						buf = ff.growStream(c, n)
 					}
+					// Parked for the dense loop, which overwrites it.
 					slot := buf[n : n+sf : n+sf]
-					slot[slotPhi] = phi
-					slot[slotFab] = fab
-					slot[slotDfab] = dfab
-					slot[slotDphi] = dphi
+					slot[slotPhi] = math.Sqrt(r2)
 					if sf > slotHead {
-						slot[slotFbaAlloy] = fba
-						slot[slotDfbaAlloy] = dfba
+						slot[slotFab] = float64(typ)
+						slot[slotDfab] = float64(tj)
 					}
 					n += sf
-					mask[w] |= m & -m
+					held |= m & -m
 					st.Pairs++
 					evals := eam.PairDensityEvals(typ, tj)
 					st.Lookups += evals
@@ -475,30 +506,100 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 						st.MinorityLookups += evals
 					}
 				}
+				changed |= mask[w] ^ held
+				mask[w] = held
 			}
 		})
+		// Every atom of a single-species field has the potential's one
+		// element, which its 4-float slot layout already relies on.
+		a, b := ff.Pot.Elements[0], ff.Pot.Elements[0]
+		for i := 0; i < n; i += sf {
+			slot := buf[i : i+sf : i+sf]
+			if sf > slotHead {
+				a, b = units.Element(slot[slotFab]), units.Element(slot[slotDfab])
+			}
+			phi, dphi, fab, dfab, fba, dfba := ff.Pot.PairDensity(a, b, slot[slotPhi])
+			slot[slotPhi] = phi
+			slot[slotFab] = fab
+			slot[slotDfab] = dfab
+			slot[slotDphi] = dphi
+			if sf > slotHead {
+				slot[slotFbaAlloy] = fba
+				slot[slotDfbaAlloy] = dfba
+			}
+		}
+		if changed != 0 {
+			ff.rowGen[c]++
+		}
 		ff.coincident[c] = met
-		st.Coincident += met - before
+		st.Coincident += met
 		lo = end
 	}
 	return st
+}
+
+// depGen returns the sum of rowGen over the chunks chunk c's reverse index
+// reads. The counters only grow, so the sum moves whenever one of them does.
+func (ff *ForceField) depGen(c int) uint64 {
+	var g uint64
+	for d := ff.deps[c]; d != 0; d &= d - 1 {
+		g += ff.rowGen[bits.TrailingZeros64(d)]
+	}
+	return g
+}
+
+// indexPartners rebuilds chunk c's part of the reverse index over its owned
+// cells [lo, end): for each tight slot whose lower partner holds the pair,
+// the site's revMask bit and, in the chunk's list, the location of the
+// partner's slot. It reads only row records, which the gather round wrote.
+func (ff *ForceField) indexPartners(s *neighbor.Store, c, lo, end int) {
+	words := ff.maskWords
+	locs := ff.revLoc[c]
+	nl := 0 // entries of locs in use
+	s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
+		oi := int(ff.ownedIdx[local])
+		ff.revStart[oi] = int32(nl)
+		rmask := ff.revMask[oi*words : (oi+1)*words]
+		clear(rmask)
+		if s.IsVacancy(local) {
+			return
+		}
+		deltas := s.Deltas(cd.B)
+		rev := ff.revIdx[cd.B]
+		for w, lower := range ff.lowerMask[oi*words : (oi+1)*words] {
+			for m := lower; m != 0; m &= m - 1 {
+				k := w<<6 | bits.TrailingZeros64(m)
+				// We are the partner's "b" side.
+				if oj := ff.ownedIdx[local+int(deltas[k])]; ff.holds(oj, rev[k]) {
+					if nl == len(locs) {
+						locs = ff.growRevLoc(c, nl)
+					}
+					locs[nl] = ff.partnerLoc(oj, rev[k])
+					nl++
+					rmask[w] |= m & -m
+				}
+			}
+		}
+	})
+	ff.revUsed[c] = int32(nl)
 }
 
 // DensityReduceRange is the second half of the optimized density pass:
 // every owned atom accumulates its density in the reference enumeration
 // order — streamed values for resident partners (its own row, read in order
 // with a cursor, when it owns the pair or the partner is a ghost; the
-// partner's reverse-offset slot otherwise), inline evaluations for
-// run-away-involved pairs. Which resident pairs exist is the gather's mask
-// bits, not re-derived: no partner position is loaded for them. Each
-// partner slot it reads is recorded in the reverse index — the site's
-// revMask bit and, in its chunk's list, the slot's location — so the force
-// reduce finds it without this walk. Like the gather, a range that starts
-// inside a chunk continues after the entries of the site before it.
+// partner's slot, read through the reverse index, otherwise), inline
+// evaluations for run-away-involved pairs. Which resident pairs exist is
+// the gather's mask bits, not re-derived: no partner position is loaded for
+// them. A chunk first rebuilds its part of the reverse index when a row it
+// indexes changed since the last rebuild (indexPartners); on an unchanged
+// crystal it rebuilds nothing and walks own|reverse bits exactly as
+// ForceReduceRange does. [lo, hi) spans whole chunks, as in the gather.
 func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
 	cut2 := ff.Cutoff * ff.Cutoff
 	words := ff.maskWords
+	sf := ff.slotFloats
 
 	// chain adds to the density rho of a central at pos the contributions
 	// of the run-away chain at site j (excluding selfRef). Accumulators go
@@ -526,23 +627,20 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 	}
 
 	for lo < hi {
-		c := int(ff.chunkOf[2*lo])
-		first, end := s.Box.SpanCells(ForceChunks, c)
+		c := ff.chunkOf(2 * lo)
+		_, end := s.Box.SpanCells(ForceChunks, c)
 		end = min(end, hi)
+		if g := ff.depGen(c); g != ff.revSeen[c] || int(ff.revUsed[c]) > len(ff.revLoc[c]) {
+			ff.indexPartners(s, c, lo, end)
+			ff.revSeen[c] = g
+			ff.rebuilds.Inc()
+		}
 		own := ff.stream[c]
 		locs := ff.revLoc[c]
-		nl := 0 // entries of locs in use
-		if prev := 2*lo - 1; lo > first {
-			nl = int(ff.revStart[prev]) + bitsSet(ff.revMask[prev*words:(prev+1)*words])
-		}
+		nl := 0 // entries of locs read
 		s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
 			deltas := s.Deltas(cd.B)
 			tight := ff.Tight[cd.B]
-			rev := ff.revIdx[cd.B]
-			oi := ff.ownedIdx[local]
-			ff.revStart[oi] = int32(nl)
-			rmask := ff.revMask[int(oi)*words : (int(oi)+1)*words]
-			clear(rmask)
 			// With no run-away chain within the site's wide reach (the
 			// store's per-site index), only the tight prefix can hold
 			// partners: the wide-offset chain scan is skipped for this site.
@@ -557,9 +655,10 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 				st.Visits += int64(len(deltas)) + 1
 				pos := s.R[local]
 				typ := s.Type[local]
-				cur := int(ff.rowStart[oi])
-				mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
-				lower := ff.lowerMask[int(oi)*words : (int(oi)+1)*words]
+				oi := int(ff.ownedIdx[local])
+				rec := ff.row(oi)
+				cur := int(rec[0] & locFloats)
+				rmask := ff.revMask[oi*words : (oi+1)*words]
 				var rho float64
 				// Near a chain, the chain terms of every offset interleave
 				// with the resident pairs: before the pair at tight slot k
@@ -576,30 +675,19 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 				if near {
 					rho = chain(pos, typ, local, neighbor.NoRunaway, rho)
 				}
-				// The candidates are the site's own slots and the tight slots
-				// whose partner owns the pair.
-				for w, ownW := range mask {
-					for m := ownW | lower[w]; m != 0; m &= m - 1 {
-						k := w<<6 | bits.TrailingZeros64(m)
+				for w, ownW := range rec[1:] {
+					for m := ownW | rmask[w]; m != 0; m &= m - 1 {
 						if near {
-							rho = chainsTo(k, rho)
+							rho = chainsTo(w<<6|bits.TrailingZeros64(m), rho)
 						}
 						if ownW&(m&-m) != 0 {
 							rho += own[cur+slotFab]
-							cur += ff.slotFloats
-							st.Pairs++
-						} else if oj := ff.ownedIdx[local+int(deltas[k])]; ff.holds(oj, rev[k]) {
-							// We are the partner's "b" side.
-							loc := ff.partnerLoc(oj, rev[k])
-							rho += ff.slotAt(loc)[ff.slotFba]
-							if nl == len(locs) {
-								locs = ff.growRevLoc(c, nl)
-							}
-							locs[nl] = loc
+							cur += sf
+						} else {
+							rho += ff.slotAt(locs[nl])[ff.slotFba]
 							nl++
-							rmask[w] |= m & -m
-							st.Pairs++
 						}
+						st.Pairs++
 					}
 				}
 				if near {
@@ -671,10 +759,9 @@ func (ff *ForceField) DensityReduceRange(s *neighbor.Store, lo, hi int) OpStats 
 // cell it covers. Writes only the buffers of the chunks the range covers.
 func (ff *ForceField) ForcePairRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
-	words := ff.maskWords
 	sf := ff.slotFloats
 	for lo < hi {
-		c := int(ff.chunkOf[2*lo])
+		c := ff.chunkOf(2 * lo)
 		first, end := s.Box.SpanCells(ForceChunks, c)
 		end = min(end, hi)
 		if lo == first {
@@ -682,13 +769,13 @@ func (ff *ForceField) ForcePairRange(s *neighbor.Store, lo, hi int) OpStats {
 		}
 		buf := ff.stream[c]
 		s.Box.EachOwnedCellRange(lo, end, func(cd lattice.Coord, local int) {
-			oi := ff.ownedIdx[local]
-			n := int(ff.rowStart[oi])
+			rec := ff.row(int(ff.ownedIdx[local]))
+			n := int(rec[0] & locFloats)
 			deltas := s.Deltas(cd.B)
 			pos := s.R[local]
 			typ := s.Type[local]
 			rho, dFc := s.Rho[local], s.DFdRho[local]
-			for w, m := range ff.rowMask[int(oi)*words : (int(oi)+1)*words] {
+			for w, m := range rec[1:] {
 				for ; m != 0; m &= m - 1 {
 					j := local + int(deltas[w<<6|bits.TrailingZeros64(m)])
 					d := pos.Sub(s.R[j])
@@ -716,10 +803,10 @@ func (ff *ForceField) ForcePairRange(s *neighbor.Store, lo, hi int) OpStats {
 // atom's F(ρ), so a resident pair costs two loads and four additions: the
 // owning side adds v, the partner side subtracts it, both in the reference
 // enumeration order. The masks say which tight slots hold a pair — the
-// site's own row (rowMask) or a partner's (revMask, located through the
-// reverse index) — so no partner position, owned index or vacancy is read
-// for resident pairs, and a site with no chain near walks only its set
-// bits. Run-away-involved pairs are evaluated inline through the fused
+// site's own row (its record's mask) or a partner's (revMask, located
+// through the reverse index) — so no partner position, owned index or
+// vacancy is read for resident pairs, and a site with no chain near walks
+// only its set bits. Run-away-involved pairs are evaluated inline through the fused
 // lookup, interleaved in the k-walk of the sites near a chain.
 func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, float64) {
 	var st OpStats
@@ -781,13 +868,13 @@ func (ff *ForceField) ForceReduceRange(s *neighbor.Store, lo, hi int) (OpStats, 
 		if !s.IsVacancy(local) {
 			st.Atoms++
 			st.Visits += int64(len(deltas)) + 1
-			oi := ff.ownedIdx[local]
-			ch := ff.chunkOf[oi]
-			own := ff.stream[ch]
-			cur := int(ff.rowStart[oi])
-			locs := ff.revLoc[ch][ff.revStart[oi]:]
-			mask := ff.rowMask[int(oi)*words : (int(oi)+1)*words]
-			rmask := ff.revMask[int(oi)*words : (int(oi)+1)*words]
+			oi := int(ff.ownedIdx[local])
+			rec := ff.row(oi)
+			own := ff.stream[rec[0]>>locShift]
+			cur := int(rec[0] & locFloats)
+			locs := ff.revLoc[rec[0]>>locShift][ff.revStart[oi]:]
+			mask := rec[1:]
+			rmask := ff.revMask[oi*words : (oi+1)*words]
 			pos, typ := s.R[local], s.Type[local]
 			rho, dFc := s.Rho[local], s.DFdRho[local]
 			e := s.EmbedE[local]

@@ -29,6 +29,8 @@ type exchange struct {
 
 	pos, rho, mig halo.Channel
 	migrate       *telemetry.Timer
+
+	chain []neighbor.Runaway // one ghost site's received chain (unpackCellPos)
 }
 
 func newExchange(comm *mpi.Comm, grid *lattice.Grid, box *lattice.Box) *exchange {
@@ -85,23 +87,26 @@ func packCellPos(p *halo.Packer, s *neighbor.Store, base int) {
 }
 
 // unpackCellPos writes one received cell into the ghost region, applying the
-// periodic shift and rebuilding the run-away chains.
-func unpackCellPos(u *halo.Unpacker, s *neighbor.Store, base int, shift vec.V) {
+// periodic shift and replacing the run-away chains; chain is scratch for
+// one site's chain, returned for reuse.
+func unpackCellPos(u *halo.Unpacker, s *neighbor.Store, base int, shift vec.V, chain []neighbor.Runaway) []neighbor.Runaway {
 	for b := 0; b < 2; b++ {
 		local := base + b
 		s.ID[local] = u.I64()
 		s.Type[local] = units.Element(u.U8())
 		s.R[local] = u.Vec().Add(shift)
-		s.ClearRunaways(local)
 		n := int(u.U16())
+		chain = chain[:0]
 		for k := 0; k < n; k++ {
-			s.AddRunaway(local, neighbor.Runaway{
+			chain = append(chain, neighbor.Runaway{
 				ID:   u.I64(),
 				Type: units.Element(u.U8()),
 				R:    u.Vec().Add(shift),
 			})
 		}
+		s.ReplaceRunaways(local, chain)
 	}
+	return chain
 }
 
 // ExchangePositions refreshes every ghost site's identity, position and
@@ -109,7 +114,7 @@ func unpackCellPos(u *halo.Unpacker, s *neighbor.Store, base int, shift vec.V) {
 func (e *exchange) ExchangePositions(s *neighbor.Store) {
 	e.plan.Exchange(e.comm, e.pos,
 		func(p *halo.Packer, local int) { packCellPos(p, s, local) },
-		func(u *halo.Unpacker, c halo.Cell) { unpackCellPos(u, s, c.Local, c.Shift) })
+		func(u *halo.Unpacker, c halo.Cell) { e.chain = unpackCellPos(u, s, c.Local, c.Shift, e.chain) })
 }
 
 // packCellRho serializes the densities of a cell: site densities plus chain

@@ -53,8 +53,9 @@ type ForcePool struct {
 	chunksRun   *telemetry.Counter // md/pool/chunks
 }
 
-// AttachTelemetry registers the pool's worker-busy timers and chunk counter
-// in reg (nil registry = no-op handles).
+// AttachTelemetry registers the pool's worker-busy timers and chunk counter,
+// and its force field's reverse-index rebuild counter, in reg (nil registry
+// = no-op handles).
 func (p *ForcePool) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -62,6 +63,7 @@ func (p *ForcePool) AttachTelemetry(reg *telemetry.Registry) {
 	p.densityBusy = reg.Timer("md/pool/density-busy")
 	p.forceBusy = reg.Timer("md/pool/force-busy")
 	p.chunksRun = reg.Counter("md/pool/chunks")
+	p.FF.rebuilds = reg.Counter("md/reverse-index/rebuilds")
 }
 
 // NewForcePool builds a pool over the force field with the given worker

@@ -1,11 +1,16 @@
 package md
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/neighbor"
+	"mdkmc/internal/telemetry"
 )
 
 // cascadeConfig is the TestForcesMatchBruteForceCascade fixture: a 250 eV
@@ -42,6 +47,13 @@ func streamCaps(ff *ForceField) [2 * ForceChunks]int {
 	}
 	return caps
 }
+
+// rowStart returns the float offset of owned site o's row in its chunk's
+// buffer.
+func (ff *ForceField) rowStart(o int) int { return int(ff.row(o)[0] & locFloats) }
+
+// rowLen returns the number of slots owned site o holds.
+func (ff *ForceField) rowLen(o int) int { return bitsSet(ff.row(o)[1:]) }
 
 func TestResidentCoincidenceCountedAndSticky(t *testing.T) {
 	// Two *resident* atoms at bitwise-identical positions: the encounter the
@@ -100,15 +112,15 @@ func TestStreamRowsMatchGather(t *testing.T) {
 				ff, s := r.FF, r.Store
 				gather := ff.DensityGatherRange(s, 0, s.Box.OwnedCells())
 				held := 0
-				for oi := range ff.rowStart {
+				for oi := range ff.revStart {
 					n := ff.rowLen(oi)
 					held += n
-					c := ff.chunkOf[oi]
+					c := ff.chunkOf(oi)
 					want := 0 // a chunk's first row starts its buffer
-					if oi > 0 && ff.chunkOf[oi-1] == c {
-						want = int(ff.rowStart[oi-1]) + ff.rowLen(oi-1)*ff.slotFloats
+					if oi > 0 && ff.chunkOf(oi-1) == c {
+						want = ff.rowStart(oi-1) + ff.rowLen(oi-1)*ff.slotFloats
 					}
-					if got := int(ff.rowStart[oi]); got != want {
+					if got := ff.rowStart(oi); got != want {
 						t.Fatalf("site %d (chunk %d): row starts at float %d, want %d", oi, c, got, want)
 					}
 					if end := want + n*ff.slotFloats; end > len(ff.stream[c]) {
@@ -246,4 +258,178 @@ func TestRankMemoryPerAtom(t *testing.T) {
 			t.Errorf("rank holds %.0f B/atom, want at most 560 (the 6-float stream held 628)", perAtom)
 		}
 	})
+}
+
+// churningCascade is a 500 eV recoil in a hot 6³ box at the production time
+// step: rows keep changing, so most steps rebuild some chunks of the
+// reverse index, and none rebuilds all of them.
+func churningCascade() Config {
+	cfg := cascadeConfig()
+	cfg.Temperature = 600
+	cfg.Dt = DefaultDt
+	cfg.PKA = &PKA{Energy: 500}
+	return cfg
+}
+
+// reverseIndexDiff rebuilds r's reverse index from scratch — empty lists,
+// cleared masks and starts, every chunk — and describes the first place
+// where the kept index differed from it ("" if nowhere).
+func reverseIndexDiff(r *Rank) string {
+	ff, s := r.FF, r.Store
+	mask, start := slices.Clone(ff.revMask), slices.Clone(ff.revStart)
+	var locs [ForceChunks][]uint32
+	for c := range locs {
+		locs[c] = slices.Clone(ff.revLoc[c][:ff.revUsed[c]])
+		ff.revLoc[c] = nil
+	}
+	clear(ff.revMask)
+	clear(ff.revStart)
+	for c := 0; c < ForceChunks; c++ {
+		lo, hi := s.Box.SpanCells(ForceChunks, c)
+		ff.indexPartners(s, c, lo, hi)
+	}
+	for oi := range start {
+		w := ff.maskWords
+		if !slices.Equal(mask[oi*w:(oi+1)*w], ff.revMask[oi*w:(oi+1)*w]) {
+			return fmt.Sprintf("marks the wrong partner slots of owned site %d", oi)
+		}
+		if start[oi] != ff.revStart[oi] {
+			return fmt.Sprintf("starts owned site %d at entry %d, want %d", oi, start[oi], ff.revStart[oi])
+		}
+	}
+	for c := range locs {
+		if !slices.Equal(locs[c], ff.revLoc[c][:ff.revUsed[c]]) {
+			return fmt.Sprintf("lists other locations for chunk %d", c)
+		}
+	}
+	return ""
+}
+
+func TestKeptReverseIndexIsExact(t *testing.T) {
+	// The density reduce keeps each chunk's reverse index until a row it
+	// reads changes. After every step the kept index must equal one rebuilt
+	// from scratch: on bulk and on a cascade whose chunks keep changing, on
+	// 1 and 2 ranks, with 1 and 4 workers, and with multi-word masks.
+	bulk := smallConfig()
+	bulk.Temperature = 600
+	wide := churningCascade()
+	wide.Skin = 3.0
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		steps int
+	}{
+		{"bulk", bulk, 8},
+		{"cascade", churningCascade(), 40},
+		{"skin=3.0", wide, 12},
+	} {
+		for _, ranks := range []int{1, 2} {
+			for _, workers := range []int{1, 4} {
+				cfg := tc.cfg
+				cfg.Grid = [3]int{ranks, 1, 1}
+				cfg.Workers = workers
+				t.Run(fmt.Sprintf("%s/ranks=%d/workers=%d", tc.name, ranks, workers), func(t *testing.T) {
+					var rebuilds atomic.Int64
+					runWorld(t, cfg, func(r *Rank) {
+						if tc.name == "skin=3.0" && r.FF.maskWords < 2 {
+							t.Errorf("%d mask words: the skin does not exercise multi-word masks", r.FF.maskWords)
+						}
+						reg := telemetry.New(r.Comm.Rank())
+						r.Pool.AttachTelemetry(reg)
+						failed := false
+						for i := 0; i < tc.steps; i++ {
+							r.Step()
+							if d := reverseIndexDiff(r); d != "" && !failed {
+								t.Errorf("rank %d, step %d: the kept reverse index %s", r.Comm.Rank(), i+1, d)
+								failed = true // keep stepping: the other rank needs the exchanges
+							}
+						}
+						rebuilds.Add(reg.Counter("md/reverse-index/rebuilds").Value())
+					})
+					if tc.name != "bulk" && rebuilds.Load() == 0 {
+						t.Errorf("no chunk was rebuilt; the cascade never invalidated the kept index")
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestReverseIndexRebuildsPerStep(t *testing.T) {
+	// md/reverse-index/rebuilds counts the chunks whose reverse index the
+	// density reduce rebuilt. A warmed bulk rank's rows do not change, so it
+	// rebuilds none; a cascade rebuilds some chunks, but never all 64 on
+	// one step.
+	bulk := smallConfig()
+	bulk.Cells = [3]int{8, 8, 8}
+	bulk.Temperature = 600
+	perStep := func(cfg Config, warm, steps int) []int64 {
+		var out []int64
+		runWorld(t, cfg, func(r *Rank) {
+			for i := 0; i < warm; i++ {
+				r.Step()
+			}
+			reg := telemetry.New(r.Comm.Rank())
+			r.Pool.AttachTelemetry(reg)
+			rebuilds := reg.Counter("md/reverse-index/rebuilds")
+			for i := 0; i < steps; i++ {
+				before := rebuilds.Value()
+				r.Step()
+				out = append(out, rebuilds.Value()-before)
+			}
+		})
+		return out
+	}
+	for i, n := range perStep(bulk, 3, 20) {
+		if n != 0 {
+			t.Errorf("bulk step %d rebuilt %d chunks, want 0", i+1, n)
+		}
+	}
+	counts := perStep(churningCascade(), 0, 40)
+	total := int64(0)
+	for i, n := range counts {
+		total += n
+		if n >= ForceChunks {
+			t.Errorf("cascade step %d rebuilt all %d chunks", i+1, n)
+		}
+	}
+	t.Logf("cascade: %d rebuilds over %d steps %v", total, len(counts), counts)
+	if mean := float64(total) / float64(len(counts)); mean < 1 {
+		t.Errorf("cascade rebuilt %.2f chunks per step, want at least 1", mean)
+	}
+}
+
+func TestForceFieldMemoryBytesCoversEveryArray(t *testing.T) {
+	// MemoryBytes charges the struct itself (the per-chunk state is inline)
+	// plus, for every slice field and every slice of an array-of-slices
+	// field, its capacity times its element size: an array left out of the
+	// Fig. 11 capacity figure fails here. Checked on a single-species and an
+	// alloy force field, before and after a cascade grows the buffers.
+	alloy := churningCascade()
+	alloy.CuFraction = 0.05
+	for _, cfg := range []Config{churningCascade(), alloy} {
+		runWorld(t, cfg, func(r *Rank) {
+			for _, steps := range []int{0, 20} {
+				for i := 0; i < steps; i++ {
+					r.Step()
+				}
+				want := int(reflect.TypeFor[ForceField]().Size())
+				v := reflect.ValueOf(r.FF).Elem()
+				for i := 0; i < v.NumField(); i++ {
+					f := v.Field(i)
+					switch {
+					case f.Kind() == reflect.Slice:
+						want += f.Cap() * int(f.Type().Elem().Size())
+					case f.Kind() == reflect.Array && f.Type().Elem().Kind() == reflect.Slice:
+						for j := 0; j < f.Len(); j++ {
+							want += f.Index(j).Cap() * int(f.Type().Elem().Elem().Size())
+						}
+					}
+				}
+				if got := r.FF.MemoryBytes(); got != want {
+					t.Errorf("CuFraction %v, after %d steps: MemoryBytes() = %d, want %d", cfg.CuFraction, steps, got, want)
+				}
+			}
+		})
+	}
 }

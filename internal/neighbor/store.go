@@ -241,6 +241,15 @@ func (s *Store) FillSite(local int, a Runaway) {
 // AddRunaway links atom a into the chain of the given anchor site and
 // returns its pool reference.
 func (s *Store) AddRunaway(anchor int, a Runaway) int32 {
+	if s.Head[anchor] == NoRunaway {
+		s.pushNear(anchor, 1)
+	}
+	return s.link(anchor, a)
+}
+
+// link puts atom a at the head of the site's chain, in the free list's
+// first entry or a new one, leaving the near-chain index to the caller.
+func (s *Store) link(anchor int, a Runaway) int32 {
 	var ref int32
 	if s.free != NoRunaway {
 		ref = s.free
@@ -249,9 +258,6 @@ func (s *Store) AddRunaway(anchor int, a Runaway) int32 {
 	} else {
 		ref = int32(len(s.pool))
 		s.pool = append(s.pool, a)
-	}
-	if s.Head[anchor] == NoRunaway {
-		s.pushNear(anchor, 1)
 	}
 	s.pool[ref].Next = s.Head[anchor]
 	s.Head[anchor] = ref
@@ -285,15 +291,19 @@ func (s *Store) RemoveRunaway(anchor int, ref int32) Runaway {
 	panic(fmt.Sprintf("neighbor: run-away ref %d not anchored at site %d", ref, anchor))
 }
 
-// ClearRunaways drops every chain anchored at the site (used when rebuilding
-// ghost regions from received data).
-func (s *Store) ClearRunaways(anchor int) {
-	ref := s.Head[anchor]
-	if ref == NoRunaway {
-		return
-	}
-	s.pushNear(anchor, math.MaxUint8)
-	for ref != NoRunaway {
+// ClearRunaways drops every chain anchored at the site (used when restoring
+// a site from a rank file).
+func (s *Store) ClearRunaways(anchor int) { s.ReplaceRunaways(anchor, nil) }
+
+// ReplaceRunaways makes the site's chain hold exactly atoms, linked as
+// successive AddRunaway calls on an emptied chain would link them — the old
+// entries go to the free list head first, the last atom ends at the head —
+// which is what rebuilding a ghost site from received data needs. Only a
+// chain that goes empty ↔ non-empty updates the near-chain index, so a
+// chain that stays non-empty costs no walk of the site's wide offsets.
+func (s *Store) ReplaceRunaways(anchor int, atoms []Runaway) {
+	had := s.Head[anchor] != NoRunaway
+	for ref := s.Head[anchor]; ref != NoRunaway; {
 		next := s.pool[ref].Next
 		s.pool[ref].Next = s.free
 		s.pool[ref].ID = 0
@@ -301,6 +311,15 @@ func (s *Store) ClearRunaways(anchor int) {
 		ref = next
 	}
 	s.Head[anchor] = NoRunaway
+	for _, a := range atoms {
+		s.link(anchor, a)
+	}
+	switch has := len(atoms) > 0; {
+	case has && !had:
+		s.pushNear(anchor, 1)
+	case had && !has:
+		s.pushNear(anchor, math.MaxUint8)
+	}
 }
 
 // EachRunaway calls fn for every run-away atom anchored at the site. fn may

@@ -349,6 +349,104 @@ func TestNearIndexMatchesBruteForce(t *testing.T) {
 	check(s, "after re-chaining")
 }
 
+func TestReplaceRunawaysMatchesClearAndAdd(t *testing.T) {
+	// Rebuilding a ghost site's chain from received data: ReplaceRunaways on
+	// one store and ClearRunaways plus one AddRunaway per atom on its twin,
+	// over a seeded sequence of chains that stay the same length, grow,
+	// shrink, empty and appear, on owned sites and on the outermost ghost
+	// layer. After every rebuild the two stores hold the same chains, in the
+	// same order, in the same pool entries, and the near-chain index equals
+	// a direct probe of Head.
+	l := lattice.New(6, 4, 4, a0)
+	tab := l.NeighborOffsets(6.77) // cutoff 3.57 Å + MD's 3.2 Å wide margin
+	g, err := lattice.NewGrid(l, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := g.Box(0, tab.MaxCellReach())
+	got, want := NewStore(box, tab, units.Fe), NewStore(box, tab, units.Fe)
+	var sites []int
+	for local := 0; local < box.NumLocalSites(); local++ {
+		c := box.GlobalCoord(local)
+		outer := false
+		for d, v := range [3]int32{c.X, c.Y, c.Z} {
+			lv := int(v) - box.Lo[d] + box.Ghost
+			outer = outer || lv == 0 || lv == box.Ext(d)-1
+		}
+		if box.Owns(c) || outer {
+			sites = append(sites, local)
+		}
+	}
+	length := map[int]int{} // chain length per site, 0 when absent
+	var chained []int       // sites whose chain is non-empty, possibly stale
+	kinds := []string{"same", "grow", "shrink", "empty", "appear"}
+	seen := make(map[string]int)
+	r := rng.New(31)
+	var atoms []Runaway
+	id := int64(0)
+	for i := 0; i < 240; i++ {
+		kind := kinds[r.Intn(len(kinds))]
+		live := chained[:0]
+		for _, site := range chained {
+			if length[site] > 0 {
+				live = append(live, site)
+			}
+		}
+		chained = live
+		if len(chained) == 0 {
+			kind = "appear"
+		}
+		var site, n int
+		if kind == "appear" {
+			site = sites[r.Intn(len(sites))]
+			for length[site] > 0 {
+				site = sites[r.Intn(len(sites))]
+			}
+			n = 1 + r.Intn(3)
+			chained = append(chained, site)
+		} else {
+			site = chained[r.Intn(len(chained))]
+			switch n = length[site]; kind {
+			case "grow":
+				n += 1 + r.Intn(2)
+			case "shrink":
+				n--
+			case "empty":
+				n = 0
+			}
+		}
+		if n == 0 && kind != "empty" {
+			kind = "empty" // a one-atom chain that shrank
+		}
+		seen[kind]++
+		length[site] = n
+		atoms = atoms[:0]
+		for k := 0; k < n; k++ {
+			id++
+			atoms = append(atoms, Runaway{ID: id, R: vec.V{X: float64(id)}})
+		}
+		got.ReplaceRunaways(site, atoms)
+		want.ClearRunaways(site)
+		for _, a := range atoms {
+			want.AddRunaway(site, a)
+		}
+		what := fmt.Sprintf("rebuild %d (%s to %d atoms at site %d)", i, kind, n, site)
+		if !reflect.DeepEqual(got.Head, want.Head) || !reflect.DeepEqual(got.pool, want.pool) || got.free != want.free {
+			t.Fatalf("%s: chains or pool differ from ClearRunaways + AddRunaway", what)
+		}
+		for local := range got.near {
+			if n, brute := int(got.near[local]), bruteNear(got, local); n != brute {
+				t.Fatalf("%s: site %d near = %d, brute force %d", what, local, n, brute)
+			}
+		}
+	}
+	for _, kind := range kinds {
+		if seen[kind] == 0 {
+			t.Errorf("the sequence never made a chain %q", kind)
+		}
+	}
+}
+
 // TestThreeStructuresAgree cross-validates the lattice neighbor list against
 // the Verlet list and the linked cell: on a thermally perturbed lattice all
 // three must find exactly the same interacting pairs within the cutoff.
