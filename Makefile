@@ -51,12 +51,33 @@ no-env:
 # rounding instead of two, so a fused vec.V.MulAdd would differ from the
 # rounded force vector the pair round stores, and the kernels would stop
 # being bit-identical there. internal/vec rounds each product explicitly;
-# this fails when its arm64 assembly holds a fused op (or is missing).
+# the first check fails when its arm64 assembly holds a fused op (or is
+# missing). The table arithmetic — the segment kernel every evaluation path
+# of internal/eam shares, per call and in blocks — and pairScalar, which
+# both sides of a pair share, round theirs explicitly too: the second check
+# fails when a fused op in the arm64 build of internal/eam or internal/md,
+# in whatever function the code was inlined into, comes from the source
+# lines of one of NOFMA_FUNCS (file:func), or when one of them is missing.
+NOFMA_FUNCS = internal/eam/table.go:nodeDeriv internal/eam/table.go:centralDeriv \
+	internal/eam/table.go:evalSeg internal/eam/table.go:innerSeg internal/eam/table.go:edgeSeg \
+	internal/eam/table.go:hermite internal/md/forces.go:pairScalar
+
 no-fma:
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/vec 2>&1) || { echo "$$asm"; exit 1; }; \
 	if ! echo "$$asm" | grep -q 'vec\.V\.MulAdd'; then echo "no arm64 assembly for internal/vec"; exit 1; fi; \
 	out=$$(echo "$$asm" | grep -E '\bFN?M(ADD|SUB)[SD]\b' || true); \
 	if [ -n "$$out" ]; then echo "fused multiply-adds in internal/vec on arm64:"; echo "$$out"; exit 1; fi
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/eam ./internal/md 2>&1) || { echo "$$asm"; exit 1; }; \
+	for fn in $(NOFMA_FUNCS); do \
+		file=$${fn%%:*}; name=$${fn##*:}; \
+		span=$$(awk -v n="$$name" '$$0 ~ "^func (\\([^)]*\\) )?" n "\\(" { s = NR } s && /^}/ { print s, NR; exit }' $$file); \
+		if [ -z "$$span" ]; then echo "no-fma: no func $$name in $$file"; exit 1; fi; \
+		lines=$$(echo "$$asm" | awk -v f="/$$file:" -v s="$${span% *}" -v e="$${span#* }" \
+			'{ i = index($$0, f); if (i == 0) next; l = substr($$0, i + length(f)) + 0; if (l >= s && l <= e) print }'); \
+		if [ -z "$$lines" ]; then echo "no arm64 assembly for $$name ($$file)"; exit 1; fi; \
+		out=$$(echo "$$lines" | grep -E '\bFN?M(ADD|SUB)[SD]\b' || true); \
+		if [ -n "$$out" ]; then echo "fused multiply-adds from $$name ($$file) on arm64:"; echo "$$out"; exit 1; fi; \
+	done
 
 build:
 	$(GO) build ./...

@@ -86,7 +86,7 @@ func TestEvalSegWindowMatchesNodeDeriv(t *testing.T) {
 		for _, u := range []float64{0, 1.0 / 3, 1} {
 			v, dv := tab.evalSeg(i, u)
 			wantV, wantDv := hermite(tab.S[i], tab.S[i+1],
-				tab.nodeDeriv(i)*tab.Dx, tab.nodeDeriv(i+1)*tab.Dx, u, tab.Dx)
+				float64(tab.nodeDeriv(i)*tab.Dx), float64(tab.nodeDeriv(i+1)*tab.Dx), u, tab.Dx)
 			if math.Float64bits(v) != math.Float64bits(wantV) ||
 				math.Float64bits(dv) != math.Float64bits(wantDv) {
 				t.Errorf("segment %d u=%v: evalSeg (%v, %v) != nodeDeriv path (%v, %v)",

@@ -136,10 +136,12 @@ func (p *Potential) Density(a, b units.Element, r float64) (v, dv float64) {
 // r-indexed lookups: φ_ab(r) with its derivative, plus both directed
 // density contributions f_ab(r) (a neighbor of species b seen from a host
 // of species a) and f_ba(r). All pair and density tables are built on the
-// same [RMin, Cutoff] grid, so the segment index (x-X0)/Dx is computed once
-// and reused across the three tables; for a == b the two density directions
-// are the same table and are evaluated once. Every returned value is
-// bitwise identical to the corresponding separate Pair/Density call.
+// same [RMin, Cutoff] grid, so the segment index (x-X0)/Dx — and whether
+// the segment is interior — is computed once and reused across the three
+// tables; for a == b the two density directions are the same table and are
+// evaluated once. Every returned value is bitwise identical to the
+// corresponding separate Pair/Density call, and to what PairDensityRecords
+// (block.go) returns for the pair.
 func (p *Potential) PairDensity(a, b units.Element, r float64) (phi, dphi, fab, dfab, fba, dfba float64) {
 	if r >= p.Cutoff {
 		return
@@ -154,10 +156,15 @@ func (p *Potential) PairDensity(a, b units.Element, r float64) (phi, dphi, fab, 
 		}
 		return
 	}
-	pt := p.pair[a][b]
+	pt, dt := p.pair[a][b], p.dens[a][b]
 	i, u := pt.locate(r)
-	phi, dphi = pt.evalSeg(i, u)
-	fab, dfab = p.dens[a][b].evalSeg(i, u)
+	if pt.interior(i) {
+		phi, dphi = pt.innerSeg(i, u)
+		fab, dfab = dt.innerSeg(i, u)
+	} else {
+		phi, dphi = pt.edgeSeg(i, u)
+		fab, dfab = dt.edgeSeg(i, u)
+	}
 	if a == b {
 		fba, dfba = fab, dfab
 	} else {

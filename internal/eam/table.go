@@ -49,25 +49,35 @@ func (t *Table) Bytes() int { return 8 * len(t.S) }
 
 // nodeDeriv returns the reconstructed derivative (per unit x, not per grid
 // cell) at node i using the paper's five-point stencil, clamped to one-sided
-// differences at the table edges.
+// differences at the table edges. Every product is rounded on its own
+// (float64(...)), here and in the rest of the segment arithmetic: a compiler
+// that fuses a*b + c into one multiply-add (arm64 does) could otherwise fuse
+// one inlined copy of the arithmetic and not another, and the per-call and
+// block paths would part by an ulp (`make no-fma` checks the assembly).
 func (t *Table) nodeDeriv(i int) float64 {
 	n := t.N()
 	s := t.S
 	switch {
 	case i >= 2 && i <= n-2:
 		// The paper's symmetric five-point stencil.
-		return (s[i-2] - s[i+2] + 8*(s[i+1]-s[i-1])) / (12 * t.Dx)
+		return centralDeriv(s[i-2], s[i-1], s[i+1], s[i+2], t.Dx)
 	// Third-order one-sided stencils keep edge segments at the accuracy of
 	// the interior.
 	case i == 0:
-		return (-11*s[0] + 18*s[1] - 9*s[2] + 2*s[3]) / (6 * t.Dx)
+		return (float64(-11*s[0]) + float64(18*s[1]) - float64(9*s[2]) + float64(2*s[3])) / (6 * t.Dx)
 	case i == 1:
-		return (-2*s[0] - 3*s[1] + 6*s[2] - s[3]) / (6 * t.Dx)
+		return (float64(-2*s[0]) - float64(3*s[1]) + float64(6*s[2]) - s[3]) / (6 * t.Dx)
 	case i == n-1:
-		return (2*s[n] + 3*s[n-1] - 6*s[n-2] + s[n-3]) / (6 * t.Dx)
+		return (float64(2*s[n]) + float64(3*s[n-1]) - float64(6*s[n-2]) + s[n-3]) / (6 * t.Dx)
 	default: // i == n
-		return (11*s[n] - 18*s[n-1] + 9*s[n-2] - 2*s[n-3]) / (6 * t.Dx)
+		return (float64(11*s[n]) - float64(18*s[n-1]) + float64(9*s[n-2]) - float64(2*s[n-3])) / (6 * t.Dx)
 	}
+}
+
+// centralDeriv is the paper's five-point stencil over the samples two and
+// one below a node (sm2, sm1) and one and two above it (sp1, sp2).
+func centralDeriv(sm2, sm1, sp1, sp2, dx float64) float64 {
+	return (sm2 - sp2 + float64(8*(sp1-sm1))) / (12 * dx)
 }
 
 // locate clamps x into the table range and returns the segment index and the
@@ -94,22 +104,40 @@ func (t *Table) Eval(x float64) (v, dv float64) {
 
 // evalSeg evaluates segment i at fraction u. Splitting locate from the
 // segment evaluation lets the fused PairDensity locate once and reuse the
-// segment index across tables that share the same grid; the result is
-// bitwise identical to Eval. An interior segment — both end nodes on the
-// symmetric five-point stencil — takes its six samples in one window and
-// forms both node derivatives with nodeDeriv's own expressions; the four
-// edge segments go through nodeDeriv.
+// segment index across tables that share the same grid, and lets a block
+// evaluator (block.go) locate all its entries before it evaluates any; the
+// result is bitwise identical to Eval. The segment kernel — the one copy of
+// the table arithmetic every evaluation path runs — is innerSeg for an
+// interior segment, both end nodes on the symmetric five-point stencil, and
+// edgeSeg for the four edge segments.
 func (t *Table) evalSeg(i int, u float64) (v, dv float64) {
-	if i >= 2 && i+3 < len(t.S) {
-		w := t.S[i-2 : i+4 : i+4]
-		d0 := (w[0] - w[4] + 8*(w[3]-w[1])) / (12 * t.Dx) * t.Dx
-		d1 := (w[1] - w[5] + 8*(w[4]-w[2])) / (12 * t.Dx) * t.Dx
-		return hermite(w[2], w[3], d0, d1, u, t.Dx)
+	if t.interior(i) {
+		return t.innerSeg(i, u)
 	}
-	s0, s1 := t.S[i], t.S[i+1]
-	d0 := t.nodeDeriv(i) * t.Dx // derivative per grid cell for Hermite form
-	d1 := t.nodeDeriv(i+1) * t.Dx
-	return hermite(s0, s1, d0, d1, u, t.Dx)
+	return t.edgeSeg(i, u)
+}
+
+// interior reports whether segment i's end nodes are both on the symmetric
+// stencil. Tables on one grid agree on it.
+func (t *Table) interior(i int) bool { return i >= 2 && i+3 < len(t.S) }
+
+// innerSeg evaluates interior segment i at fraction u: it takes the six
+// samples in one window and forms both node derivatives with nodeDeriv's
+// own expression. It calls nothing, so it skips the stack-growth check.
+func (t *Table) innerSeg(i int, u float64) (v, dv float64) {
+	w := t.S[i-2 : i+4 : i+4]
+	dx := t.Dx
+	// Derivatives per grid cell, for the Hermite form.
+	d0 := float64(centralDeriv(w[0], w[1], w[3], w[4], dx) * dx)
+	d1 := float64(centralDeriv(w[1], w[2], w[4], w[5], dx) * dx)
+	return hermite(w[2], w[3], d0, d1, u, dx)
+}
+
+// edgeSeg evaluates edge segment i at fraction u through nodeDeriv.
+func (t *Table) edgeSeg(i int, u float64) (v, dv float64) {
+	d0 := float64(t.nodeDeriv(i) * t.Dx)
+	d1 := float64(t.nodeDeriv(i+1) * t.Dx)
+	return hermite(t.S[i], t.S[i+1], d0, d1, u, t.Dx)
 }
 
 // hermite evaluates the cubic Hermite interpolant with node values s0,s1 and
@@ -118,9 +146,9 @@ func (t *Table) evalSeg(i int, u float64) (v, dv float64) {
 func hermite(s0, s1, d0, d1, u, dx float64) (v, dv float64) {
 	// v(u) = s0 + d0 u + (3Δ - 2d0 - d1) u² + (d0 + d1 - 2Δ) u³, Δ = s1-s0.
 	delta := s1 - s0
-	c2 := 3*delta - 2*d0 - d1
-	c3 := d0 + d1 - 2*delta
-	v = s0 + u*(d0+u*(c2+u*c3))
-	dv = (d0 + u*(2*c2+3*u*c3)) / dx
+	c2 := float64(3*delta) - float64(2*d0) - d1
+	c3 := d0 + d1 - float64(2*delta)
+	v = s0 + float64(u*(d0+float64(u*(c2+float64(u*c3)))))
+	dv = (d0 + float64(u*(float64(2*c2)+float64(float64(3*u)*c3)))) / dx
 	return
 }

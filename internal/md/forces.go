@@ -61,13 +61,13 @@ func (s *OpStats) Add(other OpStats) {
 	s.Coincident += other.Coincident
 }
 
-// Pair-stream slot layout of the optimized kernel. The density gather
-// stores, per accepted resident pair, the fused evaluation results (its
-// acceptance walk parks r at slotPhi, and an alloy's species at slotFab and
-// slotDfab, until its dense loop overwrites them); values
-// are directional with respect to the *streaming* side a: f_ab is the
-// density a's atom receives from b's, f_ba the reverse. The density reduce
-// reads the densities. After the fill, the pair round reads the three
+// Pair-stream slot layout of the optimized kernel. A slot is an
+// eam.PairDensityRecords pair record: the density gather's acceptance walk
+// parks r at slotPhi, and an alloy's species at slotFab and slotDfab, and
+// the block evaluator overwrites them with the fused evaluation results;
+// values are directional with respect to the *streaming* side a: f_ab is
+// the density a's atom receives from b's, f_ba the reverse. The density
+// reduce reads the densities. After the fill, the pair round reads the three
 // derivatives and writes the pair's force on a, v = −(scalar/r)·d, over
 // floats 1–3, which no later round reads in their old meaning; the force
 // reduce reads slot[:slotHead], φ and v.
@@ -76,14 +76,14 @@ func (s *OpStats) Add(other OpStats) {
 // table, eam.PairDensity), so its slot is the first four floats; an alloy
 // potential's slot appends the reverse direction.
 const (
-	slotPhi  = 0 // φ_ab(r)
-	slotFab  = 1 // f_ab(r); then v.X
-	slotDfab = 2 // df_ab/dr; then v.Y
-	slotDphi = 3 // dφ/dr; then v.Z
-	slotHead = 4 // floats of the slot the force reduce reads
+	slotPhi  = eam.RecPhi    // φ_ab(r)
+	slotFab  = eam.RecFab    // f_ab(r); then v.X
+	slotDfab = eam.RecDFab   // df_ab/dr; then v.Y
+	slotDphi = eam.RecDPhi   // dφ/dr; then v.Z
+	slotHead = eam.RecFloats // floats of the slot the force reduce reads
 
-	slotFbaAlloy  = 4 // f_ba(r)
-	slotDfbaAlloy = 5 // df_ba/dr
+	slotFbaAlloy  = eam.RecFba  // f_ba(r)
+	slotDfbaAlloy = eam.RecDFba // df_ba/dr
 )
 
 // A reverse-index location names a streamed slot: the chunk whose buffer
@@ -107,11 +107,11 @@ var _ [1<<(32-locShift) - ForceChunks]struct{}
 //
 // The kernel evaluates each resident–resident pair once — a gather round
 // accepts every pair whose canonical owner (or ghost partner) anchors it
-// and then evaluates the fused pair/density tables for the accepted pairs in
-// one dense loop, writing the pair stream; after a barrier, the density
-// reduce accumulates both sides from the stream in the reference
-// enumeration order, through a reverse index it rebuilds only where a row
-// it indexes changed. The force pass forms each pair's Newton-symmetric
+// and then evaluates the fused pair/density tables for the accepted pairs
+// in blocks (eam.PairDensityRecords), writing the pair stream; after a
+// barrier, the density reduce accumulates both sides from the stream in the
+// reference enumeration order, through a reverse index it rebuilds only
+// where a row it indexes changed. The force pass forms each pair's Newton-symmetric
 // force vector once, in a pair round, and its reduce only sums. The
 // reference kernel, which evaluates every pair from both sides, is the
 // test-side oracle this one is bit-identical to (reference_test.go,
@@ -194,9 +194,9 @@ const streamSlack = 8
 // what a reverse-index location can name.
 func NewForceField(s *neighbor.Store, pot *eam.Potential, skin float64) (*ForceField, error) {
 	ff := &ForceField{Pot: pot, Cutoff: pot.Cutoff, rounds: &productionRounds,
-		slotFloats: slotHead, slotFba: slotFab, slotDfba: slotDfab}
-	if len(pot.Elements) > 1 {
-		ff.slotFloats, ff.slotFba, ff.slotDfba = 6, slotFbaAlloy, slotDfbaAlloy
+		slotFloats: pot.RecordFloats(), slotFba: slotFab, slotDfba: slotDfab}
+	if ff.slotFloats == eam.RecFloatsAlloy {
+		ff.slotFba, ff.slotDfba = slotFbaAlloy, slotDfbaAlloy
 	}
 	tightR := pot.Cutoff + skin
 	for b := 0; b <= 1; b++ {
@@ -366,13 +366,25 @@ func (ff *ForceField) MemoryBytes() int {
 // (species, density) key is smaller contributes its term first; if the keys
 // are equal the two terms are themselves bitwise equal and the order cannot
 // matter. The central's term is dFc·dfc and the partner's dFp·dfp, each
-// rounded on its own: no fused multiply-add folds one into the sum.
+// rounded on its own: no fused multiply-add folds one into the sum. The
+// order is chosen without a branch — in a thermal crystal prho < crho is a
+// coin flip on every pair: the partner goes first exactly when
+// 2·ptyp − 2·ctyp − [prho < crho] is negative, so that difference's sign
+// bit is the 0/1 swap, and its negation masks the bits in which the two
+// terms differ. (The body stays within the compiler's inlining budget.)
 func pairScalar(dphi, dFc, dfc, dFp, dfp float64, ctyp, ptyp units.Element, crho, prho float64) float64 {
-	tc, tp := float64(dFc*dfc), float64(dFp*dfp)
-	if ptyp < ctyp || (ptyp == ctyp && prho < crho) {
-		return dphi + tp + tc
+	tc, tp := math.Float64bits(float64(dFc*dfc)), math.Float64bits(float64(dFp*dfp))
+	diff := (tc ^ tp) & -((uint64(ptyp)<<1 - uint64(ctyp)<<1 - b2u(prho < crho)) >> 63)
+	return dphi + math.Float64frombits(tc^diff) + math.Float64frombits(tp^diff)
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits a flag set, not a
+// branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	return dphi + tc + tp
+	return 0
 }
 
 // FillEmbeddingRange precomputes F(ρ) and F'(ρ) for every local atom —
@@ -380,30 +392,44 @@ func pairScalar(dphi, dFc, dfc, dFp, dfp float64, ctyp, ptyp units.Element, crho
 // one embedding evaluation per atom instead of the reference kernel's one
 // per accepted pair. It runs after the density exchange; DFdRho/EmbedE are
 // derived state and are never exchanged — each rank recomputes its ghosts'
-// values from the exchanged densities. Disjoint site ranges write disjoint
-// state (run-away chains are anchored at exactly one site).
+// values from the exchanged densities. The resident atoms go through the
+// block evaluator, eam.BlockLen sites at a time (a vacancy site keeps its
+// old values); run-away chains are evaluated per call. Disjoint site ranges
+// write disjoint state (run-away chains are anchored at exactly one site).
 func (ff *ForceField) FillEmbeddingRange(s *neighbor.Store, lo, hi int) OpStats {
 	var st OpStats
-	for i := lo; i < hi; i++ {
-		if !s.IsVacancy(i) {
-			v, dv := ff.Pot.Embed(s.Type[i], s.Rho[i])
-			s.EmbedE[i] = v
-			s.DFdRho[i] = dv
-			st.Lookups++
+	var site [eam.BlockLen]int32
+	var typ [eam.BlockLen]units.Element
+	var rho, v, dv [eam.BlockLen]float64
+	for w := lo; w < hi; w += eam.BlockLen {
+		end := min(w+eam.BlockLen, hi)
+		m := 0
+		for i := w; i < end; i++ {
+			if s.IsVacancy(i) {
+				continue
+			}
+			site[m], typ[m], rho[m] = int32(i), s.Type[i], s.Rho[i]
+			m++
 			if s.Type[i] != units.Fe {
 				st.MinorityLookups++
 			}
 		}
-		for ref := s.Head[i]; ref != neighbor.NoRunaway; {
-			a := s.Runaway(ref)
-			v, dv := ff.Pot.Embed(a.Type, a.Rho)
-			a.EmbedE = v
-			a.DFdRho = dv
-			st.Lookups++
-			if a.Type != units.Fe {
-				st.MinorityLookups++
+		st.Lookups += int64(m)
+		ff.Pot.EmbedBlock(typ[:m], rho[:m], v[:m], dv[:m])
+		for k, i := range site[:m] {
+			s.EmbedE[i] = v[k]
+			s.DFdRho[i] = dv[k]
+		}
+		for i := w; i < end; i++ {
+			for ref := s.Head[i]; ref != neighbor.NoRunaway; {
+				a := s.Runaway(ref)
+				a.EmbedE, a.DFdRho = ff.Pot.Embed(a.Type, a.Rho)
+				st.Lookups++
+				if a.Type != units.Fe {
+					st.MinorityLookups++
+				}
+				ref = a.Next
 			}
-			ref = a.Next
 		}
 	}
 	return st
@@ -413,12 +439,14 @@ func (ff *ForceField) FillEmbeddingRange(s *neighbor.Store, lo, hi int) OpStats 
 // owned cells [lo, hi): every resident–resident pair anchored here — owned
 // pairs whose canonical owner (the side with the smaller owned index) is in
 // the range, plus every pair with a ghost partner — is evaluated exactly
-// once through the fused PairDensity lookup, and its results are appended
+// once through the fused pair/density lookup, and its results are appended
 // to the pair stream for the later rounds. Per chunk, an acceptance walk
 // parks each accepted pair's r in its slot (an alloy slot also its two
-// species), and then one dense loop over the chunk's slots evaluates them:
-// a lookup's chain of divisions starts from a loaded r instead of waiting
-// on the walk's branches, loads and square root.
+// species), and then eam.PairDensityRecords evaluates the chunk's slots in
+// place, in blocks: the lookups' divisions start from loaded r values
+// instead of waiting on the walk's branches, loads and square root, and a
+// block locates all its entries before it evaluates any, so their
+// divisions overlap.
 // Acceptance is decided here, once: a site's mask bits are the pairs it
 // holds, and the reduces trust them, so the resident–resident coincidences
 // they would have met are counted here, for both sides when both are owned
@@ -490,7 +518,7 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 					if n+sf > len(buf) {
 						buf = ff.growStream(c, n)
 					}
-					// Parked for the dense loop, which overwrites it.
+					// Parked for the block evaluator, which overwrites it.
 					slot := buf[n : n+sf : n+sf]
 					slot[slotPhi] = math.Sqrt(r2)
 					if sf > slotHead {
@@ -510,24 +538,7 @@ func (ff *ForceField) DensityGatherRange(s *neighbor.Store, lo, hi int) OpStats 
 				mask[w] = held
 			}
 		})
-		// Every atom of a single-species field has the potential's one
-		// element, which its 4-float slot layout already relies on.
-		a, b := ff.Pot.Elements[0], ff.Pot.Elements[0]
-		for i := 0; i < n; i += sf {
-			slot := buf[i : i+sf : i+sf]
-			if sf > slotHead {
-				a, b = units.Element(slot[slotFab]), units.Element(slot[slotDfab])
-			}
-			phi, dphi, fab, dfab, fba, dfba := ff.Pot.PairDensity(a, b, slot[slotPhi])
-			slot[slotPhi] = phi
-			slot[slotFab] = fab
-			slot[slotDfab] = dfab
-			slot[slotDphi] = dphi
-			if sf > slotHead {
-				slot[slotFbaAlloy] = fba
-				slot[slotDfbaAlloy] = dfba
-			}
-		}
+		ff.Pot.PairDensityRecords(buf[:n])
 		if changed != 0 {
 			ff.rowGen[c]++
 		}
