@@ -21,11 +21,11 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # Message-loop ownership gate (DESIGN.md §18): internal/halo owns every
-# point-to-point and one-sided call on the mpi runtime. Exempt are the
+# point-to-point call on the mpi runtime. Exempt are the
 # runtime itself, bench/ (its mpi.pingpong probe) and internal/analysis
 # (whose sig.Recv() is go/types, not a message).
 p2p-owner:
-	@out=$$(grep -rnE '\.(Send|Recv|Put|Fence)\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' | \
+	@out=$$(grep -rnE '\.(Send|Recv)\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' | \
 		grep -vE '^\./(internal/halo|internal/mpi|internal/analysis|bench)/' || true); \
 	if [ -n "$$out" ]; then echo "message calls outside internal/halo:"; echo "$$out"; exit 1; fi
 
@@ -58,9 +58,17 @@ no-env:
 # fails when a fused op in the arm64 build of internal/eam or internal/md,
 # in whatever function the code was inlined into, comes from the source
 # lines of one of NOFMA_FUNCS (file:func), or when one of them is missing.
+# It also fails on a fused op anywhere in the compiled body of one of them
+# or of its closures, code inlined into it included: the MD trajectory
+# routines (relink and migration, recoils, initial velocities, thermostat)
+# fuse only through inlined vec and lattice helpers, whose lines are not
+# theirs.
 NOFMA_FUNCS = internal/eam/table.go:nodeDeriv internal/eam/table.go:centralDeriv \
 	internal/eam/table.go:evalSeg internal/eam/table.go:innerSeg internal/eam/table.go:edgeSeg \
-	internal/eam/table.go:hermite internal/md/forces.go:pairScalar
+	internal/eam/table.go:hermite internal/md/forces.go:pairScalar \
+	internal/md/sim.go:route internal/md/sim.go:relink internal/md/sim.go:placeLocal \
+	internal/md/sim.go:ApplyRecoil internal/md/sim.go:initVelocities \
+	internal/md/sim.go:applyThermostat internal/md/forces.go:KineticEnergy
 
 no-fma:
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/vec 2>&1) || { echo "$$asm"; exit 1; }; \
@@ -77,6 +85,11 @@ no-fma:
 		if [ -z "$$lines" ]; then echo "no arm64 assembly for $$name ($$file)"; exit 1; fi; \
 		out=$$(echo "$$lines" | grep -E '\bFN?M(ADD|SUB)[SD]\b' || true); \
 		if [ -n "$$out" ]; then echo "fused multiply-adds from $$name ($$file) on arm64:"; echo "$$out"; exit 1; fi; \
+		body=$$(echo "$$asm" | awk -v p="mdkmc/$${file%/*}." -v n="$$name" \
+			'/^[^ \t]/ { s = $$1; on = / STEXT / && index(s, p) == 1 && substr(s, length(p) + 1) ~ ("^(\\([^)]*\\)\\.)?" n "(\\.func[0-9.]+)?$$") } on'); \
+		if [ -z "$$body" ]; then echo "no arm64 body for $$name ($$file)"; exit 1; fi; \
+		out=$$(echo "$$body" | grep -E '\bFN?M(ADD|SUB)[SD]\b' || true); \
+		if [ -n "$$out" ]; then echo "fused multiply-adds in the body of $$name ($$file) on arm64:"; echo "$$out"; exit 1; fi; \
 	done
 
 build:

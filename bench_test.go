@@ -162,7 +162,7 @@ func BenchmarkFig12KMCCommVolume(b *testing.B) {
 }
 
 func BenchmarkFig13KMCCommTime(b *testing.B) {
-	for _, proto := range []kmc.Protocol{kmc.Traditional, kmc.OnDemand, kmc.OnDemandOneSided} {
+	for _, proto := range []kmc.Protocol{kmc.Traditional, kmc.OnDemand} {
 		proto := proto
 		b.Run(proto.String(), func(b *testing.B) { benchKMCComm(b, proto) })
 	}
@@ -316,43 +316,6 @@ func BenchmarkAblationRunawayLists(b *testing.B) {
 			_ = pairs
 		}
 	})
-}
-
-// BenchmarkAblationOneSidedKMC isolates the message-count benefit of the
-// one-sided window over two-sided probe messaging.
-func BenchmarkAblationOneSidedKMC(b *testing.B) {
-	for _, proto := range []kmc.Protocol{kmc.OnDemand, kmc.OnDemandOneSided} {
-		proto := proto
-		b.Run(proto.String(), func(b *testing.B) {
-			cfg := kmc.DefaultConfig()
-			cfg.Cells = [3]int{22, 11, 11}
-			cfg.Grid = [3]int{2, 1, 1}
-			cfg.VacancyConcentration = 2e-4
-			cfg.Protocol = proto
-			w := mpi.NewWorld(cfg.Ranks())
-			var msgs int64
-			w.Run(func(c *mpi.Comm) {
-				st, err := kmc.NewState(cfg, c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				base := st.Stats().MsgsSent
-				if c.Rank() == 0 {
-					b.ResetTimer()
-				}
-				c.Barrier()
-				for i := 0; i < b.N; i++ {
-					st.Cycle()
-				}
-				c.Barrier()
-				if c.Rank() == 0 {
-					b.StopTimer()
-					msgs = st.Stats().MsgsSent - base
-				}
-			})
-			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/cycle")
-		})
-	}
 }
 
 func benchName(prefix string, n int) string {

@@ -27,7 +27,7 @@ func main() {
 		conc   = flag.Float64("conc", 4.5e-5, "vacancy concentration (paper: 4.5e-5)")
 		temp   = flag.Float64("temp", 600, "temperature in K")
 		seed   = flag.Uint64("seed", 1, "random seed")
-		proto  = flag.String("protocol", "on-demand", "traditional|on-demand|on-demand-1sided")
+		proto  = flag.String("protocol", "on-demand", "traditional|on-demand")
 	)
 	run := cliutil.RegisterRunFlags("kmcsim", "KMC cycles", 10, "kmc-cycle, checkpoint-commit")
 	flag.Parse()
@@ -48,8 +48,6 @@ func main() {
 		cfg.Protocol = mdkmc.ProtocolTraditional
 	case "on-demand":
 		cfg.Protocol = mdkmc.ProtocolOnDemand
-	case "on-demand-1sided":
-		cfg.Protocol = mdkmc.ProtocolOnDemandOneSided
 	default:
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *proto)
 		os.Exit(2)

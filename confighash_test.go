@@ -19,9 +19,9 @@ var hashNeutral = map[string]string{
 
 	"kmc.Config.Grid":     "topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart",
 	"kmc.Config.Cuts":     "topology knob (DESIGN.md §14): the re-shard loader handles boundary changes",
-	"kmc.Config.Protocol": "bit-identical communication knob (DESIGN.md §7): all three ghost protocols yield the same trajectory",
+	"kmc.Config.Protocol": "bit-identical communication knob (DESIGN.md §7): both ghost protocols yield the same trajectory",
 
-	"couple.Config.Protocol":   "bit-identical communication knob (DESIGN.md §7), as kmc.Config.Protocol",
+	"couple.Config.Protocol":   "bit-identical communication knob (DESIGN.md §7): both ghost protocols yield the same trajectory, as for kmc.Config.Protocol",
 	"couple.Config.Checkpoint": "fault-tolerance settings: snapshot cadence and crash plan must not pin a checkpoint to the schedule that produced it, and an evicted run resumes under the same digest",
 	"couple.Config.Rebalance":  "topology knob (DESIGN.md §14): repartitioning redistributes work without changing the trajectory",
 	"couple.Config.Telemetry":  "observability knob: an instrumented run is bit-identical to an uninstrumented one",

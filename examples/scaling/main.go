@@ -1,8 +1,8 @@
 // Scaling: the communication study at laptop scale. Runs the same KMC
 // workload under the traditional full-ghost exchange and the paper's
-// on-demand strategy (two-sided and one-sided), on 1-8 goroutine ranks,
-// printing byte-exact communication volumes and verifying the trajectories
-// are identical — the Figure 12/13 experiment in miniature.
+// on-demand strategy, on 1-8 goroutine ranks, printing byte-exact
+// communication volumes and verifying the trajectories are identical — the
+// Figure 12/13 experiment in miniature.
 package main
 
 import (
@@ -57,9 +57,7 @@ func main() {
 		fmt.Printf("\n%d ranks, %d sites, %d cycles:\n", cfg.Ranks(), cfg.NumSites(), cycles)
 
 		var ref int
-		for _, proto := range []mdkmc.Protocol{
-			mdkmc.ProtocolTraditional, mdkmc.ProtocolOnDemand, mdkmc.ProtocolOnDemandOneSided,
-		} {
+		for _, proto := range []mdkmc.Protocol{mdkmc.ProtocolTraditional, mdkmc.ProtocolOnDemand} {
 			cfg.Protocol = proto
 			bytes, msgs, sum := run(cfg, cycles)
 			if proto == mdkmc.ProtocolTraditional {

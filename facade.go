@@ -99,9 +99,8 @@ func ParseFaults(s string) ([]Fault, error) { return mpi.ParseFaults(s) }
 
 // KMC communication protocols (paper §2.2.1).
 const (
-	ProtocolTraditional      = kmc.Traditional
-	ProtocolOnDemand         = kmc.OnDemand
-	ProtocolOnDemandOneSided = kmc.OnDemandOneSided
+	ProtocolTraditional = kmc.Traditional
+	ProtocolOnDemand    = kmc.OnDemand
 )
 
 // DefaultMDConfig returns the paper's iron setup at laptop scale.

@@ -4,7 +4,7 @@
 // the mismatched-collective deadlock class — the Allgather generation race
 // fixed in PR 4 is the canonical specimen. It is the only analyzer that
 // knows what a collective is (isCollective): the mpi collectives
-// (Barrier, Allreduce, Allgather, Broadcast, Win.Fence), the functions
+// (Barrier, Allreduce, Allgather, Broadcast), the functions
 // documented as collective across packages (telemetry.Aggregate,
 // couple.Preemptor.Poll), any function or method of the analyzed package
 // marked //mdvet:collective, and any function of the analyzed package that
@@ -92,7 +92,7 @@ func run(p *analysis.Pass) error {
 func (c *checker) leaf(fn *types.Func) collective {
 	pkg, recv, name, isMethod := analysis.MethodOn(fn)
 	switch {
-	case pkg == mpiPath && (recv == "Comm" && commCollectives[name] || recv == "Win" && name == "Fence"):
+	case pkg == mpiPath && recv == "Comm" && commCollectives[name]:
 		return collective{name: recv + "." + name}
 	case !isMethod && fn.Pkg() != nil && fn.Pkg().Path() == telemetryPath && fn.Name() == "Aggregate":
 		return collective{name: "telemetry.Aggregate"}

@@ -31,12 +31,6 @@ func guardedElseBranch(c *mpi.Comm) {
 	}
 }
 
-func guardedFence(w *mpi.Win, rank int) {
-	if rank > 0 {
-		w.Fence() // want "collective Win.Fence is guarded by a rank-dependent condition"
-	}
-}
-
 func guardedAggregate(c *mpi.Comm) {
 	if c.Rank() == 0 {
 		telemetry.Aggregate(nil) // want "collective telemetry.Aggregate is guarded by a rank-dependent condition"

@@ -1,4 +1,4 @@
-// Package mpi is a fixture stub: the collsym analyzer matches Comm/Win
+// Package mpi is a fixture stub: the collsym analyzer matches Comm
 // methods by this import path, so the stub only needs the signatures.
 package mpi
 
@@ -20,8 +20,3 @@ func (c *Comm) Barrier() {}
 func (c *Comm) Allreduce(vals []float64, op Op) []float64 { return vals }
 
 func (c *Comm) Allgather(payload []byte) [][]byte { return nil }
-
-// Win is the one-sided window stub.
-type Win struct{}
-
-func (w *Win) Fence() {}

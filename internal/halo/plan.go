@@ -20,8 +20,12 @@
 //     receives.
 //   - skip-empty: no message is sent or awaited for a peer whose list for
 //     the class is empty. The lists of the two sides are the same
-//     enumeration, so they are empty together. A sparse round has no list
-//     to consult, so two-sided it sends to every peer, empty or not.
+//     enumeration, so they are empty together. A sparse round's lists hold
+//     peers, not cells: its class's send list names the peers that hold a
+//     cell of the class's region, its receive list the peers whose region
+//     reaches this rank. A peer on neither is skipped; a listed peer gets a
+//     message even when it is empty, because the receiver cannot tell an
+//     idle peer from a late one.
 package halo
 
 import (
@@ -43,6 +47,12 @@ type Class struct {
 	// locally and without a message. Engines that keep their self-images
 	// consistent some other way leave it off.
 	Self bool
+	// Region makes the class a sparse round's: given an owner's box, it
+	// returns the unwrapped cell range [lo, hi) that the owner's records in
+	// the round may be about, owned cells and ghosts alike. Such a class
+	// has no cell lists, only peer lists (see ExchangeSparse). A class
+	// without a Region is sparse-exchanged with every peer.
+	Region func(owner *lattice.Box) (lo, hi [3]int)
 }
 
 // maxClasses is the width of the mask a classifier returns.
@@ -67,6 +77,9 @@ type Plan struct {
 	send [][][]int
 	recv [][][]Cell
 	self [][]selfCopy
+	// Per class, the sparse round's peers as ascending indices into Peers:
+	// whom it sends to and whom it receives from.
+	to, from [][]int
 
 	// Reused for every message and self-copy: an exchange runs twice per MD
 	// step, and fresh buffers dominated its allocation profile.
@@ -90,6 +103,9 @@ func (pl *Plan) MemoryBytes() int {
 	n := cap(pl.out.buf) + 2*len(pl.interestID)
 	for i := range pl.sparse {
 		n += cap(pl.sparse[i].buf)
+	}
+	for k := range pl.to {
+		n += 8 * (len(pl.to[k]) + len(pl.from[k]))
 	}
 	for k := range pl.send {
 		for p := range pl.send[k] {
@@ -136,7 +152,8 @@ func eachGhost(grid *lattice.Grid, box *lattice.Box, fn func(c, w lattice.Coord,
 // Build computes rank's plan for a halo of ghost cells. classify returns,
 // for ghost cell c (unwrapped) of the holder whose box is given, the set of
 // classes it belongs to as a bit mask (bit k = classes[k], at most 32); nil
-// puts every cell in every class. With no classes the result carries the
+// puts every cell in every class. Classes with a Region get peer lists
+// only, and are never classified. With no classes the result carries the
 // peer set only. Build takes no communicator: it cannot send a message.
 func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 	classify func(holder *lattice.Box, c lattice.Coord) uint32) *Plan {
@@ -157,17 +174,33 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 	}
 	pl.sparse = make([]Packer, len(pl.Peers))
 	pl.interestID = make([]uint16, box.NumLocalSites()/2)
-	if len(classes) == 0 {
+	pl.to = make([][]int, len(classes))
+	pl.from = make([][]int, len(classes))
+	var dense uint32 // mask of the classes with cell lists
+	anySelf := false
+	for k, cl := range classes {
+		for i, q := range pl.Peers {
+			if pl.sees(cl, box, q) {
+				pl.to[k] = append(pl.to[k], i)
+			}
+			if pl.sees(cl, grid.Box(q, ghost), rank) {
+				pl.from[k] = append(pl.from[k], i)
+			}
+		}
+		if cl.Region == nil {
+			dense |= 1 << k
+			anySelf = anySelf || cl.Self
+		}
+	}
+	if dense == 0 {
 		return pl
 	}
 	pl.send = make([][][]int, len(classes))
 	pl.recv = make([][][]Cell, len(classes))
 	pl.self = make([][]selfCopy, len(classes))
-	anySelf := false
-	for k, cl := range classes {
+	for k := range classes {
 		pl.send[k] = make([][]int, len(pl.Peers))
 		pl.recv[k] = make([][]Cell, len(pl.Peers))
-		anySelf = anySelf || cl.Self
 	}
 	if classify == nil {
 		classify = func(*lattice.Box, lattice.Coord) uint32 { return ^uint32(0) }
@@ -179,7 +212,7 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 		if owner == rank && !anySelf {
 			return
 		}
-		m := classify(box, c)
+		m := classify(box, c) & dense
 		if m == 0 {
 			return
 		}
@@ -209,7 +242,7 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 			if owner != rank {
 				return
 			}
-			m := classify(holder, c)
+			m := classify(holder, c) & dense
 			if m == 0 {
 				return
 			}
@@ -229,9 +262,33 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 	return pl
 }
 
-// Channel is one exchanged quantity: its message tag, its plan class (dense
-// exchanges only), the package prefix of its decode errors, and its
-// telemetry handles (nil handles record nothing).
+// sees reports whether rank r holds, owned or as a ghost, a cell of the
+// region cl gives the owner whose box is given: whether, on every axis, r's
+// slab owns a cell within the ghost width of the region. The ranks holding
+// a cell of a box are the product of those per-axis slabs, so this is
+// exactly the union of Interest over the region's cells. A class without a
+// Region sees every rank.
+func (pl *Plan) sees(cl Class, owner *lattice.Box, r int) bool {
+	if cl.Region == nil {
+		return true
+	}
+	lo, hi := cl.Region(owner)
+	x, y, z := pl.grid.RankCoord(r)
+	for d, slot := range [3]int{x, y, z} {
+		found := false
+		for v := lo[d] - pl.ghost; v < hi[d]+pl.ghost && !found; v++ {
+			found = pl.grid.Slot(d, int32(v)) == slot
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// Channel is one exchanged quantity: its message tag, its plan class, the
+// package prefix of its decode errors, and its telemetry handles (nil
+// handles record nothing).
 type Channel struct {
 	Pkg        string
 	Tag, Class int
@@ -354,48 +411,39 @@ func (pl *Plan) Interest(local int, w lattice.Coord) []*Packer {
 // into the Sparse packers since the last round travel to their peers, and
 // apply reads each arriving message record by record until u.Done(). Which
 // records a round carries is only known at run time, so the receiver cannot
-// tell an idle peer from a late one, and there are two send policies. With
-// no window the round is two-sided: a message to every peer, empty ones
-// included, sends first in ascending peer order, then one receive per peer
-// in the same order. With a window it is one-sided: only non-empty payloads
-// are put and the fence delivers them in source order. Every rank of the
-// grid must call it with the same channel and the same choice of policy.
-func (pl *Plan) ExchangeSparse(comm *mpi.Comm, ch Channel, win *mpi.Win,
-	apply func(u *Unpacker, from int)) {
+// tell an idle peer from a late one: the round sends one message, empty or
+// not, to every peer on ch's class's send list, in ascending peer order,
+// then receives one from every peer on its receive list, in the same order.
+// A record routed to a peer off the send list is a routing bug and panics.
+// Every rank of the grid must call it with the same channel.
+func (pl *Plan) ExchangeSparse(comm *mpi.Comm, ch Channel, apply func(u *Unpacker, from int)) {
 	sp := ch.Pack.Begin()
+	to := pl.to[ch.Class]
 	for i, peer := range pl.Peers {
 		p := &pl.sparse[i]
 		switch {
-		case win == nil:
+		case len(to) > 0 && to[0] == i:
+			to = to[1:]
 			comm.Send(peer, ch.Tag, p.Bytes())
+			ch.Bytes.Add(int64(len(p.Bytes())))
 		case len(p.Bytes()) > 0:
-			win.Put(peer, p.Bytes())
+			//mdvet:ignore errpanic ghost-protocol invariant in the hot exchange path; recovered as a RankPanic job error
+			panic(fmt.Errorf("%s: %d byte(s) routed to rank %d, which class %d does not reach (tag %d)",
+				ch.Pkg, len(p.Bytes()), peer, ch.Class, ch.Tag))
 		}
-		ch.Bytes.Add(int64(len(p.Bytes())))
 		p.Reset()
 	}
 	sp.End()
 	u := &pl.in
 	u.pkg = ch.Pkg
-	deliver := func(data []byte, from int) {
-		sp := ch.Unpack.Begin()
-		u.Reset(data)
-		apply(u, from)
-		sp.End()
-	}
-	if win != nil {
-		wait := ch.Wait.Begin()
-		puts := win.Fence()
-		wait.End()
-		for _, m := range puts {
-			deliver(m.Data, m.Source)
-		}
-		return
-	}
-	for _, peer := range pl.Peers {
+	for _, i := range pl.from[ch.Class] {
+		peer := pl.Peers[i]
 		wait := ch.Wait.Begin()
 		data := comm.Recv(peer, ch.Tag)
 		wait.End()
-		deliver(data, peer)
+		sp := ch.Unpack.Begin()
+		u.Reset(data)
+		apply(u, peer)
+		sp.End()
 	}
 }

@@ -195,8 +195,8 @@ func TestPlanHolderOrder(t *testing.T) {
 	}
 }
 
-// TestPlanWithoutClassesIsThePeerSet: an engine that only routes by peer
-// (KMC on-demand) gets the same peers and no lists.
+// TestPlanWithoutClassesIsThePeerSet: a plan without classes gets the same
+// peers and no lists.
 func TestPlanWithoutClassesIsThePeerSet(t *testing.T) {
 	for _, tc := range planCases {
 		grid, plans, _ := tc.build(t)

@@ -84,7 +84,7 @@ func TestCheckpointRejectsWrongGeometry(t *testing.T) {
 // Restore into fresh states, run 9 more — occupancies, clock, and the
 // cumulative event counter must match 16 straight cycles bit-exactly.
 func TestCheckpointResumeIdenticalProtocols(t *testing.T) {
-	for _, proto := range []Protocol{Traditional, OnDemand, OnDemandOneSided} {
+	for _, proto := range []Protocol{Traditional, OnDemand} {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := testConfig()
 			cfg.Cells = [3]int{24, 12, 12}

@@ -4,8 +4,8 @@
 // (paper §2.2), parallelized with the semirigorous synchronous sublattice
 // method (8 sectors per subdomain) and either the traditional full-ghost
 // exchange of SPPARKS/KMCLib or the paper's on-demand communication
-// strategy (§2.2.1), in both its two-sided (probe) and one-sided (window)
-// realizations.
+// strategy (§2.2.1), whose two-sided flush after each sector messages only
+// the peers the sector can reach.
 package kmc
 
 import (
@@ -28,12 +28,10 @@ const (
 	// every sector (the SPPARKS/KMCLib static pattern).
 	Traditional Protocol = iota
 	// OnDemand sends only the sites actually affected by events, in
-	// two-sided messages whose size the receiver learns from Recv; idle
-	// neighbors still send zero-size messages so receives match.
+	// two-sided messages whose size the receiver learns from Recv, and
+	// only to the peers the sector can reach; an idle one among those still
+	// sends a zero-size message so receives match.
 	OnDemand
-	// OnDemandOneSided sends affected sites through one-sided window puts,
-	// eliminating the zero-size messages.
-	OnDemandOneSided
 )
 
 func (p Protocol) String() string {
@@ -42,8 +40,6 @@ func (p Protocol) String() string {
 		return "traditional"
 	case OnDemand:
 		return "on-demand"
-	case OnDemandOneSided:
-		return "on-demand-1sided"
 	}
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
@@ -134,6 +130,9 @@ func (c *Config) Validate() error {
 	}
 	if !positive(c.DtFactor) {
 		return fmt.Errorf("kmc: dt factor %v is not positive and finite", c.DtFactor)
+	}
+	if c.Protocol != Traditional && c.Protocol != OnDemand {
+		return fmt.Errorf("kmc: unknown protocol %v", c.Protocol)
 	}
 	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
 	grid, err := lattice.NewGridCuts(l, c.Grid[0], c.Grid[1], c.Grid[2], c.Cuts)

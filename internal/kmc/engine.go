@@ -86,7 +86,7 @@ func (st *State) Cycle() int {
 			st.dirty = st.dirty[:0]
 		} else {
 			sp = st.tel.flush.Begin()
-			st.flushOnDemand()
+			st.flushOnDemand(sec)
 			sp.End()
 		}
 	}

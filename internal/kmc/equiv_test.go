@@ -436,7 +436,6 @@ func TestIncrementalMatchesRescan(t *testing.T) {
 	variants := []variant{
 		{"2x2x1-traditional-Fe", [3]int{22, 22, 11}, [3]int{2, 2, 1}, Traditional, false},
 		{"2x2x1-ondemand-Fe", [3]int{22, 22, 11}, [3]int{2, 2, 1}, OnDemand, false},
-		{"2x2x1-1sided-Fe", [3]int{22, 22, 11}, [3]int{2, 2, 1}, OnDemandOneSided, false},
 		{"2x2x1-ondemand-FeCu", [3]int{22, 22, 11}, [3]int{2, 2, 1}, OnDemand, true},
 		{"2x2x1-traditional-FeCu", [3]int{22, 22, 11}, [3]int{2, 2, 1}, Traditional, true},
 		{"2x2x2-ondemand-Fe", [3]int{22, 22, 22}, [3]int{2, 2, 2}, OnDemand, false},
@@ -585,7 +584,7 @@ func TestVacancyIndexConsistent(t *testing.T) {
 // bare Allreduce does, which pins runSector, pickEvent, setOcc,
 // invalidateNear, sectorRate, ratesOf and swapDeltaE at zero.
 func TestRateKernelDoesNotAllocate(t *testing.T) {
-	for _, proto := range []Protocol{Traditional, OnDemand, OnDemandOneSided} {
+	for _, proto := range []Protocol{Traditional, OnDemand} {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := testConfig()
 			cfg.Protocol = proto

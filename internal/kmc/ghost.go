@@ -74,13 +74,12 @@ func (st *State) applyDirty(u *halo.Unpacker, from int) {
 }
 
 // flushOnDemand implements the paper's on-demand communication strategy:
-// only the sites affected during the sector travel, to exactly the ranks
-// that can see them (Figure 8(d)). The protocol picked the send policy when
-// the state was built: OnDemand has no window and runs the round two-sided,
-// with a (possibly zero-size) message to every peer because the receiver
-// cannot otherwise know nothing is coming — the drawback the paper calls
-// out; OnDemandOneSided puts only what there is and fences.
-func (st *State) flushOnDemand() {
+// only the sites affected during sector sec travel, to exactly the ranks
+// that can see them (Figure 8(d)). The round is sector sec's plan class, so
+// it messages only the peers the sector can reach; to those it sends a
+// message even when it is empty, because the receiver cannot otherwise know
+// that nothing is coming.
+func (st *State) flushOnDemand(sec int) {
 	// Deterministic order over the dirty set: ascending, each site once.
 	sort.Ints(st.dirty)
 	sites, prev := 0, -1
@@ -97,7 +96,9 @@ func (st *State) flushOnDemand() {
 	}
 	st.dirty = st.dirty[:0]
 	st.tel.dirtySites.Add(int64(sites))
-	st.plan.ExchangeSparse(st.Comm, st.dirtyCh, st.win, st.applyDirty)
+	ch := st.dirtyCh
+	ch.Class = sec
+	st.plan.ExchangeSparse(st.Comm, ch, st.applyDirty)
 }
 
 // Stats returns the accumulated communication counters.

@@ -1,7 +1,9 @@
 package kmc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +65,20 @@ func TestConfigValidate(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsUnknownProtocol: a Protocol value that names no
+// protocol is a configuration error that names the value, not a run under
+// whichever protocol the engine falls back to.
+func TestValidateRejectsUnknownProtocol(t *testing.T) {
+	for _, p := range []Protocol{2, 7, -1} {
+		cfg := DefaultConfig()
+		cfg.Protocol = p
+		err := cfg.Validate()
+		if want := fmt.Sprintf("unknown protocol Protocol(%d)", int(p)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Protocol(%d): Validate = %v, want an error containing %q", int(p), err, want)
 		}
 	}
 }
@@ -237,7 +253,7 @@ func TestProtocolsProduceIdenticalTrajectories(t *testing.T) {
 		cfg.Grid = grid
 		snapshots := map[Protocol]map[int]uint8{}
 		times := map[Protocol]float64{}
-		for _, proto := range []Protocol{Traditional, OnDemand, OnDemandOneSided} {
+		for _, proto := range []Protocol{Traditional, OnDemand} {
 			cfg.Protocol = proto
 			merged := make(map[int]uint8)
 			mu := make(chan struct{}, 1)
@@ -264,7 +280,7 @@ func TestProtocolsProduceIdenticalTrajectories(t *testing.T) {
 			times[proto] = tEnd
 		}
 		base := snapshots[Traditional]
-		for _, proto := range []Protocol{OnDemand, OnDemandOneSided} {
+		for _, proto := range []Protocol{OnDemand} {
 			other := snapshots[proto]
 			if len(other) != len(base) {
 				t.Fatalf("grid %v %v: %d sites vs %d", grid, proto, len(other), len(base))
@@ -330,41 +346,60 @@ func TestOnDemandCommVolumeMuchSmaller(t *testing.T) {
 	}
 }
 
-func TestOneSidedEliminatesEmptyMessages(t *testing.T) {
+// TestOnDemandMessagesPerCycle pins the scoped flush on the 27-rank 24³
+// drive (kmcsim -cells 24 -gx 3 -gy 3 -gz 3 -conc 4e-3 -cycles 100): a
+// sector of an 8-cell subdomain reaches 7 of its 26 peers, so rank 0 sends
+// 8·7 flushes and one Allreduce per cycle, against 8·26 + 1 = 209 when
+// every sector messaged every peer.
+func TestOnDemandMessagesPerCycle(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cells = [3]int{24, 24, 24}
+	cfg.Grid = [3]int{3, 3, 3}
+	cfg.VacancyConcentration = 4e-3
+	const cycles = 100
+	var msgs int64
+	runWorld(t, cfg, func(st *State) {
+		for i := 0; i < cycles; i++ {
+			st.Cycle()
+		}
+		if st.Comm.Rank() == 0 {
+			msgs = st.Stats().MsgsSent
+		}
+	})
+	perCycle := float64(msgs) / cycles
+	t.Logf("rank 0 sends %.2f messages per cycle", perCycle)
+	if perCycle > 64 {
+		t.Errorf("rank 0 sends %.2f messages per cycle, want <= 64", perCycle)
+	}
+}
+
+// TestEverySectorSiteIsRoutable: on a 3x3x3 grid with uneven slabs, every
+// site an event of sector sec can change (the octant and the one-cell band
+// around it) is flushed in round sec without a record going to a peer the
+// round does not reach, which would panic.
+func TestEverySectorSiteIsRoutable(t *testing.T) {
 	cfg := testConfig()
-	cfg.Cells = [3]int{22, 11, 11}
-	cfg.Grid = [3]int{2, 1, 1}
-	cfg.VacancyConcentration = 2e-4 // very few events
-	msgs := map[Protocol]int64{}
-	for _, proto := range []Protocol{OnDemand, OnDemandOneSided} {
-		cfg.Protocol = proto
-		var total int64
-		mu := make(chan struct{}, 1)
-		mu <- struct{}{}
-		w := mpi.NewWorld(cfg.Ranks())
-		w.Run(func(c *mpi.Comm) {
-			st, err := NewState(cfg, c)
-			if err != nil {
-				panic(err)
-			}
-			if s := st.Stats(); s != (mpi.Stats{}) {
-				t.Errorf("rank %d: NewState (%v) communicated: %+v", c.Rank(), proto, s)
-			}
-			base := st.Stats().MsgsSent
-			for i := 0; i < 5; i++ {
-				st.Cycle()
-			}
-			d := st.Stats().MsgsSent - base
-			<-mu
-			total += d
-			mu <- struct{}{}
-		})
-		msgs[proto] = total
-	}
-	if msgs[OnDemandOneSided] >= msgs[OnDemand] {
-		t.Errorf("one-sided sent %d msgs, two-sided %d: zero-size messages not eliminated",
-			msgs[OnDemandOneSided], msgs[OnDemand])
-	}
+	cfg.Cells = [3]int{13, 12, 11}
+	cfg.Grid = [3]int{3, 3, 3}
+	cfg.Cuts = [3][]int{{0, 3, 9, 13}, {0, 4, 7, 12}, {0, 3, 6, 11}}
+	runWorld(t, cfg, func(st *State) {
+		for sec := 0; sec < 8; sec++ {
+			st.Box.EachOwned(func(c lattice.Coord, _ int) {
+				if st.sectorOf(c) != sec {
+					return
+				}
+				for dz := int32(-1); dz <= 1; dz++ {
+					for dy := int32(-1); dy <= 1; dy++ {
+						for dx := int32(-1); dx <= 1; dx++ {
+							n := st.Box.LocalIndex(lattice.Coord{X: c.X + dx, Y: c.Y + dy, Z: c.Z + dz})
+							st.dirty = append(st.dirty, st.canonical(n), st.canonical(n+1))
+						}
+					}
+				}
+			})
+			st.flushOnDemand(sec)
+		}
+	})
 }
 
 func TestSectorOfCoversAllOctants(t *testing.T) {

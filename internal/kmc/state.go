@@ -53,22 +53,21 @@ type State struct {
 	// bit-identical to.
 	fullRescan bool
 
-	// Ghost plan (internal/halo). Every protocol uses its peer set; only
-	// the traditional protocol gives it classes — per sector a read halo
-	// refreshed before the sector and a one-cell write band pushed back
-	// after it — because the on-demand protocols route dirty sites by
-	// interest instead.
+	// Ghost plan (internal/halo). Its classes are per sector: for the
+	// traditional protocol a read halo refreshed before the sector and a
+	// one-cell write band pushed back after it; for the on-demand protocol
+	// the sparse round that flushes the sector's dirty sites, which routes
+	// them by interest to the peers the sector can reach.
 	plan *halo.Plan
 	// images[d][i] lists, ascending, the storage indices along axis d that
 	// are periodic images of index i (itself included): more than one only
 	// where the local extent exceeds the lattice period on that axis.
 	images [3][][]int
 	// The on-demand flush (ghost.go): canonical local sites changed since
-	// the last flush (unsorted, may repeat), the channel their records
-	// travel on, and the window of the one-sided protocol (nil otherwise).
+	// the last flush (unsorted, may repeat), and the channel their records
+	// travel on.
 	dirty   []int
 	dirtyCh halo.Channel
-	win     *mpi.Win
 
 	rng *rng.Source
 
@@ -121,7 +120,8 @@ func (st *State) AttachTelemetry(reg *telemetry.Registry) {
 	st.dirtyCh.Bytes = reg.Counter("kmc/ghost/dirty-bytes") // on-demand payloads
 }
 
-// NewState builds the rank-local state collectively.
+// NewState builds the rank-local state. It sends no message: the ghost plan
+// is computed from the grid alone.
 func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	st.reads = newReadFootprint(tab, st.en.dependencyReach(reach))
 	st.buildDeltas()
 	st.buildImages()
-	var classes []halo.Class // the on-demand protocols need the peer set only
+	classes := sectorRounds()
 	if cfg.Protocol == Traditional {
 		classes = bandClasses()
 	}
@@ -172,13 +172,6 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	st.dirtyCh = halo.Channel{Pkg: "kmc", Tag: tagKDirty}
 	st.initOccupancy()
 	st.initRho()
-	if cfg.Protocol == OnDemandOneSided {
-		st.win = mpi.NewWin(comm)
-	} else {
-		// Window creation is collective; every rank must make the same
-		// choice, which Config guarantees.
-		comm.Barrier()
-	}
 	return st, nil
 }
 
@@ -274,6 +267,27 @@ func bandClasses() []halo.Class {
 	cs := make([]halo.Class, 16)
 	for sec := 0; sec < 8; sec++ {
 		cs[putBand+sec].Push = true
+	}
+	return cs
+}
+
+// sectorRounds are the classes of the on-demand protocol: round sec flushes
+// what an event of sector sec can change, its octant (as sectorOf splits
+// the subdomain) and the one-cell write band around it.
+func sectorRounds() []halo.Class {
+	cs := make([]halo.Class, 8)
+	for sec := range cs {
+		cs[sec].Region = func(owner *lattice.Box) (lo, hi [3]int) {
+			for d := range lo {
+				mid := owner.Lo[d] + (owner.Hi[d]-owner.Lo[d])/2
+				if sec>>d&1 == 0 {
+					lo[d], hi[d] = owner.Lo[d]-1, mid+1
+				} else {
+					lo[d], hi[d] = mid-1, owner.Hi[d]+1
+				}
+			}
+			return lo, hi
+		}
 	}
 	return cs
 }

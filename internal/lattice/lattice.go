@@ -88,13 +88,15 @@ func wrapInt(v, n int32) int32 {
 	return v
 }
 
-// Position returns the ideal (undisplaced) position of site c in Å.
+// Position returns the ideal (undisplaced) position of site c in Å. Each
+// product is rounded on its own, so no caller fuses it into a later add or
+// subtract (see vec.V.Dot).
 func (l *Lattice) Position(c Coord) vec.V {
-	half := 0.5 * float64(c.B)
+	half := float64(0.5 * float64(c.B))
 	return vec.V{
-		X: (float64(c.X) + half) * l.A,
-		Y: (float64(c.Y) + half) * l.A,
-		Z: (float64(c.Z) + half) * l.A,
+		X: float64((float64(c.X) + half) * l.A),
+		Y: float64((float64(c.Y) + half) * l.A),
+		Z: float64((float64(c.Z) + half) * l.A),
 	}
 }
 

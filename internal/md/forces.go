@@ -967,10 +967,10 @@ func KineticEnergy(s *neighbor.Store) float64 {
 	var ke float64
 	s.Box.EachOwned(func(_ lattice.Coord, local int) {
 		if !s.IsVacancy(local) {
-			ke += 0.5 * s.Type[local].Mass() * s.Vel[local].Norm2()
+			ke += float64(0.5 * s.Type[local].Mass() * s.Vel[local].Norm2())
 		}
 		s.EachRunaway(local, func(_ int32, a *neighbor.Runaway) {
-			ke += 0.5 * a.Type.Mass() * a.Vel.Norm2()
+			ke += float64(0.5 * a.Type.Mass() * a.Vel.Norm2())
 		})
 	})
 	return ke

@@ -188,7 +188,7 @@ func (e *exchange) Migrant(w lattice.Coord, a *neighbor.Runaway) {
 // atoms in the order it queued them.
 func (e *exchange) ExchangeMigrants(place func(anchor lattice.Coord, a neighbor.Runaway)) {
 	sp := e.migrate.Begin()
-	e.plan.ExchangeSparse(e.comm, e.mig, nil, func(u *halo.Unpacker, _ int) {
+	e.plan.ExchangeSparse(e.comm, e.mig, func(u *halo.Unpacker, _ int) {
 		for !u.Done() {
 			anchor := lattice.Coord{
 				X: int32(u.I64()), Y: int32(u.I64()), Z: int32(u.I64()), B: int8(u.U8()),

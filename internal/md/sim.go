@@ -441,7 +441,7 @@ func (r *Rank) applyThermostat(th Berendsen) {
 	if t <= 0 {
 		return
 	}
-	lambda := math.Sqrt(1 + r.Cfg.Dt/th.Tau*(th.Target/t-1))
+	lambda := math.Sqrt(1 + float64(r.Cfg.Dt/th.Tau*(th.Target/t-1)))
 	s := r.Store
 	r.Box.EachOwned(func(_ lattice.Coord, local int) {
 		if !s.IsVacancy(local) {

@@ -1,17 +1,15 @@
 // Package mpi is an in-process message-passing runtime with the subset of
 // MPI semantics the simulation needs: ranks with two-sided tagged
-// send/receive, one-sided windows with Put and fence synchronization (the
-// alternative on-demand implementation of §2.2.1), and the collectives used
-// for time synchronization. (The process grid is lattice.Grid, which every
-// halo plan is computed from; the runtime itself knows only flat ranks.)
+// send/receive, and the collectives used for time synchronization. (The
+// process grid is lattice.Grid, which every halo plan is computed from; the
+// runtime itself knows only flat ranks.)
 //
 // Ranks are goroutines inside one OS process, and each rank has one
-// mailbox. Send and Win.Put copy the payload into the destination mailbox
-// and never block; Recv blocks until a message with the exact source and
-// tag arrives, and Fence drains the puts, which travel under a reserved
-// negative tag. Every rank keeps exact byte and message counters, which is
-// how the communication-volume experiments (paper Figures 12-13) measure
-// both protocols.
+// mailbox. Send copies the payload into the destination mailbox and never
+// blocks; Recv blocks until a message with the exact source and tag
+// arrives. Every rank keeps exact byte and message counters, which is how
+// the communication-volume experiments (paper Figures 12-13) measure both
+// protocols.
 //
 // The substitution of real inter-node MPI by an in-process runtime is
 // documented in DESIGN.md §2: the experiments that matter compare
@@ -65,8 +63,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 // pathStats is the live atomic counter set for one communication path
-// (point-to-point, collective, or one-sided). Atomics let the telemetry
-// flush/HTTP goroutines read counters while ranks are communicating.
+// (point-to-point or collective). Atomics let the telemetry flush/HTTP
+// goroutines read counters while ranks are communicating.
 type pathStats struct {
 	msgsSent  atomic.Int64
 	bytesSent atomic.Int64
@@ -142,7 +140,7 @@ func (p RankPanic) Unwrap() error {
 }
 
 // abort marks the world dead and wakes every rank blocked in a mailbox wait
-// (Recv) or a collective (Barrier/Allreduce/Allgather/Fence). The flag
+// (Recv) or a collective (Barrier/Allreduce/Allgather). The flag
 // is set before the broadcasts and every wait loop rechecks it under its
 // lock, so no wakeup can be missed.
 func (w *World) abort() {
@@ -331,23 +329,21 @@ func (w *World) InjectFault(faults ...Fault) {
 }
 
 // Comm is one rank's endpoint. Communication counters are kept per path
-// (point-to-point, collective, one-sided) in atomics; Stats() snapshots the
-// total and AttachTelemetry folds the per-path counters into a registry.
+// (point-to-point, collective) in atomics; Stats() snapshots the total and
+// AttachTelemetry folds the per-path counters into a registry.
 type Comm struct {
 	world *World
 	rank  int
 	p2p   pathStats
 	coll  pathStats
-	win   pathStats
 }
 
 // Stats returns a snapshot of this rank's total communication counters,
-// summed over the point-to-point, collective, and one-sided paths. Safe to
-// call from any goroutine while the rank is communicating.
+// summed over the point-to-point and collective paths. Safe to call from
+// any goroutine while the rank is communicating.
 func (c *Comm) Stats() Stats {
 	s := c.p2p.snapshot()
 	s.Add(c.coll.snapshot())
-	s.Add(c.win.snapshot())
 	return s
 }
 
@@ -364,7 +360,6 @@ func (c *Comm) AttachTelemetry(reg *telemetry.Registry) {
 	}{
 		{"mpi/p2p", &c.p2p},
 		{"mpi/coll", &c.coll},
-		{"mpi/win", &c.win},
 	}
 	for _, pp := range paths {
 		p := pp.p
@@ -398,19 +393,8 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.world.n }
 
 // Send delivers data to rank `to` with the given tag. The payload is copied;
-// the call never blocks (buffered semantics). Negative tags are reserved for
-// window puts, so a negative tag panics.
+// the call never blocks (buffered semantics).
 func (c *Comm) Send(to, tag int, data []byte) {
-	if tag < 0 {
-		panic(fmt.Sprintf("mpi: send with negative tag %d (reserved for windows)", tag))
-	}
-	c.deliver(to, tag, data)
-	c.p2p.sent(1, int64(len(data)))
-}
-
-// deliver copies data into rank to's mailbox under tag: the one enqueue
-// step of Send and Win.Put, which count their traffic on their own paths.
-func (c *Comm) deliver(to, tag int, data []byte) {
 	if to < 0 || to >= c.world.n {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", to))
 	}
@@ -421,6 +405,7 @@ func (c *Comm) deliver(to, tag int, data []byte) {
 	box.pending = append(box.pending, message{src: c.rank, tag: tag, data: cp})
 	box.mu.Unlock()
 	box.cond.Broadcast()
+	c.p2p.sent(1, int64(len(data)))
 }
 
 // Recv blocks until a message from src with the given tag arrives and

@@ -212,76 +212,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-func TestWindowPutFence(t *testing.T) {
-	const n = 4
-	w := NewWorld(n)
-	w.Run(func(c *Comm) {
-		win := NewWin(c)
-		// Every rank puts its rank byte at rank 0.
-		if c.Rank() != 0 {
-			win.Put(0, []byte{byte(c.Rank())})
-		}
-		got := win.Fence()
-		if c.Rank() == 0 {
-			if len(got) != n-1 {
-				t.Fatalf("rank 0 received %d puts", len(got))
-			}
-			for i, m := range got {
-				if m.Source != i+1 || m.Data[0] != byte(i+1) {
-					t.Errorf("put %d: %+v (must be sorted by source)", i, m)
-				}
-			}
-		} else if len(got) != 0 {
-			t.Errorf("rank %d received %d puts", c.Rank(), len(got))
-		}
-		// Second epoch: nothing pending.
-		if got := win.Fence(); len(got) != 0 {
-			t.Errorf("stale puts leaked into next epoch: %d", len(got))
-		}
-	})
-}
-
-func TestWindowEpochIsolation(t *testing.T) {
-	const n = 2
-	w := NewWorld(n)
-	w.Run(func(c *Comm) {
-		win := NewWin(c)
-		for epoch := 0; epoch < 5; epoch++ {
-			if c.Rank() == 0 {
-				win.Put(1, []byte{byte(epoch)})
-			}
-			got := win.Fence()
-			if c.Rank() == 1 {
-				if len(got) != 1 || got[0].Data[0] != byte(epoch) {
-					t.Errorf("epoch %d: got %+v", epoch, got)
-				}
-			}
-		}
-	})
-}
-
-func TestWindowNoZeroSizeMessages(t *testing.T) {
-	// The one-sided path must not require idle neighbors to send anything:
-	// a rank that puts nothing contributes zero messages.
-	const n = 3
-	w := NewWorld(n)
-	stats := make([]Stats, n)
-	w.Run(func(c *Comm) {
-		win := NewWin(c)
-		if c.Rank() == 1 {
-			win.Put(0, []byte{42})
-		}
-		win.Fence()
-		stats[c.Rank()] = c.Stats()
-	})
-	if stats[2].MsgsSent != 0 {
-		t.Errorf("idle rank sent %d messages", stats[2].MsgsSent)
-	}
-	if stats[1].MsgsSent != 1 {
-		t.Errorf("active rank sent %d messages", stats[1].MsgsSent)
-	}
-}
-
 func TestWorldValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -301,70 +231,6 @@ func TestSendInvalidRankPanics(t *testing.T) {
 	w.Run(func(c *Comm) {
 		c.Send(5, 0, nil)
 	})
-}
-
-// TestSendNegativeTagPanics: negative tags are the window's, so Send must
-// refuse them rather than slip a message into the next Fence.
-func TestSendNegativeTagPanics(t *testing.T) {
-	w := NewWorld(2)
-	p := runWithTimeout(t, w, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, -1, []byte{1})
-		}
-	})
-	if p == nil || !strings.Contains(fmt.Sprint(p), "negative tag") {
-		t.Fatalf("Send with tag -1: recovered %v, want a negative-tag panic", p)
-	}
-}
-
-// TestWindowAndSendShareMailbox: puts and two-sided messages travel through
-// the same mailbox, so in one epoch a rank that both sends and puts to a
-// peer must see the put only in Fence and the message only in Recv, in
-// either order, and each path counts only its own traffic.
-func TestWindowAndSendShareMailbox(t *testing.T) {
-	for _, recvFirst := range []bool{false, true} {
-		w := NewWorld(2)
-		comms := make([]*Comm, 2)
-		w.Run(func(c *Comm) {
-			comms[c.Rank()] = c
-			win := NewWin(c)
-			var msg []byte
-			if c.Rank() == 0 {
-				c.Send(1, 7, []byte("message"))
-				win.Put(1, []byte("put"))
-			} else if recvFirst {
-				msg = c.Recv(0, 7)
-			}
-			puts := win.Fence()
-			if c.Rank() == 0 {
-				return
-			}
-			if !recvFirst {
-				msg = c.Recv(0, 7)
-			}
-			if string(msg) != "message" {
-				t.Errorf("recvFirst=%v: Recv got %q", recvFirst, msg)
-			}
-			if len(puts) != 1 || puts[0].Source != 0 || string(puts[0].Data) != "put" {
-				t.Errorf("recvFirst=%v: Fence got %+v", recvFirst, puts)
-			}
-		})
-		for path, got := range map[string][2]Stats{
-			"p2p": {comms[0].p2p.snapshot(), comms[1].p2p.snapshot()},
-			"win": {comms[0].win.snapshot(), comms[1].win.snapshot()},
-		} {
-			size := int64(len("message"))
-			if path == "win" {
-				size = int64(len("put"))
-			}
-			if want := (Stats{MsgsSent: 1, BytesSent: size}); got[0] != want {
-				t.Errorf("recvFirst=%v: rank 0 %s counters %+v, want %+v", recvFirst, path, got[0], want)
-			}
-			if want := (Stats{MsgsRecv: 1, BytesRecv: size}); got[1] != want {
-				t.Errorf("recvFirst=%v: rank 1 %s counters %+v, want %+v", recvFirst, path, got[1], want)
-			}
-		}
-	}
 }
 
 func TestManyRanksPipeline(t *testing.T) {
@@ -529,7 +395,7 @@ func BenchmarkBarrier(b *testing.B) {
 }
 
 // TestStatsSymmetry drives every communication path — point-to-point,
-// Allreduce, Allgather, and one-sided Put/Fence — and asserts that the
+// Allreduce and Allgather — and asserts that the
 // world-global sent counters equal the world-global recv counters, both in
 // messages and bytes. Collectives used to count only the send side.
 func TestStatsSymmetry(t *testing.T) {
@@ -544,12 +410,6 @@ func TestStatsSymmetry(t *testing.T) {
 
 		c.Allreduce(Sum, 1, 2, 3)
 		c.Allgather(bytes.Repeat([]byte{byte(c.Rank())}, 5*(c.Rank()+1)))
-
-		win := NewWin(c)
-		if c.Rank()%2 == 0 {
-			win.Put((c.Rank()+1)%n, make([]byte, 64))
-		}
-		win.Fence()
 
 		stats[c.Rank()] = c.Stats()
 	})

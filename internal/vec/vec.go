@@ -15,8 +15,9 @@ func (a V) Add(b V) V { return V{a.X + b.X, a.Y + b.Y, a.Z + b.Z} }
 // Sub returns a - b.
 func (a V) Sub(b V) V { return V{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 
-// Scale returns s * a.
-func (a V) Scale(s float64) V { return V{s * a.X, s * a.Y, s * a.Z} }
+// Scale returns s * a, each product rounded (no FMA with a later add; see
+// Dot).
+func (a V) Scale(s float64) V { return V{float64(s * a.X), float64(s * a.Y), float64(s * a.Z)} }
 
 // Dot returns the inner product of a and b. Each product is rounded on its
 // own (the float64 conversions): Go may otherwise fuse a multiply and an add
