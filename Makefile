@@ -128,17 +128,18 @@ test:
 # The hot concurrent packages run first with -count=1 so the race detector
 # always re-executes them (a cached "ok" proves nothing); internal/couple
 # joins the list because the checkpoint coordinator and fault-injection
-# recovery tests exercise the rank-abort paths across goroutines, and
+# recovery tests exercise the rank-abort paths across goroutines,
 # internal/kmc because its incremental rate cache is updated by the ghost
-# exchanges of every multi-rank world its tests run. The full
-# suite then runs under -race as well. Both passes shuffle test and subtest
+# exchanges of every multi-rank world its tests run, and internal/eam
+# because every rank of a world fills its process-wide potential cache at
+# once. The full suite then runs under -race as well. Both passes shuffle test and subtest
 # order so latent ordering assumptions surface instead of calcifying (the
 # seed is printed on failure for replay with -shuffle=<seed>).
 # The explicit -timeout lifts the 10m per-package default: internal/couple
 # alone (recovery + elastic + campaign suites) runs well past it under the
 # race detector.
 race:
-	$(GO) test -race -count=1 -shuffle=on -timeout 45m ./internal/md ./internal/mpi ./internal/couple ./internal/telemetry ./internal/kmc
+	$(GO) test -race -count=1 -shuffle=on -timeout 45m ./internal/md ./internal/mpi ./internal/couple ./internal/telemetry ./internal/kmc ./internal/eam
 	$(GO) test -race -shuffle=on -timeout 45m ./...
 
 # The fault-injection recovery gate on its own: crash a coupled run at an

@@ -32,7 +32,8 @@ func (m Mode) String() string {
 // Potential is the complete EAM parametrization for a set of species: pair
 // and density tables for every species pair, and an embedding table per
 // species. The rMin..Cutoff range covers the short-range ZBL core needed by
-// cascade collisions.
+// cascade collisions. A built Potential is never written to: Shared hands
+// one instance to every rank and job of the process.
 type Potential struct {
 	Mode     Mode
 	Cutoff   float64
@@ -43,6 +44,7 @@ type Potential struct {
 	dens  [units.NumElements][units.NumElements]*Table
 	embed [units.NumElements]*Table
 
+	points int // table segments, the resolution Shared keys on
 	rhoMax float64
 }
 
@@ -51,7 +53,8 @@ type Potential struct {
 const tableRMin = 0.05
 
 // NewFe builds the single-species iron potential with the given evaluation
-// mode and table resolution (use TablePoints for the paper's layout).
+// mode and table resolution (use TablePoints for the paper's layout). Each
+// call builds fresh tables; the engines take theirs from Shared.
 func NewFe(mode Mode, points int) *Potential {
 	return build(mode, points, []units.Element{units.Fe})
 }
@@ -79,7 +82,7 @@ func CutoffOf(elems ...units.Element) float64 {
 }
 
 func build(mode Mode, points int, elems []units.Element) *Potential {
-	p := &Potential{Mode: mode, RMin: tableRMin, Elements: elems, Cutoff: CutoffOf(elems...)}
+	p := &Potential{Mode: mode, RMin: tableRMin, Elements: elems, Cutoff: CutoffOf(elems...), points: points}
 	// ρ range: several times the perfect-crystal density leaves room for
 	// the strongly compressed environments inside a cascade core.
 	for _, a := range elems {

@@ -181,16 +181,19 @@ func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }
 // decomposition (Validate refuses thinner subdomains), which topology
 // choosers must respect when picking a grid for elastic restart.
 func (c *Config) GhostWidth() int {
-	cutoff := eam.CutoffOf(units.Fe)
-	if c.alloy() {
-		cutoff = eam.CutoffOf(units.Fe, units.Cu)
-	}
+	cutoff := eam.CutoffOf(c.elements()...)
 	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
 	return 2*l.NeighborOffsets(cutoff).MaxCellReach() + 1
 }
 
-// alloy reports whether the run needs the Fe-Cu potential instead of pure Fe.
-func (c *Config) alloy() bool { return c.CuConcentration > 0 || len(c.CuSites) > 0 }
+// elements returns the species of the run's potential: Fe, and Cu when the
+// run needs the Fe-Cu alloy.
+func (c *Config) elements() []units.Element {
+	if c.CuConcentration > 0 || len(c.CuSites) > 0 {
+		return []units.Element{units.Fe, units.Cu}
+	}
+	return []units.Element{units.Fe}
+}
 
 // NumSites returns the number of lattice sites.
 func (c *Config) NumSites() int { return 2 * c.Cells[0] * c.Cells[1] * c.Cells[2] }

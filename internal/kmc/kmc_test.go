@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mdkmc/internal/eam"
 	"mdkmc/internal/halo"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
@@ -729,4 +730,19 @@ func TestStateMemoryPerSite(t *testing.T) {
 				st.Comm.Rank(), perSite)
 		}
 	})
+}
+
+// TestStatesSharePotential: every rank of an 8-rank alloy world, and of a
+// second world after it, reads the one Fe-Cu potential eam.Shared holds.
+func TestStatesSharePotential(t *testing.T) {
+	cfg := alloyConfig()
+	cfg.Grid = [3]int{2, 2, 2}
+	want := eam.Shared(eam.Compacted, eam.TablePoints, units.Fe, units.Cu)
+	for world := 0; world < 2; world++ {
+		runWorld(t, cfg, func(st *State) {
+			if st.Pot != want {
+				t.Errorf("world %d rank %d: potential is not the shared instance", world, st.Comm.Rank())
+			}
+		})
+	}
 }

@@ -121,7 +121,8 @@ func (st *State) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // NewState builds the rank-local state. It sends no message: the ghost plan
-// is computed from the grid alone.
+// is computed from the grid alone, and the potential is the process's
+// shared instance.
 func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -135,12 +136,7 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pot *eam.Potential
-	if cfg.alloy() {
-		pot = eam.NewFeCu(eam.Compacted, eam.TablePoints)
-	} else {
-		pot = eam.NewFe(eam.Compacted, eam.TablePoints)
-	}
+	pot := eam.Shared(eam.Compacted, eam.TablePoints, cfg.elements()...)
 	tab := l.NeighborOffsets(pot.Cutoff)
 	reach := tab.MaxCellReach()
 	// Ghost wide enough that ρ stays valid one cell beyond the owned
@@ -181,7 +177,8 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 // lists and the dirty-site queue at their current capacities; and the
 // ghost plan — the quantity a capacity claim (how many sites fit a node)
 // has to be made from. The potential's tables are input, not counted, as
-// in md.Rank.MemoryBytes.
+// in md.Rank.MemoryBytes: one instance (eam.Shared) serves every rank of
+// the process.
 func (st *State) MemoryBytes() int {
 	n := len(st.Occ) + 8*len(st.Rho) + int(unsafe.Sizeof(st.en.cache)) +
 		len(st.reads.in) + 8*cap(st.dirty) + st.plan.MemoryBytes()
@@ -473,32 +470,75 @@ func (st *State) placeSite(g int, occ uint8) {
 
 // initRho computes the electron density of every local site from scratch.
 // Values are exact wherever the full neighborhood is inside the local
-// region; the outermost halo shell is approximate and never consulted.
+// region; the outermost halo shell is left zero and never consulted. At the
+// dilute concentrations KMC runs at almost every site sees an all-Fe shell,
+// so an interior site takes its basis's perfect-crystal sum — the same
+// table values added in the same order as a site's own sum adds them, hence
+// the same bits — unless it lies within the shell of a non-Fe site (a
+// vacancy or Cu atom, halo images included). Only the cells holding such a
+// site are summed over their shells, each once; where the non-Fe sites'
+// shells would outnumber the sites (a concentrated alloy), every interior
+// cell is.
 func (st *State) initRho() {
+	// fk[b][k][occ] is fval(occ, b, k), zero for a vacancy: one load per
+	// shell site below, indexed by occ&3 so that no bounds check is needed.
+	var fk [2][][4]float64
+	var bulk [2]float64
+	for b := range fk {
+		fk[b] = make([][4]float64, len(st.deltas[b]))
+		for k := range fk[b] {
+			for occ := uint8(0); occ < numSpecies; occ++ {
+				fk[b][k][occ] = st.en.shells.fval(occ, b, k)
+			}
+			bulk[b] += fk[b][k][Atom]
+		}
+	}
+	// near[c] marks cell c within the shell of a non-Fe site. The shell
+	// relation is symmetric: the sites whose shell holds j are those of j's
+	// own shell. Flat deltas from a site within reach of the storage edge
+	// wrap across a row, plane or the array's end; a wrapped one lands in
+	// the outer shell or outside the array, so its mark is never read.
+	// Past budget non-Fe sites the marks would outnumber the sites: near
+	// is dropped and every interior cell summed.
+	near := make([]bool, len(st.Occ)/2)
+	budget := len(st.Occ) / len(st.deltas[0])
+	for j, occ := range st.Occ {
+		if occ == Atom {
+			continue
+		}
+		if budget--; budget < 0 {
+			near = nil
+			break
+		}
+		for _, d := range st.deltas[j&1] {
+			if i := j + int(d); uint(i) < uint(len(st.Occ)) {
+				near[i>>1] = true
+			}
+		}
+	}
+	// A cell's two sites are summed together: two independent chains of
+	// additions, each in the order bulk was summed in. Both bases of the
+	// BCC lattice see shells of one size.
 	st.Rho = make([]float64, len(st.Occ))
-	box := st.Box
-	ex, ey, ez := box.Ext(0), box.Ext(1), box.Ext(2)
-	for lz := 0; lz < ez; lz++ {
-		for ly := 0; ly < ey; ly++ {
-			for lx := 0; lx < ex; lx++ {
-				// Skip the outermost shell: its neighborhoods leave the
-				// local region.
-				interior := lx >= st.reach && lx < ex-st.reach &&
-					ly >= st.reach && ly < ey-st.reach &&
-					lz >= st.reach && lz < ez-st.reach
-				if !interior {
+	ex, ey, ez := st.Box.Ext(0), st.Box.Ext(1), st.Box.Ext(2)
+	r := st.reach
+	d0, d1 := st.deltas[0], st.deltas[1][:len(st.deltas[0])]
+	f0, f1 := fk[0][:len(d0)], fk[1][:len(d0)]
+	for lz := r; lz < ez-r; lz++ {
+		for ly := r; ly < ey-r; ly++ {
+			row := (lz*ey+ly)*ex + r
+			for cell := row; cell < row+ex-2*r; cell++ {
+				c := 2 * cell
+				if near != nil && !near[cell] {
+					st.Rho[c], st.Rho[c+1] = bulk[0], bulk[1]
 					continue
 				}
-				base := ((lz*ey+ly)*ex + lx) * 2
-				for b := 0; b < 2; b++ {
-					local := base + b
-					var rho float64
-					for k, d := range st.deltas[b] {
-						j := local + int(d)
-						rho += st.en.shells.fval(st.Occ[j], b, k)
-					}
-					st.Rho[local] = rho
+				var rho0, rho1 float64
+				for k, d := range d0 {
+					rho0 += f0[k][st.Occ[c+int(d)]&3]
+					rho1 += f1[k][st.Occ[c+1+int(d1[k])]&3]
 				}
+				st.Rho[c], st.Rho[c+1] = rho0, rho1
 			}
 		}
 	}

@@ -201,16 +201,19 @@ func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }
 // feasibility constraint so a fitted decomposition never produces a slab
 // narrower than its own halo.
 func (c *Config) GhostWidth() int {
-	cutoff := eam.CutoffOf(units.Fe)
-	if c.alloy() {
-		cutoff = eam.CutoffOf(units.Fe, units.Cu)
-	}
+	cutoff := eam.CutoffOf(c.elements()...)
 	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
 	return l.NeighborOffsets(cutoff + WideMargin).MaxCellReach()
 }
 
-// alloy reports whether the run needs the Fe-Cu potential instead of pure Fe.
-func (c *Config) alloy() bool { return c.Species == units.Cu || c.CuFraction > 0 }
+// elements returns the species of the run's potential: Fe, and Cu when the
+// run needs the Fe-Cu alloy.
+func (c *Config) elements() []units.Element {
+	if c.Species == units.Cu || c.CuFraction > 0 {
+		return []units.Element{units.Fe, units.Cu}
+	}
+	return []units.Element{units.Fe}
+}
 
 // NumAtoms returns the initial atom count (2 per BCC cell).
 func (c *Config) NumAtoms() int { return 2 * c.Cells[0] * c.Cells[1] * c.Cells[2] }

@@ -10,6 +10,7 @@ import (
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/neighbor"
 	"mdkmc/internal/telemetry"
+	"mdkmc/internal/units"
 	"mdkmc/internal/vec"
 )
 
@@ -596,5 +597,21 @@ func TestSoftwareCacheSlowerThanBuffer(t *testing.T) {
 	if times[true] <= times[false] {
 		t.Errorf("software cache (%.3g s) not slower than buffer mode (%.3g s)",
 			times[true], times[false])
+	}
+}
+
+// TestRanksSharePotential: every rank of an 8-rank world, and of a second
+// world after it, reads the one potential eam.Shared holds for the key.
+func TestRanksSharePotential(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cells = [3]int{12, 12, 12}
+	cfg.Grid = [3]int{2, 2, 2}
+	want := eam.Shared(cfg.Mode, cfg.TablePoints, units.Fe)
+	for world := 0; world < 2; world++ {
+		runWorld(t, cfg, func(r *Rank) {
+			if r.Pot != want {
+				t.Errorf("world %d rank %d: potential is not the shared instance", world, r.Comm.Rank())
+			}
+		})
 	}
 }

@@ -97,12 +97,7 @@ func NewRank(cfg Config, comm *mpi.Comm) (*Rank, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pot *eam.Potential
-	if cfg.alloy() {
-		pot = eam.NewFeCu(cfg.Mode, cfg.TablePoints)
-	} else {
-		pot = eam.NewFe(cfg.Mode, cfg.TablePoints)
-	}
+	pot := eam.Shared(cfg.Mode, cfg.TablePoints, cfg.elements()...)
 	// The wide table must reach every possible run-away pairing.
 	tab := l.NeighborOffsets(pot.Cutoff + WideMargin)
 	box := grid.Box(comm.Rank(), tab.MaxCellReach())
@@ -273,7 +268,9 @@ func (r *Rank) computeForces() {
 // MemoryBytes returns the heap footprint of what the rank holds for its
 // atoms — the lattice neighbor list, the force field's statics and pair
 // stream, and the ghost-exchange plan with its buffers — the quantity a
-// capacity claim (how many atoms fit a node) has to be made from.
+// capacity claim (how many atoms fit a node) has to be made from. The
+// potential's tables are input, not counted: one instance (eam.Shared)
+// serves every rank of the process.
 func (r *Rank) MemoryBytes() int {
 	return r.Store.MemoryBytes() + r.FF.MemoryBytes() + r.Ex.plan.MemoryBytes()
 }

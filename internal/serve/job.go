@@ -61,6 +61,11 @@ type Job struct {
 	Dose     *DoseStatus // final campaign ledger (campaign jobs, once done)
 	History  []Transition
 
+	// maxSlots is Spec.maxFeasibleSlots of the server's pool, set when the
+	// job first enters the queue so that no scheduling pass builds its
+	// config. It is not journaled: a recovered job computes it again.
+	maxSlots int
+
 	preempt *mdkmc.Preemptor // current attempt's eviction handle
 	hub     *hub
 	dir     string // job directory: checkpoints and artifacts

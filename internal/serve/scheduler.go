@@ -188,8 +188,12 @@ func (s *Server) Submit(spec JobSpec, fault string) (*JobStatus, error) {
 }
 
 // enqueueLocked inserts j into the waiting queue at its policy position:
-// priority descending, submission sequence ascending.
+// priority descending, submission sequence ascending. A job entering it for
+// the first time gets its slot ceiling.
 func (s *Server) enqueueLocked(j *Job) {
+	if j.maxSlots == 0 {
+		j.maxSlots = j.Spec.maxFeasibleSlots(s.cfg.Slots)
+	}
 	at := len(s.queue)
 	for i, q := range s.queue {
 		if j.Spec.Priority > q.Spec.Priority ||
@@ -210,7 +214,7 @@ func (s *Server) scheduleLocked() {
 	}
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		want := head.Spec.maxFeasibleSlots(s.cfg.Slots)
+		want := head.maxSlots
 		if s.free > 0 {
 			grant := min(want, s.free)
 			s.startLocked(head, grant)

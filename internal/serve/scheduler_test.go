@@ -422,6 +422,34 @@ func TestEqualPriorityDoesNotPreempt(t *testing.T) {
 	awaitState(t, s, b.ID, StateDone)
 }
 
+// TestBlockedPassDoesNotAllocate: a scheduling pass that can neither start
+// the queue head nor evict for it (every slot held by equal-priority work)
+// builds no job config and allocates nothing; the head's slot ceiling was
+// fixed when it was queued.
+func TestBlockedPassDoesNotAllocate(t *testing.T) {
+	s, r := newTestServer(t, func(c *Config) { c.Slots = 1 })
+	a, _ := s.Submit(mdSpec(5, 1), "")
+	nextStarted(t, r)
+	b, _ := s.Submit(mdSpec(5, 4), "")
+	allocs := testing.AllocsPerRun(50, func() {
+		s.mu.Lock()
+		s.scheduleLocked()
+		s.mu.Unlock()
+	})
+	if allocs != 0 {
+		t.Errorf("a blocked scheduling pass allocates %v times, want 0", allocs)
+	}
+	if st, _ := s.Status(b.ID); st.State != StateQueued {
+		t.Fatalf("head %s is %s, want it still queued", b.ID, st.State)
+	}
+	r.finish(a.ID, RunResult{}, nil)
+	if rc := nextStarted(t, r); rc.JobID != b.ID || rc.Slots != 1 {
+		t.Errorf("next attempt %s on %d slots, want %s on the pool's 1", rc.JobID, rc.Slots, b.ID)
+	}
+	r.finish(b.ID, RunResult{}, nil)
+	awaitState(t, s, b.ID, StateDone)
+}
+
 func TestFailedJobIsTerminal(t *testing.T) {
 	s, r := newTestServer(t, nil)
 	st, _ := s.Submit(mdSpec(0, 1), "")
