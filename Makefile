@@ -190,9 +190,12 @@ bench-compare:
 # The incremental-vs-rescan KMC cycle contrast (EXPERIMENTS.md), with B/op
 # and allocs/op (the benchmark calls ReportAllocs); the zero-allocation
 # promise of the rate kernel itself is a tier-1 test,
-# TestRateKernelDoesNotAllocate.
+# TestRateKernelDoesNotAllocate. Then the per-event cost of one rank at
+# 16³, 64³ and 96³ cells (ROADMAP item 21): µs, ΔE evaluations and
+# rate-cache visits per executed event.
 bench-kmc:
 	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x ./internal/kmc
+	$(GO) test -run '^$$' -bench 'BenchmarkKMCEventCost' ./internal/kmc
 
 # The serial-vs-pooled MD step contrast on a 20^3 box (EXPERIMENTS.md).
 bench-md:

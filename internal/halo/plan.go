@@ -119,31 +119,43 @@ func (pl *Plan) MemoryBytes() int {
 // eachGhost calls fn for every cell of box's ghost shell in holder order,
 // with its wrapped image and the rank owning that. The grid is rectilinear,
 // so wrapping and ownership are tabulated per axis once instead of being
-// recomputed for every cell.
+// recomputed for every cell: the owner is the sum of the three axes' shares
+// of the rank index, and a row that is inside the halo on y and z holds
+// shell cells only at its two x ends.
 func eachGhost(grid *lattice.Grid, box *lattice.Box, fn func(c, w lattice.Coord, owner int)) {
 	var wrapped [3][]int32 // wrapped coordinate of each storage index
-	var slot [3][]int      // process-grid slot owning it
+	var share [3][]int     // its process-grid slot times the axis's rank stride
+	stride := [3]int{1, grid.Px, grid.Px * grid.Py}
 	for d := range wrapped {
 		wrapped[d] = make([]int32, box.Ext(d))
-		slot[d] = make([]int, box.Ext(d))
+		share[d] = make([]int, box.Ext(d))
 		for i := range wrapped[d] {
 			// Wrap treats each component by its own dimension.
 			v := int32(box.Lo[d] - box.Ghost + i)
 			w := grid.L.Wrap(lattice.Coord{X: v, Y: v, Z: v})
 			wrapped[d][i] = [3]int32{w.X, w.Y, w.Z}[d]
-			slot[d][i] = grid.Slot(d, v)
+			share[d][i] = grid.Slot(d, v) * stride[d]
 		}
 	}
 	g := box.Ghost
 	inner := func(d, i int) bool { return i >= g && i < box.Ext(d)-g }
+	ex := box.Ext(0)
+	all := [2][2]int{{0, ex}, {ex, ex}}
+	ends := [2][2]int{{0, g}, {ex - g, ex}}
 	for k, wz := range wrapped[2] {
 		for j, wy := range wrapped[1] {
-			for i, wx := range wrapped[0] {
-				if inner(0, i) && inner(1, j) && inner(2, k) {
-					continue
+			runs := all
+			if inner(1, j) && inner(2, k) {
+				runs = ends
+			}
+			c := lattice.Coord{Y: int32(box.Lo[1] - g + j), Z: int32(box.Lo[2] - g + k)}
+			w := lattice.Coord{Y: wy, Z: wz}
+			yz := share[1][j] + share[2][k]
+			for _, run := range runs {
+				for i := run[0]; i < run[1]; i++ {
+					c.X, w.X = int32(box.Lo[0]-g+i), wrapped[0][i]
+					fn(c, w, share[0][i]+yz)
 				}
-				c := lattice.Coord{X: int32(box.Lo[0] - g + i), Y: int32(box.Lo[1] - g + j), Z: int32(box.Lo[2] - g + k)}
-				fn(c, lattice.Coord{X: wx, Y: wy, Z: wz}, grid.Rank(slot[0][i], slot[1][j], slot[2][k]))
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package kmc
 
 import (
+	"fmt"
 	"testing"
 
 	"mdkmc/internal/mpi"
+	"mdkmc/internal/telemetry"
 )
 
 // BenchmarkKMCCycle contrasts the incremental event-rate cache against the
@@ -101,6 +103,47 @@ func BenchmarkInitRho(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st.Rho = initRhoRef(st)
 			}
+		})
+	}
+}
+
+// BenchmarkKMCEventCost is the per-event cost of the rate engine on one
+// rank as the subdomain grows (ROADMAP item 21): 16³, 64³ and 96³ cells at
+// vacancy concentration 4e-3, timed after 200 warm-up cycles. It runs whole
+// cycles until b.N events have executed (a cycle executes about one on
+// one rank, sometimes none). Besides µs per executed event it reports, per
+// event, the ΔE evaluations (kmc/hop-evaluations) and the cache entries
+// read by the sector sums and the selection walk (kmc/rate-visits), which
+// do not depend on the host.
+func BenchmarkKMCEventCost(b *testing.B) {
+	for _, cells := range []int{16, 64, 96} {
+		cfg := DefaultConfig()
+		cfg.Cells = [3]int{cells, cells, cells}
+		cfg.VacancyConcentration = 4e-3
+		cfg.Seed = 3
+		var st *State
+		mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+			s, err := NewState(cfg, c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				s.Cycle()
+			}
+			st = s
+		})
+		b.Run(fmt.Sprintf("cells-%d", cells), func(b *testing.B) {
+			var evals, visits telemetry.Counter
+			st.tel.hopEvals, st.tel.visits = &evals, &visits
+			events := 0
+			for events < b.N {
+				events += st.Cycle()
+			}
+			b.StopTimer()
+			per := func(n int64) float64 { return float64(n) / float64(events) }
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(events), "µs/event")
+			b.ReportMetric(per(evals.Value()), "evals/event")
+			b.ReportMetric(per(visits.Value()), "visits/event")
 		})
 	}
 }

@@ -105,49 +105,58 @@ func DefaultConfig() Config {
 // cannot use: every subdomain slab must be at least GhostWidth cells wide.
 // Callers check a run whole before any rank starts (NewState validates too).
 func (c *Config) Validate() error {
+	_, _, err := c.layout()
+	return err
+}
+
+// layout validates c and returns what the checks build and NewState uses:
+// the process grid over the lattice, and the neighbor offset table of the
+// run's potential cutoff.
+func (c *Config) layout() (*lattice.Grid, *lattice.OffsetTable, error) {
 	for d := 0; d < 3; d++ {
 		if c.Cells[d] <= 0 || c.Grid[d] <= 0 {
-			return fmt.Errorf("kmc: non-positive cells %v or grid %v", c.Cells, c.Grid)
+			return nil, nil, fmt.Errorf("kmc: non-positive cells %v or grid %v", c.Cells, c.Grid)
 		}
 	}
 	if !positive(c.A) {
-		return fmt.Errorf("kmc: lattice constant %v is not positive and finite", c.A)
+		return nil, nil, fmt.Errorf("kmc: lattice constant %v is not positive and finite", c.A)
 	}
 	if !positive(c.Temperature) {
-		return fmt.Errorf("kmc: temperature %v is not positive and finite", c.Temperature)
+		return nil, nil, fmt.Errorf("kmc: temperature %v is not positive and finite", c.Temperature)
 	}
 	if !positive(c.Nu) || !positive(c.Em) {
-		return fmt.Errorf("kmc: rate parameters nu=%v em=%v are not positive and finite", c.Nu, c.Em)
+		return nil, nil, fmt.Errorf("kmc: rate parameters nu=%v em=%v are not positive and finite", c.Nu, c.Em)
 	}
 	if !(c.VacancyConcentration >= 0 && c.VacancyConcentration <= 0.5) {
-		return fmt.Errorf("kmc: vacancy concentration %v out of range", c.VacancyConcentration)
+		return nil, nil, fmt.Errorf("kmc: vacancy concentration %v out of range", c.VacancyConcentration)
 	}
 	if !(c.CuConcentration >= 0 && c.CuConcentration <= 0.5) {
-		return fmt.Errorf("kmc: copper concentration %v out of range", c.CuConcentration)
+		return nil, nil, fmt.Errorf("kmc: copper concentration %v out of range", c.CuConcentration)
 	}
 	if !(c.EmCu >= 0) || math.IsInf(c.EmCu, 1) {
-		return fmt.Errorf("kmc: copper migration barrier %v is negative or not finite", c.EmCu)
+		return nil, nil, fmt.Errorf("kmc: copper migration barrier %v is negative or not finite", c.EmCu)
 	}
 	if !positive(c.DtFactor) {
-		return fmt.Errorf("kmc: dt factor %v is not positive and finite", c.DtFactor)
+		return nil, nil, fmt.Errorf("kmc: dt factor %v is not positive and finite", c.DtFactor)
 	}
 	if c.Protocol != Traditional && c.Protocol != OnDemand {
-		return fmt.Errorf("kmc: unknown protocol %v", c.Protocol)
+		return nil, nil, fmt.Errorf("kmc: unknown protocol %v", c.Protocol)
 	}
 	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
 	grid, err := lattice.NewGridCuts(l, c.Grid[0], c.Grid[1], c.Grid[2], c.Cuts)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	ghost := c.GhostWidth()
+	tab := l.NeighborOffsets(eam.CutoffOf(c.elements()...))
+	ghost := ghostWidth(tab)
 	for d, cs := range grid.Cuts() {
 		for i := 1; i < len(cs); i++ {
 			if w := cs[i] - cs[i-1]; w < ghost {
-				return fmt.Errorf("kmc: subdomain dim %d (%d cells) thinner than ghost %d", d, w, ghost)
+				return nil, nil, fmt.Errorf("kmc: subdomain dim %d (%d cells) thinner than ghost %d", d, w, ghost)
 			}
 		}
 	}
-	return nil
+	return grid, tab, nil
 }
 
 // positive reports whether x is positive and finite (NaN is not).
@@ -181,10 +190,18 @@ func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }
 // decomposition (Validate refuses thinner subdomains), which topology
 // choosers must respect when picking a grid for elastic restart.
 func (c *Config) GhostWidth() int {
-	cutoff := eam.CutoffOf(c.elements()...)
 	l := lattice.New(c.Cells[0], c.Cells[1], c.Cells[2], c.A)
-	return 2*l.NeighborOffsets(cutoff).MaxCellReach() + 1
+	return ghostWidth(l.NeighborOffsets(eam.CutoffOf(c.elements()...)))
 }
+
+// ghostWidth returns the halo width in cells for the offset table of the
+// potential: the Chebyshev cell radius within which an occupancy change can
+// alter a vacancy's hop rates, and so the bound of the rate cache's read
+// footprint (readFootprint). The hop target sits one cell from the vacancy;
+// the pair shells and the embedding bystanders extend another `reach` cells
+// (occupancy read directly, radius reach+1); and each bystander's ρ sums
+// occupancy a further `reach` cells out (radius 2·reach+1).
+func ghostWidth(tab *lattice.OffsetTable) int { return 2*tab.MaxCellReach() + 1 }
 
 // elements returns the species of the run's potential: Fe, and Cu when the
 // run needs the Fe-Cu alloy.

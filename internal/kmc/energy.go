@@ -45,6 +45,14 @@ type shellTables struct {
 	// f[src][basis][k]: density contributed by a source atom of the given
 	// species code.
 	f [numSpecies][2][]float64
+	// The kernels' layout of the same values, padded so that the occupancy
+	// code of the far site indexes them without a branch: phiPad[a][basis]
+	// [k][t] is phi[a][t][basis][k] and fPad[basis][k][t] is f[t][basis][k],
+	// both +0 where t is Vacant or a species the potential was not built
+	// with. A sum that starts at +0 keeps its bits when +0 is added (it can
+	// never reach −0), so adding the padding is adding nothing.
+	phiPad [numSpecies][2][][4]float64
+	fPad   [2][][4]float64
 }
 
 func newShellTables(pot *eam.Potential, tab *lattice.OffsetTable) *shellTables {
@@ -57,8 +65,10 @@ func newShellTables(pot *eam.Potential, tab *lattice.OffsetTable) *shellTables {
 	}
 	for b := 0; b < 2; b++ {
 		offs := tab.PerBase[b]
+		st.fPad[b] = make([][4]float64, len(offs))
 		for _, sa := range species {
 			st.f[sa][b] = make([]float64, len(offs))
+			st.phiPad[sa][b] = make([][4]float64, len(offs))
 			for _, sb := range species {
 				st.phi[sa][sb][b] = make([]float64, len(offs))
 			}
@@ -67,9 +77,11 @@ func newShellTables(pot *eam.Potential, tab *lattice.OffsetTable) *shellTables {
 			for _, sa := range species {
 				fv, _ := pot.Density(units.Fe, elementOf(sa), o.R)
 				st.f[sa][b][k] = fv
+				st.fPad[b][k][sa] = fv
 				for _, sb := range species {
 					pv, _ := pot.Pair(elementOf(sa), elementOf(sb), o.R)
 					st.phi[sa][sb][b][k] = pv
+					st.phiPad[sa][b][k][sb] = pv
 				}
 			}
 		}
@@ -81,11 +93,7 @@ func newShellTables(pot *eam.Potential, tab *lattice.OffsetTable) *shellTables {
 // occupancy code at offset k (zero for vacancies and for species the
 // potential was not built with).
 func (st *shellTables) fval(occ uint8, basis, k int) float64 {
-	f := st.f[occ][basis]
-	if f == nil {
-		return 0
-	}
-	return f[k]
+	return st.fPad[basis][k][occ&3]
 }
 
 // energetics evaluates swap energy differences over the occupancy state.
@@ -127,12 +135,12 @@ func (e *energetics) embed(a uint8, rho float64) float64 {
 }
 
 // hopSite is one bystander of a vacancy hop s→n: a site within the
-// interaction shell of s, of n, or of both. d is its flat index delta from
-// s; ks and kn are its offset indices in the shells around s and n, -1
-// where it lies outside that shell. s and n themselves are not bystanders.
+// interaction shell of s, of n, or of both, whose density the hop shifts.
+// d is its flat index delta from s; shift is its row of the basis's shift
+// table (State.shifts). s and n themselves are not bystanders.
 type hopSite struct {
-	d      int32
-	ks, kn int16
+	d     int32
+	shift int32
 }
 
 // swapDeltaE returns the total-energy change of moving the atom at site n
@@ -147,57 +155,54 @@ type hopSite struct {
 //	ΔE_embed = Σ_i [F_{ti}(ρ_i ± f_m) − F_{ti}(ρ_i)]     (i occupied near s or n)
 //	         + F_m(ρ'_atom at s) − F_m(ρ_atom at n)
 //
-// The bystanders i come from the hop's precomputed stencil (State.hops), in
-// ascending site order, so the sum is reproducible across protocols and
-// nothing is collected, sorted or allocated per call.
+// The pair loops read the padded tables, so a vacant j adds +0 and needs no
+// branch; s is vacant, and n is skipped by splitting the loop around its
+// offset h, which is n's index in both the shell and the first shell. The
+// bystanders i come from the hop's precomputed stencil (State.hops), in
+// ascending site order, each with its density shift f_m(r_is) − f_m(r_in)
+// tabulated, so the sum is reproducible across protocols and nothing is
+// collected, sorted or allocated per call.
 func (e *energetics) swapDeltaE(st *State, s, n int, cs, cn lattice.Coord) float64 {
 	occ, rho := st.Occ, st.Rho
 	m := occ[n] // species of the moving atom
 	sh := e.shells
 	bs, bn := cs.B, cn.B
+	h := 0
+	for st.shell1[bs][h] != int32(n-s) {
+		h++
+	}
 
 	// Around the destination s: the pair gains, and the density the moving
 	// atom will sit in (contributions depend on the *sources* around it).
 	var dPair, rhoAfter float64
-	for k, d := range st.deltas[bs] {
-		j := s + int(d)
-		if t := occ[j]; j != n && t != Vacant {
-			dPair += sh.phi[m][t][bs][k]
-			rhoAfter += sh.f[t][bs][k]
-		}
+	ds := st.deltas[bs]
+	phi, f := sh.phiPad[m][bs][:len(ds)], sh.fPad[bs][:len(ds)]
+	for k, d := range ds[:h] {
+		t := occ[s+int(d)] & 3
+		dPair += phi[k][t]
+		rhoAfter += f[k][t]
+	}
+	for k := h + 1; k < len(ds); k++ {
+		t := occ[s+int(ds[k])] & 3
+		dPair += phi[k][t]
+		rhoAfter += f[k][t]
 	}
 	// Around the origin n: the pair losses.
-	for k, d := range st.deltas[bn] {
-		j := n + int(d)
-		if t := occ[j]; j != s && t != Vacant {
-			dPair -= sh.phi[m][t][bn][k]
-		}
+	dn := st.deltas[bn]
+	phi = sh.phiPad[m][bn][:len(dn)]
+	for k, d := range dn {
+		dPair -= phi[k][occ[n+int(d)]&3]
 	}
 
 	// Embedding changes of the bystanders: every occupied site near s gains
 	// f_m(r_is), every occupied site near n loses f_m(r_in), a site near
 	// both does both.
-	h := 0
-	for st.shell1[bs][h] != int32(n-s) {
-		h++
-	}
-	fs, fn := sh.f[m][bs], sh.f[m][bn]
+	shift := st.shifts[m][bs]
 	var dEmbed float64
 	for _, b := range st.hops[bs][h] {
 		i := s + int(b.d)
-		t := occ[i]
-		if t == Vacant {
-			continue
-		}
-		delta := 0.0
-		if b.ks >= 0 {
-			delta += fs[b.ks]
-		}
-		if b.kn >= 0 {
-			delta -= fn[b.kn]
-		}
-		if delta != 0 {
-			dEmbed += e.embed(t, rho[i]+delta) - e.embed(t, rho[i])
+		if t := occ[i]; t != Vacant {
+			dEmbed += e.embed(t, rho[i]+shift[b.shift]) - e.embed(t, rho[i])
 		}
 	}
 
@@ -206,16 +211,6 @@ func (e *energetics) swapDeltaE(st *State, s, n int, cs, cn lattice.Coord) float
 	dEmbed += e.embed(m, rhoAfter) - e.embed(m, rho[n])
 	return dPair + dEmbed
 }
-
-// dependencyReach returns the Chebyshev cell radius within which an
-// occupancy change can alter the outcome of swapDeltaE for a vacancy — the
-// ghost width, and the bound of the rate cache's read footprint
-// (readFootprint, the exact set it invalidates on). The hop target sits one
-// cell from the vacancy; the phi pair shells and the embedding bystanders
-// extend another `reach` cells (occupancy read directly, radius reach+1);
-// and each bystander's ρ sums occupancy a further `reach` cells out
-// (radius 2*reach+1). The footprint fills only a quarter of that cube.
-func (e *energetics) dependencyReach(reach int) int { return 2*reach + 1 }
 
 // hopRate returns the transition rate of a hop with energy difference dE,
 // using the kinetically-resolved activation barrier ΔE* = Em + dE/2,

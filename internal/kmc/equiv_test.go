@@ -9,6 +9,7 @@ import (
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/rng"
+	"mdkmc/internal/telemetry"
 )
 
 // event is one possible vacancy hop: the atom at target moves into the
@@ -257,9 +258,10 @@ func TestSwapDeltaEMatchesReference(t *testing.T) {
 
 // TestReadFootprintIsExact pins the invalidation rule against the rate
 // kernel's oracle: around a lone vacancy, making a site vacant changes the
-// bits of one of the vacancy's hop ΔEs if and only if the site lies in the
-// read footprint, and the footprint stays within dependReach cells — the
-// ghost width, so the traditional protocol's read halo covers it.
+// bits of hop k's ΔE if and only if the site lies in hop k's read
+// footprint, the union of the footprints is what a change can reach at
+// all, and it stays within the footprint's reach — at most the ghost
+// width, so the traditional protocol's read halo covers it.
 func TestReadFootprintIsExact(t *testing.T) {
 	for _, alloy := range []bool{false, true} {
 		for basis := int8(0); basis <= 1; basis++ {
@@ -287,8 +289,12 @@ func TestReadFootprintIsExact(t *testing.T) {
 						}
 						return out
 					}
-					r := int32(st.en.dependencyReach(st.reach))
-					inside, changed := 0, 0
+					r := int32(st.Box.Ghost)
+					if st.reads.reach > r {
+						t.Errorf("footprint reach %d cells exceeds the ghost width %d", st.reads.reach, r)
+					}
+					inside, changed, perHop := 0, 0, 0
+					var farthest int32
 					for dz := -r - 1; dz <= r+1; dz++ {
 						for dy := -r - 1; dy <= r+1; dy++ {
 							for dx := -r - 1; dx <= r+1; dx++ {
@@ -299,43 +305,51 @@ func TestReadFootprintIsExact(t *testing.T) {
 										continue
 									}
 									db := int32(b - basis)
-									in := st.reads.has(2*dx+db, 2*dy+db, 2*dz+db)
+									mask := st.reads.at(int(basis), 2*dx+db, 2*dy+db, 2*dz+db)
 									// Read the baseline before every flip: a reverted flip
 									// does not restore ρ's bits (the ± f updates round).
 									before := hops()
 									old := st.Occ[j]
 									st.setOcc(j, Vacant, false)
-									moved := hops() != before
+									after := hops()
 									st.setOcc(j, old, false)
-									switch {
-									case moved && !in:
-										t.Errorf("site %+v outside the footprint changes a hop ΔE", c)
-									case !moved && in:
-										t.Errorf("footprint site %+v changes no hop ΔE", c)
-									}
-									if in {
-										inside++
-										if max(abs32(dx), abs32(dy), abs32(dz)) > r {
-											t.Errorf("footprint site %+v is more than %d cells out", c, r)
+									var moved uint8
+									for k := range after {
+										if after[k] != before[k] {
+											moved |= 1 << k
 										}
 									}
-									if moved {
+									if moved != mask {
+										t.Errorf("site %+v: hops %08b change their ΔE, the footprint masks %08b", c, moved, mask)
+									}
+									if mask != 0 {
+										inside++
+										farthest = max(farthest, abs32(dx), abs32(dy), abs32(dz))
+									}
+									if moved != 0 {
 										changed++
+									}
+									for ; moved != 0; moved &= moved - 1 {
+										perHop++
 									}
 								}
 							}
 						}
 					}
+					if farthest != st.reads.reach {
+						t.Errorf("the farthest footprint site is %d cells out, the footprint's reach is %d", farthest, st.reads.reach)
+					}
 					total := 0
-					for _, set := range st.reads.in {
-						if set {
+					for _, m := range st.reads.hops[basis] {
+						if m != 0 {
 							total++
 						}
 					}
 					if inside != total-1 {
 						t.Errorf("visited %d footprint sites, the footprint holds %d besides the vacancy", inside, total-1)
 					}
-					t.Logf("%d of %d footprint sites change a hop ΔE (footprint %d sites)", changed, inside, total)
+					t.Logf("%d of %d footprint sites change a hop ΔE (footprint %d sites, %.2f hops per site, reach %d cells)",
+						changed, inside, total, float64(perHop)/float64(inside), st.reads.reach)
 				})
 			})
 		}
@@ -521,6 +535,70 @@ func TestSectorTotalsMatchRescanAfterRandomUpdates(t *testing.T) {
 	}
 }
 
+// TestKeptSectorSumsAreCoherent is the coherence property of the kept
+// sector sums: every sum sectorRate returns without re-summing equals, bit
+// for bit, a fresh flat re-sum of freshly evaluated rates (the sectorEvents
+// oracle). The worlds cover every path by which the state changes under a
+// kept sum: executed events, on-demand dirty records (applyDirty) and the
+// traditional get and put bands, on 1, 2 and 8 ranks, Fe and Fe-Cu.
+func TestKeptSectorSumsAreCoherent(t *testing.T) {
+	type variant struct {
+		name  string
+		cells [3]int
+		grid  [3]int
+		alloy bool
+	}
+	variants := []variant{
+		{"1x1x1-Fe", [3]int{12, 12, 12}, [3]int{1, 1, 1}, false},
+		{"2x1x1-Fe", [3]int{20, 10, 10}, [3]int{2, 1, 1}, false},
+		{"2x1x1-FeCu", [3]int{20, 10, 10}, [3]int{2, 1, 1}, true},
+		{"2x2x2-Fe", [3]int{14, 14, 14}, [3]int{2, 2, 2}, false},
+	}
+	const cycles = 40
+	for _, v := range variants {
+		for _, proto := range []Protocol{Traditional, OnDemand} {
+			v, proto := v, proto
+			t.Run(v.name+"-"+proto.String(), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Cells, cfg.Grid, cfg.Protocol = v.cells, v.grid, proto
+				cfg.VacancyConcentration = 0.01
+				if v.alloy {
+					cfg.CuConcentration = 0.05
+					cfg.EmCu = 0.55
+				}
+				kept := make([]int, cfg.Ranks())
+				ghost := make([]int64, cfg.Ranks())
+				events := make([]int, cfg.Ranks())
+				runWorld(t, cfg, func(st *State) {
+					r := st.Comm.Rank()
+					reg := telemetry.New(r)
+					st.AttachTelemetry(reg)
+					st.sumProbe = func(sec int, sum float64) {
+						kept[r]++
+						if _, want := st.sectorEvents(sec); math.Float64bits(sum) != math.Float64bits(want) {
+							t.Errorf("rank %d cycle %d sector %d: kept sum %v (%#x), fresh re-sum %v (%#x)",
+								r, st.Cycles, sec, sum, math.Float64bits(sum), want, math.Float64bits(want))
+						}
+					}
+					for i := 0; i < cycles; i++ {
+						events[r] += st.Cycle()
+					}
+					ghost[r] = reg.Counter("kmc/ghost/dirty-sites").Value() + reg.Counter("kmc/ghost/band-bytes").Value()
+				})
+				for r := range kept {
+					if kept[r] == 0 || events[r] == 0 {
+						t.Errorf("rank %d: %d kept sums checked over %d events", r, kept[r], events[r])
+					}
+					if cfg.Ranks() > 1 && ghost[r] == 0 {
+						t.Errorf("rank %d received no ghost update", r)
+					}
+				}
+				t.Logf("%d kept sums checked, %d events", kept, events)
+			})
+		}
+	}
+}
+
 // TestVacancyIndexConsistent asserts the per-sector lists — the one vacancy
 // index — stay in lockstep with the occupancy through cycles and random
 // writes: strictly ascending, every entry an owned vacant site filed under
@@ -612,7 +690,7 @@ func TestRateKernelDoesNotAllocate(t *testing.T) {
 					t.Errorf("swapDeltaE allocates %v times per call", a)
 				}
 				if a := testing.AllocsPerRun(100, func() {
-					vc.valid = false
+					vc.stale = allHops
 					st.ratesOf(vc)
 					sink += vc.rates[k]
 				}); a != 0 {

@@ -3,6 +3,7 @@ package kmc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"unsafe"
@@ -41,13 +42,25 @@ type State struct {
 	shell1 [2][]int32     // first-shell (hop target) deltas per basis
 	hops   [2][][]hopSite // per basis and first-shell hop: the bystander stencil
 	reach  int            // interaction reach in cells
+	// shifts[m][basis][row]: the density shift f_m(r_is) − f_m(r_in) a hop
+	// stencil row applies to its bystander when an atom of species m moves.
+	shifts [numSpecies][2][]float64
 
 	// The vacancy index (events.go): per sector, the owned vacancies in
 	// ascending site order, each entry carrying its cached candidate hop
-	// rates; and the read footprint that drives invalidation.
+	// rates; the per-hop read footprints that drive invalidation; and per
+	// sector the last flat sum of its rates, kept (bit sec of sumKept) until
+	// an entry of the sector changes.
 	secVacs [8][]vacCache
-	reads   readFootprint // occupancy changes inside it stale a cached rate
-	// fullRescan recomputes every rate at every selection. Nothing in
+	reads   readFootprint // an occupancy change in hop k's footprint stales rate k
+	secSum  [8]float64
+	sumKept uint8
+	// sumProbe, when set, sees every kept sum sectorRate returns. Nothing in
+	// production sets it: the in-package coherence test does, to compare
+	// each with a fresh re-sum.
+	sumProbe func(sec int, sum float64)
+	// fullRescan recomputes every rate at every selection and keeps no
+	// sector sum. Nothing in
 	// production sets it: the in-package equivalence tests and
 	// BenchmarkKMCCycle do, after NewState, to get the oracle the cache is
 	// bit-identical to.
@@ -89,6 +102,8 @@ type kmcTelemetry struct {
 
 	events     *telemetry.Counter // kmc/events — executed hops
 	refreshes  *telemetry.Counter // kmc/rate-refreshes — recomputed rate-cache entries
+	hopEvals   *telemetry.Counter // kmc/hop-evaluations — swapDeltaE evaluations
+	visits     *telemetry.Counter // kmc/rate-visits — cache entries sectorRate and pickEvent read
 	bandBytes  *telemetry.Counter // kmc/ghost/band-bytes — traditional payloads
 	dirtySites *telemetry.Counter // kmc/ghost/dirty-sites — flushed site records
 }
@@ -109,6 +124,8 @@ func (st *State) AttachTelemetry(reg *telemetry.Registry) {
 		flush:      reg.Timer("kmc/ghost/flush"),
 		events:     reg.Counter("kmc/events"),
 		refreshes:  reg.Counter("kmc/rate-refreshes"),
+		hopEvals:   reg.Counter("kmc/hop-evaluations"),
+		visits:     reg.Counter("kmc/rate-visits"),
 		bandBytes:  reg.Counter("kmc/ghost/band-bytes"),
 		dirtySites: reg.Counter("kmc/ghost/dirty-sites"),
 	}
@@ -124,30 +141,22 @@ func (st *State) AttachTelemetry(reg *telemetry.Registry) {
 // is computed from the grid alone, and the potential is the process's
 // shared instance.
 func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
-	if err := cfg.Validate(); err != nil {
+	grid, tab, err := cfg.layout()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Ranks() != comm.Size() {
 		return nil, fmt.Errorf("kmc: grid %v needs %d ranks, world has %d",
 			cfg.Grid, cfg.Ranks(), comm.Size())
 	}
-	l := lattice.New(cfg.Cells[0], cfg.Cells[1], cfg.Cells[2], cfg.A)
-	grid, err := lattice.NewGridCuts(l, cfg.Grid[0], cfg.Grid[1], cfg.Grid[2], cfg.Cuts)
-	if err != nil {
-		return nil, err
-	}
 	pot := eam.Shared(eam.Compacted, eam.TablePoints, cfg.elements()...)
-	tab := l.NeighborOffsets(pot.Cutoff)
 	reach := tab.MaxCellReach()
-	// Ghost wide enough that ρ stays valid one cell beyond the owned
-	// region's reach (ΔE of a boundary hop inspects sites reach+1 out, and
-	// their ρ needs occupancy up to 2·reach+1 out).
-	ghost := 2*reach + 1
+	ghost := ghostWidth(tab)
 	box := grid.Box(comm.Rank(), ghost)
 	st := &State{
 		Cfg:   cfg,
 		Comm:  comm,
-		L:     l,
+		L:     grid.L,
 		Grid:  grid,
 		Box:   box,
 		Tab:   tab,
@@ -157,7 +166,7 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		rng:   rng.New(cfg.Seed),
 	}
 	st.en = energetics{pot: pot, shells: newShellTables(pot, tab)}
-	st.reads = newReadFootprint(tab, st.en.dependencyReach(reach))
+	st.reads = newReadFootprint(tab)
 	st.buildDeltas()
 	st.buildImages()
 	classes := sectorRounds()
@@ -173,7 +182,8 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 
 // MemoryBytes returns the heap footprint of what the rank holds for its
 // sites — occupancy and ρ per local site (owned and ghost); the embedding
-// cache, shell tables, hop stencils and read-footprint grid; the vacancy
+// cache, shell tables (padded too), hop stencils and their shift tables, and
+// the read-footprint masks; the vacancy
 // lists and the dirty-site queue at their current capacities; and the
 // ghost plan — the quantity a capacity claim (how many sites fit a node)
 // has to be made from. The potential's tables are input, not counted, as
@@ -181,15 +191,15 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 // the process.
 func (st *State) MemoryBytes() int {
 	n := len(st.Occ) + 8*len(st.Rho) + int(unsafe.Sizeof(st.en.cache)) +
-		len(st.reads.in) + 8*cap(st.dirty) + st.plan.MemoryBytes()
+		8*cap(st.dirty) + st.plan.MemoryBytes()
 	sh := st.en.shells
 	for b := range st.deltas {
-		n += 4 * len(st.deltas[b])
+		n += 4*len(st.deltas[b]) + len(st.reads.hops[b]) + 32*len(sh.fPad[b])
 		for _, h := range st.hops[b] {
 			n += int(unsafe.Sizeof(hopSite{})) * len(h)
 		}
 		for a := range sh.f {
-			n += 8 * len(sh.f[a][b])
+			n += 8*len(sh.f[a][b]) + 32*len(sh.phiPad[a][b]) + 8*len(st.shifts[a][b])
 			for c := range sh.phi[a] {
 				n += 8 * len(sh.phi[a][c][b])
 			}
@@ -203,37 +213,82 @@ func (st *State) MemoryBytes() int {
 
 func (st *State) buildDeltas() {
 	ex, ey := st.Box.Ext(0), st.Box.Ext(1)
-	var sorted [2][]hopSite // the shell of each basis in ascending flat delta; ks = offset index
+	var sorted [2][]stencilSite // the shell of each basis in ascending flat delta; ks = offset index
 	for b := int8(0); b <= 1; b++ {
 		offs := st.Tab.PerBase[b]
 		d := make([]int32, len(offs))
-		sorted[b] = make([]hopSite, len(offs))
+		sorted[b] = make([]stencilSite, len(offs))
 		for i, o := range offs {
 			d[i] = int32(((int(o.DZ)*ey+int(o.DY))*ex+int(o.DX))*2 + int(o.DB) - int(b))
-			sorted[b][i] = hopSite{d: d[i], ks: int16(i)}
+			sorted[b][i] = stencilSite{d: d[i], ks: int16(i)}
 		}
-		slices.SortFunc(sorted[b], func(x, y hopSite) int { return cmp.Compare(x.d, y.d) })
+		slices.SortFunc(sorted[b], func(x, y stencilSite) int { return cmp.Compare(x.d, y.d) })
 		st.deltas[b] = d
 		n := len(st.Tab.FirstShell(b))
 		st.shell1[b] = d[:n]
 	}
+	f := &st.en.shells.f
 	for b := 0; b < 2; b++ {
+		// The basis's shift table: one row per distinct vector of the
+		// per-species shifts, each computed as the kernel once did per call.
+		rows := map[[numSpecies]uint64]int32{}
 		st.hops[b] = make([][]hopSite, len(st.shell1[b]))
 		for h, dn := range st.shell1[b] {
-			st.hops[b][h] = mergeHop(sorted[b], sorted[st.Tab.PerBase[b][h].DB], dn)
+			bn := st.Tab.PerBase[b][h].DB
+			merged := mergeHop(sorted[b], sorted[bn], dn)
+			st.hops[b][h] = make([]hopSite, 0, len(merged))
+			for _, e := range merged {
+				var shift [numSpecies]float64
+				var key [numSpecies]uint64
+				for m := range shift {
+					if f[m][b] == nil {
+						continue
+					}
+					delta := 0.0
+					if e.ks >= 0 {
+						delta += f[m][b][e.ks]
+					}
+					if e.kn >= 0 {
+						delta -= f[m][bn][e.kn]
+					}
+					shift[m], key[m] = delta, math.Float64bits(delta)
+				}
+				if shift == ([numSpecies]float64{}) {
+					continue // no species shifts its density: no embedding term
+				}
+				row, ok := rows[key]
+				if !ok {
+					row = int32(len(rows))
+					rows[key] = row
+					for m, v := range shift {
+						if f[m][b] != nil {
+							st.shifts[m][b] = append(st.shifts[m][b], v)
+						}
+					}
+				}
+				st.hops[b][h] = append(st.hops[b][h], hopSite{d: e.d, shift: row})
+			}
 		}
 	}
 }
 
-// mergeHop builds the bystander stencil of the hop from a site s to its
-// neighbor n = s+dn: the union of the shell around s and the shell around n
-// (both ascending in flat delta, the latter relative to n), without s and n
+// stencilSite is a bystander while the hop stencils are built: its flat
+// delta from s, and its offset indices in the shells around s and around n,
+// -1 where it lies outside that shell.
+type stencilSite struct {
+	d      int32
+	ks, kn int16
+}
+
+// mergeHop returns the bystanders of the hop from a site s to its neighbor
+// n = s+dn: the union of the shell around s and the shell around n (both
+// ascending in flat delta, the latter relative to n), without s and n
 // themselves, ascending in flat delta from s.
-func mergeHop(aroundS, aroundN []hopSite, dn int32) []hopSite {
-	out := make([]hopSite, 0, len(aroundS)+len(aroundN))
+func mergeHop(aroundS, aroundN []stencilSite, dn int32) []stencilSite {
+	out := make([]stencilSite, 0, len(aroundS)+len(aroundN))
 	i, j := 0, 0
 	for i < len(aroundS) || j < len(aroundN) {
-		e := hopSite{ks: -1, kn: -1}
+		e := stencilSite{ks: -1, kn: -1}
 		switch {
 		case j == len(aroundN) || i < len(aroundS) && aroundS[i].d < aroundN[j].d+dn:
 			e.d, e.ks = aroundS[i].d, aroundS[i].ks
@@ -482,14 +537,10 @@ func (st *State) placeSite(g int, occ uint8) {
 func (st *State) initRho() {
 	// fk[b][k][occ] is fval(occ, b, k), zero for a vacancy: one load per
 	// shell site below, indexed by occ&3 so that no bounds check is needed.
-	var fk [2][][4]float64
+	fk := &st.en.shells.fPad
 	var bulk [2]float64
 	for b := range fk {
-		fk[b] = make([][4]float64, len(st.deltas[b]))
 		for k := range fk[b] {
-			for occ := uint8(0); occ < numSpecies; occ++ {
-				fk[b][k][occ] = st.en.shells.fval(occ, b, k)
-			}
 			bulk[b] += fk[b][k][Atom]
 		}
 	}

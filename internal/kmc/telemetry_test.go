@@ -39,7 +39,7 @@ func runWithTelemetry(t *testing.T, cfg Config, cycles int) *telemetry.Report {
 
 // TestRateRefreshesPerEvent pins what the read footprint saves, measured on
 // the kmc-anneal benchmark shape: at most 2.1 rate-cache refreshes per
-// executed event, where invalidating the whole cube of dependReach cells
+// executed event, where invalidating the whole cube of ghost-width cells
 // refreshes 4.2.
 func TestRateRefreshesPerEvent(t *testing.T) {
 	cfg := DefaultConfig()
@@ -57,6 +57,35 @@ func TestRateRefreshesPerEvent(t *testing.T) {
 	t.Logf("%d refreshes for %d events: %.2f per event", refreshes, events, per)
 	if per > 2.1 {
 		t.Errorf("%.2f rate refreshes per event (%d for %d events), want at most 2.1", per, refreshes, events)
+	}
+}
+
+// TestRateWorkPerEvent pins, on the same kmc-anneal shape, what per-hop
+// staleness and the kept sector sums save per executed event: at most 13.5
+// ΔE evaluations (kmc/hop-evaluations; 13.19 here, where recomputing every
+// hop of a touched entry makes 14.71), and at most 12 rate-cache entries
+// read by the sector sums and the selection walk (kmc/rate-visits; 9.8
+// here, where re-summing every sector at every call reads 84.3).
+func TestRateWorkPerEvent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cells = [3]int{32, 16, 16}
+	cfg.Grid = [3]int{2, 1, 1}
+	cfg.Protocol = OnDemand
+	cfg.VacancyConcentration = 4e-3
+	cfg.Seed = 1
+	rep := runWithTelemetry(t, cfg, 2000)
+	events := rep.CounterSum("kmc/events")
+	if events == 0 {
+		t.Fatal("no event executed")
+	}
+	evals := float64(rep.CounterSum("kmc/hop-evaluations")) / float64(events)
+	visits := float64(rep.CounterSum("kmc/rate-visits")) / float64(events)
+	t.Logf("per event over %d events: %.2f ΔE evaluations, %.1f rate-cache visits", events, evals, visits)
+	if evals > 13.5 {
+		t.Errorf("%.2f ΔE evaluations per event, want at most 13.5", evals)
+	}
+	if visits > 12 {
+		t.Errorf("%.1f rate-cache visits per event, want at most 12", visits)
 	}
 }
 
