@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism no-env no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec fuzz-journal figures figures-smoke
+.PHONY: check fmt-check p2p-owner determinism no-env docs-check no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec fuzz-journal figures figures-smoke
 
 check: fmt-check p2p-owner determinism no-env no-fma vet lint build race
 
@@ -46,6 +46,18 @@ determinism:
 no-env:
 	@out=$$(grep -rnE '\bos\.(Getenv|LookupEnv|Environ)\b' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' || true); \
 	if [ -n "$$out" ]; then echo "environment reads in non-test code:"; echo "$$out"; exit 1; fi
+
+# Docs gate: every Test…, Benchmark… or Fuzz… identifier that DESIGN.md,
+# README.md or the verify skill cites must be a prefix of a defined Go
+# function (a `-run` pattern cites a prefix), so a renamed or deleted test
+# cannot leave a recipe pointing at nothing. Grep only: nothing compiles.
+DOCS_CITING = DESIGN.md README.md .claude/skills/verify/SKILL.md
+docs-check:
+	@bad=0; \
+	for id in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z_][A-Za-z0-9_]*' $(DOCS_CITING) | sort -u); do \
+		grep -rqE "^func $$id" --include='*.go' . || { echo "docs-check: $$id is cited but no function name starts with it"; bad=1; }; \
+	done; \
+	exit $$bad
 
 # FMA gate (DESIGN.md §13): on arm64 Go fuses a*b + c into one FMADDD, one
 # rounding instead of two, so a fused vec.V.MulAdd would differ from the
@@ -132,14 +144,15 @@ test:
 # internal/kmc because its incremental rate cache is updated by the ghost
 # exchanges of every multi-rank world its tests run, and internal/eam
 # because every rank of a world fills its process-wide potential cache at
-# once. The full suite then runs under -race as well. Both passes shuffle test and subtest
+# once, and internal/halo because its exchanges run across rank goroutines
+# and its list construction is rebuilt from per-axis slab sets. The full suite then runs under -race as well. Both passes shuffle test and subtest
 # order so latent ordering assumptions surface instead of calcifying (the
 # seed is printed on failure for replay with -shuffle=<seed>).
 # The explicit -timeout lifts the 10m per-package default: internal/couple
 # alone (recovery + elastic + campaign suites) runs well past it under the
 # race detector.
 race:
-	$(GO) test -race -count=1 -shuffle=on -timeout 45m ./internal/md ./internal/mpi ./internal/couple ./internal/telemetry ./internal/kmc ./internal/eam
+	$(GO) test -race -count=1 -shuffle=on -timeout 45m ./internal/md ./internal/mpi ./internal/couple ./internal/telemetry ./internal/kmc ./internal/eam ./internal/halo
 	$(GO) test -race -shuffle=on -timeout 45m ./...
 
 # The fault-injection recovery gate on its own: crash a coupled run at an

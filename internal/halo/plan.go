@@ -30,6 +30,7 @@ package halo
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mdkmc/internal/lattice"
@@ -38,7 +39,9 @@ import (
 	"mdkmc/internal/vec"
 )
 
-// Class is one set of ghost cells that travels together.
+// Class is one set of ghost cells that travels together. A class names its
+// cells by an unwrapped cell range [lo, hi) computed from a box: a dense
+// class from its holder's, a sparse class from its owner's.
 type Class struct {
 	// Push sends the holder's ghost copy back to the owner (the KMC write
 	// band); the default refreshes the holder from the owner.
@@ -47,16 +50,16 @@ type Class struct {
 	// locally and without a message. Engines that keep their self-images
 	// consistent some other way leave it off.
 	Self bool
+	// Cells limits a dense class to the holder's ghost cells in the range
+	// it returns for the holder's box; nil means every ghost cell.
+	Cells func(holder *lattice.Box) (lo, hi [3]int)
 	// Region makes the class a sparse round's: given an owner's box, it
-	// returns the unwrapped cell range [lo, hi) that the owner's records in
-	// the round may be about, owned cells and ghosts alike. Such a class
-	// has no cell lists, only peer lists (see ExchangeSparse). A class
-	// without a Region is sparse-exchanged with every peer.
+	// returns the range that the owner's records in the round may be about,
+	// owned cells and ghosts alike. Such a class has no cell lists, only
+	// peer lists (see ExchangeSparse). A class without a Region is
+	// sparse-exchanged with every peer.
 	Region func(owner *lattice.Box) (lo, hi [3]int)
 }
-
-// maxClasses is the width of the mask a classifier returns.
-const maxClasses = 32
 
 // Cell is one cell on the receiving side of an exchange.
 type Cell struct {
@@ -87,22 +90,29 @@ type Plan struct {
 	in  Unpacker
 
 	// The sparse shape: the pending records of the next round, per index
-	// into Peers (empty between rounds), and the cell -> interested-peers
-	// memo behind Interest.
+	// into Peers (empty between rounds), and the memo behind Interest: per
+	// axis and wrapped coordinate an index into that axis's distinct slab
+	// sets, and per triple of those indices (x fastest) the packers of the
+	// peers in their product.
 	sparse      []Packer
 	grid        *lattice.Grid
 	rank, ghost int
-	interestID  []uint16    // per local cell: 1 + index into interests; 0 = not yet computed
-	interests   [][]*Packer // the distinct interested-peer lists
+	near        [3][]int
+	nsets       [3]int
+	interests   [][]*Packer
 }
 
-// MemoryBytes returns the heap footprint of the plan: its cell lists, the
-// interest memo, and the reusable pack buffers at their current capacity.
+// MemoryBytes returns the heap footprint of the plan: its cell and peer
+// lists, the interest memo, and the reusable pack buffers at their current
+// capacity.
 func (pl *Plan) MemoryBytes() int {
 	const cellBytes, selfBytes = 32, 40 // Cell{int, vec.V}; selfCopy{int, Cell}
-	n := cap(pl.out.buf) + 2*len(pl.interestID)
+	n := cap(pl.out.buf) + 8*(len(pl.near[0])+len(pl.near[1])+len(pl.near[2]))
 	for i := range pl.sparse {
 		n += cap(pl.sparse[i].buf)
+	}
+	for _, l := range pl.interests {
+		n += 8 * len(l)
 	}
 	for k := range pl.to {
 		n += 8 * (len(pl.to[k]) + len(pl.from[k]))
@@ -116,95 +126,114 @@ func (pl *Plan) MemoryBytes() int {
 	return n
 }
 
-// eachGhost calls fn for every cell of box's ghost shell in holder order,
-// with its wrapped image and the rank owning that. The grid is rectilinear,
-// so wrapping and ownership are tabulated per axis once instead of being
-// recomputed for every cell: the owner is the sum of the three axes' shares
-// of the rank index, and a row that is inside the halo on y and z holds
-// shell cells only at its two x ends.
-func eachGhost(grid *lattice.Grid, box *lattice.Box, fn func(c, w lattice.Coord, owner int)) {
-	var wrapped [3][]int32 // wrapped coordinate of each storage index
-	var share [3][]int     // its process-grid slot times the axis's rank stride
-	stride := [3]int{1, grid.Px, grid.Px * grid.Py}
-	for d := range wrapped {
-		wrapped[d] = make([]int32, box.Ext(d))
-		share[d] = make([]int, box.Ext(d))
-		for i := range wrapped[d] {
-			// Wrap treats each component by its own dimension.
-			v := int32(box.Lo[d] - box.Ghost + i)
-			w := grid.L.Wrap(lattice.Coord{X: v, Y: v, Z: v})
-			wrapped[d][i] = [3]int32{w.X, w.Y, w.Z}[d]
-			share[d][i] = grid.Slot(d, v) * stride[d]
+// slabs returns, ascending, the slabs of axis d that own a cell of the
+// unwrapped range [lo, hi).
+func slabs(grid *lattice.Grid, d, lo, hi int) []int {
+	var out []int
+	for v := lo; v < hi; v++ {
+		if s := grid.Slot(d, int32(v)); !slices.Contains(out, s) {
+			out = append(out, s)
 		}
 	}
-	g := box.Ghost
-	inner := func(d, i int) bool { return i >= g && i < box.Ext(d)-g }
-	ex := box.Ext(0)
-	all := [2][2]int{{0, ex}, {ex, ex}}
-	ends := [2][2]int{{0, g}, {ex - g, ex}}
-	for k, wz := range wrapped[2] {
-		for j, wy := range wrapped[1] {
-			runs := all
-			if inner(1, j) && inner(2, k) {
-				runs = ends
+	slices.Sort(out)
+	return out
+}
+
+// holders returns, ascending, the ranks that hold a cell of the unwrapped
+// range [lo, hi), owned or as a ghost. This is the one ownership rule of the
+// plan: the grid is rectilinear, so the owners of a box are the product of
+// the slabs each axis reaches, and a rank holds a cell when it owns one
+// within the ghost width of it.
+func (pl *Plan) holders(lo, hi [3]int) []int {
+	var s [3][]int
+	for d := range s {
+		s[d] = slabs(pl.grid, d, lo[d]-pl.ghost, hi[d]+pl.ghost)
+	}
+	var out []int
+	for _, z := range s[2] {
+		for _, y := range s[1] {
+			for _, x := range s[0] {
+				out = append(out, pl.grid.Rank(x, y, z))
 			}
-			c := lattice.Coord{Y: int32(box.Lo[1] - g + j), Z: int32(box.Lo[2] - g + k)}
-			w := lattice.Coord{Y: wy, Z: wz}
-			yz := share[1][j] + share[2][k]
-			for _, run := range runs {
-				for i := run[0]; i < run[1]; i++ {
-					c.X, w.X = int32(box.Lo[0]-g+i), wrapped[0][i]
-					fn(c, w, share[0][i]+yz)
+		}
+	}
+	return out
+}
+
+// eachHeld calls fn, in holder order, for every ghost cell of holder's shell
+// that rank r owns, with its unwrapped coordinate c and wrapped image w. The
+// grid is rectilinear, so those cells are the product of the holder's
+// storage coordinates that lie in r's slab on each axis, less the holder's
+// own cells.
+func eachHeld(grid *lattice.Grid, holder *lattice.Box, r int, fn func(c, w lattice.Coord)) {
+	type coord struct {
+		v, w  int32 // unwrapped, wrapped
+		owned bool  // inside the holder's own range on this axis
+	}
+	var at [3][]coord
+	x, y, z := grid.RankCoord(r)
+	for d, slab := range [3]int{x, y, z} {
+		for v := int32(holder.Lo[d] - holder.Ghost); v < int32(holder.Hi[d]+holder.Ghost); v++ {
+			if grid.Slot(d, v) == slab {
+				w := grid.L.Wrap(lattice.Coord{X: v, Y: v, Z: v}) // each component wraps by its own dimension
+				at[d] = append(at[d], coord{v, [3]int32{w.X, w.Y, w.Z}[d], int(v) >= holder.Lo[d] && int(v) < holder.Hi[d]})
+			}
+		}
+	}
+	for _, cz := range at[2] {
+		for _, cy := range at[1] {
+			for _, cx := range at[0] {
+				if !(cx.owned && cy.owned && cz.owned) {
+					fn(lattice.Coord{X: cx.v, Y: cy.v, Z: cz.v}, lattice.Coord{X: cx.w, Y: cy.w, Z: cz.w})
 				}
 			}
 		}
 	}
 }
 
-// Build computes rank's plan for a halo of ghost cells. classify returns,
-// for ghost cell c (unwrapped) of the holder whose box is given, the set of
-// classes it belongs to as a bit mask (bit k = classes[k], at most 32); nil
-// puts every cell in every class. Classes with a Region get peer lists
-// only, and are never classified. With no classes the result carries the
-// peer set only. Build takes no communicator: it cannot send a message.
-func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
-	classify func(holder *lattice.Box, c lattice.Coord) uint32) *Plan {
-	if len(classes) > maxClasses {
-		//mdvet:ignore errpanic caller contract: the class list is a compile-time constant of each engine
-		panic(fmt.Sprintf("halo: %d classes exceed the %d-bit class mask", len(classes), maxClasses))
+// inside reports whether cell c (unwrapped) lies in the range r.
+func inside(r [2][3]int, c lattice.Coord) bool {
+	for d, v := range [3]int32{c.X, c.Y, c.Z} {
+		if int(v) < r[0][d] || int(v) >= r[1][d] {
+			return false
+		}
 	}
+	return true
+}
+
+// Build computes rank's plan for a halo of ghost cells. Classes with a
+// Region get peer lists only; the others get cell lists, and are
+// sparse-exchanged with every peer. With no classes the result carries the
+// peer set only. Build takes no communicator: it cannot send a message.
+func Build(grid *lattice.Grid, rank, ghost int, classes []Class) *Plan {
 	box := grid.Box(rank, ghost)
 	pl := &Plan{grid: grid, rank: rank, ghost: ghost}
-	isPeer := make([]bool, grid.Ranks())
-	eachGhost(grid, box, func(_, _ lattice.Coord, owner int) { isPeer[owner] = true })
-	peerIndex := make([]int, grid.Ranks())
-	for r, ok := range isPeer {
-		if ok && r != rank {
-			peerIndex[r] = len(pl.Peers)
+	for _, r := range pl.holders(box.Lo, box.Hi) {
+		if r != rank {
 			pl.Peers = append(pl.Peers, r)
 		}
 	}
 	pl.sparse = make([]Packer, len(pl.Peers))
-	pl.interestID = make([]uint16, box.NumLocalSites()/2)
 	pl.to = make([][]int, len(classes))
 	pl.from = make([][]int, len(classes))
-	var dense uint32 // mask of the classes with cell lists
+	var dense []int // the classes with cell lists
 	anySelf := false
 	for k, cl := range classes {
+		if cl.Region == nil {
+			dense = append(dense, k)
+			anySelf = anySelf || cl.Self
+		}
+		// A sparse round reaches the peers that hold a cell of its region.
 		for i, q := range pl.Peers {
-			if pl.sees(cl, box, q) {
+			if cl.Region == nil || slices.Contains(pl.holders(cl.Region(box)), q) {
 				pl.to[k] = append(pl.to[k], i)
 			}
-			if pl.sees(cl, grid.Box(q, ghost), rank) {
+			if cl.Region == nil || slices.Contains(pl.holders(cl.Region(grid.Box(q, ghost))), rank) {
 				pl.from[k] = append(pl.from[k], i)
 			}
 		}
-		if cl.Region == nil {
-			dense |= 1 << k
-			anySelf = anySelf || cl.Self
-		}
 	}
-	if dense == 0 {
+	if len(dense) == 0 {
 		return pl
 	}
 	pl.send = make([][][]int, len(classes))
@@ -214,88 +243,59 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class,
 		pl.send[k] = make([][]int, len(pl.Peers))
 		pl.recv[k] = make([][]Cell, len(pl.Peers))
 	}
-	if classify == nil {
-		classify = func(*lattice.Box, lattice.Coord) uint32 { return ^uint32(0) }
-	}
-
-	// My shell: what I hold of others' cells (and of my own).
 	l := grid.L
-	eachGhost(grid, box, func(c, w lattice.Coord, owner int) {
-		if owner == rank && !anySelf {
-			return
-		}
-		m := classify(box, c) & dense
-		if m == 0 {
-			return
-		}
-		cell := Cell{Local: box.LocalIndex(c), Shift: l.Position(c).Sub(l.Position(w))}
-		i := peerIndex[owner]
-		for k, cl := range classes {
-			if m&(1<<k) == 0 {
-				continue
-			}
-			switch {
-			case owner == rank:
-				if cl.Self {
-					pl.self[k] = append(pl.self[k], selfCopy{src: box.LocalIndex(w), dst: cell})
-				}
-			case cl.Push:
-				pl.send[k][i] = append(pl.send[k][i], cell.Local)
-			default:
-				pl.recv[k][i] = append(pl.recv[k][i], cell)
+	shell := func(c, w lattice.Coord) Cell {
+		return Cell{Local: box.LocalIndex(c), Shift: l.Position(c).Sub(l.Position(w))}
+	}
+	// spans returns, per class, the range of holder's cells the class names.
+	spans := func(holder *lattice.Box) [][2][3]int {
+		r := make([][2][3]int, len(classes))
+		for _, k := range dense {
+			r[k] = [2][3]int{{math.MinInt, math.MinInt, math.MinInt}, {math.MaxInt, math.MaxInt, math.MaxInt}}
+			if cells := classes[k].Cells; cells != nil {
+				r[k][0], r[k][1] = cells(holder)
 			}
 		}
-	})
-
-	// Each peer's shell: what it holds of my cells, in its order.
+		return r
+	}
+	mine := spans(box)
 	for i, q := range pl.Peers {
-		holder := grid.Box(q, ghost)
-		eachGhost(grid, holder, func(c, w lattice.Coord, owner int) {
-			if owner != rank {
-				return
-			}
-			m := classify(holder, c) & dense
-			if m == 0 {
-				return
-			}
-			local := box.LocalIndex(w)
-			for k, cl := range classes {
-				if m&(1<<k) == 0 {
-					continue
+		// What I hold of q's cells, and what q holds of mine, in the holder's order.
+		eachHeld(grid, box, q, func(c, w lattice.Coord) {
+			for _, k := range dense {
+				switch cl := classes[k]; {
+				case !inside(mine[k], c):
+				case cl.Push:
+					pl.send[k][i] = append(pl.send[k][i], box.LocalIndex(c))
+				default:
+					pl.recv[k][i] = append(pl.recv[k][i], shell(c, w))
 				}
-				if cl.Push {
-					pl.recv[k][i] = append(pl.recv[k][i], Cell{Local: local})
-				} else {
-					pl.send[k][i] = append(pl.send[k][i], local)
+			}
+		})
+		holder := grid.Box(q, ghost)
+		theirs := spans(holder)
+		eachHeld(grid, holder, rank, func(c, w lattice.Coord) {
+			for _, k := range dense {
+				switch cl := classes[k]; {
+				case !inside(theirs[k], c):
+				case cl.Push:
+					pl.recv[k][i] = append(pl.recv[k][i], Cell{Local: box.LocalIndex(w)})
+				default:
+					pl.send[k][i] = append(pl.send[k][i], box.LocalIndex(w))
+				}
+			}
+		})
+	}
+	if anySelf {
+		eachHeld(grid, box, rank, func(c, w lattice.Coord) {
+			for _, k := range dense {
+				if classes[k].Self && inside(mine[k], c) {
+					pl.self[k] = append(pl.self[k], selfCopy{src: box.LocalIndex(w), dst: shell(c, w)})
 				}
 			}
 		})
 	}
 	return pl
-}
-
-// sees reports whether rank r holds, owned or as a ghost, a cell of the
-// region cl gives the owner whose box is given: whether, on every axis, r's
-// slab owns a cell within the ghost width of the region. The ranks holding
-// a cell of a box are the product of those per-axis slabs, so this is
-// exactly the union of Interest over the region's cells. A class without a
-// Region sees every rank.
-func (pl *Plan) sees(cl Class, owner *lattice.Box, r int) bool {
-	if cl.Region == nil {
-		return true
-	}
-	lo, hi := cl.Region(owner)
-	x, y, z := pl.grid.RankCoord(r)
-	for d, slot := range [3]int{x, y, z} {
-		found := false
-		for v := lo[d] - pl.ghost; v < hi[d]+pl.ghost && !found; v++ {
-			found = pl.grid.Slot(d, int32(v)) == slot
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // Channel is one exchanged quantity: its message tag, its plan class, the
@@ -372,51 +372,48 @@ func (pl *Plan) Sparse(rank int) (*Packer, bool) {
 	return &pl.sparse[i], true
 }
 
-// interestedRanks returns the ranks other than this one whose owned-or-ghost
-// region contains the wrapped cell w: the owners of all cells within the
-// ghost distance of w, found by probing the 27 cube corners (rank regions
-// are axis-aligned boxes at least one ghost width wide, so corners suffice).
-func (pl *Plan) interestedRanks(w lattice.Coord) []int {
-	g := int32(pl.ghost)
-	var out []int
-	for dz := int32(-1); dz <= 1; dz++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			for dx := int32(-1); dx <= 1; dx++ {
-				r := pl.grid.RankOfCell(w.X+dx*g, w.Y+dy*g, w.Z+dz*g)
-				if r != pl.rank && !slices.Contains(out, r) {
-					out = append(out, r)
-				}
+// Interest returns the packers of the peers that hold the wrapped cell w,
+// owned or as a ghost: where a record about that cell must be routed (the
+// first argument, the cell's local site, does not change the answer). Like
+// the lists, it is a pure function of the grid: the holders of w are the
+// product of the slabs within the ghost width of w on each axis. The first
+// call tabulates, per axis, the slab set of every coordinate as an index
+// into that axis's few distinct sets, and the packers of every triple of
+// them; no state is kept per cell.
+func (pl *Plan) Interest(_ int, w lattice.Coord) []*Packer {
+	if pl.near[0] == nil {
+		pl.tabulateInterest()
+	}
+	n := &pl.near
+	return pl.interests[(n[2][w.Z]*pl.nsets[1]+n[1][w.Y])*pl.nsets[0]+n[0][w.X]]
+}
+
+// tabulateInterest builds the memo behind Interest.
+func (pl *Plan) tabulateInterest() {
+	var sets [3][][]int
+	for d, period := range [3]int{pl.grid.L.Nx, pl.grid.L.Ny, pl.grid.L.Nz} {
+		pl.near[d] = make([]int, period)
+		for v := range pl.near[d] {
+			s := slabs(pl.grid, d, v-pl.ghost, v+pl.ghost+1)
+			id := slices.IndexFunc(sets[d], func(o []int) bool { return slices.Equal(o, s) })
+			if id < 0 {
+				id = len(sets[d])
+				sets[d] = append(sets[d], s)
+			}
+			pl.near[d][v] = id
+		}
+		pl.nsets[d] = len(sets[d])
+	}
+	pl.interests = make([][]*Packer, pl.nsets[0]*pl.nsets[1]*pl.nsets[2])
+	for id := range pl.interests {
+		ix, iy, iz := id%pl.nsets[0], id/pl.nsets[0]%pl.nsets[1], id/(pl.nsets[0]*pl.nsets[1])
+		for i, q := range pl.Peers {
+			x, y, z := pl.grid.RankCoord(q)
+			if slices.Contains(sets[0][ix], x) && slices.Contains(sets[1][iy], y) && slices.Contains(sets[2][iz], z) {
+				pl.interests[id] = append(pl.interests[id], &pl.sparse[i])
 			}
 		}
 	}
-	slices.Sort(out)
-	return out
-}
-
-// Interest returns the packers of the peers that see the cell of local site
-// local, whose wrapped coordinate is w: where a record about that cell must
-// be routed. Like the lists, it is a pure function of the grid; the answer
-// is computed on a cell's first use and remembered as an index into the
-// short table of distinct lists (a few per axis, so far fewer than the
-// uint16 holds).
-func (pl *Plan) Interest(local int, w lattice.Coord) []*Packer {
-	cell := local >> 1
-	if id := pl.interestID[cell]; id != 0 {
-		return pl.interests[id-1]
-	}
-	var peers []*Packer
-	for _, r := range pl.interestedRanks(w) {
-		if p, ok := pl.Sparse(r); ok {
-			peers = append(peers, p)
-		}
-	}
-	id := slices.IndexFunc(pl.interests, func(l []*Packer) bool { return slices.Equal(l, peers) })
-	if id < 0 {
-		id = len(pl.interests)
-		pl.interests = append(pl.interests, peers)
-	}
-	pl.interestID[cell] = uint16(id + 1)
-	return pl.interests[id]
 }
 
 // ExchangeSparse runs one round of the sparse shape: the records routed

@@ -34,28 +34,26 @@ var planCases = []planCase{
 		cuts: [3][]int{{0, 5, 14}, {0, 5, 10, 17}, nil}, ghost: 5},
 }
 
-// testClasses exercises both directions, self-copies, and a classifier that
-// depends on the holder's box (as the KMC sector bands do): class 0 is the
+// testClasses exercises both directions, self-copies, and ranges that
+// depend on the holder's box (as the KMC sector bands do): class 0 is the
 // whole shell, refreshed, with self-images; class 1 is the one-cell band
 // around the box, pushed back; class 2 is the low-x half of the shell,
 // refreshed.
-var testClasses = []Class{{Self: true}, {Push: true}, {}}
-
-func testClassify(holder *lattice.Box, c lattice.Coord) uint32 {
-	mask := uint32(1)
-	band := true
-	for d, v := range [3]int{int(c.X), int(c.Y), int(c.Z)} {
-		if v < holder.Lo[d]-1 || v > holder.Hi[d] {
-			band = false
+var testClasses = []Class{
+	{Self: true},
+	{Push: true, Cells: func(h *lattice.Box) (lo, hi [3]int) {
+		for d := range lo {
+			lo[d], hi[d] = h.Lo[d]-1, h.Hi[d]+1
 		}
-	}
-	if band {
-		mask |= 2
-	}
-	if int(c.X) < (holder.Lo[0]+holder.Hi[0])/2 {
-		mask |= 4
-	}
-	return mask
+		return lo, hi
+	}},
+	{Cells: func(h *lattice.Box) (lo, hi [3]int) {
+		for d := range lo {
+			lo[d], hi[d] = h.Lo[d]-h.Ghost, h.Hi[d]+h.Ghost
+		}
+		hi[0] = (h.Lo[0] + h.Hi[0]) / 2
+		return lo, hi
+	}},
 }
 
 func (tc planCase) build(t *testing.T) (*lattice.Grid, []*Plan, []*lattice.Box) {
@@ -68,10 +66,27 @@ func (tc planCase) build(t *testing.T) (*lattice.Grid, []*Plan, []*lattice.Box) 
 	plans := make([]*Plan, grid.Ranks())
 	boxes := make([]*lattice.Box, grid.Ranks())
 	for r := range plans {
-		plans[r] = Build(grid, r, tc.ghost, testClasses, testClassify)
+		plans[r] = Build(grid, r, tc.ghost, testClasses)
 		boxes[r] = grid.Box(r, tc.ghost)
 	}
 	return grid, plans, boxes
+}
+
+// eachGhost calls fn for every cell of box's ghost shell in holder order,
+// with its wrapped image and the rank owning that, by visiting every cell of
+// the storage box: the oracle of the plan's per-axis enumeration.
+func eachGhost(grid *lattice.Grid, box *lattice.Box, fn func(c, w lattice.Coord, owner int)) {
+	g := box.Ghost
+	for z := box.Lo[2] - g; z < box.Hi[2]+g; z++ {
+		for y := box.Lo[1] - g; y < box.Hi[1]+g; y++ {
+			for x := box.Lo[0] - g; x < box.Hi[0]+g; x++ {
+				c := lattice.Coord{X: int32(x), Y: int32(y), Z: int32(z)}
+				if w := grid.L.Wrap(c); !box.Owns(c) {
+					fn(c, w, grid.RankOfCell(w.X, w.Y, w.Z))
+				}
+			}
+		}
+	}
 }
 
 func peerIndex(pl *Plan, rank int) int {
@@ -201,7 +216,7 @@ func TestPlanWithoutClassesIsThePeerSet(t *testing.T) {
 	for _, tc := range planCases {
 		grid, plans, _ := tc.build(t)
 		for r, full := range plans {
-			bare := Build(grid, r, tc.ghost, nil, nil)
+			bare := Build(grid, r, tc.ghost, nil)
 			if fmt.Sprint(bare.Peers) != fmt.Sprint(full.Peers) {
 				t.Errorf("%s rank %d: peers %v without classes, %v with", tc.name, r, bare.Peers, full.Peers)
 			}
@@ -221,7 +236,7 @@ func TestExchange(t *testing.T) {
 	grid, _, _ := tc.build(t)
 	l := grid.L
 	err := mpi.NewWorld(grid.Ranks()).RunE(func(c *mpi.Comm) error {
-		pl := Build(grid, c.Rank(), tc.ghost, testClasses, testClassify)
+		pl := Build(grid, c.Rank(), tc.ghost, testClasses)
 		box := grid.Box(c.Rank(), tc.ghost)
 		val := make([]int32, box.NumLocalSites())
 		box.EachOwned(func(g lattice.Coord, local int) { val[local] = int32(l.Index(g)) })

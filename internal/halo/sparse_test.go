@@ -71,7 +71,7 @@ func sparseWorld(t *testing.T, tc planCase, body func(c *mpi.Comm, pl *Plan, sen
 	return runDeadline(t, mpi.NewWorld(grid.Ranks()), func(c *mpi.Comm) error {
 		reg := telemetry.New(c.Rank())
 		c.AttachTelemetry(reg)
-		return body(c, Build(grid, c.Rank(), tc.ghost, sparseClasses, nil), func() int64 {
+		return body(c, Build(grid, c.Rank(), tc.ghost, sparseClasses), func() int64 {
 			for _, m := range reg.Snapshot().Metrics {
 				if m.Name == "mpi/p2p/msgs-sent" {
 					return m.Value
@@ -216,7 +216,7 @@ func TestSparseListsMatchBruteForce(t *testing.T) {
 			grid, _, boxes := tc.build(t)
 			plans := make([]*Plan, grid.Ranks())
 			for r := range plans {
-				plans[r] = Build(grid, r, tc.ghost, classes, nil)
+				plans[r] = Build(grid, r, tc.ghost, classes)
 			}
 			for r, pl := range plans {
 				box := boxes[r]
@@ -261,54 +261,55 @@ func TestSparseListsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestInterestedRanksMatchBruteForce: interestedRanks uses the 27-corner
-// shortcut; verify it against scanning the full cube of cells within the
-// ghost distance, and Interest against it (the same ranks' packers, and the
-// same answer again from the memo).
+// TestInterestedRanksMatchBruteForce: on every planCases grid, and on one
+// whose 2-cell slabs are thinner than the halo, Interest names for every
+// local cell of every rank exactly the peers that own a cell of the
+// (2g+1)³ cube around it, in ascending rank, and gives the same answer
+// again from its memo.
 func TestInterestedRanksMatchBruteForce(t *testing.T) {
-	tc := planCase{cells: [3]int{22, 22, 11}, grid: [3]int{2, 2, 1}, ghost: 5}
-	grid, _, boxes := tc.build(t)
-	for rank, box := range boxes {
-		pl := Build(grid, rank, tc.ghost, nil, nil)
-		g := int32(tc.ghost)
-		probe := func(w lattice.Coord) {
-			got := pl.interestedRanks(w)
-			want := map[int]bool{}
-			for dz := -g; dz <= g; dz++ {
-				for dy := -g; dy <= g; dy++ {
-					for dx := -g; dx <= g; dx++ {
-						r := grid.RankOfCell(w.X+dx, w.Y+dy, w.Z+dz)
-						if r != rank {
-							want[r] = true
+	cases := append(slices.Clone(planCases),
+		planCase{name: "3x1x1 slabs thinner than the halo", cells: [3]int{6, 6, 6}, grid: [3]int{3, 1, 1}, ghost: 3})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			grid, _, boxes := tc.build(t)
+			l := grid.L
+			g := int32(tc.ghost)
+			cube := map[lattice.Coord][]int{} // wrapped cell -> ranks owning a cell of its cube, ascending
+			owners := func(w lattice.Coord) []int {
+				if rs, ok := cube[w]; ok {
+					return rs
+				}
+				var rs []int
+				for dz := -g; dz <= g; dz++ {
+					for dy := -g; dy <= g; dy++ {
+						for dx := -g; dx <= g; dx++ {
+							if r := grid.RankOfCell(w.X+dx, w.Y+dy, w.Z+dz); !slices.Contains(rs, r) {
+								rs = append(rs, r)
+							}
 						}
 					}
 				}
+				slices.Sort(rs)
+				cube[w] = rs
+				return rs
 			}
-			if len(got) != len(want) {
-				t.Fatalf("cell %+v: interest %v vs brute-force %v", w, got, want)
-			}
-			var packers []*Packer
-			for _, r := range got {
-				if !want[r] {
-					t.Fatalf("cell %+v: spurious interested rank %d", w, r)
+			for rank, box := range boxes {
+				pl := Build(grid, rank, tc.ghost, nil)
+				for local := 0; local < box.NumLocalSites(); local += 2 {
+					w := l.Wrap(box.GlobalCoord(local))
+					var want []*Packer
+					for _, r := range owners(w) {
+						if p, ok := pl.Sparse(r); ok {
+							want = append(want, p)
+						}
+					}
+					got := pl.Interest(local, w)
+					if !slices.Equal(got, want) || !slices.Equal(pl.Interest(local, w), got) {
+						t.Fatalf("rank %d cell %+v: Interest names %d packer(s), the cube's owners %v give %d",
+							rank, w, len(got), owners(w), len(want))
+					}
 				}
-				if p, ok := pl.Sparse(r); ok {
-					packers = append(packers, p)
-				}
 			}
-			local := box.LocalIndex(w)
-			if first := pl.Interest(local, w); !slices.Equal(first, packers) || !slices.Equal(pl.Interest(local, w), first) {
-				t.Fatalf("cell %+v: Interest does not name the packers of ranks %v", w, got)
-			}
-		}
-		// Probe corners, edges and interior of the owned region.
-		for _, c := range []lattice.Coord{
-			{X: int32(box.Lo[0]), Y: int32(box.Lo[1]), Z: int32(box.Lo[2])},
-			{X: int32(box.Hi[0] - 1), Y: int32(box.Hi[1] - 1), Z: int32(box.Hi[2] - 1)},
-			{X: int32(box.Lo[0] + 3), Y: int32(box.Lo[1]), Z: int32(box.Lo[2] + 2)},
-			{X: int32((box.Lo[0] + box.Hi[0]) / 2), Y: int32((box.Lo[1] + box.Hi[1]) / 2), Z: int32((box.Lo[2] + box.Hi[2]) / 2)},
-		} {
-			probe(grid.L.Wrap(c))
-		}
+		})
 	}
 }

@@ -207,7 +207,7 @@ func (f *readFootprint) at(b int, x, y, z int32) uint8 {
 // on z is.
 func (st *State) invalidateNear(c lattice.Coord) {
 	f := &st.reads
-	near := st.sectorsWithin(c, f.reach)
+	near := st.nearSectors.of(st.Box, c)
 	plane := 2 * st.Box.Ext(0) * st.Box.Ext(1)
 	lz := int(c.Z) - (st.Box.Lo[2] - st.Box.Ghost)
 	first, end := (lz-int(f.reach))*plane, (lz+int(f.reach)+1)*plane
@@ -231,28 +231,6 @@ func (st *State) invalidateNear(c lattice.Coord) {
 		}
 	}
 }
-
-// sectorsWithin returns the set of sectors (bit sec) whose octant of the
-// owned region, as sectorOf splits it, lies within reach cells of the cell
-// of c on every axis.
-func (st *State) sectorsWithin(c lattice.Coord, reach int32) uint8 {
-	near := uint8(0xFF)
-	for d, v := range [3]int32{c.X, c.Y, c.Z} {
-		lo, hi := int32(st.Box.Lo[d]), int32(st.Box.Hi[d])
-		mid := lo + (hi-lo)/2
-		if v < lo-reach || v >= mid+reach { // too far from the low half
-			near &^= octantHalf[d][0]
-		}
-		if v < mid-reach || v >= hi+reach { // too far from the high half
-			near &^= octantHalf[d][1]
-		}
-	}
-	return near
-}
-
-// octantHalf[d][h] is the set of sectors in the low (h = 0) or high (h = 1)
-// half of axis d.
-var octantHalf = [3][2]uint8{{0x55, 0xAA}, {0x33, 0xCC}, {0x0F, 0xF0}}
 
 // ratesOf brings the candidate rates of owned vacancy vc up to date,
 // recomputing its stale hops — or every hop, in full-rescan debug mode,

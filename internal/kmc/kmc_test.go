@@ -725,8 +725,8 @@ func TestStateMemoryPerSite(t *testing.T) {
 		perSite := float64(st.MemoryBytes()) / float64(st.Box.NumLocalSites())
 		t.Logf("rank %d holds %.2f B per local site (%d sites, %d B)",
 			st.Comm.Rank(), perSite, st.Box.NumLocalSites(), st.MemoryBytes())
-		if perSite > 12.5 {
-			t.Errorf("rank %d holds %.2f B per local site, want at most 12.5 (Occ + Rho + the per-site embedding memo held ≥ 33)",
+		if perSite > 11.3 { // 10.82 measured; 0.5 B of slack for list growth
+			t.Errorf("rank %d holds %.2f B per local site, want at most 11.3 (Occ + Rho + the per-site embedding memo held ≥ 33)",
 				st.Comm.Rank(), perSite)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"unsafe"
@@ -55,6 +56,9 @@ type State struct {
 	reads   readFootprint // an occupancy change in hop k's footprint stales rate k
 	secSum  [8]float64
 	sumKept uint8
+	// The octants themselves, and the octants grown by the footprint's
+	// reach: where a vacancy is listed, and whose entries a change can stale.
+	sectors, nearSectors sectorSets
 	// sumProbe, when set, sees every kept sum sectorRate returns. Nothing in
 	// production sets it: the in-package coherence test does, to compare
 	// each with a fresh re-sum.
@@ -167,13 +171,14 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 	}
 	st.en = energetics{pot: pot, shells: newShellTables(pot, tab)}
 	st.reads = newReadFootprint(tab)
+	st.sectors, st.nearSectors = newSectorSets(box, 0), newSectorSets(box, int(st.reads.reach))
 	st.buildDeltas()
 	st.buildImages()
 	classes := sectorRounds()
 	if cfg.Protocol == Traditional {
 		classes = bandClasses()
 	}
-	st.plan = halo.Build(grid, comm.Rank(), ghost, classes, classifyBand)
+	st.plan = halo.Build(grid, comm.Rank(), ghost, classes)
 	st.dirtyCh = halo.Channel{Pkg: "kmc", Tag: tagKDirty}
 	st.initOccupancy()
 	st.initRho()
@@ -207,6 +212,9 @@ func (st *State) MemoryBytes() int {
 	}
 	for sec := range st.secVacs {
 		n += int(unsafe.Sizeof(vacCache{})) * cap(st.secVacs[sec])
+	}
+	for d := range st.sectors {
+		n += len(st.sectors[d]) + len(st.nearSectors[d])
 	}
 	return n
 }
@@ -308,8 +316,56 @@ func mergeHop(aroundS, aroundN []stencilSite, dn int32) []stencilSite {
 	return out
 }
 
-// The halo classes of the traditional protocol: sector sec's read halo is
-// class getBand+sec, its write band class putBand+sec.
+// octant returns the cell range [lo, hi) of sector sec of box's owned
+// region grown by k cells on every side. Bit d of sec picks the high half of
+// axis d; the halves split at Lo + (Hi−Lo)/2. It is the one place the
+// subdomain is split into sectors: the sector of an owned cell, the sectors
+// within reach of a change, and the ghost classes of both protocols all
+// derive from it.
+func octant(box *lattice.Box, sec, k int) (lo, hi [3]int) {
+	for d := range lo {
+		mid := box.Lo[d] + (box.Hi[d]-box.Lo[d])/2
+		if sec>>d&1 == 0 {
+			lo[d], hi[d] = box.Lo[d]-k, mid+k
+		} else {
+			lo[d], hi[d] = mid-k, box.Hi[d]+k
+		}
+	}
+	return lo, hi
+}
+
+// sectorSets holds, per axis and storage index, the sectors (bit sec) whose
+// octant grown by some k cells holds that coordinate on that axis. A cell
+// lies in the grown octants that its three axes' sets all name.
+type sectorSets [3][]uint8
+
+func newSectorSets(box *lattice.Box, k int) (s sectorSets) {
+	for d := range s {
+		s[d] = make([]uint8, box.Ext(d))
+	}
+	for sec := 0; sec < 8; sec++ {
+		lo, hi := octant(box, sec, k)
+		for d := range s {
+			for i := range s[d] {
+				if v := box.Lo[d] - box.Ghost + i; v >= lo[d] && v < hi[d] {
+					s[d][i] |= 1 << sec
+				}
+			}
+		}
+	}
+	return s
+}
+
+// of returns the sectors whose grown octant holds cell c of box's storage
+// range.
+func (s *sectorSets) of(box *lattice.Box, c lattice.Coord) uint8 {
+	g := box.Ghost
+	return s[0][int(c.X)-box.Lo[0]+g] & s[1][int(c.Y)-box.Lo[1]+g] & s[2][int(c.Z)-box.Lo[2]+g]
+}
+
+// The halo classes of the traditional protocol: sector sec's read halo,
+// class getBand+sec, is its octant grown by the ghost width, and its write
+// band, class putBand+sec, the octant grown by one cell.
 const (
 	getBand = 0
 	putBand = 8
@@ -318,55 +374,21 @@ const (
 func bandClasses() []halo.Class {
 	cs := make([]halo.Class, 16)
 	for sec := 0; sec < 8; sec++ {
-		cs[putBand+sec].Push = true
+		cs[getBand+sec].Cells = func(h *lattice.Box) (lo, hi [3]int) { return octant(h, sec, h.Ghost) }
+		cs[putBand+sec] = halo.Class{Push: true, Cells: func(h *lattice.Box) (lo, hi [3]int) { return octant(h, sec, 1) }}
 	}
 	return cs
 }
 
 // sectorRounds are the classes of the on-demand protocol: round sec flushes
-// what an event of sector sec can change, its octant (as sectorOf splits
-// the subdomain) and the one-cell write band around it.
+// what an event of sector sec can change, its octant grown by the one-cell
+// write band.
 func sectorRounds() []halo.Class {
 	cs := make([]halo.Class, 8)
 	for sec := range cs {
-		cs[sec].Region = func(owner *lattice.Box) (lo, hi [3]int) {
-			for d := range lo {
-				mid := owner.Lo[d] + (owner.Hi[d]-owner.Lo[d])/2
-				if sec>>d&1 == 0 {
-					lo[d], hi[d] = owner.Lo[d]-1, mid+1
-				} else {
-					lo[d], hi[d] = mid-1, owner.Hi[d]+1
-				}
-			}
-			return lo, hi
-		}
+		cs[sec].Region = func(owner *lattice.Box) (lo, hi [3]int) { return octant(owner, sec, 1) }
 	}
 	return cs
-}
-
-// classifyBand puts ghost cell c of the holder's box into the read halo of
-// every sector (octant of the subdomain, split where sectorOf splits it)
-// within the ghost width of it, and into the write band of every sector
-// within one cell. The Chebyshev distance to an octant is the largest of the
-// three per-axis distances to the half the octant takes on that axis.
-func classifyBand(holder *lattice.Box, c lattice.Coord) uint32 {
-	var dist [3][2]int // per axis: distance to the low half, to the high half
-	for d, v := range [3]int{int(c.X), int(c.Y), int(c.Z)} {
-		lo, hi := holder.Lo[d], holder.Hi[d]
-		mid := lo + (hi-lo)/2
-		dist[d] = [2]int{max(lo-v, v-mid+1, 0), max(mid-v, v-hi+1, 0)}
-	}
-	var mask uint32
-	for sec := 0; sec < 8; sec++ {
-		d := max(dist[0][sec&1], dist[1][sec>>1&1], dist[2][sec>>2&1])
-		if d <= holder.Ghost {
-			mask |= 1 << (getBand + sec)
-		}
-		if d <= 1 {
-			mask |= 1 << (putBand + sec)
-		}
-	}
-	return mask
 }
 
 // buildImages tabulates, per axis, which storage indices are periodic
@@ -692,20 +714,7 @@ func (st *State) VacancySites() []lattice.Coord {
 // sectorOf returns the sector index (0..7) of an owned cell coordinate: the
 // octant of the subdomain it falls in.
 func (st *State) sectorOf(c lattice.Coord) int {
-	sec := 0
-	mid0 := st.Box.Lo[0] + (st.Box.Hi[0]-st.Box.Lo[0])/2
-	mid1 := st.Box.Lo[1] + (st.Box.Hi[1]-st.Box.Lo[1])/2
-	mid2 := st.Box.Lo[2] + (st.Box.Hi[2]-st.Box.Lo[2])/2
-	if int(c.X) >= mid0 {
-		sec |= 1
-	}
-	if int(c.Y) >= mid1 {
-		sec |= 2
-	}
-	if int(c.Z) >= mid2 {
-		sec |= 4
-	}
-	return sec
+	return bits.TrailingZeros8(st.sectors.of(st.Box, c))
 }
 
 // emFor returns the migration barrier for exchanging the vacancy with an
@@ -720,7 +729,7 @@ func (st *State) emFor(occ uint8) float64 {
 // cuSeedSalt derives the copper-placement RNG stream.
 const cuSeedSalt = 0xC0FFEE
 
-// CuSites returns the wrapped coordinates of owned copper atoms.
+// CuSitesOwned returns the wrapped coordinates of owned copper atoms.
 func (st *State) CuSitesOwned() []lattice.Coord {
 	var out []lattice.Coord
 	st.Box.EachOwned(func(c lattice.Coord, local int) {

@@ -37,7 +37,7 @@ func newExchange(comm *mpi.Comm, grid *lattice.Grid, box *lattice.Box) *exchange
 	return &exchange{
 		comm: comm,
 		grid: grid,
-		plan: halo.Build(grid, comm.Rank(), box.Ghost, []halo.Class{{Self: true}}, nil),
+		plan: halo.Build(grid, comm.Rank(), box.Ghost, []halo.Class{{Self: true}}),
 		pos:  halo.Channel{Pkg: "md", Tag: tagPos},
 		rho:  halo.Channel{Pkg: "md", Tag: tagRho},
 		mig:  halo.Channel{Pkg: "md", Tag: tagMig},

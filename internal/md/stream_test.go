@@ -254,8 +254,8 @@ func TestRankMemoryPerAtom(t *testing.T) {
 		perAtom := float64(r.MemoryBytes()) / float64(CountOwnedAtoms(r.Store))
 		t.Logf("rank holds %.0f B/atom (force field %.0f)", perAtom,
 			float64(r.FF.MemoryBytes())/float64(CountOwnedAtoms(r.Store)))
-		if perAtom > 560 {
-			t.Errorf("rank holds %.0f B/atom, want at most 560 (the 6-float stream held 628)", perAtom)
+		if perAtom > 550 { // 545 measured; 5 B of slack
+			t.Errorf("rank holds %.0f B/atom, want at most 550 (the 6-float stream held 628)", perAtom)
 		}
 	})
 }
