@@ -10,9 +10,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: check fmt-check p2p-owner determinism no-env docs-check no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec fuzz-journal figures figures-smoke
+.PHONY: check fmt-check p2p-owner determinism no-env one-codec docs-check no-fma build test vet lint staticcheck govulncheck race recovery cover bench bench-compare bench-kmc bench-md bench-smoke smoke smoke-telemetry smoke-campaign smoke-serve fuzz fuzz-manifest fuzz-rankfile fuzz-spectrum fuzz-jobspec fuzz-journal figures figures-smoke
 
-check: fmt-check p2p-owner determinism no-env no-fma vet lint build race
+check: fmt-check p2p-owner determinism no-env one-codec no-fma vet lint build race
 
 # gofmt gate: any unformatted file fails. The analyzer fixtures under
 # testdata/ are exempt (some are unformatted on purpose).
@@ -46,6 +46,14 @@ determinism:
 no-env:
 	@out=$$(grep -rnE '\bos\.(Getenv|LookupEnv|Environ)\b' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' || true); \
 	if [ -n "$$out" ]; then echo "environment reads in non-test code:"; echo "$$out"; exit 1; fi
+
+# Codec gate (DESIGN.md §10): every byte the program writes for itself —
+# ghost, migrant and site messages, both engines' rank files — goes through
+# the one bounds-checked halo codec, so no non-test code imports
+# encoding/gob. Tests may, to build files of the gob era.
+one-codec:
+	@out=$$(grep -rn '"encoding/gob"' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "encoding/gob imported by non-test code:"; echo "$$out"; exit 1; fi
 
 # Docs gate: every Test…, Benchmark… or Fuzz… identifier that DESIGN.md,
 # README.md or the verify skill cites must be a prefix of a defined Go
@@ -160,12 +168,14 @@ race:
 # results (plus the atomic-commit guarantee, the refusal of a manifest that
 # disagrees with its rank files, and the one committed-snapshot rule); and
 # each engine's restart calls: exact onto the writer's own grid, bit-identical
-# resumes, the MD re-shard opening only the shards it overlaps, and every
-# corrupt or version-1 rank file refused at the decoder.
+# resumes, the MD re-shard opening only the shards it overlaps, every
+# corrupt or gob-era rank file refused at the decoder, every truncated or
+# bit-flipped one refused by its length or checksum, and gob-era snapshots
+# skipped by Latest.
 recovery:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestAtomicCommit|TestRestartRejectsManifestStepMismatch|TestStrayFileIsNotASnapshot' ./internal/couple
-	$(GO) test -race -count=1 -run '^(TestReshardOntoOwnGridIsExact|TestCheckpointResumeIdentical|TestCheckpointResumeIdenticalParallel|TestRestoreDoesNotReinjectPKA|TestRestoreRejectsCorruptSnapshot|TestRestoreRefusesVersion1File|TestReshardOpensOnlyOverlappingShards)$$' ./internal/md
-	$(GO) test -race -count=1 -run '^(TestReshardOntoOwnGridIsExact|TestRestoreRejectsCorruptCheckpoint)$$' ./internal/kmc
+	$(GO) test -race -count=1 -run 'TestRecovery|TestAtomicCommit|TestRestartRejectsManifestStepMismatch|TestStrayFileIsNotASnapshot|TestLatestSkipsGobEraSnapshots' ./internal/couple
+	$(GO) test -race -count=1 -run '^(TestReshardOntoOwnGridIsExact|TestCheckpointResumeIdentical|TestCheckpointResumeIdenticalParallel|TestRestoreDoesNotReinjectPKA|TestRestoreRejectsCorruptSnapshot|TestRestoreRefusesVersion1File|TestReshardOpensOnlyOverlappingShards|TestRankFileIntegrity)$$' ./internal/md
+	$(GO) test -race -count=1 -run '^(TestReshardOntoOwnGridIsExact|TestRestoreRejectsCorruptCheckpoint|TestRankFileIntegrity)$$' ./internal/kmc
 
 # Per-package coverage with enforced floors on internal/couple — the
 # restart-correctness core (checkpoint coordinator, re-shard loaders,
@@ -289,10 +299,11 @@ fuzz-manifest:
 # Short fuzz pass over each engine's rank-file decoder, the trust boundary
 # of a restart: any bytes must make Restore and RestoreResharded return an
 # md:/kmc: error or succeed, never panic, and a rejected Restore must leave
-# the engine untouched (seeds start from real Save output). go test fuzzes
-# one package at a time, so each engine gets its own 30 s pass; a rank file
-# seed is tens of KB (an MD one ~13 KB), so minimizing a new input is capped
-# at 5 s (the 60 s default would eat the whole pass).
+# the engine untouched (seeds start from real Save output; each input is
+# also decoded re-sealed, so it reaches the value checks past the checksum).
+# go test fuzzes one package at a time, so each engine gets its own 30 s
+# pass; a rank file seed is tens of KB (an MD one ~11 KB), so minimizing a
+# new input is capped at 5 s (the 60 s default would eat the whole pass).
 fuzz-rankfile:
 	$(GO) test -run '^$$' -fuzz 'FuzzRankFile' -fuzztime 30s -fuzzminimizetime 5s ./internal/md
 	$(GO) test -run '^$$' -fuzz 'FuzzRankFile' -fuzztime 30s -fuzzminimizetime 5s ./internal/kmc

@@ -25,13 +25,15 @@ import (
 // On-disk layout (one snapshot per committed directory):
 //
 //	<dir>/ckpt-000007/manifest.json   stage, step, seed hash, rank count
-//	<dir>/ckpt-000007/rank-000.ckpt   per-rank gob stream (md.Rank / kmc.State)
+//	<dir>/ckpt-000007/rank-000.ckpt   per-rank sealed file (md.Rank / kmc.State)
 //	<dir>/ckpt-000007/rank-001.ckpt
 //	<dir>/.tmp-ckpt/                  in-flight snapshot, ignored by Latest
 //
-// An MD rank file holds the rank's owned atoms only (ghosts and ρ are
-// rebuilt by the next force computation; version-1 whole-store files are
-// refused); a KMC rank file keeps ghost occupancy and ρ, its trajectory
+// A rank file is one halo sealed file: a fixed little-endian header, fixed
+// records and a CRC-32C trailer, which the engine's decode checks, length
+// and checksum first, before it reads a record. An MD rank file holds the
+// rank's owned atoms only (ghosts and ρ are rebuilt by the next force
+// computation); a KMC rank file keeps ghost occupancy and ρ, its trajectory
 // state (DESIGN.md §10).
 //
 // The commit point is a single os.Rename of the staging directory onto its
@@ -79,13 +81,14 @@ const (
 // onto a different rank count or slab layout at restart (DESIGN.md §14);
 // 3 adds the campaign block — iteration count, dose ledger, spectrum-RNG
 // cursor, defect population — for dose-accumulation campaigns (DESIGN.md
-// §15). Readers accept 2 and 3, so pre-campaign snapshots stay loadable.
+// §15); 4 marks rank files written as sealed binary files, where 2 and 3
+// held gob streams. Readers accept 4 only, so Latest skips, and logs, a
+// gob-era snapshot before any restart reaches its rank files.
 const (
-	manifestVersion    = 3
-	minManifestVersion = 2
-	manifestName       = "manifest.json"
-	tmpDirName         = ".tmp-ckpt"
-	defaultKeep        = 2
+	manifestVersion = 4
+	manifestName    = "manifest.json"
+	tmpDirName      = ".tmp-ckpt"
+	defaultKeep     = 2
 )
 
 // MDSummary carries the MD stage's contribution to the coupled result
@@ -179,8 +182,9 @@ func Latest(dir, hash string) (*Manifest, error) {
 		name := snapshotName(seqs[i])
 		man, err := loadManifest(filepath.Join(dir, name))
 		if err != nil {
-			// Damaged snapshot; fall back to an older one, but say so — the
-			// operator should know a committed snapshot went bad.
+			// Damaged snapshot, or one of the gob era; fall back to an older
+			// one, but say so — the operator should know a committed
+			// snapshot went bad.
 			log.Printf("couple: skipping damaged snapshot %s: %v", name, err)
 			continue
 		}
@@ -223,9 +227,9 @@ func loadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		return nil, fmt.Errorf("couple: decoding manifest: %w", err)
 	}
-	if man.Version < minManifestVersion || man.Version > manifestVersion {
-		return nil, fmt.Errorf("couple: manifest version %d, want %d..%d",
-			man.Version, minManifestVersion, manifestVersion)
+	if man.Version != manifestVersion {
+		return nil, fmt.Errorf("couple: manifest version %d, want %d (versions 2 and 3 hold gob rank files)",
+			man.Version, manifestVersion)
 	}
 	switch man.Stage {
 	case StageMD, StageKMC:

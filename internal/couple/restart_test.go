@@ -1,7 +1,9 @@
 package couple
 
 import (
+	"bytes"
 	"encoding/json"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,6 +47,52 @@ func TestRestartRejectsManifestStepMismatch(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, "step 10") || !strings.Contains(msg, "step 20") {
 		t.Errorf("error %q does not name both steps", msg)
+	}
+}
+
+// TestLatestSkipsGobEraSnapshots: a manifest of version 2 or 3 promises
+// gob rank files, which no engine reads any more. Latest skips such a
+// snapshot, and logs why, before a restart reaches its rank files: here it
+// falls back from a version-3 snapshot to the older version-4 one, then,
+// with that one marked version 2 as well, finds none.
+func TestLatestSkipsGobEraSnapshots(t *testing.T) {
+	cfg := restartMD(30)
+	dir := t.TempDir()
+	if _, err := RunMD(cfg, Checkpoint{Dir: dir, Every: 10}); err != nil {
+		t.Fatal(err)
+	}
+	mark := func(version int) {
+		t.Helper()
+		man, err := Latest(dir, cfg.Hash())
+		if err != nil || man == nil {
+			t.Fatalf("no snapshot to mark: %v", err)
+		}
+		man.Version = version
+		data, err := json.MarshalIndent(man, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(man.dir, manifestName), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(prev)
+
+	mark(3)
+	if man, err := Latest(dir, cfg.Hash()); err != nil || man == nil || man.Step != 10 {
+		t.Errorf("Latest past a version-3 snapshot: %+v, %v; want the version-4 one at step 10", man, err)
+	}
+	mark(2)
+	if man, err := Latest(dir, cfg.Hash()); err != nil || man != nil {
+		t.Errorf("Latest over gob-era snapshots only: %+v, %v; want none", man, err)
+	}
+	for _, want := range []string{"ckpt-000002: couple: manifest version 3, want 4", "ckpt-000001: couple: manifest version 2, want 4"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("log does not say %q:\n%s", want, logged.String())
+		}
 	}
 }
 

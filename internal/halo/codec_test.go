@@ -1,6 +1,7 @@
 package halo
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -76,5 +77,53 @@ func TestCodecTruncation(t *testing.T) {
 			}()
 			unpackAll(NewUnpacker("md", p.Bytes()[:cut]))
 		}()
+	}
+}
+
+// TestSealedFile: a sealed file round-trips through ReadFile, and each way
+// its frame can be wrong — magic, format version, declared length, bytes
+// past it, a length over the reader's limit, the checksum — is refused with
+// an error that carries the reader's package prefix and names the fault.
+func TestSealedFile(t *testing.T) {
+	const magic = 0x54534554 // "TEST"
+	var p Packer
+	p.BeginFile(magic, 0)
+	packAll(&p)
+	p.Seal()
+	good := bytes.Clone(p.Bytes())
+	if want := fileHead + 1 + 2 + 4 + 8 + 8 + 24 + fileTrail; len(good) != want {
+		t.Fatalf("sealed %d bytes, want %d", len(good), want)
+	}
+	u, err := ReadFile("test", bytes.NewReader(good), magic, len(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !unpackAll(u) || !u.Done() {
+		t.Fatal("round trip through a sealed file failed")
+	}
+
+	edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(good)) }
+	for _, tc := range []struct {
+		name  string
+		file  []byte
+		limit int
+		want  string
+	}{
+		{"empty", nil, len(good), "truncated rank file: 0 of 16 header bytes"},
+		{"magic", edit(func(b []byte) []byte { b[0]++; return b }), len(good), "unknown rank file format"},
+		{"version", edit(func(b []byte) []byte { b[4] = 2; return b }), len(good), "rank file format version 2, want 3"},
+		{"short", good[:len(good)-1], len(good), "truncated rank file"},
+		{"long", append(bytes.Clone(good), 0), len(good), "runs past the"},
+		{"over the limit", good, len(good) - 1, "rank file declares"},
+		{"checksum", edit(func(b []byte) []byte { b[20] ^= 1; return b }), len(good), "rank file checksum"},
+	} {
+		_, err := ReadFile("test", bytes.NewReader(tc.file), magic, tc.limit)
+		if err == nil || !strings.HasPrefix(err.Error(), "test: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a test: error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// OpenFile checks the declared length against the bytes it is given.
+	if _, err := OpenFile("test", good[:len(good)-1], magic); err == nil || !strings.Contains(err.Error(), "its header declares") {
+		t.Errorf("OpenFile of a short file: error %v", err)
 	}
 }

@@ -31,6 +31,7 @@ package halo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"mdkmc/internal/lattice"
@@ -191,19 +192,46 @@ func eachHeld(grid *lattice.Grid, holder *lattice.Box, r int, fn func(c, w latti
 	}
 }
 
-// inside reports whether cell c (unwrapped) lies in the range r.
-func inside(r [2][3]int, c lattice.Coord) bool {
-	for d, v := range [3]int32{c.X, c.Y, c.Z} {
-		if int(v) < r[0][d] || int(v) >= r[1][d] {
-			return false
+// classMask names, per axis of a holder's storage range, the dense classes
+// whose Cells range covers each coordinate, one bit per class in the order
+// of the dense list: a cell is in the classes whose bits survive the AND of
+// its three axes' masks.
+type classMask struct {
+	lo   [3]int
+	axis [3][]uint64
+}
+
+// newClassMask builds holder's masks over the dense classes (at most 64).
+func newClassMask(holder *lattice.Box, classes []Class, dense []int) *classMask {
+	m := &classMask{}
+	for d := range m.axis {
+		m.lo[d] = holder.Lo[d] - holder.Ghost
+		m.axis[d] = make([]uint64, holder.Hi[d]+holder.Ghost-m.lo[d])
+	}
+	for j, k := range dense {
+		lo, hi := [3]int{math.MinInt, math.MinInt, math.MinInt}, [3]int{math.MaxInt, math.MaxInt, math.MaxInt}
+		if cells := classes[k].Cells; cells != nil {
+			lo, hi = cells(holder)
+		}
+		for d, axis := range m.axis {
+			for i := range axis {
+				if v := m.lo[d] + i; v >= lo[d] && v < hi[d] {
+					axis[i] |= 1 << j
+				}
+			}
 		}
 	}
-	return true
+	return m
+}
+
+// at returns the classes of cell c (unwrapped, in the holder's storage).
+func (m *classMask) at(c lattice.Coord) uint64 {
+	return m.axis[0][int(c.X)-m.lo[0]] & m.axis[1][int(c.Y)-m.lo[1]] & m.axis[2][int(c.Z)-m.lo[2]]
 }
 
 // Build computes rank's plan for a halo of ghost cells. Classes with a
-// Region get peer lists only; the others get cell lists, and are
-// sparse-exchanged with every peer. With no classes the result carries the
+// Region get peer lists only; the others, at most 64, get cell lists, and
+// are sparse-exchanged with every peer. With no classes the result carries the
 // peer set only. Build takes no communicator: it cannot send a message.
 func Build(grid *lattice.Grid, rank, ghost int, classes []Class) *Plan {
 	box := grid.Box(rank, ghost)
@@ -247,25 +275,13 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class) *Plan {
 	shell := func(c, w lattice.Coord) Cell {
 		return Cell{Local: box.LocalIndex(c), Shift: l.Position(c).Sub(l.Position(w))}
 	}
-	// spans returns, per class, the range of holder's cells the class names.
-	spans := func(holder *lattice.Box) [][2][3]int {
-		r := make([][2][3]int, len(classes))
-		for _, k := range dense {
-			r[k] = [2][3]int{{math.MinInt, math.MinInt, math.MinInt}, {math.MaxInt, math.MaxInt, math.MaxInt}}
-			if cells := classes[k].Cells; cells != nil {
-				r[k][0], r[k][1] = cells(holder)
-			}
-		}
-		return r
-	}
-	mine := spans(box)
+	mine := newClassMask(box, classes, dense)
 	for i, q := range pl.Peers {
 		// What I hold of q's cells, and what q holds of mine, in the holder's order.
 		eachHeld(grid, box, q, func(c, w lattice.Coord) {
-			for _, k := range dense {
-				switch cl := classes[k]; {
-				case !inside(mine[k], c):
-				case cl.Push:
+			for in := mine.at(c); in != 0; in &= in - 1 {
+				switch k := dense[bits.TrailingZeros64(in)]; {
+				case classes[k].Push:
 					pl.send[k][i] = append(pl.send[k][i], box.LocalIndex(c))
 				default:
 					pl.recv[k][i] = append(pl.recv[k][i], shell(c, w))
@@ -273,12 +289,11 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class) *Plan {
 			}
 		})
 		holder := grid.Box(q, ghost)
-		theirs := spans(holder)
+		theirs := newClassMask(holder, classes, dense)
 		eachHeld(grid, holder, rank, func(c, w lattice.Coord) {
-			for _, k := range dense {
-				switch cl := classes[k]; {
-				case !inside(theirs[k], c):
-				case cl.Push:
+			for in := theirs.at(c); in != 0; in &= in - 1 {
+				switch k := dense[bits.TrailingZeros64(in)]; {
+				case classes[k].Push:
 					pl.recv[k][i] = append(pl.recv[k][i], Cell{Local: box.LocalIndex(w)})
 				default:
 					pl.send[k][i] = append(pl.send[k][i], box.LocalIndex(w))
@@ -287,11 +302,16 @@ func Build(grid *lattice.Grid, rank, ghost int, classes []Class) *Plan {
 		})
 	}
 	if anySelf {
+		var self uint64 // the dense classes with Self
+		for j, k := range dense {
+			if classes[k].Self {
+				self |= 1 << j
+			}
+		}
 		eachHeld(grid, box, rank, func(c, w lattice.Coord) {
-			for _, k := range dense {
-				if classes[k].Self && inside(mine[k], c) {
-					pl.self[k] = append(pl.self[k], selfCopy{src: box.LocalIndex(w), dst: shell(c, w)})
-				}
+			for in := mine.at(c) & self; in != 0; in &= in - 1 {
+				k := dense[bits.TrailingZeros64(in)]
+				pl.self[k] = append(pl.self[k], selfCopy{src: box.LocalIndex(w), dst: shell(c, w)})
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package kmc
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -60,15 +61,22 @@ func annealConfig() Config {
 }
 
 // BenchmarkNewState builds the kmc-anneal world's states: per iteration one
-// 2-rank world, every rank's NewState. Past the first iteration eam.Shared
-// hands out the built potential, so this times the rank-dependent work.
+// 2-rank world, every rank's NewState, under each protocol. Past the first
+// iteration eam.Shared hands out the built potential, so this times the
+// rank-dependent work; the traditional protocol's 16 dense ghost classes
+// make its halo.Build the larger share.
 func BenchmarkNewState(b *testing.B) {
-	cfg := annealConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mpi.NewWorld(cfg.Ranks()).Run(func(c *mpi.Comm) {
-			if _, err := NewState(cfg, c); err != nil {
-				b.Error(err)
+	for _, proto := range []Protocol{OnDemand, Traditional} {
+		b.Run(proto.String(), func(b *testing.B) {
+			cfg := annealConfig()
+			cfg.Protocol = proto
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mpi.NewWorld(cfg.Ranks()).Run(func(c *mpi.Comm) {
+					if _, err := NewState(cfg, c); err != nil {
+						b.Error(err)
+					}
+				})
 			}
 		})
 	}
@@ -146,4 +154,46 @@ func BenchmarkKMCEventCost(b *testing.B) {
 			b.ReportMetric(per(visits.Value()), "visits/event")
 		})
 	}
+}
+
+// BenchmarkRankFile times Save into memory and Restore from it on rank 0 of
+// the kmc-anneal world (32×16×16 cells on 2×1×1, ghosts included), ten
+// cycles in.
+func BenchmarkRankFile(b *testing.B) {
+	cfg := annealConfig()
+	var st *State
+	mpi.NewWorld(cfg.Ranks()).Run(func(c *mpi.Comm) {
+		s, err := NewState(cfg, c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			s.Cycle()
+		}
+		if c.Rank() == 0 {
+			st = s
+		}
+	})
+	var file bytes.Buffer
+	if err := st.Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			file.Reset()
+			if err := st.Save(&file); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(file.Len())/float64(len(st.Occ)), "B/site")
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := st.Restore(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

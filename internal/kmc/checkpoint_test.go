@@ -2,7 +2,6 @@ package kmc
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"math"
 	"reflect"
@@ -151,9 +150,10 @@ func TestCheckpointResumeIdenticalProtocols(t *testing.T) {
 // boundary. A short Rho used to be copied partially, an unknown occupancy
 // code to index past the per-species tables later, a NaN ρ to index past the
 // embedding table in the first Cycle, and a NaN clock or negative counter to
-// run on unnoticed; each, like a short Occ, must fail Restore and
-// RestoreResharded with an error naming the field, and a rejected Restore
-// must leave the state untouched.
+// run on unnoticed; each, like a short section or another rank's file,
+// must fail Restore and RestoreResharded with an error naming the field,
+// also when the file is re-sealed so that its checksum holds, and a
+// rejected Restore must leave the state untouched.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	cfg := testConfig()
 	var good bytes.Buffer
@@ -167,30 +167,23 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	})
 	cases := []struct {
 		name   string
-		mutate func(cp *checkpoint)
+		mutate func(rf *rankFile)
 		want   string
 	}{
-		{"short Occ", func(cp *checkpoint) { cp.Occ = cp.Occ[:len(cp.Occ)-1] }, "field Occ has"},
-		{"short Rho", func(cp *checkpoint) { cp.Rho = cp.Rho[:len(cp.Rho)/2] }, "field Rho has"},
-		{"bad occupancy code", func(cp *checkpoint) { cp.Occ[17] = 3 }, "field Occ[17] holds unknown occupancy code 3"},
-		{"NaN Rho", func(cp *checkpoint) { cp.Rho[17] = math.NaN() }, "field Rho[17] holds non-finite density NaN"},
-		{"Inf Rho", func(cp *checkpoint) { cp.Rho[4] = math.Inf(-1) }, "field Rho[4] holds non-finite density -Inf"},
-		{"NaN Time", func(cp *checkpoint) { cp.Time = math.NaN() }, "clock t=NaN after 3 cycles"},
-		{"negative Time", func(cp *checkpoint) { cp.Time = -1 }, "clock t=-1 after"},
-		{"negative Cycles", func(cp *checkpoint) { cp.Cycles = -2 }, "after -2 cycles"},
-		{"negative Events", func(cp *checkpoint) { cp.Events = -5 }, "and -5 events: want all finite and non-negative"},
+		{"short Occ", func(rf *rankFile) { rf.Occ = rf.Occ[:len(rf.Occ)-1] }, "checkpoint holds"},
+		{"short Rho", func(rf *rankFile) { rf.Rho = rf.Rho[:len(rf.Rho)/2] }, "checkpoint holds"},
+		{"wrong writer", func(rf *rankFile) { rf.Rank = 1 }, "checkpoint is for rank 1, want rank 0"},
+		{"bad occupancy code", func(rf *rankFile) { rf.Occ[17] = 3 }, "field Occ[17] holds unknown occupancy code 3"},
+		{"NaN Rho", func(rf *rankFile) { rf.Rho[17] = math.NaN() }, "field Rho[17] holds non-finite density NaN"},
+		{"Inf Rho", func(rf *rankFile) { rf.Rho[4] = math.Inf(-1) }, "field Rho[4] holds non-finite density -Inf"},
+		{"NaN Time", func(rf *rankFile) { rf.Time = math.NaN() }, "clock t=NaN after 3 cycles"},
+		{"negative Time", func(rf *rankFile) { rf.Time = -1 }, "clock t=-1 after"},
+		{"negative Cycles", func(rf *rankFile) { rf.Cycles = -2 }, "after -2 cycles"},
+		{"negative Events", func(rf *rankFile) { rf.Events = -5 }, "and -5 events: want all finite and non-negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var cp checkpoint
-			if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&cp); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			tc.mutate(&cp)
-			var bad bytes.Buffer
-			if err := gob.NewEncoder(&bad).Encode(cp); err != nil {
-				t.Fatalf("encode: %v", err)
-			}
+			bad := mutateRankFile(t, good.Bytes(), tc.mutate)
 			check := func(op string, err error) {
 				t.Helper()
 				if err == nil {
@@ -202,14 +195,14 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 			runWorld(t, cfg, func(st *State) {
 				occ := append([]uint8(nil), st.Occ...)
 				rho := append([]float64(nil), st.Rho...)
-				check("Restore", st.Restore(bytes.NewReader(bad.Bytes())))
+				check("Restore", st.Restore(bytes.NewReader(bad)))
 				if !reflect.DeepEqual(occ, st.Occ) || !reflect.DeepEqual(rho, st.Rho) || st.Cycles != 0 {
 					t.Errorf("rejected Restore modified the live state")
 				}
 				check("RestoreResharded", st.RestoreResharded(ShardSource{
 					Grid: st.Grid,
 					Open: func(int) (io.ReadCloser, error) {
-						return io.NopCloser(bytes.NewReader(bad.Bytes())), nil
+						return io.NopCloser(bytes.NewReader(bad)), nil
 					},
 				}))
 			})

@@ -51,21 +51,21 @@ func (st *State) RestoreResharded(src ShardSource) error {
 		if err != nil {
 			return fmt.Errorf("kmc: opening shard %d: %w", s, err)
 		}
-		cp, err := decode(rd, s, srcBox.NumLocalSites())
+		sh, err := decode(rd, s, srcBox.NumLocalSites())
 		rd.Close()
 		if err != nil {
 			return err
 		}
 		if cycles == -1 {
-			time, cycles = cp.Time, cp.Cycles
-		} else if cp.Cycles != cycles || cp.Time != time {
+			time, cycles = sh.time, sh.cycles
+		} else if sh.cycles != cycles || sh.time != time {
 			return fmt.Errorf("kmc: shard %d at cycle %d t=%v, shard 0 at cycle %d t=%v",
-				s, cp.Cycles, cp.Time, cycles, time)
+				s, sh.cycles, sh.time, cycles, time)
 		}
-		events += cp.Events
+		events += sh.events
 		srcBox.EachOwned(func(c lattice.Coord, srcLocal int) {
 			covered++
-			occ := cp.Occ[srcLocal]
+			occ := sh.occ[srcLocal]
 			base, ok := st.localBase(c.X, c.Y, c.Z)
 			if !ok {
 				return // outside my local region

@@ -88,6 +88,11 @@ type State struct {
 
 	rng *rng.Source
 
+	// file is Save's rank-file buffer, reused across snapshots. It grows at
+	// the first Save, and MemoryBytes leaves it out: a run that never
+	// checkpoints never fills it.
+	file halo.Packer
+
 	// tel holds the KMC phase spans and protocol counters; nil handles
 	// (telemetry disabled) make every record a no-op.
 	tel kmcTelemetry

@@ -1,6 +1,7 @@
 package md
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -84,4 +85,43 @@ func benchWorkerCounts() []int {
 		counts = append(counts, n)
 	}
 	return counts
+}
+
+// BenchmarkRankFile times Save into memory and Restore from it on the
+// md-bulk rank (20³ cells, 16,000 atoms, 600 K, one rank), two steps in.
+func BenchmarkRankFile(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Cells = [3]int{20, 20, 20}
+	cfg.Temperature = 600
+	cfg.Workers = 1
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		r, err := NewRank(cfg, c)
+		if err != nil {
+			panic(err)
+		}
+		r.Step()
+		r.Step()
+		var file bytes.Buffer
+		if err := r.Save(&file); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("save", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				file.Reset()
+				if err := r.Save(&file); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(file.Len())/float64(CountOwnedAtoms(r.Store)), "B/atom")
+		})
+		b.Run("restore", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := r.Restore(bytes.NewReader(file.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }

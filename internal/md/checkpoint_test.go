@@ -265,60 +265,52 @@ func TestRestoreDoesNotReinjectPKA(t *testing.T) {
 
 // TestRestoreRejectsCorruptSnapshot: a checkpoint file is input from
 // outside the program. Every way one field of it can be wrong — a per-site
-// slice of the wrong length, run-away counts that do not match the chain
-// list, a species the run's potential lacks, a non-finite number — must
+// field short or long of the owned-site count, a count that disagrees with
+// the records, another rank's file, run-away counts that do not match the
+// chain list, a species the run's potential lacks, a non-finite number —
+// each in a file re-sealed so that its checksum holds, must
 // surface at the trust boundary as a descriptive error from Restore and
 // RestoreResharded, not as a partial copy, an index panic or a NaN
 // trajectory; and a rejected Restore must leave the live state exactly as
 // it was.
 func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Temperature = 600
-	cfg.Dt = 2e-4
-	cfg.PKA = &PKA{Energy: 120}
-
-	// A cascade state: run-away chains in use.
-	var good bytes.Buffer
-	chained := false
-	runWorld(t, cfg, func(r *Rank) {
-		for i := 0; i < 200 && !chained; i++ {
-			r.Step()
-			r.Box.EachOwned(func(_ lattice.Coord, local int) {
-				chained = chained || r.Store.Head[local] != neighbor.NoRunaway
-			})
-		}
-		if err := r.Save(&good); err != nil {
-			t.Errorf("save: %v", err)
-		}
-	})
-	if !chained {
-		t.Fatalf("cascade left no run-away chain")
-	}
+	cfg, good := cascadeRankFile(t)
 
 	cases := []struct {
 		name   string
-		mutate func(cp *checkpoint)
+		mutate func(rf *rankFile)
 		want   string // what the error must name
 	}{
-		{"short Type", func(cp *checkpoint) { cp.Type = cp.Type[:len(cp.Type)-1] }, "field Type"},
-		{"short R", func(cp *checkpoint) { cp.R = cp.R[:len(cp.R)/2] }, "field R"},
-		{"short Vel", func(cp *checkpoint) { cp.Vel = nil }, "field Vel"},
-		{"short F", func(cp *checkpoint) { cp.F = cp.F[:1] }, "field F"},
-		{"long Runaways", func(cp *checkpoint) { cp.Runaways = append(cp.Runaways, 0) }, "field Runaways has"},
-		{"negative run-away count", func(cp *checkpoint) { cp.Runaways[3] = -7 }, "field Runaways[3] is negative (-7)"},
-		{"run-away counts past Chain", func(cp *checkpoint) { cp.Runaways[0]++ }, "Chain holds"},
-		{"unknown species", func(cp *checkpoint) { cp.Type[5] = 9 }, "owned site 5 has element code 9"},
-		{"species outside the potential", func(cp *checkpoint) { cp.Type[5] = units.Cu }, "not a species of this run's potential [Fe]"},
-		{"NaN x", func(cp *checkpoint) { cp.R[5].X = math.NaN() }, "owned site 5 has non-finite R"},
-		{"Inf velocity", func(cp *checkpoint) { cp.Vel[2].Y = math.Inf(1) }, "owned site 2 has non-finite Vel"},
-		{"NaN chain force", func(cp *checkpoint) { cp.Chain[0].F.Z = math.NaN() }, "chain atom 0 has non-finite F"},
-		{"unknown chain species", func(cp *checkpoint) { cp.Chain[0].Type = 9 }, "chain atom 0 has element code 9"},
-		{"NaN LastPE", func(cp *checkpoint) { cp.LastPE = math.NaN() }, "LastPE NaN: want a non-negative step and a finite energy"},
-		{"negative StepCount", func(cp *checkpoint) { cp.StepCount = -3 }, "StepCount -3, LastPE"},
+		{"short Type", func(rf *rankFile) { rf.Type = rf.Type[:len(rf.Type)-1] }, "records take"},
+		{"short R", func(rf *rankFile) { rf.R = rf.R[:len(rf.R)/2] }, "records take"},
+		{"short Vel", func(rf *rankFile) { rf.Vel = nil }, "records take"},
+		{"short F", func(rf *rankFile) { rf.F = rf.F[:1] }, "records take"},
+		{"long Runaways", func(rf *rankFile) { rf.Runaways = append(rf.Runaways, 0) }, "records take"},
+		{"one owned site short", func(rf *rankFile) {
+			n := len(rf.ID) - 1
+			rf.ID, rf.Type, rf.R, rf.Vel, rf.F, rf.Runaways = rf.ID[:n], rf.Type[:n], rf.R[:n], rf.Vel[:n], rf.F[:n], rf.Runaways[:n]
+		}, "owned-site records, want"},
+		{"wrong writer", func(rf *rankFile) { rf.Rank = 1 }, "checkpoint is for rank 1, want rank 0"},
+		{"more run-away atoms than owned sites", func(rf *rankFile) {
+			rf.Runaways[0] += int32(len(rf.ID))
+			for range rf.ID {
+				rf.Chain = append(rf.Chain, rf.Chain[0])
+			}
+		}, "rank file declares"},
+		{"negative run-away count", func(rf *rankFile) { rf.Runaways[3] = -7 }, "field Runaways[3] is negative (-7)"},
+		{"run-away counts past Chain", func(rf *rankFile) { rf.Runaways[0]++ }, "Chain holds"},
+		{"unknown species", func(rf *rankFile) { rf.Type[5] = 9 }, "owned site 5 has element code 9"},
+		{"species outside the potential", func(rf *rankFile) { rf.Type[5] = units.Cu }, "not a species of this run's potential [Fe]"},
+		{"NaN x", func(rf *rankFile) { rf.R[5].X = math.NaN() }, "owned site 5 has non-finite R"},
+		{"Inf velocity", func(rf *rankFile) { rf.Vel[2].Y = math.Inf(1) }, "owned site 2 has non-finite Vel"},
+		{"NaN chain force", func(rf *rankFile) { rf.Chain[0].F.Z = math.NaN() }, "chain atom 0 has non-finite F"},
+		{"unknown chain species", func(rf *rankFile) { rf.Chain[0].Type = 9 }, "chain atom 0 has element code 9"},
+		{"NaN LastPE", func(rf *rankFile) { rf.LastPE = math.NaN() }, "LastPE NaN: want a non-negative step and a finite energy"},
+		{"negative StepCount", func(rf *rankFile) { rf.StepCount = -3 }, "StepCount -3, LastPE"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := mutateRankFile(t, good.Bytes(), tc.mutate)
+			bad := mutateRankFile(t, good, tc.mutate)
 			check := func(op string, err error) {
 				t.Helper()
 				if err == nil {
@@ -344,9 +336,10 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesVersion1File: a rank file of the version-1 layout — a
-// gob of the whole local store, ghosts, ρ and run-away pool included — is
-// refused by its version, not decoded into the wrong state.
+// TestRestoreRefusesVersion1File: rank files of the gob eras — version 1,
+// a gob of the whole local store, ghosts, ρ and run-away pool included, and
+// version 2, a gob of the owned atoms — are refused by the rank file format,
+// not decoded into the wrong state.
 func TestRestoreRefusesVersion1File(t *testing.T) {
 	type storeV1 struct {
 		ID   []int64
@@ -366,25 +359,54 @@ func TestRestoreRefusesVersion1File(t *testing.T) {
 		LastPE    float64
 		Store     storeV1
 	}
+	type chainAtomV2 struct {
+		ID        int64
+		Type      units.Element
+		R, Vel, F vec.V
+	}
+	type fileV2 struct {
+		Version   int
+		Rank      int
+		StepCount int
+		LastPE    float64
+		ID        []int64
+		Type      []units.Element
+		R, Vel, F []vec.V
+		Runaways  []int32
+		Chain     []chainAtomV2
+	}
 	cfg := smallConfig()
 	cfg.Temperature = 600
-	var old bytes.Buffer
+	var v1, v2, cur bytes.Buffer
 	runWorld(t, cfg, func(r *Rank) {
 		r.Step()
 		s := r.Store
-		err := gob.NewEncoder(&old).Encode(fileV1{
+		err := gob.NewEncoder(&v1).Encode(fileV1{
 			Version: 1, StepCount: r.StepCount, LastPE: r.LastPE,
 			Store: storeV1{ID: s.ID, Type: s.Type, R: s.R, Vel: s.Vel, F: s.F, Rho: s.Rho, Head: s.Head, Free: neighbor.NoRunaway},
 		})
 		if err != nil {
 			t.Errorf("encode: %v", err)
 		}
+		if err := r.Save(&cur); err != nil {
+			t.Errorf("save: %v", err)
+		}
 	})
+	rf := parseRankFile(t, cur.Bytes())
+	err := gob.NewEncoder(&v2).Encode(fileV2{
+		Version: 2, StepCount: int(rf.StepCount), LastPE: rf.LastPE,
+		ID: rf.ID, Type: rf.Type, R: rf.R, Vel: rf.Vel, F: rf.F, Runaways: rf.Runaways,
+	})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
 	runWorld(t, cfg, func(r *Rank) {
 		before := stateOf(r)
-		const want = "md: checkpoint version 1, want 2"
-		if err := r.Restore(bytes.NewReader(old.Bytes())); err == nil || err.Error() != want {
-			t.Errorf("Restore of a version-1 file: error %v, want %q", err, want)
+		for _, old := range []*bytes.Buffer{&v1, &v2} {
+			err := r.Restore(bytes.NewReader(old.Bytes()))
+			if err == nil || !strings.HasPrefix(err.Error(), "md: ") || !strings.Contains(err.Error(), "rank file format") {
+				t.Errorf("Restore of a gob rank file: error %v, want an md: error naming the rank file format", err)
+			}
 		}
 		if !reflect.DeepEqual(before, stateOf(r)) {
 			t.Errorf("refused Restore modified the live state")

@@ -43,17 +43,17 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 		if err != nil {
 			return fmt.Errorf("md: opening shard %d: %w", s, err)
 		}
-		cp, err := r.decode(rd, s, srcBox.NumOwnedSites())
+		sh, err := r.decode(rd, s, srcBox.NumOwnedSites())
 		rd.Close()
 		if err != nil {
 			return err
 		}
 		if stepCount == -1 {
-			stepCount = cp.StepCount
-		} else if cp.StepCount != stepCount {
-			return fmt.Errorf("md: shard %d at step %d, an earlier shard at step %d", s, cp.StepCount, stepCount)
+			stepCount = sh.stepCount
+		} else if sh.stepCount != stepCount {
+			return fmt.Errorf("md: shard %d at step %d, an earlier shard at step %d", s, sh.stepCount, stepCount)
 		}
-		placed += r.place(cp, srcBox)
+		placed += r.place(sh, srcBox)
 	}
 	if placed != r.Box.NumOwnedSites() {
 		return fmt.Errorf("md: reshard covered %d of %d owned sites — source boxes do not partition the lattice",

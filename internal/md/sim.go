@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mdkmc/internal/eam"
+	"mdkmc/internal/halo"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/mpi"
 	"mdkmc/internal/neighbor"
@@ -49,6 +50,11 @@ type Rank struct {
 	// Scratch lists of relink, reused across steps.
 	converts []int
 	moves    []runawayRef
+
+	// file is Save's rank-file buffer, reused across snapshots. It grows at
+	// the first Save, and MemoryBytes leaves it out: a run that never
+	// checkpoints never fills it.
+	file halo.Packer
 
 	// tel holds the phase timers; nil timers (telemetry disabled) make every
 	// span a no-op, so the step path is instrumented unconditionally.
